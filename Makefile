@@ -15,9 +15,9 @@ RACE_PKGS = ./internal/ifacecache ./internal/streamcache ./internal/core ./inter
 # suite also hand-arms every injection point regardless of seeds.
 CHAOS_SEEDS ?= 1,2,3,4,5,6,7,8,13,21,34,55,89,144
 
-.PHONY: check vet build test race chaos smoke serve-smoke profile lint bench obsbench profilebench bench-sched bench-incr clean
+.PHONY: check vet build test race chaos smoke serve-smoke profile lint bench-frontend bench obsbench profilebench bench-sched bench-incr clean
 
-check: vet build test race chaos smoke serve-smoke profile lint
+check: vet build test race chaos smoke serve-smoke profile lint bench-frontend
 
 # Standard vet, then the repo's own concurrency-invariant analyzers
 # (internal/lint) via the go vet vettool protocol: raw event fires,
@@ -68,6 +68,15 @@ profile:
 lint:
 	$(GO) run ./cmd/m2lint -I examples/modules -werror LintClean Demo
 	$(GO) run ./cmd/m2lint -I examples/modules LintFindings | diff examples/modules/LintFindings.golden -
+
+# Front-end layer microbenchmarks (lexer, token queue, splitter with and
+# without the stream cache's Keyer) on one fixed generated program,
+# reporting Mtok/s and allocs/op.  One iteration each: inside `make
+# check` this is a smoke step that keeps them compiling and running;
+# raise -benchtime to measure.
+bench-frontend:
+	$(GO) test -run='^$$' -bench='^(BenchmarkLexerRun|BenchmarkSplitObserved|BenchmarkAppendRead)$$' -benchtime=1x \
+		./internal/lexer ./internal/tokq ./internal/splitter
 
 bench:
 	$(GO) run ./cmd/m2bench -ifacecache -json BENCH_ifacecache.json

@@ -215,6 +215,12 @@ func runChaos(t *testing.T, loader m2cc.Loader, module string, strat m2cc.Strate
 	}()
 
 	res := m2cc.Compile(module, loader, opts)
+	// A steal needs two workers awake at once, which a loaded host does
+	// not grant every run; the plan stays armed until its arrival comes,
+	// so compile again until the point has had one.
+	for i := 0; i < 50 && wantTrip > 0 && plan.Trigger(faultinject.PanicSteal) > 0 && plan.Tripped(faultinject.PanicSteal) == 0; i++ {
+		res = m2cc.Compile(module, loader, opts)
+	}
 	if res.Failed() {
 		t.Fatalf("chaos compile failed:\n%s", res.Diags)
 	}
@@ -297,6 +303,15 @@ func TestChaosMatrix(t *testing.T) {
 			// another worker's local run queue, before its body runs;
 			// recovery must be indistinguishable from any other panic.
 			return faultinject.New().Arm(faultinject.PanicSteal, 1)
+		}},
+		{"panic-split", func() *faultinject.Plan {
+			// Kills the Splitter at the second procedure declaration:
+			// the main stream's open block holds the first procedure's
+			// heading and BodyRef plus the second heading, the first
+			// procedure's stream is finished, and the raw queue's reader
+			// is mid-block.  The recovery must seal all of it so every
+			// parser drains to an EOF before the sequential fallback.
+			return faultinject.New().Arm(faultinject.PanicSplit, 2)
 		}},
 	}
 	for strat := m2cc.Avoidance; strat <= m2cc.Optimistic; strat++ {

@@ -421,6 +421,7 @@ func (s *server) writePrometheus(w http.ResponseWriter) {
 	promCounter(w, "m2cd_iface_cache_misses_total", "Interface-cache misses (leader compilations).", snap.Cache.Misses)
 	promCounter(w, "m2cd_iface_cache_waits_total", "Interface-cache waits behind a leader.", snap.Cache.Waits)
 	promCounter(w, "m2cd_iface_cache_evictions_total", "Interface-cache LRU evictions.", snap.Cache.Evictions)
+	promCounter(w, "m2cd_iface_cache_hashes_total", "Definition-module texts content-hashed for interface-cache keys.", snap.Cache.Hashes)
 	promCounter(w, "m2cd_stream_cache_hits_total", "Stream-cache hits.", snap.StreamCache.Hits)
 	promCounter(w, "m2cd_stream_cache_misses_total", "Stream-cache misses.", snap.StreamCache.Misses)
 	promCounter(w, "m2cd_stream_cache_evictions_total", "Stream-cache LRU evictions.", snap.StreamCache.Evictions)

@@ -399,6 +399,7 @@ func TestPrometheusExposition(t *testing.T) {
 		"m2cd_iface_cache_misses_total counter",
 		"m2cd_iface_cache_waits_total counter",
 		"m2cd_iface_cache_evictions_total counter",
+		"m2cd_iface_cache_hashes_total counter",
 		"m2cd_stream_cache_hits_total counter",
 		"m2cd_stream_cache_misses_total counter",
 		"m2cd_stream_cache_evictions_total counter",

@@ -9,6 +9,8 @@ import (
 	"m2cc/internal/ifacecache"
 	"m2cc/internal/seq"
 	"m2cc/internal/sim"
+	"m2cc/internal/source"
+	"m2cc/internal/streamcache"
 	"m2cc/internal/symtab"
 )
 
@@ -162,5 +164,92 @@ func TestCacheWithStatsCountsCachedScopes(t *testing.T) {
 	}
 	if res.Stats == nil || res.Stats.Lookups.Load() == 0 {
 		t.Fatalf("warm-cache run collected no lookup statistics: %+v", res.Stats)
+	}
+}
+
+// countingLoader counts Load calls per file.
+type countingLoader struct {
+	source.Loader
+	mu    sync.Mutex // guards: loads
+	loads map[string]int
+}
+
+func (l *countingLoader) Load(name string, kind source.FileKind) (string, error) {
+	l.mu.Lock()
+	l.loads[name+kind.Ext()]++
+	l.mu.Unlock()
+	return l.Loader.Load(name, kind)
+}
+
+// TestEachInterfaceHashedOncePerCompilation pins the per-compilation
+// content-hash memo: a warm compilation whose imports have overlapping
+// closures (every interface is in several roots' closures, and both
+// caches key on them) loads each file once and hashes each distinct
+// .def exactly once — and the memo dies with the compilation, so a .def
+// edited before the next one is seen.
+func TestEachInterfaceHashedOncePerCompilation(t *testing.T) {
+	files := map[string]string{
+		"Base.def": "DEFINITION MODULE Base;\nCONST N = 4;\nEND Base.\n",
+		"A.def":    "DEFINITION MODULE A;\nIMPORT Base;\nCONST A1 = Base.N + 1;\nEND A.\n",
+		"B.def":    "DEFINITION MODULE B;\nIMPORT Base, A;\nCONST B1 = A.A1 + Base.N;\nEND B.\n",
+		"C.def":    "DEFINITION MODULE C;\nIMPORT B;\nCONST C1 = B.B1 * 2;\nEND C.\n",
+		"Main.mod": "MODULE Main;\nIMPORT A, B, C, Base;\nVAR x: INTEGER;\n" +
+			"PROCEDURE P(): INTEGER;\nBEGIN\n  RETURN A.A1 + B.B1\nEND P;\n" +
+			"BEGIN\n  x := P() + C.C1 + Base.N\nEND Main.\n",
+	}
+	const distinctDefs = 4
+	base := testLoader(files)
+	loader := &countingLoader{Loader: base, loads: map[string]int{}}
+	cache, scache := ifacecache.New(), streamcache.New(0)
+	opts := core.Options{Workers: 2, Cache: cache, StreamCache: scache}
+
+	hashes := func() int64 { return cache.Stats().Hashes + scache.Stats().Hashes }
+	compile := func(step string) (*core.Result, int64) {
+		t.Helper()
+		clear(loader.loads)
+		before := hashes()
+		res := core.Compile("Main", loader, opts)
+		if res.Failed() || res.Faulted {
+			t.Fatalf("%s: compile failed:\n%s", step, res.Diags)
+		}
+		for file, n := range loader.loads {
+			if n != 1 {
+				t.Errorf("%s: %s loaded %d times in one compilation", step, file, n)
+			}
+		}
+		return res, hashes() - before
+	}
+
+	if _, n := compile("cold"); n != distinctDefs {
+		t.Errorf("cold compile hashed %d .def texts, want %d", n, distinctDefs)
+	}
+	ifaceBefore := cache.Stats()
+	res, n := compile("warm")
+	if n != distinctDefs {
+		t.Errorf("warm compile hashed %d .def texts, want each of %d once", n, distinctDefs)
+	}
+	if d := cache.Stats().Sub(ifaceBefore); d.Hits == 0 || d.Misses != 0 {
+		t.Errorf("warm compile's interface traffic: %+v", d)
+	}
+	if ta := res.StreamCache; ta.Hits != ta.Probed {
+		t.Errorf("warm compile's stream tally: %+v", *ta)
+	}
+
+	// Edit the interface at the bottom of every closure.
+	base.Add("Base", source.Def, "DEFINITION MODULE Base;\nCONST N = 5;\nEND Base.\n")
+	ifaceBefore = cache.Stats()
+	res, n = compile("edited")
+	if n != distinctDefs {
+		t.Errorf("compile after the edit hashed %d .def texts, want %d", n, distinctDefs)
+	}
+	if d := cache.Stats().Sub(ifaceBefore); d.Misses != distinctDefs {
+		t.Errorf("compile after editing Base.def: interface traffic %+v, want %d misses", d, distinctDefs)
+	}
+	if ta := res.StreamCache; ta.Hits != 0 {
+		t.Errorf("compile after editing Base.def: stream tally %+v, want no hits", *ta)
+	}
+	want := seq.Compile("Main", base)
+	if res.Object.Listing() != want.Object.Listing() {
+		t.Errorf("compile after the edit differs from the sequential compiler")
 	}
 }

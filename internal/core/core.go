@@ -299,7 +299,10 @@ func Compile(module string, loader source.Loader, opts Options) *Result {
 		opts.Cache = nil
 	}
 	d := &driver{
-		opts: opts, loader: loader, module: module,
+		// One snapshot per compilation: each file is loaded once and each
+		// .def hashed once, whichever of the Lexors, the interface cache
+		// and the stream-cache probe asks first.
+		opts: opts, loader: source.NewSnapshot(loader), module: module,
 		files:  source.NewSet(),
 		diags:  diag.NewBag(200),
 		reg:    vm.NewRegistry(module),
@@ -687,6 +690,7 @@ func (d *driver) startMainStream() {
 // gated on the heading event.
 func (d *driver) startProcStream(splitterTask *sched.Task) splitter.StartProc {
 	return func(name string, pos token.Pos, parent int32) (int32, *tokq.Queue) {
+		d.inject.Panic(faultinject.PanicSplit, name)
 		id := d.newStream()
 		ps := &procStream{
 			id: id, name: name, parent: parent,

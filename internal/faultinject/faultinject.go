@@ -80,6 +80,13 @@ const (
 	// to the sequential analyzer (Result.CheckFellBack) with
 	// byte-identical findings.
 	PanicConcMerge
+	// PanicSplit panics the Splitter task at the Nth procedure
+	// declaration it finds (core's StartProc callback), after the
+	// heading went into the parent's open token block and before the
+	// body has a stream: a queue producer dying mid-block.  Its
+	// recovery must seal every half-filled block with an EOF, so no
+	// parser waits forever, before the fault takes the usual path.
+	PanicSplit
 
 	numPoints
 )
@@ -87,7 +94,7 @@ const (
 var pointNames = [numPoints]string{
 	"panic-lookup", "stall-leader", "fail-install", "drop-fire",
 	"panic-check", "panic-steal", "slow-request", "panic-handler",
-	"panic-install", "panic-conc-merge",
+	"panic-install", "panic-conc-merge", "panic-split",
 }
 
 func (p Point) String() string {
@@ -100,7 +107,7 @@ func (p Point) String() string {
 // Points lists every injection point (for chaos matrices).
 func Points() []Point {
 	return []Point{PanicLookup, StallLeader, FailInstall, DropFire, PanicCheck, PanicSteal,
-		SlowRequest, PanicHandler, PanicInstall, PanicConcMerge}
+		SlowRequest, PanicHandler, PanicInstall, PanicConcMerge, PanicSplit}
 }
 
 // ParsePoint converts a point name (as printed by Point.String, e.g.

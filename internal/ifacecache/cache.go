@@ -300,6 +300,7 @@ type Stats struct {
 	Bypasses  int64 // uncacheable requests (load failure / import cycle)
 	Abandoned int64 // waiters that timed out on a wedged leader (NoteAbandoned)
 	Evictions int64 // entries dropped by the LRU cap (SetLimit)
+	Hashes    int64 // .def texts content-hashed on this cache's behalf
 }
 
 // Sub returns s - prev, the cache traffic between two snapshots; the
@@ -313,6 +314,7 @@ func (s Stats) Sub(prev Stats) Stats {
 		Bypasses:  s.Bypasses - prev.Bypasses,
 		Abandoned: s.Abandoned - prev.Abandoned,
 		Evictions: s.Evictions - prev.Evictions,
+		Hashes:    s.Hashes - prev.Hashes,
 	}
 }
 
@@ -322,8 +324,8 @@ func (s Stats) Sub(prev Stats) Stats {
 type Cache struct {
 	mu       sync.Mutex // guards: entries, lru, limit, scans, closures, stats
 	entries  map[key]*Entry
-	lru      *list.List // MRU at front; element values are *Entry
-	limit    int        // max entries; 0 = unbounded
+	lru      *list.List               // MRU at front; element values are *Entry
+	limit    int                      // max entries; 0 = unbounded
 	scans    map[source.Hash][]string // content hash → direct import names
 	closures map[string]*closureMemo  // module name → validated closure-hash memo
 	stats    Stats
@@ -380,6 +382,26 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
+}
+
+// load returns name.def's text and content hash.  Through a
+// source.Snapshot — the compiler hands every request of one compilation
+// the same one — a file is loaded and hashed once per compilation
+// however many closures it is a member of, and once more in the next
+// compilation, which is what revalidates every memo below.
+func (c *Cache) load(name string, loader source.Loader) (text string, sum source.Hash, err error) {
+	fresh := true
+	if snap, ok := loader.(*source.Snapshot); ok {
+		text, sum, fresh, err = snap.LoadHashed(name, source.Def)
+	} else if text, err = loader.Load(name, source.Def); err == nil {
+		sum = source.HashText(text)
+	}
+	if fresh && err == nil {
+		c.mu.Lock()
+		c.stats.Hashes++
+		c.mu.Unlock()
+	}
+	return text, sum, err
 }
 
 // NoteAbandoned counts one waiter giving up on a wedged foreign leader
@@ -538,14 +560,13 @@ func (c *Cache) ClosureHash(loader source.Loader, roots []string) (source.Hash, 
 
 // rootClosureHash returns the transitive closure hash of name,
 // consulting (and maintaining) the per-name memo: a memo hit needs one
-// Load+HashText per closure member and no lexing, recursion, or map
-// allocation; a miss or a stale memo falls back to the full walk.
+// load per closure member and no lexing, recursion, or map allocation; a
+// miss or a stale memo falls back to the full walk.
 func (c *Cache) rootClosureHash(name string, loader source.Loader) (source.Hash, bool) {
-	text, err := loader.Load(name, source.Def)
+	_, own, err := c.load(name, loader)
 	if err != nil {
 		return source.Hash{}, false
 	}
-	own := source.HashText(text)
 
 	c.mu.Lock()
 	m := c.closures[name]
@@ -582,8 +603,7 @@ func (c *Cache) rootClosureHash(name string, loader source.Loader) (source.Hash,
 // to the recorded content.
 func (c *Cache) memoValid(m *closureMemo, loader source.Loader) bool {
 	for _, d := range m.deps {
-		text, err := loader.Load(d.name, source.Def)
-		if err != nil || source.HashText(text) != d.hash {
+		if _, sum, err := c.load(d.name, loader); err != nil || sum != d.hash {
 			return false
 		}
 	}
@@ -600,11 +620,10 @@ func (c *Cache) closureHash(name string, loader source.Loader, s *closureScratch
 	s.visiting[name] = true
 	defer delete(s.visiting, name)
 
-	text, err := loader.Load(name, source.Def)
+	text, content, err := c.load(name, loader)
 	if err != nil {
 		return source.Hash{}, false
 	}
-	content := source.HashText(text)
 	imports := c.scanImports(name, text, content)
 
 	hasher := sha256.New()

@@ -6,9 +6,17 @@
 // the parallel work available to the rest of the compilation.  A Lexor
 // task never blocks (§2.3.3), which is what makes barrier waits on token
 // queues deadlock-free.
+//
+// The scanner works a block at a time: it writes tokens straight into
+// the slots it is handed (a token queue's open block, or the tail of
+// ScanAll's slice), classifies bytes through one table, crosses blank
+// and identifier runs without per-byte position bookkeeping (a column is
+// the distance from the line's first byte), and charges its work units
+// once per fill.
 package lexer
 
 import (
+	"slices"
 	"strings"
 
 	"m2cc/internal/ctrace"
@@ -18,37 +26,65 @@ import (
 	"m2cc/internal/tokq"
 )
 
-// Lexer scans one source file.  Create with New; call Scan until it
-// returns an EOF token (further calls keep returning EOF).
-type Lexer struct {
+// Byte classes, one table lookup per byte.
+const (
+	cBlank  uint8 = 1 << iota // space, tab, CR, LF, FF
+	cLetter                   // a-z, A-Z, _
+	cUpper                    // A-Z
+	cDigit                    // 0-9
+	cHex                      // 0-9, A-F
+)
+
+var class = func() (t [256]uint8) {
+	for _, c := range " \t\r\n\f" {
+		t[c] = cBlank
+	}
+	for c := 'a'; c <= 'z'; c++ {
+		t[c] = cLetter
+		t[c-'a'+'A'] = cLetter | cUpper
+	}
+	t['_'] = cLetter
+	for c := '0'; c <= '9'; c++ {
+		t[c] = cDigit | cHex
+	}
+	for c := 'A'; c <= 'F'; c++ {
+		t[c] |= cHex
+	}
+	return t
+}()
+
+// maxReserved is the length of the longest reserved word
+// (IMPLEMENTATION).  Reserved words are all upper-case letters, so an
+// identifier that is longer, or has any other byte, skips the lookup.
+const maxReserved = 14
+
+// scanner scans one source file.
+type scanner struct {
 	file  *source.File
 	src   string
 	off   int // byte offset of next unread character
 	line  int32
-	col   int32
+	bol   int // offset of the current line's first byte; column = off-bol+1
 	ctx   *ctrace.TaskCtx
 	diags *diag.Bag
 
-	lastCosted int // source offset already charged to the cost meter
+	costed int // source offset already charged to the cost meter
 }
 
-// New returns a lexer over f.  ctx supplies the work-unit meter (it must
-// be non-nil; use a throwaway TaskCtx when instrumentation is not
-// wanted).  Lexical errors are reported to diags.
-func New(f *source.File, ctx *ctrace.TaskCtx, diags *diag.Bag) *Lexer {
-	return &Lexer{file: f, src: f.Text, line: 1, col: 1, ctx: ctx, diags: diags}
+func newScanner(f *source.File, ctx *ctrace.TaskCtx, diags *diag.Bag) *scanner {
+	return &scanner{file: f, src: f.Text, line: 1, ctx: ctx, diags: diags}
 }
 
-func (l *Lexer) pos() token.Pos {
-	return token.Pos{File: l.file.ID, Line: l.line, Col: l.col}
+func (l *scanner) pos() token.Pos {
+	return token.Pos{File: l.file.ID, Line: l.line, Col: int32(l.off-l.bol) + 1}
 }
 
-func (l *Lexer) errorf(p token.Pos, format string, args ...any) {
+func (l *scanner) errorf(p token.Pos, format string, args ...any) {
 	l.diags.Errorf(l.file.Label(), p, format, args...)
 }
 
 // peek returns the next unread byte, or 0 at end of input.
-func (l *Lexer) peek() byte {
+func (l *scanner) peek() byte {
 	if l.off < len(l.src) {
 		return l.src[l.off]
 	}
@@ -56,131 +92,107 @@ func (l *Lexer) peek() byte {
 }
 
 // peek2 returns the byte after next, or 0.
-func (l *Lexer) peek2() byte {
+func (l *scanner) peek2() byte {
 	if l.off+1 < len(l.src) {
 		return l.src[l.off+1]
 	}
 	return 0
 }
 
-// advance consumes one byte, maintaining line/column bookkeeping.
-func (l *Lexer) advance() byte {
-	c := l.src[l.off]
-	l.off++
-	if c == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
-	}
-	return c
-}
+func isDigit(c byte) bool { return class[c]&cDigit != 0 }
 
-func isLetter(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_'
-}
-
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }
-
-func isHexDigit(c byte) bool {
-	return isDigit(c) || c >= 'A' && c <= 'F'
-}
-
-// skipBlanksAndComments consumes whitespace, (* ... *) comments (which
-// nest, per the Modula-2 report) and <* ... *> pragmas.
-func (l *Lexer) skipBlanksAndComments() {
-	for l.off < len(l.src) {
-		c := l.peek()
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\f':
-			l.advance()
+// fill scans tokens into dst until it is full or holds the EOF token
+// (past end of input it writes EOF again), and returns how many it
+// wrote — at least one.  The work units for everything scanned are
+// charged once, before returning, so a token block published next is
+// stamped after its whole cost: n·CostLexToken + bytes·CostLexChar.
+func (l *scanner) fill(dst []token.Token) int {
+	src := l.src
+	n := 0
+scan:
+	for n < len(dst) {
+		// Blank run: the line bookkeeping moves once per newline.
+		off := l.off
+		for off < len(src) && class[src[off]]&cBlank != 0 {
+			if src[off] == '\n' {
+				l.line++
+				l.bol = off + 1
+			}
+			off++
+		}
+		l.off = off
+		p := l.pos()
+		if off >= len(src) {
+			dst[n] = token.Token{Kind: token.EOF, Pos: p}
+			n++
+			break
+		}
+		switch c := src[off]; {
+		case class[c]&cLetter != 0:
+			// Identifier run.  upper survives only if every byte is A-Z.
+			upper := cUpper
+			for off < len(src) && class[src[off]]&(cLetter|cDigit) != 0 {
+				upper &= class[src[off]]
+				off++
+			}
+			text := src[l.off:off]
+			l.off = off
+			dst[n] = token.Token{Kind: token.Ident, Pos: p, Text: text}
+			if upper != 0 && len(text) <= maxReserved {
+				if k := token.Lookup(text); k != token.Ident {
+					dst[n] = token.Token{Kind: k, Pos: p}
+				}
+			}
+		case class[c]&cDigit != 0:
+			dst[n] = l.scanNumber(p)
+		case c == '"' || c == '\'':
+			dst[n] = l.scanString(p)
 		case c == '(' && l.peek2() == '*':
-			start := l.pos()
-			l.advance()
-			l.advance()
-			depth := 1
-			for depth > 0 {
-				if l.off >= len(l.src) {
-					l.errorf(start, "unterminated comment")
-					return
-				}
-				switch {
-				case l.peek() == '(' && l.peek2() == '*':
-					l.advance()
-					l.advance()
-					depth++
-				case l.peek() == '*' && l.peek2() == ')':
-					l.advance()
-					l.advance()
-					depth--
-				default:
-					l.advance()
-				}
-			}
+			l.skipBracket(p, '(', ')', "comment")
+			continue scan
 		case c == '<' && l.peek2() == '*':
-			start := l.pos()
-			l.advance()
-			l.advance()
-			for {
-				if l.off >= len(l.src) {
-					l.errorf(start, "unterminated pragma")
-					return
-				}
-				if l.peek() == '*' && l.peek2() == '>' {
-					l.advance()
-					l.advance()
-					break
-				}
-				l.advance()
-			}
+			l.skipBracket(p, 0, '>', "pragma")
+			continue scan
 		default:
+			k := l.scanOperator(p)
+			if k == token.EOF {
+				// Illegal character: reported and skipped, at the price
+				// of one token's work.
+				l.ctx.Add(ctrace.CostLexToken)
+				continue scan
+			}
+			dst[n] = token.Token{Kind: k, Pos: p}
+		}
+		n++
+	}
+	l.ctx.Add(float64(n)*ctrace.CostLexToken + float64(l.off-l.costed)*ctrace.CostLexChar)
+	l.costed = l.off
+	return n
+}
+
+// skipBracket consumes a comment "(* ... *)" — comments nest, per the
+// Modula-2 report — or, with open 0, a pragma "<* ... *>", which does not.
+func (l *scanner) skipBracket(start token.Pos, open, close byte, what string) {
+	l.off += 2
+	for depth := 1; depth > 0; {
+		switch {
+		case l.off >= len(l.src):
+			l.errorf(start, "unterminated %s", what)
 			return
+		case open != 0 && l.peek() == open && l.peek2() == '*':
+			l.off += 2
+			depth++
+		case l.peek() == '*' && l.peek2() == close:
+			l.off += 2
+			depth--
+		default:
+			if l.src[l.off] == '\n' {
+				l.line++
+				l.bol = l.off + 1
+			}
+			l.off++
 		}
 	}
-}
-
-// charge adds the cost of everything scanned since the last charge plus
-// one token's worth of work.
-func (l *Lexer) charge() {
-	l.ctx.Add(float64(l.off-l.lastCosted)*ctrace.CostLexChar + ctrace.CostLexToken)
-	l.lastCosted = l.off
-}
-
-// Scan returns the next token.  At end of input it returns (and keeps
-// returning) a token of kind EOF positioned after the last character.
-func (l *Lexer) Scan() token.Token {
-	l.skipBlanksAndComments()
-	p := l.pos()
-	if l.off >= len(l.src) {
-		l.charge()
-		return token.Token{Kind: token.EOF, Pos: p}
-	}
-	c := l.peek()
-	var t token.Token
-	switch {
-	case isLetter(c):
-		t = l.scanIdent(p)
-	case isDigit(c):
-		t = l.scanNumber(p)
-	case c == '"' || c == '\'':
-		t = l.scanString(p)
-	default:
-		t = l.scanOperator(p)
-	}
-	l.charge()
-	return t
-}
-
-func (l *Lexer) scanIdent(p token.Pos) token.Token {
-	start := l.off
-	for l.off < len(l.src) && (isLetter(l.peek()) || isDigit(l.peek())) {
-		l.advance()
-	}
-	text := l.src[start:l.off]
-	if k := token.Lookup(text); k != token.Ident {
-		return token.Token{Kind: k, Pos: p}
-	}
-	return token.Token{Kind: token.Ident, Pos: p, Text: text}
 }
 
 // scanNumber handles the Modula-2 numeric forms:
@@ -190,41 +202,41 @@ func (l *Lexer) scanIdent(p token.Pos) token.Token {
 //	octal        17B
 //	char code    15C    (octal, yields a character literal)
 //	real         3.14   1.0E6   2.5E-3
-func (l *Lexer) scanNumber(p token.Pos) token.Token {
+func (l *scanner) scanNumber(p token.Pos) token.Token {
 	start := l.off
-	for l.off < len(l.src) && isHexDigit(l.peek()) {
-		l.advance()
+	for l.off < len(l.src) && class[l.peek()]&cHex != 0 {
+		l.off++
 	}
 	digits := l.src[start:l.off]
 	// Real literal: digits '.' (but not '..') — only if the digit run was
 	// purely decimal.
 	if l.peek() == '.' && l.peek2() != '.' && isDecimal(digits) {
-		l.advance()
+		l.off++
 		for l.off < len(l.src) && isDigit(l.peek()) {
-			l.advance()
+			l.off++
 		}
 		if l.peek() == 'E' {
-			l.advance()
+			l.off++
 			if l.peek() == '+' || l.peek() == '-' {
-				l.advance()
+				l.off++
 			}
 			if !isDigit(l.peek()) {
 				l.errorf(l.pos(), "malformed real literal: missing exponent digits")
 			}
 			for l.off < len(l.src) && isDigit(l.peek()) {
-				l.advance()
+				l.off++
 			}
 		}
 		return token.Token{Kind: token.RealLit, Pos: p, Text: l.src[start:l.off]}
 	}
 	switch l.peek() {
 	case 'H':
-		l.advance()
+		l.off++
 		return token.Token{Kind: token.IntLit, Pos: p, Text: l.src[start:l.off]}
 	case 'B', 'C':
 		// The final B/C may already have been consumed into the hex-digit
 		// run (B and C are hex digits); handle the trailing-letter form.
-		l.advance()
+		l.off++
 		text := l.src[start:l.off]
 		if !isOctal(text[:len(text)-1]) {
 			l.errorf(p, "malformed octal literal %q", text)
@@ -272,8 +284,9 @@ func isOctal(s string) bool {
 // have no escape sequences and may not span lines.  A one-character
 // string is char-compatible; that classification happens in the
 // semantic analyzer, so the lexer always emits StringLit here.
-func (l *Lexer) scanString(p token.Pos) token.Token {
-	quote := l.advance()
+func (l *scanner) scanString(p token.Pos) token.Token {
+	quote := l.src[l.off]
+	l.off++
 	start := l.off
 	for {
 		if l.off >= len(l.src) || l.peek() == '\n' {
@@ -282,15 +295,18 @@ func (l *Lexer) scanString(p token.Pos) token.Token {
 		}
 		if l.peek() == quote {
 			text := l.src[start:l.off]
-			l.advance()
+			l.off++
 			return token.Token{Kind: token.StringLit, Pos: p, Text: text}
 		}
-		l.advance()
+		l.off++
 	}
 }
 
-func (l *Lexer) scanOperator(p token.Pos) token.Token {
-	c := l.advance()
+// scanOperator scans an operator or delimiter and returns its kind; an
+// illegal character is reported, consumed, and returned as token.EOF.
+func (l *scanner) scanOperator(p token.Pos) token.Kind {
+	c := l.src[l.off]
+	l.off++
 	kind := token.EOF
 	switch c {
 	case '+':
@@ -305,7 +321,7 @@ func (l *Lexer) scanOperator(p token.Pos) token.Token {
 		kind = token.Amp
 	case '.':
 		if l.peek() == '.' {
-			l.advance()
+			l.off++
 			kind = token.DotDot
 		} else {
 			kind = token.Dot
@@ -329,24 +345,24 @@ func (l *Lexer) scanOperator(p token.Pos) token.Token {
 	case '<':
 		switch l.peek() {
 		case '=':
-			l.advance()
+			l.off++
 			kind = token.LessEq
 		case '>':
-			l.advance()
+			l.off++
 			kind = token.NotEqual
 		default:
 			kind = token.Less
 		}
 	case '>':
 		if l.peek() == '=' {
-			l.advance()
+			l.off++
 			kind = token.GreaterEq
 		} else {
 			kind = token.Greater
 		}
 	case ':':
 		if l.peek() == '=' {
-			l.advance()
+			l.off++
 			kind = token.Assign
 		} else {
 			kind = token.Colon
@@ -363,19 +379,23 @@ func (l *Lexer) scanOperator(p token.Pos) token.Token {
 		kind = token.Tilde
 	default:
 		l.errorf(p, "illegal character %q", string(rune(c)))
-		return l.Scan()
 	}
-	return token.Token{Kind: kind, Pos: p}
+	return kind
 }
 
-// Run scans the whole file into q, appending a final EOF token and
-// closing the queue.  This is the body of a Lexor task.
+// Run scans the whole file into q — straight into the queue's open
+// blocks — ending with an EOF token, and closes the queue.  This is the
+// body of a Lexor task.
 func Run(f *source.File, ctx *ctrace.TaskCtx, diags *diag.Bag, q *tokq.Queue) {
-	l := New(f, ctx, diags)
+	l := newScanner(f, ctx, diags)
 	for {
-		t := l.Scan()
-		q.Append(t)
-		if t.Kind == token.EOF {
+		slots := q.Slots()
+		if slots == nil {
+			return // sealed under us by panic isolation: no one is reading
+		}
+		n := l.fill(slots)
+		q.Publish(n)
+		if slots[n-1].Kind == token.EOF {
 			break
 		}
 	}
@@ -385,13 +405,15 @@ func Run(f *source.File, ctx *ctrace.TaskCtx, diags *diag.Bag, q *tokq.Queue) {
 // ScanAll scans the whole file into a slice ending with the EOF token.
 // The sequential compiler and several tests use this form.
 func ScanAll(f *source.File, ctx *ctrace.TaskCtx, diags *diag.Bag) []token.Token {
-	l := New(f, ctx, diags)
-	// Preallocate using a crude tokens-per-byte estimate.
-	toks := make([]token.Token, 0, len(f.Text)/5+8)
+	l := newScanner(f, ctx, diags)
+	// Preallocate for dense code (three bytes a token): regrowing a
+	// slice this size costs more than the slack does.
+	toks := make([]token.Token, 0, len(f.Text)/3+8)
 	for {
-		t := l.Scan()
-		toks = append(toks, t)
-		if t.Kind == token.EOF {
+		toks = slices.Grow(toks, 1)
+		n := l.fill(toks[len(toks):cap(toks)])
+		toks = toks[:len(toks)+n]
+		if toks[len(toks)-1].Kind == token.EOF {
 			return toks
 		}
 	}

@@ -41,7 +41,9 @@ type DeclAnalyzer struct {
 	// OnChild, when set, is invoked the moment each procedure heading
 	// has been analyzed — the concurrent driver uses it to fire the
 	// child stream's avoided heading event immediately (§2.4), instead
-	// of waiting for the whole declaration section.
+	// of waiting for the whole declaration section.  Shared headings
+	// analyzed while a pointer fixup is outstanding are the exception
+	// (see held).
 	OnChild func(*ChildProc)
 
 	// ShareHeadings selects §2.4 alternative 1 (true, the paper's
@@ -52,6 +54,11 @@ type DeclAnalyzer struct {
 
 	procPrefix string // "" at module level, "Outer." inside procedures
 	fixups     []fixup
+
+	// held are shared-heading children announced while a pointer fixup
+	// was outstanding: their copied parameter types may still have a nil
+	// Base, so OnChild waits for ResolveForwardRefs.
+	held []*ChildProc
 }
 
 // NewModuleAnalyzer returns an analyzer for a module-level scope (a
@@ -290,7 +297,11 @@ func (a *DeclAnalyzer) analyzeProcHeading(d *ast.ProcDecl) {
 		ScopePath: a.ScopePath + ":" + path,
 	}
 	a.Children = append(a.Children, cp)
-	if a.OnChild != nil {
+	switch {
+	case a.OnChild == nil:
+	case a.ShareHeadings && len(a.fixups) > 0:
+		a.held = append(a.held, cp)
+	default:
 		a.OnChild(cp)
 	}
 }

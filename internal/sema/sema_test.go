@@ -21,6 +21,13 @@ import (
 // declaration source (no imports).
 func analyzeModule(t *testing.T, decls string) (*sema.DeclAnalyzer, *symtab.Scope, *diag.Bag) {
 	t.Helper()
+	return analyzeModuleWith(t, decls, nil)
+}
+
+// analyzeModuleWith is analyzeModule with a hook that configures the
+// analyzer before it runs.
+func analyzeModuleWith(t *testing.T, decls string, setup func(*sema.DeclAnalyzer)) (*sema.DeclAnalyzer, *symtab.Scope, *diag.Bag) {
+	t.Helper()
 	src := "MODULE M;\n" + decls + "\nEND M.\n"
 	files := source.NewSet()
 	f := files.Add("M", source.Impl, src)
@@ -38,6 +45,9 @@ func analyzeModule(t *testing.T, decls string) (*sema.DeclAnalyzer, *symtab.Scop
 		Ctx:    ctx, Diags: diags, File: "M.mod", Reg: vm.NewRegistry("M"),
 	}
 	a := sema.NewModuleAnalyzer(env, scope, "M.mod", "M", "M.mod", false)
+	if setup != nil {
+		setup(a)
+	}
 	a.Analyze(m.Decls)
 	a.ResolveForwardRefs()
 	scope.Complete(ctx)
@@ -194,6 +204,36 @@ TYPE
 	}
 	if f := node.FieldNamed("next"); f == nil || f.Type != list {
 		t.Fatal("recursive field wrong")
+	}
+}
+
+// A shared heading copies its parameter types into the child scope, so
+// the child must not be announced while one of them is a pointer whose
+// Base the forward-reference pass has yet to patch: the child's code
+// generator would dereference through a nil Base.
+func TestSharedHeadingWaitsForPointerFixups(t *testing.T) {
+	var announced []string
+	_, _, diags := analyzeModuleWith(t, `
+PROCEDURE Early(x: INTEGER); BEGIN END Early;
+TYPE
+  Rep = RECORD n: INTEGER END;
+  Stack = POINTER TO Rep;
+PROCEDURE Depth(s: Stack): INTEGER; BEGIN RETURN s^.n END Depth;
+`, func(a *sema.DeclAnalyzer) {
+		a.OnChild = func(cp *sema.ChildProc) {
+			announced = append(announced, cp.Sym.Name)
+			for _, p := range cp.Sym.Type.Params {
+				if p.Type.Kind == types.PointerK && p.Type.Base == nil {
+					t.Errorf("%s announced with unpatched pointer parameter %s", cp.Sym.Name, p.Name)
+				}
+			}
+		}
+	})
+	if diags.HasErrors() {
+		t.Fatalf("%s", diags)
+	}
+	if strings.Join(announced, ",") != "Early,Depth" {
+		t.Fatalf("children announced: %v", announced)
 	}
 }
 

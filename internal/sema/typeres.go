@@ -27,7 +27,8 @@ func (a *DeclAnalyzer) deferPointerBase(pt *types.Type, name string, pos token.P
 // ResolveForwardRefs patches all deferred pointer targets.  Self-scope
 // declarations take priority (the Modula-2 forward-reference rule);
 // otherwise the ordinary search runs, which may DKY-wait on outer
-// scopes.  Must be called before Scope.Complete.
+// scopes.  Children held back behind the fixups are announced once every
+// target is patched.  Must be called before Scope.Complete.
 func (a *DeclAnalyzer) ResolveForwardRefs() {
 	for _, f := range a.fixups {
 		a.Env.Ctx.Add(ctrace.CostTypeNode)
@@ -47,6 +48,10 @@ func (a *DeclAnalyzer) ResolveForwardRefs() {
 		a.Scope.ResolveFixup(a.Env.Ctx)
 	}
 	a.fixups = nil
+	for _, cp := range a.held {
+		a.OnChild(cp)
+	}
+	a.held = nil
 }
 
 // resolveTypeDecl resolves the right-hand side of "TYPE name = ...".

@@ -79,7 +79,7 @@ func Compile(module string, loader source.Loader) *Result {
 // declarations, and diagnostics/listings are name-symbolic.
 func CompileWithCache(module string, loader source.Loader, cache *ifacecache.Cache) *Result {
 	c := &compiler{
-		loader: loader,
+		loader: source.NewSnapshot(loader), // each .def hashed once for the cache's keys
 		files:  source.NewSet(),
 		diags:  diag.NewBag(200),
 		reg:    vm.NewRegistry(module),

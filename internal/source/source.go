@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"unsafe"
 )
 
 // Hash is a stable content hash of one module file's text.  The
@@ -23,8 +24,11 @@ import (
 // .def (or to anything it imports) invalidates dependent entries.
 type Hash [sha256.Size]byte
 
-// HashText hashes module source text.
-func HashText(text string) Hash { return sha256.Sum256([]byte(text)) }
+// HashText hashes module source text, in place: a []byte(text)
+// conversion would copy the whole file on every call.
+func HashText(text string) Hash {
+	return sha256.Sum256(unsafe.Slice(unsafe.StringData(text), len(text)))
+}
 
 func (h Hash) String() string { return fmt.Sprintf("%x", h[:8]) }
 
@@ -128,6 +132,63 @@ func (l *DirLoader) Load(name string, kind FileKind) (string, error) {
 		}
 	}
 	return "", fmt.Errorf("module %s not found in %v", base, l.Dirs)
+}
+
+// Snapshot is one compilation's view of a Loader: each file is loaded at
+// most once and its content hash computed at most once, so every task of
+// the compilation — Lexors, the interface cache's closure keys, the
+// stream cache's closure hash — sees the same text and shares one hash
+// of it.  A Snapshot must not outlive its compilation: the next one has
+// to look at the files again.
+type Snapshot struct {
+	base Loader
+
+	mu    sync.Mutex // guards: files
+	files map[string]*snapFile
+}
+
+type snapFile struct {
+	load sync.Once
+	text string
+	err  error
+
+	hash sync.Once
+	sum  Hash
+}
+
+// NewSnapshot returns an empty snapshot of base.
+func NewSnapshot(base Loader) *Snapshot {
+	return &Snapshot{base: base, files: make(map[string]*snapFile)}
+}
+
+func (s *Snapshot) file(name string, kind FileKind) *snapFile {
+	key := name + kind.Ext()
+	s.mu.Lock()
+	f := s.files[key]
+	if f == nil {
+		f = new(snapFile)
+		s.files[key] = f
+	}
+	s.mu.Unlock()
+	f.load.Do(func() { f.text, f.err = s.base.Load(name, kind) })
+	return f
+}
+
+// Load implements Loader.
+func (s *Snapshot) Load(name string, kind FileKind) (string, error) {
+	f := s.file(name, kind)
+	return f.text, f.err
+}
+
+// LoadHashed returns the file's text and content hash; fresh reports
+// whether this call was the one that computed the hash.
+func (s *Snapshot) LoadHashed(name string, kind FileKind) (text string, sum Hash, fresh bool, err error) {
+	f := s.file(name, kind)
+	if f.err != nil {
+		return "", Hash{}, false, f.err
+	}
+	f.hash.Do(func() { f.sum, fresh = HashText(f.text), true })
+	return f.text, f.sum, fresh, nil
 }
 
 // File describes one source file participating in a compilation.  The

@@ -1,10 +1,13 @@
 package source_test
 
 import (
+	"crypto/sha256"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"m2cc/internal/source"
@@ -93,5 +96,79 @@ func TestFileKindExt(t *testing.T) {
 	}
 	if source.Def.String() != "def" || source.Impl.String() != "mod" {
 		t.Fatal("wrong kind names")
+	}
+}
+
+func TestHashTextDoesNotCopy(t *testing.T) {
+	text := strings.Repeat("MODULE M; END M.\n", 4096)
+	if source.HashText(text) != source.Hash(sha256.Sum256([]byte(text))) {
+		t.Fatal("HashText is not the SHA-256 of the text")
+	}
+	if source.HashText("") != source.Hash(sha256.Sum256(nil)) {
+		t.Fatal("HashText of the empty text is not the SHA-256 of nothing")
+	}
+	var sink source.Hash
+	if n := testing.AllocsPerRun(10, func() { sink = source.HashText(text) }); n != 0 {
+		t.Fatalf("HashText allocates %v times per call", n)
+	}
+	_ = sink
+}
+
+// loadCounter counts what reaches the loader under a Snapshot.
+type loadCounter struct {
+	*source.MapLoader
+	loads atomic.Int64
+}
+
+func (l *loadCounter) Load(name string, kind source.FileKind) (string, error) {
+	l.loads.Add(1)
+	return l.MapLoader.Load(name, kind)
+}
+
+func TestSnapshotLoadsAndHashesOnce(t *testing.T) {
+	base := &loadCounter{MapLoader: source.NewMapLoader()}
+	base.Add("A", source.Def, "one")
+	snap := source.NewSnapshot(base)
+
+	var wg sync.WaitGroup
+	var fresh atomic.Int64
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			text, sum, f, err := snap.LoadHashed("A", source.Def)
+			if err != nil || text != "one" || sum != source.HashText("one") {
+				t.Errorf("LoadHashed = %q, %v, %v", text, sum, err)
+			}
+			if f {
+				fresh.Add(1)
+			}
+			if text, err := snap.Load("A", source.Def); err != nil || text != "one" {
+				t.Errorf("Load = %q, %v", text, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if base.loads.Load() != 1 || fresh.Load() != 1 {
+		t.Fatalf("%d loads, %d fresh hashes; want one of each", base.loads.Load(), fresh.Load())
+	}
+
+	// The snapshot is a snapshot: a later edit is the next one's to see.
+	base.Add("A", source.Def, "two")
+	if text, _ := snap.Load("A", source.Def); text != "one" {
+		t.Fatalf("snapshot changed under its compilation: %q", text)
+	}
+	if text, sum, f, _ := source.NewSnapshot(base).LoadHashed("A", source.Def); text != "two" || sum != source.HashText("two") || !f {
+		t.Fatalf("a new snapshot must reload and rehash: %q fresh=%v", text, f)
+	}
+
+	// Failures are remembered too, and never hashed.
+	for i := 0; i < 2; i++ {
+		if _, _, f, err := snap.LoadHashed("Missing", source.Def); err == nil || f {
+			t.Fatalf("missing file: fresh=%v err=%v", f, err)
+		}
+	}
+	if _, err := snap.Load("Missing", source.Def); err == nil || base.loads.Load() != 3 {
+		t.Fatalf("missing file loaded %d times in all, err=%v", base.loads.Load()-2, err)
 	}
 }

@@ -27,14 +27,15 @@ type splitResult struct {
 	parents map[int32]int32
 }
 
-// runSplit lexes src and splits it.  With concurrent=true the lexer
-// feeds the splitter from another goroutine and every queue is drained
-// while being written — the production shape; otherwise each stage
-// runs to completion before the next starts — the oracle.
-func runSplit(src string, copyHeadings, concurrent bool) splitResult {
+// runSplit lexes src and splits it, every queue at the given block
+// size.  With concurrent=true the lexer feeds the splitter from another
+// goroutine and every queue is drained while being written — the
+// production shape; otherwise each stage runs to completion before the
+// next starts — the oracle.
+func runSplit(src string, blockSize int, copyHeadings, concurrent bool) splitResult {
 	files := source.NewSet()
 	f := files.Add("T", source.Impl, src)
-	in := tokq.New(4)
+	in := tokq.New(blockSize)
 
 	res := splitResult{
 		streams: make(map[int32][]token.Token),
@@ -63,12 +64,12 @@ func runSplit(src string, copyHeadings, concurrent bool) splitResult {
 		mu.Unlock()
 	}
 
-	mainQ := tokq.New(4)
+	mainQ := tokq.New(blockSize)
 	queues := make(map[int32]*tokq.Queue) // sequential mode: drained after the splitter finishes
 	next := int32(0)
 	start := func(name string, pos token.Pos, parent int32) (int32, *tokq.Queue) {
 		next++
-		q := tokq.New(4)
+		q := tokq.New(blockSize)
 		mu.Lock()
 		res.names[next] = name
 		res.parents[next] = parent
@@ -108,9 +109,12 @@ func runSplit(src string, copyHeadings, concurrent bool) splitResult {
 //
 //  1. the splitter never panics, whatever the lexer feeds it, and
 //  2. the fully concurrent pipeline (lexer feeding the splitter while
-//     every stream is drained in parallel) produces exactly the
-//     streams the stage-at-a-time oracle produces: same main stream,
-//     same per-procedure token streams, names, and parent links.
+//     every stream is drained in parallel), at a block size drawn from
+//     the input, produces exactly the streams the stage-at-a-time
+//     oracle produces at its fixed block size: same main stream, same
+//     per-procedure token streams, names, and parent links — so the
+//     PROCEDURE-Ident and END-name lookahead holds wherever the block
+//     boundaries fall.
 //
 // Seeds come from examples/modules plus hand-written END pathologies;
 // the checked-in corpus lives in testdata/fuzz/FuzzSplitterEndMatch.
@@ -136,9 +140,14 @@ func FuzzSplitterEndMatch(f *testing.F) {
 		if len(src) > 1<<16 {
 			t.Skip("oversized input")
 		}
+		sum := 0
+		for i := 0; i < len(src); i++ {
+			sum += int(src[i])
+		}
+		blockSize := []int{1, 2, 3, 7, tokq.DefaultBlockSize}[sum%5]
 		for _, copyHeadings := range []bool{false, true} {
-			seq := runSplit(src, copyHeadings, false)
-			con := runSplit(src, copyHeadings, true)
+			seq := runSplit(src, 4, copyHeadings, false)
+			con := runSplit(src, blockSize, copyHeadings, true)
 			if !reflect.DeepEqual(seq.main, con.main) {
 				t.Fatalf("copyHeadings=%v: main stream differs between sequential and concurrent split", copyHeadings)
 			}

@@ -32,14 +32,15 @@ type StartProc func(name string, pos token.Pos, parent int32) (int32, *tokq.Queu
 // exactly what each stream's parser will see: StartStream announces a
 // new stream under its parent, Heading delivers the heading tokens of
 // a procedure stream (always, in both header modes, so heading layout
-// is part of the key even when only the parent parses it), Token
-// mirrors every token appended to a stream's queue, EndStream marks a
-// stream's queue closed, and Done marks the split complete — a split
-// that panics never calls Done, leaving the observer incomplete.
+// is part of the key even when only the parent parses it), Tokens
+// mirrors each run of tokens appended to a stream's queue, EndStream
+// marks a stream's queue closed, and Done marks the split complete — a
+// split that panics never calls Done, leaving the observer incomplete.
+// Token slices are only valid during the call.
 type Sink interface {
 	StartStream(id, parent int32, name string)
 	Heading(id int32, toks []token.Token)
-	Token(id int32, t token.Token)
+	Tokens(id int32, toks []token.Token)
 	EndStream(id int32)
 	Done()
 }
@@ -65,41 +66,109 @@ func Run(ctx *ctrace.TaskCtx, in *tokq.Reader, mainOut *tokq.Queue, start StartP
 	RunObserved(ctx, in, mainOut, start, copyHeadings, nil)
 }
 
+// split is the state of one splitter run.
+type split struct {
+	ctx   *ctrace.TaskCtx
+	in    *tokq.Reader
+	sink  Sink      // nil = unobserved
+	stack []*output // stack[0] is the main stream
+	one   [1]token.Token
+	head  []token.Token // collectHeading's buffer, reused: every taker copies
+}
+
+// forward appends toks to o's queue, block by block, and mirrors them to
+// the sink as one run.  Tokens taken off the input just now are charged
+// here, per block segment and before the segment is published, so a
+// block that fills is stamped with exactly the work that produced it;
+// tokens charged on collection (headings) or made up by the splitter
+// (BodyRef, EOF) pass charge=false.
+func (s *split) forward(o *output, toks []token.Token, charge bool) {
+	for rest := toks; len(rest) > 0; {
+		slots := o.q.Slots()
+		if slots == nil {
+			break // closed under us: dropped, as Append would
+		}
+		n := copy(slots, rest)
+		if charge {
+			s.ctx.Add(float64(n) * ctrace.CostSplitToken)
+		}
+		o.q.Publish(n)
+		rest = rest[n:]
+	}
+	if s.sink != nil {
+		s.sink.Tokens(o.stream, toks)
+	}
+}
+
+// emit forwards one already-charged or synthetic token.
+func (s *split) emit(o *output, t token.Token) {
+	s.one[0] = t
+	s.forward(o, s.one[:], false)
+}
+
+// next consumes (waits for, then charges) one input token.
+func (s *split) next() token.Token {
+	t := s.in.Next()
+	s.ctx.Add(ctrace.CostSplitToken)
+	return t
+}
+
 // RunObserved is Run with an optional Sink mirroring the split's token
 // traffic (nil = unobserved).  The sink is invoked synchronously from
 // the splitter goroutine, in exactly the order tokens are appended.
+//
+// The input is taken a block at a time (Reader.Run).  Within a run only
+// three things end the stretch of tokens that is forwarded whole to the
+// current stream: a procedure declaration, the END that closes the
+// current procedure, and EOF; END-depth counting happens in passing.
+// Those three are then handled a token at a time through Next/Peek, so
+// their lookahead crosses block boundaries at any block size.
 func RunObserved(ctx *ctrace.TaskCtx, in *tokq.Reader, mainOut *tokq.Queue, start StartProc, copyHeadings bool, sink Sink) {
 	mainOut.SetFireHook(ctx.FireEvent)
-	stack := []*output{{stream: 0, q: mainOut}}
-	top := func() *output { return stack[len(stack)-1] }
+	s := &split{ctx: ctx, in: in, sink: sink, stack: []*output{{stream: 0, q: mainOut}}}
 	if sink != nil {
 		sink.StartStream(0, -1, "")
 	}
-	emit := func(o *output, t token.Token) {
-		o.q.Append(t)
-		if sink != nil {
-			sink.Token(o.stream, t)
-		}
-	}
-
-	// closeAll closes every open stream (defensively appending EOF) so
-	// consumers always terminate.
-	closeAll := func(eof token.Token) {
-		for i := len(stack) - 1; i >= 0; i-- {
-			emit(stack[i], eof)
-			stack[i].q.Close()
-			if sink != nil {
-				sink.EndStream(stack[i].stream)
+	for {
+		cur := s.stack[len(s.stack)-1]
+		nested := len(s.stack) > 1
+		run := in.Run()
+		i := 0
+	scan:
+		for ; i < len(run); i++ {
+			switch k := run[i].Kind; {
+			case k == token.EOF:
+				break scan
+			case k < token.AND: // not a reserved word: nothing to see
+			case k == token.PROCEDURE:
+				// One token of lookahead tells a declaration from a
+				// procedure type; at the run's edge, look the slow way.
+				if i+1 == len(run) || run[i+1].Kind == token.Ident {
+					break scan
+				}
+			case !nested:
+			case k == token.END:
+				if cur.depth == 1 {
+					break scan
+				}
+				cur.depth--
+			case k.OpensEnd():
+				cur.depth++
 			}
 		}
-	}
+		if i > 0 {
+			s.forward(cur, run[:i], true)
+			in.Skip(i)
+			continue
+		}
 
-	for {
-		t := in.Next()
-		ctx.Add(ctrace.CostSplitToken)
-		switch {
+		switch t := s.next(); {
 		case t.Kind == token.EOF:
-			closeAll(t)
+			// Close every open stream (defensively appending EOF) so
+			// consumers always terminate.
+			for i := len(s.stack) - 1; i >= 0; i-- {
+				s.closeStream(s.stack[i], t)
+			}
 			if sink != nil {
 				sink.Done()
 			}
@@ -107,71 +176,63 @@ func RunObserved(ctx *ctrace.TaskCtx, in *tokq.Reader, mainOut *tokq.Queue, star
 
 		case t.Kind == token.PROCEDURE && in.Peek().Kind == token.Ident:
 			// A procedure declaration: stream off the body.
-			parent := top()
 			name := in.Peek().Text
-			heading := collectHeading(ctx, t, in)
-			for _, h := range heading {
-				emit(parent, h)
-			}
-			stream, q := start(name, t.Pos, parent.stream)
+			heading := s.collectHeading(t)
+			s.forward(cur, heading, false)
+			stream, q := start(name, t.Pos, cur.stream)
 			q.SetFireHook(ctx.FireEvent)
 			if sink != nil {
-				sink.StartStream(stream, parent.stream, name)
+				sink.StartStream(stream, cur.stream, name)
 				sink.Heading(stream, heading)
 			}
-			emit(parent, token.Token{
+			s.emit(cur, token.Token{
 				Kind: token.BodyRef, Pos: t.Pos, Text: strconv.Itoa(int(stream)),
 			})
 			// Let the parent's parser see the heading (and fire the
 			// child's heading event) without waiting for a full block.
-			parent.q.Flush()
+			cur.q.Flush()
 			child := &output{stream: stream, q: q, depth: 1}
 			if copyHeadings {
-				for _, h := range heading {
-					emit(child, h)
-				}
+				s.forward(child, heading, false)
 			}
-			stack = append(stack, child)
+			s.stack = append(s.stack, child)
 
-		case t.Kind == token.END && len(stack) > 1:
-			cur := top()
-			cur.depth--
-			emit(cur, t)
-			if cur.depth == 0 {
-				// "END name" closes this procedure; the name goes to the
-				// child, the following ";" flows to the parent normally.
-				if in.Peek().Kind == token.Ident {
-					name := in.Next()
-					ctx.Add(ctrace.CostSplitToken)
-					emit(cur, name)
-				}
-				emit(cur, token.Token{Kind: token.EOF, Pos: t.Pos})
-				cur.q.Close()
-				if sink != nil {
-					sink.EndStream(cur.stream)
-				}
-				stack = stack[:len(stack)-1]
+		case t.Kind == token.END && nested:
+			// The scan only stops at the END that closes this procedure.
+			// "END name": the name goes to the child, the following ";"
+			// flows to the parent normally.
+			s.emit(cur, t)
+			if in.Peek().Kind == token.Ident {
+				s.emit(cur, s.next())
 			}
+			s.closeStream(cur, token.Token{Kind: token.EOF, Pos: t.Pos})
+			s.stack = s.stack[:len(s.stack)-1]
 
-		default:
-			if t.Kind.OpensEnd() && len(stack) > 1 {
-				top().depth++
-			}
-			emit(top(), t)
+		default: // a PROCEDURE type at a block's edge
+			s.emit(cur, t)
 		}
+	}
+}
+
+// closeStream ends o's stream with eof.
+func (s *split) closeStream(o *output, eof token.Token) {
+	s.emit(o, eof)
+	o.q.Close()
+	if s.sink != nil {
+		s.sink.EndStream(o.stream)
 	}
 }
 
 // collectHeading consumes and returns the tokens of a procedure heading
 // "PROCEDURE name [ ( params ) ] [ : qualident ] ;", starting from the
-// already-consumed PROCEDURE token.
-func collectHeading(ctx *ctrace.TaskCtx, proc token.Token, in *tokq.Reader) []token.Token {
-	heading := []token.Token{proc}
+// already-consumed PROCEDURE token.  The slice is good until the next
+// heading.
+func (s *split) collectHeading(proc token.Token) []token.Token {
+	s.head = append(s.head[:0], proc)
 	parens := 0
 	for {
-		t := in.Next()
-		ctx.Add(ctrace.CostSplitToken)
-		heading = append(heading, t)
+		t := s.next()
+		s.head = append(s.head, t)
 		switch t.Kind {
 		case token.LParen:
 			parens++
@@ -179,10 +240,10 @@ func collectHeading(ctx *ctrace.TaskCtx, proc token.Token, in *tokq.Reader) []to
 			parens--
 		case token.Semicolon:
 			if parens <= 0 {
-				return heading
+				return s.head
 			}
 		case token.EOF:
-			return heading
+			return s.head
 		}
 	}
 }

@@ -29,9 +29,11 @@
 // edit to the file recompiles the body, which is small by the paper's
 // own measurements.
 //
-// Tokens are never stored: each arrival appends one compact record to
-// the stream's flat byte buffers, and the probe digests each buffer in
-// a single bulk sha256 write.  The record encoding is self-delimiting
+// Tokens are never stored: each run of arrivals appends compact records
+// to one arena shared by all streams (chunks that grow geometrically, so
+// a split allocates O(file) bytes however many streams it has), a
+// stream's records are a chain of arena segments, and the probe digests
+// each chain in bulk.  The record encoding is self-delimiting
 // (kind is a fixed byte, positions and lengths are varints, text is
 // length-prefixed), so distinct token sequences produce distinct byte
 // streams.  Own-text hashes (kinds and texts, no positions) are
@@ -40,7 +42,7 @@
 // streams per compilation.  Feeding a digest per token (even buffered)
 // was measured at roughly a third of the warm rebuild's wall clock;
 // the bulk scheme reduces the keyer's hot path to one byte-append per
-// token.
+// token, one call per run.
 package streamcache
 
 import (
@@ -72,12 +74,20 @@ type KeyParams struct {
 type impState uint8
 
 const (
-	impScan impState = iota // looking for FROM / IMPORT
-	impFrom                 // saw FROM, next Ident is a module name
-	impFromSkip             // inside FROM ... IMPORT list, skip to ";"
-	impList                 // inside IMPORT list, Idents are module names
-	impDone                 // hit a declaration keyword; prologue over
+	impScan     impState = iota // looking for FROM / IMPORT
+	impFrom                     // saw FROM, next Ident is a module name
+	impFromSkip                 // inside FROM ... IMPORT list, skip to ";"
+	impList                     // inside IMPORT list, Idents are module names
+	impDone                     // hit a declaration keyword; prologue over
 )
+
+// recs is one record stream: its stretches of the arena, in order (a
+// record never straddles two), and the line the next record's delta
+// counts from.
+type recs struct {
+	spans [][]byte
+	line  int32
+}
 
 // streamInfo is one observed stream.
 type streamInfo struct {
@@ -86,22 +96,18 @@ type streamInfo struct {
 	name     string
 	children []int32 // StartStream order == source order
 
-	// Flat record buffers, digested in bulk at probe time.  Tag bytes
-	// ('L', 'H') and the 'S' prefix of combined subtree hashes keep the
-	// digest domains disjoint.
-	layoutBuf []byte // 'L' + records with positions (line delta + col)
-	headBuf   []byte // nil if no heading; else 'H' + records with positions
-	prevLine  int32  // last layout record's line (delta base)
-	headLine  int32  // last heading record's line (delta base)
+	// Record streams, digested in bulk at probe time under the domain
+	// tags 'L' and 'H' (and 'S' for combined subtree hashes), which keep
+	// the digest domains disjoint.
+	layout recs // every token appended to the stream's queue
+	head   recs // the heading's tokens
 
 	imports []string // prologue import names, in order of appearance
 	imp     impState
 
-	layout  source.Hash // memoized subtree layout hash
+	subtree source.Hash // memoized subtree layout hash
 	own     source.Hash
-	heading source.Hash
 	owned   bool // own digested
-	final   bool // heading digested
 	hashed  bool // subtree layout memoized
 }
 
@@ -114,28 +120,19 @@ type Keyer struct {
 	order   []int32 // StartStream order; the main stream (0) is first
 	done    bool
 
-	// Token traffic is bursty per stream; caching the last target
-	// skips the map lookup on the hot path.
-	lastID int32
-	last   *streamInfo
+	tail   []byte    // the record arena's current chunk; earlier ones live on through the spans into them
+	writer *recs     // whose span ends at tail's end, so may grow in place
+	h      hash.Hash // reused by every bulk digest
 }
 
 // NewKeyer returns an empty Keyer ready to observe one split.
 func NewKeyer() *Keyer {
-	return &Keyer{streams: make(map[int32]*streamInfo)}
+	return &Keyer{streams: make(map[int32]*streamInfo), h: sha256.New()}
 }
 
 // StartStream implements splitter.Sink.
 func (k *Keyer) StartStream(id, parent int32, name string) {
-	// Generous initial capacities: record buffers for typical streams
-	// reach a few KB, and growth reallocations on the token hot path
-	// were a measurable slice of warm-rebuild GC time.
-	buf := make([]byte, 1, 4096)
-	buf[0] = 'L'
-	k.streams[id] = &streamInfo{
-		id: id, parent: parent, name: name,
-		layoutBuf: buf,
-	}
+	k.streams[id] = &streamInfo{id: id, parent: parent, name: name}
 	k.order = append(k.order, id)
 	if p, ok := k.streams[parent]; ok {
 		p.children = append(p.children, id)
@@ -144,16 +141,63 @@ func (k *Keyer) StartStream(id, parent int32, name string) {
 
 // Heading implements splitter.Sink.
 func (k *Keyer) Heading(id int32, toks []token.Token) {
+	if s := k.streams[id]; s != nil {
+		k.record(&s.head, toks)
+	}
+}
+
+// Tokens implements splitter.Sink.
+func (k *Keyer) Tokens(id int32, toks []token.Token) {
 	s := k.streams[id]
 	if s == nil {
 		return
 	}
-	if s.headBuf == nil {
-		s.headBuf = append(make([]byte, 0, 256), 'H')
+	k.record(&s.layout, toks)
+	for i := 0; i < len(toks) && s.imp != impDone; i++ {
+		s.scanImport(toks[i])
 	}
-	for _, t := range toks {
-		s.headBuf = appendRecord(s.headBuf, t, &s.headLine)
+}
+
+const (
+	minChunk  = 4 << 10
+	recordMax = 1 + 3*binary.MaxVarintLen64 // a record's bytes besides its text
+)
+
+// record appends toks' records to r at the arena's tail, opening a chunk
+// twice the size of the last when the next record might not fit.
+func (k *Keyer) record(r *recs, toks []token.Token) {
+	buf := k.tail // a local: storing a slice into k per token costs a write barrier
+	for len(toks) > 0 {
+		lo, n := len(buf), 0
+		for n < len(toks) && cap(buf)-len(buf) >= recordMax+len(toks[n].Text) {
+			buf = appendRecord(buf, &toks[n], &r.line)
+			n++
+		}
+		switch {
+		case n == 0:
+			size := max(minChunk, 2*cap(buf), recordMax+len(toks[0].Text))
+			buf, k.writer = make([]byte, 0, size), nil
+		case k.writer == r:
+			last := &r.spans[len(r.spans)-1]
+			*last = (*last)[:len(*last)+len(buf)-lo]
+		default:
+			r.spans = append(r.spans, buf[lo:])
+			k.writer = r
+		}
+		toks = toks[n:]
 	}
+	k.tail = buf
+}
+
+// digest hashes tag ‖ r's records.
+func (k *Keyer) digest(tag byte, r *recs) (out source.Hash) {
+	k.h.Reset()
+	k.h.Write([]byte{tag})
+	for _, b := range r.spans {
+		k.h.Write(b)
+	}
+	k.h.Sum(out[:0])
+	return out
 }
 
 // appendRecord appends one positioned token record: kind byte, line
@@ -161,30 +205,30 @@ func (k *Keyer) Heading(id int32, toks []token.Token) {
 // whose reference text is excluded everywhere — length-prefixed text.
 // Every field is fixed-width or self-delimiting, so the record stream
 // is decodable and distinct token sequences encode distinctly.
-func appendRecord(b []byte, t token.Token, line *int32) []byte {
+func appendRecord(b []byte, t *token.Token, line *int32) []byte {
 	b = append(b, byte(t.Kind))
-	b = binary.AppendVarint(b, int64(t.Pos.Line-*line))
+	d := int64(t.Pos.Line - *line)
 	*line = t.Pos.Line
-	b = binary.AppendUvarint(b, uint64(t.Pos.Col))
+	zz := uint64(d) << 1 // zigzag, as binary.AppendVarint
+	if d < 0 {
+		zz = ^zz
+	}
+	b = appendUvarint(b, zz)
+	b = appendUvarint(b, uint64(t.Pos.Col))
 	if t.Kind != token.BodyRef {
-		b = binary.AppendUvarint(b, uint64(len(t.Text)))
+		b = appendUvarint(b, uint64(len(t.Text)))
 		b = append(b, t.Text...)
 	}
 	return b
 }
 
-// Token implements splitter.Sink.
-func (k *Keyer) Token(id int32, t token.Token) {
-	s := k.last
-	if s == nil || k.lastID != id {
-		s = k.streams[id]
-		if s == nil {
-			return
-		}
-		k.lastID, k.last = id, s
+// appendUvarint is binary.AppendUvarint with the one-byte case — nearly
+// every line delta, column and text length — inlined at the call.
+func appendUvarint(b []byte, x uint64) []byte {
+	if x < 0x80 {
+		return append(b, byte(x))
 	}
-	s.layoutBuf = appendRecord(s.layoutBuf, t, &s.prevLine)
-	s.scanImport(t)
+	return binary.AppendUvarint(b, x)
 }
 
 // scanImport advances the prologue automaton by one token (the
@@ -284,14 +328,13 @@ func (k *Keyer) Descendants(id int32) []int32 {
 	return out
 }
 
-// fin sums a stream's heading digest (once).  A nil headBuf digests as
-// the canonical empty heading.
-func (k *Keyer) fin(s *streamInfo) {
-	if s.final {
-		return
+// headingHash digests a stream's heading; a stream without one (the main
+// stream) digests as the canonical empty heading.
+func (k *Keyer) headingHash(s *streamInfo) source.Hash {
+	if len(s.head.spans) == 0 {
+		return sha256.Sum256(nil)
 	}
-	s.heading = sha256.Sum256(s.headBuf)
-	s.final = true
+	return k.digest('H', &s.head)
 }
 
 // ownHash digests the stream's own text — kinds and texts without
@@ -304,29 +347,34 @@ func (s *streamInfo) ownHash() source.Hash {
 	if s.owned {
 		return s.own
 	}
-	buf := s.layoutBuf
-	b := make([]byte, 0, len(buf))
-	for p := 1; p < len(buf); { // 1: skip the 'L' domain tag
-		kind := token.Kind(buf[p])
-		p++
-		_, n := binary.Varint(buf[p:]) // line delta
-		p += n
-		_, n = binary.Uvarint(buf[p:]) // column
-		p += n
-		var text []byte
-		if kind != token.BodyRef {
-			l, n := binary.Uvarint(buf[p:])
+	size := 0
+	for _, buf := range s.layout.spans {
+		size += len(buf)
+	}
+	b := make([]byte, 0, size)
+	for _, buf := range s.layout.spans {
+		for p := 0; p < len(buf); {
+			kind := token.Kind(buf[p])
+			p++
+			_, n := binary.Varint(buf[p:]) // line delta
 			p += n
-			text = buf[p : p+int(l)]
-			p += int(l)
-		}
-		if kind == token.EOF {
-			continue
-		}
-		b = append(b, byte(kind))
-		if kind != token.BodyRef {
-			b = binary.AppendUvarint(b, uint64(len(text)))
-			b = append(b, text...)
+			_, n = binary.Uvarint(buf[p:]) // column
+			p += n
+			var text []byte
+			if kind != token.BodyRef {
+				l, n := binary.Uvarint(buf[p:])
+				p += n
+				text = buf[p : p+int(l)]
+				p += int(l)
+			}
+			if kind == token.EOF {
+				continue
+			}
+			b = append(b, byte(kind))
+			if kind != token.BodyRef {
+				b = binary.AppendUvarint(b, uint64(len(text)))
+				b = append(b, text...)
+			}
 		}
 	}
 	s.own = sha256.Sum256(b)
@@ -339,25 +387,23 @@ func (s *streamInfo) ownHash() source.Hash {
 // order under a distinct 'S' domain tag.
 func (k *Keyer) layoutHash(s *streamInfo) source.Hash {
 	if s.hashed {
-		return s.layout
+		return s.subtree
 	}
-	if len(s.children) == 0 {
-		s.layout = sha256.Sum256(s.layoutBuf)
-	} else {
+	s.subtree = k.digest('L', &s.layout)
+	if len(s.children) > 0 {
 		b := make([]byte, 1, 1+sha256.Size*(1+len(s.children)))
 		b[0] = 'S'
-		own := sha256.Sum256(s.layoutBuf)
-		b = append(b, own[:]...)
+		b = append(b, s.subtree[:]...)
 		for _, c := range s.children {
 			if cs := k.streams[c]; cs != nil {
 				ch := k.layoutHash(cs)
 				b = append(b, ch[:]...)
 			}
 		}
-		s.layout = sha256.Sum256(b)
+		s.subtree = sha256.Sum256(b)
 	}
 	s.hashed = true
-	return s.layout
+	return s.subtree
 }
 
 // base writes the per-compilation key prefix.
@@ -381,8 +427,7 @@ func (k *Keyer) ProcKey(id int32, p KeyParams) Key {
 	for i := len(chain) - 1; i >= 0; i-- {
 		h.hash(chain[i].ownHash())
 	}
-	k.fin(s)
-	h.hash(s.heading)
+	h.hash(k.headingHash(s))
 	h.hash(k.layoutHash(s))
 	h.str(s.name)
 	return h.sum()

@@ -103,6 +103,7 @@ type Stats struct {
 	Hits      int64 // Get found an entry
 	Misses    int64 // Get found nothing
 	Evictions int64 // entries dropped by the LRU cap
+	Hashes    int64 // .def texts content-hashed for closure hashes
 	Entries   int   // current entry count
 }
 
@@ -113,6 +114,7 @@ func (s Stats) Sub(prev Stats) Stats {
 		Hits:      s.Hits - prev.Hits,
 		Misses:    s.Misses - prev.Misses,
 		Evictions: s.Evictions - prev.Evictions,
+		Hashes:    s.Hashes - prev.Hashes,
 		Entries:   s.Entries,
 	}
 }
@@ -242,6 +244,7 @@ func (c *Cache) Stats() Stats {
 	defer c.mu.Unlock()
 	s := c.stats
 	s.Entries = len(c.byKey)
+	s.Hashes = c.hasher.Stats().Hashes
 	return s
 }
 

@@ -14,12 +14,12 @@ func feed(toks0, head, toks1 []token.Token) *Keyer {
 	k := NewKeyer()
 	k.StartStream(0, -1, "")
 	for _, t := range toks0 {
-		k.Token(0, t)
+		k.Tokens(0, []token.Token{t})
 	}
 	k.StartStream(1, 0, "P")
 	k.Heading(1, head)
 	for _, t := range toks1 {
-		k.Token(1, t)
+		k.Tokens(1, []token.Token{t})
 	}
 	k.EndStream(1)
 	k.EndStream(0)
@@ -97,13 +97,11 @@ func TestKeyerSensitivity(t *testing.T) {
 	withRef := func(ref string) *Keyer {
 		k := NewKeyer()
 		k.StartStream(0, -1, "")
-		k.Token(0, tok(token.VAR, "VAR", 1, 1))
-		k.Token(0, token.Token{Kind: token.BodyRef, Text: ref, Pos: token.Pos{Line: 3, Col: 1}})
+		k.Tokens(0, []token.Token{tok(token.VAR, "VAR", 1, 1),
+			{Kind: token.BodyRef, Text: ref, Pos: token.Pos{Line: 3, Col: 1}}})
 		k.StartStream(1, 0, "P")
 		k.Heading(1, head)
-		for _, tk := range body {
-			k.Token(1, tk)
-		}
+		k.Tokens(1, body)
 		k.Done()
 		return k
 	}
@@ -122,7 +120,7 @@ func TestKeyerSensitivity(t *testing.T) {
 func TestKeyerImports(t *testing.T) {
 	k := NewKeyer()
 	k.StartStream(0, -1, "")
-	for _, tk := range []token.Token{
+	k.Tokens(0, []token.Token{
 		tok(token.FROM, "FROM", 1, 1), tok(token.Ident, "Fib", 1, 6),
 		tok(token.IMPORT, "IMPORT", 1, 10), tok(token.Ident, "Nth", 1, 17),
 		tok(token.Semicolon, ";", 1, 20),
@@ -131,9 +129,7 @@ func TestKeyerImports(t *testing.T) {
 		tok(token.Semicolon, ";", 2, 15),
 		tok(token.VAR, "VAR", 3, 1), // prologue over
 		tok(token.IMPORT, "IMPORT", 4, 1), tok(token.Ident, "Late", 4, 8),
-	} {
-		k.Token(0, tk)
-	}
+	})
 	k.Done()
 	got := fmt.Sprintf("%v", k.Imports(0))
 	if got != "[Fib IO Sys]" {

@@ -22,6 +22,14 @@
 // the event's fire/wait pair is the only happens-before edge needed.
 // The queue mutex is taken once per block — on publication, and by each
 // reader on block acquisition — instead of once per token.
+//
+// Work is block-granular too.  A producer of many tokens (the lexer, the
+// splitter forwarding a run) writes them straight into the open block's
+// free slots (Slots) and commits them with Publish; unpublished slots
+// are invisible, and a block that fills is frozen, then fired.  A
+// consumer of many reads the acquired block's unread tokens in place
+// (Reader.Run) and consumes them with Skip.  Append, Next and Peek are
+// the one-token forms.
 package tokq
 
 import (
@@ -133,40 +141,77 @@ func (q *Queue) maybeRecycle() {
 	}
 }
 
-// Append adds one token produced by the lexer or splitter and reports
-// whether it was accepted.  When the current block fills, its Ready
-// event fires and a new block opens.  Append must be called from a
-// single producer task — except after Close, when it is a safe no-op
-// returning false: under panic isolation a recovered producer's
-// cleanup can race the closing of a queue another path already sealed,
-// and that race must not take down the compilation.
-func (q *Queue) Append(t token.Token) bool {
+// grow opens and announces a new tail block for the producer, unless
+// the queue is closed (re-checked under the lock: a concurrent sealing
+// path may win), when it returns nil.
+func (q *Queue) grow() *Block {
 	if q.closed.Load() {
-		return false
+		return nil
 	}
+	b := newBlock(q.blockSize)
+	q.mu.Lock()
+	if q.closed.Load() {
+		q.mu.Unlock()
+		return nil
+	}
+	q.open = b
+	q.blocks = append(q.blocks, b)
+	grown := q.grown
+	q.grown = event.New()
+	q.mu.Unlock()
+	q.fire(grown)
+	return b
+}
+
+// seal freezes the open block, then fires its Ready event: the
+// publication edge readers rely on.  The next token opens a new block.
+func (q *Queue) seal(b *Block) {
+	q.open = nil
+	q.fire(b.Ready)
+}
+
+// Slots returns the open block's free slots for the producer to write
+// tokens into (never empty), or nil once the queue is closed.  Nothing
+// written is visible to readers until Publish.
+func (q *Queue) Slots() []token.Token {
+	b := q.open
+	if b == nil || q.closed.Load() {
+		if b = q.grow(); b == nil {
+			return nil
+		}
+	}
+	return b.Toks[len(b.Toks):q.blockSize]
+}
+
+// Publish commits the first n tokens written into the last Slots
+// result, sealing the block when that fills it.
+func (q *Queue) Publish(n int) {
 	b := q.open
 	if b == nil {
-		b = newBlock(q.blockSize)
-		q.mu.Lock()
-		if q.closed.Load() {
-			// Lost the race against a concurrent sealing path; drop the
-			// token as the contract requires.
-			q.mu.Unlock()
+		return // sealed by a concurrent Close; the tokens are dropped
+	}
+	b.Toks = b.Toks[:len(b.Toks)+n]
+	if len(b.Toks) == q.blockSize {
+		q.seal(b)
+	}
+}
+
+// Append is the one-token Slots+Publish; it reports whether the token
+// was accepted.  It must be called from the single producer task —
+// except after Close, when it is a safe no-op returning false: under
+// panic isolation a recovered producer's cleanup can race the closing
+// of a queue another path already sealed, and that race must not take
+// down the compilation.
+func (q *Queue) Append(t token.Token) bool {
+	b := q.open
+	if b == nil || q.closed.Load() {
+		if b = q.grow(); b == nil {
 			return false
 		}
-		q.open = b
-		q.blocks = append(q.blocks, b)
-		grown := q.grown
-		q.grown = event.New()
-		q.mu.Unlock()
-		q.fire(grown)
 	}
 	b.Toks = append(b.Toks, t)
 	if len(b.Toks) == q.blockSize {
-		// Seal the full block: freeze-then-fire is the publication edge
-		// readers rely on.
-		q.open = nil
-		q.fire(b.Ready)
+		q.seal(b)
 	}
 	return true
 }
@@ -182,9 +227,7 @@ func (q *Queue) Flush() {
 	if b == nil || len(b.Toks) == 0 {
 		return
 	}
-	// Seal the block: the next Append starts a new one.
-	q.open = nil
-	q.fire(b.Ready)
+	q.seal(b)
 }
 
 // Close marks the end of the token stream.  The final partial block's
@@ -200,8 +243,7 @@ func (q *Queue) Close() {
 	grown := q.grown
 	q.mu.Unlock()
 	if b := q.open; b != nil {
-		q.open = nil
-		q.fire(b.Ready)
+		q.seal(b)
 	}
 	q.fire(grown)
 	q.maybeRecycle()
@@ -248,8 +290,8 @@ type Reader struct {
 	cur      *Block // acquired block (Ready fired; tokens frozen)
 	blk      int
 	off      int
-	buf      []token.Token // lookahead of already-read tokens
-	sawEOF   token.Token
+	buf      []token.Token  // lookahead of already-read tokens
+	eof      [1]token.Token // the stream's EOF token, once atEOF
 	atEOF    bool
 	detached bool
 }
@@ -279,24 +321,15 @@ func (r *Reader) Detach() {
 	}
 }
 
-// fetch pulls the next token from the queue, performing barrier waits as
-// needed.  After the stream ends it returns the EOF token indefinitely.
-// The acquired block is cached on the reader, so the per-token path is
-// a bounds check and an index — the queue lock is taken once per block.
-func (r *Reader) fetch() token.Token {
-	if r.atEOF {
-		return r.sawEOF
-	}
+// acquire makes cur a block with unread tokens, performing barrier waits
+// as needed (the queue lock is taken once per block).  It reports false,
+// at EOF, if the producer closed the queue without an EOF token
+// (defensive; lexers always append one).
+func (r *Reader) acquire() bool {
 	for {
 		if b := r.cur; b != nil {
 			if r.off < len(b.Toks) {
-				t := b.Toks[r.off]
-				r.off++
-				if t.Kind == token.EOF {
-					r.atEOF = true
-					r.sawEOF = t
-				}
-				return t
+				return true
 			}
 			// Block exhausted; move on.  A block is only readable once
 			// Ready fired, and after that its Toks never change.
@@ -305,30 +338,46 @@ func (r *Reader) fetch() token.Token {
 			r.off = 0
 		}
 		b, ok, grown, closed := r.q.state(r.blk)
-		if ok {
-			// Acquire the block: the wait function records the
-			// dependency (and blocks only if the block is not ready).
+		switch {
+		case ok:
+			// The wait function records the dependency (and blocks only
+			// if the block is not ready).
 			r.wait(b.Ready)
 			r.cur = b
-			continue
-		}
-		if closed {
-			// Producer closed without an explicit EOF token (defensive;
-			// lexers always append one).
+		case closed:
 			r.atEOF = true
-			r.sawEOF = token.Token{Kind: token.EOF}
-			return r.sawEOF
+			r.eof[0] = token.Token{Kind: token.EOF}
+			return false
+		default:
+			r.wait(grown)
 		}
-		r.wait(grown)
 	}
+}
+
+// fetch pulls the next token from the queue.  After the stream ends it
+// returns the EOF token indefinitely.
+func (r *Reader) fetch() token.Token {
+	if r.atEOF || !r.acquire() {
+		return r.eof[0]
+	}
+	t := r.cur.Toks[r.off]
+	r.off++
+	if t.Kind == token.EOF {
+		r.atEOF = true
+		r.eof[0] = t
+	}
+	return t
 }
 
 // Next returns the next token, advancing the reader.
 func (r *Reader) Next() token.Token {
+	if b := r.cur; b != nil && r.off < len(b.Toks) && len(r.buf) == 0 && !r.atEOF && b.Toks[r.off].Kind != token.EOF {
+		r.off++
+		return b.Toks[r.off-1] // the common case: mid-block, no lookahead
+	}
 	if len(r.buf) > 0 {
 		t := r.buf[0]
-		copy(r.buf, r.buf[1:])
-		r.buf = r.buf[:len(r.buf)-1]
+		r.buf = r.buf[:copy(r.buf, r.buf[1:])]
 		return t
 	}
 	return r.fetch()
@@ -341,8 +390,42 @@ func (r *Reader) Peek() token.Token { return r.PeekN(1) }
 // anything.  This is the "small amount of token stream lookahead"
 // (§2.1) the splitter needs to classify PROCEDURE tokens.
 func (r *Reader) PeekN(n int) token.Token {
+	if n == 1 && len(r.buf) == 0 && !r.atEOF && r.cur != nil && r.off < len(r.cur.Toks) {
+		return r.cur.Toks[r.off] // in the acquired block: no copy
+	}
 	for len(r.buf) < n {
 		r.buf = append(r.buf, r.fetch())
 	}
 	return r.buf[n-1]
+}
+
+// Run returns, without consuming them, the upcoming tokens at hand:
+// pending lookahead, else the unread rest of the current block (the next
+// one when that is empty).  It is never empty — at end of stream it holds
+// the EOF token — and is frozen block storage: read-only, valid until
+// Detach.
+func (r *Reader) Run() []token.Token {
+	if len(r.buf) > 0 {
+		return r.buf
+	}
+	if r.atEOF || !r.acquire() {
+		return r.eof[:]
+	}
+	return r.cur.Toks[r.off:]
+}
+
+// Skip consumes the first n tokens of the last Run.  A consumer stops at
+// an EOF token: n may cover one only as the last token consumed.
+func (r *Reader) Skip(n int) {
+	switch {
+	case n == 0 || r.atEOF && len(r.buf) == 0:
+	case len(r.buf) > 0:
+		r.buf = r.buf[:copy(r.buf, r.buf[n:])]
+	default:
+		r.off += n
+		if t := r.cur.Toks[r.off-1]; t.Kind == token.EOF {
+			r.atEOF = true
+			r.eof[0] = t
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package tokq_test
 
 import (
+	"strconv"
 	"sync"
 	"testing"
 
@@ -223,6 +224,7 @@ func BenchmarkAppendRead(b *testing.B) {
 		}
 		r.Detach()
 	}
+	b.ReportMetric(tokens*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mtok/s")
 }
 
 // BenchmarkAppendReadNoPool is the same workload without Retain/Detach:
@@ -240,6 +242,123 @@ func BenchmarkAppendReadNoPool(b *testing.B) {
 		q.Close()
 		r := q.NewReader(nil)
 		for r.Next().Kind != token.EOF {
+		}
+	}
+}
+
+// TestSlotsPublish drives the block-at-a-time producer API: written
+// slots are invisible until published, a full block seals itself, and a
+// half-filled one is sealed by Close.
+func TestSlotsPublish(t *testing.T) {
+	q := tokq.New(4)
+	s := q.Slots()
+	if len(s) != 4 {
+		t.Fatalf("a fresh block offers %d slots, want 4", len(s))
+	}
+	for i := range s {
+		s[i] = token.Token{Kind: token.Ident, Text: strconv.Itoa(i)}
+	}
+	q.Publish(3)
+	if q.Len() != 3 {
+		t.Fatalf("Len = %d after publishing 3 of 4 written slots", q.Len())
+	}
+	if s = q.Slots(); len(s) != 1 {
+		t.Fatalf("the open block offers %d slots, want the 1 left", len(s))
+	}
+	s[0] = token.Token{Kind: token.Ident, Text: "3"}
+	q.Publish(1) // fills and seals the block
+	s = q.Slots()
+	if len(s) != 4 {
+		t.Fatalf("after a sealed block Slots offers %d, want a new block's 4", len(s))
+	}
+	s[0] = token.Token{Kind: token.EOF}
+	s[1] = token.Token{Kind: token.Ident, Text: "never published"}
+	q.Publish(1)
+	q.Close()
+	if q.Slots() != nil {
+		t.Fatal("Slots after Close must be nil")
+	}
+	q.Publish(1) // a straggler's Publish after Close is dropped
+
+	r := q.NewReader(nil)
+	for i := 0; i < 4; i++ {
+		if tok := r.Next(); tok.Text != strconv.Itoa(i) {
+			t.Fatalf("token %d = %v %q", i, tok.Kind, tok.Text)
+		}
+	}
+	if tok := r.Next(); tok.Kind != token.EOF {
+		t.Fatalf("want EOF from the half-filled block Close sealed, got %v %q", tok.Kind, tok.Text)
+	}
+}
+
+// TestRunSkip reads a queue through Run/Skip mixed with Next and Peek,
+// across block boundaries and pending lookahead, and checks that nothing
+// after an EOF token is ever delivered by any of them.
+func TestRunSkip(t *testing.T) {
+	q := tokq.New(3) // blocks: [0 1 2] [3 4 5] [6 EOF and one token past it]
+	for i := 0; i < 7; i++ {
+		q.Append(token.Token{Kind: token.Ident, Text: strconv.Itoa(i)})
+	}
+	q.Append(token.Token{Kind: token.EOF})
+	q.Append(token.Token{Kind: token.Ident, Text: "past EOF"})
+	q.Close()
+
+	r := q.NewReader(nil)
+	texts := func(run []token.Token) (s string) {
+		for _, tok := range run {
+			s += tok.Text + ","
+		}
+		return s
+	}
+	if got := texts(r.Run()); got != "0,1,2," {
+		t.Fatalf("first run = %s", got)
+	}
+	r.Skip(2)
+	if got := r.PeekN(3).Text; got != "4" { // lookahead into the next block
+		t.Fatalf("PeekN(3) = %s", got)
+	}
+	if got := texts(r.Run()); got != "2,3,4," {
+		t.Fatalf("run with pending lookahead = %s", got)
+	}
+	r.Skip(1)
+	if got := r.Next().Text; got != "3" {
+		t.Fatalf("Next after Skip = %s", got)
+	}
+	r.Skip(0)
+	if got := texts(r.Run()); got != "4," {
+		t.Fatalf("run of the remaining lookahead = %s", got)
+	}
+	r.Skip(1)
+	if got := texts(r.Run()); got != "5," {
+		t.Fatalf("run of the block's rest = %s", got)
+	}
+	r.Skip(1)
+	run := r.Run()
+	if len(run) != 3 || run[0].Text != "6" || run[1].Kind != token.EOF {
+		t.Fatalf("last block's run = %v", run)
+	}
+	r.Skip(2) // through the EOF, and no further
+	for i := 0; i < 3; i++ {
+		if run := r.Run(); len(run) != 1 || run[0].Kind != token.EOF {
+			t.Fatalf("Run after EOF = %v", run)
+		}
+		r.Skip(1)
+		if tok := r.Next(); tok.Kind != token.EOF {
+			t.Fatalf("Next after EOF = %v %q", tok.Kind, tok.Text)
+		}
+		if tok := r.Peek(); tok.Kind != token.EOF {
+			t.Fatalf("Peek after EOF = %v %q", tok.Kind, tok.Text)
+		}
+	}
+
+	// The same through Next alone: EOF, then EOF forever.
+	r = q.NewReader(nil)
+	for i := 0; i < 7; i++ {
+		r.Next()
+	}
+	for i := 0; i < 3; i++ {
+		if tok := r.Next(); tok.Kind != token.EOF {
+			t.Fatalf("Next %d past the end = %v %q", i, tok.Kind, tok.Text)
 		}
 	}
 }
