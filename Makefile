@@ -15,9 +15,9 @@ RACE_PKGS = ./internal/ifacecache ./internal/streamcache ./internal/core ./inter
 # suite also hand-arms every injection point regardless of seeds.
 CHAOS_SEEDS ?= 1,2,3,4,5,6,7,8,13,21,34,55,89,144
 
-.PHONY: check vet build test race chaos smoke serve-smoke profile lint bench-frontend bench obsbench profilebench bench-sched bench-incr clean
+.PHONY: check vet build test race chaos smoke serve-smoke profile lint bench-frontend bench-objcode bench obsbench profilebench bench-sched bench-incr clean
 
-check: vet build test race chaos smoke serve-smoke profile lint bench-frontend
+check: vet build test race chaos smoke serve-smoke profile lint bench-frontend bench-objcode
 
 # Standard vet, then the repo's own concurrency-invariant analyzers
 # (internal/lint) via the go vet vettool protocol: raw event fires,
@@ -77,6 +77,14 @@ lint:
 bench-frontend:
 	$(GO) test -run='^$$' -bench='^(BenchmarkLexerRun|BenchmarkSplitObserved|BenchmarkAppendRead)$$' -benchtime=1x \
 		./internal/lexer ./internal/tokq ./internal/splitter
+
+# Object-code layer microbenchmarks: a sequential compile of one fixed
+# generated program (B/op, allocs/op, retained code bytes), the listing
+# renderer against the fmt reference it replaced (MB/s), and the stream
+# cache's relocating copy.  One iteration each, as bench-frontend.
+bench-objcode:
+	$(GO) test -run='^$$' -bench='^(BenchmarkCodegenCompile|BenchmarkListing|BenchmarkApplyFixups)$$' -benchtime=1x \
+		./internal/codegen ./internal/vm ./internal/streamcache
 
 bench:
 	$(GO) run ./cmd/m2bench -ifacecache -json BENCH_ifacecache.json

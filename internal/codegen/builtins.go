@@ -56,7 +56,7 @@ func (g *Gen) builtinFunc(sym *symtab.Symbol, e *ast.CallExpr) *types.Type {
 		if t != types.Bad && !t.IsInteger() {
 			g.errorf(e.Pos, "CHR requires a whole number, have %s", t)
 		}
-		g.emit(vm.Instr{Op: vm.ChkRange, Imm: 0, Imm2: 255, A: int32(e.Pos.Line)})
+		g.emitChkRange(0, 255, int32(e.Pos.Line))
 		return types.Char
 
 	case symtab.BFloat:
@@ -158,7 +158,7 @@ func (g *Gen) builtinFunc(sym *symtab.Symbol, e *ast.CallExpr) *types.Type {
 			g.errorf(e.Pos, "VAL requires an ordinal value, have %s", at)
 		}
 		if lo, hi, ok := t.Bounds(); ok {
-			g.emit(vm.Instr{Op: vm.ChkRange, Imm: lo, Imm2: hi, A: int32(e.Pos.Line)})
+			g.emitChkRange(lo, hi, int32(e.Pos.Line))
 		}
 		return t
 

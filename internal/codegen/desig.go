@@ -252,7 +252,7 @@ func (g *Gen) loadPlace(p place, pos token.Pos) (*types.Type, bool) {
 		// no closure).
 		sym := p.sym
 		if sym.ExtName != "" {
-			g.emit(vm.Instr{Op: vm.PushProc, A: -1, S: sym.ExtName})
+			g.emit(vm.Instr{Op: vm.PushProc, A: -1, B: g.extIdx(sym.ExtName)})
 		} else {
 			g.emit(vm.Instr{Op: vm.PushProc, A: sym.ProcIdx})
 		}

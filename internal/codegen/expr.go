@@ -30,13 +30,13 @@ func (g *Gen) compileExpr(e ast.Expr) (*types.Type, bool) {
 		g.emit(vm.Instr{Op: vm.PushInt, Imm: e.Value})
 		return types.Whole, false
 	case *ast.RealLit:
-		g.emit(vm.Instr{Op: vm.PushReal, F: e.Value})
+		g.emitReal(e.Value)
 		return types.Real, false
 	case *ast.CharLit:
 		g.emit(vm.Instr{Op: vm.PushInt, Imm: int64(e.Value)})
 		return types.Char, false
 	case *ast.StringLit:
-		g.emit(vm.Instr{Op: vm.PushStr, S: e.Value})
+		g.emitStr(e.Value)
 		return types.StringT, false
 	case *ast.SetExpr:
 		return g.compileSet(e), false
@@ -429,7 +429,7 @@ func paramSlots(p types.Param) int32 {
 
 func (g *Gen) emitDirectCall(sym *symtab.Symbol, sig *types.Type) {
 	if sym.ExtName != "" {
-		g.emit(vm.Instr{Op: vm.CallExt, S: sym.ExtName, B: g.argSlotsOf(sig)})
+		g.emit(vm.Instr{Op: vm.CallExt, A: g.extIdx(sym.ExtName), B: g.argSlotsOf(sig)})
 	} else {
 		g.emit(vm.Instr{Op: vm.Call, A: sym.ProcIdx, B: g.argSlotsOf(sig)})
 	}
@@ -580,7 +580,7 @@ func (g *Gen) checkOpenElem(want, have *types.Type, pos token.Pos) {
 func (g *Gen) stringToTempThen(s *ast.StringLit, n int32, use func(temp int32)) {
 	temp := g.allocTemp(n)
 	g.emit(vm.Instr{Op: vm.LdaLoc, A: 0, B: temp})
-	g.emit(vm.Instr{Op: vm.PushStr, S: s.Value})
+	g.emitStr(s.Value)
 	g.emit(vm.Instr{Op: vm.StrToA, A: n})
 	use(temp)
 }

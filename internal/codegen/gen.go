@@ -12,6 +12,7 @@
 package codegen
 
 import (
+	"math"
 	"sync"
 
 	"m2cc/internal/ast"
@@ -31,6 +32,7 @@ type Gen struct {
 	sig   *types.Type // procedure signature; nil for module bodies
 
 	code     []vm.Instr
+	pools    vm.Segment // constant pools only; Code is set from g.code at the end
 	withs    []withInfo
 	tempTop  int32
 	maxFrame int32
@@ -73,7 +75,8 @@ func Compile(env *sema.Env, scope *symtab.Scope, meta *vm.ProcMeta, sig *types.T
 		g.emit(vm.Instr{Op: vm.RetP})
 	}
 	meta.Frame = g.maxFrame
-	meta.Code = append(make([]vm.Instr, 0, len(g.code)), g.code...)
+	g.pools.Code = append(make([]vm.Instr, 0, len(g.code)), g.code...)
+	meta.Segment = g.pools
 	if arena == nil {
 		arena = new([]vm.Instr)
 	}
@@ -95,6 +98,28 @@ func (g *Gen) emit(i vm.Instr) int32 {
 }
 
 func (g *Gen) here() int32 { return int32(len(g.code)) }
+
+func (g *Gen) emitReal(f float64) {
+	g.emit(vm.Instr{Op: vm.PushReal, Imm: int64(math.Float64bits(f))})
+}
+
+func (g *Gen) emitStr(s string) {
+	g.pools.Strs = append(g.pools.Strs, s)
+	g.emit(vm.Instr{Op: vm.PushStr, A: int32(len(g.pools.Strs) - 1)})
+}
+
+// emitChkRange emits the lo..hi range check trapping at line.
+func (g *Gen) emitChkRange(lo, hi int64, line int32) {
+	g.pools.Ints = append(g.pools.Ints, hi)
+	g.emit(vm.Instr{Op: vm.ChkRange, Imm: lo, B: int32(len(g.pools.Ints) - 1), A: line})
+}
+
+// extIdx appends an external procedure name to the segment's Exts pool
+// and returns its index (the linker resolves each entry to a ProcIdx).
+func (g *Gen) extIdx(name string) int32 {
+	g.pools.Exts = append(g.pools.Exts, name)
+	return int32(len(g.pools.Exts) - 1)
+}
 
 // areaIdx resolves a globals-area name to this compilation's registry
 // index.  Symbols carry area *names* (they may live in interface scopes
@@ -146,9 +171,9 @@ func (g *Gen) emitConst(v types.Const, pos token.Pos) *types.Type {
 	case types.CInt:
 		g.emit(vm.Instr{Op: vm.PushInt, Imm: v.I})
 	case types.CReal:
-		g.emit(vm.Instr{Op: vm.PushReal, F: v.F})
+		g.emitReal(v.F)
 	case types.CString:
-		g.emit(vm.Instr{Op: vm.PushStr, S: v.S})
+		g.emitStr(v.S)
 	case types.CSet:
 		g.emit(vm.Instr{Op: vm.PushInt, Imm: int64(v.Set)})
 	case types.CNil:
@@ -167,6 +192,6 @@ func (g *Gen) emitConst(v types.Const, pos token.Pos) *types.Type {
 func (g *Gen) rangeCheck(dst *types.Type, pos token.Pos) {
 	d := dst.Deref()
 	if d.Kind == types.SubrangeK {
-		g.emit(vm.Instr{Op: vm.ChkRange, Imm: d.Lo, Imm2: d.Hi, A: int32(pos.Line)})
+		g.emitChkRange(d.Lo, d.Hi, int32(pos.Line))
 	}
 }

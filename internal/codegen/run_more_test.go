@@ -492,3 +492,53 @@ BEGIN
 			want: "ef\n"},
 	})
 }
+
+// TestPooledOperands covers the operands that moved out of the
+// instruction record into the segment's constant pools (strings,
+// ChkRange's upper bound) or into Imm as bits (REAL literals), from
+// source text through both compilers to the machine.
+func TestPooledOperands(t *testing.T) {
+	runAll(t, []runCase{
+		{name: "subrange bounds beyond int32 accept in-range values", body: `
+VAR big: [0..5000000000]; l: LONGINT;
+BEGIN
+  l := 4999999999;
+  big := l;
+  WriteInt(INTEGER(big), 0); WriteLn`,
+			want: "4999999999\n"},
+		{name: "subrange bounds beyond int32 still trap", body: `
+VAR big: [0..5000000000]; l: LONGINT;
+BEGIN
+  l := 5000000001;
+  big := l`,
+			wantTrap: "value 5000000001 outside range 0..5000000000"},
+		{name: "distinct subranges in one segment keep their own bounds", body: `
+VAR a: [0..1]; b: [0..2]; c: [0..3]; n: INTEGER;
+BEGIN
+  n := 1;
+  a := n; b := n; c := n;
+  n := 2;
+  c := n; b := n;
+  WriteInt(b + c, 0); WriteLn;
+  a := n`,
+			wantTrap: "value 2 outside range 0..1"},
+		{name: "real literals keep every bit", body: `
+VAR r: REAL;
+BEGIN
+  r := 0.1;
+  WriteReal(r + 0.2, 0); WriteChar(" ");
+  WriteReal(1.0E100, 0); WriteChar(" ");
+  WriteReal(-0.0, 0); WriteChar(" ");
+  WriteReal(4.9E-324, 0); WriteLn`,
+			want: "0.30000000000000004 1E+100 -0 5E-324\n"},
+		{name: "quotes and the empty string", body: `
+VAR t: TEXT; buf: ARRAY [0..3] OF CHAR;
+BEGIN
+  WriteString('say "hi"'); WriteString(""); WriteString("it's"); WriteLn;
+  t := "";
+  IF t = "" THEN WriteString("empty") END;
+  buf := "";
+  WriteString(buf); WriteString("|"); WriteLn`,
+			want: "say \"hi\"it's\nempty|\n"},
+	})
+}

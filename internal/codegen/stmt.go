@@ -114,7 +114,7 @@ func (g *Gen) assign(s *ast.AssignStmt) {
 			if int32(len(str.Value)) > n {
 				g.errorf(s.Pos, "string constant of length %d does not fit in %s", len(str.Value), p.t)
 			}
-			g.emit(vm.Instr{Op: vm.PushStr, S: str.Value})
+			g.emitStr(str.Value)
 			g.emit(vm.Instr{Op: vm.StrToA, A: n})
 			return
 		}

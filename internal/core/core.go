@@ -1631,6 +1631,7 @@ func (d *driver) applyPendingInstalls() {
 				"internal: cached stream %s references unknown procedure", pi.rec.Name)
 			return
 		}
+		pi.meta.Segment = pi.rec.Segment
 		pi.meta.Code = code
 	}
 }
@@ -1697,9 +1698,9 @@ func (d *driver) recordStreams() {
 			IsBody: true, Level: d.bodyMeta.Level,
 			ArgSlots: d.bodyMeta.ArgSlots, Frame: d.bodyMeta.Frame,
 			HasRet: d.bodyMeta.HasRet, Pos: normPos(d.bodyMeta.Pos),
-			Code:   d.bodyMeta.Code,
-			Fixups: streamcache.ExtractFixups(d.bodyMeta.Code, procName, areaName, excName),
-			Diags:  normDiags(d.bodyBag),
+			Segment: d.bodyMeta.Segment,
+			Fixups:  streamcache.ExtractFixups(d.bodyMeta.Code, procName, areaName, excName),
+			Diags:   normDiags(d.bodyBag),
 		}
 		d.scache.Put(d.bodyKey, &streamcache.Entry{Records: []streamcache.ProcRecord{rec}})
 		d.tally.Recorded++
@@ -1721,9 +1722,9 @@ func (d *driver) makeRecord(id int32, procName, areaName, excName func(int32) st
 		Name: meta.Name, Exported: meta.Exported, IsBody: meta.IsBody,
 		Level: meta.Level, ArgSlots: meta.ArgSlots, Frame: meta.Frame,
 		HasRet: meta.HasRet, Pos: normPos(meta.Pos),
-		Code:   meta.Code,
-		Fixups: streamcache.ExtractFixups(meta.Code, procName, areaName, excName),
-		Diags:  normDiags(ps.tee),
+		Segment: meta.Segment,
+		Fixups:  streamcache.ExtractFixups(meta.Code, procName, areaName, excName),
+		Diags:   normDiags(ps.tee),
 	}
 	if ps.facts != nil {
 		rec.Facts = rewriteFacts(ps.facts, 0)

@@ -235,6 +235,7 @@ type SchedCounters struct {
 	Steals         int64 `json:"steals"`          // dispatches stolen from another worker's queue
 	OverflowPops   int64 `json:"overflow_pops"`   // dispatches served from the overflow queue
 	Handoffs       int64 `json:"handoffs"`        // releases that handed the slot directly onward
+	Goroutines     int64 `json:"goroutines"`      // worker goroutines started (resident workers run many tasks each)
 }
 
 // Add accumulates other into c.
@@ -248,6 +249,7 @@ func (c *SchedCounters) Add(other SchedCounters) {
 	c.Steals += other.Steals
 	c.OverflowPops += other.OverflowPops
 	c.Handoffs += other.Handoffs
+	c.Goroutines += other.Goroutines
 }
 
 // CacheCounters is the interface-cache traffic attributed to the

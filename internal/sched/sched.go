@@ -20,14 +20,17 @@
 // §2.3.4 class-major order, so comparing the two heads bounds priority
 // inversion to what sits in *other* workers' local queues — and steals
 // from another worker's queue (randomized victim order) before giving
-// the slot back.  The handoff path never touches the scheduler's global
-// lock's broadcast machinery, which is what makes finish→start chains
-// cheap.  GlobalQueue restores the single strict global queue for
-// comparison benchmarks.
+// the slot back.  GlobalQueue restores the single strict global queue
+// for comparison benchmarks.
 //
-// The paper's constraint that a task begun by a worker had to be
-// finished by that worker was an artifact of Topaz thread affinity; here
-// each task is a goroutine and worker slots are a prioritized counting
+// Workers are resident: the goroutine that finishes a task runs the
+// next unstarted task its slot dispatches, so a finish→start chain
+// costs no goroutine start, stack regrowth or wake-up; a goroutine is
+// started only where the granter cannot run the task itself (a spawner
+// filling a free slot, a task giving its slot up to block), and a
+// blocked task resumes on the goroutine it blocked on.  The paper's
+// constraint that a worker finish the task it began was an artifact of
+// Topaz thread affinity; worker slots here are a prioritized counting
 // semaphore, which removes that deadlock case without changing the
 // scheduling policy (see DESIGN.md).
 package sched
@@ -219,7 +222,7 @@ func (t *Task) ExternalWait(e *event.Event) bool {
 	delete(s.external, t)
 	s.pushLocked(t, w)
 	s.kickLocked()
-	s.cond.Broadcast()
+	s.wakeWaitLocked()
 	s.mu.Unlock()
 	<-t.resume
 	return fired
@@ -307,6 +310,7 @@ type Supervisor struct {
 	nSteals         atomic.Int64
 	nOverflowPops   atomic.Int64
 	nHandoffs       atomic.Int64
+	nGoroutines     atomic.Int64
 
 	rec *ctrace.Recorder
 
@@ -389,6 +393,7 @@ func (s *Supervisor) Counters() obs.SchedCounters {
 		Steals:         s.nSteals.Load(),
 		OverflowPops:   s.nOverflowPops.Load(),
 		Handoffs:       s.nHandoffs.Load(),
+		Goroutines:     s.nGoroutines.Load(),
 	}
 }
 
@@ -407,7 +412,7 @@ func (s *Supervisor) Cancel() {
 	}
 	close(s.cancelCh)
 	s.mu.Lock()
-	s.cond.Broadcast()
+	s.wakeWaitLocked()
 	s.mu.Unlock()
 }
 
@@ -543,7 +548,7 @@ func (s *Supervisor) gatesFired(g *event.Event) {
 	}
 	if released {
 		s.kickLocked()
-		s.cond.Broadcast()
+		s.wakeWaitLocked()
 	}
 	s.mu.Unlock()
 }
@@ -686,26 +691,51 @@ func (s *Supervisor) steal(w int) *Task {
 	return nil
 }
 
-// grant hands slot w to task t, which the caller popped from a queue.
+// grant hands slot w to task t, which the caller popped from a queue
+// and cannot run itself: an unstarted task gets a worker goroutine.
 // The slot stays claimed from pop to grant, so the stall detector never
 // sees an all-free scheduler with a task in flight.
 func (s *Supervisor) grant(t *Task, w int) {
+	if s.admit(t, w) {
+		s.nGoroutines.Add(1)
+		go s.work(t)
+	}
+}
+
+// admit gives slot w to t.  A blocked task is resumed on the goroutine
+// it blocked on; for an unstarted one admit reports true and the caller
+// supplies the goroutine.
+func (s *Supervisor) admit(t *Task, w int) (unstarted bool) {
 	t.slot.Store(int32(w))
 	s.Obs.ReadySample(s.queuedLen())
 	if !t.started {
 		t.started = true
 		s.Obs.TaskStarted(t.obsID)
-		go s.body(t)
-	} else {
-		s.Obs.TaskUnblocked(t.obsID)
-		t.resume <- struct{}{}
+		return true
+	}
+	s.Obs.TaskUnblocked(t.obsID)
+	t.resume <- struct{}{}
+	return false
+}
+
+// wakeWaitLocked wakes Wait on the only two transitions it can act on:
+// the last task finished, or every slot is free (the stall check).
+// Anything else would wake the driver once per task just to go back to
+// sleep.  Caller holds s.mu.  This relies on Wait being the only
+// sleeper on s.cond and on every critical section that bumps s.finished
+// or may leave more slots free than it found (releaseSlotLocked, also
+// kickLocked's roll-back) ending with this call; Spawn alone skips it,
+// since it only adds work.  A release site without it can strand Wait.
+func (s *Supervisor) wakeWaitLocked() {
+	if s.finished == s.total || s.free == s.slots {
+		s.cond.Broadcast()
 	}
 }
 
 // handoffOrRelease passes slot w straight to the next queued task —
-// skipping the free-slot accounting and its broadcast entirely — or,
-// when no work is queued, returns the slot under s.mu.  The re-check
-// under the lock closes the race against a push that saw no free slot.
+// skipping the free-slot accounting entirely — or, when no work is
+// queued, returns the slot under s.mu.  The re-check under the lock
+// closes the race against a push that saw no free slot.
 func (s *Supervisor) handoffOrRelease(w int) {
 	if t := s.nextFor(w); t != nil {
 		s.nHandoffs.Add(1)
@@ -715,37 +745,46 @@ func (s *Supervisor) handoffOrRelease(w int) {
 	s.mu.Lock()
 	s.releaseSlotLocked(w)
 	s.kickLocked()
-	s.cond.Broadcast()
+	s.wakeWaitLocked()
 	s.mu.Unlock()
 }
 
-func (s *Supervisor) body(t *Task) {
-	t.Ctx.Add(ctrace.CostTaskStart)
-	s.runGuarded(t)
-	t.Ctx.FireEvent(t.done)
-	if s.rec != nil {
-		s.rec.FinishTask(t.Ctx.ID, t.Ctx.Units)
-	}
-	// Note the finish (freeing the task's observed lane) before the
-	// slot moves on, so an observer never sees more lanes busy than
-	// slots exist.
-	s.Obs.TaskFinished(t.obsID)
-	w := int(t.slot.Load())
-	if t2 := s.nextFor(w); t2 != nil {
-		s.nHandoffs.Add(1)
-		s.grant(t2, w)
+// work is a resident worker: it runs t and then, on the same goroutine,
+// every unstarted task its slot dispatches next.  It returns when the
+// slot passes to a resumed task (which continues on its own goroutine)
+// or is given back for want of work.
+func (s *Supervisor) work(t *Task) {
+	for {
+		t.Ctx.Add(ctrace.CostTaskStart)
+		s.runGuarded(t)
+		t.Ctx.FireEvent(t.done)
+		if s.rec != nil {
+			s.rec.FinishTask(t.Ctx.ID, t.Ctx.Units)
+		}
+		// Note the finish (freeing the task's observed lane) before the
+		// slot moves on, so an observer never sees more lanes busy than
+		// slots exist.
+		s.Obs.TaskFinished(t.obsID)
+		w := int(t.slot.Load())
+		next := s.nextFor(w)
+		mine := false
+		if next != nil {
+			s.nHandoffs.Add(1)
+			mine = s.admit(next, w)
+		}
 		s.mu.Lock()
 		s.finished++
-		s.cond.Broadcast()
+		if next == nil {
+			s.releaseSlotLocked(w)
+			s.kickLocked()
+		}
+		s.wakeWaitLocked()
 		s.mu.Unlock()
-		return
+		if !mine {
+			return
+		}
+		t = next
 	}
-	s.mu.Lock()
-	s.releaseSlotLocked(w)
-	s.finished++
-	s.kickLocked()
-	s.cond.Broadcast()
-	s.mu.Unlock()
 }
 
 // runGuarded runs the task body with panic isolation: a panicking task
@@ -753,7 +792,7 @@ func (s *Supervisor) body(t *Task) {
 // recovery reports the fault through OnPanic, then force-fires every
 // unfired event the task was registered (via SetProducer) to produce —
 // sibling streams blocked on those events resume and run to completion
-// rather than wedging until the deadlock watchdog.  The caller (body)
+// rather than wedging until the deadlock watchdog.  The caller (work)
 // then fires Done and releases the slot exactly as for a clean finish.
 func (s *Supervisor) runGuarded(t *Task) {
 	defer func() {
@@ -764,7 +803,7 @@ func (s *Supervisor) runGuarded(t *Task) {
 		if r == ErrCanceled {
 			// A cooperative cancellation unwind, not a fault: the
 			// deferred seals already ran during the unwind; force-fire
-			// what the task still owed and let body finish it normally.
+			// what the task still owed and let work finish it normally.
 			s.mu.Lock()
 			s.skips++
 			s.mu.Unlock()
@@ -803,7 +842,7 @@ func (s *Supervisor) runGuarded(t *Task) {
 // forceFireProduced force-fires every unfired event the task was
 // registered (via SetProducer) to produce, so sibling streams blocked
 // on them resume instead of wedging until the deadlock watchdog.  The
-// task's own Done event is excluded: body fires it on the normal path.
+// task's own Done event is excluded: work fires it on the normal path.
 // Shared by the panic-isolation and cancellation-discharge teardowns.
 func (s *Supervisor) forceFireProduced(t *Task) {
 	s.mu.Lock()
@@ -889,7 +928,7 @@ func (s *Supervisor) reacquire(t *Task) {
 	delete(s.blocked, t)
 	s.pushLocked(t, int(t.slot.Load()))
 	s.kickLocked()
-	s.cond.Broadcast()
+	s.wakeWaitLocked()
 	s.mu.Unlock()
 	<-t.resume
 }

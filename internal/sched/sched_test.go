@@ -555,3 +555,49 @@ func TestPanicStealInjection(t *testing.T) {
 		t.Fatalf("counters %+v, want the child dispatched via a steal", c)
 	}
 }
+
+// TestResidentWorkerRunsChainOnOneGoroutine pins the resident-worker
+// property: on one worker, a tree of tasks that never block runs on the
+// single goroutine the first grant started, every later dispatch being a
+// same-goroutine handoff; a task that gives its slot up to block costs
+// exactly one more goroutine (for the task that takes the slot over).
+func TestResidentWorkerRunsChainOnOneGoroutine(t *testing.T) {
+	s := sched.New(1, nil)
+	var count atomic.Int64
+	var child func(depth int) func(*sched.Task)
+	child = func(depth int) func(*sched.Task) {
+		return func(task *sched.Task) {
+			count.Add(1)
+			if depth < 3 {
+				for i := 0; i < 4; i++ {
+					s.Spawn(ctrace.KindShortStmtCG, 0, "c", 7, nil, task.Ctx, child(depth+1))
+				}
+			}
+		}
+	}
+	spawned := make(chan struct{}) // holds root (and the slot) until every Spawn from outside is in
+	root := child(0)
+	done := s.Spawn(ctrace.KindLexor, 0, "root", 0, nil, nil, func(t *sched.Task) { <-spawned; root(t) }).Done()
+	// A gated task released by the running task's Done event also stays
+	// on the resident goroutine.
+	s.Spawn(ctrace.KindMerge, 0, "gated", 9, []*event.Event{done}, nil, func(*sched.Task) { count.Add(1) })
+	close(spawned)
+	s.Wait()
+	const tasks = 1 + 4 + 16 + 64 + 1
+	if got := count.Load(); got != tasks {
+		t.Fatalf("ran %d tasks, want %d", got, tasks)
+	}
+	c := s.Counters()
+	if c.Goroutines != 1 || c.Handoffs != tasks-1 {
+		t.Fatalf("non-blocking chain on one worker: %d goroutines, %d handoffs; want 1 and %d", c.Goroutines, c.Handoffs, tasks-1)
+	}
+
+	s = sched.New(1, nil)
+	e := event.New()
+	s.Spawn(ctrace.KindLexor, 0, "A", 0, nil, nil, func(t *sched.Task) { t.HandledWait(e) })
+	s.Spawn(ctrace.KindSplitter, 0, "B", 1, nil, nil, func(t *sched.Task) { t.Ctx.FireEvent(e) })
+	s.Wait()
+	if c := s.Counters(); c.Goroutines != 2 {
+		t.Fatalf("one blocking task on one worker: %d goroutines, want 2", c.Goroutines)
+	}
+}

@@ -51,7 +51,8 @@ type FixKind uint8
 
 const (
 	// FixProc: operand A is a same-module procedure index (Call, and
-	// PushProc with an empty S field).
+	// PushProc with A >= 0; an external PushProc names its target in the
+	// segment's Exts pool, which replays verbatim).
 	FixProc FixKind = iota
 	// FixArea: operand A is a global storage-area index (LdGlb, StGlb,
 	// LdaGlb).
@@ -84,8 +85,8 @@ type ProcRecord struct {
 	HasRet   bool
 	Pos      token.Pos // declaration position; File normalized to 0
 
-	Code   []vm.Instr // shared, read-only; fixup application copies
-	Fixups []Fixup
+	vm.Segment // shared, read-only; fixup application copies Code, never the pools
+	Fixups     []Fixup
 
 	Diags []diag.Diagnostic // stream's own diagnostics; Pos/End File normalized to 0
 	Facts *check.Facts      // lint fact table (nil unless recorded under Check)
@@ -261,7 +262,7 @@ func ExtractFixups(code []vm.Instr, procName func(int32) string,
 		case vm.Call:
 			out = append(out, Fixup{Index: i, Kind: FixProc, Name: procName(ins.A)})
 		case vm.PushProc:
-			if ins.S == "" {
+			if ins.A >= 0 {
 				out = append(out, Fixup{Index: i, Kind: FixProc, Name: procName(ins.A)})
 			}
 		case vm.LdGlb, vm.StGlb, vm.LdaGlb:

@@ -177,9 +177,9 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 		case PushInt:
 			push(intVal(ins.Imm))
 		case PushReal:
-			push(realVal(ins.F))
+			push(realVal(math.Float64frombits(uint64(ins.Imm))))
 		case PushStr:
-			push(strVal(ins.S))
+			push(strVal(p.Strs[ins.A]))
 		case PushNil:
 			push(nilVal())
 		case PushProc:
@@ -464,8 +464,8 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 			push(intVal(c))
 		case ChkRange:
 			v := stack[len(stack)-1].I
-			if v < ins.Imm || v > ins.Imm2 {
-				return Value{}, -1, trap(ins.A, "value %d outside range %d..%d", v, ins.Imm, ins.Imm2)
+			if hi := p.Ints[ins.B]; v < ins.Imm || v > hi {
+				return Value{}, -1, trap(ins.A, "value %d outside range %d..%d", v, ins.Imm, hi)
 			}
 
 		case Jmp:

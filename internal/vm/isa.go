@@ -21,10 +21,10 @@ const (
 
 	// Constants.
 	PushInt  // ( → i) Imm
-	PushReal // ( → r) F
-	PushStr  // ( → s) S
+	PushReal // ( → r) Imm=math.Float64bits
+	PushStr  // ( → s) A=Strs index
 	PushNil  // ( → nil)
-	PushProc // ( → proc) A=local proc index
+	PushProc // ( → proc) A=local proc index, or A<0 and B=Exts index ("Module.Proc")
 	Dup      // (v → v v)
 	Drop     // (v → )
 
@@ -92,7 +92,7 @@ const (
 	IntToReal // FLOAT
 	RealToInt // TRUNC
 	CapCh     // CAP
-	ChkRange  // (v → v) range check Imm..Imm2, A=trap site line
+	ChkRange  // (v → v) range check Imm..Ints[B], A=trap site line
 
 	// Control flow (targets are absolute PCs after linking; segment-
 	// relative before).
@@ -102,7 +102,7 @@ const (
 
 	// Calls.  B = total argument slots (popped into the callee frame).
 	Call     // A=local proc index
-	CallExt  // S="Module.Proc", resolved by the linker
+	CallExt  // A=Exts index ("Module.Proc"), resolved by the linker
 	CallInd  // (args... proc → ) indirect through a procedure value
 	RetP     // return from proper procedure
 	RetF     // (v → ) return value to caller's stack
@@ -180,13 +180,26 @@ func (o Op) String() string {
 	return fmt.Sprintf("OP(%d)", uint8(o))
 }
 
-// Instr is one instruction.  The operand fields used depend on the
-// opcode; unused fields are zero.
+// Instr is one instruction: 24 bytes and pointer-free, so a code
+// segment is a single noscan allocation the collector never walks.
+// The operand fields used depend on the opcode; unused fields are
+// zero.  The few operands that do not fit — strings, external
+// procedure names, ChkRange's upper bound — live in the segment's
+// constant pools and are named here by index.
 type Instr struct {
 	Op   Op
 	A, B int32
 	Imm  int64
-	Imm2 int64
-	F    float64
-	S    string
+}
+
+// Segment is one procedure's object code: the instructions and the
+// constant pools their wide operands index.  It is immutable once its
+// code generator task returns; the stream cache and every compilation
+// replaying it share the pools (and, when no operand needs relocating,
+// the code).
+type Segment struct {
+	Code []Instr
+	Strs []string // PushStr A
+	Exts []string // CallExt A, external PushProc B: "Module.Proc"
+	Ints []int64  // ChkRange B: upper bound
 }

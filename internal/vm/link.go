@@ -80,31 +80,31 @@ func Link(objects []*Object, main string) (*Program, error) {
 			excMap[i] = globalExc(name)
 		}
 		base := bases[oi]
-		for pi := range o.Procs {
-			src := o.Procs[pi].Code
-			code := make([]Instr, len(src))
-			copy(code, src)
+		for pi, pm := range o.Procs {
+			// ext resolves an Exts entry at the instruction that names
+			// it, so the first diagnostic follows code order.
+			ext := func(idx int32) (int32, error) {
+				g, ok := exports[pm.Exts[idx]]
+				if !ok {
+					return 0, fmt.Errorf("link: undefined procedure %s (referenced by %s)", pm.Exts[idx], o.Module)
+				}
+				return g, nil
+			}
+			code := make([]Instr, len(pm.Code))
+			copy(code, pm.Code)
 			for i := range code {
 				ins := &code[i]
+				var err error
 				switch ins.Op {
 				case Call:
 					ins.A += base
 				case CallExt:
-					g, ok := exports[ins.S]
-					if !ok {
-						return nil, fmt.Errorf("link: undefined procedure %s (referenced by %s)", ins.S, o.Module)
-					}
 					ins.Op = Call
-					ins.A = g
-					ins.S = ""
+					ins.A, err = ext(ins.A)
 				case PushProc:
-					if ins.S != "" {
-						g, ok := exports[ins.S]
-						if !ok {
-							return nil, fmt.Errorf("link: undefined procedure %s (referenced by %s)", ins.S, o.Module)
-						}
-						ins.A = g
-						ins.S = ""
+					if ins.A < 0 {
+						ins.A, err = ext(ins.B)
+						ins.B = 0
 					} else {
 						ins.A += base
 					}
@@ -112,6 +112,9 @@ func Link(objects []*Object, main string) (*Program, error) {
 					ins.A = areaMap[ins.A]
 				case Raise, ExcIs:
 					ins.A = excMap[ins.A]
+				}
+				if err != nil {
+					return nil, err
 				}
 			}
 			p.Procs[base+int32(pi)].Code = code

@@ -1,16 +1,16 @@
 package vm
 
 import (
-	"fmt"
+	"math"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 
 	"m2cc/internal/token"
 )
 
 // ProcMeta describes one compiled procedure: its identity, addressing
-// metadata and code segment.  The Code slice is produced by exactly one
+// metadata and code segment.  The Segment is produced by exactly one
 // statement-analyzer/code-generator task and read only after the merge.
 type ProcMeta struct {
 	Idx      int32  // object-local index
@@ -23,7 +23,7 @@ type ProcMeta struct {
 	Frame    int32 // total frame slots (args + locals + temporaries)
 	HasRet   bool
 	Pos      token.Pos
-	Code     []Instr
+	Segment
 }
 
 // FullName returns "Module.Name" (or "Module..body" for bodies).
@@ -169,6 +169,11 @@ func (r *Registry) Object() *Object {
 // name.  Because object-local indices never appear, concurrent and
 // sequential compilations of the same program produce byte-identical
 // listings — the property the differential tests check.
+//
+// The listing is appended, not formatted: one pass over one buffer
+// pre-sized from the instruction count, no per-line allocation.  Its
+// bytes are a contract (golden hashes pin them); reflisting_test.go
+// holds the fmt-based renderer it must equal.
 func (o *Object) Listing() string {
 	procs := append([]*ProcMeta(nil), o.Procs...)
 	sort.Slice(procs, func(i, j int) bool {
@@ -180,23 +185,37 @@ func (o *Object) Listing() string {
 		}
 		return procs[i].Name < procs[j].Name
 	})
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "OBJECT %s\n", o.Module)
+	n := 0
+	for _, p := range procs {
+		n += len(p.Code)
+	}
+	// 24 bytes covers the mean line of the generated suites (22).
+	b := make([]byte, 0, 24*n+64*(len(procs)+len(o.Areas)+1))
+	b = append(append(b, "OBJECT "...), o.Module...)
+	b = append(b, '\n')
 	for _, a := range sortedAreas(o.Areas) {
-		fmt.Fprintf(&sb, "AREA %s %d\n", a.Name, a.Slots)
+		b = num(append(append(b, "AREA "...), a.Name...), " ", int64(a.Slots))
+		b = append(b, '\n')
 	}
 	for _, p := range procs {
-		kind := "PROC"
 		if p.IsBody {
-			kind = "BODY"
+			b = append(b, "BODY "...)
+		} else {
+			b = append(b, "PROC "...)
 		}
-		fmt.Fprintf(&sb, "%s %s (level=%d args=%d frame=%d ret=%v)\n",
-			kind, p.FullName(), p.Level, p.ArgSlots, p.Frame, p.HasRet)
+		b = append(b, p.FullName()...)
+		b = num(b, " (level=", int64(p.Level))
+		b = num(b, " args=", int64(p.ArgSlots))
+		b = num(b, " frame=", int64(p.Frame))
+		b = strconv.AppendBool(append(b, " ret="...), p.HasRet)
+		b = append(b, ")\n"...)
 		for pc, ins := range p.Code {
-			fmt.Fprintf(&sb, "%5d  %s\n", pc, o.format(ins))
+			b = appendPC(b, pc)
+			b = o.appendInstr(b, p, ins)
+			b = append(b, '\n')
 		}
 	}
-	return sb.String()
+	return string(b)
 }
 
 func sortedAreas(areas []*Area) []*Area {
@@ -205,50 +224,68 @@ func sortedAreas(areas []*Area) []*Area {
 	return out
 }
 
-// format renders one instruction with symbolic operands.
-func (o *Object) format(ins Instr) string {
+// appendPC appends pc right-aligned in five columns and the two-space
+// gutter ("%5d  ").
+func appendPC(b []byte, pc int) []byte {
+	for w := 10000; w > 1 && pc < w; w /= 10 {
+		b = append(b, ' ')
+	}
+	return append(strconv.AppendInt(b, int64(pc), 10), ' ', ' ')
+}
+
+// num appends label and then v in decimal.
+func num(b []byte, label string, v int64) []byte {
+	return strconv.AppendInt(append(b, label...), v, 10)
+}
+
+// appendInstr renders one instruction of p with symbolic operands: the
+// mnemonic left-justified in nine columns and a space ("%-9s "), then
+// the operands; a bare mnemonic is not padded.
+func (o *Object) appendInstr(b []byte, p *ProcMeta, ins Instr) []byte {
+	name := ins.Op.String()
+	bare := len(b) + len(name)
+	b = append(append(b, name...), "          "[min(len(name), 9):]...)
 	switch ins.Op {
 	case PushInt:
-		return fmt.Sprintf("%-9s %d", ins.Op, ins.Imm)
+		return num(b, "", ins.Imm)
 	case PushReal:
-		return fmt.Sprintf("%-9s %G", ins.Op, ins.F)
+		return strconv.AppendFloat(b, math.Float64frombits(uint64(ins.Imm)), 'G', -1, 64)
 	case PushStr:
-		return fmt.Sprintf("%-9s %q", ins.Op, ins.S)
+		return strconv.AppendQuote(b, p.Strs[ins.A])
 	case PushProc:
-		if ins.S != "" {
-			return fmt.Sprintf("%-9s %s", ins.Op, ins.S)
+		if ins.A < 0 {
+			return append(b, p.Exts[ins.B]...)
 		}
-		return fmt.Sprintf("%-9s %s", ins.Op, o.Procs[ins.A].FullName())
+		return append(b, o.Procs[ins.A].FullName()...)
 	case LdGlb, StGlb, LdaGlb:
-		return fmt.Sprintf("%-9s %s+%d", ins.Op, o.Areas[ins.A].Name, ins.B)
+		return num(append(b, o.Areas[ins.A].Name...), "+", int64(ins.B))
 	case LdLoc, StLoc, LdaLoc:
-		return fmt.Sprintf("%-9s up%d+%d", ins.Op, ins.A, ins.B)
+		return num(num(b, "up", int64(ins.A)), "+", int64(ins.B))
 	case Call:
-		return fmt.Sprintf("%-9s %s", ins.Op, o.Procs[ins.A].FullName())
+		return append(b, o.Procs[ins.A].FullName()...)
 	case CallExt:
-		return fmt.Sprintf("%-9s %s", ins.Op, ins.S)
+		return append(b, p.Exts[ins.A]...)
 	case CallInd:
-		return fmt.Sprintf("%-9s args=%d", ins.Op, ins.B)
+		return num(b, "args=", int64(ins.B))
 	case Raise, ExcIs:
-		return fmt.Sprintf("%-9s %s", ins.Op, o.Excs[ins.A])
+		return append(b, o.Excs[ins.A]...)
 	case Jmp, Jz, Jnz, EnterTry:
-		return fmt.Sprintf("%-9s ->%d", ins.Op, ins.A)
+		return num(b, "->", int64(ins.A))
 	case Index:
-		return fmt.Sprintf("%-9s lo=%d elems=%d size=%d", ins.Op, ins.Imm, ins.B, ins.A)
+		return num(num(num(b, "lo=", ins.Imm), " elems=", int64(ins.B)), " size=", int64(ins.A))
 	case IndexOp:
-		return fmt.Sprintf("%-9s size=%d", ins.Op, ins.A)
+		return num(b, "size=", int64(ins.A))
 	case ChkRange:
-		return fmt.Sprintf("%-9s %d..%d", ins.Op, ins.Imm, ins.Imm2)
+		return num(num(b, "", ins.Imm), "..", p.Ints[ins.B])
 	case CmpI, CmpF, CmpS, CmpA, SetCmp:
-		return fmt.Sprintf("%-9s rel=%d", ins.Op, ins.A)
+		return num(b, "rel=", int64(ins.A))
 	case Copy, NewObj:
-		return fmt.Sprintf("%-9s slots=%d", ins.Op, ins.A)
+		return num(b, "slots=", int64(ins.A))
 	case MathOp:
-		return fmt.Sprintf("%-9s fn=%d", ins.Op, ins.A)
-	default:
-		if ins.A != 0 || ins.B != 0 || ins.Imm != 0 {
-			return fmt.Sprintf("%-9s a=%d b=%d imm=%d", ins.Op, ins.A, ins.B, ins.Imm)
-		}
-		return ins.Op.String()
+		return num(b, "fn=", int64(ins.A))
 	}
+	if ins.A != 0 || ins.B != 0 || ins.Imm != 0 {
+		return num(num(num(b, "a=", int64(ins.A)), " b=", int64(ins.B)), " imm=", ins.Imm)
+	}
+	return b[:bare]
 }
