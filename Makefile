@@ -15,9 +15,9 @@ RACE_PKGS = ./internal/ifacecache ./internal/streamcache ./internal/core ./inter
 # suite also hand-arms every injection point regardless of seeds.
 CHAOS_SEEDS ?= 1,2,3,4,5,6,7,8,13,21,34,55,89,144
 
-.PHONY: check vet build test race chaos smoke serve-smoke profile lint bench-frontend bench-objcode bench obsbench profilebench bench-sched bench-incr clean
+.PHONY: check vet build test race chaos smoke serve-smoke profile lint experiments-smoke bench-frontend bench-objcode clean
 
-check: vet build test race chaos smoke serve-smoke profile lint bench-frontend bench-objcode
+check: vet build test race chaos smoke serve-smoke profile lint experiments-smoke bench-frontend bench-objcode
 
 # Standard vet, then the repo's own concurrency-invariant analyzers
 # (internal/lint) via the go vet vettool protocol: raw event fires,
@@ -50,7 +50,8 @@ smoke:
 # port, saturate it with an m2load burst (byte-identity enforced,
 # overload shed with 429), then SIGTERM mid-load and assert the
 # healthz/readyz flip, a clean drain (exit 0), the final metrics
-# snapshot, and a schema-valid BENCH_serve.json.
+# snapshot, and a schema-valid m2load report (written to a temporary
+# directory).
 serve-smoke:
 	bash scripts/serve_smoke.sh
 
@@ -69,6 +70,15 @@ lint:
 	$(GO) run ./cmd/m2lint -I examples/modules -werror LintClean Demo
 	$(GO) run ./cmd/m2lint -I examples/modules LintFindings | diff examples/modules/LintFindings.golden -
 
+# The §4 reproduction at the CLI surface: m2bench at a small scale
+# must run and print byte-identical output twice (every number in it
+# comes from deterministic work units).
+EXPERIMENTS_SMOKE = $(GO) run ./cmd/m2bench -scale 0.05 -table1 -table2 -table3 -fig7 -dky -headers -longshort -boost -overhead
+experiments-smoke:
+	$(EXPERIMENTS_SMOKE) > /tmp/m2bench_smoke_1.txt
+	$(EXPERIMENTS_SMOKE) > /tmp/m2bench_smoke_2.txt
+	cmp /tmp/m2bench_smoke_1.txt /tmp/m2bench_smoke_2.txt
+
 # Front-end layer microbenchmarks (lexer, token queue, splitter with and
 # without the stream cache's Keyer) on one fixed generated program,
 # reporting Mtok/s and allocs/op.  One iteration each: inside `make
@@ -85,28 +95,6 @@ bench-frontend:
 bench-objcode:
 	$(GO) test -run='^$$' -bench='^(BenchmarkCodegenCompile|BenchmarkListing|BenchmarkApplyFixups)$$' -benchtime=1x \
 		./internal/codegen ./internal/vm ./internal/streamcache
-
-bench:
-	$(GO) run ./cmd/m2bench -ifacecache -json BENCH_ifacecache.json
-
-obsbench:
-	$(GO) run ./cmd/m2bench -obs -json BENCH_obs.json
-
-profilebench:
-	$(GO) run ./cmd/m2bench -profile -json BENCH_profile.json
-
-# Scheduler benchmark: steal vs global-queue wall clock, allocations,
-# and blocked-time blame, compared against the committed before
-# snapshot (the single global ready queue and per-token locking).
-bench-sched:
-	$(GO) run ./cmd/m2bench -sched -json BENCH_sched.json -baseline BENCH_sched_before.json
-
-# Incremental recompilation benchmark: one-procedure-edit warm rebuild
-# against the stream cache vs a cold build of the same edited text.
-# m2bench exits non-zero if the warm speedup falls below the 3x floor
-# (bench.IncrBenchMinSpeedup); best-of-5 rides out scheduling noise.
-bench-incr:
-	$(GO) run ./cmd/m2bench -incr -runs 5 -json BENCH_incr.json
 
 clean:
 	$(GO) clean ./...

@@ -140,13 +140,9 @@ func BenchmarkSequentialVsConcurrent1(b *testing.B) {
 	h := sharedHarness(b)
 	var ov bench.OverheadResult
 	for i := 0; i < b.N; i++ {
-		var err error
-		if ov, err = h.Overhead(1); err != nil {
-			b.Fatal(err)
-		}
+		ov = h.Overhead()
 	}
 	b.ReportMetric(ov.UnitsPct, "overhead-units-%")
-	b.ReportMetric(ov.Percent, "overhead-wall-%")
 }
 
 // BenchmarkDKYStrategyAblation measures the §2.2 claim: the choice of

@@ -4,19 +4,9 @@
 //	m2bench                 # everything, paper-sized workload
 //	m2bench -scale 0.25     # quicker, shrunken bodies
 //	m2bench -table2 -fig7   # selected experiments only
-//	m2bench -ifacecache -json BENCH_ifacecache.json
-//	                        # interface-cache cold/warm batch benchmark,
-//	                        # machine-readable result written to the file
-//	m2bench -obs -json BENCH_obs.json
-//	                        # observability-layer overhead benchmark
-//	                        # (instrumentation budget: <5%)
-//	m2bench -profile -json BENCH_profile.json
-//	                        # critical-path profiler overhead benchmark
-//	                        # (budget: <5% on top of -obs, replay error <1%)
 //
-// Benchmark flags (-ifacecache, -obs, -profile) compose with section
-// flags: each requested piece runs in turn.  -json names the file for
-// the one selected benchmark's result.
+// The output is a pure function of the flags: every number comes from
+// deterministic work units, so two runs print identical bytes.
 //
 // Hardware substitution: the paper measured wall-clock speedups on an
 // 8-CPU DEC Firefly; here speedups come from a deterministic
@@ -25,11 +15,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"m2cc/internal/bench"
 )
@@ -39,7 +27,6 @@ func main() {
 		scale    = flag.Float64("scale", 1.0, "workload body scale in (0,1]")
 		seed     = flag.Int64("seed", 1992, "workload seed")
 		procs    = flag.Int("procs", 8, "simulated processor sweep upper bound")
-		runs     = flag.Int("runs", 3, "wall-clock repetitions for the overhead experiment")
 		table1   = flag.Bool("table1", false, "Table 1: test suite description")
 		table2   = flag.Bool("table2", false, "Table 2: identifier lookup statistics")
 		table3   = flag.Bool("table3", false, "Table 3: speedup summary")
@@ -53,131 +40,18 @@ func main() {
 		headersA = flag.Bool("headers", false, "§2.4: heading-sharing ablation")
 		ordering = flag.Bool("longshort", false, "§2.3.4: long-before-short ordering ablation")
 		boost    = flag.Bool("boost", false, "§2.3.4: DKY-resolver preference ablation")
-		ifcache  = flag.Bool("ifacecache", false, "interface-cache benchmark: cold vs warm batch compilation")
-		incrB    = flag.Bool("incr", false, "incremental-recompilation benchmark: cold build vs one-procedure-edit warm rebuild")
-		obsBench = flag.Bool("obs", false, "observability-layer overhead benchmark (budget: <5%)")
-		profB    = flag.Bool("profile", false, "critical-path profiler overhead benchmark (budget: <5% on top of -obs)")
-		schedB   = flag.Bool("sched", false, "scheduler benchmark: steal vs global-queue dispatch, allocs, blocked-time blame")
-		baseline = flag.String("baseline", "", "with -sched: before-snapshot JSON (e.g. BENCH_sched_before.json) to compare against")
-		jsonOut  = flag.String("json", "", "with -ifacecache, -obs, -profile or -sched: also write the result as JSON to this file")
-		workers  = flag.Int("workers", 8, "worker slots per compilation in the benchmark flags")
 	)
 	flag.Parse()
 
-	sections := *table1 || *table2 || *table3 || *fig1 || *fig2 || *fig3 || *fig4 ||
-		*fig7 || *overhead || *dky || *headersA || *ordering || *boost
-	benchCount := 0
-	for _, b := range []bool{*ifcache, *incrB, *obsBench, *profB, *schedB} {
-		if b {
-			benchCount++
-		}
-	}
-	if *jsonOut != "" && benchCount != 1 {
-		fmt.Fprintln(os.Stderr, "-json names one result file: pass exactly one of -ifacecache, -incr, -obs, -profile or -sched")
-		os.Exit(2)
-	}
+	all := !(*table1 || *table2 || *table3 || *fig1 || *fig2 || *fig3 || *fig4 ||
+		*fig7 || *overhead || *dky || *headersA || *ordering || *boost)
 
-	// writeJSON saves a benchmark result machine-readably when -json
-	// names a file.
-	writeJSON := func(r any) {
-		if *jsonOut == "" {
-			return
-		}
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*jsonOut, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("result written to %s\n", *jsonOut)
-	}
-
-	if *ifcache {
-		r, err := bench.CacheBench(bench.Config{Seed: *seed, Scale: *scale}, *runs, *workers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Print(r)
-		writeJSON(r)
-	}
-	if *incrB {
-		r, err := bench.IncrBench(bench.Config{Seed: *seed, Scale: *scale}, *runs, *workers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Print(r)
-		writeJSON(r)
-		if r.Speedup < bench.IncrBenchMinSpeedup {
-			fmt.Fprintf(os.Stderr, "warm rebuild speedup %.2fx is below the %.1fx floor\n",
-				r.Speedup, bench.IncrBenchMinSpeedup)
-			os.Exit(1)
-		}
-	}
-	if *obsBench {
-		r, err := bench.ObsBench(bench.Config{Seed: *seed, Scale: *scale}, *runs, *workers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Print(r)
-		writeJSON(r)
-		if r.Serve != nil && r.Serve.OverheadPct > bench.ServeObsMaxOverheadPct {
-			fmt.Fprintf(os.Stderr, "serve-mode sampled tracing overhead %.1f%% exceeds the %.0f%% budget\n",
-				r.Serve.OverheadPct, bench.ServeObsMaxOverheadPct)
-			os.Exit(1)
-		}
-	}
-	if *profB {
-		r, err := bench.ProfileBench(bench.Config{Seed: *seed, Scale: *scale}, *runs, *workers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Print(r)
-		writeJSON(r)
-	}
-	if *schedB {
-		r, err := bench.SchedBench(bench.Config{Seed: *seed, Scale: *scale}, *runs, *workers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *baseline != "" {
-			data, err := os.ReadFile(*baseline)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			var before bench.SchedBenchResult
-			if err := json.Unmarshal(data, &before); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", *baseline, err)
-				os.Exit(1)
-			}
-			r.Compare(before)
-		}
-		fmt.Print(r)
-		writeJSON(r)
-	}
-
-	// A benchmark-only invocation skips the (expensive) section harness;
-	// section flags alongside a benchmark still render their sections.
-	all := !sections && benchCount == 0
-	if !all && !sections {
-		return
-	}
-
-	start := time.Now()
 	h, err := bench.New(bench.Config{Seed: *seed, Scale: *scale, MaxProcs: *procs})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Printf("workload generated and traced in %v (seed %d, scale %g)\n\n",
-		time.Since(start).Round(time.Millisecond), *seed, *scale)
+	fmt.Printf("workload generated and traced (seed %d, scale %g)\n\n", *seed, *scale)
 
 	section := func(enabled bool, text func() string) {
 		if all || enabled {
@@ -214,14 +88,9 @@ func main() {
 		fmt.Printf("paper: a blocked worker's slot preferentially runs the task that resolves the blockage\n\n")
 	}
 	if all || *overhead {
-		ov, err := h.Overhead(*runs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("Single-processor overhead (§4.2): sequential %v, concurrent@1 %v => %+.1f%% wall clock\n",
-			ov.SeqWall.Round(time.Millisecond), ov.Conc1.Round(time.Millisecond), ov.Percent)
-		fmt.Printf("deterministic work-unit comparison: %+.1f%% (paper: concurrent was 4.3%% slower on one processor)\n",
-			ov.UnitsPct)
+		ov := h.Overhead()
+		fmt.Printf("Single-processor overhead (§4.2): sequential %.0f units, concurrent@1 %.0f units => %+.1f%%\n",
+			ov.SeqUnits, ov.ConUnits, ov.UnitsPct)
+		fmt.Printf("paper: concurrent was 4.3%% slower on one processor\n")
 	}
 }

@@ -13,7 +13,7 @@
 //     where load shedding earns its keep.
 //
 // The run stops after -n requests (closed loop) or -duration.  The
-// report is written as JSON (-out, default BENCH_serve.json) and
+// report is written as JSON (-out, default BENCH_m2load.json) and
 // summarised on stdout.
 //
 // With -expect-identical, every 200 response body for the same
@@ -59,7 +59,7 @@ type compileRequest struct {
 	Client     string    `json:"client,omitempty"`
 }
 
-// report is the BENCH_serve.json schema.
+// report is the schema of the -out JSON report.
 type report struct {
 	Target       string           `json:"target"`
 	Mode         string           `json:"mode"` // "closed" or "open"
@@ -113,7 +113,7 @@ func run() int {
 		deadline = flag.Int64("deadline-ms", 0, "per-request deadline forwarded to the daemon")
 		clients  = flag.Int("clients", 4, "number of distinct client identities to spread requests over")
 		identic  = flag.Bool("expect-identical", false, "fail if any two 200 bodies differ")
-		out      = flag.String("out", "BENCH_serve.json", "report file")
+		out      = flag.String("out", "BENCH_m2load.json", "report file")
 		slowest  = flag.Int("fetch-slowest", 0, "after the run, fetch the daemon traces of the N slowest requests (saved beside -out)")
 	)
 	flag.Parse()

@@ -97,7 +97,7 @@ func TestMismatchDetection(t *testing.T) {
 	}
 }
 
-// TestReportJSONSchema checks the BENCH_serve.json field names the
+// TestReportJSONSchema checks the report field names the
 // smoke script greps for.
 func TestReportJSONSchema(t *testing.T) {
 	rep := report{ByStatus: map[string]int64{"200": 1}}

@@ -125,11 +125,7 @@ func TestStrategyAblationCoversAll(t *testing.T) {
 }
 
 func TestOverheadVirtualUnitsSmall(t *testing.T) {
-	ov, err := harness(t).Overhead(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ov.UnitsPct < 0 || ov.UnitsPct > 15 {
+	if ov := harness(t).Overhead(); ov.UnitsPct < 0 || ov.UnitsPct > 15 {
 		t.Errorf("virtual overhead %.1f%% out of range (paper: 4.3%%)", ov.UnitsPct)
 	}
 }

@@ -20,7 +20,6 @@ package bench
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"m2cc/internal/core"
 	"m2cc/internal/ctrace"
@@ -216,61 +215,24 @@ func (h *Harness) quartileMean(q, p int) float64 {
 	return sum / float64(len(h.quartiles[q]))
 }
 
-// OverheadResult is the §4.2 single-processor comparison.
+// OverheadResult is the §4.2 single-processor comparison in
+// deterministic work units.
 type OverheadResult struct {
-	SeqWall  time.Duration
-	Conc1    time.Duration
-	Percent  float64 // (Conc1-Seq)/Seq × 100 — the paper reports 4.3%
 	SeqUnits float64
 	ConUnits float64
-	UnitsPct float64
+	UnitsPct float64 // (ConUnits-SeqUnits)/SeqUnits × 100 — the paper reports 4.3%
 }
 
-// Overhead measures sequential vs concurrent-with-one-worker wall time
-// over the whole suite (runs repetitions, best-of to damp noise) plus
-// the deterministic virtual-unit comparison.
-//
-// A compilation that fails (or faults, on the concurrent side) makes
-// the timing a comparison of two different amounts of work, so the
-// first such failure aborts the measurement with an error naming the
-// program instead of silently reporting a meaningless percentage.
-func (h *Harness) Overhead(runs int) (OverheadResult, error) {
-	if runs < 1 {
-		runs = 1
-	}
+// Overhead compares the sequential compiler's work units with the
+// concurrent compiler's traced work units over the whole suite.
+func (h *Harness) Overhead() OverheadResult {
 	var res OverheadResult
-	bestSeq, bestCon := time.Duration(1<<62), time.Duration(1<<62)
-	for r := 0; r < runs; r++ {
-		start := time.Now()
-		for _, p := range h.Suite.Programs {
-			if sres := seq.Compile(p.Name, h.Suite.Loader); sres.Failed() {
-				return res, fmt.Errorf("overhead: sequential compile of %s failed:\n%s",
-					p.Name, sres.Diags)
-			}
-		}
-		if d := time.Since(start); d < bestSeq {
-			bestSeq = d
-		}
-		start = time.Now()
-		for _, p := range h.Suite.Programs {
-			cres := core.Compile(p.Name, h.Suite.Loader, core.Options{Workers: 1})
-			if cres.Failed() || cres.Faulted {
-				return res, fmt.Errorf("overhead: concurrent compile of %s failed (faulted=%v):\n%s",
-					p.Name, cres.Faulted, cres.Diags)
-			}
-		}
-		if d := time.Since(start); d < bestCon {
-			bestCon = d
-		}
-	}
-	res.SeqWall, res.Conc1 = bestSeq, bestCon
-	res.Percent = 100 * (float64(bestCon) - float64(bestSeq)) / float64(bestSeq)
 	for i := range h.Suite.Programs {
 		res.SeqUnits += h.seqUnits[i]
 		res.ConUnits += h.traces[i].TotalCost()
 	}
 	res.UnitsPct = 100 * (res.ConUnits - res.SeqUnits) / res.SeqUnits
-	return res, nil
+	return res
 }
 
 // StrategyAblation returns the suite mean 8-processor makespan per DKY

@@ -116,12 +116,6 @@ type Options struct {
 	// Result.Findings.  Lint compilations bypass the interface cache —
 	// a cached interface install carries no ASTs to analyze.
 	Check bool
-	// GlobalQueue selects the pre-work-stealing dispatch discipline:
-	// every runnable task goes through the single shared priority
-	// queue instead of the per-worker local run queues.  Kept as the
-	// benchmark baseline (`m2bench -sched`) and for A/B debugging;
-	// scheduling policy and compiler output are identical either way.
-	GlobalQueue bool
 	// FaultPlan arms the compiler's deterministic fault-injection
 	// points (see internal/faultinject).  Production callers leave it
 	// nil, which reduces every injection site to a pointer check.
@@ -348,7 +342,6 @@ func Compile(module string, loader source.Loader, opts Options) *Result {
 	d.tab = symtab.NewTable(opts.Strategy, stats, d.rec)
 	d.tab.Inject = d.inject
 	d.sup = sched.New(opts.Workers, d.rec)
-	d.sup.GlobalQueue = opts.GlobalQueue
 	d.sup.Inject = d.inject
 	d.sup.StallTimeout = d.stall
 	d.sup.Obs = d.obs

@@ -1,0 +1,177 @@
+package ctrace
+
+import (
+	"slices"
+	"sort"
+)
+
+// canonical renumbers and reorders t so that it depends only on the
+// compilation's facts, never on the order the live run happened to
+// record them in.  Even a one-worker compilation interleaves goroutines
+// (the driver's interface prefetch, importers racing to start the same
+// def stream), so raw TaskIDs, stream numbers, EventIDs, scope IDs and
+// record order all vary from run to run — and the simulator breaks
+// priority ties by spawn order, so the variation can move its results.
+//
+//   - Tasks are numbered in spawn-tree order: breadth first, each task's
+//     children ordered by spawn offset and then by the parent's own
+//     spawn order (a task spawns from one goroutine, so that order is
+//     fixed).  Roots — the start-up tasks and the def streams, which no
+//     task owns — have no such order and are sorted by label.
+//   - Records are sorted by canonical stamp (task, then offset), keeping
+//     each task's own recording order among equal stamps.
+//   - Streams, events and scopes are numbered by their first reference
+//     in that order.
+//
+// t's slices may alias the recorder's; canonical allocates fresh ones.
+func canonical(t *Trace) *Trace {
+	// Spawn tree: children per parent in recording order.
+	kids := make(map[TaskID][]int, len(t.Tasks))
+	for i, sp := range t.Spawns {
+		kids[sp.Parent] = append(kids[sp.Parent], i)
+	}
+	label := func(id TaskID) string {
+		if id >= 1 && int(id) <= len(t.Tasks) {
+			return t.Tasks[id-1].Label
+		}
+		return ""
+	}
+	roots := kids[0]
+	sort.SliceStable(roots, func(a, b int) bool {
+		return label(t.Spawns[roots[a]].Child) < label(t.Spawns[roots[b]].Child)
+	})
+
+	task := make(map[TaskID]TaskID, len(t.Tasks)+1)
+	task[0] = 0
+	var order []TaskID // old IDs in canonical order
+	visit := func(id TaskID) {
+		if _, seen := task[id]; !seen && id >= 1 && int(id) <= len(t.Tasks) {
+			task[id] = TaskID(len(order) + 1)
+			order = append(order, id)
+		}
+	}
+	for _, i := range roots {
+		visit(t.Spawns[i].Child)
+	}
+	for next := 0; next < len(order); next++ {
+		ch := kids[order[next]]
+		sort.SliceStable(ch, func(a, b int) bool {
+			return t.Spawns[ch[a]].At.Offset < t.Spawns[ch[b]].At.Offset
+		})
+		for _, i := range ch {
+			visit(t.Spawns[i].Child)
+		}
+	}
+	for i := range t.Tasks { // tasks no spawn record reaches
+		visit(t.Tasks[i].ID)
+	}
+	stamp := func(s Stamp) Stamp { return Stamp{Task: task[s.Task], Offset: s.Offset} }
+	before := func(a, b Stamp) bool {
+		if a.Task != b.Task {
+			return a.Task < b.Task
+		}
+		return a.Offset < b.Offset
+	}
+
+	out := &Trace{
+		Tasks:      make([]TaskInfo, len(order)),
+		Spawns:     make([]SpawnRecord, len(t.Spawns)),
+		Fires:      make([]FireRecord, len(t.Fires)),
+		Waits:      make([]WaitRecord, len(t.Waits)),
+		Lookups:    make([]LookupRecord, len(t.Lookups)),
+		ScopeGates: make(map[TaskID][]EventID, len(t.ScopeGates)),
+	}
+	stream := map[int32]int32{0: 0}
+	for i, old := range order {
+		ti := t.Tasks[old-1]
+		ti.ID = TaskID(i + 1)
+		if _, ok := stream[ti.Stream]; !ok {
+			stream[ti.Stream] = int32(len(stream))
+		}
+		ti.Stream = stream[ti.Stream]
+		out.Tasks[i] = ti
+	}
+
+	for i, sp := range t.Spawns {
+		out.Spawns[i] = SpawnRecord{Parent: task[sp.Parent], At: stamp(sp.At), Child: task[sp.Child],
+			Gates: slices.Clone(sp.Gates)}
+	}
+	sort.SliceStable(out.Spawns, func(a, b int) bool { return out.Spawns[a].Child < out.Spawns[b].Child })
+	for i, f := range t.Fires {
+		out.Fires[i] = FireRecord{Event: f.Event, At: stamp(f.At)}
+	}
+	sort.SliceStable(out.Fires, func(a, b int) bool { return before(out.Fires[a].At, out.Fires[b].At) })
+	for i, w := range t.Waits {
+		out.Waits[i] = WaitRecord{Event: w.Event, At: stamp(w.At), Barrier: w.Barrier}
+	}
+	sort.SliceStable(out.Waits, func(a, b int) bool { return before(out.Waits[a].At, out.Waits[b].At) })
+	for i, l := range t.Lookups {
+		l.At = stamp(l.At)
+		l.Hops = slices.Clone(l.Hops)
+		for h := range l.Hops {
+			l.Hops[h].Insert = stamp(l.Hops[h].Insert)
+		}
+		out.Lookups[i] = l
+	}
+	sort.SliceStable(out.Lookups, func(a, b int) bool { return before(out.Lookups[a].At, out.Lookups[b].At) })
+
+	// Events and scopes, numbered by first reference.  Fires come first,
+	// since each event's firer fixes its place; spawn gates are sets
+	// whose recording order is arbitrary (the merge gates on every task
+	// in spawn order), so they are numbered late and then sorted.
+	// Pre-fired events (task 0) come last: their recording order is the
+	// one order here that no task owns.
+	event := map[EventID]EventID{0: 0}
+	ev := func(e *EventID) {
+		n, ok := event[*e]
+		if !ok {
+			n = EventID(len(event))
+			event[*e] = n
+		}
+		*e = n
+	}
+	scope := map[int32]int32{0: 0}
+	prefired := 0
+	for i := range out.Fires {
+		if out.Fires[i].At.Task == 0 {
+			prefired++
+			continue
+		}
+		ev(&out.Fires[i].Event)
+	}
+	for i := range out.Waits {
+		ev(&out.Waits[i].Event)
+	}
+	for i := range out.Lookups {
+		for h := range out.Lookups[i].Hops {
+			hp := &out.Lookups[i].Hops[h]
+			ev(&hp.Completion)
+			if _, ok := scope[hp.Scope]; !ok {
+				scope[hp.Scope] = int32(len(scope))
+			}
+			hp.Scope = scope[hp.Scope]
+		}
+	}
+	for _, old := range order {
+		if gs, ok := t.ScopeGates[old]; ok {
+			gs = slices.Clone(gs)
+			for g := range gs {
+				ev(&gs[g])
+			}
+			out.ScopeGates[task[old]] = gs
+		}
+	}
+	for _, sp := range out.Spawns {
+		for g := range sp.Gates {
+			ev(&sp.Gates[g])
+		}
+		slices.Sort(sp.Gates)
+	}
+	pre := out.Fires[:prefired]
+	for i := range pre {
+		ev(&pre[i].Event)
+	}
+	sort.SliceStable(pre, func(a, b int) bool { return pre[a].Event < pre[b].Event })
+	out.Events = len(event) - 1
+	return out
+}

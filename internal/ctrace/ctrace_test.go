@@ -46,7 +46,6 @@ func TestFireEventWithoutRecorder(t *testing.T) {
 	if !e.Fired() {
 		t.Fatal("event not fired")
 	}
-	ctx.NoteWait(e)
 	ctx.NoteBarrier(e)
 }
 

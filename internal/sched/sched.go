@@ -20,8 +20,7 @@
 // §2.3.4 class-major order, so comparing the two heads bounds priority
 // inversion to what sits in *other* workers' local queues — and steals
 // from another worker's queue (randomized victim order) before giving
-// the slot back.  GlobalQueue restores the single strict global queue
-// for comparison benchmarks.
+// the slot back.
 //
 // Workers are resident: the goroutine that finishes a task runs the
 // next unstarted task its slot dispatches, so a finish→start chain
@@ -314,12 +313,6 @@ type Supervisor struct {
 
 	rec *ctrace.Recorder
 
-	// GlobalQueue disables the per-slot local queues and work stealing:
-	// every task is pushed to and popped from the single overflow queue
-	// in strict global priority order.  The scheduler benchmark uses it
-	// as the before-topology baseline.  Set before the first Spawn.
-	GlobalQueue bool
-
 	// Inject, when non-nil, arms the PanicSteal fault-injection point:
 	// a stolen task panics before its body runs, exercising panic
 	// isolation on the steal dispatch path.  Set before the first Spawn.
@@ -554,11 +547,11 @@ func (s *Supervisor) gatesFired(g *event.Event) {
 }
 
 // pushLocked enqueues a runnable task, preferring slot w's local queue
-// (-1, an out-of-range slot, or GlobalQueue mode selects the overflow
-// queue).  All pushes happen under s.mu so the stall detector can trust
+// (-1 or an out-of-range slot selects the overflow queue).  All pushes
+// happen under s.mu so the stall detector can trust
 // free==slots ∧ queuedLen()==0; pops and steals run outside it.
 func (s *Supervisor) pushLocked(t *Task, w int) {
-	if s.GlobalQueue || w < 0 || w >= len(s.local) {
+	if w < 0 || w >= len(s.local) {
 		s.overflow.push(t)
 		s.nOverflowPushes.Add(1)
 		return
@@ -620,13 +613,6 @@ func (s *Supervisor) kickLocked() {
 // a steal from another worker's queue.  The caller owns slot w; s.mu
 // may or may not be held (lock order is always s.mu → runQ.mu).
 func (s *Supervisor) nextFor(w int) *Task {
-	if s.GlobalQueue {
-		if t := s.overflow.popMin(); t != nil {
-			s.nOverflowPops.Add(1)
-			return t
-		}
-		return nil
-	}
 	lq := s.local[w]
 	lq.mu.Lock()
 	s.overflow.mu.Lock()
@@ -903,7 +889,7 @@ func (s *Supervisor) boostLocked(p *Task, w int) {
 		}
 		p.priority = -1 << 62
 		var tq *runQ
-		if !s.GlobalQueue && w >= 0 && w < len(s.local) {
+		if w >= 0 && w < len(s.local) {
 			tq = s.local[w]
 		}
 		if tq == nil || tq == q {

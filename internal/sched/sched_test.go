@@ -487,33 +487,6 @@ func TestStealDispatch(t *testing.T) {
 	}
 }
 
-// TestGlobalQueueModeUsesNoLocalQueues pins the baseline topology:
-// with GlobalQueue set, every push and pop goes through the overflow
-// queue and nothing is stolen.
-func TestGlobalQueueModeUsesNoLocalQueues(t *testing.T) {
-	s := sched.New(4, nil)
-	s.GlobalQueue = true
-	var n atomic.Int64
-	s.Spawn(ctrace.KindSplitter, 0, "parent", sched.Priority(ctrace.KindSplitter, 0),
-		nil, nil, func(p *sched.Task) {
-			for i := 0; i < 8; i++ {
-				s.Spawn(ctrace.KindLongStmtCG, 0, "child", sched.Priority(ctrace.KindLongStmtCG, 0),
-					nil, p.Ctx, func(*sched.Task) { n.Add(1) })
-			}
-		})
-	s.Wait()
-	if n.Load() != 8 {
-		t.Fatalf("ran %d children, want 8", n.Load())
-	}
-	c := s.Counters()
-	if c.LocalPushes != 0 || c.LocalPops != 0 || c.Steals != 0 {
-		t.Fatalf("global-queue mode touched local queues: %+v", c)
-	}
-	if c.OverflowPushes != 9 || c.OverflowPops != 9 {
-		t.Fatalf("counters %+v, want all 9 tasks through the overflow queue", c)
-	}
-}
-
 // TestPanicStealInjection arms the PanicSteal fault point: the stolen
 // task panics before its body runs, and panic isolation must contain
 // it exactly like any other task fault — Done fires, Wait returns, the

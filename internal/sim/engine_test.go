@@ -251,11 +251,12 @@ func TestSimBoostAblation(t *testing.T) {
 func TestSimLongBeforeShortOrdering(t *testing.T) {
 	// Three G tasks of sizes 90, 30, 30 on two processors, all ready at
 	// once.  Long-first: makespan 90.  Without the rule (FIFO by spawn
-	// order, short ones first): 30+90 = 120 on one processor.
+	// order — for roots, label order — short ones first): 30+90 = 120 on
+	// one processor.
 	b := newBuilder()
 	s1 := b.task(ctrace.KindShortStmtCG, "s1", 30)
 	s2 := b.task(ctrace.KindShortStmtCG, "s2", 30)
-	long := b.task(ctrace.KindLongStmtCG, "long", 90)
+	long := b.task(ctrace.KindLongStmtCG, "t-long", 90)
 	b.spawn(0, 0, s1)
 	b.spawn(0, 0, s2)
 	b.spawn(0, 0, long)

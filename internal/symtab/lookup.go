@@ -385,7 +385,6 @@ func (s *Searcher) wait(e *event.Event) bool {
 		// is counted — Table 2's DKY numbers are real waits only).
 		return false
 	}
-	s.Ctx.NoteWait(e)
 	s.Tab.Stats.block()
 	s.Tab.Stats.bumpOutcome(s.Tab.Strategy, OutBlocked)
 	if s.Wait != nil {

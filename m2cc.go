@@ -33,8 +33,10 @@
 // The workload generator (internal/workload), trace recorder
 // (internal/ctrace), Firefly-substitute simulator (internal/sim) and
 // experiment harness (internal/bench) regenerate every table and
-// figure of the paper's evaluation; see DESIGN.md and EXPERIMENTS.md,
-// and the cmd/m2bench tool.
+// figure of the paper's evaluation in deterministic work units; see
+// DESIGN.md and EXPERIMENTS.md, and the cmd/m2bench tool.  Wall-clock
+// performance is measured by the separate benchmark module
+// (`go run -C benchmark .`).
 package m2cc
 
 import (
