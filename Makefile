@@ -7,9 +7,10 @@ GO ?= go
 # observability layer hooked into every task transition, the profiler
 # consuming its dumps while compilations run, the concurrent static
 # analyzer whose findings must be schedule-independent, the event
-# primitive's lock-free fired fast path, and the token queues'
-# producer-owned blocks and pooled recycling.
-RACE_PKGS = ./internal/ifacecache ./internal/streamcache ./internal/core ./internal/symtab ./internal/sched ./internal/faultinject ./internal/obs ./internal/profile ./internal/check ./internal/event ./internal/tokq ./cmd/m2cd ./cmd/m2load
+# primitive's lock-free fired fast path, the token queues'
+# producer-owned blocks and pooled recycling, and the pooled
+# statement-tree arenas.
+RACE_PKGS = ./internal/ast ./internal/ifacecache ./internal/streamcache ./internal/core ./internal/symtab ./internal/sched ./internal/faultinject ./internal/obs ./internal/profile ./internal/check ./internal/event ./internal/tokq ./cmd/m2cd ./cmd/m2load
 
 # Seeds for the chaos suite's seeded matrix (see chaos_test.go); the
 # suite also hand-arms every injection point regardless of seeds.
@@ -22,8 +23,11 @@ check: vet build test race chaos smoke serve-smoke profile lint experiments-smok
 # Standard vet, then the repo's own concurrency-invariant analyzers
 # (internal/lint) via the go vet vettool protocol: raw event fires,
 # un-nil-guarded obs methods, wall-clock reads in deterministic
-# packages, undocumented mutex/chan fields.
+# packages, undocumented mutex/chan fields.  Every Go file outside
+# testdata/ (whose fixtures may be odd on purpose) must be gofmt-clean.
 vet:
+	@unformatted=$$(gofmt -l . | grep -v '/testdata/'); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build -o bin/m2vet ./cmd/m2vet
 	$(GO) vet -vettool=$(abspath bin/m2vet) ./...
@@ -81,12 +85,13 @@ experiments-smoke:
 
 # Front-end layer microbenchmarks (lexer, token queue, splitter with and
 # without the stream cache's Keyer) on one fixed generated program,
-# reporting Mtok/s and allocs/op.  One iteration each: inside `make
+# reporting Mtok/s and allocs/op, plus statement parsing into a
+# recycled arena.  One iteration each: inside `make
 # check` this is a smoke step that keeps them compiling and running;
 # raise -benchtime to measure.
 bench-frontend:
-	$(GO) test -run='^$$' -bench='^(BenchmarkLexerRun|BenchmarkSplitObserved|BenchmarkAppendRead)$$' -benchtime=1x \
-		./internal/lexer ./internal/tokq ./internal/splitter
+	$(GO) test -run='^$$' -bench='^(BenchmarkLexerRun|BenchmarkSplitObserved|BenchmarkAppendRead|BenchmarkParseBody)$$' -benchtime=1x -benchmem \
+		./internal/lexer ./internal/tokq ./internal/splitter ./internal/parser
 
 # Object-code layer microbenchmarks: a sequential compile of one fixed
 # generated program (B/op, allocs/op, retained code bytes), the listing

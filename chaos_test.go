@@ -412,3 +412,81 @@ func TestChaosBatchFaultIsolation(t *testing.T) {
 		t.Fatalf("%d modules fell back, want exactly the wounded one", fellBack)
 	}
 }
+
+// chaosTicks looks up identifiers only in statement bodies (its
+// headings name no types), so an armed PanicLookup trips inside a
+// StmtCG task, after every stream has parsed its body into an arena.
+const chaosTicks = `MODULE Ticks;
+PROCEDURE A;
+BEGIN WriteInt(1, 0); WriteLn END A;
+PROCEDURE B;
+BEGIN WriteInt(2, 0); WriteLn END B;
+BEGIN A; B; WriteInt(3, 0); WriteLn END Ticks.
+`
+
+// TestChaosArenaRecycle ends a compilation in each of the two ways that
+// leave its statement-tree arenas unreturned, a StmtCG panic and a
+// Cancel while it is mid-flight, and follows each at once by a clean
+// compilation of another program in the same process.  Its output must
+// equal the sequential compiler's: an arena recycled while the wounded
+// compilation still referenced it would corrupt the clean one.
+func TestChaosArenaRecycle(t *testing.T) {
+	loader := chaosLoader()
+	loader.Add("Ticks", m2cc.Impl, chaosTicks)
+	for strat := m2cc.Avoidance; strat <= m2cc.Optimistic; strat++ {
+		t.Run(strat.String()+"/panic-stmtcg", func(t *testing.T) {
+			want, _ := chaosBaseline(t, loader, "Ticks")
+			plan := faultinject.New().Arm(faultinject.PanicLookup, 2)
+			res := m2cc.Compile("Ticks", loader, m2cc.Options{Workers: 4, Strategy: strat, FaultPlan: plan})
+			if plan.Tripped(faultinject.PanicLookup) != 1 || !res.FellBack {
+				t.Fatalf("StmtCG panic must trip once and fall back (tripped %d, fellBack %v)",
+					plan.Tripped(faultinject.PanicLookup), res.FellBack)
+			}
+			if got := res.Object.Listing(); got != want {
+				t.Fatalf("fallback listing diverges\ngot:\n%s\nwant:\n%s", got, want)
+			}
+			compileCleanAfter(t, loader, "Main", strat)
+		})
+		t.Run(strat.String()+"/cancel", func(t *testing.T) {
+			// A stalled interface-cache leader holds Main mid-flight while
+			// its own procedure streams parse and generate code.
+			plan := faultinject.New().Arm(faultinject.StallLeader, 1)
+			cancel := make(chan struct{})
+			done := make(chan *m2cc.Result, 1)
+			go func() {
+				done <- m2cc.Compile("Main", loader, m2cc.Options{
+					Workers: 4, Strategy: strat, Cache: m2cc.NewCache(),
+					FaultPlan: plan, Cancel: cancel, StallTimeout: 100 * time.Millisecond,
+				})
+			}()
+			select {
+			case <-plan.Stalled():
+			case <-time.After(10 * time.Second):
+				t.Fatal("leader never reached the stall point")
+			}
+			close(cancel)
+			plan.Release()
+			if res := <-done; !res.Canceled {
+				t.Fatal("mid-flight cancellation must mark the result Canceled")
+			}
+			compileCleanAfter(t, loader, "Ticks", strat)
+		})
+	}
+}
+
+// compileCleanAfter compiles module concurrently, with static analysis
+// on, and requires the listing and findings of the sequential tools.
+func compileCleanAfter(t *testing.T, loader m2cc.Loader, module string, strat m2cc.Strategy) {
+	t.Helper()
+	want, _ := chaosBaseline(t, loader, module)
+	res := m2cc.Compile(module, loader, m2cc.Options{Workers: 4, Strategy: strat, Check: true})
+	if res.Failed() || res.Faulted || res.CheckFellBack {
+		t.Fatalf("clean %s after the fault: faulted=%v checkFellBack=%v\n%s", module, res.Faulted, res.CheckFellBack, res.Diags)
+	}
+	if got := res.Object.Listing(); got != want {
+		t.Fatalf("clean %s diverges from the sequential compiler\ngot:\n%s\nwant:\n%s", module, got, want)
+	}
+	if got, want := m2cc.RenderFindings(res.Findings), m2cc.RenderFindings(m2cc.Lint(module, loader)); got != want {
+		t.Fatalf("clean %s findings diverge from the sequential analyzer\ngot:\n%s\nwant:\n%s", module, got, want)
+	}
+}

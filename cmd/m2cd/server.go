@@ -636,7 +636,7 @@ type metrics struct {
 	rateLimited      int64
 	byStatus         map[int]int64
 	lintFindings     map[string]int64 // finding-family code -> total reported
-	ewmaMS           float64 // exponentially weighted service time
+	ewmaMS           float64          // exponentially weighted service time
 }
 
 // countFindings folds one lint report into the per-family counters and

@@ -37,7 +37,7 @@ func FuzzConcFindings(f *testing.F) {
 	}
 	f.Add(concProgram["Conc.mod"])
 	f.Add("MODULE M;\nVAR m: MUTEX;\nBEGIN\n  LOCK m DO LOCK m DO LOCK m DO END END END\nEND M.\n")
-	f.Add("MODULE M;\nVAR m: MUTEX;\nPROCEDURE P;\nBEGIN\n  LOCK m DO")     // truncated monitor
+	f.Add("MODULE M;\nVAR m: MUTEX;\nPROCEDURE P;\nBEGIN\n  LOCK m DO")                                                  // truncated monitor
 	f.Add("MODULE M;\nVAR a: ARRAY [0..1] OF MUTEX; i: INTEGER;\nBEGIN\n  i := 0;\n  LOCK a[i] DO i := 1 END\nEND M.\n") // opaque mutex
 	f.Add("MODULE M;\nEXCEPTION E;\nVAR m: MUTEX; g: INTEGER;\nBEGIN\n  TRY LOCK m DO g := 1; RAISE E END EXCEPT E: g := 2 END\nEND M.\n")
 	f.Add("LOCK DO END")

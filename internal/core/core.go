@@ -223,19 +223,21 @@ type driver struct {
 	faulted    bool                    // a stream task panicked and was isolated
 	canceled   bool                    // Options.Cancel fired; result is abandoned
 	resolving  map[string]*event.Event // per-name guard for in-flight cache resolution
+	arenas     []*ast.Arena            // statement-tree arenas taken from the pool (see bodyArena)
+	idle       []*ast.Arena            // those of arenas no parser is filling now
 
 	// Stream-cache verdict state (under d.mu).
-	mainFileID int32                         // source.File.ID of the main .mod (position replay target)
-	closureOK  bool                          // the probe derived keys (closure hashed, split complete)
-	verdicts   map[int32]*streamcache.Entry  // stream id → hit entry (absent = miss)
-	procKeys   map[int32]streamcache.Key     // stream id → cache key (for recording misses)
-	bodyKey    streamcache.Key               // module-body cache key
-	bodyEnt    *streamcache.Entry            // module-body hit entry
-	bodyMeta   *vm.ProcMeta                  // module-body registry meta (for recording)
-	bodyBag    *diag.Bag                     // module-body diagnostic tee (fresh codegen)
-	covered    map[int32]bool                // streams installed via an ancestor's hit entry
-	pending    []pendingInstall              // cached code awaiting fixup application at merge
-	tally      streamcache.Tally             // this compilation's stream-cache traffic
+	mainFileID int32                        // source.File.ID of the main .mod (position replay target)
+	closureOK  bool                         // the probe derived keys (closure hashed, split complete)
+	verdicts   map[int32]*streamcache.Entry // stream id → hit entry (absent = miss)
+	procKeys   map[int32]streamcache.Key    // stream id → cache key (for recording misses)
+	bodyKey    streamcache.Key              // module-body cache key
+	bodyEnt    *streamcache.Entry           // module-body hit entry
+	bodyMeta   *vm.ProcMeta                 // module-body registry meta (for recording)
+	bodyBag    *diag.Bag                    // module-body diagnostic tee (fresh codegen)
+	covered    map[int32]bool               // streams installed via an ancestor's hit entry
+	pending    []pendingInstall             // cached code awaiting fixup application at merge
+	tally      streamcache.Tally            // this compilation's stream-cache traffic
 }
 
 // pendingInstall is one cached code segment adopted by this compilation;
@@ -383,6 +385,7 @@ func Compile(module string, loader source.Loader, opts Options) *Result {
 	d.runCheckMerge()
 	d.runMerge()
 	d.sup.Wait()
+	d.releaseArenas()
 	d.failUnpublished()
 	d.recordStreams()
 
@@ -418,13 +421,7 @@ func Compile(module string, loader source.Loader, opts Options) *Result {
 	// the tie — a request whose deadline expired is canceled even if
 	// the work happened to finish, so callers see a deterministic
 	// Canceled bit instead of a scheduling coin flip.
-	if opts.Cancel != nil {
-		select {
-		case <-opts.Cancel:
-			d.cancelNow()
-		default:
-		}
-	}
+	d.pollCancel()
 	res := &Result{
 		Object: d.reg.Object(),
 		Diags:  d.diags,
@@ -462,6 +459,65 @@ func (d *driver) cancelNow() {
 	d.canceled = true
 	d.mu.Unlock()
 	d.sup.Cancel()
+}
+
+// getArena and putArena are the statement-tree arena pool; tests
+// substitute them to watch the driver's hand-back rule.
+var getArena, putArena = ast.GetArena, ast.PutArena
+
+// bodyArena lends a body parse an arena.  A compilation's trees all die
+// at once, so its streams share arenas one parse after another and it
+// takes about one per parse in flight.  A tree's readers (its StmtCG
+// task, lint unit and the lint merge) finish before the final Wait.
+func (d *driver) bodyArena() *ast.Arena {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if n := len(d.idle); n > 0 {
+		a := d.idle[n-1]
+		d.idle = d.idle[:n-1]
+		return a
+	}
+	a := getArena()
+	d.arenas = append(d.arenas, a)
+	return a
+}
+
+// parkArena takes back an arena whose parse has finished; its tree
+// stays live until the compilation ends.
+func (d *driver) parkArena(a *ast.Arena) {
+	d.mu.Lock()
+	d.idle = append(d.idle, a)
+	d.mu.Unlock()
+}
+
+// releaseArenas hands the compilation's arenas back to the pool once no
+// task is left to read them.  A poisoned, faulted or canceled
+// compilation returns none: its tasks ended abnormally (a panic can
+// leave a half-built tree or a non-empty scratch stack behind), so its
+// arenas are left to the garbage collector rather than trusted to the
+// next compilation.
+func (d *driver) releaseArenas() {
+	d.pollCancel()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !d.poisoned && !d.faulted && !d.canceled {
+		for _, a := range d.arenas {
+			putArena(a)
+		}
+	}
+	d.arenas, d.idle = nil, nil
+}
+
+// pollCancel delivers a Cancel that fired but that the watcher
+// goroutine has not delivered yet.
+func (d *driver) pollCancel() {
+	if d.opts.Cancel != nil {
+		select {
+		case <-d.opts.Cancel:
+			d.cancelNow()
+		default:
+		}
+	}
 }
 
 // spawn registers a task with the Supervisor and tracks it for the
@@ -776,7 +832,9 @@ func (d *driver) runModParse(t *sched.Task, mainQ *tokq.Queue, label string) {
 	// §3: the symbol table is marked complete before the statement
 	// parse tree is built, so DKY blockages resolve as early as possible.
 	scope.Complete(t.Ctx)
+	p.Arena = d.bodyArena()
 	p.ParseBody(m)
+	d.parkArena(p.Arena)
 	d.spawnCheck(0, t.Ctx, &check.Unit{
 		Kind: check.ModuleUnit, File: label, Module: d.module, Path: label,
 		Imports: m.Imports, Decls: decls, Body: m.Body,
@@ -902,7 +960,9 @@ func (d *driver) runProcParse(t *sched.Task, ps *procStream) {
 	a.Analyze(decls)
 	a.ResolveForwardRefs()
 	cp.Scope.Complete(t.Ctx)
+	p.Arena = d.bodyArena()
 	tail := p.ParseProcTail(ps.name)
+	d.parkArena(p.Arena)
 	var sink func(*check.Facts)
 	if d.scache != nil {
 		sink = func(f *check.Facts) {

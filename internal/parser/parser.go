@@ -67,6 +67,13 @@ type Parser struct {
 
 	inDef    bool // parsing a DEFINITION MODULE: procedures are headings only
 	errCount int  // parser-local error count, bounds cascading recovery
+
+	// Arena, when set, receives the statement trees parsed from then on
+	// (see ast.Arena); nil allocates them from the heap.  The concurrent
+	// driver sets it only after a stream's declarations are parsed, so
+	// declaration ASTs, which symbols retain, never live in an arena.
+	Arena *ast.Arena
+	own   ast.Stacks // scratch stacks when there is no arena
 }
 
 // New returns a parser over src.  file is the human-readable file label
@@ -558,7 +565,7 @@ func (p *Parser) parseVariantPart() *ast.VariantPart {
 func (p *Parser) parseCaseLabels() []*ast.CaseLabel {
 	var labels []*ast.CaseLabel
 	for {
-		l := &ast.CaseLabel{Lo: p.parseExpr()}
+		l := ast.New(p.Arena, ast.CaseLabel{Lo: p.parseExpr()})
 		if p.accept(token.DotDot) {
 			l.Hi = p.parseExpr()
 		}
@@ -596,6 +603,31 @@ func (p *Parser) parseProcType() ast.Type {
 	return t
 }
 
+// stacks returns the scratch stacks for lists under construction.
+func (p *Parser) stacks() *ast.Stacks {
+	if p.Arena != nil {
+		return &p.Arena.Stacks
+	}
+	return &p.own
+}
+
+// exprList parses "expr {, expr}" and returns it as an exact-size
+// slice.
+func (p *Parser) exprList() []ast.Expr {
+	st := p.stacks()
+	base := len(st.Exprs)
+	for {
+		e := p.parseExpr() // may push and pop nested lists: append after
+		st.Exprs = append(st.Exprs, e)
+		if !p.accept(token.Comma) {
+			break
+		}
+	}
+	list := p.Arena.Exprs(st.Exprs[base:])
+	st.Exprs = st.Exprs[:base]
+	return list
+}
+
 // ---------------------------------------------------------------------
 // Statements
 
@@ -611,22 +643,25 @@ func (p *Parser) stmtListStop() bool {
 }
 
 func (p *Parser) parseStmtList() *ast.StmtList {
-	sl := &ast.StmtList{}
+	st := p.stacks()
+	base := len(st.Stmts)
 	for {
 		for p.accept(token.Semicolon) {
 		}
 		if p.stmtListStop() {
-			return sl
+			break
 		}
-		s := p.parseStmt()
-		if s != nil {
-			sl.Stmts = append(sl.Stmts, s)
+		if s := p.parseStmt(); s != nil {
+			st.Stmts = append(st.Stmts, s)
 		}
 		if !p.at(token.Semicolon) && !p.stmtListStop() {
 			p.errorf(p.tok.Pos, "expected ; between statements, found %s", p.tok)
 			p.next() // guarantee progress
 		}
 	}
+	sl := ast.New(p.Arena, ast.StmtList{Stmts: p.Arena.Stmts(st.Stmts[base:])})
+	st.Stmts = st.Stmts[:base]
+	return sl
 }
 
 func (p *Parser) parseStmt() ast.Stmt {
@@ -637,15 +672,12 @@ func (p *Parser) parseStmt() ast.Stmt {
 		switch p.tok.Kind {
 		case token.Assign:
 			p.next()
-			return &ast.AssignStmt{LHS: d, RHS: p.parseExpr(), Pos: pos}
+			return ast.New(p.Arena, ast.AssignStmt{LHS: d, RHS: p.parseExpr(), Pos: pos})
 		case token.LParen:
 			p.next()
 			var args []ast.Expr
 			if !p.at(token.RParen) {
-				args = append(args, p.parseExpr())
-				for p.accept(token.Comma) {
-					args = append(args, p.parseExpr())
-				}
+				args = p.exprList()
 			}
 			p.expect(token.RParen)
 			return &ast.CallStmt{Proc: d, Args: args, HasArgs: true, Pos: pos}
@@ -654,7 +686,7 @@ func (p *Parser) parseStmt() ast.Stmt {
 		}
 	case token.IF:
 		p.next()
-		s := &ast.IfStmt{Pos: pos, Cond: p.parseExpr()}
+		s := ast.New(p.Arena, ast.IfStmt{Pos: pos, Cond: p.parseExpr()})
 		p.expect(token.THEN)
 		s.Then = p.parseStmtList()
 		for p.at(token.ELSIF) {
@@ -681,7 +713,7 @@ func (p *Parser) parseStmt() ast.Stmt {
 			if p.at(token.ELSE) || p.at(token.END) || p.at(token.EOF) {
 				break
 			}
-			arm := &ast.CaseArm{Labels: p.parseCaseLabels()}
+			arm := ast.New(p.Arena, ast.CaseArm{Labels: p.parseCaseLabels()})
 			p.expect(token.Colon)
 			arm.Body = p.parseStmtList()
 			s.Arms = append(s.Arms, arm)
@@ -696,7 +728,7 @@ func (p *Parser) parseStmt() ast.Stmt {
 		return s
 	case token.WHILE:
 		p.next()
-		s := &ast.WhileStmt{Pos: pos, Cond: p.parseExpr()}
+		s := ast.New(p.Arena, ast.WhileStmt{Pos: pos, Cond: p.parseExpr()})
 		p.expect(token.DO)
 		s.Body = p.parseStmtList()
 		p.expect(token.END)
@@ -717,7 +749,7 @@ func (p *Parser) parseStmt() ast.Stmt {
 		return &ast.ExitStmt{Pos: pos}
 	case token.FOR:
 		p.next()
-		s := &ast.ForStmt{Pos: pos, Var: p.name()}
+		s := ast.New(p.Arena, ast.ForStmt{Pos: pos, Var: p.name()})
 		p.expect(token.Assign)
 		s.From = p.parseExpr()
 		p.expect(token.TO)
@@ -794,7 +826,7 @@ func (p *Parser) parseExpr() ast.Expr {
 		op := p.tok.Kind
 		pos := p.tok.Pos
 		p.next()
-		return &ast.BinaryExpr{Op: op, X: x, Y: p.parseSimpleExpr(), Pos: pos}
+		return ast.New(p.Arena, ast.BinaryExpr{Op: op, X: x, Y: p.parseSimpleExpr(), Pos: pos})
 	}
 	return x
 }
@@ -814,7 +846,7 @@ func (p *Parser) parseSimpleExpr() ast.Expr {
 		op := p.tok.Kind
 		pos := p.tok.Pos
 		p.next()
-		x = &ast.BinaryExpr{Op: op, X: x, Y: p.parseTerm(), Pos: pos}
+		x = ast.New(p.Arena, ast.BinaryExpr{Op: op, X: x, Y: p.parseTerm(), Pos: pos})
 	}
 	return x
 }
@@ -830,7 +862,7 @@ func (p *Parser) parseTerm() ast.Expr {
 			}
 			pos := p.tok.Pos
 			p.next()
-			x = &ast.BinaryExpr{Op: op, X: x, Y: p.parseFactor(), Pos: pos}
+			x = ast.New(p.Arena, ast.BinaryExpr{Op: op, X: x, Y: p.parseFactor(), Pos: pos})
 		default:
 			return x
 		}
@@ -841,8 +873,7 @@ func (p *Parser) parseFactor() ast.Expr {
 	pos := p.tok.Pos
 	switch p.tok.Kind {
 	case token.IntLit:
-		v := decodeInt(p.tok.Text)
-		e := &ast.IntLit{Value: v, Text: p.tok.Text, Pos: pos}
+		e := ast.New(p.Arena, ast.IntLit{Value: decodeInt(p.tok.Text), Text: p.tok.Text, Pos: pos})
 		p.next()
 		return e
 	case token.RealLit:
@@ -875,7 +906,7 @@ func (p *Parser) parseFactor() ast.Expr {
 	default:
 		p.errorf(pos, "expected an expression, found %s", p.tok)
 		p.next()
-		return &ast.IntLit{Value: 0, Text: "0", Pos: pos}
+		return ast.New(p.Arena, ast.IntLit{Value: 0, Text: "0", Pos: pos})
 	}
 }
 
@@ -901,7 +932,7 @@ func (p *Parser) parseSetExpr(qual *ast.Qualident, pos token.Pos) ast.Expr {
 // function call.
 func (p *Parser) parseDesignatorOrCall() ast.Expr {
 	pos := p.tok.Pos
-	d := &ast.Designator{Head: p.name()}
+	d := ast.New(p.Arena, ast.Designator{Head: p.name()})
 	// While the selector chain is still purely dotted it could turn out
 	// to be the type qualifier of a set constructor.
 	for {
@@ -922,12 +953,9 @@ func (p *Parser) parseDesignatorOrCall() ast.Expr {
 	p.parseSelectors(d)
 	if p.at(token.LParen) {
 		p.next()
-		c := &ast.CallExpr{Fun: d, Pos: pos}
+		c := ast.New(p.Arena, ast.CallExpr{Fun: d, Pos: pos})
 		if !p.at(token.RParen) {
-			c.Args = append(c.Args, p.parseExpr())
-			for p.accept(token.Comma) {
-				c.Args = append(c.Args, p.parseExpr())
-			}
+			c.Args = p.exprList()
 		}
 		p.expect(token.RParen)
 		return c
@@ -937,7 +965,7 @@ func (p *Parser) parseDesignatorOrCall() ast.Expr {
 
 // parseDesignator parses a designator (no call suffix).
 func (p *Parser) parseDesignator() *ast.Designator {
-	d := &ast.Designator{Head: p.name()}
+	d := ast.New(p.Arena, ast.Designator{Head: p.name()})
 	p.parseSelectors(d)
 	return d
 }
@@ -951,11 +979,7 @@ func (p *Parser) parseSelectors(d *ast.Designator) {
 		case p.at(token.LBrack):
 			pos := p.tok.Pos
 			p.next()
-			sel := &ast.IndexSel{Pos: pos}
-			sel.Indexes = append(sel.Indexes, p.parseExpr())
-			for p.accept(token.Comma) {
-				sel.Indexes = append(sel.Indexes, p.parseExpr())
-			}
+			sel := &ast.IndexSel{Pos: pos, Indexes: p.exprList()}
 			p.expect(token.RBrack)
 			d.Sels = append(d.Sels, sel)
 		case p.at(token.Caret):

@@ -185,7 +185,7 @@ func execIntervals(d *obs.Dump) [][]ival {
 // execution interval or a wait window.
 type item struct {
 	s, e    time.Duration
-	event   int  // 0 for exec items
+	event   int // 0 for exec items
 	isWait  bool
 	barrier bool
 }
