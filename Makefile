@@ -1,24 +1,24 @@
 GO ?= go
 
-# Packages where races would be silent correctness bugs: the interface
-# cache, the stream cache shared across concurrent compilations, the
-# concurrent driver, the DKY symbol tables, the Supervisor scheduler,
-# the fault-injection plans shared across task goroutines, the
-# observability layer hooked into every task transition, the profiler
-# consuming its dumps while compilations run, the concurrent static
-# analyzer whose findings must be schedule-independent, the event
-# primitive's lock-free fired fast path, the token queues'
-# producer-owned blocks and pooled recycling, and the pooled
-# statement-tree arenas.
-RACE_PKGS = ./internal/ast ./internal/ifacecache ./internal/streamcache ./internal/core ./internal/symtab ./internal/sched ./internal/faultinject ./internal/obs ./internal/profile ./internal/check ./internal/event ./internal/tokq ./cmd/m2cd ./cmd/m2load
+# Packages where races would be silent correctness bugs: the closure
+# hasher and the interface cache, the stream cache shared across
+# concurrent compilations, the concurrent driver, the DKY symbol
+# tables, the Supervisor scheduler, the fault-injection plans shared
+# across task goroutines, the observability layer hooked into every
+# task transition, the profiler consuming its dumps while compilations
+# run, the concurrent static analyzer whose findings must be
+# schedule-independent, the event primitive's lock-free fired fast
+# path, the token queues' producer-owned blocks and pooled recycling,
+# and the pooled statement-tree arenas.
+RACE_PKGS = ./internal/ast ./internal/impscan ./internal/ifacecache ./internal/streamcache ./internal/core ./internal/symtab ./internal/sched ./internal/faultinject ./internal/obs ./internal/profile ./internal/check ./internal/event ./internal/tokq ./cmd/m2cd ./cmd/m2load
 
 # Seeds for the chaos suite's seeded matrix (see chaos_test.go); the
 # suite also hand-arms every injection point regardless of seeds.
 CHAOS_SEEDS ?= 1,2,3,4,5,6,7,8,13,21,34,55,89,144
 
-.PHONY: check vet build test race chaos smoke serve-smoke profile lint experiments-smoke bench-frontend bench-objcode clean
+.PHONY: check vet build test race chaos smoke serve-smoke profile lint experiments-smoke bench-frontend bench-objcode bench-build clean
 
-check: vet build test race chaos smoke serve-smoke profile lint experiments-smoke bench-frontend bench-objcode
+check: vet build test race chaos smoke serve-smoke profile lint experiments-smoke bench-frontend bench-objcode bench-build
 
 # Standard vet, then the repo's own concurrency-invariant analyzers
 # (internal/lint) via the go vet vettool protocol: raw event fires,
@@ -100,6 +100,12 @@ bench-frontend:
 bench-objcode:
 	$(GO) test -run='^$$' -bench='^(BenchmarkCodegenCompile|BenchmarkListing|BenchmarkApplyFixups)$$' -benchtime=1x \
 		./internal/codegen ./internal/vm ./internal/streamcache
+
+# The benchmark is a module of its own that imports internal packages
+# (token, source, impscan, ...), so an internal-API change can break it
+# without breaking anything in this module: build and vet it here.
+bench-build:
+	$(GO) build -C benchmark -o /dev/null ./... && $(GO) vet -C benchmark ./...
 
 clean:
 	$(GO) clean ./...

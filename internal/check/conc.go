@@ -402,10 +402,8 @@ func lsContains(ls []string, m string) bool {
 	return false
 }
 
-// concSite is a source anchor ordered by (file label, line, column) —
-// NOT by Pos.File, whose index differs between a fresh parse and a
-// cache replay; the label order is what the user sees and what stays
-// stable across warm rebuilds.
+// concSite is a source anchor ordered by (file label, line, column),
+// the order a user reads findings in.
 type concSite struct {
 	file string
 	pos  token.Pos
@@ -415,10 +413,7 @@ func (s concSite) before(o concSite) bool {
 	if s.file != o.file {
 		return s.file < o.file
 	}
-	if s.pos.Line != o.pos.Line {
-		return s.pos.Line < o.pos.Line
-	}
-	return s.pos.Col < o.pos.Col
+	return s.pos.Before(o.pos)
 }
 
 func (s concSite) String() string { return fmt.Sprintf("%s:%s", s.file, s.pos) }

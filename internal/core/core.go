@@ -227,17 +227,16 @@ type driver struct {
 	idle       []*ast.Arena            // those of arenas no parser is filling now
 
 	// Stream-cache verdict state (under d.mu).
-	mainFileID int32                        // source.File.ID of the main .mod (position replay target)
-	closureOK  bool                         // the probe derived keys (closure hashed, split complete)
-	verdicts   map[int32]*streamcache.Entry // stream id → hit entry (absent = miss)
-	procKeys   map[int32]streamcache.Key    // stream id → cache key (for recording misses)
-	bodyKey    streamcache.Key              // module-body cache key
-	bodyEnt    *streamcache.Entry           // module-body hit entry
-	bodyMeta   *vm.ProcMeta                 // module-body registry meta (for recording)
-	bodyBag    *diag.Bag                    // module-body diagnostic tee (fresh codegen)
-	covered    map[int32]bool               // streams installed via an ancestor's hit entry
-	pending    []pendingInstall             // cached code awaiting fixup application at merge
-	tally      streamcache.Tally            // this compilation's stream-cache traffic
+	closureOK bool                         // the probe derived keys (closure hashed, split complete)
+	verdicts  map[int32]*streamcache.Entry // stream id → hit entry (absent = miss)
+	procKeys  map[int32]streamcache.Key    // stream id → cache key (for recording misses)
+	bodyKey   streamcache.Key              // module-body cache key
+	bodyEnt   *streamcache.Entry           // module-body hit entry
+	bodyMeta  *vm.ProcMeta                 // module-body registry meta (for recording)
+	bodyBag   *diag.Bag                    // module-body diagnostic tee (fresh codegen)
+	covered   map[int32]bool               // streams installed via an ancestor's hit entry
+	pending   []pendingInstall             // cached code awaiting fixup application at merge
+	tally     streamcache.Tally            // this compilation's stream-cache traffic
 }
 
 // pendingInstall is one cached code segment adopted by this compilation;
@@ -667,13 +666,7 @@ func (d *driver) startMainStream() {
 				rawQ.Close()
 				return
 			}
-			f := d.files.Add(d.module, source.Impl, text)
-			if d.scache != nil {
-				d.mu.Lock()
-				d.mainFileID = f.ID
-				d.mu.Unlock()
-			}
-			lexer.Run(f, t.Ctx, d.diags, rawQ)
+			lexer.Run(d.files.Add(d.module, source.Impl, text), t.Ctx, d.diags, rawQ)
 		})
 
 	// Importer: scans the raw token stream for imports (§3).
@@ -872,13 +865,12 @@ func (d *driver) runModParse(t *sched.Task, mainQ *tokq.Queue, label string) {
 func (d *driver) runBodyStmtCG(t *sched.Task, scope *symtab.Scope, bodyMeta *vm.ProcMeta, body *ast.StmtList, label string) {
 	d.mu.Lock()
 	ent := d.bodyEnt
-	fileID := d.mainFileID
 	d.mu.Unlock()
 	if ent != nil {
 		rec := &ent.Records[0]
 		bodyMeta.Frame = rec.Frame
 		d.addPending(bodyMeta, rec)
-		d.replayRecord(rec, fileID)
+		d.replayRecord(rec)
 		d.mu.Lock()
 		d.tally.Installed++
 		d.mu.Unlock()
@@ -994,8 +986,8 @@ func (d *driver) runProcParse(t *sched.Task, ps *procStream) {
 // procedure's registry meta (created by the parent's heading analysis)
 // adopts the cached frame and code, descendant procedures are
 // re-registered from their records, every record's diagnostics and lint
-// facts are replayed with positions rebased onto the current main file,
-// and the descendants' streams are marked covered and released.
+// facts are replayed verbatim, and the descendants' streams are marked
+// covered and released.
 func (d *driver) installStream(t *sched.Task, ps *procStream, ent *streamcache.Entry) {
 	cp := ps.child
 	r := ps.q.NewReader(t.BarrierWait)
@@ -1006,23 +998,17 @@ func (d *driver) installStream(t *sched.Task, ps *procStream, ent *streamcache.E
 	// search it, and they are covered below, never analyzed.
 	cp.Scope.Complete(t.Ctx)
 
-	d.mu.Lock()
-	fileID := d.mainFileID
-	d.mu.Unlock()
-
 	own := &ent.Records[0]
 	cp.Meta.Frame = own.Frame
 	d.addPending(cp.Meta, own)
-	d.replayRecord(own, fileID)
+	d.replayRecord(own)
 	for i := 1; i < len(ent.Records); i++ {
 		rec := &ent.Records[i]
-		pos := rec.Pos
-		reFile(&pos, fileID)
 		meta := d.reg.NewProc(rec.Name, rec.Exported, rec.IsBody,
-			rec.Level, rec.ArgSlots, rec.HasRet, pos)
+			rec.Level, rec.ArgSlots, rec.HasRet, rec.Pos)
 		meta.Frame = rec.Frame
 		d.addPending(meta, rec)
-		d.replayRecord(rec, fileID)
+		d.replayRecord(rec)
 	}
 
 	// Release the covered descendants: nobody will ever bind their
@@ -1046,16 +1032,13 @@ func (d *driver) installStream(t *sched.Task, ps *procStream, ent *streamcache.E
 }
 
 // replayRecord re-emits a cached record's diagnostics into the
-// compilation bag and re-pins its lint facts, rebasing every stored
-// position (file index 0) onto the current main file.
-func (d *driver) replayRecord(rec *streamcache.ProcRecord, fileID int32) {
+// compilation bag and pins its lint facts, both as recorded.
+func (d *driver) replayRecord(rec *streamcache.ProcRecord) {
 	for _, dg := range rec.Diags {
-		reFile(&dg.Pos, fileID)
-		reFile(&dg.End, fileID)
 		d.diags.Add(dg)
 	}
 	if d.check != nil && rec.Facts != nil {
-		d.check.AddPinned(rewriteFacts(rec.Facts, fileID))
+		d.check.AddPinned(rec.Facts)
 	}
 }
 
@@ -1065,82 +1048,6 @@ func (d *driver) addPending(meta *vm.ProcMeta, rec *streamcache.ProcRecord) {
 	d.mu.Lock()
 	d.pending = append(d.pending, pendingInstall{meta: meta, rec: rec})
 	d.mu.Unlock()
-}
-
-// reFile retargets a position's file index, leaving invalid (zero)
-// positions untouched so replayed diagnostics stay struct-identical to
-// freshly produced ones.
-func reFile(p *token.Pos, fileID int32) {
-	if p.IsValid() {
-		p.File = fileID
-	}
-}
-
-// copyNames returns ns with every valid position retargeted to fileID.
-func copyNames(ns []ast.Name, fileID int32) []ast.Name {
-	if ns == nil {
-		return nil
-	}
-	out := make([]ast.Name, len(ns))
-	for i, n := range ns {
-		reFile(&n.Pos, fileID)
-		out[i] = n
-	}
-	return out
-}
-
-// rewriteFacts deep-copies a fact table's position-bearing fields with
-// their file index retargeted — to 0 when recording, to the current
-// main file when replaying.  The Mentions set carries no positions and
-// is shared read-only.
-func rewriteFacts(f *check.Facts, fileID int32) *check.Facts {
-	g := *f
-	reFile(&g.HeadName.Pos, fileID)
-	g.Locals = copyNames(f.Locals, fileID)
-	g.Params = copyNames(f.Params, fileID)
-	g.DeclNames = copyNames(f.DeclNames, fileID)
-	if f.Imports != nil {
-		g.Imports = make([]check.ImportFact, len(f.Imports))
-		for i, imp := range f.Imports {
-			reFile(&imp.Name.Pos, fileID)
-			g.Imports[i] = imp
-		}
-	}
-	if f.Findings != nil {
-		g.Findings = make([]diag.Diagnostic, len(f.Findings))
-		for i, dg := range f.Findings {
-			reFile(&dg.Pos, fileID)
-			reFile(&dg.End, fileID)
-			g.Findings[i] = dg
-		}
-	}
-	if f.Conc != nil {
-		c := *f.Conc
-		c.ModuleVars = copyNames(f.Conc.ModuleVars, fileID)
-		if f.Conc.Acquires != nil {
-			c.Acquires = make([]check.ConcAcquire, len(f.Conc.Acquires))
-			for i, a := range f.Conc.Acquires {
-				reFile(&a.Pos, fileID)
-				c.Acquires[i] = a // Held is canonical and shared read-only
-			}
-		}
-		if f.Conc.Accesses != nil {
-			c.Accesses = make([]check.ConcAccess, len(f.Conc.Accesses))
-			for i, a := range f.Conc.Accesses {
-				reFile(&a.Pos, fileID)
-				c.Accesses[i] = a
-			}
-		}
-		if f.Conc.Calls != nil {
-			c.Calls = make([]check.ConcCall, len(f.Conc.Calls))
-			for i, a := range f.Conc.Calls {
-				reFile(&a.Pos, fileID)
-				c.Calls[i] = a
-			}
-		}
-		g.Conc = &c
-	}
-	return &g
 }
 
 // ---------------------------------------------------------------------
@@ -1710,6 +1617,16 @@ func (d *driver) recordStreams() {
 	procName := func(i int32) string { return obj.Procs[i].FullName() }
 	areaName := func(i int32) string { return obj.Areas[i].Name }
 	excName := func(i int32) string { return obj.Excs[i] }
+	// record captures one freshly compiled stream as it was produced.
+	record := func(meta *vm.ProcMeta, tee *diag.Bag, facts *check.Facts) []streamcache.ProcRecord {
+		return []streamcache.ProcRecord{{
+			Name: meta.Name, Exported: meta.Exported, IsBody: meta.IsBody,
+			Level: meta.Level, ArgSlots: meta.ArgSlots, Frame: meta.Frame,
+			HasRet: meta.HasRet, Pos: meta.Pos, Segment: meta.Segment,
+			Fixups: streamcache.ExtractFixups(meta.Code, procName, areaName, excName),
+			Diags:  tee.Recorded(), Facts: facts,
+		}}
+	}
 
 	memo := make(map[int32][]streamcache.ProcRecord)
 	var collect func(id int32) []streamcache.ProcRecord
@@ -1720,8 +1637,8 @@ func (d *driver) recordStreams() {
 		var rs []streamcache.ProcRecord
 		if ent := d.verdicts[id]; ent != nil {
 			rs = ent.Records
-		} else if rec, ok := d.makeRecord(id, procName, areaName, excName); ok {
-			rs = []streamcache.ProcRecord{rec}
+		} else if ps := d.procs[id]; ps != nil && ps.child != nil && ps.tee != nil && (d.check == nil || ps.facts != nil) {
+			rs = record(ps.child.Meta, ps.tee, ps.facts)
 			for _, c := range d.keyer.Children(id) {
 				crs := collect(c)
 				if crs == nil {
@@ -1746,61 +1663,7 @@ func (d *driver) recordStreams() {
 		d.tally.Recorded++
 	}
 	if d.bodyEnt == nil && d.bodyMeta != nil {
-		rec := streamcache.ProcRecord{
-			Name: d.bodyMeta.Name, Exported: d.bodyMeta.Exported,
-			IsBody: true, Level: d.bodyMeta.Level,
-			ArgSlots: d.bodyMeta.ArgSlots, Frame: d.bodyMeta.Frame,
-			HasRet: d.bodyMeta.HasRet, Pos: normPos(d.bodyMeta.Pos),
-			Segment: d.bodyMeta.Segment,
-			Fixups:  streamcache.ExtractFixups(d.bodyMeta.Code, procName, areaName, excName),
-			Diags:   normDiags(d.bodyBag),
-		}
-		d.scache.Put(d.bodyKey, &streamcache.Entry{Records: []streamcache.ProcRecord{rec}})
+		d.scache.Put(d.bodyKey, &streamcache.Entry{Records: record(d.bodyMeta, d.bodyBag, nil)})
 		d.tally.Recorded++
 	}
-}
-
-// makeRecord captures one freshly compiled procedure stream.  Caller
-// holds d.mu (all tasks have settled, so nothing contends).
-func (d *driver) makeRecord(id int32, procName, areaName, excName func(int32) string) (streamcache.ProcRecord, bool) {
-	ps := d.procs[id]
-	if ps == nil || ps.child == nil || ps.tee == nil {
-		return streamcache.ProcRecord{}, false
-	}
-	meta := ps.child.Meta
-	if d.check != nil && ps.facts == nil {
-		return streamcache.ProcRecord{}, false
-	}
-	rec := streamcache.ProcRecord{
-		Name: meta.Name, Exported: meta.Exported, IsBody: meta.IsBody,
-		Level: meta.Level, ArgSlots: meta.ArgSlots, Frame: meta.Frame,
-		HasRet: meta.HasRet, Pos: normPos(meta.Pos),
-		Segment: meta.Segment,
-		Fixups:  streamcache.ExtractFixups(meta.Code, procName, areaName, excName),
-		Diags:   normDiags(ps.tee),
-	}
-	if ps.facts != nil {
-		rec.Facts = rewriteFacts(ps.facts, 0)
-	}
-	return rec, true
-}
-
-// normPos returns p with its file index normalized to 0 for storage.
-func normPos(p token.Pos) token.Pos {
-	reFile(&p, 0)
-	return p
-}
-
-// normDiags snapshots a stream tee's diagnostics with positions
-// normalized for storage.
-func normDiags(bag *diag.Bag) []diag.Diagnostic {
-	if bag == nil {
-		return nil
-	}
-	ds := bag.Recorded()
-	for i := range ds {
-		reFile(&ds[i].Pos, 0)
-		reFile(&ds[i].End, 0)
-	}
-	return ds
 }

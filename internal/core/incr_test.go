@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -200,6 +201,14 @@ func TestIncrementalWithCheck(t *testing.T) {
 			}
 			if g, w := got.Diags.String(), want.Diags.String(); g != w {
 				t.Fatalf("%s/%s: diagnostics differ\n got: %q\nwant: %q", step, m, g, w)
+			}
+			// Replay is verbatim: a position, code or end span that
+			// drifts fails here even when it renders the same.
+			if !reflect.DeepEqual(got.Findings, want.Findings) {
+				t.Fatalf("%s/%s: findings differ as values\n got: %+v\nwant: %+v", step, m, got.Findings, want.Findings)
+			}
+			if g, w := got.Diags.Sorted(), want.Diags.Sorted(); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s/%s: diagnostics differ as values\n got: %+v\nwant: %+v", step, m, g, w)
 			}
 			if g, w := got.Object.Listing(), want.Object.Listing(); g != w {
 				t.Fatalf("%s/%s: listings differ\ngot:\n%s\nwant:\n%s", step, m, g, w)

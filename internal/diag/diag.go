@@ -90,8 +90,12 @@ func (b *Bag) Child() *Bag { return &Bag{fwd: b} }
 
 // Recorded returns a snapshot of the diagnostics recorded in this bag,
 // in insertion order (the stream cache's payload capture; callers
-// wanting the user-facing report use Sorted).
+// wanting the user-facing report use Sorted).  A nil bag has recorded
+// nothing.
 func (b *Bag) Recorded() []Diagnostic {
+	if b == nil {
+		return nil
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return append([]Diagnostic(nil), b.diags...)

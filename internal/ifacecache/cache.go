@@ -32,15 +32,11 @@
 package ifacecache
 
 import (
-	"container/list"
-	"crypto/sha256"
 	"sync"
 
-	"m2cc/internal/ctrace"
-	"m2cc/internal/diag"
 	"m2cc/internal/event"
 	"m2cc/internal/impscan"
-	"m2cc/internal/lexer"
+	"m2cc/internal/lru"
 	"m2cc/internal/source"
 	"m2cc/internal/symtab"
 )
@@ -101,9 +97,7 @@ type Dep struct {
 
 // Entry is one cached (or in-flight) definition-module compilation.
 type Entry struct {
-	cache *Cache
-	name  string
-	key   key
+	name string
 
 	mu        sync.Mutex // guards: state, ready, and the install payload below
 	state     entryState
@@ -115,8 +109,6 @@ type Entry struct {
 	deps      []Dep
 	cost      float64
 	depsLeft  int
-
-	elem *list.Element // guards: under Cache.mu — LRU position; nil once evicted
 }
 
 // Name returns the definition module's name.
@@ -158,6 +150,14 @@ func (e *Entry) Cost() float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.cost
+}
+
+// pinned reports whether the entry is still leading or sealing: live
+// waiters are parked on its ready event, so eviction must skip it.
+func (e *Entry) pinned() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.state == stateLeading || e.state == stateSealing
 }
 
 // Ready reports whether the entry is installable.
@@ -322,86 +322,42 @@ func (s Stats) Sub(prev Stats) Stats {
 // any number of concurrent compilations.  The zero value is not
 // usable; call New.
 type Cache struct {
-	mu       sync.Mutex // guards: entries, lru, limit, scans, closures, stats
-	entries  map[key]*Entry
-	lru      *list.List               // MRU at front; element values are *Entry
-	limit    int                      // max entries; 0 = unbounded
-	scans    map[source.Hash][]string // content hash → direct import names
-	closures map[string]*closureMemo  // module name → validated closure-hash memo
-	stats    Stats
+	hasher *impscan.Closures // closure keys; locks itself
+
+	mu      sync.Mutex // guards: entries, stats
+	entries *lru.Store[key, *Entry]
+	stats   Stats // Evictions and Hashes are filled in by Stats
 }
 
 // New returns an empty, unbounded cache (see SetLimit).
 func New() *Cache {
 	return &Cache{
-		entries:  make(map[key]*Entry),
-		lru:      list.New(),
-		scans:    make(map[source.Hash][]string),
-		closures: make(map[string]*closureMemo),
+		hasher:  impscan.NewClosures(0),
+		entries: lru.New[key, *Entry](0, (*Entry).pinned),
 	}
 }
 
-// SetLimit caps the cache at n entries (0 = unbounded).  When an
-// insert pushes the cache past the cap, the least-recently-used
-// evictable entries are dropped.  Entries that are still leading or
-// sealing have live waiters parked on their ready event and are never
-// evicted — the cache may temporarily exceed the cap while such
-// entries exist.
+// SetLimit caps the cache, and each of its closure memos, at n entries
+// (0 = unbounded).  When an insert pushes the cache past the cap, the
+// least-recently-used evictable entries are dropped.  Entries that are
+// still leading or sealing have live waiters parked on their ready
+// event and are never evicted — the cache may temporarily exceed the
+// cap while such entries exist.
 func (c *Cache) SetLimit(n int) {
 	c.mu.Lock()
-	c.limit = n
-	c.evictLocked()
+	c.entries.SetLimit(n)
 	c.mu.Unlock()
+	c.hasher.SetLimit(n)
 }
 
-// evictLocked drops ready/failed entries from the LRU tail until the
-// cache is within its limit.  Caller holds c.mu.
-func (c *Cache) evictLocked() {
-	if c.limit <= 0 {
-		return
-	}
-	el := c.lru.Back()
-	for el != nil && len(c.entries) > c.limit {
-		prev := el.Prev()
-		e := el.Value.(*Entry)
-		e.mu.Lock()
-		st := e.state
-		e.mu.Unlock()
-		if st == stateReady || st == stateFailed {
-			delete(c.entries, e.key)
-			c.lru.Remove(el)
-			e.elem = nil
-			c.stats.Evictions++
-		}
-		el = prev
-	}
-}
-
-// Stats returns a snapshot of the hit/miss/wait/bypass counters.
+// Stats returns a snapshot of the cache's counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stats
-}
-
-// load returns name.def's text and content hash.  Through a
-// source.Snapshot — the compiler hands every request of one compilation
-// the same one — a file is loaded and hashed once per compilation
-// however many closures it is a member of, and once more in the next
-// compilation, which is what revalidates every memo below.
-func (c *Cache) load(name string, loader source.Loader) (text string, sum source.Hash, err error) {
-	fresh := true
-	if snap, ok := loader.(*source.Snapshot); ok {
-		text, sum, fresh, err = snap.LoadHashed(name, source.Def)
-	} else if text, err = loader.Load(name, source.Def); err == nil {
-		sum = source.HashText(text)
-	}
-	if fresh && err == nil {
-		c.mu.Lock()
-		c.stats.Hashes++
-		c.mu.Unlock()
-	}
-	return text, sum, err
+	s := c.stats
+	s.Evictions = c.entries.Evictions()
+	s.Hashes = c.hasher.Hashes()
+	return s
 }
 
 // NoteAbandoned counts one waiter giving up on a wedged foreign leader
@@ -418,7 +374,7 @@ func (c *Cache) NoteAbandoned() {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	return c.entries.Len()
 }
 
 // Acquire resolves the named definition module against the cache:
@@ -432,7 +388,7 @@ func (c *Cache) Len() int {
 // import closure, so any textual change to the module or anything it
 // imports yields a distinct entry.
 func (c *Cache) Acquire(name string, loader source.Loader) (ent *Entry, ev *event.Event, st State) {
-	k, ok := c.closureKey(name, loader)
+	h, ok := c.hasher.Root(name, loader)
 	if !ok {
 		c.mu.Lock()
 		c.stats.Bypasses++
@@ -440,19 +396,15 @@ func (c *Cache) Acquire(name string, loader source.Loader) (ent *Entry, ev *even
 		return nil, nil, Bypass
 	}
 
+	k := key{name: name, hash: h}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.entries[k]
-	if e == nil {
-		e = &Entry{cache: c, name: name, key: k, state: stateLeading, ready: event.New()}
-		c.entries[k] = e
-		e.elem = c.lru.PushFront(e)
+	e, ok := c.entries.Get(k)
+	if !ok {
+		e = &Entry{name: name, state: stateLeading, ready: event.New()}
+		c.entries.Put(k, e)
 		c.stats.Misses++
-		c.evictLocked()
 		return e, nil, Lead
-	}
-	if e.elem != nil {
-		c.lru.MoveToFront(e.elem)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -477,194 +429,4 @@ func (c *Cache) Acquire(name string, loader source.Loader) (ent *Entry, ev *even
 		c.stats.Waits++
 		return e, e.ready, Wait
 	}
-}
-
-// closureMemo records one module's validated transitive closure hash:
-// the content hash of the module's own .def, the name and content hash
-// of every other closure member, and the combined closure hash those
-// contents produced.  A later request revalidates by re-hashing each
-// member's current text — if every content hash matches, the import
-// structure is necessarily unchanged (imports are a function of
-// content), so the stored closure hash is still correct.
-type closureMemo struct {
-	own  source.Hash
-	deps []depHash
-	hash source.Hash
-}
-
-type depHash struct {
-	name string
-	hash source.Hash
-}
-
-// closureScratch is the per-recomputation working state, pooled so a
-// warm batch does not allocate two maps per Acquire (the closureKey
-// hot path the streamcache leans on).
-type closureScratch struct {
-	memo     map[string]source.Hash // name → closure hash (this walk)
-	content  map[string]source.Hash // name → content hash (this walk)
-	visiting map[string]bool
-	order    []string // completion order; the root is last
-}
-
-var scratchPool = sync.Pool{New: func() any {
-	return &closureScratch{
-		memo:     make(map[string]source.Hash),
-		content:  make(map[string]source.Hash),
-		visiting: make(map[string]bool),
-	}
-}}
-
-func (s *closureScratch) reset() {
-	clear(s.memo)
-	clear(s.content)
-	clear(s.visiting)
-	s.order = s.order[:0]
-}
-
-// closureKey computes the cache key for name: a hash combining the
-// content of name.def and, recursively, of every .def it imports.  A
-// load failure or an import cycle anywhere in the closure makes the
-// module uncacheable (ok=false) — the real compilation will produce
-// the diagnostics.
-func (c *Cache) closureKey(name string, loader source.Loader) (key, bool) {
-	h, ok := c.rootClosureHash(name, loader)
-	if !ok {
-		return key{}, false
-	}
-	return key{name: name, hash: h}, true
-}
-
-// ClosureHash combines the transitive .def closure hashes of roots
-// into one content hash, in root order.  The stream cache keys every
-// procedure stream with it: any textual change to any interface the
-// compilation can see yields a different hash.  ok is false when any
-// root is unloadable or its closure contains an import cycle — such a
-// compilation is uncacheable at stream granularity too.
-func (c *Cache) ClosureHash(loader source.Loader, roots []string) (source.Hash, bool) {
-	hasher := sha256.New()
-	for _, name := range roots {
-		h, ok := c.rootClosureHash(name, loader)
-		if !ok {
-			return source.Hash{}, false
-		}
-		hasher.Write([]byte{0})
-		hasher.Write([]byte(name))
-		hasher.Write([]byte{0})
-		hasher.Write(h[:])
-	}
-	var out source.Hash
-	hasher.Sum(out[:0])
-	return out, true
-}
-
-// rootClosureHash returns the transitive closure hash of name,
-// consulting (and maintaining) the per-name memo: a memo hit needs one
-// load per closure member and no lexing, recursion, or map allocation; a
-// miss or a stale memo falls back to the full walk.
-func (c *Cache) rootClosureHash(name string, loader source.Loader) (source.Hash, bool) {
-	_, own, err := c.load(name, loader)
-	if err != nil {
-		return source.Hash{}, false
-	}
-
-	c.mu.Lock()
-	m := c.closures[name]
-	c.mu.Unlock()
-	if m != nil && m.own == own && c.memoValid(m, loader) {
-		return m.hash, true
-	}
-
-	s := scratchPool.Get().(*closureScratch)
-	s.reset()
-	h, ok := c.closureHash(name, loader, s)
-	if ok {
-		// Record a fresh memo for the root: every visited member except
-		// the root itself becomes a validation dep.
-		nm := &closureMemo{own: own, hash: h}
-		for _, dep := range s.order {
-			if dep == name {
-				continue
-			}
-			nm.deps = append(nm.deps, depHash{name: dep, hash: s.content[dep]})
-		}
-		c.mu.Lock()
-		c.closures[name] = nm
-		c.mu.Unlock()
-	}
-	scratchPool.Put(s)
-	if !ok {
-		return source.Hash{}, false
-	}
-	return h, true
-}
-
-// memoValid reports whether every recorded closure member still loads
-// to the recorded content.
-func (c *Cache) memoValid(m *closureMemo, loader source.Loader) bool {
-	for _, d := range m.deps {
-		if _, sum, err := c.load(d.name, loader); err != nil || sum != d.hash {
-			return false
-		}
-	}
-	return true
-}
-
-func (c *Cache) closureHash(name string, loader source.Loader, s *closureScratch) (source.Hash, bool) {
-	if h, ok := s.memo[name]; ok {
-		return h, true
-	}
-	if s.visiting[name] {
-		return source.Hash{}, false // import cycle
-	}
-	s.visiting[name] = true
-	defer delete(s.visiting, name)
-
-	text, content, err := c.load(name, loader)
-	if err != nil {
-		return source.Hash{}, false
-	}
-	imports := c.scanImports(name, text, content)
-
-	hasher := sha256.New()
-	hasher.Write(content[:])
-	for _, imp := range imports {
-		sub, ok := c.closureHash(imp, loader, s)
-		if !ok {
-			return source.Hash{}, false
-		}
-		hasher.Write([]byte{0})
-		hasher.Write([]byte(imp))
-		hasher.Write([]byte{0})
-		hasher.Write(sub[:])
-	}
-	var combined source.Hash
-	hasher.Sum(combined[:0])
-	s.memo[name] = combined
-	s.content[name] = content
-	s.order = append(s.order, name)
-	return combined, true
-}
-
-// scanImports returns the direct imports of a .def's text, memoized by
-// content hash so each distinct interface text is lexed once per cache
-// lifetime rather than once per compilation.
-func (c *Cache) scanImports(name, text string, content source.Hash) []string {
-	c.mu.Lock()
-	if imps, ok := c.scans[content]; ok {
-		c.mu.Unlock()
-		return imps
-	}
-	c.mu.Unlock()
-
-	// Throwaway context and bag: the scan only needs the token kinds;
-	// the real compilation re-lexes with proper diagnostics.
-	f := &source.File{Name: name, Kind: source.Def, Text: text}
-	toks := lexer.ScanAll(f, &ctrace.TaskCtx{}, diag.NewBag(1))
-	imps := impscan.Names(toks)
-
-	c.mu.Lock()
-	c.scans[content] = imps
-	c.mu.Unlock()
-	return imps
 }

@@ -7,6 +7,9 @@
 // as possible; a compilation-wide once-only table (owned by the driver)
 // guarantees each interface is processed exactly once no matter how
 // many import paths reach it.
+//
+// The same prologue scan, run over a .def's text, drives Closures: the
+// transitive import-closure hashing both compilation caches key on.
 package impscan
 
 import (

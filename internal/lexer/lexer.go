@@ -76,7 +76,7 @@ func newScanner(f *source.File, ctx *ctrace.TaskCtx, diags *diag.Bag) *scanner {
 }
 
 func (l *scanner) pos() token.Pos {
-	return token.Pos{File: l.file.ID, Line: l.line, Col: int32(l.off-l.bol) + 1}
+	return token.Pos{Line: l.line, Col: int32(l.off-l.bol) + 1}
 }
 
 func (l *scanner) errorf(p token.Pos, format string, args ...any) {

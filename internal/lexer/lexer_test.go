@@ -182,9 +182,9 @@ func TestIllegalCharacter(t *testing.T) {
 func TestPositions(t *testing.T) {
 	toks, _ := scan(t, "a\n  bb\n ccc")
 	wants := []token.Pos{
-		{File: 1, Line: 1, Col: 1},
-		{File: 1, Line: 2, Col: 3},
-		{File: 1, Line: 3, Col: 2},
+		{Line: 1, Col: 1},
+		{Line: 2, Col: 3},
+		{Line: 3, Col: 2},
 	}
 	for i, w := range wants {
 		if toks[i].Pos != w {

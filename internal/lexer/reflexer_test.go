@@ -41,7 +41,7 @@ func newRefLexer(f *source.File, ctx *ctrace.TaskCtx, diags *diag.Bag) *refLexer
 }
 
 func (l *refLexer) pos() token.Pos {
-	return token.Pos{File: l.file.ID, Line: l.line, Col: l.col}
+	return token.Pos{Line: l.line, Col: l.col}
 }
 
 func (l *refLexer) errorf(p token.Pos, format string, args ...any) {

@@ -4,7 +4,7 @@ package obs
 // every admitted request gets a trace ID; for a deterministically
 // sampled subset (or all, or none — TraceMode) the request also gets
 // its own Observer recording the full span/fire/wait capture, kept in
-// a bounded LRU ring for later retrieval through the daemon's
+// a bounded LRU store for later retrieval through the daemon's
 // /debug/trace endpoints.
 //
 // Two properties the endpoint tests pin down:
@@ -21,6 +21,8 @@ package obs
 import (
 	"fmt"
 	"sync"
+
+	"m2cc/internal/lru"
 )
 
 // TraceMode selects which admitted requests get a recording Observer.
@@ -75,10 +77,7 @@ type TraceEntry struct {
 	Status   int     // HTTP status of the response
 	DurMS    float64 // service time
 	Streams  int
-	Done     bool
-
-	prev, next *TraceEntry // LRU ring links (store-lock owned)
-	inflight   bool
+	Done     bool // set by Finish; until then the entry is pinned against eviction
 }
 
 // TraceSummary is one /debug/trace index row.
@@ -95,15 +94,12 @@ type TraceSummary struct {
 
 // TraceStore holds the daemon's recent request traces.
 type TraceStore struct {
-	mu      sync.Mutex // guards: everything below, and non-Obs TraceEntry fields until Done
 	mode    TraceMode
 	sampleN uint64
-	keep    int
-	seq     uint64 // admissions seen (sampling domain), traced or not
-	byID    map[string]*TraceEntry
-	// LRU ring sentinel: head.next is most recent, head.prev oldest.
-	head TraceEntry
-	held int // entries in the ring
+
+	mu     sync.Mutex // guards: seq, traces, and non-Obs TraceEntry fields until Done
+	seq    uint64     // admissions seen (sampling domain), traced or not
+	traces *lru.Store[string, *TraceEntry]
 }
 
 // NewTraceStore returns a store in the given mode keeping at most keep
@@ -116,14 +112,11 @@ func NewTraceStore(mode TraceMode, sampleN, keep int) *TraceStore {
 	if keep < 1 {
 		keep = 1
 	}
-	s := &TraceStore{
+	return &TraceStore{
 		mode:    mode,
 		sampleN: uint64(sampleN),
-		keep:    keep,
-		byID:    make(map[string]*TraceEntry),
+		traces:  lru.New[string, *TraceEntry](keep, func(e *TraceEntry) bool { return !e.Done }),
 	}
-	s.head.prev, s.head.next = &s.head, &s.head
-	return s
 }
 
 // Mode reports the store's trace mode.
@@ -156,20 +149,11 @@ func (s *TraceStore) Admit(requested string) (id string, e *TraceEntry) {
 	if !traced {
 		return id, nil
 	}
-	e = &TraceEntry{ID: id, Seq: s.seq, Obs: New(), inflight: true}
-	if old := s.byID[id]; old != nil {
-		// A reused ID (client-chosen) supersedes the old trace.  The
-		// old entry stays in the ring if still pinned — its observer is
-		// live — and is unlinked immediately otherwise.
-		if !old.inflight {
-			s.unlinkLocked(old)
-		} else {
-			delete(s.byID, id) // superseded; evictable once finished
-		}
-	}
-	s.byID[id] = e
-	s.linkFrontLocked(e)
-	s.evictLocked()
+	// A reused ID (client-chosen) supersedes the old trace, in flight
+	// or not: the request that owns a superseded Observer still holds
+	// it, so nothing is torn down under its hooks.
+	e = &TraceEntry{ID: id, Seq: s.seq, Obs: New()}
+	s.traces.Put(id, e)
 	return id, e
 }
 
@@ -185,8 +169,7 @@ func (s *TraceStore) Finish(e *TraceEntry, client, endpoint, path string, status
 	e.Client, e.Endpoint, e.Path = client, endpoint, path
 	e.Status, e.DurMS, e.Streams = status, durMS, streams
 	e.Done = true
-	e.inflight = false
-	s.evictLocked()
+	s.traces.Trim()
 }
 
 // Get returns the entry for id, refreshing its LRU position; nil when
@@ -198,16 +181,11 @@ func (s *TraceStore) Get(id string) *TraceEntry {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.byID[id]
-	if e != nil {
-		s.unlinkLocked(e)
-		s.byID[e.ID] = e // unlinkLocked removed the mapping; restore it
-		s.linkFrontLocked(e)
-	}
+	e, _ := s.traces.Get(id)
 	return e
 }
 
-// Held reports how many traces the ring currently holds (pinned
+// Held reports how many traces the store currently holds (pinned
 // entries may push this above the keep cap transiently).
 func (s *TraceStore) Held() int {
 	if s == nil {
@@ -215,7 +193,7 @@ func (s *TraceStore) Held() int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.held
+	return s.traces.Len()
 }
 
 // Admitted reports how many requests passed through Admit (the
@@ -236,45 +214,15 @@ func (s *TraceStore) Summaries() []TraceSummary {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]TraceSummary, 0, s.held)
-	for e := s.head.next; e != &s.head; e = e.next {
+	out := make([]TraceSummary, 0, s.traces.Len())
+	s.traces.Range(func(_ string, e *TraceEntry) bool {
 		out = append(out, TraceSummary{
 			ID: e.ID, Seq: e.Seq, Client: e.Client, Endpoint: e.Endpoint,
 			Path: e.Path, Status: e.Status, DurMS: e.DurMS, Done: e.Done,
 		})
-	}
+		return true
+	})
 	return out
-}
-
-func (s *TraceStore) linkFrontLocked(e *TraceEntry) {
-	e.prev, e.next = &s.head, s.head.next
-	s.head.next.prev = e
-	s.head.next = e
-	s.held++
-}
-
-func (s *TraceStore) unlinkLocked(e *TraceEntry) {
-	e.prev.next = e.next
-	e.next.prev = e.prev
-	e.prev, e.next = nil, nil
-	s.held--
-	if s.byID[e.ID] == e {
-		delete(s.byID, e.ID)
-	}
-}
-
-// evictLocked trims the ring to the keep cap, oldest first, skipping
-// pinned (in-flight) entries: a live request's observer is never torn
-// down, even if that means transiently holding more than keep traces.
-func (s *TraceStore) evictLocked() {
-	e := s.head.prev
-	for s.held > s.keep && e != &s.head {
-		prev := e.prev
-		if !e.inflight {
-			s.unlinkLocked(e)
-		}
-		e = prev
-	}
 }
 
 // sanitizeTraceID accepts a client-supplied trace ID when it is short

@@ -191,10 +191,8 @@ func (s *Snapshot) LoadHashed(name string, kind FileKind) (text string, sum Hash
 	return f.text, f.sum, fresh, nil
 }
 
-// File describes one source file participating in a compilation.  The
-// Set assigns each file a small integer ID used in token positions.
+// File describes one source file participating in a compilation.
 type File struct {
-	ID   int32
 	Name string // module name, without extension
 	Kind FileKind
 	Text string
@@ -203,34 +201,25 @@ type File struct {
 // Label returns "Name.def" or "Name.mod".
 func (f *File) Label() string { return f.Name + f.Kind.Ext() }
 
-// Set is the collection of files seen by one compilation.  Importer
-// tasks register files concurrently; token positions refer to files by
-// ID.  A Set must not be shared between compilations.
+// Set is the collection of files seen by one compilation, in the order
+// its tasks registered them; importer tasks register files
+// concurrently.  Positions do not refer to it — diagnostics name a file
+// by its label — so nothing depends on that order.
 type Set struct {
 	mu    sync.RWMutex // guards: files
-	files []*File      // index = ID-1
+	files []*File
 }
 
 // NewSet returns an empty file set.
 func NewSet() *Set { return &Set{} }
 
-// Add registers a file and returns it with its assigned ID.
+// Add registers a file and returns it.
 func (s *Set) Add(name string, kind FileKind, text string) *File {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f := &File{ID: int32(len(s.files) + 1), Name: name, Kind: kind, Text: text}
+	f := &File{Name: name, Kind: kind, Text: text}
 	s.files = append(s.files, f)
 	return f
-}
-
-// ByID returns the file with the given ID, or nil for ID 0 / unknown.
-func (s *Set) ByID(id int32) *File {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if id < 1 || int(id) > len(s.files) {
-		return nil
-	}
-	return s.files[id-1]
 }
 
 // Len returns the number of registered files.

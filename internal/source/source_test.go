@@ -72,18 +72,12 @@ func TestDirLoader(t *testing.T) {
 	}
 }
 
-func TestFileSetIDs(t *testing.T) {
+func TestFileSetAdd(t *testing.T) {
 	s := source.NewSet()
 	a := s.Add("A", source.Def, "aaa")
 	b := s.Add("B", source.Impl, "bbb")
-	if a.ID != 1 || b.ID != 2 {
-		t.Fatalf("IDs = %d, %d; want 1, 2", a.ID, b.ID)
-	}
-	if got := s.ByID(2); got == nil || got.Label() != "B.mod" {
-		t.Fatalf("ByID(2) = %v", got)
-	}
-	if s.ByID(0) != nil || s.ByID(3) != nil {
-		t.Fatal("out-of-range IDs must return nil")
+	if a.Label() != "A.def" || a.Text != "aaa" || b.Label() != "B.mod" || b.Text != "bbb" {
+		t.Fatalf("Add = %+v, %+v", a, b)
 	}
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d", s.Len())

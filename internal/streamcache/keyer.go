@@ -65,7 +65,7 @@ const keyVersion = "m2sc/2"
 type KeyParams struct {
 	Reprocess bool        // §2.4 alternative 3 (HeaderReprocess)
 	Check     bool        // lint facts recorded alongside code
-	Closure   source.Hash // combined interface-closure hash (ifacecache.ClosureHash)
+	Closure   source.Hash // combined interface-closure hash (Cache.ClosureHash)
 }
 
 // impState is the prologue-import automaton state (the incremental

@@ -7,22 +7,21 @@
 // hash covering everything that can influence its output — its own
 // token layout, its heading, the declaration text of every enclosing
 // stream, and the transitive interface closure of the compilation
-// (reusing internal/ifacecache's closure-key machinery).  A recompile
-// after a one-procedure edit re-runs only the changed streams; hits
-// replay the stream's object code, diagnostics, and lint fact table
-// verbatim, and the Merge task concatenates cached and fresh segments
-// exactly as the paper does.
+// (hashed by impscan.Closures, as the interface cache's keys are).  A
+// recompile after a one-procedure edit re-runs only the changed
+// streams; hits replay the stream's object code, diagnostics, and lint
+// fact table verbatim, and the Merge task concatenates cached and
+// fresh segments exactly as the paper does.
 //
 // Keying is by ABSOLUTE layout: token line/column positions are part
 // of the key, so a cached artifact's positions are correct by
-// construction and replay verbatim (no position rebasing).  The cost
-// is coarser invalidation — an edit that shifts later lines
-// invalidates the streams on those lines — but an edit that preserves
-// line structure (the common editor case the daemon serves) keeps
-// every untouched stream warm.  The only per-compilation rewrite is
-// the source-file index (token.Pos.File), which is assigned in
-// schedule-dependent registration order and is normalized to zero in
-// stored records.
+// construction.  A position is a line and a column and nothing else,
+// so records — positions, diagnostics, fact tables — are stored as
+// produced and replayed verbatim, shared read-only like the object
+// code.  The cost is coarser invalidation — an edit that shifts later
+// lines invalidates the streams on those lines — but an edit that
+// preserves line structure (the common editor case the daemon serves)
+// keeps every untouched stream warm.
 //
 // Object code is stored with symbolic fixups: procedure, global-area,
 // and exception indices are registry-assignment-ordered (schedule-
@@ -32,12 +31,12 @@
 package streamcache
 
 import (
-	"container/list"
 	"sync"
 
 	"m2cc/internal/check"
 	"m2cc/internal/diag"
-	"m2cc/internal/ifacecache"
+	"m2cc/internal/impscan"
+	"m2cc/internal/lru"
 	"m2cc/internal/source"
 	"m2cc/internal/token"
 	"m2cc/internal/vm"
@@ -74,7 +73,8 @@ type Fixup struct {
 // compilation: the registry metadata needed to re-create its ProcMeta,
 // its object code with symbolic fixups, the diagnostics its stream
 // produced, and its lint fact table.  Records are immutable once
-// published — installers copy before rewriting.
+// published and shared read-only by every compilation that installs
+// them; fixup application copies code before rewriting it.
 type ProcRecord struct {
 	Name     string // dotted path within the module ("Sort.Partition")
 	Exported bool
@@ -83,12 +83,12 @@ type ProcRecord struct {
 	ArgSlots int32
 	Frame    int32
 	HasRet   bool
-	Pos      token.Pos // declaration position; File normalized to 0
+	Pos      token.Pos // declaration position
 
 	vm.Segment // shared, read-only; fixup application copies Code, never the pools
 	Fixups     []Fixup
 
-	Diags []diag.Diagnostic // stream's own diagnostics; Pos/End File normalized to 0
+	Diags []diag.Diagnostic // stream's own diagnostics
 	Facts *check.Facts      // lint fact table (nil unless recorded under Check)
 }
 
@@ -130,12 +130,6 @@ type Tally struct {
 	Recorded  int // fresh streams published back to the cache
 }
 
-// cacheEnt is one LRU node.
-type cacheEnt struct {
-	key Key
-	ent *Entry
-}
-
 // Cache is a concurrency-safe stream-compilation cache shared by any
 // number of compilations (the m2cd daemon holds one per process).
 // There is no single-flight machinery: two concurrent compilations
@@ -144,27 +138,23 @@ type cacheEnt struct {
 // benign.  Consequently no entry ever has waiters, and the LRU cap
 // can evict any entry.
 type Cache struct {
-	mu    sync.Mutex // guards: entries, lru, limit, stats
-	limit int        // max entries; 0 = unbounded
-	lru   *list.List // MRU at front; element values are *cacheEnt
-	byKey map[Key]*list.Element
-	stats Stats
+	// hasher computes interface-closure hashes for key derivation.  The
+	// stream cache owns one even when the compilation runs without an
+	// interface cache (Options.Check forces Cache to nil; the stream
+	// cache must not).  It locks itself.
+	hasher *impscan.Closures
 
-	// hasher computes interface-closure hashes for key derivation.  It
-	// is a private ifacecache used purely for its memoized closure-key
-	// machinery — compilations never Acquire through it, so it works
-	// even when the compilation itself runs without an interface cache
-	// (Options.Check forces Cache to nil; the stream cache must not).
-	hasher *ifacecache.Cache
+	mu      sync.Mutex // guards: entries, stats
+	entries *lru.Store[Key, *Entry]
+	stats   Stats // Evictions, Hashes and Entries are filled in by Stats
 }
 
-// New returns an empty cache capped at limit entries (0 = unbounded).
+// New returns an empty cache capped, with its closure memos, at limit
+// entries (0 = unbounded).
 func New(limit int) *Cache {
 	return &Cache{
-		limit:  limit,
-		lru:    list.New(),
-		byKey:  make(map[Key]*list.Element),
-		hasher: ifacecache.New(),
+		hasher:  impscan.NewClosures(limit),
+		entries: lru.New[Key, *Entry](limit, nil),
 	}
 }
 
@@ -173,30 +163,29 @@ func New(limit int) *Cache {
 // cyclic).  Closure hashes are memoized across compilations and
 // revalidated against interface content hashes on each call.
 func (c *Cache) ClosureHash(loader source.Loader, roots []string) (source.Hash, bool) {
-	return c.hasher.ClosureHash(loader, roots)
+	return c.hasher.Hash(loader, roots)
 }
 
 // SetLimit changes the entry cap (0 = unbounded), evicting immediately
 // if the cache is over the new cap.
 func (c *Cache) SetLimit(n int) {
 	c.mu.Lock()
-	c.limit = n
-	c.evictLocked()
+	c.entries.SetLimit(n)
 	c.mu.Unlock()
+	c.hasher.SetLimit(n)
 }
 
 // Get looks up a stream key, marking the entry most recently used.
 func (c *Cache) Get(k Key) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[k]
-	if !ok {
+	e, ok := c.entries.Get(k)
+	if ok {
+		c.stats.Hits++
+	} else {
 		c.stats.Misses++
-		return nil, false
 	}
-	c.stats.Hits++
-	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEnt).ent, true
+	return e, ok
 }
 
 // Put publishes a stream compilation under its key, evicting from the
@@ -204,39 +193,15 @@ func (c *Cache) Get(k Key) (*Entry, bool) {
 // replaces the entry (a racing sibling computed the same thing).
 func (c *Cache) Put(k Key, e *Entry) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[k]; ok {
-		el.Value.(*cacheEnt).ent = e
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.byKey[k] = c.lru.PushFront(&cacheEnt{key: k, ent: e})
-	c.evictLocked()
-}
-
-// evictLocked drops LRU-tail entries until within the cap.  Caller
-// holds c.mu.
-func (c *Cache) evictLocked() {
-	if c.limit <= 0 {
-		return
-	}
-	for len(c.byKey) > c.limit {
-		el := c.lru.Back()
-		if el == nil {
-			return
-		}
-		ce := el.Value.(*cacheEnt)
-		delete(c.byKey, ce.key)
-		c.lru.Remove(el)
-		c.stats.Evictions++
-	}
+	c.entries.Put(k, e)
+	c.mu.Unlock()
 }
 
 // Len returns the current entry count.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.byKey)
+	return c.entries.Len()
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -244,8 +209,9 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	s.Entries = len(c.byKey)
-	s.Hashes = c.hasher.Stats().Hashes
+	s.Evictions = c.entries.Evictions()
+	s.Hashes = c.hasher.Hashes()
+	s.Entries = c.entries.Len()
 	return s
 }
 

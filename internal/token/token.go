@@ -234,10 +234,12 @@ func Lookup(spelling string) Kind {
 	return Ident
 }
 
-// Pos is a source position: file (by index into a module set), line and
-// column, all 1-based.  The zero Pos means "no position".
+// Pos is a source position within one file: line and column, both
+// 1-based.  The file is named beside it (diagnostics and findings carry
+// the file label), so a position means the same thing in every
+// compilation and cached records replay it verbatim.  The zero Pos
+// means "no position".
 type Pos struct {
-	File int32 // index assigned by the source set; 0 = unknown file
 	Line int32
 	Col  int32
 }
@@ -245,13 +247,10 @@ type Pos struct {
 // IsValid reports whether p denotes a real source location.
 func (p Pos) IsValid() bool { return p.Line > 0 }
 
-// Before reports whether p is strictly before q in (file, line, column)
+// Before reports whether p is strictly before q in (line, column)
 // order.  Used to merge diagnostics from concurrent streams into a stable
 // order.
 func (p Pos) Before(q Pos) bool {
-	if p.File != q.File {
-		return p.File < q.File
-	}
 	if p.Line != q.Line {
 		return p.Line < q.Line
 	}

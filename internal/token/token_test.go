@@ -62,17 +62,16 @@ func TestKindStrings(t *testing.T) {
 }
 
 func TestPosBefore(t *testing.T) {
-	a := token.Pos{File: 1, Line: 2, Col: 3}
+	a := token.Pos{Line: 2, Col: 3}
 	cases := []struct {
 		b    token.Pos
 		want bool
 	}{
-		{token.Pos{File: 1, Line: 2, Col: 4}, true},
-		{token.Pos{File: 1, Line: 3, Col: 1}, true},
-		{token.Pos{File: 2, Line: 1, Col: 1}, true},
-		{token.Pos{File: 1, Line: 2, Col: 3}, false},
-		{token.Pos{File: 1, Line: 2, Col: 2}, false},
-		{token.Pos{File: 0, Line: 9, Col: 9}, false},
+		{token.Pos{Line: 2, Col: 4}, true},
+		{token.Pos{Line: 3, Col: 1}, true},
+		{token.Pos{Line: 2, Col: 3}, false},
+		{token.Pos{Line: 2, Col: 2}, false},
+		{token.Pos{Line: 1, Col: 9}, false},
 	}
 	for _, c := range cases {
 		if got := a.Before(c.b); got != c.want {
