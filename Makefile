@@ -8,9 +8,10 @@ GO ?= go
 # task transition, the profiler consuming its dumps while compilations
 # run, the concurrent static analyzer whose findings must be
 # schedule-independent, the event primitive's lock-free fired fast
-# path, the token queues' producer-owned blocks and pooled recycling,
-# and the pooled statement-tree arenas.
-RACE_PKGS = ./internal/ast ./internal/impscan ./internal/ifacecache ./internal/streamcache ./internal/core ./internal/symtab ./internal/sched ./internal/faultinject ./internal/obs ./internal/profile ./internal/check ./internal/event ./internal/tokq ./cmd/m2cd ./cmd/m2load
+# path, the token queues' producer-owned blocks, the pooled
+# statement-tree arenas, and the free lists every compilation takes
+# them from.
+RACE_PKGS = ./internal/pool ./internal/ast ./internal/impscan ./internal/ifacecache ./internal/streamcache ./internal/core ./internal/symtab ./internal/sched ./internal/faultinject ./internal/obs ./internal/profile ./internal/check ./internal/event ./internal/tokq ./cmd/m2cd ./cmd/m2load
 
 # Seeds for the chaos suite's seeded matrix (see chaos_test.go); the
 # suite also hand-arms every injection point regardless of seeds.
@@ -86,12 +87,14 @@ experiments-smoke:
 # Front-end layer microbenchmarks (lexer, token queue, splitter with and
 # without the stream cache's Keyer) on one fixed generated program,
 # reporting Mtok/s and allocs/op, plus statement parsing into a
-# recycled arena.  One iteration each: inside `make
-# check` this is a smoke step that keeps them compiling and running;
-# raise -benchtime to measure.
+# recycled arena; then the free lists' tests and their GC-survival
+# benchmark (B/op of a take between collections, against sync.Pool).
+# One iteration each: inside `make check` this is a smoke step that
+# keeps them compiling and running; raise -benchtime to measure.
 bench-frontend:
 	$(GO) test -run='^$$' -bench='^(BenchmarkLexerRun|BenchmarkSplitObserved|BenchmarkAppendRead|BenchmarkParseBody)$$' -benchtime=1x -benchmem \
 		./internal/lexer ./internal/tokq ./internal/splitter ./internal/parser
+	$(GO) test -count=1 -bench='^BenchmarkSurvivesGC$$' -benchtime=1x -benchmem ./internal/pool
 
 # Object-code layer microbenchmarks: a sequential compile of one fixed
 # generated program (B/op, allocs/op, retained code bytes), the listing

@@ -424,29 +424,37 @@ BEGIN WriteInt(2, 0); WriteLn END B;
 BEGIN A; B; WriteInt(3, 0); WriteLn END Ticks.
 `
 
-// TestChaosArenaRecycle ends a compilation in each of the two ways that
-// leave its statement-tree arenas unreturned, a StmtCG panic and a
-// Cancel while it is mid-flight, and follows each at once by a clean
-// compilation of another program in the same process.  Its output must
-// equal the sequential compiler's: an arena recycled while the wounded
+// TestChaosArenaRecycle ends a compilation in each of the three ways
+// that leave its statement-tree arenas and keyer record chunks
+// unreturned, a StmtCG panic, a Splitter panic and a Cancel while it is
+// mid-flight, and follows each at once by a clean compilation of
+// another program in the same process.  Its output must equal the
+// sequential compiler's: an arena or chunk recycled while the wounded
 // compilation still referenced it would corrupt the clean one.
 func TestChaosArenaRecycle(t *testing.T) {
 	loader := chaosLoader()
 	loader.Add("Ticks", m2cc.Impl, chaosTicks)
 	for strat := m2cc.Avoidance; strat <= m2cc.Optimistic; strat++ {
-		t.Run(strat.String()+"/panic-stmtcg", func(t *testing.T) {
-			want, _ := chaosBaseline(t, loader, "Ticks")
-			plan := faultinject.New().Arm(faultinject.PanicLookup, 2)
-			res := m2cc.Compile("Ticks", loader, m2cc.Options{Workers: 4, Strategy: strat, FaultPlan: plan})
-			if plan.Tripped(faultinject.PanicLookup) != 1 || !res.FellBack {
-				t.Fatalf("StmtCG panic must trip once and fall back (tripped %d, fellBack %v)",
-					plan.Tripped(faultinject.PanicLookup), res.FellBack)
-			}
-			if got := res.Object.Listing(); got != want {
-				t.Fatalf("fallback listing diverges\ngot:\n%s\nwant:\n%s", got, want)
-			}
-			compileCleanAfter(t, loader, "Main", strat)
-		})
+		for _, c := range []struct {
+			name  string
+			point faultinject.Point
+			n     int64
+		}{{"panic-stmtcg", faultinject.PanicLookup, 2}, {"panic-split", faultinject.PanicSplit, 2}} {
+			t.Run(strat.String()+"/"+c.name, func(t *testing.T) {
+				want, _ := chaosBaseline(t, loader, "Ticks")
+				plan := faultinject.New().Arm(c.point, c.n)
+				res := m2cc.Compile("Ticks", loader, m2cc.Options{
+					Workers: 4, Strategy: strat, FaultPlan: plan, StreamCache: m2cc.NewStreamCache(0),
+				})
+				if plan.Tripped(c.point) != 1 || !res.FellBack {
+					t.Fatalf("the panic must trip once and fall back (tripped %d, fellBack %v)", plan.Tripped(c.point), res.FellBack)
+				}
+				if got := res.Object.Listing(); got != want {
+					t.Fatalf("fallback listing diverges\ngot:\n%s\nwant:\n%s", got, want)
+				}
+				compileCleanAfter(t, loader, "Main", strat)
+			})
+		}
 		t.Run(strat.String()+"/cancel", func(t *testing.T) {
 			// A stalled interface-cache leader holds Main mid-flight while
 			// its own procedure streams parse and generate code.
@@ -455,7 +463,7 @@ func TestChaosArenaRecycle(t *testing.T) {
 			done := make(chan *m2cc.Result, 1)
 			go func() {
 				done <- m2cc.Compile("Main", loader, m2cc.Options{
-					Workers: 4, Strategy: strat, Cache: m2cc.NewCache(),
+					Workers: 4, Strategy: strat, Cache: m2cc.NewCache(), StreamCache: m2cc.NewStreamCache(0),
 					FaultPlan: plan, Cancel: cancel, StallTimeout: 100 * time.Millisecond,
 				})
 			}()
@@ -475,11 +483,12 @@ func TestChaosArenaRecycle(t *testing.T) {
 }
 
 // compileCleanAfter compiles module concurrently, with static analysis
-// on, and requires the listing and findings of the sequential tools.
+// and a stream cache on, and requires the listing and findings of the
+// sequential tools.
 func compileCleanAfter(t *testing.T, loader m2cc.Loader, module string, strat m2cc.Strategy) {
 	t.Helper()
 	want, _ := chaosBaseline(t, loader, module)
-	res := m2cc.Compile(module, loader, m2cc.Options{Workers: 4, Strategy: strat, Check: true})
+	res := m2cc.Compile(module, loader, m2cc.Options{Workers: 4, Strategy: strat, Check: true, StreamCache: m2cc.NewStreamCache(0)})
 	if res.Failed() || res.Faulted || res.CheckFellBack {
 		t.Fatalf("clean %s after the fault: faulted=%v checkFellBack=%v\n%s", module, res.Faulted, res.CheckFellBack, res.Diags)
 	}

@@ -1,8 +1,9 @@
 package ast
 
 import (
-	"sync"
 	"unsafe"
+
+	"m2cc/internal/pool"
 )
 
 // Arena holds statement parse trees, which live exactly as long as
@@ -11,7 +12,7 @@ import (
 // each node type that makes up at least 1 % of body-tree bytes on the
 // benchmark corpora (other nodes come from the heap); the driver lets
 // the streams of one compilation fill an arena one parse after another
-// and returns it to a process-wide pool when the compilation ends.  A
+// and returns it to a process-wide free list when the compilation ends.  A
 // nil *Arena allocates from the heap, as the sequential compiler, the
 // linter and declaration parsing do.  One parser fills an Arena at a
 // time.
@@ -30,6 +31,7 @@ type Arena struct {
 	stmts       slab[Stmt] // backing stores of StmtList.Stmts
 	exprs       slab[Expr] // backing stores of argument and index lists
 	Stacks      Stacks     // kept, so a recycled arena parses without growing them
+	kept        int        // chunks kept by the last PutArena
 }
 
 // Stacks are a parser's scratch stacks for lists under construction:
@@ -95,33 +97,31 @@ func (a *Arena) Exprs(src []Expr) []Expr {
 	return append(a.exprs.slice(len(src))[:0], src...)
 }
 
-var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
+// Arenas recycles arenas across compilations.
+var Arenas = &pool.List[*Arena]{
+	New:  func() *Arena { return new(Arena) },
+	Size: func(a *Arena) int { return a.kept * chunkBytes },
+}
 
-// GetArena returns an empty arena from the process-wide pool.
-func GetArena() *Arena { return arenaPool.Get().(*Arena) }
+// GetArena returns an empty arena.
+func GetArena() *Arena { return Arenas.Get() }
 
-// PutArena zeroes everything handed out from a, so the pooled arena
-// pins nothing, and returns it to the pool.  The caller must be sure
-// nothing still reads the tree built in it: every node becomes zero and
-// is then reused by another parse.
+// PutArena scrubs everything handed out from a, so the held arena pins
+// nothing, and returns it to Arenas.  Nothing may still read the tree
+// built in it: every node is scrubbed, then reused by another parse.
 func PutArena(a *Arena) {
-	a.designators.reset()
-	a.intLits.reset()
-	a.binaries.reset()
-	a.calls.reset()
-	a.assigns.reset()
-	a.ifs.reset()
-	a.fors.reset()
-	a.whiles.reset()
-	a.caseArms.reset()
-	a.caseLabels.reset()
-	a.lists.reset()
-	a.stmts.reset()
-	a.exprs.reset()
+	a.kept = 0
+	for _, s := range [...]interface{ reset() int }{&a.designators, &a.intLits, &a.binaries,
+		&a.calls, &a.assigns, &a.ifs, &a.fors, &a.whiles, &a.caseArms, &a.caseLabels,
+		&a.lists, &a.stmts, &a.exprs} {
+		a.kept += s.reset()
+	}
 	if cap(a.Stacks.Stmts) > 256 || cap(a.Stacks.Exprs) > 256 {
 		a.Stacks = Stacks{} // grown by one very long list: not worth pinning
 	}
-	arenaPool.Put(a)
+	pool.Scrub(a.Stacks.Stmts[:cap(a.Stacks.Stmts)]) // popped entries still point into the tree
+	pool.Scrub(a.Stacks.Exprs[:cap(a.Stacks.Exprs)])
+	Arenas.Put(a)
 }
 
 // chunkBytes is the size of one slab chunk: small enough that a body's
@@ -137,8 +137,8 @@ type slab[T any] struct {
 
 func (s *slab[T]) new() *T { return &s.slice(1)[0] }
 
-// slice returns n zeroed elements as a slice whose capacity is n, so an
-// append by the holder reallocates instead of running into a neighbour.
+// slice returns n elements to overwrite as a slice whose capacity is n,
+// so an append by the holder reallocates instead of running into a neighbour.
 func (s *slab[T]) slice(n int) []T {
 	size := max(chunkBytes/int(unsafe.Sizeof(*new(T))), 1)
 	if n > size {
@@ -155,12 +155,14 @@ func (s *slab[T]) slice(n int) []T {
 	return out
 }
 
-// reset clears the chunks handed out from and keeps only those, so a
-// pooled arena holds about the footprint of its last compilation.
-func (s *slab[T]) reset() {
+// reset scrubs the chunks handed out from and keeps only those (it
+// returns how many), so a held arena holds about the footprint of its
+// last compilation.
+func (s *slab[T]) reset() (kept int) {
 	for _, c := range s.chunks[:s.used] {
-		clear(c)
+		pool.Scrub(c)
 	}
 	clear(s.chunks[s.used:])
-	s.chunks, s.used, s.off = s.chunks[:s.used], 0, 0
+	s.chunks, kept, s.used, s.off = s.chunks[:s.used], s.used, 0, 0
+	return kept
 }

@@ -1,6 +1,7 @@
 package ast
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -34,6 +35,25 @@ func TestArenaSlicesAreCapped(t *testing.T) {
 	_ = append(first, one)
 	if second[0] != Expr(two) {
 		t.Fatal("append to one arena list overwrote its neighbour")
+	}
+}
+
+// TestArenaSurvivesCollection: an arena returned before two collections
+// is still held after them, slabs and all, so building the same tree
+// again allocates nothing.
+func TestArenaSurvivesCollection(t *testing.T) {
+	allocs := testing.AllocsPerRun(10, func() {
+		runtime.GC()
+		runtime.GC()
+		a := GetArena()
+		for i := 0; i < 100; i++ {
+			lhs := New(a, Designator{Head: Name{Text: "x"}})
+			New(a, AssignStmt{LHS: lhs, RHS: New(a, IntLit{Value: int64(i)})})
+		}
+		PutArena(a)
+	})
+	if allocs != 0 {
+		t.Fatalf("rebuilding after two collections made %.0f allocations, want 0", allocs)
 	}
 }
 

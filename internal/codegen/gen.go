@@ -13,10 +13,11 @@ package codegen
 
 import (
 	"math"
-	"sync"
+	"unsafe"
 
 	"m2cc/internal/ast"
 	"m2cc/internal/ctrace"
+	"m2cc/internal/pool"
 	"m2cc/internal/sema"
 	"m2cc/internal/symtab"
 	"m2cc/internal/token"
@@ -49,25 +50,25 @@ type loopCtx struct {
 	exits []int32 // Jmp indexes to patch to the loop end
 }
 
-// codeArena recycles emission buffers across Compile calls.  The final
+// EmitBufs recycles emission buffers across Compile calls.  The final
 // code segment is retained by the object for the program's lifetime,
 // so emitting straight into a fresh slice pays the append-doubling
-// garbage on every procedure; instead each Compile emits into a pooled
-// arena (which converges on the largest procedure's size) and retains
-// only one exact-size copy.
-var codeArena sync.Pool
+// garbage on every procedure; instead each Compile emits into a
+// recycled buffer (1 024 instructions: the suite's longest segment has
+// 736) and retains only one exact-size copy.
+var EmitBufs = &pool.List[[]vm.Instr]{
+	New:  func() []vm.Instr { return make([]vm.Instr, 0, 1024) },
+	Size: func(b []vm.Instr) int { return cap(b) * int(unsafe.Sizeof(vm.Instr{})) },
+}
 
 // Compile type-checks and generates code for body (and, for functions,
 // verifies a value-return path), storing the segment and the final
 // frame size into meta.  frameBase is the first free frame slot after
 // parameters and locals.
 func Compile(env *sema.Env, scope *symtab.Scope, meta *vm.ProcMeta, sig *types.Type, frameBase int32, body *ast.StmtList) {
+	buf := EmitBufs.Get()
 	g := &Gen{env: env, scope: scope, meta: meta, sig: sig,
-		tempTop: frameBase, maxFrame: frameBase}
-	arena, _ := codeArena.Get().(*[]vm.Instr)
-	if arena != nil {
-		g.code = (*arena)[:0]
-	}
+		tempTop: frameBase, maxFrame: frameBase, code: buf}
 	g.stmtList(body)
 	if sig != nil && sig.Ret != nil {
 		g.emit(vm.Instr{Op: vm.NoRet, A: int32(meta.Pos.Line)})
@@ -77,11 +78,7 @@ func Compile(env *sema.Env, scope *symtab.Scope, meta *vm.ProcMeta, sig *types.T
 	meta.Frame = g.maxFrame
 	g.pools.Code = append(make([]vm.Instr, 0, len(g.code)), g.code...)
 	meta.Segment = g.pools
-	if arena == nil {
-		arena = new([]vm.Instr)
-	}
-	*arena = g.code[:0]
-	codeArena.Put(arena)
+	EmitBufs.Put(buf) // the buffer it was given, even if the code outgrew it
 }
 
 func (g *Gen) errorf(pos token.Pos, format string, args ...any) {

@@ -31,6 +31,7 @@ import (
 	"m2cc/internal/lexer"
 	"m2cc/internal/obs"
 	"m2cc/internal/parser"
+	"m2cc/internal/pool"
 	"m2cc/internal/sched"
 	"m2cc/internal/sema"
 	"m2cc/internal/source"
@@ -223,7 +224,7 @@ type driver struct {
 	faulted    bool                    // a stream task panicked and was isolated
 	canceled   bool                    // Options.Cancel fired; result is abandoned
 	resolving  map[string]*event.Event // per-name guard for in-flight cache resolution
-	arenas     []*ast.Arena            // statement-tree arenas taken from the pool (see bodyArena)
+	arenas     []*ast.Arena            // statement-tree arenas taken from ast.Arenas (see bodyArena)
 	idle       []*ast.Arena            // those of arenas no parser is filling now
 
 	// Stream-cache verdict state (under d.mu).
@@ -342,7 +343,7 @@ func Compile(module string, loader source.Loader, opts Options) *Result {
 	d.obs.Begin(opts.Workers, opts.Strategy.String())
 	d.tab = symtab.NewTable(opts.Strategy, stats, d.rec)
 	d.tab.Inject = d.inject
-	d.sup = sched.New(opts.Workers, d.rec)
+	d.sup = newSupervisor(opts.Workers, d.rec)
 	d.sup.Inject = d.inject
 	d.sup.StallTimeout = d.stall
 	d.sup.Obs = d.obs
@@ -384,7 +385,7 @@ func Compile(module string, loader source.Loader, opts Options) *Result {
 	d.runCheckMerge()
 	d.runMerge()
 	d.sup.Wait()
-	d.releaseArenas()
+	d.release()
 	d.failUnpublished()
 	d.recordStreams()
 
@@ -460,9 +461,9 @@ func (d *driver) cancelNow() {
 	d.sup.Cancel()
 }
 
-// getArena and putArena are the statement-tree arena pool; tests
-// substitute them to watch the driver's hand-back rule.
-var getArena, putArena = ast.GetArena, ast.PutArena
+// Tests substitute these to watch the driver's hand-back rule and its
+// worker goroutines.
+var getArena, putArena, newSupervisor = ast.GetArena, ast.PutArena, sched.New
 
 // bodyArena lends a body parse an arena.  A compilation's trees all die
 // at once, so its streams share arenas one parse after another and it
@@ -489,13 +490,12 @@ func (d *driver) parkArena(a *ast.Arena) {
 	d.mu.Unlock()
 }
 
-// releaseArenas hands the compilation's arenas back to the pool once no
-// task is left to read them.  A poisoned, faulted or canceled
-// compilation returns none: its tasks ended abnormally (a panic can
-// leave a half-built tree or a non-empty scratch stack behind), so its
-// arenas are left to the garbage collector rather than trusted to the
-// next compilation.
-func (d *driver) releaseArenas() {
+// release hands back the compilation's arenas and keyer chunks once no
+// task is left to read them.  A poisoned, faulted or canceled one
+// returns nothing: a panic can leave a half-built tree or a non-empty
+// scratch stack, a cancel running tasks, so its buffers are left to the
+// garbage collector rather than trusted to the next compilation.
+func (d *driver) release() {
 	d.pollCancel()
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -503,8 +503,10 @@ func (d *driver) releaseArenas() {
 		for _, a := range d.arenas {
 			putArena(a)
 		}
+		d.keyer.Release()
 	}
 	d.arenas, d.idle = nil, nil
+	pool.Age()
 }
 
 // pollCancel delivers a Cancel that fired but that the watcher

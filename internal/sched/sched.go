@@ -310,6 +310,7 @@ type Supervisor struct {
 	nOverflowPops   atomic.Int64
 	nHandoffs       atomic.Int64
 	nGoroutines     atomic.Int64
+	nExits          atomic.Int64 // worker goroutines that returned (Exited)
 
 	rec *ctrace.Recorder
 
@@ -389,6 +390,12 @@ func (s *Supervisor) Counters() obs.SchedCounters {
 		Goroutines:     s.nGoroutines.Load(),
 	}
 }
+
+// Exited counts the worker goroutines that have returned.  Each counts
+// itself in the critical section that records its last task's finish,
+// so once Wait returns it equals Counters().Goroutines unless a worker
+// leaked.
+func (s *Supervisor) Exited() int64 { return s.nExits.Load() }
 
 // Cancel abandons the compilation: tasks not yet started are discharged
 // without running (their produced events force-fired so nothing wedges),
@@ -763,6 +770,9 @@ func (s *Supervisor) work(t *Task) {
 		if next == nil {
 			s.releaseSlotLocked(w)
 			s.kickLocked()
+		}
+		if !mine {
+			s.nExits.Add(1)
 		}
 		s.wakeWaitLocked()
 		s.mu.Unlock()

@@ -561,8 +561,9 @@ func TestResidentWorkerRunsChainOnOneGoroutine(t *testing.T) {
 		t.Fatalf("ran %d tasks, want %d", got, tasks)
 	}
 	c := s.Counters()
-	if c.Goroutines != 1 || c.Handoffs != tasks-1 {
-		t.Fatalf("non-blocking chain on one worker: %d goroutines, %d handoffs; want 1 and %d", c.Goroutines, c.Handoffs, tasks-1)
+	if c.Goroutines != 1 || c.Handoffs != tasks-1 || s.Exited() != 1 {
+		t.Fatalf("non-blocking chain on one worker: %d goroutines (%d exited), %d handoffs; want 1 (1) and %d",
+			c.Goroutines, s.Exited(), c.Handoffs, tasks-1)
 	}
 
 	s = sched.New(1, nil)
@@ -570,7 +571,7 @@ func TestResidentWorkerRunsChainOnOneGoroutine(t *testing.T) {
 	s.Spawn(ctrace.KindLexor, 0, "A", 0, nil, nil, func(t *sched.Task) { t.HandledWait(e) })
 	s.Spawn(ctrace.KindSplitter, 0, "B", 1, nil, nil, func(t *sched.Task) { t.Ctx.FireEvent(e) })
 	s.Wait()
-	if c := s.Counters(); c.Goroutines != 2 {
-		t.Fatalf("one blocking task on one worker: %d goroutines, want 2", c.Goroutines)
+	if c := s.Counters(); c.Goroutines != 2 || s.Exited() != 2 {
+		t.Fatalf("one blocking task on one worker: %d goroutines (%d exited), want 2 (2)", c.Goroutines, s.Exited())
 	}
 }

@@ -30,10 +30,10 @@
 // own measurements.
 //
 // Tokens are never stored: each run of arrivals appends compact records
-// to one arena shared by all streams (chunks that grow geometrically, so
-// a split allocates O(file) bytes however many streams it has), a
-// stream's records are a chain of arena segments, and the probe digests
-// each chain in bulk.  The record encoding is self-delimiting
+// to one arena shared by all streams (4 kB chunks recycled through
+// Chunks, so a split takes O(file) bytes however many streams it has),
+// a stream's records are a chain of arena segments, and the probe
+// digests each chain in bulk.  The record encoding is self-delimiting
 // (kind is a fixed byte, positions and lengths are varints, text is
 // length-prefixed), so distinct token sequences produce distinct byte
 // streams.  Own-text hashes (kinds and texts, no positions) are
@@ -50,6 +50,7 @@ import (
 	"encoding/binary"
 	"hash"
 
+	"m2cc/internal/pool"
 	"m2cc/internal/source"
 	"m2cc/internal/token"
 )
@@ -122,6 +123,7 @@ type Keyer struct {
 
 	tail   []byte    // the record arena's current chunk; earlier ones live on through the spans into them
 	writer *recs     // whose span ends at tail's end, so may grow in place
+	chunks [][]byte  // recycled chunks taken so far, for Release
 	h      hash.Hash // reused by every bulk digest
 }
 
@@ -159,12 +161,30 @@ func (k *Keyer) Tokens(id int32, toks []token.Token) {
 }
 
 const (
-	minChunk  = 4 << 10
+	minChunk  = 4 << 10                     // a recycled chunk; only a longer record gets a chunk of its own
 	recordMax = 1 + 3*binary.MaxVarintLen64 // a record's bytes besides its text
 )
 
-// record appends toks' records to r at the arena's tail, opening a chunk
-// twice the size of the last when the next record might not fit.
+// Chunks recycles record chunks: keyers take them and Release returns them.
+var Chunks = &pool.List[[]byte]{
+	New:  func() []byte { return make([]byte, 0, minChunk) },
+	Size: func(c []byte) int { return cap(c) },
+}
+
+// Release scrubs the keyer's recycled chunks and returns them to Chunks
+// once every key is derived; children and imports stay readable.
+func (k *Keyer) Release() {
+	if k != nil {
+		for _, c := range k.chunks {
+			pool.Scrub(c[:cap(c)])
+			Chunks.Put(c[:0])
+		}
+		k.chunks, k.tail, k.writer = nil, nil, nil
+	}
+}
+
+// record appends toks' records to r at the arena's tail, opening a new
+// chunk when the next record might not fit.
 func (k *Keyer) record(r *recs, toks []token.Token) {
 	buf := k.tail // a local: storing a slice into k per token costs a write barrier
 	for len(toks) > 0 {
@@ -174,9 +194,11 @@ func (k *Keyer) record(r *recs, toks []token.Token) {
 			n++
 		}
 		switch {
+		case n == 0 && recordMax+len(toks[0].Text) > minChunk:
+			buf, k.writer = make([]byte, 0, recordMax+len(toks[0].Text)), nil // not recycled
 		case n == 0:
-			size := max(minChunk, 2*cap(buf), recordMax+len(toks[0].Text))
-			buf, k.writer = make([]byte, 0, size), nil
+			buf, k.writer = Chunks.Get(), nil
+			k.chunks = append(k.chunks, buf)
 		case k.writer == r:
 			last := &r.spans[len(r.spans)-1]
 			*last = (*last)[:len(*last)+len(buf)-lo]

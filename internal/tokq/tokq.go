@@ -35,8 +35,10 @@ package tokq
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"m2cc/internal/event"
+	"m2cc/internal/pool"
 	"m2cc/internal/token"
 )
 
@@ -53,25 +55,12 @@ type Block struct {
 	Ready *event.Event
 }
 
-// blockPool recycles Block structs and their token storage across
-// compilations.  Ready events are never reused: the observability layer
-// keys its bookkeeping by *event.Event identity, so a recycled block
-// always gets a fresh event (events are small; the win is the token
-// array, blockSize × sizeof(Token) per block).
-var blockPool sync.Pool
-
-// newBlock returns a block with a fresh Ready event and token storage of
-// at least the given capacity, reusing pooled storage when possible.
-func newBlock(size int) *Block {
-	if v := blockPool.Get(); v != nil {
-		b := v.(*Block)
-		if cap(b.Toks) >= size {
-			b.Toks = b.Toks[:0]
-			b.Ready = event.New()
-			return b
-		}
-	}
-	return &Block{Toks: make([]token.Token, 0, size), Ready: event.New()}
+// Blocks recycles Block structs and their token storage (see Retain);
+// Ready events are never reused, as the observability layer keys its
+// bookkeeping by *event.Event identity (grow gives each a fresh one).
+var Blocks = &pool.List[*Block]{
+	New:  func() *Block { return &Block{Toks: make([]token.Token, 0, DefaultBlockSize)} },
+	Size: func(b *Block) int { return cap(b.Toks) * int(unsafe.Sizeof(token.Token{})) },
 }
 
 // Queue is a block-granularity token stream with one producer and many
@@ -113,7 +102,7 @@ func (q *Queue) SetFireHook(f func(*event.Event)) { q.fire = f }
 
 // Retain declares n future readers.  Once every declared reader has
 // called Detach and the queue is closed, the queue's blocks are returned
-// to the package block pool for the next compilation to reuse.  The
+// to Blocks for the next queue to reuse.  The
 // spawning driver must declare every reader it will ever create before
 // the count can reach zero; queues that never Retain simply skip
 // recycling.  A late reader of a recycled queue degrades safely (it sees
@@ -124,7 +113,7 @@ func (q *Queue) Retain(n int) {
 	q.managed.Store(true)
 }
 
-// maybeRecycle returns all blocks to the pool once the queue is closed
+// maybeRecycle returns all blocks to Blocks once the queue is closed
 // and the last declared reader has detached.
 func (q *Queue) maybeRecycle() {
 	if !q.managed.Load() || !q.closed.Load() || q.readers.Load() != 0 {
@@ -135,9 +124,9 @@ func (q *Queue) maybeRecycle() {
 	q.blocks = nil
 	q.mu.Unlock()
 	for _, b := range blocks {
-		b.Ready = nil // events are never reused (obs identity); let GC take them
-		b.Toks = b.Toks[:0]
-		blockPool.Put(b)
+		pool.Scrub(b.Toks[:cap(b.Toks)]) // published or not: a held Text would pin an old source file
+		b.Toks, b.Ready = b.Toks[:0], nil
+		Blocks.Put(b)
 	}
 }
 
@@ -148,7 +137,11 @@ func (q *Queue) grow() *Block {
 	if q.closed.Load() {
 		return nil
 	}
-	b := newBlock(q.blockSize)
+	b := Blocks.Get()
+	if cap(b.Toks) < q.blockSize {
+		b = &Block{Toks: make([]token.Token, 0, q.blockSize)}
+	}
+	b.Ready = event.New()
 	q.mu.Lock()
 	if q.closed.Load() {
 		q.mu.Unlock()
