@@ -98,10 +98,11 @@ bench-frontend:
 
 # Object-code layer microbenchmarks: a sequential compile of one fixed
 # generated program (B/op, allocs/op, retained code bytes), the listing
-# renderer against the fmt reference it replaced (MB/s), and the stream
-# cache's relocating copy.  One iteration each, as bench-frontend.
+# renderer against the fmt reference it replaced (MB/s), the machine
+# running Synth and an array-indexing suite program (Minstr/s), and the
+# stream cache's relocating copy.  One iteration each, as bench-frontend.
 bench-objcode:
-	$(GO) test -run='^$$' -bench='^(BenchmarkCodegenCompile|BenchmarkListing|BenchmarkApplyFixups)$$' -benchtime=1x \
+	$(GO) test -run='^$$' -bench='^(BenchmarkCodegenCompile|BenchmarkListing|BenchmarkExecute|BenchmarkApplyFixups)$$' -benchtime=1x \
 		./internal/codegen ./internal/vm ./internal/streamcache
 
 # The benchmark is a module of its own that imports internal packages

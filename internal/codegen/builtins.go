@@ -113,13 +113,13 @@ func (g *Gen) builtinFunc(sym *symtab.Symbol, e *ast.CallExpr) *types.Type {
 		switch {
 		case p.kind == pOpen:
 			g.emit(vm.Instr{Op: vm.LdLoc, A: g.hops(p.sym.Level), B: p.sym.Offset + 1})
-			g.emit(vm.Instr{Op: vm.PushInt, Imm: 1})
+			g.emitInt(1)
 			g.emit(vm.Instr{Op: vm.SubI})
 			return types.Cardinal
 		case p.kind == pAddr && p.t.Deref().Kind == types.ArrayK:
 			g.emit(vm.Instr{Op: vm.Drop})
 			lo, hi, _ := p.t.Deref().Index.Bounds()
-			g.emit(vm.Instr{Op: vm.PushInt, Imm: hi - lo})
+			g.emitInt(hi - lo)
 			return types.Cardinal
 		default:
 			if p.kind != pNone {
@@ -218,6 +218,6 @@ func (g *Gen) sizeOfVar(d *ast.Designator) *types.Type {
 	if (sym.Kind != symtab.KVar && sym.Kind != symtab.KParam) || len(d.Sels) != 0 || sym.Open {
 		return nil
 	}
-	g.emit(vm.Instr{Op: vm.PushInt, Imm: int64(sym.Type.Slots() * types.WordBytes)})
+	g.emitInt(int64(sym.Type.Slots() * types.WordBytes))
 	return types.Cardinal
 }

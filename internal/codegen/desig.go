@@ -195,10 +195,7 @@ func (g *Gen) walkSelectors(t *types.Type, sels []ast.Selector, pos token.Pos) p
 				}
 				g.compileOrdinalExpr(ix)
 				lo, hi, _ := d.Index.Bounds()
-				g.emit(vm.Instr{
-					Op: vm.Index, Imm: lo, B: int32(hi - lo + 1),
-					A: int32(d.Base.Slots()),
-				})
+				g.emitIndex(lo, hi-lo+1, int32(d.Base.Slots()))
 				t = d.Base
 			}
 		case *ast.DerefSel:

@@ -27,13 +27,13 @@ func charLitByte(e ast.Expr) (byte, bool) {
 func (g *Gen) compileExpr(e ast.Expr) (*types.Type, bool) {
 	switch e := e.(type) {
 	case *ast.IntLit:
-		g.emit(vm.Instr{Op: vm.PushInt, Imm: e.Value})
+		g.emitInt(e.Value)
 		return types.Whole, false
 	case *ast.RealLit:
 		g.emitReal(e.Value)
 		return types.Real, false
 	case *ast.CharLit:
-		g.emit(vm.Instr{Op: vm.PushInt, Imm: int64(e.Value)})
+		g.emitInt(int64(e.Value))
 		return types.Char, false
 	case *ast.StringLit:
 		g.emitStr(e.Value)
@@ -69,7 +69,7 @@ func (g *Gen) compileScalarExpr(e ast.Expr) *types.Type {
 // compileOrdinalExpr compiles e and requires an ordinal value.
 func (g *Gen) compileOrdinalExpr(e ast.Expr) *types.Type {
 	if b, ok := charLitByte(e); ok {
-		g.emit(vm.Instr{Op: vm.PushInt, Imm: int64(b)})
+		g.emitInt(int64(b))
 		return types.Char
 	}
 	t := g.compileScalarExpr(e)
@@ -86,7 +86,7 @@ func (g *Gen) compileOrdinalExpr(e ast.Expr) *types.Type {
 func (g *Gen) compileCoerced(e ast.Expr, want *types.Type) *types.Type {
 	if want != nil && want.IsChar() {
 		if b, ok := charLitByte(e); ok {
-			g.emit(vm.Instr{Op: vm.PushInt, Imm: int64(b)})
+			g.emitInt(int64(b))
 			return types.Char
 		}
 		if s, ok := e.(*ast.StringLit); ok && len(s.Value) != 1 {
@@ -323,7 +323,7 @@ func (g *Gen) compileSet(e *ast.SetExpr) *types.Type {
 			setType = t
 		}
 	}
-	g.emit(vm.Instr{Op: vm.PushInt, Imm: 0})
+	g.emitInt(0)
 	for _, el := range e.Elems {
 		g.compileOrdinalExpr(el.Lo)
 		if el.Hi == nil {
@@ -529,7 +529,7 @@ func (g *Gen) compileOpenArg(formal types.Param, a ast.Expr) {
 		}
 		g.stringToTempThen(s, n, func(temp int32) {
 			g.emit(vm.Instr{Op: vm.LdaLoc, A: 0, B: temp})
-			g.emit(vm.Instr{Op: vm.PushInt, Imm: int64(n)})
+			g.emitInt(int64(n))
 		})
 		return
 	}
@@ -556,7 +556,7 @@ func (g *Gen) compileOpenArg(formal types.Param, a ast.Expr) {
 			return
 		}
 		lo, hi, _ := at.Index.Bounds()
-		g.emit(vm.Instr{Op: vm.PushInt, Imm: hi - lo + 1})
+		g.emitInt(hi - lo + 1)
 		g.checkOpenElem(elem, at.Base, pos)
 	default:
 		if p.kind != pNone {

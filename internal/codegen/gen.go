@@ -54,8 +54,8 @@ type loopCtx struct {
 // code segment is retained by the object for the program's lifetime,
 // so emitting straight into a fresh slice pays the append-doubling
 // garbage on every procedure; instead each Compile emits into a
-// recycled buffer (1 024 instructions: the suite's longest segment has
-// 736) and retains only one exact-size copy.
+// recycled buffer (1 024 instructions, 12 KiB: the suite's longest
+// segment has 736) and retains only one exact-size copy.
 var EmitBufs = &pool.List[[]vm.Instr]{
 	New:  func() []vm.Instr { return make([]vm.Instr, 0, 1024) },
 	Size: func(b []vm.Instr) int { return cap(b) * int(unsafe.Sizeof(vm.Instr{})) },
@@ -96,8 +96,24 @@ func (g *Gen) emit(i vm.Instr) int32 {
 
 func (g *Gen) here() int32 { return int32(len(g.code)) }
 
+// wide appends vs to the segment's Ints pool and returns the index of
+// the first: where an operand too wide for A and B goes.
+func (g *Gen) wide(vs ...int64) int32 {
+	g.pools.Ints = append(g.pools.Ints, vs...)
+	return int32(len(g.pools.Ints) - len(vs))
+}
+
+// emitInt pushes v: in B when it fits, else from the Ints pool (A < 0).
+func (g *Gen) emitInt(v int64) {
+	if v == int64(int32(v)) {
+		g.emit(vm.Instr{Op: vm.PushInt, B: int32(v)})
+	} else {
+		g.emit(vm.Instr{Op: vm.PushInt, A: -1, B: g.wide(v)})
+	}
+}
+
 func (g *Gen) emitReal(f float64) {
-	g.emit(vm.Instr{Op: vm.PushReal, Imm: int64(math.Float64bits(f))})
+	g.emit(vm.Instr{Op: vm.PushReal, B: g.wide(int64(math.Float64bits(f)))})
 }
 
 func (g *Gen) emitStr(s string) {
@@ -105,10 +121,15 @@ func (g *Gen) emitStr(s string) {
 	g.emit(vm.Instr{Op: vm.PushStr, A: int32(len(g.pools.Strs) - 1)})
 }
 
+// emitIndex indexes an array of elems elements numbered from lo, each
+// size slots wide.
+func (g *Gen) emitIndex(lo, elems int64, size int32) {
+	g.emit(vm.Instr{Op: vm.Index, A: size, B: g.wide(lo, elems)})
+}
+
 // emitChkRange emits the lo..hi range check trapping at line.
 func (g *Gen) emitChkRange(lo, hi int64, line int32) {
-	g.pools.Ints = append(g.pools.Ints, hi)
-	g.emit(vm.Instr{Op: vm.ChkRange, Imm: lo, B: int32(len(g.pools.Ints) - 1), A: line})
+	g.emit(vm.Instr{Op: vm.ChkRange, A: line, B: g.wide(lo, hi)})
 }
 
 // extIdx appends an external procedure name to the segment's Exts pool
@@ -166,13 +187,13 @@ func (g *Gen) hops(symLevel int32) int32 { return g.meta.Level - symLevel }
 func (g *Gen) emitConst(v types.Const, pos token.Pos) *types.Type {
 	switch v.Kind {
 	case types.CInt:
-		g.emit(vm.Instr{Op: vm.PushInt, Imm: v.I})
+		g.emitInt(v.I)
 	case types.CReal:
 		g.emitReal(v.F)
 	case types.CString:
 		g.emitStr(v.S)
 	case types.CSet:
-		g.emit(vm.Instr{Op: vm.PushInt, Imm: int64(v.Set)})
+		g.emitInt(int64(v.Set))
 	case types.CNil:
 		g.emit(vm.Instr{Op: vm.PushNil})
 	default:

@@ -495,8 +495,8 @@ BEGIN
 
 // TestPooledOperands covers the operands that moved out of the
 // instruction record into the segment's constant pools (strings,
-// ChkRange's upper bound) or into Imm as bits (REAL literals), from
-// source text through both compilers to the machine.
+// ChkRange's bounds, REAL literals as bits), from source text through
+// both compilers to the machine.
 func TestPooledOperands(t *testing.T) {
 	runAll(t, []runCase{
 		{name: "subrange bounds beyond int32 accept in-range values", body: `

@@ -199,16 +199,16 @@ func (g *Gen) caseStmt(s *ast.CaseStmt) {
 			}
 			g.emit(vm.Instr{Op: vm.LdLoc, A: 0, B: sel})
 			if l.Hi == nil {
-				g.emit(vm.Instr{Op: vm.PushInt, Imm: lo})
+				g.emitInt(lo)
 				g.emit(vm.Instr{Op: vm.CmpI, A: vm.RelEq})
 				hits = append(hits, g.emit(vm.Instr{Op: vm.Jnz}))
 			} else {
 				// lo <= sel <= hi via two compares.
-				g.emit(vm.Instr{Op: vm.PushInt, Imm: lo})
+				g.emitInt(lo)
 				g.emit(vm.Instr{Op: vm.CmpI, A: vm.RelGe})
 				miss := g.emit(vm.Instr{Op: vm.Jz})
 				g.emit(vm.Instr{Op: vm.LdLoc, A: 0, B: sel})
-				g.emit(vm.Instr{Op: vm.PushInt, Imm: hi})
+				g.emitInt(hi)
 				g.emit(vm.Instr{Op: vm.CmpI, A: vm.RelLe})
 				hits = append(hits, g.emit(vm.Instr{Op: vm.Jnz}))
 				g.patch(miss)
@@ -293,7 +293,7 @@ func (g *Gen) forStmt(s *ast.ForStmt) {
 	done := g.emit(vm.Instr{Op: vm.Jz})
 	g.stmtList(s.Body)
 	load()
-	g.emit(vm.Instr{Op: vm.PushInt, Imm: step})
+	g.emitInt(step)
 	g.emit(vm.Instr{Op: vm.AddI})
 	store()
 	g.emit(vm.Instr{Op: vm.Jmp, A: top})
@@ -500,7 +500,7 @@ func (g *Gen) builtinProc(sym *symtab.Symbol, s *ast.CallStmt) {
 				g.errorf(pos, "%s step must be an integer, have %s", sym.Name, at)
 			}
 		} else {
-			g.emit(vm.Instr{Op: vm.PushInt, Imm: 1})
+			g.emitInt(1)
 		}
 		if sym.BID == symtab.BInc {
 			g.emit(vm.Instr{Op: vm.AddI})
@@ -643,7 +643,7 @@ func (g *Gen) emitWidth(s *ast.CallStmt, idx int) {
 		}
 		return
 	}
-	g.emit(vm.Instr{Op: vm.PushInt, Imm: 0})
+	g.emitInt(0)
 }
 
 // writeStringArg compiles WriteString/WriteText for a string literal,
@@ -666,7 +666,7 @@ func (g *Gen) writeStringArg(a ast.Expr) {
 			if !d.Base.IsChar() {
 				g.errorf(a.ExprPos(), "WriteString requires an ARRAY OF CHAR, have %s", p.t)
 			}
-			g.emit(vm.Instr{Op: vm.PushInt, Imm: int64(d.Slots())})
+			g.emitInt(int64(d.Slots()))
 			g.emit(vm.Instr{Op: vm.IOWriteStr})
 			return
 		case p.kind == pAddr || p.kind == pDirect:

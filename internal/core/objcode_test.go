@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -19,7 +20,11 @@ import (
 // string literals (one empty), external calls and an external procedure
 // value, subrange checks with a bound past int32, next to the operands
 // the stream cache relocates (local procedure values, globals, an
-// exception) and a REAL literal.
+// exception) and a REAL literal.  Wide holds the operands that do not
+// fit an instruction's two int32 fields: integer constants at the int32
+// boundaries and past them, a set constant using bit 63, REAL literals,
+// an array indexed from beyond int32 and a subrange with both bounds
+// wide.  The mode read from the input picks which of its traps fires.
 var pooledProgram = map[string]string{
 	"Lib.def": `
 DEFINITION MODULE Lib;
@@ -44,8 +49,10 @@ END Lib.
 	"Main.mod": `
 MODULE Main;
 IMPORT Lib;
-TYPE Fn = PROCEDURE (INTEGER): INTEGER;
-VAR total: INTEGER; wide: [0..5000000000];
+TYPE Fn = PROCEDURE (INTEGER): INTEGER; Bits = SET OF [0..63];
+CONST Top = Bits{63}; Ends = Bits{0, 63}; Above = 2147483648; Below = -2147483649;
+VAR total, mode: INTEGER; wide: [0..5000000000];
+  far: ARRAY [5000000000..5000000003] OF INTEGER; both: [-5000000000..5000000000];
 
 PROCEDURE Half(x: INTEGER): INTEGER;
 BEGIN
@@ -67,9 +74,31 @@ BEGIN
   RETURN total
 END Mix;
 
+PROCEDURE Wide;
+VAR l: LONGINT; i: INTEGER; s: Bits; r: REAL;
+BEGIN
+  i := MAX(INTEGER); WriteInt(i, 0); WriteString(" ");
+  i := MIN(INTEGER); WriteInt(i, 0); WriteString(" ");
+  l := Above; WriteInt(INTEGER(l - 1), 0); WriteString(" ");
+  l := Below; WriteInt(INTEGER(l + 1), 0); WriteString(" ");
+  l := 2147483648 * 4; WriteInt(INTEGER(l), 0); WriteString(" ");
+  l := -9223372036854775807; WriteInt(INTEGER(l), 0); WriteLn;
+  s := Top; IF (63 IN s) AND NOT (0 IN s) THEN WriteString("top ") END;
+  s := Ends - Top; IF s = Bits{0} THEN WriteString("ends") END; WriteLn;
+  r := 1.5E300; WriteReal(r, 0); WriteString(" "); WriteReal(-2.5E-300, 0); WriteLn;
+  far[5000000000] := 1; far[5000000003] := 4; l := 5000000002; far[l] := 3;
+  WriteInt(far[5000000000] + far[l] + far[5000000003], 0); WriteLn;
+  both := -5000000000; both := 5000000000; l := both; WriteInt(INTEGER(l), 0); WriteLn;
+  IF mode = 1 THEN l := 4999999999; far[l] := 9 END;
+  IF mode = 2 THEN l := 5000000004; WriteInt(far[l], 0) END;
+  IF mode = 3 THEN l := -5000000001; both := l END;
+  IF mode = 4 THEN l := 5000000001; both := l END
+END Wide;
+
 BEGIN
   total := 0;
-  WriteInt(Mix(3) + Mix(4), 0); WriteLn
+  WriteInt(Mix(3) + Mix(4), 0); WriteLn;
+  ReadInt(mode); Wide
 END Main.
 `,
 }
@@ -78,7 +107,8 @@ END Main.
 // replays segments whose operands live in all three constant pools.
 // The pools are shared with the cache, the code is copied only where a
 // registry index moved; listings must equal the cold and sequential
-// compiles, and the replayed program must still link and run.
+// compiles, and the replayed program must still link and run — in every
+// mode, to the same output and the same trap.
 func TestPooledSegmentsReplayByteIdentical(t *testing.T) {
 	loader := testLoader(pooledProgram)
 	mods := []string{"Main", "Lib"}
@@ -93,12 +123,27 @@ func TestPooledSegmentsReplayByteIdentical(t *testing.T) {
 		seqObjs = append(seqObjs, res.Object)
 	}
 	for _, frag := range []string{`PUSHS     "mix \""`, `PUSHS     ""`, "PUSHPROC  Lib.Twice", "PUSHPROC  Main.Half",
-		"CALLX     Lib.Note", "CHKRNG    1..10", "CHKRNG    0..5000000000", "PUSHF     0.001", "RAISE     Lib"} {
+		"CALLX     Lib.Note", "CHKRNG    1..10", "CHKRNG    0..5000000000", "PUSHF     0.001", "RAISE     Lib",
+		"PUSHI     2147483647\n", "PUSHI     -2147483648\n", "PUSHI     2147483648\n", "PUSHI     -2147483649\n",
+		"PUSHI     -9223372036854775808\n", "PUSHF     1.5E+300", "PUSHF     2.5E-300",
+		"INDEX     lo=5000000000 elems=4 size=1", "CHKRNG    -5000000000..5000000000"} {
 		if !strings.Contains(want["Main"], frag) {
 			t.Fatalf("fixture no longer emits %q:\n%s", frag, want["Main"])
 		}
 	}
-	wantOut := runObjects(t, seqObjs)
+	var wantOut [numModes]string
+	for mode := range wantOut {
+		wantOut[mode] = runObjects(t, seqObjs, mode)
+	}
+	const wideOut = "2147483647 -2147483648 2147483647 -2147483648 8589934592 -9223372036854775807\n" +
+		"top ends\n1.5E+300 -2.5E-300\n8\n5000000000\n"
+	for mode, trap := range []string{"", "array index 4999999999 out of bounds [5000000000..5000000003]",
+		"array index 5000000004 out of bounds [5000000000..5000000003]",
+		"value -5000000001 outside range -5000000000..5000000000", "value 5000000001 outside range -5000000000..5000000000"} {
+		if !strings.Contains(wantOut[mode], wideOut) || !strings.HasSuffix(wantOut[mode], "trap: "+trap) {
+			t.Fatalf("mode %d: sequential program printed %q, want %q then trap %q", mode, wantOut[mode], wideOut, trap)
+		}
+	}
 
 	for strat := symtab.Avoidance; strat < symtab.NumStrategies; strat++ {
 		for _, workers := range []int{1, 2, 8} {
@@ -119,8 +164,10 @@ func TestPooledSegmentsReplayByteIdentical(t *testing.T) {
 								}
 								objs = append(objs, res.Object)
 							}
-							if got := runObjects(t, objs); got != wantOut {
-								t.Fatalf("%s: program printed %q, want %q", name, got, wantOut)
+							for mode, want := range wantOut {
+								if got := runObjects(t, objs, mode); got != want {
+									t.Fatalf("%s mode %d: program printed %q, want %q", name, mode, got, want)
+								}
 							}
 						}
 					})
@@ -130,17 +177,28 @@ func TestPooledSegmentsReplayByteIdentical(t *testing.T) {
 	}
 }
 
-func runObjects(t *testing.T, objs []*vm.Object) string {
+// numModes is the number of inputs pooledProgram's Main distinguishes.
+const numModes = 5
+
+// runObjects links and runs Main with mode as its input, and returns
+// what it printed, then "trap: " and the runtime error's message (empty
+// when it ran to completion).
+func runObjects(t *testing.T, objs []*vm.Object, mode int) string {
 	t.Helper()
 	prog, err := vm.Link(objs, "Main")
 	if err != nil {
 		t.Fatalf("link: %v", err)
 	}
 	var out strings.Builder
-	if err := vm.NewMachine(prog, nil, &out).Run(); err != nil {
+	err = vm.NewMachine(prog, strings.NewReader(fmt.Sprint(mode)), &out).Run()
+	var rerr *vm.RuntimeError
+	if err != nil && !errors.As(err, &rerr) {
 		t.Fatalf("run: %v (output %q)", err, out.String())
 	}
-	return out.String()
+	if rerr != nil {
+		return out.String() + "trap: " + rerr.Msg
+	}
+	return out.String() + "trap: "
 }
 
 // TestOneWorkerSynthStartsFewGoroutines: Synth's 400 procedure streams

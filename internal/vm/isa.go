@@ -20,8 +20,8 @@ const (
 	Nop Op = iota
 
 	// Constants.
-	PushInt  // ( → i) Imm
-	PushReal // ( → r) Imm=math.Float64bits
+	PushInt  // ( → i) B, or A<0 and Ints[B] when the value does not fit int32
+	PushReal // ( → r) Ints[B]=math.Float64bits
 	PushStr  // ( → s) A=Strs index
 	PushNil  // ( → nil)
 	PushProc // ( → proc) A=local proc index, or A<0 and B=Exts index ("Module.Proc")
@@ -44,7 +44,7 @@ const (
 
 	// Address arithmetic.
 	AddOff  // (addr → addr+A)
-	Index   // (addr i → addr+(i-Imm)*A) bounds-checked against B elements
+	Index   // (addr i → addr+(i-lo)*A) lo=Ints[B], bounds-checked against Ints[B+1] elements
 	IndexOp // (addr len i → addr+i*A) open array, bounds-checked
 
 	// Integer arithmetic (also CHAR/enum/BOOLEAN ordinals).
@@ -92,7 +92,7 @@ const (
 	IntToReal // FLOAT
 	RealToInt // TRUNC
 	CapCh     // CAP
-	ChkRange  // (v → v) range check Imm..Ints[B], A=trap site line
+	ChkRange  // (v → v) range check Ints[B]..Ints[B+1], A=trap site line
 
 	// Control flow (targets are absolute PCs after linking; segment-
 	// relative before).
@@ -180,16 +180,16 @@ func (o Op) String() string {
 	return fmt.Sprintf("OP(%d)", uint8(o))
 }
 
-// Instr is one instruction: 24 bytes and pointer-free, so a code
+// Instr is one instruction: 12 bytes and pointer-free, so a code
 // segment is a single noscan allocation the collector never walks.
 // The operand fields used depend on the opcode; unused fields are
-// zero.  The few operands that do not fit — strings, external
-// procedure names, ChkRange's upper bound — live in the segment's
-// constant pools and are named here by index.
+// zero.  The operands that do not fit two int32 fields — strings,
+// external procedure names, REAL bits, array and subrange bounds, wide
+// integer constants — live in the segment's constant pools and are
+// named here by index.
 type Instr struct {
 	Op   Op
 	A, B int32
-	Imm  int64
 }
 
 // Segment is one procedure's object code: the instructions and the
@@ -201,5 +201,13 @@ type Segment struct {
 	Code []Instr
 	Strs []string // PushStr A
 	Exts []string // CallExt A, external PushProc B: "Module.Proc"
-	Ints []int64  // ChkRange B: upper bound
+	Ints []int64  // Ints[B]: wide PushInt, PushReal bits; Ints[B], Ints[B+1]: Index lo and elems, ChkRange lo and hi
+}
+
+// intOperand is PushInt's value: B, or the Ints entry B names when A < 0.
+func (s *Segment) intOperand(ins Instr) int64 {
+	if ins.A < 0 {
+		return s.Ints[ins.B]
+	}
+	return int64(ins.B)
 }

@@ -33,14 +33,14 @@ func TestListingEveryOpcode(t *testing.T) {
 	callee := &vm.ProcMeta{Name: "Outer.Inner", Segment: vm.Segment{Code: []vm.Instr{{Op: vm.RetP}}}}
 	seg := vm.Segment{
 		Strs: []string{"", "a \"quoted\"\nline\x00"},
-		Exts: []string{"Lib.Go", "Lib.Stop"},
-		Ints: []int64{255, math.MaxInt64},
+		Exts: []string{"Lib.Go", "Lib.Stop", "Lib.Halt"},
+		Ints: []int64{255, math.MinInt64, int64(math.Float64bits(-2.5e-300)), math.MaxInt64},
 	}
 	for op := 0; op < n+2; op++ { // two past the end: unknown opcodes
 		seg.Code = append(seg.Code,
 			vm.Instr{Op: vm.Op(op)},
-			vm.Instr{Op: vm.Op(op), A: 1, B: 1, Imm: math.MinInt64},
-			vm.Instr{Op: vm.Op(op), A: -1, B: 1, Imm: int64(math.Float64bits(-2.5e-300))})
+			vm.Instr{Op: vm.Op(op), A: 1, B: 1},
+			vm.Instr{Op: vm.Op(op), A: -1, B: 2})
 	}
 	o := handObject(seg, callee)
 	o.Areas = []*vm.Area{{Name: "M.mod", Slots: 3}, {Name: "M.def", Slots: 70000}}

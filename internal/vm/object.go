@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"unsafe"
 
 	"m2cc/internal/token"
 )
@@ -171,9 +172,10 @@ func (r *Registry) Object() *Object {
 // listings — the property the differential tests check.
 //
 // The listing is appended, not formatted: one pass over one buffer
-// pre-sized from the instruction count, no per-line allocation.  Its
-// bytes are a contract (golden hashes pin them); reflisting_test.go
-// holds the fmt-based renderer it must equal.
+// pre-sized from the instruction count, no per-line allocation, and the
+// buffer becomes the string without a copy (as strings.Builder.String
+// does).  Its bytes are a contract (golden hashes pin them);
+// reflisting_test.go holds the fmt-based renderer it must equal.
 func (o *Object) Listing() string {
 	procs := append([]*ProcMeta(nil), o.Procs...)
 	sort.Slice(procs, func(i, j int) bool {
@@ -215,7 +217,7 @@ func (o *Object) Listing() string {
 			b = append(b, '\n')
 		}
 	}
-	return string(b)
+	return unsafe.String(unsafe.SliceData(b), len(b)) // b is never written again
 }
 
 func sortedAreas(areas []*Area) []*Area {
@@ -247,9 +249,9 @@ func (o *Object) appendInstr(b []byte, p *ProcMeta, ins Instr) []byte {
 	b = append(append(b, name...), "          "[min(len(name), 9):]...)
 	switch ins.Op {
 	case PushInt:
-		return num(b, "", ins.Imm)
+		return num(b, "", p.intOperand(ins))
 	case PushReal:
-		return strconv.AppendFloat(b, math.Float64frombits(uint64(ins.Imm)), 'G', -1, 64)
+		return strconv.AppendFloat(b, math.Float64frombits(uint64(p.Ints[ins.B])), 'G', -1, 64)
 	case PushStr:
 		return strconv.AppendQuote(b, p.Strs[ins.A])
 	case PushProc:
@@ -272,11 +274,11 @@ func (o *Object) appendInstr(b []byte, p *ProcMeta, ins Instr) []byte {
 	case Jmp, Jz, Jnz, EnterTry:
 		return num(b, "->", int64(ins.A))
 	case Index:
-		return num(num(num(b, "lo=", ins.Imm), " elems=", int64(ins.B)), " size=", int64(ins.A))
+		return num(num(num(b, "lo=", p.Ints[ins.B]), " elems=", p.Ints[ins.B+1]), " size=", int64(ins.A))
 	case IndexOp:
 		return num(b, "size=", int64(ins.A))
 	case ChkRange:
-		return num(num(b, "", ins.Imm), "..", p.Ints[ins.B])
+		return num(num(b, "", p.Ints[ins.B]), "..", p.Ints[ins.B+1])
 	case CmpI, CmpF, CmpS, CmpA, SetCmp:
 		return num(b, "rel=", int64(ins.A))
 	case Copy, NewObj:
@@ -284,8 +286,9 @@ func (o *Object) appendInstr(b []byte, p *ProcMeta, ins Instr) []byte {
 	case MathOp:
 		return num(b, "fn=", int64(ins.A))
 	}
-	if ins.A != 0 || ins.B != 0 || ins.Imm != 0 {
-		return num(num(num(b, "a=", int64(ins.A)), " b=", int64(ins.B)), " imm=", ins.Imm)
+	if ins.A != 0 || ins.B != 0 {
+		// " imm=0": the listing format predates the pools.
+		return append(num(num(b, "a=", int64(ins.A)), " b=", int64(ins.B)), " imm=0"...)
 	}
 	return b[:bare]
 }

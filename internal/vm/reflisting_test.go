@@ -13,7 +13,7 @@ import (
 // became an append pass, kept test-only as the reference the fast
 // renderer must match byte for byte (listing_test.go).  One Fprintf and
 // one Sprintf per instruction; only the operand sources changed with
-// the 24-byte encoding (pools and Float64bits instead of S/F/Imm2).
+// the 12-byte encoding (wide operands from the Ints pool).
 func refListing(o *vm.Object) string {
 	procs := append([]*vm.ProcMeta(nil), o.Procs...)
 	sort.Slice(procs, func(i, j int) bool {
@@ -50,9 +50,13 @@ func refListing(o *vm.Object) string {
 func refFormat(o *vm.Object, p *vm.ProcMeta, ins vm.Instr) string {
 	switch ins.Op {
 	case vm.PushInt:
-		return fmt.Sprintf("%-9s %d", ins.Op, ins.Imm)
+		v := int64(ins.B)
+		if ins.A < 0 {
+			v = p.Ints[ins.B]
+		}
+		return fmt.Sprintf("%-9s %d", ins.Op, v)
 	case vm.PushReal:
-		return fmt.Sprintf("%-9s %G", ins.Op, math.Float64frombits(uint64(ins.Imm)))
+		return fmt.Sprintf("%-9s %G", ins.Op, math.Float64frombits(uint64(p.Ints[ins.B])))
 	case vm.PushStr:
 		return fmt.Sprintf("%-9s %q", ins.Op, p.Strs[ins.A])
 	case vm.PushProc:
@@ -75,11 +79,11 @@ func refFormat(o *vm.Object, p *vm.ProcMeta, ins vm.Instr) string {
 	case vm.Jmp, vm.Jz, vm.Jnz, vm.EnterTry:
 		return fmt.Sprintf("%-9s ->%d", ins.Op, ins.A)
 	case vm.Index:
-		return fmt.Sprintf("%-9s lo=%d elems=%d size=%d", ins.Op, ins.Imm, ins.B, ins.A)
+		return fmt.Sprintf("%-9s lo=%d elems=%d size=%d", ins.Op, p.Ints[ins.B], p.Ints[ins.B+1], ins.A)
 	case vm.IndexOp:
 		return fmt.Sprintf("%-9s size=%d", ins.Op, ins.A)
 	case vm.ChkRange:
-		return fmt.Sprintf("%-9s %d..%d", ins.Op, ins.Imm, p.Ints[ins.B])
+		return fmt.Sprintf("%-9s %d..%d", ins.Op, p.Ints[ins.B], p.Ints[ins.B+1])
 	case vm.CmpI, vm.CmpF, vm.CmpS, vm.CmpA, vm.SetCmp:
 		return fmt.Sprintf("%-9s rel=%d", ins.Op, ins.A)
 	case vm.Copy, vm.NewObj:
@@ -87,8 +91,8 @@ func refFormat(o *vm.Object, p *vm.ProcMeta, ins vm.Instr) string {
 	case vm.MathOp:
 		return fmt.Sprintf("%-9s fn=%d", ins.Op, ins.A)
 	default:
-		if ins.A != 0 || ins.B != 0 || ins.Imm != 0 {
-			return fmt.Sprintf("%-9s a=%d b=%d imm=%d", ins.Op, ins.A, ins.B, ins.Imm)
+		if ins.A != 0 || ins.B != 0 {
+			return fmt.Sprintf("%-9s a=%d b=%d imm=0", ins.Op, ins.A, ins.B)
 		}
 		return ins.Op.String()
 	}
