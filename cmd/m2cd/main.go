@@ -8,7 +8,8 @@
 //	POST /lint     same request; responds with static-analysis findings
 //	GET  /healthz  200 "ok" while serving, 200 "draining" during drain
 //	GET  /readyz   200 "ready" while admitting, 503 once draining
-//	GET  /metrics  JSON counters; ?format=prometheus for text exposition
+//	GET  /metrics  every metric family as JSON keyed by its Prometheus name;
+//	               ?format=prometheus for the text exposition 0.0.4
 //
 // Telemetry plane (PR 9): every admitted request gets a trace ID
 // (X-M2cd-Trace request header honored, response header always set);
@@ -19,7 +20,7 @@
 //	GET  /debug/trace          index of held traces
 //	GET  /debug/trace/{id}     Chrome/Perfetto trace-event JSON
 //	GET  /debug/trace/{id}/profile  critical-path + blame (?format=json)
-//	GET  /debug/vars           rolling windows + histograms, JSON
+//	GET  /debug/vars           rolling windows + trace-store state, JSON
 //	GET  /debug/live           ~1 Hz SSE feed (occupancy, shed, hit rates)
 //
 // -rate-limit/-rate-burst arm a per-client token bucket (429 +
@@ -251,12 +252,11 @@ func parseInject(spec string) (*faultinject.Plan, error) {
 	return plan, nil
 }
 
-// flushMetrics writes the final snapshot where the operator asked
-// (file or stderr); losing the last counters to a crash-free exit
-// would defeat the point of draining gracefully.
+// flushMetrics writes the metric registry's final JSON rendering where
+// the operator asked (file or stderr); losing the last counters to a
+// crash-free exit would defeat the point of draining gracefully.
 func flushMetrics(s *server, path string) {
-	snap := s.snapshot()
-	buf, err := json.MarshalIndent(snap, "", "  ")
+	buf, err := json.MarshalIndent(s.reg, "", "  ")
 	if err != nil {
 		log.Printf("m2cd: metrics: %v", err)
 		return

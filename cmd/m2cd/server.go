@@ -133,7 +133,7 @@ func (c *config) validate() error {
 }
 
 // server is the daemon's shared state: one interface cache, one
-// admission semaphore, one breaker registry, one metrics ledger.
+// admission semaphore, one breaker registry, one metric registry.
 type server struct {
 	cfg    config
 	cache  *m2cc.Cache
@@ -148,7 +148,17 @@ type server struct {
 	drainOne sync.Once
 
 	breakers breakerSet
-	met      metrics
+	ewmaMu   sync.Mutex // guards: ewmaMS
+	ewmaMS   float64    // exponentially weighted service time, the base of Retry-After
+
+	// reg lists every metric family, declared once in newServer; /metrics
+	// (JSON and Prometheus) and the drain-time flush render it.  These
+	// are its owned cells.
+	reg                                               obs.Registry
+	admitted, completed, shedQueueFull, rateLimited   atomic.Int64
+	rejectedDraining, deadlineCanceled, handlerPanics atomic.Int64
+	compileFaults, sequentialServed, breakerOpens     atomic.Int64
+	responses, lintFindings                           obs.LabeledCounter // by status code, by finding family
 
 	traces *obs.TraceStore // per-request trace plane (/debug/trace)
 	tel    *telemetry      // histograms + rolling windows
@@ -171,11 +181,50 @@ func newServer(cfg config) *server {
 	s.breakers.trips = cfg.breakerTrips
 	s.breakers.cooldown = cfg.breakerCooldown
 	s.breakers.m = make(map[string]*breakerState)
-	s.met.byStatus = make(map[int]int64)
-	s.met.lintFindings = make(map[string]int64)
 	s.traces = obs.NewTraceStore(cfg.traceMode, cfg.traceSample, cfg.traceKeep)
-	s.tel = newTelemetry()
 	s.limits = newLimiterSet(cfg.rateLimit, cfg.rateBurst)
+	s.tel = newTelemetry()
+	s.reg = obs.Registry{ // exposition order
+		obs.GaugeFunc("m2cd_uptime_seconds", "Seconds since the daemon started.", func() float64 { return time.Since(s.start).Seconds() }),
+		obs.GaugeFunc("m2cd_draining", "1 while the daemon is draining, else 0.", func() float64 {
+			if s.draining.Load() {
+				return 1
+			}
+			return 0
+		}),
+		obs.GaugeFunc("m2cd_waiting", "Requests admitted past the capacity check (queued or running).", func() float64 { return float64(s.waiting.Load()) }),
+		obs.GaugeFunc("m2cd_service_ewma_ms", "Exponentially weighted service time in milliseconds.", s.serviceEWMA),
+		obs.CounterOf("m2cd_admitted_total", "Requests that acquired an inflight slot.", &s.admitted),
+		obs.CounterOf("m2cd_completed_total", "Requests served to completion.", &s.completed),
+		obs.CounterOf("m2cd_shed_queue_full_total", "Requests shed with 429 because the admission queue was full.", &s.shedQueueFull),
+		obs.CounterOf("m2cd_rate_limited_total", "Requests shed with 429 by the per-client rate limiter.", &s.rateLimited),
+		obs.CounterOf("m2cd_rejected_draining_total", "Requests rejected because the daemon was draining.", &s.rejectedDraining),
+		obs.CounterOf("m2cd_deadline_canceled_total", "Requests canceled by their deadline.", &s.deadlineCanceled),
+		obs.CounterOf("m2cd_handler_panics_total", "Handler panics converted to 500s.", &s.handlerPanics),
+		obs.CounterOf("m2cd_compile_faults_total", "Concurrent compilations that faulted.", &s.compileFaults),
+		obs.CounterOf("m2cd_sequential_served_total", "Requests served by the sequential path.", &s.sequentialServed),
+		obs.CounterOf("m2cd_breaker_opens_total", "Per-client circuit breakers opened.", &s.breakerOpens),
+		obs.LabeledOf("m2cd_responses_total", "Responses by HTTP status code.", "code", &s.responses),
+		obs.LabeledOf("m2cd_lint_findings_total", "Lint findings reported, by finding-family code.", "family", &s.lintFindings),
+		obs.CounterFunc("m2cd_iface_cache_hits_total", "Interface-cache hits.", func() int64 { return s.cache.Stats().Hits }),
+		obs.CounterFunc("m2cd_iface_cache_misses_total", "Interface-cache misses (leader compilations).", func() int64 { return s.cache.Stats().Misses }),
+		obs.CounterFunc("m2cd_iface_cache_waits_total", "Interface-cache waits behind a leader.", func() int64 { return s.cache.Stats().Waits }),
+		obs.CounterFunc("m2cd_iface_cache_bypasses_total", "Interface-cache bypasses (uncacheable requests).", func() int64 { return s.cache.Stats().Bypasses }),
+		obs.CounterFunc("m2cd_iface_cache_abandoned_total", "Interface-cache waits abandoned at the stall timeout.", func() int64 { return s.cache.Stats().Abandoned }),
+		obs.CounterFunc("m2cd_iface_cache_evictions_total", "Interface-cache LRU evictions.", func() int64 { return s.cache.Stats().Evictions }),
+		obs.CounterFunc("m2cd_iface_cache_hashes_total", "Definition-module texts content-hashed for interface-cache keys.", func() int64 { return s.cache.Stats().Hashes }),
+		obs.CounterFunc("m2cd_stream_cache_hits_total", "Stream-cache hits.", func() int64 { return s.scache.Stats().Hits }),
+		obs.CounterFunc("m2cd_stream_cache_misses_total", "Stream-cache misses.", func() int64 { return s.scache.Stats().Misses }),
+		obs.CounterFunc("m2cd_stream_cache_evictions_total", "Stream-cache LRU evictions.", func() int64 { return s.scache.Stats().Evictions }),
+		obs.CounterFunc("m2cd_stream_cache_hashes_total", "Definition-module texts content-hashed for stream-cache closure hashes.", func() int64 { return s.scache.Stats().Hashes }),
+		obs.GaugeFunc("m2cd_stream_cache_entries", "Stream-cache resident entries.", func() float64 { return float64(s.scache.Stats().Entries) }),
+		obs.GaugeFunc("m2cd_traces_held", "Request traces held in the LRU ring.", func() float64 { return float64(s.traces.Held()) }),
+		obs.CounterFunc("m2cd_trace_admitted_total", "Requests through the trace store's sampling domain.", func() int64 { return int64(s.traces.Admitted()) }),
+		obs.HistogramOf("m2cd_request_duration_ms", "Request service time in milliseconds.", s.tel.latency),
+		obs.HistogramOf("m2cd_queue_depth", "Queued requests observed at admission.", s.tel.depth),
+		obs.HistogramOf("m2cd_worker_occupancy", "Held inflight slots observed at admission.", s.tel.occupancy),
+		obs.HistogramOf("m2cd_stream_hit_ratio", "Per-request stream-cache hit ratio.", s.tel.hitRatio),
+	}
 	return s
 }
 
@@ -270,12 +319,16 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
+// handleMetrics renders the metric registry as JSON, or as Prometheus
+// text under ?format=prometheus; the scrape itself is counted after.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "prometheus" {
-		s.writePrometheus(w)
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		s.reg.WritePrometheus(w)
+		s.countStatus(http.StatusOK)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, s.snapshot())
+	s.writeJSON(w, http.StatusOK, s.reg)
 }
 
 // recoverPanic converts a handler panic (including an armed
@@ -286,9 +339,7 @@ func (s *server) recoverPanic(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if rec := recover(); rec != nil {
-				s.met.mu.Lock()
-				s.met.handlerPanics++
-				s.met.mu.Unlock()
+				s.handlerPanics.Add(1)
 				s.writeError(w, http.StatusInternalServerError,
 					fmt.Sprintf("internal: handler panic: %v", rec), 0)
 			}
@@ -382,9 +433,7 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request, lint bool
 
 	// ---- admission ----
 	if s.draining.Load() {
-		s.met.mu.Lock()
-		s.met.rejectedDraining++
-		s.met.mu.Unlock()
+		s.rejectedDraining.Add(1)
 		s.writeError(w, http.StatusServiceUnavailable, "draining", 0)
 		return
 	}
@@ -392,9 +441,7 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request, lint bool
 	// over its budget is shed without consuming queue capacity, with a
 	// Retry-After saying when its next token refills.
 	if ok, retry := s.limits.allow(client, time.Now()); !ok {
-		s.met.mu.Lock()
-		s.met.rateLimited++
-		s.met.mu.Unlock()
+		s.rateLimited.Add(1)
 		s.writeError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("rate limited: client %q over %g req/s", client, s.cfg.rateLimit), retry)
 		return
@@ -402,9 +449,7 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request, lint bool
 	if n := s.waiting.Add(1); n > int64(s.cfg.maxInflight+s.cfg.queueDepth) {
 		s.waiting.Add(-1)
 		retry := s.retryAfter()
-		s.met.mu.Lock()
-		s.met.shedQueueFull++
-		s.met.mu.Unlock()
+		s.shedQueueFull.Add(1)
 		s.writeError(w, http.StatusTooManyRequests, "overloaded: admission queue full", retry)
 		return
 	}
@@ -412,22 +457,16 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request, lint bool
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
-		s.met.mu.Lock()
-		s.met.deadlineCanceled++
-		s.met.mu.Unlock()
+		s.deadlineCanceled.Add(1)
 		s.writeError(w, http.StatusServiceUnavailable, "deadline exceeded while queued", s.retryAfter())
 		return
 	case <-s.drainCh:
-		s.met.mu.Lock()
-		s.met.rejectedDraining++
-		s.met.mu.Unlock()
+		s.rejectedDraining.Add(1)
 		s.writeError(w, http.StatusServiceUnavailable, "draining", 0)
 		return
 	}
 	defer func() { <-s.sem }()
-	s.met.mu.Lock()
-	s.met.admitted++
-	s.met.mu.Unlock()
+	s.admitted.Add(1)
 
 	// Telemetry at the admission edge: every admitted request gets a
 	// trace ID (client-chosen via X-M2cd-Trace or generated); sampling
@@ -493,22 +532,16 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request, lint bool
 	s.observeService(time.Since(began))
 
 	if res.Canceled {
-		s.met.mu.Lock()
-		s.met.deadlineCanceled++
-		s.met.mu.Unlock()
+		s.deadlineCanceled.Add(1)
 		s.writeError(w, http.StatusServiceUnavailable, "deadline exceeded", s.retryAfter())
 		return
 	}
-	s.met.mu.Lock()
-	s.met.completed++
+	s.completed.Add(1)
 	if res.Faulted {
-		s.met.compileFaults++
+		s.compileFaults.Add(1)
 	}
-	s.met.mu.Unlock()
 	if s.breakers.record(client, res.Faulted, time.Now()) {
-		s.met.mu.Lock()
-		s.met.breakerOpens++
-		s.met.mu.Unlock()
+		s.breakerOpens.Add(1)
 	}
 
 	resp := compileResponse{
@@ -558,10 +591,8 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request, lint bool
 // sequential compiler: slower, no concurrency to fault, byte-identical
 // listing and diagnostics.
 func (s *server) serveSequential(w http.ResponseWriter, req compileRequest, loader m2cc.Loader, lint bool) {
-	s.met.mu.Lock()
-	s.met.sequentialServed++
-	s.met.completed++
-	s.met.mu.Unlock()
+	s.sequentialServed.Add(1)
+	s.completed.Add(1)
 	sres := m2cc.CompileSequentialCached(req.Module, loader, s.cache)
 	resp := compileResponse{
 		Module: req.Module,
@@ -592,12 +623,13 @@ func (s *server) serveSequential(w http.ResponseWriter, req compileRequest, load
 // writeJSON marshals v fully before touching the ResponseWriter, so a
 // response is either complete or absent — never truncated JSON.
 func (s *server) writeJSON(w http.ResponseWriter, status int, v any) {
-	s.countStatus(status)
 	buf, err := json.Marshal(v)
 	if err != nil {
+		s.countStatus(http.StatusInternalServerError)
 		http.Error(w, "internal: encode response", http.StatusInternalServerError)
 		return
 	}
+	s.countStatus(status)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(buf)+1))
 	w.WriteHeader(status)
@@ -622,23 +654,6 @@ func (s *server) writeError(w http.ResponseWriter, status int, msg string, retry
 
 // ---- metrics ----
 
-type metrics struct {
-	mu               sync.Mutex // guards: every field below
-	admitted         int64
-	completed        int64
-	shedQueueFull    int64
-	rejectedDraining int64
-	deadlineCanceled int64
-	handlerPanics    int64
-	compileFaults    int64
-	sequentialServed int64
-	breakerOpens     int64
-	rateLimited      int64
-	byStatus         map[int]int64
-	lintFindings     map[string]int64 // finding-family code -> total reported
-	ewmaMS           float64          // exponentially weighted service time
-}
-
 // countFindings folds one lint report into the per-family counters and
 // returns the X-M2cd-Findings header value: sorted family=count pairs
 // (e.g. "conc-guard=2,uninit=1"), empty when the report is clean.  Like
@@ -656,13 +671,9 @@ func (s *server) countFindings(findings []m2cc.Finding) string {
 		}
 		perFamily[code]++
 	}
-	s.met.mu.Lock()
-	for code, n := range perFamily {
-		s.met.lintFindings[code] += n
-	}
-	s.met.mu.Unlock()
 	codes := make([]string, 0, len(perFamily))
-	for code := range perFamily {
+	for code, n := range perFamily {
+		s.lintFindings.Add(code, n)
 		codes = append(codes, code)
 	}
 	sort.Strings(codes)
@@ -677,31 +688,33 @@ func (s *server) countFindings(findings []m2cc.Finding) string {
 }
 
 func (s *server) countStatus(code int) {
-	s.met.mu.Lock()
-	s.met.byStatus[code]++
-	s.met.mu.Unlock()
+	s.responses.Add(strconv.Itoa(code), 1)
 }
 
 // observeService folds one completed request's service time into the
 // EWMA that Retry-After estimates are derived from.
 func (s *server) observeService(d time.Duration) {
 	ms := float64(d) / float64(time.Millisecond)
-	s.met.mu.Lock()
-	if s.met.ewmaMS == 0 {
-		s.met.ewmaMS = ms
+	s.ewmaMu.Lock()
+	if s.ewmaMS == 0 {
+		s.ewmaMS = ms
 	} else {
 		const alpha = 0.2
-		s.met.ewmaMS = alpha*ms + (1-alpha)*s.met.ewmaMS
+		s.ewmaMS = alpha*ms + (1-alpha)*s.ewmaMS
 	}
-	s.met.mu.Unlock()
+	s.ewmaMu.Unlock()
+}
+
+func (s *server) serviceEWMA() float64 {
+	s.ewmaMu.Lock()
+	defer s.ewmaMu.Unlock()
+	return s.ewmaMS
 }
 
 // retryAfter estimates when a shed client should retry: the observed
 // service time scaled by how many service turns the backlog represents.
 func (s *server) retryAfter() time.Duration {
-	s.met.mu.Lock()
-	ewma := s.met.ewmaMS
-	s.met.mu.Unlock()
+	ewma := s.serviceEWMA()
 	if ewma <= 0 {
 		ewma = 250 // no completions yet; a deliberate guess
 	}
@@ -711,69 +724,6 @@ func (s *server) retryAfter() time.Duration {
 		d = 50 * time.Millisecond
 	}
 	return d
-}
-
-// metricsSnapshot is the /metrics response and the drain-time flush.
-type metricsSnapshot struct {
-	UptimeMS         int64                 `json:"uptime_ms"`
-	Draining         bool                  `json:"draining"`
-	Waiting          int64                 `json:"waiting"`
-	Admitted         int64                 `json:"admitted"`
-	Completed        int64                 `json:"completed"`
-	ShedQueueFull    int64                 `json:"shed_queue_full"`
-	RejectedDraining int64                 `json:"rejected_draining"`
-	DeadlineCanceled int64                 `json:"deadline_canceled"`
-	HandlerPanics    int64                 `json:"handler_panics"`
-	CompileFaults    int64                 `json:"compile_faults"`
-	SequentialServed int64                 `json:"sequential_served"`
-	BreakerOpens     int64                 `json:"breaker_opens"`
-	RateLimited      int64                 `json:"rate_limited"`
-	ByStatus         map[string]int64      `json:"by_status"`
-	LintFindings     map[string]int64      `json:"lint_findings"`
-	ServiceEWMAMS    float64               `json:"service_ewma_ms"`
-	RetryAfterMS     int64                 `json:"retry_after_ms"`
-	Cache            m2cc.CacheStats       `json:"cache"`
-	StreamCache      m2cc.StreamCacheStats `json:"streamcache"`
-	TraceMode        string                `json:"trace_mode"`
-	TracesHeld       int                   `json:"traces_held"`
-	TraceAdmitted    uint64                `json:"trace_admitted"`
-}
-
-func (s *server) snapshot() metricsSnapshot {
-	retry := s.retryAfter()
-	s.met.mu.Lock()
-	snap := metricsSnapshot{
-		UptimeMS:         time.Since(s.start).Milliseconds(),
-		Draining:         s.draining.Load(),
-		Waiting:          s.waiting.Load(),
-		Admitted:         s.met.admitted,
-		Completed:        s.met.completed,
-		ShedQueueFull:    s.met.shedQueueFull,
-		RejectedDraining: s.met.rejectedDraining,
-		DeadlineCanceled: s.met.deadlineCanceled,
-		HandlerPanics:    s.met.handlerPanics,
-		CompileFaults:    s.met.compileFaults,
-		SequentialServed: s.met.sequentialServed,
-		BreakerOpens:     s.met.breakerOpens,
-		RateLimited:      s.met.rateLimited,
-		ByStatus:         make(map[string]int64, len(s.met.byStatus)),
-		LintFindings:     make(map[string]int64, len(s.met.lintFindings)),
-		ServiceEWMAMS:    s.met.ewmaMS,
-		RetryAfterMS:     retry.Milliseconds(),
-	}
-	for code, n := range s.met.byStatus {
-		snap.ByStatus[strconv.Itoa(code)] = n
-	}
-	for family, n := range s.met.lintFindings {
-		snap.LintFindings[family] = n
-	}
-	s.met.mu.Unlock()
-	snap.Cache = s.cache.Stats()
-	snap.StreamCache = s.scache.Stats()
-	snap.TraceMode = s.traces.Mode().String()
-	snap.TracesHeld = s.traces.Held()
-	snap.TraceAdmitted = s.traces.Admitted()
-	return snap
 }
 
 // ---- per-client circuit breaker ----

@@ -132,9 +132,13 @@ func TestCompileEndToEnd(t *testing.T) {
 	if hits := resp2.Header.Get("X-M2cd-Stream-Hits"); hits == "" || hits == "0" {
 		t.Fatalf("warm request reported no stream-cache hits (X-M2cd-Stream-Hits=%q)", hits)
 	}
-	snap := s.snapshot()
-	if snap.StreamCache.Hits == 0 || snap.StreamCache.Entries == 0 {
-		t.Fatalf("warm stream-cache traffic missing from /metrics: %+v", snap.StreamCache)
+	var met struct {
+		Hits    int64   `json:"m2cd_stream_cache_hits_total"`
+		Entries float64 `json:"m2cd_stream_cache_entries"`
+	}
+	scrape(t, ts, &met)
+	if met.Hits == 0 || met.Entries == 0 {
+		t.Fatalf("warm stream-cache traffic missing from /metrics: %+v", met)
 	}
 }
 
@@ -162,7 +166,7 @@ func TestLintEndpoint(t *testing.T) {
 
 // TestLintFindingsTelemetry: a findings-bearing lint request reports
 // per-family counts in the X-M2cd-Findings header and accumulates them
-// into the lint_findings snapshot and the Prometheus counter.
+// into the m2cd_lint_findings_total family of both renderings.
 func TestLintFindingsTelemetry(t *testing.T) {
 	s := newServer(testConfig())
 	ts := httptest.NewServer(s.handler())
@@ -186,13 +190,12 @@ func TestLintFindingsTelemetry(t *testing.T) {
 		t.Fatalf("X-M2cd-Findings = %q, want %q", got, wantHdr)
 	}
 
-	_, metBody := get(t, ts, "/metrics")
-	var snap metricsSnapshot
-	if err := json.Unmarshal(metBody, &snap); err != nil {
-		t.Fatalf("metrics JSON: %v", err)
+	var met struct {
+		LintFindings map[string]int64 `json:"m2cd_lint_findings_total"`
 	}
-	if snap.LintFindings["conc-guard"] != 2 || snap.LintFindings["conc-deadlock"] != 1 || snap.LintFindings["conc-double-lock"] != 1 {
-		t.Fatalf("lint_findings = %v", snap.LintFindings)
+	scrape(t, ts, &met)
+	if met.LintFindings["conc-guard"] != 2 || met.LintFindings["conc-deadlock"] != 1 || met.LintFindings["conc-double-lock"] != 1 {
+		t.Fatalf("m2cd_lint_findings_total = %v", met.LintFindings)
 	}
 
 	_, prom := get(t, ts, "/metrics?format=prometheus")
@@ -318,8 +321,8 @@ func TestShedQueueFull(t *testing.T) {
 		t.Fatalf("malformed shed body: %s", body)
 	}
 	<-done
-	if snap := s.snapshot(); snap.ShedQueueFull != 1 {
-		t.Fatalf("shed_queue_full = %d, want 1", snap.ShedQueueFull)
+	if n := s.shedQueueFull.Load(); n != 1 {
+		t.Fatalf("m2cd_shed_queue_full_total = %d, want 1", n)
 	}
 }
 
@@ -343,8 +346,8 @@ func TestDeadlineExceeded(t *testing.T) {
 	if elapsed := time.Since(began); elapsed > 800*time.Millisecond {
 		t.Fatalf("deadline response took %v; the injected delay was not cut short", elapsed)
 	}
-	if snap := s.snapshot(); snap.DeadlineCanceled != 1 {
-		t.Fatalf("deadline_canceled = %d, want 1", snap.DeadlineCanceled)
+	if n := s.deadlineCanceled.Load(); n != 1 {
+		t.Fatalf("m2cd_deadline_canceled_total = %d, want 1", n)
 	}
 	// The daemon is unharmed: the same request without a deadline
 	// completes cleanly.
@@ -380,8 +383,8 @@ func TestPanicHandlerRecovery(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-panic status %d, want 200 (admission slot leaked?)", resp.StatusCode)
 	}
-	if snap := s.snapshot(); snap.HandlerPanics != 1 {
-		t.Fatalf("handler_panics = %d, want 1", snap.HandlerPanics)
+	if n := s.handlerPanics.Load(); n != 1 {
+		t.Fatalf("m2cd_handler_panics_total = %d, want 1", n)
 	}
 }
 
@@ -421,8 +424,9 @@ func TestBreakerRoutesSequential(t *testing.T) {
 	if got := resp.Header.Get("X-M2cd-Path"); got != "concurrent" {
 		t.Fatalf("other client's path = %q, want concurrent", got)
 	}
-	if snap := s.snapshot(); snap.BreakerOpens != 1 || snap.SequentialServed != 1 {
-		t.Fatalf("breaker counters: opens=%d seq=%d, want 1/1", snap.BreakerOpens, snap.SequentialServed)
+	// The one armed PanicLookup faulted exactly one compilation.
+	if opens, seq, faults := s.breakerOpens.Load(), s.sequentialServed.Load(), s.compileFaults.Load(); opens != 1 || seq != 1 || faults != 1 {
+		t.Fatalf("breaker counters: opens=%d seq=%d faults=%d, want 1/1/1", opens, seq, faults)
 	}
 }
 
@@ -486,8 +490,8 @@ func TestDrainFlow(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("compile during drain: status %d, want 503: %s", resp.StatusCode, body)
 	}
-	if snap := s.snapshot(); !snap.Draining || snap.RejectedDraining != 1 {
-		t.Fatalf("drain counters: draining=%v rejected=%d", snap.Draining, snap.RejectedDraining)
+	if !s.draining.Load() || s.rejectedDraining.Load() != 1 {
+		t.Fatalf("drain counters: draining=%v rejected=%d", s.draining.Load(), s.rejectedDraining.Load())
 	}
 }
 
@@ -617,10 +621,9 @@ func TestChaosUnderLoad(t *testing.T) {
 		t.Fatal("chaos run served zero successful responses; the drill proved nothing")
 	}
 
-	// The final snapshot is well-formed and internally consistent.
-	snap := s.snapshot()
-	if snap.HandlerPanics != 1 {
-		t.Fatalf("handler_panics = %d, want exactly the one injected", snap.HandlerPanics)
+	// The final counters are internally consistent.
+	if n := s.handlerPanics.Load(); n != 1 {
+		t.Fatalf("m2cd_handler_panics_total = %d, want exactly the one injected", n)
 	}
 }
 

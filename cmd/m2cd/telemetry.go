@@ -1,7 +1,6 @@
-// m2cd's telemetry plane: rolling histograms and windows over the
-// serving path, per-request traces behind /debug/trace, Prometheus
-// text exposition behind /metrics?format=prometheus, a live SSE feed,
-// and structured JSON request logs.
+// m2cd's telemetry plane: histograms (metric-registry families) and
+// rolling windows over the serving path, per-request traces behind
+// /debug/trace, a live SSE feed, and structured JSON request logs.
 //
 // The instrumented middleware is the single choke point: it wraps
 // /compile and /lint, stamps every response's latency into the
@@ -17,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
@@ -26,8 +24,8 @@ import (
 )
 
 // telemetry aggregates the serving path's request-scoped measurements:
-// process-lifetime histograms (Prometheus exposition) and one-minute
-// rolling windows (/debug/vars, the SSE feed).
+// process-lifetime histograms (metric-registry families) and
+// one-minute rolling windows (/debug/vars, the SSE feed).
 type telemetry struct {
 	latency   *obs.Histogram // service time of every /compile and /lint response, ms
 	depth     *obs.Histogram // queued requests observed at each admission
@@ -195,18 +193,22 @@ func (s *server) logRequest(r *http.Request, rec *statusRecorder, status int, se
 
 // ---- /debug/trace ----
 
+// traceVars is the trace store's state, on /debug/trace and /debug/vars.
+type traceVars struct {
+	Mode     string `json:"mode"`
+	Held     int    `json:"held"`
+	Admitted uint64 `json:"admitted"`
+}
+
+func (s *server) traceVars() traceVars {
+	return traceVars{s.traces.Mode().String(), s.traces.Held(), s.traces.Admitted()}
+}
+
 func (s *server) handleTraceIndex(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, struct {
-		Mode     string             `json:"mode"`
-		Held     int                `json:"held"`
-		Admitted uint64             `json:"admitted"`
-		Traces   []obs.TraceSummary `json:"traces"`
-	}{
-		Mode:     s.traces.Mode().String(),
-		Held:     s.traces.Held(),
-		Admitted: s.traces.Admitted(),
-		Traces:   s.traces.Summaries(),
-	})
+		traceVars
+		Traces []obs.TraceSummary `json:"traces"`
+	}{s.traceVars(), s.traces.Summaries()})
 }
 
 // handleTraceGet serves one trace as Chrome/Perfetto trace-event JSON
@@ -248,35 +250,19 @@ func (s *server) handleTraceProfile(w http.ResponseWriter, r *http.Request) {
 
 // ---- /debug/vars ----
 
+// handleVars serves what only /debug/vars has: the rolling windows and
+// the trace store's state.  Counters and histograms are on /metrics.
 func (s *server) handleVars(w http.ResponseWriter, r *http.Request) {
-	type traceVars struct {
-		Mode     string `json:"mode"`
-		Held     int    `json:"held"`
-		Admitted uint64 `json:"admitted"`
-	}
 	s.writeJSON(w, http.StatusOK, struct {
-		UptimeMS   int64                            `json:"uptime_ms"`
-		Trace      traceVars                        `json:"trace"`
-		Windows    map[string]obs.RollingSnapshot   `json:"windows"`
-		Histograms map[string]obs.HistogramSnapshot `json:"histograms"`
+		Trace   traceVars                      `json:"trace"`
+		Windows map[string]obs.RollingSnapshot `json:"windows"`
 	}{
-		UptimeMS: time.Since(s.start).Milliseconds(),
-		Trace: traceVars{
-			Mode:     s.traces.Mode().String(),
-			Held:     s.traces.Held(),
-			Admitted: s.traces.Admitted(),
-		},
+		Trace: s.traceVars(),
 		Windows: map[string]obs.RollingSnapshot{
 			"latency_ms":       s.tel.winLatency.Snapshot(),
 			"inflight":         s.tel.winInflight.Snapshot(),
 			"shed":             s.tel.winShed.Snapshot(),
 			"stream_hit_ratio": s.tel.winHits.Snapshot(),
-		},
-		Histograms: map[string]obs.HistogramSnapshot{
-			"latency_ms":       s.tel.latency.Snapshot(),
-			"queue_depth":      s.tel.depth.Snapshot(),
-			"occupancy":        s.tel.occupancy.Snapshot(),
-			"stream_hit_ratio": s.tel.hitRatio.Snapshot(),
 		},
 	})
 }
@@ -364,106 +350,4 @@ func (s *server) handleLive(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// ---- Prometheus exposition ----
-
-// writePrometheus renders the metrics snapshot in the Prometheus text
-// format (version 0.0.4): counters and gauges from the JSON snapshot,
-// plus the telemetry histograms with cumulative le-buckets.
-func (s *server) writePrometheus(w http.ResponseWriter) {
-	snap := s.snapshot()
-	s.countStatus(http.StatusOK)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-
-	promGauge(w, "m2cd_uptime_seconds", "Seconds since the daemon started.", float64(snap.UptimeMS)/1000)
-	promGauge(w, "m2cd_draining", "1 while the daemon is draining, else 0.", boolToFloat(snap.Draining))
-	promGauge(w, "m2cd_waiting", "Requests admitted past the capacity check (queued or running).", float64(snap.Waiting))
-	promGauge(w, "m2cd_service_ewma_ms", "Exponentially weighted service time in milliseconds.", snap.ServiceEWMAMS)
-
-	promCounter(w, "m2cd_admitted_total", "Requests that acquired an inflight slot.", snap.Admitted)
-	promCounter(w, "m2cd_completed_total", "Requests served to completion.", snap.Completed)
-	promCounter(w, "m2cd_shed_queue_full_total", "Requests shed with 429 because the admission queue was full.", snap.ShedQueueFull)
-	promCounter(w, "m2cd_rate_limited_total", "Requests shed with 429 by the per-client rate limiter.", snap.RateLimited)
-	promCounter(w, "m2cd_rejected_draining_total", "Requests rejected because the daemon was draining.", snap.RejectedDraining)
-	promCounter(w, "m2cd_deadline_canceled_total", "Requests canceled by their deadline.", snap.DeadlineCanceled)
-	promCounter(w, "m2cd_handler_panics_total", "Handler panics converted to 500s.", snap.HandlerPanics)
-	promCounter(w, "m2cd_compile_faults_total", "Concurrent compilations that faulted.", snap.CompileFaults)
-	promCounter(w, "m2cd_sequential_served_total", "Requests served by the sequential path.", snap.SequentialServed)
-	promCounter(w, "m2cd_breaker_opens_total", "Per-client circuit breakers opened.", snap.BreakerOpens)
-
-	// Response codes, sorted for a deterministic exposition (the golden
-	// test and any text diff depend on stable order).
-	fmt.Fprint(w, "# HELP m2cd_responses_total Responses by HTTP status code.\n# TYPE m2cd_responses_total counter\n")
-	codes := make([]string, 0, len(snap.ByStatus))
-	for code := range snap.ByStatus {
-		codes = append(codes, code)
-	}
-	sort.Strings(codes)
-	for _, code := range codes {
-		fmt.Fprintf(w, "m2cd_responses_total{code=%q} %d\n", code, snap.ByStatus[code])
-	}
-
-	// Lint findings by family code, same discipline as the response
-	// codes: HELP/TYPE are unconditional so the family list is stable,
-	// label values are sorted for a deterministic exposition.
-	fmt.Fprint(w, "# HELP m2cd_lint_findings_total Lint findings reported, by finding-family code.\n# TYPE m2cd_lint_findings_total counter\n")
-	families := make([]string, 0, len(snap.LintFindings))
-	for f := range snap.LintFindings {
-		families = append(families, f)
-	}
-	sort.Strings(families)
-	for _, f := range families {
-		fmt.Fprintf(w, "m2cd_lint_findings_total{family=%q} %d\n", f, snap.LintFindings[f])
-	}
-
-	promCounter(w, "m2cd_iface_cache_hits_total", "Interface-cache hits.", snap.Cache.Hits)
-	promCounter(w, "m2cd_iface_cache_misses_total", "Interface-cache misses (leader compilations).", snap.Cache.Misses)
-	promCounter(w, "m2cd_iface_cache_waits_total", "Interface-cache waits behind a leader.", snap.Cache.Waits)
-	promCounter(w, "m2cd_iface_cache_evictions_total", "Interface-cache LRU evictions.", snap.Cache.Evictions)
-	promCounter(w, "m2cd_iface_cache_hashes_total", "Definition-module texts content-hashed for interface-cache keys.", snap.Cache.Hashes)
-	promCounter(w, "m2cd_stream_cache_hits_total", "Stream-cache hits.", snap.StreamCache.Hits)
-	promCounter(w, "m2cd_stream_cache_misses_total", "Stream-cache misses.", snap.StreamCache.Misses)
-	promCounter(w, "m2cd_stream_cache_evictions_total", "Stream-cache LRU evictions.", snap.StreamCache.Evictions)
-	promGauge(w, "m2cd_stream_cache_entries", "Stream-cache resident entries.", float64(snap.StreamCache.Entries))
-
-	promGauge(w, "m2cd_traces_held", "Request traces held in the LRU ring.", float64(snap.TracesHeld))
-	promCounter(w, "m2cd_trace_admitted_total", "Requests through the trace store's sampling domain.", int64(snap.TraceAdmitted))
-
-	promHistogram(w, "m2cd_request_duration_ms", "Request service time in milliseconds.", s.tel.latency.Snapshot())
-	promHistogram(w, "m2cd_queue_depth", "Queued requests observed at admission.", s.tel.depth.Snapshot())
-	promHistogram(w, "m2cd_worker_occupancy", "Held inflight slots observed at admission.", s.tel.occupancy.Snapshot())
-	promHistogram(w, "m2cd_stream_hit_ratio", "Per-request stream-cache hit ratio.", s.tel.hitRatio.Snapshot())
-}
-
-func boolToFloat(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func promFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-func promCounter(w io.Writer, name, help string, v int64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-}
-
-func promGauge(w io.Writer, name, help string, v float64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", name, help, name, name, promFloat(v))
-}
-
-// promHistogram writes one histogram family.  Bucket values are the
-// snapshot's cumulative counts, so monotonicity and le="+Inf" == count
-// hold by construction — the serve smoke test scrapes and checks both.
-func promHistogram(w io.Writer, name, help string, s obs.HistogramSnapshot) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	for i, b := range s.Bounds {
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, promFloat(b), s.Cumulative[i])
-	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, s.Count)
-	fmt.Fprintf(w, "%s_sum %s\n", name, promFloat(s.Sum))
-	fmt.Fprintf(w, "%s_count %d\n", name, s.Count)
 }

@@ -398,11 +398,14 @@ func TestPrometheusExposition(t *testing.T) {
 		"m2cd_iface_cache_hits_total counter",
 		"m2cd_iface_cache_misses_total counter",
 		"m2cd_iface_cache_waits_total counter",
+		"m2cd_iface_cache_bypasses_total counter",
+		"m2cd_iface_cache_abandoned_total counter",
 		"m2cd_iface_cache_evictions_total counter",
 		"m2cd_iface_cache_hashes_total counter",
 		"m2cd_stream_cache_hits_total counter",
 		"m2cd_stream_cache_misses_total counter",
 		"m2cd_stream_cache_evictions_total counter",
+		"m2cd_stream_cache_hashes_total counter",
 		"m2cd_stream_cache_entries gauge",
 		"m2cd_traces_held gauge",
 		"m2cd_trace_admitted_total counter",
@@ -475,7 +478,8 @@ func checkHistogram(t *testing.T, text, name string) {
 	}
 }
 
-// TestDebugVars spot-checks the rolling-window endpoint after traffic.
+// TestDebugVars spot-checks the rolling-window endpoint after traffic,
+// and the same request in the latency histogram on /metrics.
 func TestDebugVars(t *testing.T) {
 	cfg := testConfig()
 	cfg.traceMode = obs.TraceAll
@@ -495,8 +499,7 @@ func TestDebugVars(t *testing.T) {
 			Mode     string `json:"mode"`
 			Admitted uint64 `json:"admitted"`
 		} `json:"trace"`
-		Windows    map[string]obs.RollingSnapshot   `json:"windows"`
-		Histograms map[string]obs.HistogramSnapshot `json:"histograms"`
+		Windows map[string]obs.RollingSnapshot `json:"windows"`
 	}
 	if err := json.Unmarshal(body, &vars); err != nil {
 		t.Fatalf("vars JSON: %v\n%s", err, body)
@@ -504,15 +507,69 @@ func TestDebugVars(t *testing.T) {
 	if vars.Trace.Mode != "all" || vars.Trace.Admitted != 1 {
 		t.Fatalf("trace vars wrong: %+v", vars.Trace)
 	}
-	if vars.Histograms["latency_ms"].Count != 1 {
-		t.Fatalf("latency histogram count = %d, want 1", vars.Histograms["latency_ms"].Count)
-	}
 	var n int64
 	for _, p := range vars.Windows["latency_ms"].Points {
 		n += p.Count
 	}
 	if n != 1 {
 		t.Fatalf("latency window holds %d points, want 1", n)
+	}
+	var met struct {
+		Latency obs.HistogramSnapshot `json:"m2cd_request_duration_ms"`
+	}
+	scrape(t, ts, &met)
+	if met.Latency.Count != 1 {
+		t.Fatalf("latency histogram count = %d, want 1", met.Latency.Count)
+	}
+}
+
+// scrape decodes the /metrics JSON rendering into v.
+func scrape(t *testing.T, ts *httptest.Server, v any) {
+	t.Helper()
+	_, body := get(t, ts, "/metrics")
+	if err := json.Unmarshal(body, v); err != nil {
+		t.Fatalf("metrics JSON: %v\n%s", err, body)
+	}
+}
+
+// TestEveryFamilyRendered walks the daemon's registry: each declared
+// family appears exactly once in the Prometheus text (as its TYPE
+// line) and once as a key of the /metrics JSON, and neither rendering
+// has a family the registry does not declare.
+func TestEveryFamilyRendered(t *testing.T) {
+	s := newServer(testConfig())
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+	post(t, ts, "/compile", compileRequest{Module: "Demo", Sources: exampleSources(t), Client: "walk"})
+
+	_, prom := get(t, ts, "/metrics?format=prometheus")
+	_, body := get(t, ts, "/metrics")
+	keys := map[string]int{}
+	dec := json.NewDecoder(strings.NewReader(string(body)))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("metrics JSON is not an object: %v %v", tok, err)
+	}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatalf("metrics JSON: %v", err)
+		}
+		keys[tok.(string)]++
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatalf("metrics JSON value of %v: %v", tok, err)
+		}
+	}
+	for _, f := range s.reg {
+		if n := strings.Count(string(prom), "\n# TYPE "+f.Name+" "+f.Kind+"\n"); n != 1 {
+			t.Errorf("%s: %d TYPE lines in the exposition, want 1", f.Name, n)
+		}
+		if keys[f.Name] != 1 {
+			t.Errorf("%s: %d keys in the JSON, want 1", f.Name, keys[f.Name])
+		}
+	}
+	if n := strings.Count(string(prom), "# TYPE "); n != len(s.reg) || len(keys) != len(s.reg) {
+		t.Fatalf("renderings hold %d TYPE lines and %d JSON keys, registry declares %d families", n, len(keys), len(s.reg))
 	}
 }
 
@@ -601,9 +658,8 @@ func TestRateLimit(t *testing.T) {
 		t.Fatalf("other client: status %d: %s", resp.StatusCode, body)
 	}
 
-	snap := s.snapshot()
-	if snap.RateLimited != 1 {
-		t.Fatalf("rate_limited = %d, want 1", snap.RateLimited)
+	if n := s.rateLimited.Load(); n != 1 {
+		t.Fatalf("m2cd_rate_limited_total = %d, want 1", n)
 	}
 }
 

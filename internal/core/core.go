@@ -207,11 +207,10 @@ type driver struct {
 	// below lives under d.mu.
 	scache     *streamcache.Cache
 	keyer      *streamcache.Keyer
-	verdictEv  *event.Event      // fired by the CacheProbe task; gates every ProcParse and the body StmtCG
-	scacheBase streamcache.Stats // shared-cache counters at compilation start (eviction delta)
+	verdictEv  *event.Event // fired by the CacheProbe task; gates every ProcParse and the body StmtCG
+	scacheBase int64        // shared-cache evictions at compilation start
 
 	mu         sync.Mutex             // guards: every driver field below, mutated from task goroutines
-	cacheSeen  obs.CacheCounters      // this compilation's own Acquire outcomes
 	ifaces     map[string]*ifaceEntry // the once-only table (§3)
 	procs      map[int32]*procStream
 	nstream    int32
@@ -324,7 +323,7 @@ func Compile(module string, loader source.Loader, opts Options) *Result {
 		d.verdicts = make(map[int32]*streamcache.Entry)
 		d.procKeys = make(map[int32]streamcache.Key)
 		d.covered = make(map[int32]bool)
-		d.scacheBase = d.scache.Stats()
+		d.scacheBase = d.scache.Stats().Evictions
 	}
 	if opts.Check {
 		d.check = check.NewChecker(d.inject)
@@ -390,26 +389,11 @@ func Compile(module string, loader source.Loader, opts Options) *Result {
 	d.recordStreams()
 
 	if d.obs != nil {
-		if d.cache != nil {
-			// This driver's own Acquire outcomes — not a delta of the
-			// shared cache's counters, which concurrent batch siblings
-			// would pollute.
-			d.mu.Lock()
-			cc := d.cacheSeen
-			d.mu.Unlock()
-			d.obs.NoteCache(cc)
-		}
 		if d.scache != nil {
 			d.mu.Lock()
 			ta := d.tally
 			d.mu.Unlock()
-			delta := d.scache.Stats().Sub(d.scacheBase)
-			d.obs.NoteStreams(obs.StreamCounters{
-				Probed: int64(ta.Probed), Hits: int64(ta.Hits),
-				Misses: int64(ta.Misses), Installed: int64(ta.Installed),
-				Covered: int64(ta.Covered), Recorded: int64(ta.Recorded),
-				Evictions: delta.Evictions,
-			})
+			d.obs.NoteStreams(ta, d.scache.Stats().Evictions-d.scacheBase)
 		}
 		d.obs.NoteSched(d.sup.Counters())
 		d.obs.NoteLookups(stats)
@@ -1101,12 +1085,15 @@ func (d *driver) iface(name string, optional bool, t *sched.Task) *ifaceEntry {
 	d.resolving[name] = resolved
 	d.mu.Unlock()
 
+	// Each Acquire outcome goes to the observer as this compilation's
+	// own — not a delta of the shared cache's counters, which concurrent
+	// batch siblings would pollute.
 	var e *ifaceEntry
 	for e == nil {
 		ent, ev, st := d.cache.Acquire(name, d.loader)
 		switch st {
 		case ifacecache.Wait:
-			d.cacheTally(&d.cacheSeen.Waits)
+			d.obs.NoteCache(ifacecache.Stats{Waits: 1})
 			if d.extWait(t, ev) {
 				continue // re-acquire: the leader published or failed
 			}
@@ -1114,12 +1101,11 @@ func (d *driver) iface(name string, optional bool, t *sched.Task) *ifaceEntry {
 			// cache entry and compile the interface ourselves — the same
 			// degradation the cache applies to a failed leader, except
 			// this session does not wait for the verdict.
-			d.cacheTally(&d.cacheSeen.Abandoned)
 			d.cache.NoteAbandoned()
 			d.obs.StallAbandoned(obsTaskID(t))
 			e = d.startIface(name, optional, nil)
 		case ifacecache.Hit:
-			d.cacheTally(&d.cacheSeen.Hits)
+			d.obs.NoteCache(ifacecache.Stats{Hits: 1})
 			e = d.installCached(name, optional, ent)
 			if e == nil {
 				// A closure member conflicts with a scope this session
@@ -1128,10 +1114,10 @@ func (d *driver) iface(name string, optional bool, t *sched.Task) *ifaceEntry {
 				e = d.startIface(name, optional, nil)
 			}
 		case ifacecache.Lead:
-			d.cacheTally(&d.cacheSeen.Misses)
+			d.obs.NoteCache(ifacecache.Stats{Misses: 1})
 			e = d.startIface(name, optional, ent)
 		default: // Bypass
-			d.cacheTally(&d.cacheSeen.Bypasses)
+			d.obs.NoteCache(ifacecache.Stats{Bypasses: 1})
 			e = d.startIface(name, optional, nil)
 		}
 	}
@@ -1144,18 +1130,6 @@ func (d *driver) iface(name string, optional bool, t *sched.Task) *ifaceEntry {
 	d.obs.EventFired(0, resolved)
 	resolved.Fire() // vet:allowfire driver-owned fire; EventFired above is the trace record
 	return e
-}
-
-// cacheTally bumps one counter of d.cacheSeen (field address is stable;
-// the increment itself needs d.mu).  Skipped entirely when no observer
-// is attached — the counters exist only for the metrics snapshot.
-func (d *driver) cacheTally(counter *int64) {
-	if d.obs == nil {
-		return
-	}
-	d.mu.Lock()
-	*counter++
-	d.mu.Unlock()
 }
 
 // obsTaskID maps a possibly-nil task (nil = the prefetch running on the

@@ -292,15 +292,16 @@ func (e *Entry) depDone() {
 	}
 }
 
-// Stats is a snapshot of the cache's counters.
+// Stats is a snapshot of the cache's counters, or a compilation's own
+// Acquire outcomes (Hits to Bypasses; the rest stay zero, omitted).
 type Stats struct {
-	Hits      int64 // Acquire found a ready entry
-	Misses    int64 // Acquire became leader (first compile of this content)
-	Waits     int64 // Acquire parked behind another compilation's leader
-	Bypasses  int64 // uncacheable requests (load failure / import cycle)
-	Abandoned int64 // waiters that timed out on a wedged leader (NoteAbandoned)
-	Evictions int64 // entries dropped by the LRU cap (SetLimit)
-	Hashes    int64 // .def texts content-hashed on this cache's behalf
+	Hits      int64 `json:"hits"`                // Acquire found a ready entry
+	Misses    int64 `json:"misses"`              // Acquire became leader (first compile of this content)
+	Waits     int64 `json:"waits"`               // Acquire parked behind another compilation's leader
+	Bypasses  int64 `json:"bypasses"`            // uncacheable requests (load failure / import cycle)
+	Abandoned int64 `json:"abandoned,omitempty"` // waiters that timed out on a wedged leader (NoteAbandoned)
+	Evictions int64 `json:"evictions,omitempty"` // entries dropped by the LRU cap (SetLimit)
+	Hashes    int64 `json:"hashes,omitempty"`    // .def texts content-hashed on this cache's behalf
 }
 
 // Sub returns s - prev, the cache traffic between two snapshots; the
@@ -316,6 +317,12 @@ func (s Stats) Sub(prev Stats) Stats {
 		Evictions: s.Evictions - prev.Evictions,
 		Hashes:    s.Hashes - prev.Hashes,
 	}
+}
+
+// Add returns s + other: s − (0 − other), so the field list lives in
+// Sub alone.
+func (s Stats) Add(other Stats) Stats {
+	return s.Sub(Stats{}.Sub(other))
 }
 
 // Cache is a concurrency-safe interface-compilation cache shared by

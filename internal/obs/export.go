@@ -8,6 +8,8 @@ import (
 	"strings"
 	"time"
 
+	"m2cc/internal/ifacecache"
+	"m2cc/internal/streamcache"
 	"m2cc/internal/symtab"
 )
 
@@ -46,12 +48,13 @@ type Metrics struct {
 	EventFires int64 `json:"event_fires"`
 	EventWaits int64 `json:"event_waits"`
 
-	// Cache is the interface-cache traffic, when a cache was attached.
-	Cache *CacheCounters `json:"ifacecache,omitempty"`
+	// Cache is the compilations' own interface-cache Acquire outcomes,
+	// when there were any (a cache was attached).
+	Cache *ifacecache.Stats `json:"ifacecache,omitempty"`
 
 	// Streams is the stream-cache (incremental recompilation) traffic,
-	// when a stream cache was attached.
-	Streams *StreamCounters `json:"streamcache,omitempty"`
+	// when there was any (a stream cache was attached).
+	Streams *StreamMetrics `json:"streamcache,omitempty"`
 
 	// Sched is the Supervisor's dispatch traffic — which queue each
 	// dispatched task came from (the worker's own local queue, a steal,
@@ -62,6 +65,13 @@ type Metrics struct {
 	// Lookups are the per-strategy DKY tallies (Table 2's collector,
 	// re-used at runtime), when lookup stats were recorded.
 	Lookups *LookupMetrics `json:"lookups,omitempty"`
+}
+
+// StreamMetrics is the stream-cache section of the snapshot: the
+// compilations' own tallies plus the shared store's eviction delta.
+type StreamMetrics struct {
+	streamcache.Tally
+	Evictions int64 `json:"evictions"` // store entries dropped by the LRU cap (delta)
 }
 
 // LookupMetrics serializes symtab.Stats for the metrics snapshot.
@@ -99,7 +109,7 @@ func (o *Observer) Snapshot() Metrics {
 	if o == nil {
 		return Metrics{}
 	}
-	spans, tasks, _, wall := o.snapshotSpans()
+	spans, tasks, marks, wall := o.snapshotSpans()
 
 	o.mu.Lock()
 	m := Metrics{
@@ -107,8 +117,6 @@ func (o *Observer) Snapshot() Metrics {
 		Workers:           o.workers,
 		Tasks:             len(tasks),
 		Spans:             len(spans),
-		Panics:            o.panics,
-		WatchdogFires:     o.watchdogs,
 		SlotOccupancyPeak: o.peakBusy,
 		ReadyDepthPeak:    o.readyPeak,
 		EventFires:        o.evDelta.Fires,
@@ -126,11 +134,11 @@ func (o *Observer) Snapshot() Metrics {
 	if o.readySamples > 0 {
 		m.ReadyDepthMean = float64(o.readySum) / float64(o.readySamples)
 	}
-	if o.hasCache {
+	if o.cache != (ifacecache.Stats{}) {
 		c := o.cache
 		m.Cache = &c
 	}
-	if o.hasStream {
+	if o.streams != (StreamMetrics{}) {
 		sc := o.streams
 		m.Streams = &sc
 	}
@@ -153,8 +161,13 @@ func (o *Observer) Snapshot() Metrics {
 		m.BlocksExternal += int64(t.Blocks[BlockExternal])
 		m.BlocksBarrier += int64(t.Blocks[BlockBarrier])
 	}
-	for _, mk := range o.marksSnapshot() {
-		if mk.Kind == MarkStallAbandon {
+	for _, mk := range marks {
+		switch mk.Kind {
+		case MarkPanic:
+			m.Panics++
+		case MarkWatchdog:
+			m.WatchdogFires++
+		case MarkStallAbandon:
 			m.StallAbandons++
 		}
 	}
@@ -187,14 +200,6 @@ func (o *Observer) Snapshot() Metrics {
 		m.Lookups = lm
 	}
 	return m
-}
-
-func (o *Observer) marksSnapshot() []Mark {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make([]Mark, len(o.marks))
-	copy(out, o.marks)
-	return out
 }
 
 // WriteMetrics writes the metrics snapshot as indented JSON.

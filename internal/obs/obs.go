@@ -39,6 +39,8 @@ import (
 
 	"m2cc/internal/ctrace"
 	"m2cc/internal/event"
+	"m2cc/internal/ifacecache"
+	"m2cc/internal/streamcache"
 	"m2cc/internal/symtab"
 )
 
@@ -201,9 +203,7 @@ type Observer struct {
 	readySum     int64
 	readyPeak    int
 
-	marks     []Mark
-	panics    int
-	watchdogs int
+	marks []Mark // panics, watchdog fires and stall abandons, each counted once here
 
 	// Dependency edges: event identities (dense 1-based IDs handed out
 	// on first sight), first-fire edges and per-task wait windows.
@@ -213,15 +213,13 @@ type Observer struct {
 	waits    []WaitEdge
 	openWait map[int]int // task ID → index of its open wait in waits
 
-	evBase    event.Counters
-	evDelta   event.Counters
-	cache     CacheCounters
-	streams   StreamCounters
-	sched     SchedCounters
-	hasCache  bool
-	hasStream bool
-	strategy  string
-	lookups   *symtab.Stats
+	evBase   event.Counters
+	evDelta  event.Counters
+	cache    ifacecache.Stats
+	streams  StreamMetrics
+	sched    SchedCounters
+	strategy string
+	lookups  *symtab.Stats
 }
 
 // SchedCounters is the Supervisor's ready-queue traffic for the
@@ -252,29 +250,6 @@ func (c *SchedCounters) Add(other SchedCounters) {
 	c.OverflowPops += other.OverflowPops
 	c.Handoffs += other.Handoffs
 	c.Goroutines += other.Goroutines
-}
-
-// CacheCounters is the interface-cache traffic attributed to the
-// observed compilation (a delta of ifacecache.Stats).
-type CacheCounters struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Waits     int64 `json:"waits"` // single-flight waits behind a foreign leader
-	Bypasses  int64 `json:"bypasses"`
-	Abandoned int64 `json:"abandoned"` // stall-timeout abandonments of wedged leaders
-}
-
-// StreamCounters is the stream-cache (incremental recompilation)
-// traffic attributed to the observed compilation: per-stream probe
-// outcomes plus the shared store's eviction count.
-type StreamCounters struct {
-	Probed    int64 `json:"probed"`    // streams whose key was looked up
-	Hits      int64 `json:"hits"`      // probes that found a cached entry
-	Misses    int64 `json:"misses"`    // probes that found nothing
-	Installed int64 `json:"installed"` // hit entries installed (topmost hits + body)
-	Covered   int64 `json:"covered"`   // streams skipped under an ancestor's installed entry
-	Recorded  int64 `json:"recorded"`  // fresh streams published back to the store
-	Evictions int64 `json:"evictions"` // store entries dropped by the LRU cap (delta)
 }
 
 // New returns an Observer with its epoch set to now.
@@ -574,7 +549,6 @@ func (o *Observer) TaskPanicked(id int) {
 	if t := o.taskLocked(id); t != nil {
 		t.Panicked = true
 	}
-	o.panics++
 	o.marks = append(o.marks, Mark{Kind: MarkPanic, Task: id, Lane: lane, At: now})
 }
 
@@ -585,7 +559,6 @@ func (o *Observer) WatchdogFired() {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.watchdogs++
 	o.marks = append(o.marks, Mark{Kind: MarkWatchdog, Lane: -1, At: o.now()})
 }
 
@@ -614,38 +587,27 @@ func (o *Observer) ReadySample(depth int) {
 	o.mu.Unlock()
 }
 
-// NoteCache attributes interface-cache traffic (a stats delta) to the
-// observed run.  Deltas from several modules of a batch accumulate.
-func (o *Observer) NoteCache(c CacheCounters) {
+// NoteCache attributes a compilation's own interface-cache Acquire
+// outcomes to the observed run; they accumulate across the batch.
+func (o *Observer) NoteCache(c ifacecache.Stats) {
 	if o == nil {
 		return
 	}
 	o.mu.Lock()
-	o.hasCache = true
-	o.cache.Hits += c.Hits
-	o.cache.Misses += c.Misses
-	o.cache.Waits += c.Waits
-	o.cache.Bypasses += c.Bypasses
-	o.cache.Abandoned += c.Abandoned
+	o.cache = o.cache.Add(c)
 	o.mu.Unlock()
 }
 
-// NoteStreams attributes stream-cache (incremental recompilation)
-// traffic to the observed run.  Deltas from several modules of a batch
-// accumulate.
-func (o *Observer) NoteStreams(c StreamCounters) {
+// NoteStreams attributes a compilation's stream-cache tally, and the
+// shared store's evictions during it, to the observed run; they
+// accumulate across the batch.
+func (o *Observer) NoteStreams(t streamcache.Tally, evictions int64) {
 	if o == nil {
 		return
 	}
 	o.mu.Lock()
-	o.hasStream = true
-	o.streams.Probed += c.Probed
-	o.streams.Hits += c.Hits
-	o.streams.Misses += c.Misses
-	o.streams.Installed += c.Installed
-	o.streams.Covered += c.Covered
-	o.streams.Recorded += c.Recorded
-	o.streams.Evictions += c.Evictions
+	o.streams.Tally = o.streams.Tally.Add(t)
+	o.streams.Evictions += evictions
 	o.mu.Unlock()
 }
 

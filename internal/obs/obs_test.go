@@ -9,6 +9,7 @@ import (
 	"m2cc/internal/core"
 	"m2cc/internal/ctrace"
 	"m2cc/internal/faultinject"
+	"m2cc/internal/ifacecache"
 	"m2cc/internal/obs"
 	"m2cc/internal/source"
 )
@@ -109,7 +110,7 @@ func TestNilObserverSafe(t *testing.T) {
 	o.WatchdogFired()
 	o.StallAbandoned(1)
 	o.ReadySample(3)
-	o.NoteCache(obs.CacheCounters{Hits: 1})
+	o.NoteCache(ifacecache.Stats{Hits: 1})
 	o.NoteLookups(nil)
 	o.Finish()
 	if m := o.Snapshot(); m.Tasks != 0 || m.Spans != 0 {

@@ -108,26 +108,27 @@ type Stats struct {
 	Entries   int   // current entry count
 }
 
-// Sub returns s - prev (traffic between two snapshots); Entries is
-// carried from s unchanged, being a level rather than a counter.
-func (s Stats) Sub(prev Stats) Stats {
-	return Stats{
-		Hits:      s.Hits - prev.Hits,
-		Misses:    s.Misses - prev.Misses,
-		Evictions: s.Evictions - prev.Evictions,
-		Hashes:    s.Hashes - prev.Hashes,
-		Entries:   s.Entries,
-	}
-}
-
 // Tally is one compilation's stream-cache traffic (Result.StreamCache).
 type Tally struct {
-	Probed    int // streams whose key was looked up
-	Hits      int // probes that found an entry
-	Misses    int // probes that found nothing
-	Installed int // hit entries actually installed (topmost hits + body)
-	Covered   int // streams skipped because an ancestor's entry covered them
-	Recorded  int // fresh streams published back to the cache
+	Probed    int `json:"probed"`    // streams whose key was looked up
+	Hits      int `json:"hits"`      // probes that found an entry
+	Misses    int `json:"misses"`    // probes that found nothing
+	Installed int `json:"installed"` // hit entries actually installed (topmost hits + body)
+	Covered   int `json:"covered"`   // streams skipped because an ancestor's entry covered them
+	Recorded  int `json:"recorded"`  // fresh streams published back to the cache
+}
+
+// Add returns t + other, accumulating the traffic of several
+// compilations.
+func (t Tally) Add(other Tally) Tally {
+	return Tally{
+		Probed:    t.Probed + other.Probed,
+		Hits:      t.Hits + other.Hits,
+		Misses:    t.Misses + other.Misses,
+		Installed: t.Installed + other.Installed,
+		Covered:   t.Covered + other.Covered,
+		Recorded:  t.Recorded + other.Recorded,
+	}
 }
 
 // Cache is a concurrency-safe stream-compilation cache shared by any

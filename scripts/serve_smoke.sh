@@ -19,7 +19,8 @@
 #   5. Send SIGTERM mid-load and verify the graceful drain: healthz
 #      flips to "draining", readyz flips to 503 while the listener is
 #      still up (the -drain-grace window), in-flight work finishes,
-#      the final metrics snapshot is written, and the daemon exits 0.
+#      the final metrics snapshot is written (every family of the step 4
+#      scrape among its keys), and the daemon exits 0.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -172,14 +173,22 @@ DPID=""
 wait "$LPID" 2>/dev/null || true
 
 [ -s "$TMP/metrics.json" ] || fail "final metrics snapshot missing"
-python3 - "$TMP/metrics.json" <<'EOF' || fail "final metrics snapshot invalid"
-import json, sys
+python3 - "$TMP/metrics.json" "$TMP/prom.txt" <<'EOF' || fail "final metrics snapshot invalid"
+import json, re, sys
 m = json.load(open(sys.argv[1]))
-assert m["draining"] is True, "snapshot not marked draining"
-assert m["admitted"] > 0, "no requests admitted"
-for k in ("completed", "shed_queue_full", "deadline_canceled",
-          "handler_panics", "by_status", "cache"):
-    assert k in m, f"missing field {k!r}"
+assert m["m2cd_draining"] == 1, "snapshot not marked draining"
+assert m["m2cd_admitted_total"] > 0, "no requests admitted"
+for k in ("m2cd_completed_total", "m2cd_shed_queue_full_total",
+          "m2cd_deadline_canceled_total", "m2cd_handler_panics_total",
+          "m2cd_responses_total", "m2cd_iface_cache_hits_total",
+          "m2cd_iface_cache_misses_total", "m2cd_iface_cache_waits_total"):
+    assert k in m, f"missing family {k!r}"
+# One metrics path: every family the step 4 scrape exposed is a key of
+# the drain-time JSON rendering of the same registry.
+prom = re.findall(r'^# TYPE (\S+) ', open(sys.argv[2]).read(), re.M)
+assert prom, "no families in the prometheus scrape"
+missing = [f for f in prom if f not in m]
+assert not missing, f"families missing from the final snapshot: {missing}"
 EOF
 
 echo "serve-smoke: ok ($(python3 -c 'import json, sys; r = json.load(open(sys.argv[1])); print("%d ok / %d shed / p99 %.0fms" % (r["ok"], r["shed"], r["latency_ms"]["p99"]))' "$TMP/serve.json"))"
