@@ -99,11 +99,13 @@ bench-frontend:
 # Object-code layer microbenchmarks: a sequential compile of one fixed
 # generated program (B/op, allocs/op, retained code bytes), the listing
 # renderer against the fmt reference it replaced (MB/s), the machine
-# running Synth and an array-indexing suite program (Minstr/s), and the
-# stream cache's relocating copy.  One iteration each, as bench-frontend.
+# running Synth and an array-indexing suite program (Minstr/s), the
+# stream cache's relocating copy, and a warm repeated m2cd /compile
+# through the handler (B/op, allocs/op: the listing escaped into the
+# pooled response).  One iteration each, as bench-frontend.
 bench-objcode:
-	$(GO) test -run='^$$' -bench='^(BenchmarkCodegenCompile|BenchmarkListing|BenchmarkExecute|BenchmarkApplyFixups)$$' -benchtime=1x \
-		./internal/codegen ./internal/vm ./internal/streamcache
+	$(GO) test -run='^$$' -bench='^(BenchmarkCodegenCompile|BenchmarkListing|BenchmarkExecute|BenchmarkApplyFixups|BenchmarkServeRepeat)$$' -benchtime=1x \
+		./internal/codegen ./internal/vm ./internal/streamcache ./cmd/m2cd
 
 # The benchmark is a module of its own that imports internal packages
 # (token, source, impscan, ...), so an internal-API change can break it

@@ -33,6 +33,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -43,10 +44,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"m2cc"
+	"m2cc/internal/check"
 	"m2cc/internal/faultinject"
 	"m2cc/internal/obs"
+	"m2cc/internal/pool"
 )
 
 // config carries the daemon's tunables; main fills it from flags.
@@ -280,17 +284,21 @@ type compileRequest struct {
 	Client     string    `json:"client,omitempty"`
 }
 
-// compileResponse is deliberately a pure function of the request:
-// listing, diagnostics, and findings are byte-identical however the
-// request was served (concurrent, sequential-breaker, fallback).
-// Schedule-dependent metadata travels in X-M2cd-* headers instead.
-type compileResponse struct {
-	Module   string          `json:"module"`
-	OK       bool            `json:"ok"`
-	Listing  string          `json:"listing,omitempty"`
-	Diags    string          `json:"diags,omitempty"`
-	Findings json.RawMessage `json:"findings,omitempty"`
-	Trace    json.RawMessage `json:"trace,omitempty"`
+// maxBody caps a request body; a larger one is answered 413.
+const maxBody = 8 << 20
+
+// compileReply is deliberately a pure function of the request: listing,
+// diagnostics, and findings are byte-identical however the request was
+// served (concurrent, sequential-breaker, fallback).  Schedule-dependent
+// metadata travels in X-M2cd-* headers instead.
+type compileReply struct {
+	module   string
+	ok       bool
+	object   *m2cc.Object // its listing is sent when ok and not lint
+	diags    string
+	lint     bool
+	findings []m2cc.Finding
+	trace    []byte // inline Chrome trace, when the client asked for one
 }
 
 type errorResponse struct {
@@ -323,9 +331,9 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // text under ?format=prometheus; the scrape itself is counted after.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.reg.WritePrometheus(w)
-		s.countStatus(http.StatusOK)
+		buf := bytes.NewBuffer(respBufs.Get()[:0])
+		s.reg.WritePrometheus(buf)
+		s.send(w, http.StatusOK, "text/plain; version=0.0.4; charset=utf-8", buf.Bytes(), nil)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, s.reg)
@@ -353,10 +361,21 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request, lint bool
 		s.writeError(w, http.StatusMethodNotAllowed, "POST required", 0)
 		return
 	}
+	// The pooled body goes back at once: json.Unmarshal copies every string
+	// out of it, so no source text, nor a cache's substring of one, aliases it.
 	var req compileRequest
-	body := http.MaxBytesReader(w, r.Body, 8<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request: "+err.Error(), 0)
+	body := bytes.NewBuffer(bodyBufs.Get()[:0])
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
+	if err == nil {
+		err = json.Unmarshal(body.Bytes(), &req)
+	}
+	bodyBufs.Put(body.Bytes())
+	if err != nil {
+		status, tooBig := http.StatusBadRequest, (*http.MaxBytesError)(nil)
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.writeError(w, status, "bad request: "+err.Error(), 0)
 		return
 	}
 	if req.Module == "" || len(req.Sources) == 0 {
@@ -380,7 +399,6 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request, lint bool
 	}
 	strategy := s.cfg.strategy
 	if req.Strategy != "" {
-		var err error
 		if strategy, err = m2cc.ParseStrategy(req.Strategy); err != nil {
 			s.writeError(w, http.StatusBadRequest, "bad request: "+err.Error(), 0)
 			return
@@ -544,32 +562,14 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request, lint bool
 		s.breakerOpens.Add(1)
 	}
 
-	resp := compileResponse{
-		Module: req.Module,
-		OK:     !res.Failed(),
-		Diags:  res.Diags.String(),
-	}
-	if res.Object != nil && !res.Failed() && !lint {
-		resp.Listing = res.Object.Listing()
-	}
-	if lint {
-		var buf bytes.Buffer
-		if err := m2cc.WriteFindingsJSON(&buf, res.Findings); err != nil {
-			s.writeError(w, http.StatusInternalServerError, "internal: encode findings: "+err.Error(), 0)
-			return
-		}
-		resp.Findings = json.RawMessage(bytes.TrimSpace(buf.Bytes()))
-		if hdr := s.countFindings(res.Findings); hdr != "" {
-			w.Header().Set("X-M2cd-Findings", hdr)
-		}
-	}
+	reply := compileReply{module: req.Module, ok: !res.Failed(), object: res.Object, diags: res.Diags.String(), lint: lint, findings: res.Findings}
 	// The inline trace is gated on the *client's* request alone — a
 	// server-side sampling decision must never change the body, or two
 	// identical requests would stop being byte-identical.
 	if req.Trace && observer != nil {
 		var buf bytes.Buffer
 		if err := observer.WriteChromeTrace(&buf); err == nil {
-			resp.Trace = json.RawMessage(buf.Bytes())
+			reply.trace = buf.Bytes()
 		}
 	}
 	w.Header().Set("X-M2cd-Path", "concurrent")
@@ -584,7 +584,7 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request, lint bool
 	if res.FellBack {
 		w.Header().Set("X-M2cd-Fellback", "1")
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeCompile(w, &reply)
 }
 
 // serveSequential answers a breaker-tripped client through the
@@ -594,47 +594,111 @@ func (s *server) serveSequential(w http.ResponseWriter, req compileRequest, load
 	s.sequentialServed.Add(1)
 	s.completed.Add(1)
 	sres := m2cc.CompileSequentialCached(req.Module, loader, s.cache)
-	resp := compileResponse{
-		Module: req.Module,
-		OK:     !sres.Failed(),
-		Diags:  sres.Diags.String(),
-	}
-	if sres.Object != nil && !sres.Failed() && !lint {
-		resp.Listing = sres.Object.Listing()
-	}
+	reply := compileReply{module: req.Module, ok: !sres.Failed(), object: sres.Object, diags: sres.Diags.String(), lint: lint}
 	if lint {
-		findings := m2cc.Lint(req.Module, loader)
-		var buf bytes.Buffer
-		if err := m2cc.WriteFindingsJSON(&buf, findings); err != nil {
-			s.writeError(w, http.StatusInternalServerError, "internal: encode findings: "+err.Error(), 0)
-			return
-		}
-		resp.Findings = json.RawMessage(bytes.TrimSpace(buf.Bytes()))
-		if hdr := s.countFindings(findings); hdr != "" {
-			w.Header().Set("X-M2cd-Findings", hdr)
-		}
+		reply.findings = m2cc.Lint(req.Module, loader)
 	}
 	w.Header().Set("X-M2cd-Path", "sequential")
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeCompile(w, &reply)
 }
 
 // ---- response plumbing ----
 
-// writeJSON marshals v fully before touching the ResponseWriter, so a
-// response is either complete or absent — never truncated JSON.
+// The daemon's buffers, one free list per role (DESIGN.md, "Buffer
+// ownership"): request bodies, listings before they are escaped, and
+// encoded responses.
+var bodyBufs, listingBufs, respBufs = newBufList(), newBufList(), newBufList()
+
+func newBufList() *pool.List[[]byte] {
+	return &pool.List[[]byte]{New: func() []byte { return nil }, Size: func(b []byte) int { return cap(b) }, Spans: true}
+}
+
+// writeCompile sends {"module","ok","listing","diags","findings","trace"},
+// empty fields omitted but lint's findings.  The listing is escaped from
+// its pooled rendering straight into the response.
+func (s *server) writeCompile(w http.ResponseWriter, c *compileReply) {
+	if c.lint {
+		if hdr := s.countFindings(c.findings); hdr != "" {
+			w.Header().Set("X-M2cd-Findings", hdr)
+		}
+	}
+	b := appendJSONString(append(respBufs.Get()[:0], `{"module":`...), c.module)
+	b = strconv.AppendBool(append(b, `,"ok":`...), c.ok)
+	if c.ok && !c.lint && c.object != nil {
+		l := c.object.AppendListing(listingBufs.Get()[:0])
+		b = appendJSONString(append(b, `,"listing":`...), l)
+		listingBufs.Put(l)
+	}
+	if c.diags != "" {
+		b = appendJSONString(append(b, `,"diags":`...), c.diags)
+	}
+	var err error
+	if c.lint {
+		b, err = appendJSON(append(b, `,"findings":`...), check.JSON(c.findings))
+	}
+	if len(c.trace) > 0 && err == nil {
+		b, err = appendJSON(append(b, `,"trace":`...), json.RawMessage(c.trace))
+	}
+	s.send(w, http.StatusOK, "application/json", append(b, "}\n"...), err)
+}
+
+// writeJSON encodes v as json.Marshal does, plus a newline.
 func (s *server) writeJSON(w http.ResponseWriter, status int, v any) {
-	buf, err := json.Marshal(v)
-	if err != nil {
+	b, err := appendJSON(respBufs.Get()[:0], v)
+	s.send(w, status, "application/json", append(b, '\n'), err)
+}
+
+// appendJSON appends v as json.Marshal encodes it.
+func appendJSON(dst []byte, v any) ([]byte, error) {
+	buf := bytes.NewBuffer(dst)
+	err := json.NewEncoder(buf).Encode(v)
+	return bytes.TrimSuffix(buf.Bytes(), []byte("\n")), err
+}
+
+// send writes b, a response from respBufs encoded in full before the
+// ResponseWriter is touched — so a response is either complete or
+// absent, never truncated — and returns b once the write is done.
+func (s *server) send(w http.ResponseWriter, status int, contentType string, b []byte, encErr error) {
+	defer respBufs.Put(b)
+	if encErr != nil {
 		s.countStatus(http.StatusInternalServerError)
 		http.Error(w, "internal: encode response", http.StatusInternalServerError)
 		return
 	}
 	s.countStatus(status)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(buf)+1))
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
-	w.Write(buf)
-	w.Write([]byte("\n"))
+	w.Write(b)
+}
+
+// appendJSONString appends s quoted as encoding/json encodes a string:
+// ", \ and control bytes escaped, and also <, >, &, U+2028 and U+2029,
+// with each byte of invalid UTF-8 as \ufffd.
+func appendJSONString[S string | []byte](b []byte, s S) []byte {
+	const hex, short = "0123456789abcdef", "\"\\\n\r\t\b\f"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		r, size := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
+		}
+		if r >= ' ' && r != '"' && r != '\\' && r != '<' && r != '>' && r != '&' &&
+			r != '\u2028' && r != '\u2029' && (r != utf8.RuneError || size > 1) {
+			i += size
+			continue
+		}
+		b = append(b, s[start:i]...)
+		if k := strings.IndexRune(short, r); k >= 0 {
+			b = append(b, '\\', `"\nrtbf`[k])
+		} else { // \ufffd for an invalid byte, which decodes as utf8.RuneError
+			b = append(b, '\\', 'u', hex[r>>12&0xF], hex[r>>8&0xF], hex[r>>4&0xF], hex[r&0xF])
+		}
+		i += size
+		start = i
+	}
+	return append(append(b, s[start:]...), '"')
 }
 
 // writeError emits a JSON error body; retry > 0 adds Retry-After (in

@@ -19,6 +19,19 @@ import (
 	"m2cc/internal/faultinject"
 )
 
+// compileResponse is the /compile and /lint response schema, and the
+// shape the daemon marshalled before it appended responses by hand:
+// json.Marshal of it, findings indented and then trimmed, plus "\n" is
+// the reference body.
+type compileResponse struct {
+	Module   string          `json:"module"`
+	OK       bool            `json:"ok"`
+	Listing  string          `json:"listing,omitempty"`
+	Diags    string          `json:"diags,omitempty"`
+	Findings json.RawMessage `json:"findings,omitempty"`
+	Trace    json.RawMessage `json:"trace,omitempty"`
+}
+
 // loaderFrom mirrors the daemon's request-to-loader translation for
 // local baseline compiles.
 func loaderFrom(t *testing.T, sources []srcFile) m2cc.Loader {
@@ -48,18 +61,21 @@ func mustListing(t *testing.T, loader m2cc.Loader) string {
 // examples/modules tree (Demo imports Fib).
 func exampleSources(t *testing.T) []srcFile {
 	t.Helper()
-	read := func(name string) string {
+	return exampleFiles(t, "Demo.mod", "Fib.def", "Fib.mod")
+}
+
+// exampleFiles reads the named files of examples/modules as sources.
+func exampleFiles(t *testing.T, names ...string) []srcFile {
+	t.Helper()
+	var out []srcFile
+	for _, name := range names {
 		b, err := os.ReadFile(filepath.Join("..", "..", "examples", "modules", name))
 		if err != nil {
-			t.Fatalf("example source: %v", err)
+			t.Fatal(err)
 		}
-		return string(b)
+		out = append(out, srcFile{Name: strings.TrimSuffix(filepath.Base(name), filepath.Ext(name)), Kind: filepath.Ext(name)[1:], Text: string(b)})
 	}
-	return []srcFile{
-		{Name: "Demo", Kind: "mod", Text: read("Demo.mod")},
-		{Name: "Fib", Kind: "def", Text: read("Fib.def")},
-		{Name: "Fib", Kind: "mod", Text: read("Fib.mod")},
-	}
+	return out
 }
 
 // testConfig returns a small, fast daemon configuration.
@@ -226,6 +242,26 @@ func TestBadRequests(t *testing.T) {
 		var er errorResponse
 		if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
 			t.Errorf("%s: malformed error body %s", tc.name, body)
+		}
+	}
+	// Raw bodies: bytes after the request object answer 400
+	// (json.Unmarshal's rule), and a body over the cap answers 413 with
+	// the reader's diagnostic.
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		msg        string
+	}{
+		{"trailing data", `{"module":"Demo","sources":[{"name":"Demo","kind":"mod","text":"x"}]} {}`,
+			http.StatusBadRequest, "bad request: invalid character '{' after top-level value"},
+		{"over the cap", `{"module":"` + strings.Repeat("M", maxBody) + `"}`,
+			http.StatusRequestEntityTooLarge, "bad request: http: request body too large"},
+	} {
+		rec := httptest.NewRecorder()
+		s.handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/compile", strings.NewReader(tc.body)))
+		var er errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); rec.Code != tc.status || err != nil || er.Error != tc.msg {
+			t.Errorf("%s: status %d, want %d with %q: %s", tc.name, rec.Code, tc.status, tc.msg, rec.Body)
 		}
 	}
 	// A negative deadline is rejected outright, not silently treated as

@@ -19,8 +19,9 @@ func Render(findings []diag.Diagnostic) string {
 	return sb.String()
 }
 
-// jsonFinding is the machine-readable finding shape for -lint-json.
-type jsonFinding struct {
+// JSONFinding is the machine-readable finding shape: m2c -lint-json
+// writes it indented, m2cd's /lint response compact.
+type JSONFinding struct {
 	File     string `json:"file"`
 	Line     int32  `json:"line"`
 	Col      int32  `json:"col"`
@@ -31,12 +32,12 @@ type jsonFinding struct {
 	Code     string `json:"code,omitempty"`
 }
 
-// WriteJSON emits findings as an indented JSON array with full
-// line+column spans.
-func WriteJSON(w io.Writer, findings []diag.Diagnostic) error {
-	out := make([]jsonFinding, 0, len(findings))
+// JSON converts findings to their machine-readable shape.  The result
+// is never nil, so an empty report encodes as [].
+func JSON(findings []diag.Diagnostic) []JSONFinding {
+	out := make([]JSONFinding, 0, len(findings))
 	for _, d := range findings {
-		jf := jsonFinding{
+		jf := JSONFinding{
 			File: d.File, Line: d.Pos.Line, Col: d.Pos.Col,
 			Severity: d.Sev.String(), Message: d.Msg, Code: d.Code,
 		}
@@ -46,7 +47,12 @@ func WriteJSON(w io.Writer, findings []diag.Diagnostic) error {
 		}
 		out = append(out, jf)
 	}
+	return out
+}
+
+// WriteJSON emits findings as an indented JSON array.
+func WriteJSON(w io.Writer, findings []diag.Diagnostic) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return enc.Encode(JSON(findings))
 }

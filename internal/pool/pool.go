@@ -31,15 +31,20 @@ func (s Stats) Add(t Stats) Stats {
 type List[T any] struct {
 	New  func() T
 	Size func(T) int
+	// Spans marks items that outlive the compilation that took them (an
+	// m2cd request's buffers): a draw is then the most items out at once,
+	// those taken before the compilation began included.
+	Spans bool
 
 	mu    sync.Mutex // guards: every field below
 	free  []T        // least recently returned first
 	stats Stats
 	// The compilation being measured (len(free) when it began, the fewest
-	// since, the misses before it), and the draws of the last 64.
-	epoch              uint64
-	start, low, misses int
-	drawn              [64]int
+	// since, the misses before it, the most items out since), the items
+	// out now, and the draws of the last 64.
+	epoch                         uint64
+	start, low, misses, peak, out int
+	drawn                         [64]int
 }
 
 // Get takes the most recently returned item, or a new one.
@@ -47,6 +52,8 @@ func (l *List[T]) Get() (v T) {
 	l.mu.Lock()
 	l.turn()
 	l.stats.Gets++
+	l.out++
+	l.peak = max(l.peak, l.out)
 	if n := len(l.free) - 1; n >= 0 {
 		v, l.free[n] = l.free[n], v
 		l.free, l.low = l.free[:n], min(l.low, n)
@@ -62,6 +69,7 @@ func (l *List[T]) Get() (v T) {
 func (l *List[T]) Put(vs ...T) {
 	l.mu.Lock()
 	l.stats.Puts += len(vs)
+	l.out -= len(vs)
 	l.free = append(l.free, vs...)
 	l.mu.Unlock()
 }
@@ -93,6 +101,9 @@ func (l *List[T]) turn() {
 		return
 	}
 	drawn := l.start - l.low + l.stats.Misses - l.misses
+	if l.Spans {
+		drawn = max(drawn, l.peak)
+	}
 	copy(l.drawn[1:], l.drawn[:])
 	l.drawn[0] = drawn
 	d := l.drawn
@@ -106,7 +117,7 @@ func (l *List[T]) turn() {
 			l.free = append(l.free, l.New())
 		}
 	}
-	l.epoch, l.start, l.low, l.misses = now, len(l.free), len(l.free), l.stats.Misses
+	l.epoch, l.start, l.low, l.misses, l.peak = now, len(l.free), len(l.free), l.stats.Misses, l.out
 }
 
 // Scrub readies returned storage for reuse: it zeroes s, so a held item

@@ -80,6 +80,35 @@ func TestBoundKeepsRepeatedDraw(t *testing.T) {
 	}
 }
 
+// TestSpansCountsItemsOut: two holders overlap across compilations,
+// each taking its item while the other's is still out.  Each compilation
+// sees one take, so a plain list keeps one item and misses again and
+// again; a Spans list counts the item still out and supplies both.
+func TestSpansCountsItemsOut(t *testing.T) {
+	for _, spans := range []bool{false, true} {
+		l := newTestList()
+		l.Spans = spans
+		for range 20 {
+			a := l.Get()
+			Age()
+			b := l.Get()
+			Age()
+			l.Put(a, b)
+		}
+		before := l.Stats().Misses
+		for range 100 {
+			a := l.Get()
+			Age()
+			b := l.Get()
+			Age()
+			l.Put(a, b)
+		}
+		if missed := l.Stats().Misses - before; (missed == 0) != spans {
+			t.Errorf("Spans %v: %d misses in 100 overlapping pairs", spans, missed)
+		}
+	}
+}
+
 // TestBoundKeepsRecentPeak sweeps draws from small to large over and
 // over, as a pass over the generated suite does: after the first sweep
 // every draw is supplied from the list.

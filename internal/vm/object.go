@@ -2,6 +2,7 @@ package vm
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -171,12 +172,18 @@ func (r *Registry) Object() *Object {
 // sequential compilations of the same program produce byte-identical
 // listings — the property the differential tests check.
 //
-// The listing is appended, not formatted: one pass over one buffer
-// pre-sized from the instruction count, no per-line allocation, and the
-// buffer becomes the string without a copy (as strings.Builder.String
-// does).  Its bytes are a contract (golden hashes pin them);
-// reflisting_test.go holds the fmt-based renderer it must equal.
+// Listing is AppendListing into a new buffer, which becomes the string
+// without a copy (as strings.Builder.String does).
 func (o *Object) Listing() string {
+	b := o.AppendListing(nil)
+	return unsafe.String(unsafe.SliceData(b), len(b)) // b is never written again
+}
+
+// AppendListing, the one renderer, appends the listing to dst in one
+// pass, grown once from the instruction count, with no per-line
+// allocation.  Its bytes are a contract (golden hashes pin them);
+// reflisting_test.go holds the fmt-based renderer it must equal.
+func (o *Object) AppendListing(dst []byte) []byte {
 	procs := append([]*ProcMeta(nil), o.Procs...)
 	sort.Slice(procs, func(i, j int) bool {
 		if procs[i].Module != procs[j].Module {
@@ -192,7 +199,7 @@ func (o *Object) Listing() string {
 		n += len(p.Code)
 	}
 	// 24 bytes covers the mean line of the generated suites (22).
-	b := make([]byte, 0, 24*n+64*(len(procs)+len(o.Areas)+1))
+	b := slices.Grow(dst, 24*n+64*(len(procs)+len(o.Areas)+1))
 	b = append(append(b, "OBJECT "...), o.Module...)
 	b = append(b, '\n')
 	for _, a := range sortedAreas(o.Areas) {
@@ -217,7 +224,7 @@ func (o *Object) Listing() string {
 			b = append(b, '\n')
 		}
 	}
-	return unsafe.String(unsafe.SliceData(b), len(b)) // b is never written again
+	return b
 }
 
 func sortedAreas(areas []*Area) []*Area {
