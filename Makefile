@@ -39,8 +39,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The scheduler's tests run ten times more under the race detector: its
+# one mutex guards the ready heap, every slot handoff and the producer
+# boost, and a lock-discipline slip there shows only under repetition.
 race:
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -count=10 ./internal/sched
 
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -run Chaos -count=1 .

@@ -215,12 +215,6 @@ func runChaos(t *testing.T, loader m2cc.Loader, module string, strat m2cc.Strate
 	}()
 
 	res := m2cc.Compile(module, loader, opts)
-	// A steal needs two workers awake at once, which a loaded host does
-	// not grant every run; the plan stays armed until its arrival comes,
-	// so compile again until the point has had one.
-	for i := 0; i < 50 && wantTrip > 0 && plan.Trigger(faultinject.PanicSteal) > 0 && plan.Tripped(faultinject.PanicSteal) == 0; i++ {
-		res = m2cc.Compile(module, loader, opts)
-	}
 	if res.Failed() {
 		t.Fatalf("chaos compile failed:\n%s", res.Diags)
 	}
@@ -297,12 +291,6 @@ func TestChaosMatrix(t *testing.T) {
 			// half-installed compilation must fault and recover through
 			// the sequential fallback, byte-identical.
 			return faultinject.New().Arm(faultinject.PanicInstall, 1)
-		}},
-		{"panic-steal", func() *faultinject.Plan {
-			// Trips the first task dispatched by stealing it from
-			// another worker's local run queue, before its body runs;
-			// recovery must be indistinguishable from any other panic.
-			return faultinject.New().Arm(faultinject.PanicSteal, 1)
 		}},
 		{"panic-split", func() *faultinject.Plan {
 			// Kills the Splitter at the second procedure declaration:

@@ -343,7 +343,6 @@ func Compile(module string, loader source.Loader, opts Options) *Result {
 	d.tab = symtab.NewTable(opts.Strategy, stats, d.rec)
 	d.tab.Inject = d.inject
 	d.sup = newSupervisor(opts.Workers, d.rec)
-	d.sup.Inject = d.inject
 	d.sup.StallTimeout = d.stall
 	d.sup.Obs = d.obs
 	d.sup.OnDeadlock = func(msg string) {

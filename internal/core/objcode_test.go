@@ -216,7 +216,7 @@ func TestOneWorkerSynthStartsFewGoroutines(t *testing.T) {
 		t.Fatal(res.Diags)
 	}
 	c := o.Dump().Sched
-	tasks := c.LocalPops + c.Steals + c.OverflowPops
+	tasks := c.Dispatches
 	if tasks < 500 {
 		t.Fatalf("expected on the order of 800 dispatches, saw %d: %+v", tasks, c)
 	}

@@ -146,8 +146,8 @@ func TestArenasReturnedOnlyWhenClean(t *testing.T) {
 
 // TestWorkerGoroutinesExit: once Compile returns, every worker goroutine
 // its Supervisor started has exited, whether the compilation was clean,
-// canceled mid-flight, or lost a StmtCG task or a stolen task to a
-// panic.  Run under -race.
+// canceled mid-flight, or lost a StmtCG task to a panic.  Run under
+// -race.
 func TestWorkerGoroutinesExit(t *testing.T) {
 	loader := source.NewMapLoader()
 	loader.Add("Ticks", source.Impl, ticksProgram)
@@ -176,20 +176,6 @@ func TestWorkerGoroutinesExit(t *testing.T) {
 			if !res.Faulted {
 				t.Fatal("a StmtCG panic must fault the compilation")
 			}
-		}},
-		{"panic-steal", func(t *testing.T) {
-			// A steal needs both workers awake at once; compile until one
-			// happens.
-			plan := faultinject.New().Arm(faultinject.PanicSteal, 1)
-			for i := 0; i < 50; i++ {
-				if res := Compile("Synth", loader, Options{Workers: 2, FaultPlan: plan}); plan.Tripped(faultinject.PanicSteal) > 0 {
-					if !res.Faulted {
-						t.Fatal("a panicked stolen task must fault the compilation")
-					}
-					return
-				}
-			}
-			t.Skip("no task was stolen in 50 compilations")
 		}},
 	}
 	for _, c := range cases {

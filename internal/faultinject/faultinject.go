@@ -52,12 +52,6 @@ const (
 	// stream; the checker must degrade to the sequential analyzer
 	// without poisoning the compilation or sibling findings.
 	PanicCheck
-	// PanicSteal panics the Nth task dispatched by stealing it from
-	// another worker's local run queue, before its body runs
-	// (sched.runGuarded), modelling a task crashing on the wrong
-	// worker; panic isolation and force-firing must behave identically
-	// whether a task was dispatched locally or via a steal.
-	PanicSteal
 	// SlowRequest marks the Nth request admitted by the m2cd daemon
 	// for an injected service delay (the daemon chooses the latency):
 	// it must push the request toward its deadline and the admission
@@ -93,7 +87,7 @@ const (
 
 var pointNames = [numPoints]string{
 	"panic-lookup", "stall-leader", "fail-install", "drop-fire",
-	"panic-check", "panic-steal", "slow-request", "panic-handler",
+	"panic-check", "slow-request", "panic-handler",
 	"panic-install", "panic-conc-merge", "panic-split",
 }
 
@@ -106,7 +100,7 @@ func (p Point) String() string {
 
 // Points lists every injection point (for chaos matrices).
 func Points() []Point {
-	return []Point{PanicLookup, StallLeader, FailInstall, DropFire, PanicCheck, PanicSteal,
+	return []Point{PanicLookup, StallLeader, FailInstall, DropFire, PanicCheck,
 		SlowRequest, PanicHandler, PanicInstall, PanicConcMerge, PanicSplit}
 }
 

@@ -56,10 +56,10 @@ type Metrics struct {
 	// when there was any (a stream cache was attached).
 	Streams *StreamMetrics `json:"streamcache,omitempty"`
 
-	// Sched is the Supervisor's dispatch traffic — which queue each
-	// dispatched task came from (the worker's own local queue, a steal,
-	// the global overflow queue) and how many slot releases handed the
-	// slot straight to the next task — when the scheduler reported it.
+	// Sched is the Supervisor's dispatch traffic — how many tasks left
+	// the ready queue, how many slot releases handed the slot straight
+	// to the next task, and how many worker goroutines were started —
+	// when the scheduler reported it.
 	Sched *SchedCounters `json:"sched,omitempty"`
 
 	// Lookups are the per-strategy DKY tallies (Table 2's collector,

@@ -175,7 +175,7 @@ type Dump struct {
 	Marks    []Mark
 	Fires    []FireEdge
 	Waits    []WaitEdge
-	Sched    SchedCounters // ready-queue traffic (local/steal/overflow/handoff)
+	Sched    SchedCounters // ready-queue traffic (dispatches/handoffs/goroutines)
 }
 
 // Observer records the runtime behaviour of one (or one batch of)
@@ -222,20 +222,15 @@ type Observer struct {
 	lookups  *symtab.Stats
 }
 
-// SchedCounters is the Supervisor's ready-queue traffic for the
-// observed run: where dispatched tasks came from (the finisher's own
-// local queue, a steal from another worker's queue, the global
-// overflow queue) and how many slot releases handed their slot
-// directly to the next task without ever marking it free.  Counters
-// from several compilations of a batch accumulate.
+// SchedCounters is the Supervisor's dispatch traffic for the observed
+// run: how many tasks left the ready queue, how many of those took a
+// releasing slot directly without it ever being marked free, and how
+// many worker goroutines ran them.  Counters from several compilations
+// of a batch accumulate.
 type SchedCounters struct {
-	LocalPushes    int64 `json:"local_pushes"`    // tasks enqueued on the spawner's local queue
-	OverflowPushes int64 `json:"overflow_pushes"` // tasks enqueued on the global overflow queue
-	LocalPops      int64 `json:"local_pops"`      // dispatches served from the worker's own queue
-	Steals         int64 `json:"steals"`          // dispatches stolen from another worker's queue
-	OverflowPops   int64 `json:"overflow_pops"`   // dispatches served from the overflow queue
-	Handoffs       int64 `json:"handoffs"`        // releases that handed the slot directly onward
-	Goroutines     int64 `json:"goroutines"`      // worker goroutines started (resident workers run many tasks each)
+	Dispatches int64 `json:"dispatches"` // tasks taken off the ready queue
+	Handoffs   int64 `json:"handoffs"`   // releases that handed the slot directly onward
+	Goroutines int64 `json:"goroutines"` // worker goroutines started (resident workers run many tasks each)
 }
 
 // Add accumulates other into c.
@@ -243,11 +238,7 @@ func (c *SchedCounters) Add(other SchedCounters) {
 	if c == nil {
 		return
 	}
-	c.LocalPushes += other.LocalPushes
-	c.OverflowPushes += other.OverflowPushes
-	c.LocalPops += other.LocalPops
-	c.Steals += other.Steals
-	c.OverflowPops += other.OverflowPops
+	c.Dispatches += other.Dispatches
 	c.Handoffs += other.Handoffs
 	c.Goroutines += other.Goroutines
 }
@@ -611,7 +602,7 @@ func (o *Observer) NoteStreams(t streamcache.Tally, evictions int64) {
 	o.mu.Unlock()
 }
 
-// NoteSched attributes one Supervisor's ready-queue traffic to the
+// NoteSched attributes one Supervisor's dispatch traffic to the
 // observed run.  Counters from several compilations of a batch
 // accumulate.
 func (o *Observer) NoteSched(c SchedCounters) {

@@ -135,10 +135,9 @@ type Profile struct {
 	ByTask []TaskCost   // ranked by Work, largest first
 
 	// Sched is the Supervisor's dispatch traffic for the observed run
-	// (zero when the scheduler reported none): how many dispatches the
-	// queue-delay segments above were served from the worker's own
-	// local queue, a steal, or the overflow queue, and how many slot
-	// releases handed the slot straight onward without a queue trip.
+	// (zero when the scheduler reported none): how many tasks left the
+	// ready queue, and how many slot releases handed the slot straight
+	// onward without marking it free.
 	Sched obs.SchedCounters
 }
 

@@ -3,6 +3,7 @@ package profile_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -282,7 +283,8 @@ func TestRenderAndJSON(t *testing.T) {
 	d := compileDump(t, 4)
 	p := profile.Build(&d)
 	out := p.Render(5)
-	for _, want := range []string{"critical-path profile", "critical path (earliest first)", "serial fraction"} {
+	for _, want := range []string{"critical-path profile", "critical path (earliest first)", "serial fraction",
+		fmt.Sprintf("dispatches: %d; %d direct slot handoffs", p.Sched.Dispatches, p.Sched.Handoffs)} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Render missing %q:\n%s", want, out)
 		}
@@ -299,5 +301,9 @@ func TestRenderAndJSON(t *testing.T) {
 		if _, ok := decoded[key]; !ok {
 			t.Errorf("profile JSON missing %q", key)
 		}
+	}
+	sched, _ := decoded["sched"].(map[string]any)
+	if len(sched) != 3 || sched["dispatches"] == nil || sched["handoffs"] == nil || sched["goroutines"] == nil {
+		t.Errorf("profile JSON sched = %v, want {dispatches, handoffs, goroutines}", decoded["sched"])
 	}
 }

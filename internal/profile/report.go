@@ -27,9 +27,8 @@ func (p *Profile) Render(maxRows int) string {
 		ms(p.CritLen), ms(p.CritWork), ms(p.CritBlocked), ms(p.CritQueue))
 	fmt.Fprintf(&sb, "  serial fraction %.1f%%   speedup bound at P→∞: %.2fx\n",
 		100*p.SerialFraction, p.SpeedupBound)
-	if c := p.Sched; c.LocalPops+c.Steals+c.OverflowPops+c.Handoffs > 0 {
-		fmt.Fprintf(&sb, "  dispatches: %d local, %d stolen, %d overflow; %d direct slot handoffs\n",
-			c.LocalPops, c.Steals, c.OverflowPops, c.Handoffs)
+	if c := p.Sched; c.Dispatches > 0 {
+		fmt.Fprintf(&sb, "  dispatches: %d; %d direct slot handoffs\n", c.Dispatches, c.Handoffs)
 	}
 
 	sb.WriteString("\ncritical path (earliest first):\n")

@@ -1,9 +1,9 @@
 // Package sched implements the Supervisors approach of §2.3.2: one
-// worker slot per (virtual) processor, priority-ordered ready queues
-// searched in the paper's task-class order, and the three event wait
-// disciplines of §2.3.3:
+// worker slot per (virtual) processor, one ready queue ordered by the
+// paper's task classes (§2.3.4), and the three event wait disciplines of
+// §2.3.3:
 //
-//   - avoided events gate a task out of the ready queues entirely until
+//   - avoided events gate a task out of the ready queue entirely until
 //     they fire;
 //   - handled events release the task's worker slot while it waits, and
 //     the Supervisor preferentially boosts the task that will fire the
@@ -11,16 +11,12 @@
 //   - barrier events hold the slot (token-queue consumers only; their
 //     producers never block, so progress is guaranteed).
 //
-// Dispatch topology: each worker slot owns a local run queue, and one
-// global overflow queue catches work with no slot affinity.  Tasks are
-// pushed to the queue of the slot that made them ready (the spawner, the
-// producer whose event released them, the slot a re-admitted waiter last
-// ran on); a finishing or blocking slot-holder serves the best of its
-// local queue and the overflow queue — both are priority heaps in the
-// §2.3.4 class-major order, so comparing the two heads bounds priority
-// inversion to what sits in *other* workers' local queues — and steals
-// from another worker's queue (randomized victim order) before giving
-// the slot back.
+// Dispatch: the ready queue is one priority heap in the §2.3.4
+// class-major order, guarded by the Supervisor's mutex together with the
+// rest of its state.  Every freed worker slot runs the globally best
+// ready task, whichever slot made it ready; internal/sim replays the
+// same discipline, so the simulator and the runtime share one queue
+// order at every processor count.
 //
 // Workers are resident: the goroutine that finishes a task runs the
 // next unstarted task its slot dispatches, so a finish→start chain
@@ -29,9 +25,9 @@
 // filling a free slot, a task giving its slot up to block), and a
 // blocked task resumes on the goroutine it blocked on.  The paper's
 // constraint that a worker finish the task it began was an artifact of
-// Topaz thread affinity; worker slots here are a prioritized counting
-// semaphore, which removes that deadlock case without changing the
-// scheduling policy (see DESIGN.md).
+// binding Topaz threads to tasks; worker slots here are a prioritized
+// counting semaphore, which removes that deadlock case without changing
+// the scheduling policy (see DESIGN.md).
 package sched
 
 import (
@@ -47,7 +43,6 @@ import (
 
 	"m2cc/internal/ctrace"
 	"m2cc/internal/event"
-	"m2cc/internal/faultinject"
 	"m2cc/internal/obs"
 )
 
@@ -82,27 +77,16 @@ type Task struct {
 	sup      *Supervisor
 	kind     ctrace.TaskKind
 	stream   int32
-	priority int64 // written at boost under the owning runQ's mu
+	priority int64 // raised by a §2.3.4 boost, under the Supervisor's mu
 	seq      int64
 	run      func(*Task)
 	done     *event.Event
 
 	gatesLeft int
 	started   bool
-	stolen    bool          // dispatched via a steal before first start (fault-injection site)
 	resume    chan struct{} // guards: slot handoff — one send re-admits this blocked task
-	heapIdx   int           // index in the containing runQ's heap, -1 when absent
+	heapIdx   int           // index in the ready heap, -1 when absent
 	obsID     int           // observability-layer task ID (0 = unobserved)
-
-	// slot is the worker slot most recently granted to the task (-1
-	// before the first grant).  Written by the granter, read for queue
-	// affinity by spawners and gate fires on other goroutines.
-	slot atomic.Int32
-	// curQ is the run queue currently holding the task, nil when the
-	// task is running, blocked, or in flight between queues.  Written
-	// under the owning queue's mu; the boost path loads it to find
-	// which queue to migrate a producer out of.
-	curQ atomic.Pointer[runQ]
 }
 
 // Done returns the event fired when the task finishes.  Other tasks
@@ -189,12 +173,11 @@ func (t *Task) ExternalWait(e *event.Event) bool {
 		return true
 	}
 	s := t.sup
-	w := int(t.slot.Load())
 	s.mu.Lock()
 	s.Obs.TaskBlocked(t.obsID, obs.BlockExternal, e)
 	s.external[t] = e
+	s.handoffLocked()
 	s.mu.Unlock()
-	s.handoffOrRelease(w)
 	fired := true
 	if s.StallTimeout > 0 {
 		timer := time.NewTimer(s.StallTimeout)
@@ -219,62 +202,21 @@ func (t *Task) ExternalWait(e *event.Event) bool {
 	}
 	s.mu.Lock()
 	delete(s.external, t)
-	s.pushLocked(t, w)
-	s.kickLocked()
-	s.wakeWaitLocked()
+	s.pushLocked(t)
 	s.mu.Unlock()
 	<-t.resume
 	return fired
 }
 
-// runQ is one priority run queue: a binary heap in (priority, seq)
-// order.  Each worker slot owns one, and the Supervisor owns one more
-// as the global overflow queue.
-type runQ struct {
-	mu sync.Mutex // guards: h (and the heapIdx/curQ/priority of the tasks in it)
-	h  taskHeap
-
-	// n mirrors len(h); maintained under mu, read lock-free by the
-	// stall detector, ready-depth samples and steal-victim scans.
-	n atomic.Int32
-}
-
-func (q *runQ) push(t *Task) {
-	q.mu.Lock()
-	heap.Push(&q.h, t)
-	t.curQ.Store(q)
-	q.n.Add(1)
-	q.mu.Unlock()
-}
-
-func (q *runQ) popMin() *Task {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.h) == 0 {
-		return nil
-	}
-	t := heap.Pop(&q.h).(*Task)
-	t.curQ.Store(nil)
-	q.n.Add(-1)
-	return t
-}
-
-// Supervisor owns the worker slots and the run queues.
+// Supervisor owns the worker slots and the ready queue.
 type Supervisor struct {
-	mu    sync.Mutex // guards: all scheduler state below (locked before any runQ.mu); cond's locker
+	mu    sync.Mutex // guards: all scheduler state below, the ready heap included; cond's locker
 	cond  *sync.Cond
 	slots int
 	free  int
 
-	// slotFree marks which worker slots are unclaimed; mutated only
-	// under mu, so the stall detector's free==slots check is exact.
-	slotFree []bool
-
-	local     []*runQ  // one run queue per worker slot
-	overflow  runQ     // global queue for work with no slot affinity
-	stealRand []uint64 // per-slot xorshift state; touched only by the slot's holder
-
-	seq int64
+	ready taskHeap // runnable tasks in §2.3.4 order
+	seq   int64
 
 	producers map[*event.Event]*Task
 	blocked   map[*Task]*event.Event
@@ -302,26 +244,14 @@ type Supervisor struct {
 	// promptly instead of waiting for events that will never fire.
 	cancelCh chan struct{}
 
-	// Dispatch-traffic counters (see obs.SchedCounters).
-	nLocalPushes    atomic.Int64
-	nOverflowPushes atomic.Int64
-	nLocalPops      atomic.Int64
-	nSteals         atomic.Int64
-	nOverflowPops   atomic.Int64
-	nHandoffs       atomic.Int64
-	nGoroutines     atomic.Int64
-	nExits          atomic.Int64 // worker goroutines that returned (Exited)
+	counters obs.SchedCounters // dispatch traffic
+	exits    int64             // worker goroutines that returned (Exited)
 
 	rec *ctrace.Recorder
 
-	// Inject, when non-nil, arms the PanicSteal fault-injection point:
-	// a stolen task panics before its body runs, exercising panic
-	// isolation on the steal dispatch path.  Set before the first Spawn.
-	Inject *faultinject.Plan
-
 	// OnDeadlock is invoked (outside the lock) with a description when
 	// the watchdog breaks a stall; the driver reports it as an error.
-	// The message includes a full scheduler state dump (run queues,
+	// The message includes a full scheduler state dump (ready queue,
 	// blocked/parked/external tasks and the producers of the events
 	// they wait on).
 	OnDeadlock func(msg string)
@@ -356,9 +286,6 @@ func New(workers int, rec *ctrace.Recorder) *Supervisor {
 	s := &Supervisor{
 		slots: workers, free: workers, rec: rec,
 		cancelCh:    make(chan struct{}),
-		slotFree:    make([]bool, workers),
-		local:       make([]*runQ, workers),
-		stealRand:   make([]uint64, workers),
 		producers:   make(map[*event.Event]*Task),
 		blocked:     make(map[*Task]*event.Event),
 		parked:      make(map[*Task][]*event.Event),
@@ -367,35 +294,26 @@ func New(workers int, rec *ctrace.Recorder) *Supervisor {
 		gateDone:    make(map[*event.Event]bool),
 		gateSub:     make(map[*event.Event]bool),
 	}
-	for i := range s.local {
-		s.slotFree[i] = true
-		s.local[i] = &runQ{}
-		// Deterministic per-slot seeds (splitmix64 increments) so steal
-		// orders differ across slots without global randomness.
-		s.stealRand[i] = uint64(i)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
-	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
 // Counters returns the dispatch-traffic counters accumulated so far.
 func (s *Supervisor) Counters() obs.SchedCounters {
-	return obs.SchedCounters{
-		LocalPushes:    s.nLocalPushes.Load(),
-		OverflowPushes: s.nOverflowPushes.Load(),
-		LocalPops:      s.nLocalPops.Load(),
-		Steals:         s.nSteals.Load(),
-		OverflowPops:   s.nOverflowPops.Load(),
-		Handoffs:       s.nHandoffs.Load(),
-		Goroutines:     s.nGoroutines.Load(),
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.counters
 }
 
 // Exited counts the worker goroutines that have returned.  Each counts
 // itself in the critical section that records its last task's finish,
 // so once Wait returns it equals Counters().Goroutines unless a worker
 // leaked.
-func (s *Supervisor) Exited() int64 { return s.nExits.Load() }
+func (s *Supervisor) Exited() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.exits
+}
 
 // Cancel abandons the compilation: tasks not yet started are discharged
 // without running (their produced events force-fired so nothing wedges),
@@ -438,7 +356,7 @@ func (s *Supervisor) SetProducer(e *event.Event, t *Task) {
 
 // Spawn registers a task.  parent supplies the creation stamp for the
 // trace (nil for the initial tasks).  gates are the task's avoided
-// events: it enters a run queue only once all have fired.
+// events: it enters the ready queue only once all have fired.
 func (s *Supervisor) Spawn(kind ctrace.TaskKind, stream int32, label string,
 	priority int64, gates []*event.Event, parent *ctrace.TaskCtx, run func(*Task)) *Task {
 
@@ -462,8 +380,6 @@ func (s *Supervisor) Spawn(kind ctrace.TaskKind, stream int32, label string,
 		run: run, done: event.New(), resume: make(chan struct{}, 1), heapIdx: -1,
 		obsID: s.Obs.TaskSpawned(kind, stream, label, parentObs, gates),
 	}
-	t.slot.Store(-1)
-	ctx.Owner = t
 	if obsv := s.Obs; obsv != nil && t.obsID != 0 {
 		// Edge capture: every event this task fires through its TaskCtx
 		// is attributed to it, before the fire lands (so waiters' unblock
@@ -477,8 +393,8 @@ func (s *Supervisor) Spawn(kind ctrace.TaskKind, stream int32, label string,
 	s.total++
 	t.seq = s.seq
 	s.seq++
-	// The task's finish event gains it as producer, so gate releases
-	// and DKY boosts know which slot's queue has affinity with it.
+	// The task's finish event gains it as producer, so a handled wait
+	// on it boosts the task (§2.3.4).
 	s.producers[t.done] = t
 	// Register against each gate that has not yet been seen to fire;
 	// one subscription per distinct event covers every waiter, past and
@@ -496,8 +412,7 @@ func (s *Supervisor) Spawn(kind ctrace.TaskKind, stream int32, label string,
 		}
 	}
 	if t.gatesLeft == 0 {
-		s.pushLocked(t, affinitySlot(parent))
-		s.kickLocked()
+		s.pushLocked(t)
 		s.mu.Unlock()
 		return t
 	}
@@ -511,196 +426,63 @@ func (s *Supervisor) Spawn(kind ctrace.TaskKind, stream int32, label string,
 	return t
 }
 
-// affinitySlot names the worker slot whose local queue a fresh spawn
-// should land on: the spawning task's own.  -1 (the overflow queue)
-// when the spawn has no scheduled parent.
-func affinitySlot(parent *ctrace.TaskCtx) int {
-	if parent == nil {
-		return -1
-	}
-	if pt, ok := parent.Owner.(*Task); ok && pt != nil {
-		return int(pt.slot.Load())
-	}
-	return -1
-}
-
 // gatesFired processes one gate event's fire: every task counting it is
-// decremented, and all tasks it releases enter the run queues — pushed
-// to the firing producer's slot for affinity — under a single scheduler
-// transaction.
+// decremented, and all tasks it releases enter the ready queue under a
+// single scheduler transaction, before any of them is dispatched.
 func (s *Supervisor) gatesFired(g *event.Event) {
 	s.mu.Lock()
 	s.gateDone[g] = true
 	waiters := s.gateWaiters[g]
 	delete(s.gateWaiters, g)
-	w := -1
-	if p, ok := s.producers[g]; ok {
-		w = int(p.slot.Load())
-	}
-	released := false
 	for _, t := range waiters {
 		t.gatesLeft--
 		if t.gatesLeft == 0 {
 			delete(s.parked, t)
-			s.pushLocked(t, w)
-			released = true
+			heap.Push(&s.ready, t)
 		}
 	}
-	if released {
-		s.kickLocked()
-		s.wakeWaitLocked()
-	}
+	s.kickLocked()
 	s.mu.Unlock()
 }
 
-// pushLocked enqueues a runnable task, preferring slot w's local queue
-// (-1 or an out-of-range slot selects the overflow queue).  All pushes
-// happen under s.mu so the stall detector can trust
-// free==slots ∧ queuedLen()==0; pops and steals run outside it.
-func (s *Supervisor) pushLocked(t *Task, w int) {
-	if w < 0 || w >= len(s.local) {
-		s.overflow.push(t)
-		s.nOverflowPushes.Add(1)
-		return
-	}
-	s.local[w].push(t)
-	s.nLocalPushes.Add(1)
-}
-
-// queuedLen is the total number of queued runnable tasks.
-func (s *Supervisor) queuedLen() int {
-	n := int(s.overflow.n.Load())
-	for _, q := range s.local {
-		n += int(q.n.Load())
-	}
-	return n
-}
-
-// claimSlotLocked claims a free worker slot, preferring the one whose
-// local queue is deepest.  Caller holds s.mu and has checked free > 0.
-func (s *Supervisor) claimSlotLocked() int {
-	best, bestN := -1, int32(-1)
-	for w, fr := range s.slotFree {
-		if !fr {
-			continue
-		}
-		if n := s.local[w].n.Load(); n > bestN {
-			best, bestN = w, n
-		}
-	}
-	s.slotFree[best] = false
-	s.free--
-	return best
-}
-
-func (s *Supervisor) releaseSlotLocked(w int) {
-	s.slotFree[w] = true
-	s.free++
-}
-
-// kickLocked grants free slots to queued tasks until one of them runs
+// kickLocked grants free slots to ready tasks until one of them runs
 // out.  Caller holds s.mu.
 func (s *Supervisor) kickLocked() {
-	for s.free > 0 && s.queuedLen() > 0 {
-		w := s.claimSlotLocked()
-		t := s.nextFor(w)
-		if t == nil {
-			// A concurrent handoff drained the queues between the
-			// length check and the pop; the work went somewhere.
-			s.releaseSlotLocked(w)
-			return
-		}
-		s.grant(t, w)
+	for s.free > 0 && len(s.ready) > 0 {
+		s.free--
+		s.grantLocked(s.popLocked())
 	}
 }
 
-// nextFor picks the best queued task for slot w: the better of the
-// slot's local head and the overflow head (both heaps are in global
-// priority order, so comparing heads bounds priority inversion), then
-// a steal from another worker's queue.  The caller owns slot w; s.mu
-// may or may not be held (lock order is always s.mu → runQ.mu).
-func (s *Supervisor) nextFor(w int) *Task {
-	lq := s.local[w]
-	lq.mu.Lock()
-	s.overflow.mu.Lock()
-	var lt, ot *Task
-	if len(lq.h) > 0 {
-		lt = lq.h[0]
-	}
-	if len(s.overflow.h) > 0 {
-		ot = s.overflow.h[0]
-	}
-	switch {
-	case lt != nil && (ot == nil || taskLess(lt, ot)):
-		heap.Pop(&lq.h)
-		lt.curQ.Store(nil)
-		lq.n.Add(-1)
-		s.overflow.mu.Unlock()
-		lq.mu.Unlock()
-		s.nLocalPops.Add(1)
-		return lt
-	case ot != nil:
-		heap.Pop(&s.overflow.h)
-		ot.curQ.Store(nil)
-		s.overflow.n.Add(-1)
-		s.overflow.mu.Unlock()
-		lq.mu.Unlock()
-		s.nOverflowPops.Add(1)
-		return ot
-	}
-	s.overflow.mu.Unlock()
-	lq.mu.Unlock()
-	return s.steal(w)
+// pushLocked makes t ready and grants it a slot if one is free.  Caller
+// holds s.mu.
+func (s *Supervisor) pushLocked(t *Task) {
+	heap.Push(&s.ready, t)
+	s.kickLocked()
 }
 
-// steal scans the other workers' local queues in a randomized order
-// and takes the head (best-priority) task of the first non-empty one.
-// Only slot w's holder calls this, so stealRand[w] needs no lock; one
-// victim queue is locked at a time.
-func (s *Supervisor) steal(w int) *Task {
-	n := len(s.local)
-	if n < 2 {
-		return nil
-	}
-	r := s.stealRand[w]
-	r ^= r << 13
-	r ^= r >> 7
-	r ^= r << 17
-	s.stealRand[w] = r
-	start := int(r % uint64(n))
-	for i := 0; i < n; i++ {
-		v := (start + i) % n
-		if v == w || s.local[v].n.Load() == 0 {
-			continue
-		}
-		if t := s.local[v].popMin(); t != nil {
-			s.nSteals.Add(1)
-			if !t.started {
-				t.stolen = true
-			}
-			return t
-		}
-	}
-	return nil
+// popLocked takes the best ready task off the heap, which the caller
+// has checked is non-empty.  Caller holds s.mu.
+func (s *Supervisor) popLocked() *Task {
+	t := heap.Pop(&s.ready).(*Task)
+	s.counters.Dispatches++
+	s.Obs.ReadySample(len(s.ready))
+	return t
 }
 
-// grant hands slot w to task t, which the caller popped from a queue
-// and cannot run itself: an unstarted task gets a worker goroutine.
-// The slot stays claimed from pop to grant, so the stall detector never
-// sees an all-free scheduler with a task in flight.
-func (s *Supervisor) grant(t *Task, w int) {
-	if s.admit(t, w) {
-		s.nGoroutines.Add(1)
+// grantLocked hands a claimed slot to t, which the caller cannot run
+// itself: an unstarted task gets a worker goroutine.  Caller holds s.mu.
+func (s *Supervisor) grantLocked(t *Task) {
+	if s.admitLocked(t) {
+		s.counters.Goroutines++
 		go s.work(t)
 	}
 }
 
-// admit gives slot w to t.  A blocked task is resumed on the goroutine
-// it blocked on; for an unstarted one admit reports true and the caller
-// supplies the goroutine.
-func (s *Supervisor) admit(t *Task, w int) (unstarted bool) {
-	t.slot.Store(int32(w))
-	s.Obs.ReadySample(s.queuedLen())
+// admitLocked gives a claimed slot to t.  A blocked task is resumed on
+// the goroutine it blocked on; for an unstarted one admitLocked reports
+// true and the caller supplies the goroutine.  Caller holds s.mu.
+func (s *Supervisor) admitLocked(t *Task) (unstarted bool) {
 	if !t.started {
 		t.started = true
 		s.Obs.TaskStarted(t.obsID)
@@ -716,30 +498,34 @@ func (s *Supervisor) admit(t *Task, w int) (unstarted bool) {
 // Anything else would wake the driver once per task just to go back to
 // sleep.  Caller holds s.mu.  This relies on Wait being the only
 // sleeper on s.cond and on every critical section that bumps s.finished
-// or may leave more slots free than it found (releaseSlotLocked, also
-// kickLocked's roll-back) ending with this call; Spawn alone skips it,
-// since it only adds work.  A release site without it can strand Wait.
+// or frees a slot ending with this call; pushes skip it, since they only
+// add work.  A release site without it can strand Wait.
 func (s *Supervisor) wakeWaitLocked() {
 	if s.finished == s.total || s.free == s.slots {
 		s.cond.Broadcast()
 	}
 }
 
-// handoffOrRelease passes slot w straight to the next queued task —
-// skipping the free-slot accounting entirely — or, when no work is
-// queued, returns the slot under s.mu.  The re-check under the lock
-// closes the race against a push that saw no free slot.
-func (s *Supervisor) handoffOrRelease(w int) {
-	if t := s.nextFor(w); t != nil {
-		s.nHandoffs.Add(1)
-		s.grant(t, w)
-		return
+// passLocked passes the caller's slot straight to the best ready task,
+// which it returns, skipping the free-slot accounting entirely; with
+// nothing ready it frees the slot and returns nil.  Caller holds s.mu
+// and ends its critical section with wakeWaitLocked.
+func (s *Supervisor) passLocked() *Task {
+	if len(s.ready) == 0 {
+		s.free++
+		return nil
 	}
-	s.mu.Lock()
-	s.releaseSlotLocked(w)
-	s.kickLocked()
+	s.counters.Handoffs++
+	return s.popLocked()
+}
+
+// handoffLocked gives up the caller's slot, which is about to block, to
+// the best ready task.  Caller holds s.mu.
+func (s *Supervisor) handoffLocked() {
+	if t := s.passLocked(); t != nil {
+		s.grantLocked(t)
+	}
 	s.wakeWaitLocked()
-	s.mu.Unlock()
 }
 
 // work is a resident worker: it runs t and then, on the same goroutine,
@@ -758,21 +544,12 @@ func (s *Supervisor) work(t *Task) {
 		// slot moves on, so an observer never sees more lanes busy than
 		// slots exist.
 		s.Obs.TaskFinished(t.obsID)
-		w := int(t.slot.Load())
-		next := s.nextFor(w)
-		mine := false
-		if next != nil {
-			s.nHandoffs.Add(1)
-			mine = s.admit(next, w)
-		}
 		s.mu.Lock()
 		s.finished++
-		if next == nil {
-			s.releaseSlotLocked(w)
-			s.kickLocked()
-		}
+		next := s.passLocked()
+		mine := next != nil && s.admitLocked(next)
 		if !mine {
-			s.nExits.Add(1)
+			s.exits++
 		}
 		s.wakeWaitLocked()
 		s.mu.Unlock()
@@ -827,11 +604,6 @@ func (s *Supervisor) runGuarded(t *Task) {
 		s.forceFireProduced(t)
 		return
 	}
-	if t.stolen {
-		// Injected: the task crashes on the worker that stole it,
-		// before its body runs; isolation must hold on this path too.
-		s.Inject.Panic(faultinject.PanicSteal, t.Label)
-	}
 	t.run(t)
 }
 
@@ -863,68 +635,28 @@ func (s *Supervisor) Faults() int {
 }
 
 // releaseForWait gives up t's slot because it is about to block on e.
-// The slot is handed straight to the next queued task — preferentially
-// the producer that resolves the blockage, which is boosted into this
-// slot's local queue first (§2.3.4).
+// The slot is handed straight to the best ready task — preferentially
+// the producer that resolves the blockage, whose priority is first
+// raised above every class (§2.3.4).  A producer that is running,
+// blocked or parked sits in no queue and is left alone.
 func (s *Supervisor) releaseForWait(t *Task, e *event.Event) {
-	w := int(t.slot.Load())
 	s.mu.Lock()
 	s.Obs.TaskBlocked(t.obsID, obs.BlockHandled, e)
 	s.blocked[t] = e
-	if p, ok := s.producers[e]; ok {
-		s.boostLocked(p, w)
-	}
-	s.mu.Unlock()
-	s.handoffOrRelease(w)
-}
-
-// boostLocked promotes a queued producer to run next: its priority is
-// raised above every class and it migrates to slot w's local queue, so
-// the blocked worker's own slot runs the task that unblocks it.  A
-// producer that is already running, blocked, or parked is left alone
-// (it no longer sits in any queue).  Caller holds s.mu, which is what
-// serializes concurrent boosts of the same producer.
-func (s *Supervisor) boostLocked(p *Task, w int) {
-	for {
-		q := p.curQ.Load()
-		if q == nil {
-			return
-		}
-		q.mu.Lock()
-		if p.curQ.Load() != q {
-			// Popped (or migrated) between the load and the lock; the
-			// new queue — if any — is re-read on the next spin.
-			q.mu.Unlock()
-			continue
-		}
+	if p, ok := s.producers[e]; ok && p.heapIdx >= 0 {
 		p.priority = -1 << 62
-		var tq *runQ
-		if w >= 0 && w < len(s.local) {
-			tq = s.local[w]
-		}
-		if tq == nil || tq == q {
-			heap.Fix(&q.h, p.heapIdx)
-			q.mu.Unlock()
-			return
-		}
-		heap.Remove(&q.h, p.heapIdx)
-		p.curQ.Store(nil)
-		q.n.Add(-1)
-		q.mu.Unlock()
-		tq.push(p)
-		return
+		heap.Fix(&s.ready, p.heapIdx)
 	}
+	s.handoffLocked()
+	s.mu.Unlock()
 }
 
-// reacquire returns t to the run queues after its event fired and
-// blocks until a slot is granted.  The task lands on the queue of the
-// slot it last ran on.
+// reacquire returns t to the ready queue after its event fired and
+// blocks until a slot is granted.
 func (s *Supervisor) reacquire(t *Task) {
 	s.mu.Lock()
 	delete(s.blocked, t)
-	s.pushLocked(t, int(t.slot.Load()))
-	s.kickLocked()
-	s.wakeWaitLocked()
+	s.pushLocked(t)
 	s.mu.Unlock()
 	<-t.resume
 }
@@ -936,7 +668,7 @@ func (s *Supervisor) reacquire(t *Task) {
 func (s *Supervisor) Wait() {
 	s.mu.Lock()
 	for s.finished < s.total {
-		if s.free == s.slots && s.queuedLen() == 0 {
+		if s.free == s.slots && len(s.ready) == 0 {
 			// Nothing is running or runnable, yet tasks remain: a stall.
 			var fires []*event.Event
 			// Tasks parked on foreign (cache) events are woken from
@@ -1004,7 +736,7 @@ func (s *Supervisor) Wait() {
 	s.mu.Unlock()
 }
 
-// stateDumpLocked renders the scheduler's full state — every run queue,
+// stateDumpLocked renders the scheduler's full state — the ready queue,
 // blocked/parked/external tasks, and for every awaited event its
 // registered producer — so a DKY deadlock report names the stuck tasks
 // instead of leaving the user to guess.  Lines within each section are
@@ -1024,16 +756,8 @@ func (s *Supervisor) stateDumpLocked() string {
 		}
 	}
 	var runnable []string
-	collect := func(q *runQ, where string) {
-		q.mu.Lock()
-		for _, t := range q.h {
-			runnable = append(runnable, fmt.Sprintf("%s (%s)", t.Label, where))
-		}
-		q.mu.Unlock()
-	}
-	collect(&s.overflow, "overflow queue")
-	for w, q := range s.local {
-		collect(q, fmt.Sprintf("local queue %d", w))
+	for _, t := range s.ready {
+		runnable = append(runnable, t.Label)
 	}
 	section("runnable", runnable)
 	var blocked []string
@@ -1070,19 +794,16 @@ func (s *Supervisor) eventDescLocked(e *event.Event) string {
 	return "event with no registered producer"
 }
 
-// taskLess is the run-queue order: priority, then spawn order.
-func taskLess(a, b *Task) bool {
-	if a.priority != b.priority {
-		return a.priority < b.priority
-	}
-	return a.seq < b.seq
-}
-
 // taskHeap orders runnable tasks by (priority, seq).
 type taskHeap []*Task
 
-func (h taskHeap) Len() int           { return len(h) }
-func (h taskHeap) Less(i, j int) bool { return taskLess(h[i], h[j]) }
+func (h taskHeap) Len() int { return len(h) }
+func (h taskHeap) Less(i, j int) bool {
+	if h[i].priority != h[j].priority {
+		return h[i].priority < h[j].priority
+	}
+	return h[i].seq < h[j].seq
+}
 func (h taskHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].heapIdx = i

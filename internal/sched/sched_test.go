@@ -9,7 +9,6 @@ import (
 
 	"m2cc/internal/ctrace"
 	"m2cc/internal/event"
-	"m2cc/internal/faultinject"
 	"m2cc/internal/sched"
 )
 
@@ -453,79 +452,51 @@ func TestDeadlockReportNamesStuckTasks(t *testing.T) {
 	}
 }
 
-// TestStealDispatch pins the steal path deterministically: a running
-// task on a two-worker Supervisor spawns a child, which lands on the
-// spawner's local queue; the idle second slot finds its own queue and
-// the overflow queue empty and must steal the child.
-func TestStealDispatch(t *testing.T) {
+// TestPriorityOrderAcrossWorkers pins the single ready queue: two busy
+// slots each spawn one child — a lint task from one, a procedure parse
+// from the other — and whichever slot frees up first must run the
+// parse, the better §2.3.4 class, no matter which slot spawned it.
+func TestPriorityOrderAcrossWorkers(t *testing.T) {
 	s := sched.New(2, nil)
-	release := make(chan struct{})
-	var childRan atomic.Bool
-	s.Spawn(ctrace.KindSplitter, 0, "parent", sched.Priority(ctrace.KindSplitter, 0),
-		nil, nil, func(p *sched.Task) {
-			// The child is pushed to this slot's local queue (spawn
-			// affinity); this slot stays busy until the child has run,
-			// so only a steal can dispatch it.
-			s.Spawn(ctrace.KindLongStmtCG, 0, "child", sched.Priority(ctrace.KindLongStmtCG, 0),
-				nil, p.Ctx, func(*sched.Task) { childRan.Store(true) })
-			<-release
+	var mu sync.Mutex
+	var order []string
+	first := make(chan struct{})
+	child := func(parent *sched.Task, kind ctrace.TaskKind, name string) {
+		s.Spawn(kind, 0, name, sched.Priority(kind, 0), nil, parent.Ctx, func(*sched.Task) {
+			mu.Lock()
+			order = append(order, name)
+			if len(order) == 1 {
+				close(first)
+			}
+			mu.Unlock()
 		})
-	// The child's spawn transaction hands it to the idle slot via a
-	// steal before Spawn returns, but only the run itself proves it.
-	for i := 0; i < 1000 && !childRan.Load(); i++ {
-		time.Sleep(time.Millisecond)
 	}
-	close(release)
+	var spawned sync.WaitGroup
+	spawned.Add(2)
+	both := make(chan struct{}) // keeps either child from being spawned before both slots are busy
+	releaseLint, releaseParse := make(chan struct{}), make(chan struct{})
+	s.Spawn(ctrace.KindLexor, 0, "lint-spawner", 0, nil, nil, func(task *sched.Task) {
+		<-both
+		child(task, ctrace.KindAnalysis, "lint")
+		spawned.Done()
+		<-releaseLint
+	})
+	s.Spawn(ctrace.KindLexor, 0, "parse-spawner", 0, nil, nil, func(task *sched.Task) {
+		<-both
+		child(task, ctrace.KindProcParseDecl, "parse")
+		spawned.Done()
+		<-releaseParse
+	})
+	close(both)
+	spawned.Wait()
+	close(releaseLint)
+	<-first
+	close(releaseParse)
 	s.Wait()
-	if !childRan.Load() {
-		t.Fatal("stolen child never ran")
-	}
-	if c := s.Counters(); c.Steals != 1 {
-		t.Fatalf("counters %+v, want exactly 1 steal", c)
-	} else if c.LocalPushes != 1 {
-		t.Fatalf("counters %+v, want the child pushed to the spawner's local queue", c)
-	}
-}
-
-// TestPanicStealInjection arms the PanicSteal fault point: the stolen
-// task panics before its body runs, and panic isolation must contain
-// it exactly like any other task fault — Done fires, Wait returns, the
-// fault is counted.
-func TestPanicStealInjection(t *testing.T) {
-	s := sched.New(2, nil)
-	s.Inject = faultinject.New().Arm(faultinject.PanicSteal, 1)
-	var onPanic atomic.Int64
-	s.OnPanic = func(_ *sched.Task, recovered any, _ []byte) {
-		if _, ok := recovered.(*faultinject.Injected); !ok {
-			t.Errorf("recovered %v, want *faultinject.Injected", recovered)
-		}
-		onPanic.Add(1)
-	}
-	release := make(chan struct{})
-	var childRan atomic.Bool
-	var child *sched.Task
-	s.Spawn(ctrace.KindSplitter, 0, "parent", sched.Priority(ctrace.KindSplitter, 0),
-		nil, nil, func(p *sched.Task) {
-			child = s.Spawn(ctrace.KindLongStmtCG, 0, "child", sched.Priority(ctrace.KindLongStmtCG, 0),
-				nil, p.Ctx, func(*sched.Task) { childRan.Store(true) })
-			<-release
-		})
-	for i := 0; i < 1000 && s.Faults() == 0; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	s.Wait()
-	if childRan.Load() {
-		t.Fatal("injected steal panic did not stop the child body")
-	}
-	if s.Faults() != 1 || onPanic.Load() != 1 {
-		t.Fatalf("faults %d, OnPanic calls %d; want 1 and 1", s.Faults(), onPanic.Load())
-	}
-	if !child.Done().Fired() {
-		t.Fatal("panicked child's Done event must fire")
-	}
-	if c := s.Counters(); c.Steals != 1 {
-		t.Fatalf("counters %+v, want the child dispatched via a steal", c)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(order) != 2 || order[0] != "parse" {
+		t.Fatalf("order %v, want the parse first (§2.3.4 class order across workers)", order)
 	}
 }
 

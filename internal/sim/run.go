@@ -421,7 +421,10 @@ func (s *Sim) tally(l *ctrace.LookupRecord, h *ctrace.Hop, blocked, incomplete b
 	})
 }
 
-// taskHeap orders ready tasks by (priority, seq) like the Supervisor.
+// taskHeap orders ready tasks by (priority, seq): the one ready queue
+// of sched.Supervisor, which dispatches from the same single heap at
+// every processor count, so a replay and a live run share one queue
+// discipline.
 type taskHeap []*taskState
 
 func (h taskHeap) Len() int { return len(h) }

@@ -76,6 +76,7 @@ type Queue struct {
 	open *Block
 
 	closed  atomic.Bool  // set under mu; read lock-free by Append's no-op guard
+	sealed  atomic.Bool  // set by Close once the last block is sealed: recycling may start
 	readers atomic.Int32 // Retain-declared readers not yet detached
 	managed atomic.Bool  // Retain was called: block recycling is armed
 
@@ -113,10 +114,12 @@ func (q *Queue) Retain(n int) {
 	q.managed.Store(true)
 }
 
-// maybeRecycle returns all blocks to Blocks once the queue is closed
-// and the last declared reader has detached.
+// maybeRecycle returns all blocks to Blocks once Close has sealed the
+// last block and the last declared reader has detached.  A reader that
+// unwinds early (a canceled compilation) can detach while Close is still
+// sealing, so closed alone is not enough.
 func (q *Queue) maybeRecycle() {
-	if !q.managed.Load() || !q.closed.Load() || q.readers.Load() != 0 {
+	if !q.managed.Load() || !q.sealed.Load() || q.readers.Load() != 0 {
 		return
 	}
 	q.mu.Lock()
@@ -239,6 +242,7 @@ func (q *Queue) Close() {
 		q.seal(b)
 	}
 	q.fire(grown)
+	q.sealed.Store(true)
 	q.maybeRecycle()
 }
 

@@ -178,6 +178,24 @@ func TestAppendAfterCloseIsSafeNoOp(t *testing.T) {
 	}
 }
 
+// TestDetachDuringClose: a reader that unwinds early (its compilation
+// was canceled) may detach while the producer is still inside Close.
+// The open block Close is sealing must not be recycled under it; the
+// race detector catches the overlap within a few hundred rounds.
+func TestDetachDuringClose(t *testing.T) {
+	for round := 0; round < 500; round++ {
+		q := tokq.New(4)
+		q.Retain(1)
+		q.Append(token.Token{Kind: token.Ident, Text: "x"})
+		r := q.NewReader(nil)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() { defer wg.Done(); r.Detach() }()
+		q.Close()
+		wg.Wait()
+	}
+}
+
 func TestRetainDetachRecycles(t *testing.T) {
 	// Compile-shaped lifecycle: declare readers, produce, close, read,
 	// detach.  The blocks go back to the pool; a second queue built

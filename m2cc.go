@@ -201,7 +201,10 @@ func NewStreamCache(limit int) *StreamCache { return streamcache.New(limit) }
 // RenderTimeline (Figure 7-style ASCII); see internal/obs.
 type Observer = obs.Observer
 
-// ObsMetrics is an Observer's aggregated metrics snapshot.
+// ObsMetrics is an Observer's aggregated metrics snapshot.  Its Sched
+// section (JSON "sched") is the Supervisor's dispatch traffic: tasks
+// taken off the single ready queue, direct slot handoffs, and worker
+// goroutines started.
 type ObsMetrics = obs.Metrics
 
 // NewObserver returns an Observer ready to attach to Options.Obs.
