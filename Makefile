@@ -3,15 +3,16 @@ GO ?= go
 # Packages where races would be silent correctness bugs: the closure
 # hasher and the interface cache, the stream cache shared across
 # concurrent compilations, the concurrent driver, the DKY symbol
-# tables, the Supervisor scheduler, the fault-injection plans shared
-# across task goroutines, the observability layer hooked into every
-# task transition, the profiler consuming its dumps while compilations
-# run, the concurrent static analyzer whose findings must be
+# tables, the Supervisor scheduler, the trace recorder that takes
+# each task's record buffer when it finishes, the fault-injection
+# plans shared across task goroutines, the observability layer hooked
+# into every task transition, the profiler consuming its dumps while
+# compilations run, the concurrent static analyzer whose findings must be
 # schedule-independent, the event primitive's lock-free fired fast
 # path, the token queues' producer-owned blocks, the pooled
 # statement-tree arenas, and the free lists every compilation takes
 # them from.
-RACE_PKGS = ./internal/pool ./internal/ast ./internal/impscan ./internal/ifacecache ./internal/streamcache ./internal/core ./internal/symtab ./internal/sched ./internal/faultinject ./internal/obs ./internal/profile ./internal/check ./internal/event ./internal/tokq ./cmd/m2cd ./cmd/m2load
+RACE_PKGS = ./internal/pool ./internal/ast ./internal/impscan ./internal/ifacecache ./internal/streamcache ./internal/core ./internal/symtab ./internal/sched ./internal/ctrace ./internal/faultinject ./internal/obs ./internal/profile ./internal/check ./internal/event ./internal/tokq ./cmd/m2cd ./cmd/m2load
 
 # Seeds for the chaos suite's seeded matrix (see chaos_test.go); the
 # suite also hand-arms every injection point regardless of seeds.
@@ -66,11 +67,13 @@ serve-smoke:
 
 # End-to-end profiler smoke: compile an example module with the
 # critical-path profiler and the what-if replay, then cross-check the
-# trace export (fires/waits/task IDs) with tracecheck.
+# Chrome trace (fires/waits/task IDs) with tracecheck; replay once more
+# under Avoidance, which only the trace's lookups and scope gates drive.
 profile:
 	$(GO) run ./cmd/m2c -I examples/modules -q -profile -profile-json /tmp/m2c_profile.json Fib
 	$(GO) run ./cmd/m2c -I examples/modules -q -whatif -workers 4 -trace /tmp/m2c_whatif_trace.json Fib
 	$(GO) run ./cmd/tracecheck /tmp/m2c_whatif_trace.json
+	$(GO) run ./cmd/m2c -I examples/modules -q -whatif -dky avoidance Fib
 
 # Static analysis over the example modules: the clean fixtures must
 # stay clean (-werror), and the findings fixture must match its golden

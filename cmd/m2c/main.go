@@ -20,7 +20,7 @@
 //	m2c -metrics Sort          # machine-readable observability metrics
 //	m2c -timeline Sort         # measured per-worker activity timeline
 //	m2c -profile Sort          # critical-path profile + blocked-time blame report
-//	m2c -whatif Sort           # replay the measured run at P=1..workers
+//	m2c -whatif Sort           # replay the run on its measured clock at P=1..workers
 //	m2c -lint Sort             # concurrent static analysis; findings to stdout
 //	m2c -lint-json Sort        # the same findings as a JSON array
 package main
@@ -69,7 +69,7 @@ func main() {
 
 		profileF    = flag.Bool("profile", false, "print the measured critical-path profile and blame report")
 		profileJSON = flag.String("profile-json", "", "write the critical-path profile as JSON to `file`")
-		whatif      = flag.Bool("whatif", false, "replay the measured run in the simulator at every processor count (what-if speedup curve)")
+		whatif      = flag.Bool("whatif", false, "replay the run's trace on its measured clock at every processor count (what-if speedup curve)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -85,6 +85,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if *whatif && *run {
+		fmt.Fprintln(os.Stderr, "m2c: -whatif replays one module's compilation and cannot be combined with -run")
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *stall < 0 {
 		fmt.Fprintf(os.Stderr, "m2c: -stall-timeout must not be negative (got %v); a negative bound would wait forever on a wedged cache leader\n", *stall)
 		os.Exit(2)
@@ -96,6 +101,7 @@ func main() {
 		// -metrics piggybacks on the Table 2 collector for its
 		// per-strategy lookup section.
 		CollectStats: *stats || *metrics,
+		Trace:        *whatif,
 	}
 	if *headers {
 		opts.Headers = m2cc.HeaderReprocess
@@ -122,7 +128,7 @@ func main() {
 		fmt.Print(m2cc.RenderFindings(findings))
 	}
 	var observer *m2cc.Observer
-	if *traceOut != "" || *metrics || *timeline || *profileF || *profileJSON != "" || *whatif {
+	if *traceOut != "" || *metrics || *timeline || *profileF || *profileJSON != "" {
 		observer = m2cc.NewObserver()
 		opts.Obs = observer
 	}
@@ -184,34 +190,6 @@ func main() {
 				}
 			}
 		}
-		if *whatif {
-			// Replay the *measured* run (not a fresh deterministic trace)
-			// at every processor count: the Figure 5-style curve for what
-			// actually happened, makespans in measured microseconds.
-			tr := m2cc.ExportObservedTrace(observer)
-			p := m2cc.BuildProfile(observer)
-			base := m2cc.Simulate(tr, m2cc.SimOptions{
-				Processors: 1, Strategy: strategy, ReplayWaits: true,
-				LongBeforeShort: true, BoostResolver: true,
-			})
-			fmt.Printf("what-if replay of the measured run (%s; units = measured µs of execution):\n", strategy)
-			fmt.Printf("  %3s  %12s  %8s  %s\n", "P", "makespan(ms)", "speedup", "utilization")
-			for pN := 1; pN <= *workers; pN++ {
-				r := base
-				if pN > 1 {
-					r = m2cc.Simulate(tr, m2cc.SimOptions{
-						Processors: pN, Strategy: strategy, ReplayWaits: true,
-						LongBeforeShort: true, BoostResolver: true,
-					})
-				}
-				fmt.Printf("  %3d  %12.3f  %8.2f  %10.0f%%\n",
-					pN, r.Makespan/1000, base.Makespan/r.Makespan, 100*r.Utilization(pN))
-			}
-			if p.SpeedupBound > 0 {
-				fmt.Printf("  critical-path bound at P→∞: %.2fx (serial fraction %.1f%%)\n",
-					p.SpeedupBound, 100*p.SerialFraction)
-			}
-		}
 	}
 
 	switch {
@@ -235,7 +213,9 @@ func main() {
 		return
 
 	case *watch:
-		res := m2cc.Compile(module, loader, m2cc.Options{Workers: 1, Strategy: strategy, Trace: true})
+		wopts := opts
+		wopts.Workers, wopts.Trace, wopts.Obs = 1, true, nil
+		res := m2cc.Compile(module, loader, wopts)
 		os.Stderr.WriteString(res.Diags.String())
 		if res.Failed() {
 			os.Exit(1)
@@ -308,6 +288,9 @@ func main() {
 		res := m2cc.Compile(module, loader, opts)
 		os.Stderr.WriteString(res.Diags.String())
 		obsReport()
+		if *whatif && res.Trace != nil {
+			whatIf(res.Trace, strategy, *workers)
+		}
 		printFindings(res.Findings)
 		if res.Failed() {
 			os.Exit(1)
@@ -335,6 +318,41 @@ func main() {
 				fmt.Printf("%s: warm rebuild: %d/%d stream probes hit (%d installed, %d covered, %d recompiled)\n",
 					module, ta.Hits, ta.Probed, ta.Installed, ta.Covered, ta.Misses)
 			}
+		}
+	}
+}
+
+// whatIf replays the run's trace on its measured clock at every
+// processor count up to workers, makespans in measured µs, then prints
+// each task kind's measured µs per work unit: the simulator's per-kind
+// residual on this host.
+func whatIf(tr *m2cc.Trace, strategy m2cc.Strategy, workers int) {
+	m := tr.Measured()
+	var base float64
+	fmt.Printf("what-if replay of the measured run (%s; units = measured µs of execution):\n", strategy)
+	fmt.Printf("  %3s  %12s  %8s  %s\n", "P", "makespan(ms)", "speedup", "utilization")
+	for p := 1; p <= workers; p++ {
+		r := m2cc.Simulate(m, m2cc.SimOptions{
+			Processors: p, Strategy: strategy, LongBeforeShort: true, BoostResolver: true,
+		})
+		if p == 1 {
+			base = r.Makespan
+		}
+		fmt.Printf("  %3d  %12.3f  %8.2f  %10.0f%%\n",
+			p, r.Makespan/1000, base/r.Makespan, 100*r.Utilization(p))
+	}
+	var units, micros [ctrace.NumTaskKinds]float64
+	var tasks [ctrace.NumTaskKinds]int
+	for i, ti := range tr.Tasks {
+		units[ti.Kind] += ti.Cost
+		micros[ti.Kind] += m.Tasks[i].Cost
+		tasks[ti.Kind]++
+	}
+	fmt.Println("  measured µs per work unit, by task kind:")
+	for k, n := range tasks {
+		if n > 0 {
+			fmt.Printf("    %-15s %7.3f  (%d tasks, %.0f units)\n",
+				ctrace.TaskKind(k), micros[k]/units[k], n, units[k])
 		}
 	}
 }

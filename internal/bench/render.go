@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"m2cc/internal/ctrace"
 	"m2cc/internal/sim"
 	"m2cc/internal/symtab"
 )
@@ -168,46 +169,12 @@ func RenderTimeline(tl []sim.Interval, procs int, makespan float64, width int) s
 	if width <= 0 {
 		width = 100
 	}
-	rows := make([][]byte, procs)
-	// Per-cell dominant kind by accumulated time.
-	acc := make([]map[byte]float64, procs*width)
-	for i := range rows {
-		rows[i] = []byte(strings.Repeat(".", width))
-	}
-	for _, iv := range tl {
-		c0 := int(iv.Start / makespan * float64(width))
-		c1 := int(iv.End / makespan * float64(width))
-		if c1 >= width {
-			c1 = width - 1
-		}
-		for c := c0; c <= c1; c++ {
-			cell := iv.Proc*width + c
-			if acc[cell] == nil {
-				acc[cell] = make(map[byte]float64)
-			}
-			lo := math.Max(iv.Start, makespan*float64(c)/float64(width))
-			hi := math.Min(iv.End, makespan*float64(c+1)/float64(width))
-			if hi > lo {
-				acc[cell][iv.Kind.Glyph()] += hi - lo
-			}
-		}
-	}
-	for p := 0; p < procs; p++ {
-		for c := 0; c < width; c++ {
-			cell := acc[p*width+c]
-			best, bestV := byte('.'), 0.0
-			for g, v := range cell {
-				if v > bestV {
-					best, bestV = g, v
-				}
-			}
-			rows[p][c] = best
-		}
+	acts := make([]ctrace.Activity, len(tl))
+	for i, iv := range tl {
+		acts[i] = ctrace.Activity{Lane: iv.Proc, Start: iv.Start, End: iv.End, Glyph: iv.Kind.Glyph()}
 	}
 	var sb strings.Builder
-	for p := procs - 1; p >= 0; p-- {
-		fmt.Fprintf(&sb, "P%d |%s|\n", p, rows[p])
-	}
+	ctrace.WriteLanes(&sb, 'P', procs, makespan, width, acts)
 	fmt.Fprintf(&sb, "    0%*s\n", width, fmt.Sprintf("%.0f units", makespan))
 	return sb.String()
 }

@@ -73,14 +73,9 @@ func canonical(t *Trace) *Trace {
 		return a.Offset < b.Offset
 	}
 
-	out := &Trace{
-		Tasks:      make([]TaskInfo, len(order)),
-		Spawns:     make([]SpawnRecord, len(t.Spawns)),
-		Fires:      make([]FireRecord, len(t.Fires)),
-		Waits:      make([]WaitRecord, len(t.Waits)),
-		Lookups:    make([]LookupRecord, len(t.Lookups)),
-		ScopeGates: make(map[TaskID][]EventID, len(t.ScopeGates)),
-	}
+	out := t.withStamps(stamp)
+	out.Tasks = make([]TaskInfo, len(order))
+	out.ScopeGates = make(map[TaskID][]EventID, len(t.ScopeGates))
 	stream := map[int32]int32{0: 0}
 	for i, old := range order {
 		ti := t.Tasks[old-1]
@@ -91,28 +86,13 @@ func canonical(t *Trace) *Trace {
 		ti.Stream = stream[ti.Stream]
 		out.Tasks[i] = ti
 	}
-
-	for i, sp := range t.Spawns {
-		out.Spawns[i] = SpawnRecord{Parent: task[sp.Parent], At: stamp(sp.At), Child: task[sp.Child],
-			Gates: slices.Clone(sp.Gates)}
+	for i := range out.Spawns {
+		sp := &out.Spawns[i]
+		sp.Parent, sp.Child = task[sp.Parent], task[sp.Child]
 	}
 	sort.SliceStable(out.Spawns, func(a, b int) bool { return out.Spawns[a].Child < out.Spawns[b].Child })
-	for i, f := range t.Fires {
-		out.Fires[i] = FireRecord{Event: f.Event, At: stamp(f.At)}
-	}
 	sort.SliceStable(out.Fires, func(a, b int) bool { return before(out.Fires[a].At, out.Fires[b].At) })
-	for i, w := range t.Waits {
-		out.Waits[i] = WaitRecord{Event: w.Event, At: stamp(w.At), Barrier: w.Barrier}
-	}
 	sort.SliceStable(out.Waits, func(a, b int) bool { return before(out.Waits[a].At, out.Waits[b].At) })
-	for i, l := range t.Lookups {
-		l.At = stamp(l.At)
-		l.Hops = slices.Clone(l.Hops)
-		for h := range l.Hops {
-			l.Hops[h].Insert = stamp(l.Hops[h].Insert)
-		}
-		out.Lookups[i] = l
-	}
 	sort.SliceStable(out.Lookups, func(a, b int) bool { return before(out.Lookups[a].At, out.Lookups[b].At) })
 
 	// Events and scopes, numbered by first reference.  Fires come first,
@@ -173,5 +153,38 @@ func canonical(t *Trace) *Trace {
 	}
 	sort.SliceStable(pre, func(a, b int) bool { return pre[a].Event < pre[b].Event })
 	out.Events = len(event) - 1
+	return out
+}
+
+// withStamps returns a copy of t's records with every stamp mapped
+// through f, sharing Tasks and ScopeGates with t.
+func (t *Trace) withStamps(f func(Stamp) Stamp) *Trace {
+	out := &Trace{
+		Tasks:      t.Tasks,
+		Fires:      slices.Clone(t.Fires),
+		Waits:      slices.Clone(t.Waits),
+		Spawns:     slices.Clone(t.Spawns),
+		Lookups:    slices.Clone(t.Lookups),
+		Events:     t.Events,
+		ScopeGates: t.ScopeGates,
+	}
+	for i := range out.Fires {
+		out.Fires[i].At = f(out.Fires[i].At)
+	}
+	for i := range out.Waits {
+		out.Waits[i].At = f(out.Waits[i].At)
+	}
+	for i := range out.Spawns {
+		out.Spawns[i].At = f(out.Spawns[i].At)
+		out.Spawns[i].Gates = slices.Clone(out.Spawns[i].Gates)
+	}
+	for i := range out.Lookups {
+		l := &out.Lookups[i]
+		l.At = f(l.At)
+		l.Hops = slices.Clone(l.Hops)
+		for h := range l.Hops {
+			l.Hops[h].Insert = f(l.Hops[h].Insert)
+		}
+	}
 	return out
 }

@@ -1,8 +1,11 @@
 package ctrace_test
 
 import (
+	"reflect"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
 
 	"m2cc/internal/ctrace"
 	"m2cc/internal/event"
@@ -65,10 +68,9 @@ func TestRecorderRoundTrip(t *testing.T) {
 	ctx2.NoteBarrier(e)
 	rec.NoteSpawn(id1, ctx.Stamp(), id2, []*event.Event{e})
 	rec.NoteScopeGate(id2, e)
-	rec.FinishTask(id1, ctx.Units)
-	rec.FinishTask(id2, ctx2.Units)
-	rec.NoteLookup(ctrace.LookupRecord{At: ctx2.Stamp(), Found: true,
-		Hops: []ctrace.Hop{{Rel: ctrace.RelSelf, Found: true}}})
+	ctx2.NoteLookup(false, ctx2.Stamp(), []ctrace.Hop{{Rel: ctrace.RelSelf, Found: true}}, true)
+	ctx.Finish()
+	ctx2.Finish()
 
 	tr := rec.Trace()
 	if len(tr.Tasks) != 2 || tr.Tasks[0].Cost != 10 || tr.Tasks[1].Cost != 3 {
@@ -77,7 +79,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 	if len(tr.Fires) != 1 || tr.Fires[0].At.Task != id1 || tr.Fires[0].At.Offset != 10 {
 		t.Fatalf("fires wrong: %+v", tr.Fires)
 	}
-	if len(tr.Waits) != 1 || !tr.Waits[0].Barrier {
+	if len(tr.Waits) != 1 || tr.Waits[0].At != ctx2.Stamp() {
 		t.Fatalf("waits wrong: %+v", tr.Waits)
 	}
 	if len(tr.Spawns) != 1 || len(tr.Spawns[0].Gates) != 1 {
@@ -110,14 +112,16 @@ func TestRecorderConcurrentUse(t *testing.T) {
 				ctx := &ctrace.TaskCtx{ID: id, Rec: rec}
 				e := event.New()
 				ctx.FireEvent(e)
-				rec.FinishTask(id, 1)
+				ctx.Add(1)
+				ctx.NoteLookup(false, ctx.Stamp(), []ctrace.Hop{{Rel: ctrace.RelSelf, Found: true}}, true)
+				ctx.Finish()
 			}
 		}()
 	}
 	wg.Wait()
 	tr := rec.Trace()
-	if len(tr.Tasks) != 800 || len(tr.Fires) != 800 {
-		t.Fatalf("lost records: %d tasks %d fires", len(tr.Tasks), len(tr.Fires))
+	if len(tr.Tasks) != 800 || len(tr.Fires) != 800 || len(tr.Lookups) != 800 {
+		t.Fatalf("lost records: %d tasks %d fires %d lookups", len(tr.Tasks), len(tr.Fires), len(tr.Lookups))
 	}
 }
 
@@ -127,5 +131,105 @@ func TestRelationNames(t *testing.T) {
 		if got := ctrace.Relation(i).String(); got != w {
 			t.Errorf("relation %d = %q, want %q", i, got, w)
 		}
+	}
+}
+
+// TestTraceCanonicalOrder pins the canonical form on a recording made
+// out of order: tasks registered child-first, a root registered before
+// a root that sorts ahead of it by label, and records appended in
+// reverse.  The trace must number tasks in spawn-tree order (roots by
+// label, children by spawn offset) and sort records by stamp.
+func TestTraceCanonicalOrder(t *testing.T) {
+	r := ctrace.NewRecorder()
+	late := r.RegisterTask(ctrace.KindShortStmtCG, 9, "late child")
+	early := r.RegisterTask(ctrace.KindShortStmtCG, 7, "early child")
+	rootB := r.RegisterTask(ctrace.KindModParseDecl, 7, "B")
+	rootA := r.RegisterTask(ctrace.KindLexor, 3, "A")
+	at := func(id ctrace.TaskID, off float64) *ctrace.TaskCtx {
+		return &ctrace.TaskCtx{ID: id, Units: off, Rec: r}
+	}
+	ev := event.New()
+	r.NoteSpawn(0, ctrace.Stamp{}, rootB, nil)
+	r.NoteSpawn(rootB, at(rootB, 20).Stamp(), late, []*event.Event{ev})
+	r.NoteSpawn(rootB, at(rootB, 10).Stamp(), early, nil)
+	r.NoteSpawn(0, ctrace.Stamp{}, rootA, nil)
+	at(rootB, 15).FireEvent(ev)
+	at(late, 5).NoteBarrier(ev)
+	at(early, 5).NoteBarrier(ev)
+
+	tr := r.Trace()
+	var labels []string
+	var streams []int32
+	for i, ti := range tr.Tasks {
+		if ti.ID != ctrace.TaskID(i+1) {
+			t.Errorf("task %d has ID %d", i, ti.ID)
+		}
+		labels = append(labels, ti.Label)
+		streams = append(streams, ti.Stream)
+	}
+	if want := []string{"A", "B", "early child", "late child"}; !reflect.DeepEqual(labels, want) {
+		t.Errorf("task order %q, want %q", labels, want)
+	}
+	if want := []int32{1, 2, 2, 3}; !reflect.DeepEqual(streams, want) {
+		t.Errorf("streams %v, want %v", streams, want)
+	}
+	wantSpawns := []ctrace.SpawnRecord{
+		{Child: 1, Gates: []ctrace.EventID{}},
+		{Child: 2, Gates: []ctrace.EventID{}},
+		{Parent: 2, At: ctrace.Stamp{Task: 2, Offset: 10}, Child: 3, Gates: []ctrace.EventID{}},
+		{Parent: 2, At: ctrace.Stamp{Task: 2, Offset: 20}, Child: 4, Gates: []ctrace.EventID{1}},
+	}
+	if !reflect.DeepEqual(tr.Spawns, wantSpawns) {
+		t.Errorf("Spawns = %+v\nwant %+v", tr.Spawns, wantSpawns)
+	}
+	wantWaits := []ctrace.WaitRecord{
+		{Event: 1, At: ctrace.Stamp{Task: 3, Offset: 5}},
+		{Event: 1, At: ctrace.Stamp{Task: 4, Offset: 5}},
+	}
+	if !reflect.DeepEqual(tr.Waits, wantWaits) {
+		t.Errorf("Waits = %+v\nwant %+v", tr.Waits, wantWaits)
+	}
+}
+
+// TestMeasuredInterpolatesKnots pins the measured-clock mapping on one
+// task: knots from an implicit (0, 0), linear in between, the cost
+// mapped to the last knot, and a stamp between two knots of one offset
+// (a wait taken with no work in between) mapped to the first.
+func TestMeasuredInterpolatesKnots(t *testing.T) {
+	r := ctrace.NewRecorder()
+	id := r.RegisterTask(ctrace.KindLexor, 1, "lex")
+	ctx := &ctrace.TaskCtx{ID: id, Rec: r}
+	r.NoteSpawn(0, ctrace.Stamp{}, id, nil)
+	ctx.Add(10)
+	ctx.Ran(100 * time.Microsecond) // (10 units, 100 µs)
+	ctx.FireEvent(event.New())      // at 10 units
+	ctx.Ran(50 * time.Microsecond)  // (10 units, 150 µs)
+	ctx.Add(20)
+	ctx.NoteLookup(false, ctrace.Stamp{Task: id, Offset: 5}, nil, false)
+	ctx.NoteLookup(false, ctrace.Stamp{Task: id, Offset: 20}, nil, false)
+	ctx.Ran(300 * time.Microsecond) // (30 units, 450 µs)
+	ctx.Finish()
+
+	tr := r.Trace()
+	m := tr.Measured()
+	if got := m.Tasks[0].Cost; got != 450 {
+		t.Errorf("measured cost %v, want 450", got)
+	}
+	if got := m.Fires[0].At.Offset; got != 100 {
+		t.Errorf("fire at 10 units maps to %v µs, want 100 (the first knot at 10)", got)
+	}
+	if got := []float64{m.Lookups[0].At.Offset, m.Lookups[1].At.Offset}; got[0] != 50 || got[1] != 300 {
+		t.Errorf("lookups at 5 and 20 units map to %v µs, want [50 300]", got)
+	}
+	if tr.Tasks[0].Cost != 30 || tr.Fires[0].At.Offset != 10 {
+		t.Error("Measured modified the work-unit trace")
+	}
+}
+
+// TestTaskCtxSize pins the untraced cost of a task's context: tracing
+// adds one pointer to it, nothing more.
+func TestTaskCtxSize(t *testing.T) {
+	if got := unsafe.Sizeof(ctrace.TaskCtx{}); got > 48 {
+		t.Errorf("TaskCtx is %d bytes, want at most 48", got)
 	}
 }

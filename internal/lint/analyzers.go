@@ -177,14 +177,16 @@ func isIdent(e ast.Expr, name string) bool {
 
 // NoTime bans wall-clock reads in the deterministic packages: the
 // simulator (internal/sim) and the concurrency trace (internal/ctrace)
-// derive all times from abstract work units so that replays and
-// what-if analyses are reproducible.  A time.Now or time.Since there
-// silently breaks replay determinism.
+// never read the clock, so that replays and what-if analyses are
+// reproducible.  Work units are their own clock; measured times arrive
+// from internal/sched, which reads the clock as traced tasks take and
+// leave worker slots and hands ctrace the result to store and map.  A
+// time.Now or time.Since there silently breaks replay determinism.
 var NoTime = &Analyzer{
 	Name: "notime",
 	Doc: "flags time.Now/time.Since in internal/sim and internal/ctrace; " +
-		"those packages are deterministic and must derive times from " +
-		"work units, never the wall clock",
+		"those packages never read the clock: they derive times from " +
+		"work units or store measured times internal/sched hands them",
 	Run: runNoTime,
 }
 

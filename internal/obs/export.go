@@ -4,10 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 	"time"
 
+	"m2cc/internal/ctrace"
 	"m2cc/internal/ifacecache"
 	"m2cc/internal/streamcache"
 	"m2cc/internal/symtab"
@@ -383,18 +383,8 @@ func (o *Observer) RenderTimeline(width int) string {
 		return "(no activity recorded)\n"
 	}
 
-	total := wall.Seconds()
-	rows := make([][]byte, workers)
-	for i := range rows {
-		rows[i] = []byte(strings.Repeat(".", width))
-	}
-	// Per-cell dominant glyph by accumulated time, as in the simulated
-	// renderer, so sub-cell spans do not flicker based on order.
-	acc := make([]map[byte]float64, workers*width)
-	for _, sp := range spans {
-		if sp.Lane < 0 || sp.Lane >= workers {
-			continue
-		}
+	acts := make([]ctrace.Activity, len(spans))
+	for i, sp := range spans {
 		glyph := byte('?')
 		if sp.Task >= 1 && sp.Task <= len(tasks) {
 			t := tasks[sp.Task-1]
@@ -403,39 +393,10 @@ func (o *Observer) RenderTimeline(width int) string {
 				glyph = '!'
 			}
 		}
-		s0, s1 := sp.Start.Seconds(), sp.End.Seconds()
-		c0 := int(s0 / total * float64(width))
-		c1 := int(s1 / total * float64(width))
-		if c1 >= width {
-			c1 = width - 1
-		}
-		for c := c0; c <= c1; c++ {
-			cell := sp.Lane*width + c
-			if acc[cell] == nil {
-				acc[cell] = make(map[byte]float64)
-			}
-			lo := math.Max(s0, total*float64(c)/float64(width))
-			hi := math.Min(s1, total*float64(c+1)/float64(width))
-			if hi > lo {
-				acc[cell][glyph] += hi - lo
-			}
-		}
-	}
-	for p := 0; p < workers; p++ {
-		for c := 0; c < width; c++ {
-			best, bestV := byte('.'), 0.0
-			for g, v := range acc[p*width+c] {
-				if v > bestV {
-					best, bestV = g, v
-				}
-			}
-			rows[p][c] = best
-		}
+		acts[i] = ctrace.Activity{Lane: sp.Lane, Start: sp.Start.Seconds(), End: sp.End.Seconds(), Glyph: glyph}
 	}
 	var sb strings.Builder
-	for p := workers - 1; p >= 0; p-- {
-		fmt.Fprintf(&sb, "W%d |%s|\n", p, rows[p])
-	}
+	ctrace.WriteLanes(&sb, 'W', workers, wall.Seconds(), width, acts)
 	fmt.Fprintf(&sb, "    0%*s\n", width, fmt.Sprintf("%.2f ms", float64(wall)/float64(time.Millisecond)))
 	sb.WriteString("legend: L lexical  S splitter  I importer  P parser/decl  G stmt/codegen  M merge  ! panic-isolated  . idle\n")
 	return sb.String()

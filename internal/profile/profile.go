@@ -20,9 +20,8 @@
 //   - queue delay: from the event's fire until the waiter was running
 //     again.  More processors recover it.
 //
-// The same Dump also exports as a schedule-independent ctrace.Trace
-// (ExportTrace), so the measured run can be replayed by internal/sim
-// at any processor count — see export.go.
+// The profile explains the run that happened; m2c -whatif replays the
+// run's own trace (ctrace.Trace.Measured) at other processor counts.
 package profile
 
 import (

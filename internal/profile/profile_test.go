@@ -14,7 +14,6 @@ import (
 	"m2cc/internal/ctrace"
 	"m2cc/internal/obs"
 	"m2cc/internal/profile"
-	"m2cc/internal/sim"
 	"m2cc/internal/source"
 	"m2cc/internal/symtab"
 )
@@ -94,31 +93,6 @@ func TestBuildTwoTaskByHand(t *testing.T) {
 	}
 }
 
-func TestExportTwoTaskReplay(t *testing.T) {
-	d := twoTaskDump()
-	tr := profile.ExportTrace(&d)
-	if got := tr.TotalCost(); got != 145 {
-		t.Fatalf("TotalCost = %v, want 145 work units (µs of execution)", got)
-	}
-	// P=1: serial replay is exactly the work total.
-	one := sim.New(tr, sim.Options{
-		Processors: 1, Strategy: symtab.Skeptical, ReplayWaits: true,
-		LongBeforeShort: true, BoostResolver: true,
-	}).Run()
-	if one.Makespan != 145 {
-		t.Errorf("P=1 replay makespan %v, want 145", one.Makespan)
-	}
-	// P=2: the consumer still waits for the fire at t=80, then runs its
-	// remaining 35 units — the measured queue delay is recovered.
-	two := sim.New(tr, sim.Options{
-		Processors: 2, Strategy: symtab.Skeptical, ReplayWaits: true,
-		LongBeforeShort: true, BoostResolver: true,
-	}).Run()
-	if two.Makespan != 115 {
-		t.Errorf("P=2 replay makespan %v, want 115", two.Makespan)
-	}
-}
-
 func TestBuildEmptySafe(t *testing.T) {
 	p := profile.Build(&obs.Dump{})
 	if p.Makespan != 0 || p.TotalWork != 0 || len(p.Path) != 0 {
@@ -126,10 +100,6 @@ func TestBuildEmptySafe(t *testing.T) {
 	}
 	if out := p.Render(10); !strings.Contains(out, "no activity") {
 		t.Errorf("empty Render = %q", out)
-	}
-	tr := profile.ExportTrace(&obs.Dump{})
-	if len(tr.Tasks) != 0 || tr.TotalCost() != 0 {
-		t.Errorf("empty export = %+v, want no tasks", tr)
 	}
 }
 
@@ -234,47 +204,6 @@ func TestBlameConservation(t *testing.T) {
 	if p.TotalWork <= 0 || p.SpeedupBound < 1 {
 		t.Errorf("TotalWork %v, SpeedupBound %v: want positive work, bound >= 1",
 			p.TotalWork, p.SpeedupBound)
-	}
-}
-
-// TestExportReplayP1Fidelity pins the -whatif acceptance bound: a P=1
-// replay of the obs-exported trace reproduces the trace's serial work
-// total within 1%.
-func TestExportReplayP1Fidelity(t *testing.T) {
-	d := compileDump(t, 4)
-	tr := profile.ExportTrace(&d)
-	total := tr.TotalCost()
-	if total <= 0 {
-		t.Fatal("exported trace has no work")
-	}
-	r := sim.New(tr, sim.Options{
-		Processors: 1, Strategy: symtab.Skeptical, ReplayWaits: true,
-		LongBeforeShort: true, BoostResolver: true,
-	}).Run()
-	if errPct := 100 * math.Abs(r.Makespan-total) / total; errPct > 1 {
-		t.Errorf("P=1 replay makespan %.1f vs trace work %.1f: %.3f%% error, want < 1%%",
-			r.Makespan, total, errPct)
-	}
-}
-
-// TestExportDeterministic pins schedule-independence of the bridge: the
-// same dump exports to identical traces, and identical traces simulate
-// to identical results at any processor count.
-func TestExportDeterministic(t *testing.T) {
-	d := compileDump(t, 4)
-	a := profile.ExportTrace(&d)
-	b := profile.ExportTrace(&d)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("two exports of the same dump differ")
-	}
-	opts := sim.Options{
-		Processors: 4, Strategy: symtab.Skeptical, ReplayWaits: true,
-		LongBeforeShort: true, BoostResolver: true,
-	}
-	ra := sim.New(a, opts).Run()
-	rb := sim.New(b, opts).Run()
-	if ra.Makespan != rb.Makespan || ra.BusyTime != rb.BusyTime || ra.Blocks != rb.Blocks {
-		t.Errorf("replays differ: %+v vs %+v", ra, rb)
 	}
 }
 

@@ -28,6 +28,11 @@
 // binding Topaz threads to tasks; worker slots here are a prioritized
 // counting semaphore, which removes that deadlock case without changing
 // the scheduling policy (see DESIGN.md).
+//
+// With a Recorder attached the Supervisor also times every task on its
+// slot, from taking it to leaving it, and hands each stretch to the
+// task's ctrace.TaskCtx: the measured clock the trace carries beside
+// its work units.
 package sched
 
 import (
@@ -76,6 +81,7 @@ type Task struct {
 
 	sup      *Supervisor
 	kind     ctrace.TaskKind
+	started  bool
 	stream   int32
 	priority int64 // raised by a §2.3.4 boost, under the Supervisor's mu
 	seq      int64
@@ -83,10 +89,10 @@ type Task struct {
 	done     *event.Event
 
 	gatesLeft int
-	started   bool
 	resume    chan struct{} // guards: slot handoff — one send re-admits this blocked task
 	heapIdx   int           // index in the ready heap, -1 when absent
 	obsID     int           // observability-layer task ID (0 = unobserved)
+	onSlot    time.Duration // when a traced task last took its slot, since the Supervisor's epoch
 }
 
 // Done returns the event fired when the task finishes.  Other tasks
@@ -120,12 +126,14 @@ func (t *Task) BarrierWait(e *event.Event) {
 		// discharged unrun; unwind instead of blocking a slot forever.
 		panic(ErrCanceled)
 	}
+	s.clockOff(t)
 	s.Obs.TaskBarrierBlocked(t.obsID, e)
 	select {
 	case <-e.WaitChan():
 	case <-s.cancelCh:
 	}
 	s.Obs.TaskBarrierUnblocked(t.obsID)
+	s.clockOn(t)
 	if !e.Fired() {
 		panic(ErrCanceled)
 	}
@@ -140,6 +148,7 @@ func (t *Task) HandledWait(e *event.Event) {
 		return
 	}
 	s := t.sup
+	s.clockOff(t)
 	s.releaseForWait(t, e)
 	select {
 	case <-e.WaitChan():
@@ -149,6 +158,7 @@ func (t *Task) HandledWait(e *event.Event) {
 	// the cancellation panic is raised from inside the task body, where
 	// the normal finish path releases the slot.
 	s.reacquire(t)
+	s.clockOn(t)
 	if !e.Fired() {
 		panic(ErrCanceled)
 	}
@@ -173,6 +183,7 @@ func (t *Task) ExternalWait(e *event.Event) bool {
 		return true
 	}
 	s := t.sup
+	s.clockOff(t)
 	s.mu.Lock()
 	s.Obs.TaskBlocked(t.obsID, obs.BlockExternal, e)
 	s.external[t] = e
@@ -205,6 +216,7 @@ func (t *Task) ExternalWait(e *event.Event) bool {
 	s.pushLocked(t)
 	s.mu.Unlock()
 	<-t.resume
+	s.clockOn(t)
 	return fired
 }
 
@@ -247,7 +259,8 @@ type Supervisor struct {
 	counters obs.SchedCounters // dispatch traffic
 	exits    int64             // worker goroutines that returned (Exited)
 
-	rec *ctrace.Recorder
+	rec   *ctrace.Recorder
+	epoch time.Time // traced tasks' slot times count from here
 
 	// OnDeadlock is invoked (outside the lock) with a description when
 	// the watchdog breaks a stall; the driver reports it as an error.
@@ -295,6 +308,9 @@ func New(workers int, rec *ctrace.Recorder) *Supervisor {
 		gateSub:     make(map[*event.Event]bool),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	if rec != nil {
+		s.epoch = time.Now()
+	}
 	return s
 }
 
@@ -534,12 +550,12 @@ func (s *Supervisor) handoffLocked() {
 // or is given back for want of work.
 func (s *Supervisor) work(t *Task) {
 	for {
+		s.clockOn(t)
 		t.Ctx.Add(ctrace.CostTaskStart)
 		s.runGuarded(t)
 		t.Ctx.FireEvent(t.done)
-		if s.rec != nil {
-			s.rec.FinishTask(t.Ctx.ID, t.Ctx.Units)
-		}
+		s.clockOff(t)
+		t.Ctx.Finish()
 		// Note the finish (freeing the task's observed lane) before the
 		// slot moves on, so an observer never sees more lanes busy than
 		// slots exist.
@@ -557,6 +573,21 @@ func (s *Supervisor) work(t *Task) {
 			return
 		}
 		t = next
+	}
+}
+
+// clockOn starts a traced task's clock as it takes its slot; clockOff
+// stops it as the task leaves the slot (finish, handled, external or
+// stalled barrier wait) and hands the stretch to its TaskCtx.
+func (s *Supervisor) clockOn(t *Task) {
+	if s.rec != nil {
+		t.onSlot = time.Since(s.epoch)
+	}
+}
+
+func (s *Supervisor) clockOff(t *Task) {
+	if s.rec != nil {
+		t.Ctx.Ran(time.Since(s.epoch) - t.onSlot)
 	}
 }
 

@@ -4,34 +4,69 @@ import (
 	"testing"
 
 	"m2cc/internal/ctrace"
+	"m2cc/internal/event"
 	"m2cc/internal/sim"
 	"m2cc/internal/symtab"
 )
 
-// buildTrace assembles a trace by hand through a Recorder, simulating
-// what the instrumented compiler would have recorded.
+// traceBuilder assembles a trace by hand through the recording API the
+// instrumented compiler uses: one TaskCtx per task, live events.
 type traceBuilder struct {
-	rec  *ctrace.Recorder
-	ctxs map[ctrace.TaskID]*ctrace.TaskCtx
+	rec   *ctrace.Recorder
+	ctxs  []*ctrace.TaskCtx // by TaskID-1
+	costs []float64
 }
 
 func newBuilder() *traceBuilder {
-	return &traceBuilder{rec: ctrace.NewRecorder(), ctxs: map[ctrace.TaskID]*ctrace.TaskCtx{}}
+	return &traceBuilder{rec: ctrace.NewRecorder()}
 }
 
 func (b *traceBuilder) task(kind ctrace.TaskKind, label string, cost float64) ctrace.TaskID {
 	id := b.rec.RegisterTask(kind, 0, label)
-	b.ctxs[id] = &ctrace.TaskCtx{ID: id, Kind: kind, Rec: b.rec}
-	b.rec.FinishTask(id, cost)
+	b.ctxs = append(b.ctxs, &ctrace.TaskCtx{ID: id, Kind: kind, Rec: b.rec})
+	b.costs = append(b.costs, cost)
 	return id
 }
 
-func (b *traceBuilder) spawn(parent ctrace.TaskID, at float64, child ctrace.TaskID, gates ...ctrace.EventID) {
+// at returns the task's context positioned at work-unit offset off.
+func (b *traceBuilder) at(id ctrace.TaskID, off float64) *ctrace.TaskCtx {
+	ctx := b.ctxs[id-1]
+	ctx.Units = off
+	return ctx
+}
+
+// fire records that the task fires a fresh event at offset off.
+func (b *traceBuilder) fire(id ctrace.TaskID, off float64) *event.Event {
+	e := event.New()
+	b.at(id, off).FireEvent(e)
+	return e
+}
+
+func (b *traceBuilder) spawn(parent ctrace.TaskID, at float64, child ctrace.TaskID, gates ...*event.Event) {
 	var stamp ctrace.Stamp
 	if parent != 0 {
-		stamp = ctrace.Stamp{Task: parent, Offset: at}
+		stamp = b.at(parent, at).Stamp()
 	}
-	b.rec.NoteSpawnIDs(parent, stamp, child, gates)
+	b.rec.NoteSpawn(parent, stamp, child, gates)
+}
+
+// lookup records a successful lookup by the task at offset off that
+// finds its entry in one outer scope completed by completion.
+func (b *traceBuilder) lookup(id ctrace.TaskID, off float64, completion *event.Event, insert ctrace.Stamp) {
+	hops := []ctrace.Hop{{
+		Scope: 1, Rel: ctrace.RelOuter, Completion: b.rec.EventIDOf(completion),
+		Found: true, Insert: insert,
+	}}
+	b.ctxs[id-1].NoteLookup(false, ctrace.Stamp{Task: id, Offset: off}, hops, true)
+}
+
+// trace finishes every task at its cost and returns the trace.
+func (b *traceBuilder) trace() *ctrace.Trace {
+	for i, ctx := range b.ctxs {
+		ctx.Units = b.costs[i]
+		ctx.Finish()
+	}
+	return b.rec.Trace()
 }
 
 func TestSimTwoIndependentTasks(t *testing.T) {
@@ -40,7 +75,7 @@ func TestSimTwoIndependentTasks(t *testing.T) {
 	c := b.task(ctrace.KindShortStmtCG, "c", 100)
 	b.spawn(0, 0, a)
 	b.spawn(0, 0, c)
-	tr := b.rec.Trace()
+	tr := b.trace()
 
 	one := sim.New(tr, sim.Options{Processors: 1, Strategy: symtab.Skeptical}).Run()
 	two := sim.New(tr, sim.Options{Processors: 2, Strategy: symtab.Skeptical}).Run()
@@ -57,10 +92,10 @@ func TestSimGateDelaysChild(t *testing.T) {
 	parent := b.task(ctrace.KindModParseDecl, "parent", 100)
 	child := b.task(ctrace.KindProcParseDecl, "child", 50)
 	// The parent fires the gate at offset 60.
-	gate := b.rec.FireIDs(parent, 60)
+	gate := b.fire(parent, 60)
 	b.spawn(0, 0, parent)
 	b.spawn(parent, 10, child, gate)
-	tr := b.rec.Trace()
+	tr := b.trace()
 	r := sim.New(tr, sim.Options{Processors: 4, Strategy: symtab.Skeptical}).Run()
 	// Child can only start at t=60, finishing at 110; parent ends at 100.
 	if r.Makespan != 110 {
@@ -72,11 +107,11 @@ func TestSimBarrierHoldsProcessor(t *testing.T) {
 	b := newBuilder()
 	prod := b.task(ctrace.KindLexor, "prod", 100)
 	cons := b.task(ctrace.KindSplitter, "cons", 10)
-	ready := b.rec.FireIDs(prod, 80)
-	b.rec.NoteWaitIDs(cons, 2, ready, true) // barrier wait at offset 2
+	ready := b.fire(prod, 80)
+	b.at(cons, 2).NoteBarrier(ready)
 	b.spawn(0, 0, prod)
 	b.spawn(0, 0, cons)
-	tr := b.rec.Trace()
+	tr := b.trace()
 	// With 2 processors the consumer stalls (holding its processor)
 	// until t=80, then runs its remaining 8 units: makespan 100 (the
 	// producer bounds it).
@@ -90,11 +125,32 @@ func TestSimBarrierHoldsProcessor(t *testing.T) {
 	}
 }
 
+// TestSimBarrierOnPrefiredEventSkipped checks that a barrier wait on an
+// event fired before the compilation began (an interface-cache hit)
+// costs nothing: the simulator fires pre-fired events at startup.
+func TestSimBarrierOnPrefiredEventSkipped(t *testing.T) {
+	b := newBuilder()
+	cons := b.task(ctrace.KindSplitter, "cons", 40)
+	ready := event.New()
+	b.rec.NotePrefired(ready)
+	b.at(cons, 10).NoteBarrier(ready)
+	b.spawn(0, 0, cons)
+	tr := b.trace()
+
+	r := sim.New(tr, sim.Options{Processors: 1, Strategy: symtab.Skeptical}).Run()
+	if r.Makespan != 40 {
+		t.Fatalf("makespan %f, want 40 (pre-fired wait is free)", r.Makespan)
+	}
+	if r.Blocks != 0 {
+		t.Fatalf("blocks %d, want 0", r.Blocks)
+	}
+}
+
 func TestSimStartupShiftsEverything(t *testing.T) {
 	b := newBuilder()
 	a := b.task(ctrace.KindShortStmtCG, "a", 100)
 	b.spawn(0, 0, a)
-	tr := b.rec.Trace()
+	tr := b.trace()
 	r := sim.New(tr, sim.Options{Processors: 4, Startup: 500, Strategy: symtab.Skeptical}).Run()
 	if r.Makespan != 600 {
 		t.Fatalf("makespan %f, want 600", r.Makespan)
@@ -105,19 +161,13 @@ func TestSimSkepticalLookupBlocksUntilCompletion(t *testing.T) {
 	b := newBuilder()
 	producer := b.task(ctrace.KindModParseDecl, "producer", 200)
 	consumer := b.task(ctrace.KindProcParseDecl, "consumer", 50)
-	completion := b.rec.FireIDs(producer, 200)
+	completion := b.fire(producer, 200)
 	// The symbol is inserted at offset 150 of the producer; the consumer
 	// looks it up at its own offset 10.
-	b.rec.NoteLookup(ctrace.LookupRecord{
-		At: ctrace.Stamp{Task: consumer, Offset: 10}, Found: true,
-		Hops: []ctrace.Hop{{
-			Scope: 1, Rel: ctrace.RelOuter, Completion: completion,
-			Found: true, Insert: ctrace.Stamp{Task: producer, Offset: 150},
-		}},
-	})
+	b.lookup(consumer, 10, completion, ctrace.Stamp{Task: producer, Offset: 150})
 	b.spawn(0, 0, producer)
 	b.spawn(0, 0, consumer)
-	tr := b.rec.Trace()
+	tr := b.trace()
 
 	// Skeptical: the consumer probes at t≈10, the entry is not yet
 	// inserted (producer at ~10 of 150) → blocks until COMPLETION
@@ -153,18 +203,12 @@ func TestSimSkepticalFindsEarlyInsert(t *testing.T) {
 	b := newBuilder()
 	producer := b.task(ctrace.KindModParseDecl, "producer", 200)
 	consumer := b.task(ctrace.KindProcParseDecl, "consumer", 50)
-	completion := b.rec.FireIDs(producer, 200)
+	completion := b.fire(producer, 200)
 	// Insert at offset 5 — well before the consumer's probe at 30.
-	b.rec.NoteLookup(ctrace.LookupRecord{
-		At: ctrace.Stamp{Task: consumer, Offset: 30}, Found: true,
-		Hops: []ctrace.Hop{{
-			Scope: 1, Rel: ctrace.RelOuter, Completion: completion,
-			Found: true, Insert: ctrace.Stamp{Task: producer, Offset: 5},
-		}},
-	})
+	b.lookup(consumer, 30, completion, ctrace.Stamp{Task: producer, Offset: 5})
 	b.spawn(0, 0, producer)
 	b.spawn(0, 0, consumer)
-	tr := b.rec.Trace()
+	tr := b.trace()
 
 	// Skeptical searches the incomplete table and hits: no block.
 	rs := sim.New(tr, sim.Options{Processors: 2, Strategy: symtab.Skeptical, CollectStats: true}).Run()
@@ -195,11 +239,11 @@ func TestSimAvoidanceAppliesScopeGates(t *testing.T) {
 	b := newBuilder()
 	parent := b.task(ctrace.KindModParseDecl, "parent", 100)
 	child := b.task(ctrace.KindProcParseDecl, "child", 20)
-	completion := b.rec.FireIDs(parent, 100)
+	completion := b.fire(parent, 100)
 	b.spawn(0, 0, parent)
 	b.spawn(parent, 10, child)
-	b.rec.NoteScopeGateID(child, completion)
-	tr := b.rec.Trace()
+	b.rec.NoteScopeGate(child, completion)
+	tr := b.trace()
 
 	sk := sim.New(tr, sim.Options{Processors: 4, Strategy: symtab.Skeptical}).Run()
 	av := sim.New(tr, sim.Options{Processors: 4, Strategy: symtab.Avoidance}).Run()
@@ -223,19 +267,13 @@ func TestSimBoostAblation(t *testing.T) {
 	other1 := b.task(ctrace.KindSplitter, "other1", 300)
 	other2 := b.task(ctrace.KindSplitter, "other2", 300)
 	resolver := b.task(ctrace.KindMerge, "resolver", 100)
-	completion := b.rec.FireIDs(resolver, 100)
-	b.rec.NoteLookup(ctrace.LookupRecord{
-		At: ctrace.Stamp{Task: consumer, Offset: 10}, Found: true,
-		Hops: []ctrace.Hop{{
-			Scope: 1, Rel: ctrace.RelOuter, Completion: completion,
-			Found: true, Insert: ctrace.Stamp{Task: resolver, Offset: 90},
-		}},
-	})
+	completion := b.fire(resolver, 100)
+	b.lookup(consumer, 10, completion, ctrace.Stamp{Task: resolver, Offset: 90})
 	b.spawn(0, 0, consumer)
 	b.spawn(0, 0, other1)
 	b.spawn(0, 0, other2)
 	b.spawn(0, 0, resolver)
-	tr := b.rec.Trace()
+	tr := b.trace()
 
 	boosted := sim.New(tr, sim.Options{Processors: 2, Strategy: symtab.Skeptical, BoostResolver: true}).Run()
 	plain := sim.New(tr, sim.Options{Processors: 2, Strategy: symtab.Skeptical}).Run()
@@ -260,7 +298,7 @@ func TestSimLongBeforeShortOrdering(t *testing.T) {
 	b.spawn(0, 0, s1)
 	b.spawn(0, 0, s2)
 	b.spawn(0, 0, long)
-	tr := b.rec.Trace()
+	tr := b.trace()
 
 	with := sim.New(tr, sim.Options{Processors: 2, Strategy: symtab.Skeptical, LongBeforeShort: true}).Run()
 	without := sim.New(tr, sim.Options{Processors: 2, Strategy: symtab.Skeptical}).Run()

@@ -212,14 +212,6 @@ func (s *Sim) onSegmentEnd(p *proc) {
 			if _, ok := s.fired[a.event]; ok {
 				continue
 			}
-			if !a.barrier {
-				// Replayed handled wait (ReplayWaits, obs-exported
-				// traces): release the processor like a live DKY wait.
-				// No resume cost — the re-search work is already part of
-				// the measured task cost.
-				s.blockOn(ts, p, a.event, 0)
-				return
-			}
 			// Barrier wait: hold the processor, stop executing (§2.3.3).
 			s.closeInterval(p)
 			ts.state = tsStalled

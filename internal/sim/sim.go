@@ -52,13 +52,6 @@ type Options struct {
 	// CollectTimeline records per-processor activity intervals
 	// (Figures 4 and 7).
 	CollectTimeline bool
-	// ReplayWaits honours the trace's recorded non-barrier WaitRecords
-	// as handled waits instead of re-deriving DKY blockages from lookup
-	// records.  Live-compiler traces leave this off (their handled waits
-	// are lookup-derived and replaying both would double-count);
-	// obs-exported measured traces (internal/profile.ExportTrace) turn
-	// it on, since the measured wait edges *are* the dependency facts.
-	ReplayWaits bool
 }
 
 // DefaultBeta is the bus-contention coefficient used by the benchmark
@@ -117,12 +110,11 @@ const (
 
 // action is one breakpoint in a task's execution.
 type action struct {
-	off     float64
-	kind    actionKind
-	event   ctrace.EventID
-	barrier bool
-	lookup  *ctrace.LookupRecord
-	spawn   *ctrace.SpawnRecord
+	off    float64
+	kind   actionKind
+	event  ctrace.EventID
+	lookup *ctrace.LookupRecord
+	spawn  *ctrace.SpawnRecord
 }
 
 // taskState tracks one task during simulation.
@@ -268,11 +260,7 @@ func (s *Sim) buildActions() {
 	}
 	for i := range s.trace.Waits {
 		w := &s.trace.Waits[i]
-		if !w.Barrier && !s.opts.ReplayWaits {
-			// Handled DKY waits are re-derived from lookup records.
-			continue
-		}
-		add(w.At.Task, action{off: w.At.Offset, kind: actWait, event: w.Event, barrier: w.Barrier})
+		add(w.At.Task, action{off: w.At.Offset, kind: actWait, event: w.Event})
 	}
 	for i := range s.trace.Lookups {
 		l := &s.trace.Lookups[i]

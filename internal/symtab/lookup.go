@@ -373,7 +373,7 @@ type Searcher struct {
 	Wait func(*event.Event)
 
 	// hopBuf is the per-Searcher scratch buffer for traced lookups'
-	// hop chains; record hands the recorder an exact-size copy and
+	// hop chains; record copies it into the task's trace buffer and
 	// recaptures the (possibly grown) buffer.  Searchers are owned by
 	// one task, so reuse is race-free.
 	hopBuf []ctrace.Hop
@@ -483,22 +483,15 @@ func classify(first bool, blocked bool) FoundWhen {
 	}
 }
 
-// record sends the lookup's hop chain to the trace recorder.  The
-// recorder keeps its slice, so hops (usually the Searcher's scratch
-// buffer) is copied at exact size and the buffer reclaimed for the
-// next lookup.
+// record buffers the lookup's hop chain with the searching task, which
+// copies hops (usually the Searcher's scratch buffer), so the buffer is
+// reclaimed for the next lookup.
 func (s *Searcher) record(qualified bool, at ctrace.Stamp, hops []ctrace.Hop, found bool) {
-	rec := s.Tab.Rec
-	if rec == nil {
+	if s.Tab.Rec == nil {
 		return
 	}
-	var kept []ctrace.Hop
-	if len(hops) > 0 {
-		kept = make([]ctrace.Hop, len(hops))
-		copy(kept, hops)
-		s.hopBuf = hops[:0]
-	}
-	rec.NoteLookup(ctrace.LookupRecord{At: at, Qualified: qualified, Hops: kept, Found: found})
+	s.Ctx.NoteLookup(qualified, at, hops, found)
+	s.hopBuf = hops[:0]
 }
 
 // hop builds a trace hop for a scope probe outcome.

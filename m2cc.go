@@ -227,17 +227,6 @@ func BuildProfile(o *Observer) *Profile {
 	return profile.Build(&d)
 }
 
-// ExportObservedTrace converts the run recorded by o into a
-// schedule-independent Trace replayable by Simulate — the "what-if"
-// bridge: re-run the actual measured compilation at any processor
-// count or DKY strategy without recompiling.  One trace work unit is
-// one microsecond of measured execution; pass SimOptions.ReplayWaits
-// so the simulator honours the measured handled-wait edges.
-func ExportObservedTrace(o *Observer) *Trace {
-	d := o.Dump()
-	return profile.ExportTrace(&d)
-}
-
 // Compile runs the concurrent compiler on the named implementation
 // module.  Set Options.Cache to share interface compilations across
 // calls.
@@ -387,7 +376,9 @@ func Execute(prog *Program, stdin io.Reader, stdout io.Writer) error {
 
 // Simulate replays a compilation trace on a simulated multiprocessor
 // under the Supervisor scheduling policy.  Collect traces with
-// Options{Workers: 1, Trace: true} for deterministic replays.
+// Options{Workers: 1, Trace: true} for deterministic replays in work
+// units; replay trace.Measured() for the same run on its measured
+// clock, in microseconds of execution (m2c -whatif).
 func Simulate(trace *Trace, opts SimOptions) *SimResult {
 	return sim.New(trace, opts).Run()
 }
