@@ -10,9 +10,10 @@ GO ?= go
 # compilations run, the concurrent static analyzer whose findings must be
 # schedule-independent, the event primitive's lock-free fired fast
 # path, the token queues' producer-owned blocks, the pooled
-# statement-tree arenas, and the free lists every compilation takes
-# them from.
-RACE_PKGS = ./internal/pool ./internal/ast ./internal/impscan ./internal/ifacecache ./internal/streamcache ./internal/core ./internal/symtab ./internal/sched ./internal/ctrace ./internal/faultinject ./internal/obs ./internal/profile ./internal/check ./internal/event ./internal/tokq ./cmd/m2cd ./cmd/m2load
+# statement-tree arenas, the free lists every compilation takes them
+# from, and the file snapshot and object registry every task of a
+# compilation shares.
+RACE_PKGS = ./internal/pool ./internal/ast ./internal/impscan ./internal/ifacecache ./internal/streamcache ./internal/core ./internal/symtab ./internal/sched ./internal/ctrace ./internal/faultinject ./internal/obs ./internal/profile ./internal/check ./internal/event ./internal/tokq ./internal/source ./internal/vm ./cmd/m2cd ./cmd/m2load
 
 # Seeds for the chaos suite's seeded matrix (see chaos_test.go); the
 # suite also hand-arms every injection point regardless of seeds.
@@ -107,12 +108,14 @@ bench-frontend:
 # generated program (B/op, allocs/op, retained code bytes), the listing
 # renderer against the fmt reference it replaced (MB/s), the machine
 # running Synth and an array-indexing suite program (Minstr/s), the
-# stream cache's relocating copy, and a warm repeated m2cd /compile
-# through the handler (B/op, allocs/op: the listing escaped into the
-# pooled response).  One iteration each, as bench-frontend.
+# stream cache's relocating copy, a warm recompile with every stream a
+# cache hit (B/op, allocs/op: keys, probe, interface installs and
+# adopted segments), and a warm repeated m2cd /compile through the
+# handler (B/op, allocs/op: the listing escaped into the pooled
+# response).  One iteration each, as bench-frontend.
 bench-objcode:
-	$(GO) test -run='^$$' -bench='^(BenchmarkCodegenCompile|BenchmarkListing|BenchmarkExecute|BenchmarkApplyFixups|BenchmarkServeRepeat)$$' -benchtime=1x \
-		./internal/codegen ./internal/vm ./internal/streamcache ./cmd/m2cd
+	$(GO) test -run='^$$' -bench='^(BenchmarkCodegenCompile|BenchmarkListing|BenchmarkExecute|BenchmarkApplyFixups|BenchmarkWarmProbe|BenchmarkServeRepeat)$$' -benchtime=1x \
+		./internal/codegen ./internal/vm ./internal/streamcache ./internal/core ./cmd/m2cd
 
 # The benchmark is a module of its own that imports internal packages
 # (token, source, impscan, ...), so an internal-API change can break it

@@ -15,6 +15,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -227,16 +228,14 @@ type driver struct {
 	idle       []*ast.Arena            // those of arenas no parser is filling now
 
 	// Stream-cache verdict state (under d.mu).
-	closureOK bool                         // the probe derived keys (closure hashed, split complete)
-	verdicts  map[int32]*streamcache.Entry // stream id → hit entry (absent = miss)
-	procKeys  map[int32]streamcache.Key    // stream id → cache key (for recording misses)
-	bodyKey   streamcache.Key              // module-body cache key
-	bodyEnt   *streamcache.Entry           // module-body hit entry
-	bodyMeta  *vm.ProcMeta                 // module-body registry meta (for recording)
-	bodyBag   *diag.Bag                    // module-body diagnostic tee (fresh codegen)
-	covered   map[int32]bool               // streams installed via an ancestor's hit entry
-	pending   []pendingInstall             // cached code awaiting fixup application at merge
-	tally     streamcache.Tally            // this compilation's stream-cache traffic
+	closureOK bool                  // the probe derived keys (closure hashed, split complete)
+	verdicts  []*streamcache.Entry  // by procStream.rank: hit entry (nil = miss)
+	keyParams streamcache.KeyParams // the keys' inputs (recording re-derives a missed stream's key)
+	bodyEnt   *streamcache.Entry    // module-body hit entry
+	bodyMeta  *vm.ProcMeta          // module-body registry meta (for recording)
+	bodyBag   *diag.Bag             // module-body diagnostic tee (fresh codegen)
+	pending   []pendingInstall      // cached code awaiting fixup application at merge
+	tally     streamcache.Tally     // this compilation's stream-cache traffic
 }
 
 // pendingInstall is one cached code segment adopted by this compilation;
@@ -266,6 +265,7 @@ type ifaceEntry struct {
 // procStream is a procedure stream created by the Splitter.
 type procStream struct {
 	id     int32
+	rank   int32 // source order among procedure streams: its ProcStreams position and registry index
 	name   string
 	q      *tokq.Queue
 	parent int32
@@ -278,9 +278,11 @@ type procStream struct {
 
 	// Stream-cache capture for fresh streams (under d.mu): the stream's
 	// own diagnostics (a Bag child teeing into the compilation bag) and
-	// its published lint fact table.
-	tee   *diag.Bag
-	facts *check.Facts
+	// its published lint fact table; covered marks a stream an
+	// ancestor's hit entry installed.
+	tee     *diag.Bag
+	facts   *check.Facts
+	covered bool
 }
 
 // Compile runs the concurrent compiler on the named module.
@@ -301,7 +303,6 @@ func Compile(module string, loader source.Loader, opts Options) *Result {
 		files:  source.NewSet(),
 		diags:  diag.NewBag(200),
 		reg:    vm.NewRegistry(module),
-		ifaces: make(map[string]*ifaceEntry),
 		procs:  make(map[int32]*procStream),
 		cache:  opts.Cache,
 		inject: opts.FaultPlan,
@@ -320,9 +321,6 @@ func Compile(module string, loader source.Loader, opts Options) *Result {
 		d.scache = opts.StreamCache
 		d.keyer = streamcache.NewKeyer()
 		d.verdictEv = event.New()
-		d.verdicts = make(map[int32]*streamcache.Entry)
-		d.procKeys = make(map[int32]streamcache.Key)
-		d.covered = make(map[int32]bool)
 		d.scacheBase = d.scache.Stats().Evictions
 	}
 	if opts.Check {
@@ -375,6 +373,7 @@ func Compile(module string, loader source.Loader, opts Options) *Result {
 		}()
 	}
 
+	d.registerAreas()
 	d.startMainStream()
 	// Optimistic prefetch of the module's own interface (§3).
 	d.iface(module, true, nil)
@@ -383,9 +382,9 @@ func Compile(module string, loader source.Loader, opts Options) *Result {
 	d.runCheckMerge()
 	d.runMerge()
 	d.sup.Wait()
-	d.release()
 	d.failUnpublished()
 	d.recordStreams()
+	d.release()
 
 	if d.obs != nil {
 		if d.scache != nil {
@@ -473,8 +472,8 @@ func (d *driver) parkArena(a *ast.Arena) {
 	d.mu.Unlock()
 }
 
-// release hands back the compilation's arenas and keyer chunks once no
-// task is left to read them.  A poisoned, faulted or canceled one
+// release hands back the compilation's arenas and its keyer once
+// nothing is left to read them.  A poisoned, faulted or canceled one
 // returns nothing: a panic can leave a half-built tree or a non-empty
 // scratch stack, a cancel running tasks, so its buffers are left to the
 // garbage collector rather than trusted to the next compilation.
@@ -624,6 +623,25 @@ func (d *driver) newStream() int32 {
 	return d.nstream
 }
 
+// registerAreas fixes the storage areas' indices before any task runs:
+// the module's, then, breadth-first from its interface and prologue
+// imports, each interface's that loads and holds a token, as DefParse
+// and cache installs register them.  It sizes the tables to match.
+func (d *driver) registerAreas() {
+	names, areas := []string{d.module}, []string{d.module + ".mod"}
+	names, _ = impscan.Prologue(d.loader, d.module, source.Impl, names)
+	for i := 0; i < len(names); i++ {
+		var ok bool
+		if !slices.Contains(names[:i], names[i]) {
+			if names, ok = impscan.Prologue(d.loader, names[i], source.Def, names); ok {
+				areas = append(areas, names[i]+".def")
+			}
+		}
+	}
+	d.ifaces = make(map[string]*ifaceEntry, len(areas))
+	d.reg.AddAreas(areas)
+}
+
 // ---------------------------------------------------------------------
 // Main module stream
 
@@ -725,7 +743,9 @@ func (d *driver) startProcStream(splitterTask *sched.Task) splitter.StartProc {
 			headingReady: event.New(),
 		}
 		ps.q.Retain(1) // ProcParse
+		d.reg.ReserveProc(id)
 		d.mu.Lock()
+		ps.rank = int32(len(d.procs))
 		d.procs[id] = ps
 		d.mu.Unlock()
 
@@ -876,8 +896,11 @@ func (d *driver) runProcParse(t *sched.Task, ps *procStream) {
 	cp := ps.child
 	if d.scache != nil {
 		d.mu.Lock()
-		cov := d.covered[ps.id]
-		ent := d.verdicts[ps.id]
+		cov := ps.covered
+		var ent *streamcache.Entry
+		if d.closureOK { // a complete split: every stream has its verdict
+			ent = d.verdicts[ps.rank]
+		}
 		d.mu.Unlock()
 		if cov {
 			// An ancestor's hit entry already installed this stream's
@@ -983,13 +1006,16 @@ func (d *driver) installStream(t *sched.Task, ps *procStream, ent *streamcache.E
 	// search it, and they are covered below, never analyzed.
 	cp.Scope.Complete(t.Ctx)
 
+	// The records of the descendants follow in pre-order, as their
+	// streams do: each takes the index its stream reserved.
+	desc := d.keyer.Descendants(ps.id)
 	own := &ent.Records[0]
 	cp.Meta.Frame = own.Frame
 	d.addPending(cp.Meta, own)
 	d.replayRecord(own)
 	for i := 1; i < len(ent.Records); i++ {
 		rec := &ent.Records[i]
-		meta := d.reg.NewProc(rec.Name, rec.Exported, rec.IsBody,
+		meta := d.reg.NewProc(desc[i-1], rec.Name, rec.Exported, rec.IsBody,
 			rec.Level, rec.ArgSlots, rec.HasRet, rec.Pos)
 		meta.Frame = rec.Frame
 		d.addPending(meta, rec)
@@ -999,12 +1025,11 @@ func (d *driver) installStream(t *sched.Task, ps *procStream, ent *streamcache.E
 	// Release the covered descendants: nobody will ever bind their
 	// headings, so their gates are fired here (their parse tasks see
 	// covered and return).
-	desc := d.keyer.Descendants(ps.id)
 	var fire []*event.Event
 	d.mu.Lock()
 	for _, id := range desc {
-		d.covered[id] = true
 		if dps := d.procs[id]; dps != nil {
+			dps.covered = true
 			fire = append(fire, dps.headingReady)
 		}
 	}
@@ -1216,7 +1241,7 @@ func (d *driver) installCached(name string, optional bool, ent *ifacecache.Entry
 		for _, imp := range m.Imports() {
 			d.reg.AddImport(imp)
 		}
-		d.tab.MarkPrefired(m.Scope())
+		d.tab.MarkPrefired(m.Scope(), len(closure))
 		if d.rec != nil {
 			d.rec.NotePrefired(m.Scope().CompletionEvent())
 		}
@@ -1475,23 +1500,23 @@ func (d *driver) runCacheProbe(t *sched.Task) {
 		return // split faulted: cold-compile everything, record nothing
 	}
 	// Closure roots: the module's own interface (when present) plus
-	// every import named anywhere in the split, in stream order.
+	// every import named anywhere in the split, in stream order, each
+	// once.
 	var roots []string
-	seen := make(map[string]bool)
-	addRoot := func(name string) {
-		if !seen[name] {
-			seen[name] = true
-			roots = append(roots, name)
-		}
-	}
 	if _, err := d.loader.Load(d.module, source.Def); err == nil {
-		addRoot(d.module)
+		roots = append(roots, d.module)
 	}
-	ids := d.keyer.ProcStreams()
-	for _, id := range append([]int32{0}, ids...) {
+	addRoots := func(id int32) {
 		for _, imp := range d.keyer.Imports(id) {
-			addRoot(imp)
+			if !slices.Contains(roots, imp) {
+				roots = append(roots, imp)
+			}
 		}
+	}
+	addRoots(0)
+	ids := d.keyer.ProcStreams()
+	for _, id := range ids {
+		addRoots(id)
 	}
 	closure, ok := d.scache.ClosureHash(d.loader, roots)
 	if !ok {
@@ -1502,23 +1527,19 @@ func (d *driver) runCacheProbe(t *sched.Task) {
 		Check:     d.opts.Check,
 		Closure:   closure,
 	}
-	verdicts := make(map[int32]*streamcache.Entry, len(ids))
-	keys := make(map[int32]streamcache.Key, len(ids))
+	verdicts := make([]*streamcache.Entry, len(ids))
 	var ta streamcache.Tally
-	for _, id := range ids {
-		k := d.keyer.ProcKey(id, kp)
-		keys[id] = k
+	for i, id := range ids {
 		ta.Probed++
-		if ent, hit := d.scache.Get(k); hit {
-			verdicts[id] = ent
+		if ent, hit := d.scache.Get(d.keyer.ProcKey(id, kp)); hit {
+			verdicts[i] = ent
 			ta.Hits++
 		} else {
 			ta.Misses++
 		}
 	}
-	bodyKey := d.keyer.BodyKey(kp)
 	ta.Probed++
-	bodyEnt, bodyHit := d.scache.Get(bodyKey)
+	bodyEnt, bodyHit := d.scache.Get(d.keyer.BodyKey(kp))
 	if bodyHit {
 		ta.Hits++
 	} else {
@@ -1527,10 +1548,10 @@ func (d *driver) runCacheProbe(t *sched.Task) {
 	d.mu.Lock()
 	d.closureOK = true
 	d.verdicts = verdicts
-	d.procKeys = keys
-	d.bodyKey = bodyKey
+	d.keyParams = kp
 	d.bodyEnt = bodyEnt
 	d.tally = ta
+	d.pending = make([]pendingInstall, 0, len(ids)+1)
 	d.mu.Unlock()
 	t.Ctx.Add(float64(len(ids)+1) * ctrace.CostMergeSegment)
 }
@@ -1546,14 +1567,17 @@ func (d *driver) applyPendingInstalls() {
 	if len(pending) == 0 {
 		return
 	}
-	obj := d.reg.Object()
-	byName := make(map[string]int32, len(obj.Procs))
-	for _, p := range obj.Procs {
-		byName[p.FullName()] = p.Idx
-	}
-	procIdx := func(name string) (int32, bool) {
-		i, ok := byName[name]
-		return i, ok
+	procs := d.reg.Object().Procs
+	procIdx := func(name string, was int32) (int32, bool) {
+		if int(was) < len(procs) && procs[was].Is(name) {
+			return was, true
+		}
+		for _, p := range procs { // the procedure moved: an edit added or removed one
+			if p.Is(name) {
+				return p.Idx, true
+			}
+		}
+		return 0, false
 	}
 	for _, pi := range pending {
 		code, ok := streamcache.ApplyFixups(pi.rec.Code, pi.rec.Fixups,
@@ -1568,8 +1592,14 @@ func (d *driver) applyPendingInstalls() {
 		}
 		pi.meta.Segment = pi.rec.Segment
 		pi.meta.Code = code
+		if adopted != nil {
+			adopted(pi.rec.Code, code)
+		}
 	}
 }
+
+// adopted, a test seam, sees each cached segment's code and its install.
+var adopted func(cached, installed []vm.Instr)
 
 // recordStreams publishes every freshly compiled stream back to the
 // cache: one entry per missed, uncovered stream holding its own record
@@ -1610,9 +1640,10 @@ func (d *driver) recordStreams() {
 			return rs
 		}
 		var rs []streamcache.ProcRecord
-		if ent := d.verdicts[id]; ent != nil {
+		ps := d.procs[id]
+		if ent := d.verdicts[ps.rank]; ent != nil {
 			rs = ent.Records
-		} else if ps := d.procs[id]; ps != nil && ps.child != nil && ps.tee != nil && (d.check == nil || ps.facts != nil) {
+		} else if ps.child != nil && ps.tee != nil && (d.check == nil || ps.facts != nil) {
 			rs = record(ps.child.Meta, ps.tee, ps.facts)
 			for _, c := range d.keyer.Children(id) {
 				crs := collect(c)
@@ -1626,19 +1657,19 @@ func (d *driver) recordStreams() {
 		memo[id] = rs
 		return rs
 	}
-	for _, id := range d.keyer.ProcStreams() {
-		if d.verdicts[id] != nil || d.covered[id] {
+	for i, id := range d.keyer.ProcStreams() {
+		if d.verdicts[i] != nil || d.procs[id].covered {
 			continue
 		}
 		rs := collect(id)
 		if rs == nil {
 			continue
 		}
-		d.scache.Put(d.procKeys[id], &streamcache.Entry{Records: rs})
+		d.scache.Put(d.keyer.ProcKey(id, d.keyParams), &streamcache.Entry{Records: rs})
 		d.tally.Recorded++
 	}
 	if d.bodyEnt == nil && d.bodyMeta != nil {
-		d.scache.Put(d.bodyKey, &streamcache.Entry{Records: record(d.bodyMeta, d.bodyBag, nil)})
+		d.scache.Put(d.keyer.BodyKey(d.keyParams), &streamcache.Entry{Records: record(d.bodyMeta, d.bodyBag, nil)})
 		d.tally.Recorded++
 	}
 }

@@ -32,6 +32,7 @@
 package ifacecache
 
 import (
+	"slices"
 	"sync"
 
 	"m2cc/internal/event"
@@ -109,6 +110,7 @@ type Entry struct {
 	deps      []Dep
 	cost      float64
 	depsLeft  int
+	closure   []*Entry // Closure, taken when the entry becomes ready
 }
 
 // Name returns the definition module's name.
@@ -169,26 +171,11 @@ func (e *Entry) Ready() bool {
 
 // Closure returns the entry and its transitive deps, dependencies
 // first, deduplicated.  Valid once the entry is ready (every dep of a
-// ready entry is ready).
+// ready entry is ready); it is taken then, once.
 func (e *Entry) Closure() []*Entry {
-	seen := make(map[*Entry]bool)
-	var out []*Entry
-	var walk func(*Entry)
-	walk = func(x *Entry) {
-		if seen[x] {
-			return
-		}
-		seen[x] = true
-		x.mu.Lock()
-		deps := x.deps
-		x.mu.Unlock()
-		for _, d := range deps {
-			walk(d.Ent)
-		}
-		out = append(out, x)
-	}
-	walk(e)
-	return out
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.closure
 }
 
 // Publish stores the leader's completed compilation of the interface
@@ -245,6 +232,16 @@ func (e *Entry) seal() {
 		e.mu.Unlock()
 		return
 	}
+	// Every dep is ready, its closure taken: e's is theirs in order,
+	// deduplicated, then e — a depth-first walk's post-order.
+	for _, d := range e.deps {
+		for _, m := range d.Ent.Closure() {
+			if !slices.Contains(e.closure, m) {
+				e.closure = append(e.closure, m)
+			}
+		}
+	}
+	e.closure = append(e.closure, e)
 	e.state = stateReady
 	ev := e.ready
 	e.mu.Unlock()
@@ -430,6 +427,7 @@ func (c *Cache) Acquire(name string, loader source.Loader) (ent *Entry, ev *even
 		e.deps = nil
 		e.cost = 0
 		e.depsLeft = 0
+		e.closure = nil
 		c.stats.Misses++
 		return e, nil, Lead
 	default: // leading or sealing

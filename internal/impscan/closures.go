@@ -4,9 +4,6 @@ import (
 	"crypto/sha256"
 	"sync"
 
-	"m2cc/internal/ctrace"
-	"m2cc/internal/diag"
-	"m2cc/internal/lexer"
 	"m2cc/internal/lru"
 	"m2cc/internal/source"
 )
@@ -199,11 +196,11 @@ func (c *Closures) walk(name string, loader source.Loader, s *closureScratch) (s
 	s.visiting[name] = true
 	defer delete(s.visiting, name)
 
-	text, content, err := c.load(name, loader)
+	_, content, err := c.load(name, loader)
 	if err != nil {
 		return source.Hash{}, false
 	}
-	imports := c.scanImports(name, text, content)
+	imports := c.scanImports(name, loader, content)
 
 	hasher := sha256.New()
 	hasher.Write(content[:])
@@ -226,9 +223,9 @@ func (c *Closures) walk(name string, loader source.Loader, s *closureScratch) (s
 }
 
 // scanImports returns the direct imports of a .def's text, memoized by
-// content hash so each distinct interface text is lexed once while it
-// stays in the memo rather than once per compilation.
-func (c *Closures) scanImports(name, text string, content source.Hash) []string {
+// content hash so each distinct interface text's prologue is lexed once
+// while it stays in the memo rather than once per compilation.
+func (c *Closures) scanImports(name string, loader source.Loader, content source.Hash) []string {
 	c.mu.Lock()
 	imps, ok := c.scans.Get(content)
 	c.mu.Unlock()
@@ -236,10 +233,7 @@ func (c *Closures) scanImports(name, text string, content source.Hash) []string 
 		return imps
 	}
 
-	// Throwaway context and bag: the scan only needs the token kinds;
-	// the real compilation re-lexes with proper diagnostics.
-	f := &source.File{Name: name, Kind: source.Def, Text: text}
-	imps = Names(lexer.ScanAll(f, &ctrace.TaskCtx{}, diag.NewBag(1)))
+	imps, _ = Prologue(loader, name, source.Def, nil)
 
 	c.mu.Lock()
 	c.scans.Put(content, imps)

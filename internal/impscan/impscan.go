@@ -14,6 +14,8 @@ package impscan
 
 import (
 	"m2cc/internal/ctrace"
+	"m2cc/internal/lexer"
+	"m2cc/internal/source"
 	"m2cc/internal/token"
 	"m2cc/internal/tokq"
 )
@@ -23,95 +25,75 @@ import (
 // scan stops at the first declaration keyword: imports only appear in
 // the module prologue.
 func Run(ctx *ctrace.TaskCtx, in *tokq.Reader, onImport func(name string, pos token.Pos)) {
-	for {
+	scan(func() token.Token {
 		t := in.Next()
 		ctx.Add(ctrace.CostScanToken)
-		switch t.Kind {
-		case token.FROM:
-			id := in.Next()
-			ctx.Add(ctrace.CostScanToken)
-			if id.Kind == token.Ident {
-				onImport(id.Text, id.Pos)
-			}
-			skipToSemicolon(ctx, in)
-
-		case token.IMPORT:
-			// Plain import list: every identifier up to ";" is a module.
-			for {
-				id := in.Next()
-				ctx.Add(ctrace.CostScanToken)
-				if id.Kind == token.Ident {
-					onImport(id.Text, id.Pos)
-					continue
-				}
-				if id.Kind == token.Comma {
-					continue
-				}
-				break // ";" or anything unexpected
-			}
-
-		case token.CONST, token.TYPE, token.VAR, token.PROCEDURE,
-			token.EXCEPTION, token.BEGIN, token.END, token.EOF:
-			return
-		}
-	}
+		return t
+	}, func(id token.Token) { onImport(id.Text, id.Pos) })
 }
 
 // Names runs the same prologue automaton over an already-lexed token
 // slice and returns the imported module names in order of appearance
-// (duplicates preserved).  The interface cache uses it to discover a
-// definition module's direct imports without task machinery.
-func Names(toks []token.Token) []string {
-	var names []string
+// (duplicates preserved).
+func Names(toks []token.Token) (names []string) {
 	i := 0
-	next := func() token.Token {
+	scan(func() token.Token {
 		if i >= len(toks) {
 			return token.Token{Kind: token.EOF}
 		}
-		t := toks[i]
 		i++
-		return t
+		return toks[i-1]
+	}, func(id token.Token) { names = append(names, id.Text) })
+	return names
+}
+
+// Prologue loads the named file and appends its prologue imports to
+// names, as Names would find them, lexing only up to the first
+// declaration keyword, a small block at a time.  ok reports a file
+// that loads and holds a token.
+func Prologue(loader source.Loader, name string, kind source.FileKind, names []string) (_ []string, ok bool) {
+	text, err := loader.Load(name, kind)
+	if err != nil {
+		return names, false
 	}
-	for {
+	var buf [16]token.Token // the real compilation lexes the file again, with diagnostics
+	i, n, sc := 0, 0, lexer.NewScanner(text)
+	empty := scan(func() token.Token {
+		if i == n {
+			i, n = 0, sc.Fill(buf[:])
+		}
+		i++
+		return buf[i-1]
+	}, func(id token.Token) { names = append(names, id.Text) })
+	return names, !empty
+}
+
+// scan runs the prologue automaton over next's tokens, handing each
+// imported module name's token to onImport; empty reports that the
+// first token was EOF.
+func scan(next func() token.Token, onImport func(token.Token)) (empty bool) {
+	for first := true; ; first = false {
 		t := next()
 		switch t.Kind {
 		case token.FROM:
 			if id := next(); id.Kind == token.Ident {
-				names = append(names, id.Text)
+				onImport(id)
 			}
-			for {
-				t := next()
-				if t.Kind == token.Semicolon || t.Kind == token.EOF {
-					break
-				}
+			for t.Kind != token.Semicolon && t.Kind != token.EOF {
+				t = next()
 			}
 
 		case token.IMPORT:
-			for {
-				id := next()
+			// Plain import list: every identifier up to ";" is a module.
+			for id := next(); id.Kind == token.Ident || id.Kind == token.Comma; id = next() {
 				if id.Kind == token.Ident {
-					names = append(names, id.Text)
-					continue
+					onImport(id)
 				}
-				if id.Kind == token.Comma {
-					continue
-				}
-				break
 			}
 
 		case token.CONST, token.TYPE, token.VAR, token.PROCEDURE,
 			token.EXCEPTION, token.BEGIN, token.END, token.EOF:
-			return names
-		}
-	}
-}
-
-func skipToSemicolon(ctx *ctrace.TaskCtx, in *tokq.Reader) {
-	for {
-		t := in.Next()
-		ctx.Add(ctrace.CostScanToken)
-		if t.Kind == token.Semicolon || t.Kind == token.EOF {
-			return
+			return first && t.Kind == token.EOF
 		}
 	}
 }

@@ -80,7 +80,9 @@ func (l *scanner) pos() token.Pos {
 }
 
 func (l *scanner) errorf(p token.Pos, format string, args ...any) {
-	l.diags.Errorf(l.file.Label(), p, format, args...)
+	if l.diags != nil {
+		l.diags.Errorf(l.file.Label(), p, format, args...)
+	}
 }
 
 // peek returns the next unread byte, or 0 at end of input.
@@ -158,14 +160,18 @@ scan:
 			if k == token.EOF {
 				// Illegal character: reported and skipped, at the price
 				// of one token's work.
-				l.ctx.Add(ctrace.CostLexToken)
+				if l.ctx != nil {
+					l.ctx.Add(ctrace.CostLexToken)
+				}
 				continue scan
 			}
 			dst[n] = token.Token{Kind: k, Pos: p}
 		}
 		n++
 	}
-	l.ctx.Add(float64(n)*ctrace.CostLexToken + float64(l.off-l.costed)*ctrace.CostLexChar)
+	if l.ctx != nil {
+		l.ctx.Add(float64(n)*ctrace.CostLexToken + float64(l.off-l.costed)*ctrace.CostLexChar)
+	}
 	l.costed = l.off
 	return n
 }
@@ -401,6 +407,19 @@ func Run(f *source.File, ctx *ctrace.TaskCtx, diags *diag.Bag, q *tokq.Queue) {
 	}
 	q.Close()
 }
+
+// Scanner scans a text a block at a time into buffers its caller holds,
+// charging no task and reporting no diagnostic, for a reader that stops
+// early (impscan.Prologue).
+type Scanner struct{ l scanner }
+
+// NewScanner returns a scanner at the start of text.
+func NewScanner(text string) Scanner { return Scanner{scanner{src: text, line: 1}} }
+
+// Fill scans tokens into dst until it is full or holds the EOF token
+// (past end of input it writes EOF again) and returns how many it
+// wrote, at least one.
+func (s *Scanner) Fill(dst []token.Token) int { return s.l.fill(dst) }
 
 // ScanAll scans the whole file into a slice ending with the EOF token.
 // The sequential compiler and several tests use this form.

@@ -275,7 +275,7 @@ func (a *DeclAnalyzer) analyzeProcHeading(d *ast.ProcDecl) {
 	}
 	level := a.Scope.Level + 1
 	path := a.procPrefix + head.Name.Text
-	meta := e.Reg.NewProc(path, a.Scope.Kind == symtab.ModuleScope, false,
+	meta := e.Reg.NewProc(d.BodyStream, path, a.Scope.Kind == symtab.ModuleScope, false,
 		level, argSlots, ret != nil, head.Pos)
 
 	procSym := &symtab.Symbol{
@@ -348,5 +348,5 @@ func AnalyzeOwnHeading(env *Env, child *ChildProc, head *ast.ProcHead) int32 {
 
 // NewBodyMeta registers the module body as a level-0 pseudo-procedure.
 func NewBodyMeta(env *Env) *vm.ProcMeta {
-	return env.Reg.NewProc(".body", false, true, 0, 0, false, ast.Name{}.Pos)
+	return env.Reg.NewProc(0, ".body", false, true, 0, 0, false, ast.Name{}.Pos)
 }

@@ -144,7 +144,12 @@ type Snapshot struct {
 	base Loader
 
 	mu    sync.Mutex // guards: files
-	files map[string]*snapFile
+	files map[fileKey]*snapFile
+}
+
+type fileKey struct {
+	name string
+	kind FileKind
 }
 
 type snapFile struct {
@@ -158,11 +163,11 @@ type snapFile struct {
 
 // NewSnapshot returns an empty snapshot of base.
 func NewSnapshot(base Loader) *Snapshot {
-	return &Snapshot{base: base, files: make(map[string]*snapFile)}
+	return &Snapshot{base: base, files: make(map[fileKey]*snapFile)}
 }
 
 func (s *Snapshot) file(name string, kind FileKind) *snapFile {
-	key := name + kind.Ext()
+	key := fileKey{name, kind}
 	s.mu.Lock()
 	f := s.files[key]
 	if f == nil {

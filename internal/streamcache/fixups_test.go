@@ -41,7 +41,7 @@ func extract(seg vm.Segment) []Fixup {
 }
 
 // resolver returns ApplyFixups callbacks that shift every index by d.
-func resolver(d int32) (func(string) (int32, bool), func(string) int32, func(string) int32) {
+func resolver(d int32) (func(string, int32) (int32, bool), func(string) int32, func(string) int32) {
 	find := func(names []string) func(string) int32 {
 		return func(n string) int32 {
 			for i, s := range names {
@@ -53,7 +53,7 @@ func resolver(d int32) (func(string) (int32, bool), func(string) int32, func(str
 		}
 	}
 	procs := find(fixNames.procs)
-	return func(n string) (int32, bool) { i := procs(n); return i, i >= 0 }, find(fixNames.areas), find(fixNames.excs)
+	return func(n string, _ int32) (int32, bool) { i := procs(n); return i, i >= 0 }, find(fixNames.areas), find(fixNames.excs)
 }
 
 func TestFixupsSkipPooledOperands(t *testing.T) {

@@ -49,6 +49,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"hash"
+	"slices"
+	"unsafe"
 
 	"m2cc/internal/pool"
 	"m2cc/internal/source"
@@ -92,7 +94,6 @@ type recs struct {
 
 // streamInfo is one observed stream.
 type streamInfo struct {
-	id       int32
 	parent   int32 // -1 for the main stream
 	name     string
 	children []int32 // StartStream order == source order
@@ -116,41 +117,62 @@ type streamInfo struct {
 // It is driven synchronously from the splitter goroutine; readers must
 // only touch it after the splitter task completes (the scheduler's
 // completion edge orders the accesses).
+//
+// Release keeps all it filled for the next split, so one that splits
+// like an earlier one keys its streams without allocating.
 type Keyer struct {
-	streams map[int32]*streamInfo
-	order   []int32 // StartStream order; the main stream (0) is first
-	done    bool
+	infos []*streamInfo // the streams, in StartStream order, kept across splits; infos[:len(order)] are in use
+	order []int32       // StartStream order, which is increasing id order; the main stream (0) is first
+	done  bool
 
-	tail   []byte    // the record arena's current chunk; earlier ones live on through the spans into them
-	writer *recs     // whose span ends at tail's end, so may grow in place
-	chunks [][]byte  // recycled chunks taken so far, for Release
-	h      hash.Hash // reused by every bulk digest
+	tail   []byte   // the record arena's current chunk; earlier ones live on through the spans into them
+	writer *recs    // whose span ends at tail's end, so may grow in place
+	chunks [][]byte // recycled chunks taken so far, for Release
+	kw     hashW    // ProcKey's and BodyKey's writer
+	ow     hashW    // every other digest's: records, own texts, subtrees
+}
+
+// keyers recycles keyers whole: NewKeyer takes one, Release returns it.
+var keyers = &pool.List[*Keyer]{
+	New:  func() *Keyer { return &Keyer{kw: newHashW(), ow: newHashW()} },
+	Size: func(k *Keyer) int { return int(unsafe.Sizeof(streamInfo{})) * cap(k.infos) },
 }
 
 // NewKeyer returns an empty Keyer ready to observe one split.
-func NewKeyer() *Keyer {
-	return &Keyer{streams: make(map[int32]*streamInfo), h: sha256.New()}
+func NewKeyer() *Keyer { return keyers.Get() }
+
+// stream returns the stream id names, or nil.
+func (k *Keyer) stream(id int32) *streamInfo {
+	if i, ok := slices.BinarySearch(k.order, id); ok {
+		return k.infos[i]
+	}
+	return nil
 }
 
-// StartStream implements splitter.Sink.
+// StartStream implements splitter.Sink.  Stream ids must increase from
+// call to call, as the driver numbers streams.
 func (k *Keyer) StartStream(id, parent int32, name string) {
-	k.streams[id] = &streamInfo{id: id, parent: parent, name: name}
+	if len(k.order) == len(k.infos) {
+		k.infos = append(k.infos, new(streamInfo))
+	}
+	s := k.infos[len(k.order)]
+	s.parent, s.name = parent, name
 	k.order = append(k.order, id)
-	if p, ok := k.streams[parent]; ok {
+	if p := k.stream(parent); p != nil {
 		p.children = append(p.children, id)
 	}
 }
 
 // Heading implements splitter.Sink.
 func (k *Keyer) Heading(id int32, toks []token.Token) {
-	if s := k.streams[id]; s != nil {
+	if s := k.stream(id); s != nil {
 		k.record(&s.head, toks)
 	}
 }
 
 // Tokens implements splitter.Sink.
 func (k *Keyer) Tokens(id int32, toks []token.Token) {
-	s := k.streams[id]
+	s := k.stream(id)
 	if s == nil {
 		return
 	}
@@ -172,15 +194,29 @@ var Chunks = &pool.List[[]byte]{
 }
 
 // Release scrubs the keyer's recycled chunks and returns them to Chunks
-// once every key is derived; children and imports stay readable.
+// and, emptied, a keyer that observed a split to keyers; the keyer must
+// not be touched again.
 func (k *Keyer) Release() {
-	if k != nil {
-		for _, c := range k.chunks {
-			pool.Scrub(c[:cap(c)])
-			Chunks.Put(c[:0])
-		}
-		k.chunks, k.tail, k.writer = nil, nil, nil
+	if k == nil {
+		return
 	}
+	for _, c := range k.chunks {
+		pool.Scrub(c[:cap(c)])
+		Chunks.Put(c[:0])
+	}
+	k.chunks, k.tail, k.writer = nil, nil, nil
+	if len(k.order) == 0 {
+		return
+	}
+	for _, s := range k.infos[:len(k.order)] {
+		clear(s.layout.spans)
+		clear(s.head.spans)
+		clear(s.imports)
+		*s = streamInfo{children: s.children[:0], imports: s.imports[:0],
+			layout: recs{spans: s.layout.spans[:0]}, head: recs{spans: s.head.spans[:0]}}
+	}
+	k.order, k.done = k.order[:0], false
+	keyers.Put(k)
 }
 
 // record appends toks' records to r at the arena's tail, opening a new
@@ -212,14 +248,14 @@ func (k *Keyer) record(r *recs, toks []token.Token) {
 }
 
 // digest hashes tag ‖ r's records.
-func (k *Keyer) digest(tag byte, r *recs) (out source.Hash) {
-	k.h.Reset()
-	k.h.Write([]byte{tag})
+func (k *Keyer) digest(tag byte, r *recs) source.Hash {
+	w := k.ow.reset()
+	w.buf = append(w.buf, tag)
+	w.flush()
 	for _, b := range r.spans {
-		k.h.Write(b)
+		w.st.Write(b)
 	}
-	k.h.Sum(out[:0])
-	return out
+	return w.sum()
 }
 
 // appendRecord appends one positioned token record: kind byte, line
@@ -310,19 +346,11 @@ func (k *Keyer) ProcStreams() []int32 {
 	return k.order[1:]
 }
 
-// Name returns the stream's procedure name.
-func (k *Keyer) Name(id int32) string {
-	if s := k.streams[id]; s != nil {
-		return s.name
-	}
-	return ""
-}
-
 // Imports returns the module names the stream's prologue imports, in
 // order of appearance (the driver's cache probe collects closure roots
 // from them).
 func (k *Keyer) Imports(id int32) []string {
-	if s := k.streams[id]; s != nil {
+	if s := k.stream(id); s != nil {
 		return s.imports
 	}
 	return nil
@@ -330,7 +358,7 @@ func (k *Keyer) Imports(id int32) []string {
 
 // Children returns a stream's direct children in source order.
 func (k *Keyer) Children(id int32) []int32 {
-	if s := k.streams[id]; s != nil {
+	if s := k.stream(id); s != nil {
 		return s.children
 	}
 	return nil
@@ -339,14 +367,9 @@ func (k *Keyer) Children(id int32) []int32 {
 // Descendants returns every stream below id in pre-order.
 func (k *Keyer) Descendants(id int32) []int32 {
 	var out []int32
-	var walk func(int32)
-	walk = func(sid int32) {
-		for _, c := range k.Children(sid) {
-			out = append(out, c)
-			walk(c)
-		}
+	for _, c := range k.Children(id) {
+		out = append(append(out, c), k.Descendants(c)...)
 	}
-	walk(id)
 	return out
 }
 
@@ -361,19 +384,16 @@ func (k *Keyer) headingHash(s *streamInfo) source.Hash {
 
 // ownHash digests the stream's own text — kinds and texts without
 // positions or EOF — on first use.  The byte stream is re-derived from
-// the layout records, which are self-delimiting by construction; only
-// ancestors' own hashes enter any key, so the decode runs for a
-// handful of enclosing streams per compilation, never for the leaves
-// that carry the bulk of the traffic.
-func (s *streamInfo) ownHash() source.Hash {
+// the layout records, which are self-delimiting by construction, and
+// goes to the digest through the writer's buffer; only ancestors' own
+// hashes enter any key, so the decode runs for a handful of enclosing
+// streams per compilation, never for the leaves that carry the bulk of
+// the traffic.
+func (k *Keyer) ownHash(s *streamInfo) source.Hash {
 	if s.owned {
 		return s.own
 	}
-	size := 0
-	for _, buf := range s.layout.spans {
-		size += len(buf)
-	}
-	b := make([]byte, 0, size)
+	w := k.ow.reset()
 	for _, buf := range s.layout.spans {
 		for p := 0; p < len(buf); {
 			kind := token.Kind(buf[p])
@@ -392,14 +412,15 @@ func (s *streamInfo) ownHash() source.Hash {
 			if kind == token.EOF {
 				continue
 			}
-			b = append(b, byte(kind))
+			w.room(1 + binary.MaxVarintLen64)
+			w.buf = append(w.buf, byte(kind))
 			if kind != token.BodyRef {
-				b = binary.AppendUvarint(b, uint64(len(text)))
-				b = append(b, text...)
+				w.buf = binary.AppendUvarint(w.buf, uint64(len(text)))
+				write(w, text)
 			}
 		}
 	}
-	s.own = sha256.Sum256(b)
+	s.own = w.sum()
 	s.owned = true
 	return s.own
 }
@@ -413,16 +434,15 @@ func (k *Keyer) layoutHash(s *streamInfo) source.Hash {
 	}
 	s.subtree = k.digest('L', &s.layout)
 	if len(s.children) > 0 {
-		b := make([]byte, 1, 1+sha256.Size*(1+len(s.children)))
-		b[0] = 'S'
-		b = append(b, s.subtree[:]...)
 		for _, c := range s.children {
-			if cs := k.streams[c]; cs != nil {
-				ch := k.layoutHash(cs)
-				b = append(b, ch[:]...)
-			}
+			k.layoutHash(k.stream(c)) // memoized before the writer is taken
 		}
-		s.subtree = sha256.Sum256(b)
+		w := k.ow.reset()
+		w.buf = append(append(w.buf, 'S'), s.subtree[:]...)
+		for _, c := range s.children {
+			w.hash(k.stream(c).subtree)
+		}
+		s.subtree = w.sum()
 	}
 	s.hashed = true
 	return s.subtree
@@ -438,40 +458,41 @@ func base(h *hashW, p KeyParams) {
 
 // ProcKey computes the cache key of procedure stream id.
 func (k *Keyer) ProcKey(id int32, p KeyParams) Key {
-	s := k.streams[id]
-	h := newHashW()
+	s := k.stream(id)
+	h := k.kw.reset()
 	base(h, p)
-	// Ancestor own-text chain, root first.
-	var chain []*streamInfo
-	for a := k.streams[s.parent]; a != nil; a = k.streams[a.parent] {
-		chain = append(chain, a)
-	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		h.hash(chain[i].ownHash())
-	}
+	k.chain(h, s.parent)
 	h.hash(k.headingHash(s))
 	h.hash(k.layoutHash(s))
 	h.str(s.name)
 	return h.sum()
 }
 
+// chain writes the own-text hashes of id and its ancestors, root first.
+func (k *Keyer) chain(h *hashW, id int32) {
+	if a := k.stream(id); a != nil {
+		k.chain(h, a.parent)
+		h.hash(k.ownHash(a))
+	}
+}
+
 // BodyKey computes the module body's cache key: the full main-stream
 // subtree layout.
 func (k *Keyer) BodyKey(p KeyParams) Key {
-	h := newHashW()
+	h := k.kw.reset()
 	base(h, p)
 	h.str(".body")
-	if s := k.streams[0]; s != nil {
+	if s := k.stream(0); s != nil {
 		h.hash(k.layoutHash(s))
 	}
 	return h.sum()
 }
 
-// hashW is a length-prefixed sha256 writer (length prefixes prevent
-// concatenation ambiguity between adjacent fields) that batches writes
-// through a fixed buffer.  It only runs at probe time, combining a
-// handful of finished digests per key; token traffic never goes
-// through it.
+// hashW is a sha256 writer that batches writes through a fixed buffer.
+// Keys write length-prefixed fields (the prefixes prevent
+// concatenation ambiguity between adjacent fields); own texts and
+// subtree combinations write raw bytes.  A keyer reuses its two for
+// every digest it takes.
 type hashW struct {
 	st  hash.Hash
 	buf []byte
@@ -479,8 +500,15 @@ type hashW struct {
 
 const hashWBuf = 256
 
-func newHashW() *hashW {
-	return &hashW{st: sha256.New(), buf: make([]byte, 0, hashWBuf)}
+func newHashW() hashW {
+	return hashW{st: sha256.New(), buf: make([]byte, 0, hashWBuf)}
+}
+
+// reset starts a new digest.
+func (w *hashW) reset() *hashW {
+	w.st.Reset()
+	w.buf = w.buf[:0]
+	return w
 }
 
 func (w *hashW) flush() {
@@ -490,15 +518,25 @@ func (w *hashW) flush() {
 	}
 }
 
-func (w *hashW) u32(v uint32) {
-	if len(w.buf)+4 > cap(w.buf) {
+// room flushes the buffer unless n more bytes fit.
+func (w *hashW) room(n int) {
+	if len(w.buf)+n > cap(w.buf) {
 		w.flush()
 	}
+}
+
+func (w *hashW) u32(v uint32) {
+	w.room(4)
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
 }
 
 func (w *hashW) str(s string) {
 	w.u32(uint32(len(s)))
+	write(w, s)
+}
+
+// write appends s through w's buffer.
+func write[S string | []byte](w *hashW, s S) {
 	for len(s) > 0 {
 		if len(w.buf) == cap(w.buf) {
 			w.flush()
@@ -518,16 +556,15 @@ func (w *hashW) bit(b bool) {
 }
 
 func (w *hashW) hash(h source.Hash) {
-	if len(w.buf)+len(h) > cap(w.buf) {
-		w.flush()
-	}
+	w.room(len(h))
 	w.buf = append(w.buf, h[:]...)
 }
 
-// sum finalizes the digest.  The writer must not be written after.
-func (w *hashW) sum() source.Hash {
+// sum finalizes the digest, through the buffer so that the sum does not
+// escape.  The writer must be reset before it is written again.
+func (w *hashW) sum() (out source.Hash) {
 	w.flush()
-	var out source.Hash
-	w.st.Sum(out[:0])
+	w.buf = w.st.Sum(w.buf[:0])
+	copy(out[:], w.buf)
 	return out
 }

@@ -23,11 +23,11 @@
 // preserves line structure (the common editor case the daemon serves)
 // keeps every untouched stream warm.
 //
-// Object code is stored with symbolic fixups: procedure, global-area,
-// and exception indices are registry-assignment-ordered (schedule-
-// dependent), so each such operand is recorded by name and re-resolved
-// against the current compilation's registry at merge time.  Segment-
-// relative jump targets and line-number operands replay verbatim.
+// Object code is stored with symbolic fixups: each procedure, global-
+// area and exception operand is recorded by name and re-resolved
+// against the current compilation's registry at merge time (procedure
+// and area indices follow the source, so they move only when procedures
+// or interfaces come or go).  Jump targets and line numbers replay.
 package streamcache
 
 import (
@@ -242,18 +242,19 @@ func ExtractFixups(code []vm.Instr, procName func(int32) string,
 }
 
 // ApplyFixups re-resolves every symbolic operand of a cached code
-// segment against the installing compilation's registry.  The copy is
-// made lazily, on the first operand that actually differs: when the
-// registry assigned every name the same index as the recording
-// compilation did (the common warm-rebuild case — same module, same
-// discovery order), the cached segment itself is returned.  Sharing is
+// segment against the installing compilation's registry; procIdx also
+// gets the recorded index, to check first.  The copy is made lazily, on
+// the first operand that differs.  Procedure and area indices follow
+// the source (vm.Registry), so unless an edit added or removed a
+// procedure or an interface, every index agrees and the cached segment
+// itself is returned.  Sharing is
 // safe because the recording path already aliases the segment between
 // the cache and the recording compilation's result — object code is
 // immutable once installed.  procIdx reports ok=false for an unknown
 // procedure name — impossible when the key matched, but surfaced as a
 // failed install rather than silently wrong code.
 func ApplyFixups(code []vm.Instr, fixups []Fixup,
-	procIdx func(string) (int32, bool),
+	procIdx func(name string, was int32) (int32, bool),
 	areaIdx func(string) int32, excIdx func(string) int32) ([]vm.Instr, bool) {
 
 	out := code
@@ -262,7 +263,7 @@ func ApplyFixups(code []vm.Instr, fixups []Fixup,
 		var idx int32
 		switch f.Kind {
 		case FixProc:
-			i, ok := procIdx(f.Name)
+			i, ok := procIdx(f.Name, code[f.Index].A)
 			if !ok {
 				return nil, false
 			}

@@ -181,10 +181,11 @@ type Table struct {
 // complete (an interface-cache hit): its symbols and completion event
 // predate every task of this compilation, so traced lookups must stamp
 // them as pre-existing rather than replaying a foreign session's times.
-func (t *Table) MarkPrefired(scope *Scope) {
+// The first call sizes the table for hint scopes.
+func (t *Table) MarkPrefired(scope *Scope, hint int) {
 	t.mu.Lock()
 	if t.prefired == nil {
-		t.prefired = make(map[*Scope]bool)
+		t.prefired = make(map[*Scope]bool, hint)
 	}
 	t.prefired[scope] = true
 	t.mu.Unlock()

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -16,6 +17,7 @@ import (
 // statement-analyzer/code-generator task and read only after the merge.
 type ProcMeta struct {
 	Idx      int32  // object-local index
+	stream   int32  // the body stream that reserved Idx (see ReserveProc)
 	Name     string // dotted path within the module, e.g. "Sort" or "Sort.Partition"
 	Module   string // module the procedure belongs to
 	Exported bool   // heading appears in the definition module
@@ -34,6 +36,12 @@ func (p *ProcMeta) FullName() string {
 		return p.Module + "..body"
 	}
 	return p.Module + "." + p.Name
+}
+
+// Is reports whether s is p's FullName, without building it.
+func (p *ProcMeta) Is(s string) bool {
+	m := len(p.Module)
+	return len(s) == m+1+len(p.Name) && s[:m] == p.Module && s[m] == '.' && s[m+1:] == p.Name
 }
 
 // Area is one global storage area.  Each declaration scope that owns
@@ -59,13 +67,15 @@ type Object struct {
 }
 
 // Registry assigns object-local indices during compilation.  Methods
-// are safe for concurrent use by the compiler's tasks; index assignment
-// order is schedule-dependent, which is why everything observable
-// (listings, link resolution) goes through names instead.
+// are safe for concurrent use by the compiler's tasks.  Procedure and
+// area indices reserved up front (ReserveProc, AddAreas) follow the
+// source; the rest follow first use, which the schedule decides, so
+// everything observable (listings, link resolution) goes through names.
 type Registry struct {
 	mu         sync.Mutex // guards: module, procs, and the index maps below
 	module     string
-	procs      []*ProcMeta
+	procs      []*ProcMeta // procs[:nres] were reserved, by increasing stream
+	nres       int
 	areas      []*Area
 	areaByName map[string]int32
 	excs       []string
@@ -89,22 +99,48 @@ func NewRegistry(module string) *Registry {
 // Module returns the name of the module being compiled.
 func (r *Registry) Module() string { return r.module }
 
-// NewProc allocates a procedure index.  Identity fields are fixed here;
-// Frame and Code are filled later by the code generator task that owns
-// the procedure.
-func (r *Registry) NewProc(name string, exported, isBody bool, level, argSlots int32, hasRet bool, pos token.Pos) *ProcMeta {
+// ReserveProc gives the procedure whose body stream carries the next
+// index: called as the splitter starts each stream (in source order,
+// with increasing stream numbers), it makes indices source-order ranks.
+// Once a procedure registered unreserved, it is a no-op.
+func (r *Registry) ReserveProc(stream int32) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	p := &ProcMeta{
-		Idx: int32(len(r.procs)), Name: name, Module: r.module,
-		Exported: exported, IsBody: isBody, Level: level,
-		ArgSlots: argSlots, HasRet: hasRet, Pos: pos,
+	if r.nres == len(r.procs) {
+		r.procs = append(r.procs, &ProcMeta{Idx: int32(r.nres), Module: r.module, stream: stream})
+		r.nres++
 	}
-	r.procs = append(r.procs, p)
+}
+
+// NewProc registers the procedure whose body stream carries (0 for an
+// inline body or the module body): it takes the index reserved for
+// stream, or else the next one.  Identity fields are fixed here; Frame
+// and Code are filled later by the code generator task that owns the
+// procedure.
+func (r *Registry) NewProc(stream int32, name string, exported, isBody bool, level, argSlots int32, hasRet bool, pos token.Pos) *ProcMeta {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	i, ok := slices.BinarySearchFunc(r.procs[:r.nres], stream, func(p *ProcMeta, s int32) int { return cmp.Compare(p.stream, s) })
+	if !ok {
+		i = len(r.procs)
+		r.procs = append(r.procs, &ProcMeta{Idx: int32(i), Module: r.module})
+	}
+	p := r.procs[i]
+	p.Name, p.Exported, p.IsBody, p.Level = name, exported, isBody, level
+	p.ArgSlots, p.HasRet, p.Pos = argSlots, hasRet, pos
 	if isBody {
 		r.body = p.Idx
 	}
 	return p
+}
+
+// AddAreas registers the named areas in order and sizes the name
+// tables for as many interfaces.  Call it before the registry is shared.
+func (r *Registry) AddAreas(names []string) {
+	r.areaByName, r.importSeen = make(map[string]int32, len(names)), make(map[string]bool, len(names))
+	for _, n := range names {
+		r.AreaIdx(n)
+	}
 }
 
 // AreaIdx returns (allocating on first use) the object-local index of
