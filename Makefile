@@ -41,12 +41,15 @@ build:
 test:
 	$(GO) test ./...
 
-# The scheduler's tests run ten times more under the race detector: its
-# one mutex guards the ready heap, every slot handoff and the producer
-# boost, and a lock-discipline slip there shows only under repetition.
+# The scheduler's and the token queues' tests run ten times more under
+# the race detector: the scheduler's one mutex guards the ready heap,
+# every slot handoff and the producer boost, a token queue's mutex
+# guards the growth event a waiting reader makes, and a lock-discipline
+# slip in either shows only under repetition.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=10 ./internal/sched
+	$(GO) test -race -count=10 ./internal/tokq
 
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -run Chaos -count=1 .
@@ -110,12 +113,13 @@ bench-frontend:
 # running Synth and an array-indexing suite program (Minstr/s), the
 # stream cache's relocating copy, a warm recompile with every stream a
 # cache hit (B/op, allocs/op: keys, probe, interface installs and
-# adopted segments), and a warm repeated m2cd /compile through the
+# adopted segments), a warm repeated m2cd /compile through the
 # handler (B/op, allocs/op: the listing escaped into the pooled
-# response).  One iteration each, as bench-frontend.
+# response), and the Supervisor's cost of one task, ungated and with
+# two gates (B/op, allocs/op).  One iteration each, as bench-frontend.
 bench-objcode:
-	$(GO) test -run='^$$' -bench='^(BenchmarkCodegenCompile|BenchmarkListing|BenchmarkExecute|BenchmarkApplyFixups|BenchmarkWarmProbe|BenchmarkServeRepeat)$$' -benchtime=1x \
-		./internal/codegen ./internal/vm ./internal/streamcache ./internal/core ./cmd/m2cd
+	$(GO) test -run='^$$' -bench='^(BenchmarkCodegenCompile|BenchmarkListing|BenchmarkExecute|BenchmarkApplyFixups|BenchmarkWarmProbe|BenchmarkServeRepeat|BenchmarkSpawn)$$' -benchtime=1x \
+		./internal/codegen ./internal/vm ./internal/streamcache ./internal/core ./cmd/m2cd ./internal/sched
 
 # The benchmark is a module of its own that imports internal packages
 # (token, source, impscan, ...), so an internal-API change can break it

@@ -514,14 +514,12 @@ func (d *driver) spawn(kind ctrace.TaskKind, stream int32, label string,
 	return t
 }
 
-// spawnCheck schedules a stream's static-analysis task (KindAnalysis).
-// The unit's ASTs are complete when this is called, so the task is
-// ungated; its kind ranks it behind code generation, so lint work
-// never delays the compile proper.
+// spawnCheck schedules a stream's static-analysis task (KindAnalysis)
+// when linting; callers build the unit only then.  The unit's ASTs are
+// complete when this is called, so the task is ungated; its kind ranks
+// it behind code generation, so lint work never delays the compile
+// proper.
 func (d *driver) spawnCheck(stream int32, parent *ctrace.TaskCtx, u *check.Unit, sink func(*check.Facts)) {
-	if d.check == nil {
-		return
-	}
 	d.check.AddUnit(u)
 	t := d.spawn(ctrace.KindAnalysis, stream, "Lint "+u.Path,
 		sched.Priority(ctrace.KindAnalysis, 0), nil, parent,
@@ -833,10 +831,12 @@ func (d *driver) runModParse(t *sched.Task, mainQ *tokq.Queue, label string) {
 	p.Arena = d.bodyArena()
 	p.ParseBody(m)
 	d.parkArena(p.Arena)
-	d.spawnCheck(0, t.Ctx, &check.Unit{
-		Kind: check.ModuleUnit, File: label, Module: d.module, Path: label,
-		Imports: m.Imports, Decls: decls, Body: m.Body,
-	}, nil)
+	if d.check != nil {
+		d.spawnCheck(0, t.Ctx, &check.Unit{
+			Kind: check.ModuleUnit, File: label, Module: d.module, Path: label,
+			Imports: m.Imports, Decls: decls, Body: m.Body,
+		}, nil)
+	}
 
 	if m.Body != nil {
 		size := int64(mainQ.Len())
@@ -963,19 +963,21 @@ func (d *driver) runProcParse(t *sched.Task, ps *procStream) {
 	p.Arena = d.bodyArena()
 	tail := p.ParseProcTail(ps.name)
 	d.parkArena(p.Arena)
-	var sink func(*check.Facts)
-	if d.scache != nil {
-		sink = func(f *check.Facts) {
-			d.mu.Lock()
-			ps.facts = f
-			d.mu.Unlock()
+	if d.check != nil {
+		var sink func(*check.Facts)
+		if d.scache != nil {
+			sink = func(f *check.Facts) {
+				d.mu.Lock()
+				ps.facts = f
+				d.mu.Unlock()
+			}
 		}
+		d.spawnCheck(ps.id, t.Ctx, &check.Unit{
+			Kind: check.ProcUnit, File: label, Module: cp.Meta.Module, Path: cp.ScopePath,
+			ProcName: cp.Decl.Head.Name.Text, Head: cp.Decl.Head,
+			Decls: decls, Body: tail.Body,
+		}, sink)
 	}
-	d.spawnCheck(ps.id, t.Ctx, &check.Unit{
-		Kind: check.ProcUnit, File: label, Module: cp.Meta.Module, Path: cp.ScopePath,
-		ProcName: cp.Decl.Head.Name.Text, Head: cp.Decl.Head,
-		Decls: decls, Body: tail.Body,
-	}, sink)
 
 	size := int64(ps.q.Len())
 	kind := ctrace.KindShortStmtCG
@@ -1350,10 +1352,12 @@ func (d *driver) startIface(name string, optional bool, ent *ifacecache.Entry) *
 			scope.Complete(t.Ctx)
 			d.finishEntry(e, t, a, directImps, label)
 			p.ParseBody(m)
-			d.spawnCheck(stream, t.Ctx, &check.Unit{
-				Kind: check.DefUnit, File: label, Module: name, Path: label,
-				Imports: m.Imports, Decls: decls,
-			}, nil)
+			if d.check != nil {
+				d.spawnCheck(stream, t.Ctx, &check.Unit{
+					Kind: check.DefUnit, File: label, Module: name, Path: label,
+					Imports: m.Imports, Decls: decls,
+				}, nil)
+			}
 		})
 	d.sup.SetProducer(scope.CompletionEvent(), parseTask)
 	return e

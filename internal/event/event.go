@@ -63,14 +63,21 @@ type Event struct {
 	mu    sync.Mutex    // guards: subs, done (creation); fired's false→true transition
 	done  chan struct{} // guards: the fired state for waiters — closed exactly once by Fire
 	fired atomic.Bool   // set while holding mu; read lock-free
-	subs  []func()
+	subs  *sub          // newest first
+}
+
+// sub is one Subscribe callback.
+type sub struct {
+	f    func(*Event)
+	next *sub
 }
 
 // New returns a fresh, unfired event.
 func New() *Event { return &Event{} }
 
 // Fire marks the event as occurred, wakes all waiters, and runs all
-// subscribed callbacks.  Firing an already-fired event is a no-op.
+// subscribed callbacks, newest first.  Firing an already-fired event is
+// a no-op.
 func (e *Event) Fire() {
 	if e.fired.Load() {
 		return
@@ -88,8 +95,8 @@ func (e *Event) Fire() {
 	subs := e.subs
 	e.subs = nil
 	e.mu.Unlock()
-	for _, f := range subs {
-		f()
+	for ; subs != nil; subs = subs.next {
+		subs.f(e)
 	}
 }
 
@@ -112,22 +119,23 @@ func (e *Event) Done() <-chan struct{} {
 	return e.done
 }
 
-// Subscribe arranges for f to run once when the event fires.  If the
-// event has already fired, f runs immediately in the caller's goroutine.
-// The scheduler uses this to move tasks gated on avoided events into the
-// ready queue the moment their last gate fires.
-func (e *Event) Subscribe(f func()) {
+// Subscribe arranges for f to run once, with the event, when it fires.
+// If the event has already fired, f runs immediately in the caller's
+// goroutine.  The scheduler uses this to move tasks gated on avoided
+// events into the ready queue the moment their last gate fires; f gets
+// the event, so one func can serve every gate.
+func (e *Event) Subscribe(f func(*Event)) {
 	if e.fired.Load() {
-		f()
+		f(e)
 		return
 	}
 	e.mu.Lock()
 	if e.fired.Load() {
 		e.mu.Unlock()
-		f()
+		f(e)
 		return
 	}
-	e.subs = append(e.subs, f)
+	e.subs = &sub{f, e.subs}
 	e.mu.Unlock()
 }
 

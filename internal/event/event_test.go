@@ -49,8 +49,8 @@ func TestDoneAfterFire(t *testing.T) {
 func TestSubscribeBeforeFire(t *testing.T) {
 	e := event.New()
 	var n atomic.Int32
-	e.Subscribe(func() { n.Add(1) })
-	e.Subscribe(func() { n.Add(1) })
+	e.Subscribe(func(*event.Event) { n.Add(1) })
+	e.Subscribe(func(*event.Event) { n.Add(1) })
 	if n.Load() != 0 {
 		t.Fatal("callbacks ran before Fire")
 	}
@@ -68,7 +68,7 @@ func TestSubscribeAfterFireRunsInline(t *testing.T) {
 	e := event.New()
 	e.Fire()
 	ran := false
-	e.Subscribe(func() { ran = true })
+	e.Subscribe(func(*event.Event) { ran = true })
 	if !ran {
 		t.Fatal("late subscription must run immediately")
 	}
@@ -106,7 +106,7 @@ func TestConcurrentFireAndSubscribe(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			e.Subscribe(func() { n.Add(1) })
+			e.Subscribe(func(*event.Event) { n.Add(1) })
 		}()
 		go func() {
 			defer wg.Done()

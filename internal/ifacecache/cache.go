@@ -271,7 +271,7 @@ func (e *Entry) watchDep(d Dep) {
 	case stateFailed:
 		e.Fail()
 	default:
-		ev.Subscribe(func() { e.watchDep(d) })
+		ev.Subscribe(func(*event.Event) { e.watchDep(d) })
 	}
 }
 

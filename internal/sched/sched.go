@@ -74,33 +74,51 @@ func Priority(class ctrace.TaskKind, size int64) int64 {
 	return int64(class)<<classShift - size
 }
 
-// Task is one schedulable unit of compilation work.
+// Task is one schedulable unit of compilation work: one allocation
+// holding its trace context, its done event and its scheduler state.
 type Task struct {
-	Ctx   *ctrace.TaskCtx
+	Ctx   *ctrace.TaskCtx // the task's own ctx
 	Label string
 
-	sup      *Supervisor
-	kind     ctrace.TaskKind
-	started  bool
-	stream   int32
-	priority int64 // raised by a §2.3.4 boost, under the Supervisor's mu
-	seq      int64
-	run      func(*Task)
-	done     *event.Event
+	ctx  ctrace.TaskCtx
+	done event.Event
+	run  func(*Task)
+	w    *worker // the worker running the task, set as it starts
+	next *Task   // the Supervisor's task list
 
-	gatesLeft int
-	resume    chan struct{} // guards: slot handoff — one send re-admits this blocked task
-	heapIdx   int           // index in the ready heap, -1 when absent
-	obsID     int           // observability-layer task ID (0 = unobserved)
-	onSlot    time.Duration // when a traced task last took its slot, since the Supervisor's epoch
+	// Scheduler state, under the Supervisor's mu.
+	priority  int64 // raised by a §2.3.4 boost
+	seq       int64
+	produces  *produced    // events registered to it by SetProducer
+	waitOn    *event.Event // the event of a handled or external wait in progress
+	stream    int32
+	gatesLeft int32 // unfired avoided events (Supervisor.gateWaiters); parked while > 0
+	heapIdx   int32 // index in the ready heap, -1 when absent
+	started   bool
+	external  bool // waitOn is owned by another compilation
+}
+
+// produced lists the events a task was registered to produce.
+type produced struct {
+	e    *event.Event
+	next *produced
+}
+
+// worker is a resident worker goroutine's state, shared by every task
+// it runs: a blocked task keeps its goroutine, so one resume channel
+// serves them all.
+type worker struct {
+	sup    *Supervisor
+	resume chan struct{} // guards: slot handoff — one send re-admits the blocked task; made by its first wait
+	onSlot time.Duration // when the traced task on it last took its slot, since the Supervisor's epoch
 }
 
 // Done returns the event fired when the task finishes.  Other tasks
 // gate on it to sequence the stages of one stream.
-func (t *Task) Done() *event.Event { return t.done }
+func (t *Task) Done() *event.Event { return &t.done }
 
 // Kind returns the task's class (used in fault reports).
-func (t *Task) Kind() ctrace.TaskKind { return t.kind }
+func (t *Task) Kind() ctrace.TaskKind { return t.ctx.Kind }
 
 // Stream returns the stream the task belongs to.
 func (t *Task) Stream() int32 { return t.stream }
@@ -108,7 +126,7 @@ func (t *Task) Stream() int32 { return t.stream }
 // ObsID returns the task's observability-layer ID (0 when the
 // compilation runs unobserved); the driver uses it to attribute
 // stall-abandonment marks to the right task.
-func (t *Task) ObsID() int { return t.obsID }
+func (t *Task) ObsID() int { return t.ctx.ObsID }
 
 // BarrierWait performs a barrier-event wait: the worker slot is held
 // (§2.3.3).  It is the WaitFunc handed to token-queue readers.  The
@@ -120,19 +138,19 @@ func (t *Task) BarrierWait(e *event.Event) {
 	if e.Fired() {
 		return
 	}
-	s := t.sup
+	s := t.w.sup
 	if s.canceled.Load() {
 		// The producer this wait depends on may already have been
 		// discharged unrun; unwind instead of blocking a slot forever.
 		panic(ErrCanceled)
 	}
 	s.clockOff(t)
-	s.Obs.TaskBarrierBlocked(t.obsID, e)
+	s.Obs.TaskBarrierBlocked(t.ObsID(), e)
 	select {
 	case <-e.WaitChan():
 	case <-s.cancelCh:
 	}
-	s.Obs.TaskBarrierUnblocked(t.obsID)
+	s.Obs.TaskBarrierUnblocked(t.ObsID())
 	s.clockOn(t)
 	if !e.Fired() {
 		panic(ErrCanceled)
@@ -147,9 +165,8 @@ func (t *Task) HandledWait(e *event.Event) {
 	if e.Fired() {
 		return
 	}
-	s := t.sup
-	s.clockOff(t)
-	s.releaseForWait(t, e)
+	s := t.w.sup
+	s.block(t, e, obs.BlockHandled)
 	select {
 	case <-e.WaitChan():
 	case <-s.cancelCh:
@@ -158,7 +175,6 @@ func (t *Task) HandledWait(e *event.Event) {
 	// the cancellation panic is raised from inside the task body, where
 	// the normal finish path releases the slot.
 	s.reacquire(t)
-	s.clockOn(t)
 	if !e.Fired() {
 		panic(ErrCanceled)
 	}
@@ -182,42 +198,25 @@ func (t *Task) ExternalWait(e *event.Event) bool {
 	if e.Fired() {
 		return true
 	}
-	s := t.sup
-	s.clockOff(t)
-	s.mu.Lock()
-	s.Obs.TaskBlocked(t.obsID, obs.BlockExternal, e)
-	s.external[t] = e
-	s.handoffLocked()
-	s.mu.Unlock()
-	fired := true
+	s := t.w.sup
+	s.block(t, e, obs.BlockExternal)
+	var deadline <-chan time.Time
 	if s.StallTimeout > 0 {
 		timer := time.NewTimer(s.StallTimeout)
-		select {
-		case <-e.Done():
-		case <-timer.C:
-			// The fire may have raced the deadline; a fired event is
-			// never reported as a stall.
-			fired = e.Fired()
-		case <-s.cancelCh:
-			// Canceled: abandon the foreign dependency immediately; the
-			// caller's fallback work is discharged unrun anyway.
-			fired = e.Fired()
-		}
-		timer.Stop()
-	} else {
-		select {
-		case <-e.WaitChan():
-		case <-s.cancelCh:
-			fired = e.Fired()
-		}
+		defer timer.Stop()
+		deadline = timer.C
 	}
-	s.mu.Lock()
-	delete(s.external, t)
-	s.pushLocked(t)
-	s.mu.Unlock()
-	<-t.resume
-	s.clockOn(t)
-	return fired
+	// Canceled: abandon the foreign dependency immediately; the caller's
+	// fallback work is discharged unrun anyway.  The fire may race the
+	// deadline or the cancellation; a fired event is never reported as a
+	// stall.
+	select {
+	case <-e.Done():
+	case <-deadline:
+	case <-s.cancelCh:
+	}
+	s.reacquire(t)
+	return e.Fired()
 }
 
 // Supervisor owns the worker slots and the ready queue.
@@ -230,22 +229,19 @@ type Supervisor struct {
 	ready taskHeap // runnable tasks in §2.3.4 order
 	seq   int64
 
-	producers map[*event.Event]*Task
-	blocked   map[*Task]*event.Event
-	parked    map[*Task][]*event.Event
-	external  map[*Task]*event.Event // waits on events owned by other compilations
+	tasks     *Task                  // every spawned task, newest first (Task.next)
+	producers map[*event.Event]*Task // SetProducer registrations
 
 	// Gate bookkeeping: one event.Subscribe per distinct gate event,
-	// batching the release of every task it gates into a single
-	// scheduler transaction when it fires.
-	gateWaiters map[*event.Event][]*Task // unfired gate → tasks counting it
-	gateDone    map[*event.Event]bool    // gates whose fire was processed
-	gateSub     map[*event.Event]bool    // gates with a subscription installed
+	// installed by the Spawn that adds its key, batches the release of
+	// every task it gates into a single scheduler transaction when it
+	// fires.
+	gateWaiters map[*event.Event][]*Task // gate whose fire is unprocessed → tasks counting it
+	onGate      func(*event.Event)       // gatesFired, bound once
 
 	total    int
 	finished int
 	faults   int // tasks that panicked and were isolated
-	skips    int // tasks discharged unrun after cancellation
 
 	// canceled flips once when Cancel is called; checked lock-free on
 	// every dispatch and wait so an abandoned compilation stops doing
@@ -300,14 +296,10 @@ func New(workers int, rec *ctrace.Recorder) *Supervisor {
 		slots: workers, free: workers, rec: rec,
 		cancelCh:    make(chan struct{}),
 		producers:   make(map[*event.Event]*Task),
-		blocked:     make(map[*Task]*event.Event),
-		parked:      make(map[*Task][]*event.Event),
-		external:    make(map[*Task]*event.Event),
 		gateWaiters: make(map[*event.Event][]*Task),
-		gateDone:    make(map[*event.Event]bool),
-		gateSub:     make(map[*event.Event]bool),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.onGate = s.gatesFired
 	if rec != nil {
 		s.epoch = time.Now()
 	}
@@ -350,23 +342,13 @@ func (s *Supervisor) Cancel() {
 	s.mu.Unlock()
 }
 
-// Canceled reports whether Cancel has been called.
-func (s *Supervisor) Canceled() bool { return s.canceled.Load() }
-
-// Skipped reports how many tasks were discharged unrun after
-// cancellation.
-func (s *Supervisor) Skipped() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.skips
-}
-
 // SetProducer declares that task t is the one that will fire e; the
 // Supervisor uses this to run the DKY-resolving task preferentially
 // when someone blocks on e (§2.3.4).
 func (s *Supervisor) SetProducer(e *event.Event, t *Task) {
 	s.mu.Lock()
 	s.producers[e] = t
+	t.produces = &produced{e, t.produces}
 	s.mu.Unlock()
 }
 
@@ -376,68 +358,60 @@ func (s *Supervisor) SetProducer(e *event.Event, t *Task) {
 func (s *Supervisor) Spawn(kind ctrace.TaskKind, stream int32, label string,
 	priority int64, gates []*event.Event, parent *ctrace.TaskCtx, run func(*Task)) *Task {
 
-	ctx := &ctrace.TaskCtx{Kind: kind, Rec: s.rec}
+	t := &Task{Label: label, run: run, priority: priority, stream: stream, heapIdx: -1}
+	t.Ctx = &t.ctx
+	t.ctx.Kind, t.ctx.Rec = kind, s.rec
 	if s.rec != nil {
-		ctx.ID = s.rec.RegisterTask(kind, stream, label)
+		t.ctx.ID = s.rec.RegisterTask(kind, stream, label)
 		var pid ctrace.TaskID
 		var at ctrace.Stamp
 		if parent != nil {
 			pid = parent.ID
 			at = parent.Stamp()
 		}
-		s.rec.NoteSpawn(pid, at, ctx.ID, gates)
+		s.rec.NoteSpawn(pid, at, t.ctx.ID, gates)
 	}
 	parentObs := 0
 	if parent != nil {
 		parentObs = parent.ObsID
 	}
-	t := &Task{
-		Ctx: ctx, Label: label, sup: s, kind: kind, stream: stream, priority: priority,
-		run: run, done: event.New(), resume: make(chan struct{}, 1), heapIdx: -1,
-		obsID: s.Obs.TaskSpawned(kind, stream, label, parentObs, gates),
-	}
-	if obsv := s.Obs; obsv != nil && t.obsID != 0 {
+	if t.ctx.ObsID = s.Obs.TaskSpawned(kind, stream, label, parentObs, gates); t.ctx.ObsID != 0 {
 		// Edge capture: every event this task fires through its TaskCtx
 		// is attributed to it, before the fire lands (so waiters' unblock
 		// edges always follow the fire edge).
-		ctx.ObsID = t.obsID
-		id := t.obsID
-		ctx.OnFire = func(e *event.Event) { obsv.EventFired(id, e) }
+		obsv, id := s.Obs, t.ctx.ObsID
+		t.ctx.OnFire = func(e *event.Event) { obsv.EventFired(id, e) }
 	}
 
 	s.mu.Lock()
 	s.total++
 	t.seq = s.seq
 	s.seq++
-	// The task's finish event gains it as producer, so a handled wait
-	// on it boosts the task (§2.3.4).
-	s.producers[t.done] = t
-	// Register against each gate that has not yet been seen to fire;
-	// one subscription per distinct event covers every waiter, past and
-	// future, in a single batched release.
-	var fresh []*event.Event
+	t.next, s.tasks = s.tasks, t
+	// Register against each gate that has not fired.  Fire sets the
+	// flag before it runs subscribers, so a fired gate's release is done
+	// or on its way; an unfired one's subscription is installed by the
+	// Spawn that adds its key, and covers every waiter, past and future.
+	var buf [2]*event.Event
+	fresh := buf[:0]
 	for _, g := range gates {
-		if s.gateDone[g] || g.Fired() {
+		if g.Fired() {
 			continue
 		}
 		t.gatesLeft++
-		s.gateWaiters[g] = append(s.gateWaiters[g], t)
-		if !s.gateSub[g] {
-			s.gateSub[g] = true
+		waiters, subscribed := s.gateWaiters[g]
+		s.gateWaiters[g] = append(waiters, t)
+		if !subscribed {
 			fresh = append(fresh, g)
 		}
 	}
 	if t.gatesLeft == 0 {
 		s.pushLocked(t)
-		s.mu.Unlock()
-		return t
 	}
-	s.parked[t] = gates
 	s.mu.Unlock()
 
 	for _, g := range fresh {
-		g := g
-		g.Subscribe(func() { s.gatesFired(g) })
+		g.Subscribe(s.onGate)
 	}
 	return t
 }
@@ -447,16 +421,12 @@ func (s *Supervisor) Spawn(kind ctrace.TaskKind, stream int32, label string,
 // single scheduler transaction, before any of them is dispatched.
 func (s *Supervisor) gatesFired(g *event.Event) {
 	s.mu.Lock()
-	s.gateDone[g] = true
-	waiters := s.gateWaiters[g]
-	delete(s.gateWaiters, g)
-	for _, t := range waiters {
-		t.gatesLeft--
-		if t.gatesLeft == 0 {
-			delete(s.parked, t)
+	for _, t := range s.gateWaiters[g] {
+		if t.gatesLeft--; t.gatesLeft == 0 {
 			heap.Push(&s.ready, t)
 		}
 	}
+	delete(s.gateWaiters, g)
 	s.kickLocked()
 	s.mu.Unlock()
 }
@@ -501,11 +471,11 @@ func (s *Supervisor) grantLocked(t *Task) {
 func (s *Supervisor) admitLocked(t *Task) (unstarted bool) {
 	if !t.started {
 		t.started = true
-		s.Obs.TaskStarted(t.obsID)
+		s.Obs.TaskStarted(t.ObsID())
 		return true
 	}
-	s.Obs.TaskUnblocked(t.obsID)
-	t.resume <- struct{}{}
+	s.Obs.TaskUnblocked(t.ObsID())
+	t.w.resume <- struct{}{}
 	return false
 }
 
@@ -549,17 +519,19 @@ func (s *Supervisor) handoffLocked() {
 // slot passes to a resumed task (which continues on its own goroutine)
 // or is given back for want of work.
 func (s *Supervisor) work(t *Task) {
+	w := &worker{sup: s}
 	for {
+		t.w = w
 		s.clockOn(t)
 		t.Ctx.Add(ctrace.CostTaskStart)
 		s.runGuarded(t)
-		t.Ctx.FireEvent(t.done)
+		t.Ctx.FireEvent(&t.done)
 		s.clockOff(t)
 		t.Ctx.Finish()
 		// Note the finish (freeing the task's observed lane) before the
 		// slot moves on, so an observer never sees more lanes busy than
 		// slots exist.
-		s.Obs.TaskFinished(t.obsID)
+		s.Obs.TaskFinished(t.ObsID())
 		s.mu.Lock()
 		s.finished++
 		next := s.passLocked()
@@ -581,13 +553,13 @@ func (s *Supervisor) work(t *Task) {
 // stalled barrier wait) and hands the stretch to its TaskCtx.
 func (s *Supervisor) clockOn(t *Task) {
 	if s.rec != nil {
-		t.onSlot = time.Since(s.epoch)
+		t.w.onSlot = time.Since(s.epoch)
 	}
 }
 
 func (s *Supervisor) clockOff(t *Task) {
 	if s.rec != nil {
-		t.Ctx.Ran(time.Since(s.epoch) - t.onSlot)
+		t.Ctx.Ran(time.Since(s.epoch) - t.w.onSlot)
 	}
 }
 
@@ -604,51 +576,43 @@ func (s *Supervisor) runGuarded(t *Task) {
 		if r == nil {
 			return
 		}
-		if r == ErrCanceled {
-			// A cooperative cancellation unwind, not a fault: the
-			// deferred seals already ran during the unwind; force-fire
-			// what the task still owed and let work finish it normally.
+		if r != ErrCanceled { // a cooperative cancellation unwind is not a fault
+			stack := debug.Stack()
 			s.mu.Lock()
-			s.skips++
+			s.faults++
+			cb := s.OnPanic
 			s.mu.Unlock()
-			s.forceFireProduced(t)
-			return
+			s.Obs.TaskPanicked(t.ObsID())
+			if cb != nil {
+				cb(t, r, stack)
+			}
 		}
-		stack := debug.Stack()
-		s.mu.Lock()
-		s.faults++
-		cb := s.OnPanic
-		s.mu.Unlock()
-		s.Obs.TaskPanicked(t.obsID)
-		if cb != nil {
-			cb(t, r, stack)
-		}
+		// The deferred seals already ran during the unwind; force-fire
+		// what the task still owed and let work finish it normally.
 		s.forceFireProduced(t)
 	}()
 	if s.canceled.Load() {
 		// Granted after cancellation: discharge without running the
-		// body.  Produced events are force-fired so dependents that
-		// started before the cancellation never wedge on this task.
-		s.mu.Lock()
-		s.skips++
-		s.mu.Unlock()
-		s.forceFireProduced(t)
-		return
+		// body, through the same teardown, so dependents that started
+		// before the cancellation never wedge on this task.
+		panic(ErrCanceled)
 	}
 	t.run(t)
 }
 
-// forceFireProduced force-fires every unfired event the task was
+// forceFireProduced force-fires every unfired event the task is still
 // registered (via SetProducer) to produce, so sibling streams blocked
 // on them resume instead of wedging until the deadlock watchdog.  The
-// task's own Done event is excluded: work fires it on the normal path.
-// Shared by the panic-isolation and cancellation-discharge teardowns.
+// task's own Done event is not among them: work fires it on the normal
+// path.  Shared by the panic-isolation and cancellation-discharge
+// teardowns; it walks the task's own list, so a teardown costs what the
+// task produces.
 func (s *Supervisor) forceFireProduced(t *Task) {
 	s.mu.Lock()
 	var fires []*event.Event
-	for e, p := range s.producers {
-		if p == t && e != t.done && !e.Fired() {
-			fires = append(fires, e)
+	for p := t.produces; p != nil; p = p.next {
+		if s.producers[p.e] == t && !p.e.Fired() {
+			fires = append(fires, p.e)
 		}
 	}
 	s.mu.Unlock()
@@ -665,31 +629,36 @@ func (s *Supervisor) Faults() int {
 	return s.faults
 }
 
-// releaseForWait gives up t's slot because it is about to block on e.
-// The slot is handed straight to the best ready task — preferentially
-// the producer that resolves the blockage, whose priority is first
-// raised above every class (§2.3.4).  A producer that is running,
-// blocked or parked sits in no queue and is left alone.
-func (s *Supervisor) releaseForWait(t *Task, e *event.Event) {
+// block gives up t's slot because it is about to wait on e.  The slot
+// is handed straight to the best ready task — preferentially the
+// producer that resolves the blockage, whose priority is first raised
+// above every class (§2.3.4).  A producer that is running, blocked or
+// parked sits in no queue and is left alone; a foreign event has none.
+func (s *Supervisor) block(t *Task, e *event.Event, why obs.BlockReason) {
+	s.clockOff(t)
 	s.mu.Lock()
-	s.Obs.TaskBlocked(t.obsID, obs.BlockHandled, e)
-	s.blocked[t] = e
+	s.Obs.TaskBlocked(t.ObsID(), why, e)
 	if p, ok := s.producers[e]; ok && p.heapIdx >= 0 {
 		p.priority = -1 << 62
-		heap.Fix(&s.ready, p.heapIdx)
+		heap.Fix(&s.ready, int(p.heapIdx))
+	}
+	t.waitOn, t.external = e, why == obs.BlockExternal
+	if t.w.resume == nil {
+		t.w.resume = make(chan struct{}, 1)
 	}
 	s.handoffLocked()
 	s.mu.Unlock()
 }
 
-// reacquire returns t to the ready queue after its event fired and
-// blocks until a slot is granted.
+// reacquire returns t to the ready queue after its wait ended, blocks
+// until a slot is granted, and restarts its clock.
 func (s *Supervisor) reacquire(t *Task) {
 	s.mu.Lock()
-	delete(s.blocked, t)
+	t.waitOn = nil
 	s.pushLocked(t)
 	s.mu.Unlock()
-	<-t.resume
+	<-t.w.resume
+	s.clockOn(t)
 }
 
 // Wait blocks until every spawned task has finished.  It breaks DKY
@@ -702,28 +671,27 @@ func (s *Supervisor) Wait() {
 		if s.free == s.slots && len(s.ready) == 0 {
 			// Nothing is running or runnable, yet tasks remain: a stall.
 			var fires []*event.Event
-			// Tasks parked on foreign (cache) events are woken from
-			// outside this compilation; their stall is not a deadlock.
-			inTransit := len(s.external) > 0
-			for _, e := range s.blocked {
-				if e.Fired() {
-					// A woken waiter is between its event firing and
-					// re-acquiring a slot; it may fire the events the
-					// others wait on.  Not a deadlock — let it land.
+			inTransit := false
+			for t := s.tasks; t != nil && !inTransit; t = t.next {
+				switch e := t.waitOn; {
+				case e == nil:
+				case t.external || e.Fired():
+					// Tasks waiting on foreign (cache) events are woken
+					// from outside this compilation, and a woken waiter
+					// is between its event firing and re-acquiring a
+					// slot; either may fire the events the others wait
+					// on.  Not a deadlock — let it land.
 					inTransit = true
-				} else {
+				default:
 					fires = append(fires, e)
 				}
 			}
 			if inTransit {
 				fires = nil
-			}
-			if len(fires) == 0 && !inTransit {
-				for _, gates := range s.parked {
-					for _, g := range gates {
-						if !g.Fired() {
-							fires = append(fires, g)
-						}
+			} else if len(fires) == 0 {
+				for g := range s.gateWaiters { // the parked tasks' gates
+					if !g.Fired() {
+						fires = append(fires, g)
 					}
 				}
 			}
@@ -786,43 +754,50 @@ func (s *Supervisor) stateDumpLocked() string {
 			fmt.Fprintf(&b, "    %s\n", l)
 		}
 	}
-	var runnable []string
+	// An event is named by its registered producer, the only identity
+	// events have; a task's Done event by the task.
+	producer := make(map[*event.Event]*Task, len(s.producers))
+	for t := s.tasks; t != nil; t = t.next {
+		producer[&t.done] = t
+	}
+	for e, p := range s.producers {
+		producer[e] = p
+	}
+	desc := func(e *event.Event) string {
+		if p, ok := producer[e]; ok {
+			return fmt.Sprintf("event produced by %q", p.Label)
+		}
+		return "event with no registered producer"
+	}
+	unfired := make(map[*Task][]string) // parked tasks' gates
+	for g, waiters := range s.gateWaiters {
+		if !g.Fired() {
+			for _, t := range waiters {
+				unfired[t] = append(unfired[t], desc(g))
+			}
+		}
+	}
+	var runnable, blocked, parked, external []string
 	for _, t := range s.ready {
 		runnable = append(runnable, t.Label)
 	}
-	section("runnable", runnable)
-	var blocked []string
-	for t, e := range s.blocked {
-		blocked = append(blocked, fmt.Sprintf("%s waits on %s", t.Label, s.eventDescLocked(e)))
-	}
-	section("blocked (handled waits)", blocked)
-	var parked []string
-	for t, gates := range s.parked {
-		var unfired []string
-		for _, g := range gates {
-			if !g.Fired() {
-				unfired = append(unfired, s.eventDescLocked(g))
-			}
+	for t := s.tasks; t != nil; t = t.next {
+		switch {
+		case t.waitOn != nil && t.external:
+			external = append(external, fmt.Sprintf("%s waits on a foreign compilation's event", t.Label))
+		case t.waitOn != nil:
+			blocked = append(blocked, fmt.Sprintf("%s waits on %s", t.Label, desc(t.waitOn)))
+		case t.gatesLeft > 0:
+			sort.Strings(unfired[t])
+			parked = append(parked, fmt.Sprintf("%s gated on %d event(s): %s",
+				t.Label, len(unfired[t]), strings.Join(unfired[t], ", ")))
 		}
-		parked = append(parked, fmt.Sprintf("%s gated on %d event(s): %s",
-			t.Label, len(unfired), strings.Join(unfired, ", ")))
 	}
+	section("runnable", runnable)
+	section("blocked (handled waits)", blocked)
 	section("parked (avoided gates)", parked)
-	var external []string
-	for t := range s.external {
-		external = append(external, fmt.Sprintf("%s waits on a foreign compilation's event", t.Label))
-	}
 	section("external (cache waits)", external)
 	return strings.TrimRight(b.String(), "\n")
-}
-
-// eventDescLocked names an event by its registered producer, the only
-// identity events have.  Caller holds s.mu.
-func (s *Supervisor) eventDescLocked(e *event.Event) string {
-	if p, ok := s.producers[e]; ok {
-		return fmt.Sprintf("event produced by %q", p.Label)
-	}
-	return "event with no registered producer"
 }
 
 // taskHeap orders runnable tasks by (priority, seq).
@@ -837,12 +812,12 @@ func (h taskHeap) Less(i, j int) bool {
 }
 func (h taskHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
+	h[i].heapIdx = int32(i)
+	h[j].heapIdx = int32(j)
 }
 func (h *taskHeap) Push(x any) {
 	t := x.(*Task)
-	t.heapIdx = len(*h)
+	t.heapIdx = int32(len(*h))
 	*h = append(*h, t)
 }
 func (h *taskHeap) Pop() any {

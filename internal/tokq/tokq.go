@@ -67,7 +67,7 @@ var Blocks = &pool.List[*Block]{
 // readers.  The zero value is not ready; use New.
 type Queue struct {
 	blockSize int
-	fire      func(*event.Event) // producer-side fire hook (instrumentation)
+	fire      func(*event.Event) // producer-side fire hook (instrumentation); nil fires plainly
 
 	// open is the producer-owned unsealed tail block (also the last
 	// element of blocks).  Only the producer reads or writes it, and
@@ -80,9 +80,9 @@ type Queue struct {
 	readers atomic.Int32 // Retain-declared readers not yet detached
 	managed atomic.Bool  // Retain was called: block recycling is armed
 
-	mu     sync.Mutex // guards: blocks, grown (swapped under it); closed's false→true transition
+	mu     sync.Mutex // guards: blocks, grown (taken under it); closed's false→true transition
 	blocks []*Block
-	grown  *event.Event // fired (and replaced) when a block is added or the queue closes
+	grown  *event.Event // made by a reader that finds no next block; fired when one is added or the queue closes
 }
 
 // New returns an empty queue with the given block size (<= 0 selects
@@ -91,15 +91,24 @@ func New(blockSize int) *Queue {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
-	q := &Queue{blockSize: blockSize, grown: event.New()}
-	q.fire = func(e *event.Event) { e.Fire() } // vet:allowfire default hook; SetFireHook swaps in FireEvent
-	return q
+	return &Queue{blockSize: blockSize}
 }
 
 // SetFireHook routes every event fire through f, so the producing task
 // can stamp the fire with its current work-unit offset for the trace.
 // Must be set before the first Append and only by the producer.
 func (q *Queue) SetFireHook(f func(*event.Event)) { q.fire = f }
+
+// fireEvent fires e, if there is one, through the hook if one is set.
+func (q *Queue) fireEvent(e *event.Event) {
+	switch {
+	case e == nil:
+	case q.fire != nil:
+		q.fire(e)
+	default:
+		e.Fire() // vet:allowfire no hook set; SetFireHook swaps in FireEvent
+	}
+}
 
 // Retain declares n future readers.  Once every declared reader has
 // called Detach and the queue is closed, the queue's blocks are returned
@@ -153,9 +162,9 @@ func (q *Queue) grow() *Block {
 	q.open = b
 	q.blocks = append(q.blocks, b)
 	grown := q.grown
-	q.grown = event.New()
+	q.grown = nil
 	q.mu.Unlock()
-	q.fire(grown)
+	q.fireEvent(grown)
 	return b
 }
 
@@ -163,7 +172,7 @@ func (q *Queue) grow() *Block {
 // publication edge readers rely on.  The next token opens a new block.
 func (q *Queue) seal(b *Block) {
 	q.open = nil
-	q.fire(b.Ready)
+	q.fireEvent(b.Ready)
 }
 
 // Slots returns the open block's free slots for the producer to write
@@ -241,7 +250,7 @@ func (q *Queue) Close() {
 	if b := q.open; b != nil {
 		q.seal(b)
 	}
-	q.fire(grown)
+	q.fireEvent(grown)
 	q.sealed.Store(true)
 	q.maybeRecycle()
 }
@@ -262,12 +271,16 @@ func (q *Queue) Len() int {
 }
 
 // state returns (block i if it exists, whether it exists, growth event,
-// closed) under the lock.
+// closed) under the lock.  The growth event is made here, for a reader
+// that will wait on it: a block no reader waits for costs no event.
 func (q *Queue) state(i int) (b *Block, ok bool, grown *event.Event, closed bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if i < len(q.blocks) {
 		return q.blocks[i], true, nil, q.closed.Load()
+	}
+	if q.grown == nil && !q.closed.Load() {
+		q.grown = event.New()
 	}
 	return nil, false, q.grown, q.closed.Load()
 }

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"m2cc/internal/event"
@@ -150,6 +151,47 @@ func TestWaitHookSeesEveryBlock(t *testing.T) {
 	}
 	if waits != 3 {
 		t.Fatalf("wait hook invoked %d times, want once per block (3)", waits)
+	}
+}
+
+// TestGrowthEventOnlyWhenAwaited: a producer that fills blocks no
+// reader is waiting for fires one event per block, its Ready, and no
+// growth event; a reader that catches up and waits for the next block
+// still wakes when it is added, through the one growth event it made.
+func TestGrowthEventOnlyWhenAwaited(t *testing.T) {
+	const blocks, size = 64, 4
+	q := tokq.New(size)
+	var fires atomic.Int32
+	q.SetFireHook(func(e *event.Event) { fires.Add(1); e.Fire() })
+	for i := 0; i < blocks*size; i++ {
+		q.Append(token.Token{Kind: token.Ident, Text: "x"})
+	}
+	if got := fires.Load(); got != blocks {
+		t.Fatalf("%d full blocks fired %d events, want their %d Ready events and no growth event", blocks, got, blocks)
+	}
+
+	waiting := make(chan struct{})
+	var once sync.Once
+	r := q.NewReader(func(e *event.Event) {
+		if !e.Fired() { // the first is the wait for a block not yet added
+			once.Do(func() { close(waiting) })
+		}
+		e.Wait()
+	})
+	for i := 0; i < blocks*size; i++ {
+		r.Next()
+	}
+	next := make(chan token.Token)
+	go func() { next <- r.Next() }()
+	<-waiting
+	q.Append(token.Token{Kind: token.Ident, Text: "late"})
+	q.Append(token.Token{Kind: token.EOF})
+	q.Close()
+	if tok := <-next; tok.Text != "late" {
+		t.Fatalf("the waiting reader got %v %q, want the late token", tok.Kind, tok.Text)
+	}
+	if got := fires.Load() - blocks; got != 2 {
+		t.Fatalf("the late block fired %d events, want its growth event and its Ready", got)
 	}
 }
 
