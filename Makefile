@@ -41,15 +41,17 @@ build:
 test:
 	$(GO) test ./...
 
-# The scheduler's and the token queues' tests run ten times more under
-# the race detector: the scheduler's one mutex guards the ready heap,
-# every slot handoff and the producer boost, a token queue's mutex
-# guards the growth event a waiting reader makes, and a lock-discipline
-# slip in either shows only under repetition.
+# The scheduler's, the token queues' and the symbol tables' tests run
+# ten times more under the race detector: the scheduler's one mutex
+# guards the ready heap, every slot handoff and the producer boost, a
+# token queue's mutex guards the growth event a waiting reader makes, a
+# sealed scope is probed without its mutex, and a lock-discipline slip
+# in any of them shows only under repetition.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=10 ./internal/sched
 	$(GO) test -race -count=10 ./internal/tokq
+	$(GO) test -race -count=10 ./internal/symtab
 
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -run Chaos -count=1 .
@@ -108,7 +110,8 @@ bench-frontend:
 	$(GO) test -count=1 -bench='^BenchmarkSurvivesGC$$' -benchtime=1x -benchmem ./internal/pool
 
 # Object-code layer microbenchmarks: a sequential compile of one fixed
-# generated program (B/op, allocs/op, retained code bytes), the listing
+# generated program (B/op, allocs/op, retained code bytes), declaration
+# analysis alone of the same program (B/op, allocs/op), the listing
 # renderer against the fmt reference it replaced (MB/s), the machine
 # running Synth and an array-indexing suite program (Minstr/s), the
 # stream cache's relocating copy, a warm recompile with every stream a
@@ -118,8 +121,8 @@ bench-frontend:
 # response), and the Supervisor's cost of one task, ungated and with
 # two gates (B/op, allocs/op).  One iteration each, as bench-frontend.
 bench-objcode:
-	$(GO) test -run='^$$' -bench='^(BenchmarkCodegenCompile|BenchmarkListing|BenchmarkExecute|BenchmarkApplyFixups|BenchmarkWarmProbe|BenchmarkServeRepeat|BenchmarkSpawn)$$' -benchtime=1x \
-		./internal/codegen ./internal/vm ./internal/streamcache ./internal/core ./cmd/m2cd ./internal/sched
+	$(GO) test -run='^$$' -bench='^(BenchmarkCodegenCompile|BenchmarkDeclAnalysis|BenchmarkListing|BenchmarkExecute|BenchmarkApplyFixups|BenchmarkWarmProbe|BenchmarkServeRepeat|BenchmarkSpawn)$$' -benchtime=1x \
+		./internal/codegen ./internal/sema ./internal/vm ./internal/streamcache ./internal/core ./cmd/m2cd ./internal/sched
 
 # The benchmark is a module of its own that imports internal packages
 # (token, source, impscan, ...), so an internal-API change can break it

@@ -248,8 +248,8 @@ func (g *Gen) loadPlace(p place, pos token.Pos) (*types.Type, bool) {
 		// assigned (the Modula-2 rule that makes procedure values need
 		// no closure).
 		sym := p.sym
-		if sym.ExtName != "" {
-			g.emit(vm.Instr{Op: vm.PushProc, A: -1, B: g.extIdx(sym.ExtName)})
+		if ext := sym.External(); ext != "" {
+			g.emit(vm.Instr{Op: vm.PushProc, A: -1, B: g.extIdx(ext)})
 		} else {
 			g.emit(vm.Instr{Op: vm.PushProc, A: sym.ProcIdx})
 		}

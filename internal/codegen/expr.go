@@ -428,8 +428,8 @@ func paramSlots(p types.Param) int32 {
 }
 
 func (g *Gen) emitDirectCall(sym *symtab.Symbol, sig *types.Type) {
-	if sym.ExtName != "" {
-		g.emit(vm.Instr{Op: vm.CallExt, A: g.extIdx(sym.ExtName), B: g.argSlotsOf(sig)})
+	if ext := sym.External(); ext != "" {
+		g.emit(vm.Instr{Op: vm.CallExt, A: g.extIdx(ext), B: g.argSlotsOf(sig)})
 	} else {
 		g.emit(vm.Instr{Op: vm.Call, A: sym.ProcIdx, B: g.argSlotsOf(sig)})
 	}

@@ -38,7 +38,14 @@ type Gen struct {
 	tempTop  int32
 	maxFrame int32
 	loops    []*loopCtx
-	areaMemo map[string]int32
+	areas    [4]areaMemo // the first globals areas the segment touches
+	nAreas   int
+}
+
+// areaMemo is one resolved globals-area name.
+type areaMemo struct {
+	name string
+	idx  int32
 }
 
 type withInfo struct {
@@ -141,18 +148,21 @@ func (g *Gen) extIdx(name string) int32 {
 
 // areaIdx resolves a globals-area name to this compilation's registry
 // index.  Symbols carry area *names* (they may live in interface scopes
-// shared across compilations); the index is object-local and assigned
-// at first use.  A tiny per-Gen memo keeps registry locking off the
-// instruction-emission hot path.
+// shared across compilations); the index is object-local.  A segment
+// touches few areas, so a few-entry memo scanned linearly keeps registry
+// locking off the instruction-emission hot path; areas past it ask the
+// registry each time.
 func (g *Gen) areaIdx(name string) int32 {
-	if idx, ok := g.areaMemo[name]; ok {
-		return idx
+	for _, m := range g.areas[:g.nAreas] {
+		if m.name == name {
+			return m.idx
+		}
 	}
 	idx := g.env.Reg.AreaIdx(name)
-	if g.areaMemo == nil {
-		g.areaMemo = make(map[string]int32, 4)
+	if g.nAreas < len(g.areas) {
+		g.areas[g.nAreas] = areaMemo{name, idx}
+		g.nAreas++
 	}
-	g.areaMemo[name] = idx
 	return idx
 }
 

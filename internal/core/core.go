@@ -674,7 +674,7 @@ func (d *driver) startMainStream() {
 	d.spawn(ctrace.KindImporter, 0, "Importer "+label,
 		sched.Priority(ctrace.KindImporter, 0), []*event.Event{lexStarted}, nil,
 		func(t *sched.Task) {
-			r := rawQ.NewReader(t.BarrierWait)
+			r := rawQ.NewReader(t)
 			defer r.Detach()
 			impscan.Run(t.Ctx, r, func(name string, pos token.Pos) {
 				d.iface(name, false, t)
@@ -696,7 +696,7 @@ func (d *driver) startMainStream() {
 				}
 			}()
 			t.Ctx.FireEvent(splitStarted)
-			r := rawQ.NewReader(t.BarrierWait)
+			r := rawQ.NewReader(t)
 			defer r.Detach()
 			if d.keyer != nil {
 				splitter.RunObserved(t.Ctx, r, mainQ, d.startProcStream(t),
@@ -792,7 +792,7 @@ func (d *driver) bindChildren(t *sched.Task, a *sema.DeclAnalyzer) {
 // runModParse is the main module's Parser/Declarations-Analyzer task.
 func (d *driver) runModParse(t *sched.Task, mainQ *tokq.Queue, label string) {
 	env := d.env(t, label)
-	mr := mainQ.NewReader(t.BarrierWait)
+	mr := mainQ.NewReader(t)
 	defer mr.Detach()
 	p := parser.New(mr, label, t.Ctx, d.diags)
 	m := p.ParsePrologue()
@@ -904,9 +904,8 @@ func (d *driver) runProcParse(t *sched.Task, ps *procStream) {
 		d.mu.Unlock()
 		if cov {
 			// An ancestor's hit entry already installed this stream's
-			// compilation; drain the queue for recycle accounting.
-			r := ps.q.NewReader(t.BarrierWait)
-			r.Detach()
+			// compilation; release the queue for recycle accounting.
+			ps.q.Release()
 			d.mu.Lock()
 			d.tally.Covered++
 			d.mu.Unlock()
@@ -940,7 +939,7 @@ func (d *driver) runProcParse(t *sched.Task, ps *procStream) {
 		d.rec.NoteScopeGate(t.Ctx.ID, cp.Scope.Parent.CompletionEvent())
 	}
 
-	pr := ps.q.NewReader(t.BarrierWait)
+	pr := ps.q.NewReader(t)
 	defer pr.Detach()
 	p := parser.New(pr, label, t.Ctx, bag)
 	frameBase := cp.FrameBase
@@ -1000,8 +999,7 @@ func (d *driver) runProcParse(t *sched.Task, ps *procStream) {
 // covered and released.
 func (d *driver) installStream(t *sched.Task, ps *procStream, ent *streamcache.Entry) {
 	cp := ps.child
-	r := ps.q.NewReader(t.BarrierWait)
-	r.Detach()
+	ps.q.Release()
 	d.sup.SetProducer(cp.Scope.CompletionEvent(), t)
 	d.inject.Panic(faultinject.PanicInstall, ps.name)
 	// The scope completes empty: only this procedure's descendants could
@@ -1304,7 +1302,7 @@ func (d *driver) startIface(name string, optional bool, ent *ifacecache.Entry) *
 	d.spawn(ctrace.KindImporter, stream, "Importer "+label,
 		sched.Priority(ctrace.KindImporter, 0), []*event.Event{lexStarted}, nil,
 		func(t *sched.Task) {
-			r := q.NewReader(t.BarrierWait)
+			r := q.NewReader(t)
 			defer r.Detach()
 			impscan.Run(t.Ctx, r, func(imp string, pos token.Pos) {
 				d.iface(imp, false, t)
@@ -1322,7 +1320,7 @@ func (d *driver) startIface(name string, optional bool, ent *ifacecache.Entry) *
 				// entry unpublished; fail it so cache waiters move on.
 				d.failEntryIfUnresolved(e)
 			}()
-			r := q.NewReader(t.BarrierWait)
+			r := q.NewReader(t)
 			defer r.Detach()
 			if r.Peek().Kind == token.EOF {
 				// Load failed (or empty file): nothing to analyze; the

@@ -160,7 +160,7 @@ func (c *Closures) Root(name string, loader source.Loader) (source.Hash, bool) {
 	if ok {
 		// Record a fresh memo for the root: every visited member except
 		// the root itself becomes a validation dep.
-		nm := &closureMemo{own: own, hash: h}
+		nm := &closureMemo{own: own, hash: h, deps: make([]depHash, 0, max(len(s.order)-1, 0))}
 		for _, dep := range s.order {
 			if dep == name {
 				continue

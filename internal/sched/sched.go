@@ -129,7 +129,7 @@ func (t *Task) Stream() int32 { return t.stream }
 func (t *Task) ObsID() int { return t.ctx.ObsID }
 
 // BarrierWait performs a barrier-event wait: the worker slot is held
-// (§2.3.3).  It is the WaitFunc handed to token-queue readers.  The
+// (§2.3.3).  It makes a task the tokq.Waiter of its token readers.  The
 // wait is noted unconditionally — token-block acquisitions are
 // schedule-independent facts the simulator replays, whether or not this
 // particular run had to block on them.

@@ -126,7 +126,7 @@ func (a *DeclAnalyzer) AnalyzeImports(imports []*ast.Import, resolveIface func(n
 			for _, n := range imp.Names {
 				a.insert(&symtab.Symbol{
 					Name: n.Text, Kind: symtab.KAlias, Pos: n.Pos,
-					AliasScope: iface, AliasName: n.Text,
+					Payload: &symtab.Payload{AliasScope: iface, AliasName: n.Text},
 				})
 			}
 			continue
@@ -135,7 +135,8 @@ func (a *DeclAnalyzer) AnalyzeImports(imports []*ast.Import, resolveIface func(n
 			iface := resolveIface(n.Text)
 			a.Env.Reg.AddImport(n.Text)
 			a.insert(&symtab.Symbol{
-				Name: n.Text, Kind: symtab.KModule, Pos: n.Pos, IfaceScope: iface,
+				Name: n.Text, Kind: symtab.KModule, Pos: n.Pos,
+				Payload: &symtab.Payload{IfaceScope: iface},
 			})
 		}
 	}
@@ -157,7 +158,8 @@ func (a *DeclAnalyzer) Analyze(decls []ast.Decl) {
 				t = types.Bad
 			}
 			a.insert(&symtab.Symbol{
-				Name: d.Name.Text, Kind: symtab.KConst, Pos: d.Name.Pos, Type: t, Val: v,
+				Name: d.Name.Text, Kind: symtab.KConst, Pos: d.Name.Pos, Type: t,
+				Payload: &symtab.Payload{Val: v},
 			})
 
 		case *ast.TypeDecl:
@@ -198,7 +200,7 @@ func (a *DeclAnalyzer) Analyze(decls []ast.Decl) {
 				full := ExcName(a.ScopePath, n.Text)
 				a.insert(&symtab.Symbol{
 					Name: n.Text, Kind: symtab.KException, Pos: n.Pos,
-					Type: types.Exception, ExcName: full,
+					Type: types.Exception, Payload: &symtab.Payload{ExcName: full},
 				})
 			}
 
@@ -264,7 +266,7 @@ func (a *DeclAnalyzer) analyzeProcHeading(d *ast.ProcDecl) {
 		// client code links to it symbolically.
 		a.insert(&symtab.Symbol{
 			Name: head.Name.Text, Kind: symtab.KProc, Pos: head.Name.Pos,
-			Type: sig, ProcIdx: -1, ExtName: a.OwnerMod + "." + head.Name.Text,
+			Type: sig, ProcIdx: -1, Payload: &symtab.Payload{ExtName: a.OwnerMod + "." + head.Name.Text},
 		})
 		return
 	}

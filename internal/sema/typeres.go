@@ -81,7 +81,7 @@ func (a *DeclAnalyzer) resolveType(t ast.Type) *types.Type {
 		for i, n := range t.Names {
 			a.insert(&symtab.Symbol{
 				Name: n.Text, Kind: symtab.KConst, Pos: n.Pos,
-				Type: et, Val: types.MakeInt(et, int64(i)),
+				Type: et, Payload: &symtab.Payload{Val: types.MakeInt(et, int64(i))},
 			})
 		}
 		return et

@@ -20,7 +20,7 @@ func aliasChain(tab *symtab.Table, ctx *ctrace.TaskCtx, links int) (origin *symt
 	}
 	for i := 0; i < links-1; i++ {
 		ifaces[i].Insert(ctx, noReport, &symtab.Symbol{
-			Name: "x", Kind: symtab.KAlias, AliasScope: ifaces[i+1], AliasName: "x",
+			Name: "x", Kind: symtab.KAlias, Payload: &symtab.Payload{AliasScope: ifaces[i+1], AliasName: "x"},
 		})
 	}
 	ifaces[links-1].Insert(ctx, noReport, &symtab.Symbol{Name: "x", Kind: symtab.KVar})
@@ -29,7 +29,7 @@ func aliasChain(tab *symtab.Table, ctx *ctrace.TaskCtx, links int) (origin *symt
 	}
 	origin = tab.NewScope(symtab.ModuleScope, "M", nil, 0)
 	origin.Insert(ctx, noReport, &symtab.Symbol{
-		Name: "x", Kind: symtab.KAlias, AliasScope: ifaces[0], AliasName: "x",
+		Name: "x", Kind: symtab.KAlias, Payload: &symtab.Payload{AliasScope: ifaces[0], AliasName: "x"},
 	})
 	origin.Complete(ctx)
 	return origin
@@ -65,12 +65,12 @@ func TestCyclicAliasReportsDeepAlias(t *testing.T) {
 	ctx := &ctrace.TaskCtx{}
 	a := tab.NewScope(symtab.DefScope, "A", nil, 0)
 	b := tab.NewScope(symtab.DefScope, "B", nil, 0)
-	a.Insert(ctx, noReport, &symtab.Symbol{Name: "x", Kind: symtab.KAlias, AliasScope: b, AliasName: "x"})
-	b.Insert(ctx, noReport, &symtab.Symbol{Name: "x", Kind: symtab.KAlias, AliasScope: a, AliasName: "x"})
+	a.Insert(ctx, noReport, &symtab.Symbol{Name: "x", Kind: symtab.KAlias, Payload: &symtab.Payload{AliasScope: b, AliasName: "x"}})
+	b.Insert(ctx, noReport, &symtab.Symbol{Name: "x", Kind: symtab.KAlias, Payload: &symtab.Payload{AliasScope: a, AliasName: "x"}})
 	a.Complete(ctx)
 	b.Complete(ctx)
 	origin := tab.NewScope(symtab.ModuleScope, "M", nil, 0)
-	origin.Insert(ctx, noReport, &symtab.Symbol{Name: "x", Kind: symtab.KAlias, AliasScope: a, AliasName: "x"})
+	origin.Insert(ctx, noReport, &symtab.Symbol{Name: "x", Kind: symtab.KAlias, Payload: &symtab.Payload{AliasScope: a, AliasName: "x"}})
 	origin.Complete(ctx)
 
 	s := &symtab.Searcher{Tab: tab, Ctx: ctx}
@@ -89,7 +89,7 @@ func TestBrokenAliasIsPlainNotFound(t *testing.T) {
 	empty := tab.NewScope(symtab.DefScope, "E", nil, 0)
 	empty.Complete(ctx)
 	a := tab.NewScope(symtab.DefScope, "A", nil, 0)
-	a.Insert(ctx, noReport, &symtab.Symbol{Name: "x", Kind: symtab.KAlias, AliasScope: empty, AliasName: "x"})
+	a.Insert(ctx, noReport, &symtab.Symbol{Name: "x", Kind: symtab.KAlias, Payload: &symtab.Payload{AliasScope: empty, AliasName: "x"}})
 	a.Complete(ctx)
 
 	s := &symtab.Searcher{Tab: tab, Ctx: ctx}
@@ -121,7 +121,7 @@ func BenchmarkLookupChain(b *testing.B) {
 			iface.Complete(ctx)
 			mod := tab.NewScope(symtab.ModuleScope, "M", nil, 0)
 			mod.Insert(ctx, noReport, &symtab.Symbol{
-				Name: "x", Kind: symtab.KAlias, AliasScope: iface, AliasName: "x",
+				Name: "x", Kind: symtab.KAlias, Payload: &symtab.Payload{AliasScope: iface, AliasName: "x"},
 			})
 			mod.Complete(ctx)
 			proc := tab.NewScope(symtab.ProcScope, "P", mod, 1)

@@ -102,21 +102,22 @@ func lookupBuiltin(name string) *Symbol { return builtinByName[name] }
 func LookupBuiltin(name string) *Symbol { return lookupBuiltin(name) }
 
 func init() {
+	builtinByName = make(map[string]*Symbol)
 	builtinScope = &Scope{
 		ID: 0, Kind: BuiltinScope, Name: "<pervasive>",
-		syms: make(map[string]*Symbol), complete: true,
+		index: builtinByName, complete: true,
 	}
-	builtinByName = builtinScope.syms
+	builtinScope.sealed.Store(true)
 
 	add := func(sym *Symbol) {
-		builtinScope.syms[sym.Name] = sym
+		builtinByName[sym.Name] = sym
 		builtinScope.order = append(builtinScope.order, sym)
 	}
 	typ := func(t *types.Type) {
 		add(&Symbol{Name: t.Name, Kind: KType, Type: t})
 	}
 	konst := func(name string, c types.Const) {
-		add(&Symbol{Name: name, Kind: KConst, Type: c.Type, Val: c})
+		add(&Symbol{Name: name, Kind: KConst, Type: c.Type, Payload: &Payload{Val: c}})
 	}
 
 	for _, t := range []*types.Type{
@@ -131,6 +132,6 @@ func init() {
 	konst("NIL", types.MakeNil())
 
 	for b := BAbs; b < NumBuiltins; b++ {
-		add(&Symbol{Name: b.Name(), Kind: KBuiltin, BID: b})
+		add(&Symbol{Name: b.Name(), Kind: KBuiltin, Payload: &Payload{BID: b}})
 	}
 }

@@ -57,46 +57,63 @@ func (k SymKind) String() string {
 }
 
 // Symbol is one symbol table entry.  All fields are set before the
-// symbol is published to its scope and never mutated afterwards.
+// symbol is published to its scope and never mutated afterwards.  The
+// fields every kind uses are inline; what only some kinds carry sits
+// behind Payload, so an entry fits Go's 96-byte size class.
 type Symbol struct {
 	Name string
-	Kind SymKind
-	Pos  token.Pos
 	Type *types.Type
 
+	// Storage assignment for KVar / KParam.  Globals carry the *name* of
+	// their storage area rather than an object-local index: symbols in
+	// an interface scope may be shared across compilations through the
+	// interface cache.  Code generators resolve the name at emit time.
+	Area string // globals area of the module declaring it ("M.def"/"M.mod")
+
+	// Insert is the trace stamp of the publication moment.
+	Insert ctrace.Stamp
+
+	Pos     token.Pos
+	Level   int32 // static nesting level for locals/params
+	Offset  int32 // slot offset within globals area or frame
+	ProcIdx int32 // KProc: object-local procedure code index (-1 = external)
+	Kind    SymKind
+	Global  bool // module-level variable
+	ByRef   bool // VAR parameter
+	Open    bool // open-array parameter (base+length slot pair)
+
+	// Payload is set for constants, builtins, module names, FROM-aliases,
+	// exceptions and interface procedures, and nil for every other
+	// entry.  Its fields are promoted: read them only for the kind that
+	// sets them.  A copy of a symbol may share its payload.
+	*Payload
+}
+
+// Payload is the kind-specific part of a Symbol.
+type Payload struct {
 	Val types.Const // KConst: the constant's value
 	BID BuiltinID   // KBuiltin: which pervasive routine
-
-	// Storage assignment for KVar / KParam.  Globals carry the *name* of
-	// their storage area rather than an object-local index: indices are
-	// per-compilation (vm.Registry assigns them first-use), while symbols
-	// in an interface scope may be shared across compilations through the
-	// interface cache.  Code generators resolve the name at emit time.
-	Global bool   // module-level variable
-	Area   string // globals area of the module declaring it ("M.def"/"M.mod")
-	Level  int32  // static nesting level for locals/params
-	Offset int32  // slot offset within globals area or frame
-	ByRef  bool   // VAR parameter
-	Open   bool   // open-array parameter (base+length slot pair)
-
-	ProcIdx int32  // KProc: object-local procedure code index (-1 = external)
-	ExcName string // KException: fully qualified name, resolved at emit time
-
-	// ExtName is the symbolic link name ("Module.Proc") for procedures
-	// declared in an imported definition module; code references to
-	// them stay symbolic until link time.  Empty for local procedures.
-	ExtName string
 
 	IfaceScope *Scope // KModule: the designated interface scope
 
 	AliasScope *Scope // KAlias: scope to continue the search in
 	AliasName  string // KAlias: name to search for there
 
-	// Insert is the trace stamp of the publication moment.
-	Insert ctrace.Stamp
+	ExcName string // KException: fully qualified name, resolved at emit time
 
-	placeholder bool         // Optimistic-handling placeholder entry
-	ready       *event.Event // per-symbol DKY event (Optimistic handling)
+	// ExtName is the symbolic link name ("Module.Proc") for procedures
+	// declared in an imported definition module; code references to
+	// them stay symbolic until link time.
+	ExtName string
+}
+
+// External returns the link name of a procedure declared in an
+// imported definition module, or "" for a local one.
+func (s *Symbol) External() string {
+	if s.Payload == nil {
+		return ""
+	}
+	return s.ExtName
 }
 
 // ScopeKind classifies scopes.
@@ -132,20 +149,20 @@ type Scope struct {
 	Level  int32 // static nesting level of entities declared here
 	tab    *Table
 
-	mu       sync.Mutex // guards: syms, order, and the publication state below
-	syms     map[string]*Symbol
-	order    []*Symbol // publication order (deterministic listings)
+	mu       sync.Mutex         // guards: order, index, waits, and the publication state below
+	order    []*Symbol          // publication order; searched linearly while small
+	index    map[string]*Symbol // name index, built once order outgrows indexAt
+	waits    []waiter           // Optimistic placeholders: names probed before their insert
 	complete bool
 
-	// sealed is the lock-free probe fast path: Complete publishes the
-	// finished syms map here (placeholders already stripped) after its
-	// last write, inside the critical section.  Once a scope seals, its
-	// map is never written again — Insert is owner-only and precedes
-	// Complete, and probeOrPlaceholder declines to install placeholders
-	// in complete scopes — so concurrent searchers may read the map
-	// without the mutex.  A non-nil load implies complete, and the
-	// sequentially-consistent store/load pair publishes every entry.
-	sealed atomic.Pointer[map[string]*Symbol]
+	// sealed is the lock-free probe fast path: Complete sets it after
+	// its last write to order and index, inside the critical section.
+	// Once a scope seals, neither is written again — Insert is
+	// owner-only and precedes Complete, and probeOrPlaceholder installs
+	// no placeholder in a complete scope — so concurrent searchers may
+	// read them without the mutex: the sequentially-consistent
+	// store/load pair publishes every entry.
+	sealed atomic.Bool
 
 	// Owner-task bookkeeping for the atomic-publication rule: while
 	// fixups > 0, newly inserted symbols wait in queue.
@@ -215,26 +232,49 @@ func (t *Table) NewScope(kind ScopeKind, name string, parent *Scope, level int32
 	t.mu.Unlock()
 	return &Scope{
 		ID: id, Kind: kind, Name: name, Parent: parent, Level: level,
-		tab: t, syms: make(map[string]*Symbol), completion: event.New(),
+		tab: t, completion: event.New(),
 	}
 }
 
-// Grow pre-sizes the scope's symbol map for n upcoming declarations so
-// insertion does not rehash incrementally.  Existing entries (imports,
-// copied procedure headings) are preserved.  Owner task only.
+// indexAt is the largest scope searched by a linear scan of its
+// publication order; a scope that grows past it builds a name index.
+// BenchmarkScopeProbe puts the crossover here (linux/amd64, go1.24): at
+// 12 entries a scan finds a name as fast as the index (21 ns) and
+// misses it 3 ns slower, at 8 it is 5 ns faster either way, at 16 a
+// miss costs 7 ns more.  Most procedure scopes hold far fewer.
+const indexAt = 12
+
+// waiter is one Optimistic placeholder: a name probed in an incomplete
+// scope before its declaration, with the event its searchers wait on.
+type waiter struct {
+	name  string
+	ready *event.Event
+}
+
+// find returns the published symbol called name, or nil.  Callers hold
+// s.mu or have observed s.sealed.
+func (s *Scope) find(name string) *Symbol {
+	if s.index != nil {
+		return s.index[name]
+	}
+	for _, sym := range s.order {
+		if sym.Name == name {
+			return sym
+		}
+	}
+	return nil
+}
+
+// Grow pre-sizes the scope for n upcoming declarations so publication
+// does not regrow its order slice (or its index) incrementally.
+// Existing entries (imports, copied procedure headings) are preserved.
+// Owner task only.
 func (s *Scope) Grow(n int) {
 	s.mu.Lock()
-	if n > len(s.syms) {
-		grown := make(map[string]*Symbol, n+len(s.syms))
-		for k, v := range s.syms {
-			grown[k] = v
-		}
-		s.syms = grown
-		if cap(s.order) < n {
-			order := make([]*Symbol, len(s.order), n+len(s.order))
-			copy(order, s.order)
-			s.order = order
-		}
+	if want := len(s.order) + n; want > cap(s.order) {
+		order := make([]*Symbol, len(s.order), want)
+		copy(order, s.order)
+		s.order = order
 	}
 	s.mu.Unlock()
 }
@@ -249,33 +289,26 @@ func (s *Scope) CompletionEvent() *event.Event { return s.completion }
 // resolved all fixups).  ctx stamps the completion for the trace.
 func (s *Scope) Complete(ctx *ctrace.TaskCtx) {
 	s.mu.Lock()
-	if s.fixups != 0 {
-		// Defensive: never leave symbols unpublished — erroneous
-		// programs must still complete every scope or DKY waiters hang.
-		s.fixups = 0
-	}
+	// Defensive: never leave symbols unpublished — erroneous programs
+	// must still complete every scope or DKY waiters hang.
+	s.fixups = 0
 	s.publishQueueLocked(ctx)
 	s.complete = true
-	var waiters []*event.Event
-	for name, sym := range s.syms {
-		if sym.placeholder {
-			waiters = append(waiters, sym.ready)
-			delete(s.syms, name)
-		}
-	}
-	s.sealed.Store(&s.syms)
+	waiters := s.waits
+	s.waits = nil
+	s.sealed.Store(true)
 	s.mu.Unlock()
-	// Optimistic handling: traverse the completed table and signal all
-	// unsignaled per-symbol events (§2.3.3).
+	// Optimistic handling: signal every per-symbol event still unsignaled
+	// (§2.3.3); its searchers find the name absent.
 	for _, w := range waiters {
-		w.Fire() // vet:allowfire per-symbol micro-event; only the completion event is traced
+		w.ready.Fire() // vet:allowfire per-symbol micro-event; only the completion event is traced
 	}
 	ctx.FireEvent(s.completion)
 }
 
 // Completed reports whether the scope's table is complete.
 func (s *Scope) Completed() bool {
-	if s.sealed.Load() != nil {
+	if s.sealed.Load() {
 		return true
 	}
 	s.mu.Lock()
@@ -309,17 +342,10 @@ func (s *Scope) Insert(ctx *ctrace.TaskCtx, report func(pos token.Pos, format st
 	}
 	ctx.Add(ctrace.CostInsert)
 	s.mu.Lock()
-	if prev, ok := s.syms[sym.Name]; ok && !prev.placeholder {
+	if s.find(sym.Name) != nil || s.queued(sym.Name) != nil {
 		s.mu.Unlock()
 		report(sym.Pos, "%s redeclared in %s %s", sym.Name, s.Kind, s.Name)
 		return false
-	}
-	for _, q := range s.queue {
-		if q.Name == sym.Name {
-			s.mu.Unlock()
-			report(sym.Pos, "%s redeclared in %s %s", sym.Name, s.Kind, s.Name)
-			return false
-		}
 	}
 	if s.fixups > 0 {
 		s.queue = append(s.queue, sym)
@@ -334,17 +360,39 @@ func (s *Scope) Insert(ctx *ctrace.TaskCtx, report func(pos token.Pos, format st
 	return true
 }
 
+// queued returns the symbol called name waiting behind fixups, or nil.
+func (s *Scope) queued(name string) *Symbol {
+	for _, q := range s.queue {
+		if q.Name == name {
+			return q
+		}
+	}
+	return nil
+}
+
 // publishLocked makes sym visible, returning the placeholder event to
 // fire (outside the lock), if any.
 func (s *Scope) publishLocked(ctx *ctrace.TaskCtx, sym *Symbol) *event.Event {
-	var fire *event.Event
-	if prev, ok := s.syms[sym.Name]; ok && prev.placeholder {
-		fire = prev.ready
-	}
 	sym.Insert = ctx.Stamp()
-	s.syms[sym.Name] = sym
 	s.order = append(s.order, sym)
-	return fire
+	switch {
+	case s.index != nil:
+		s.index[sym.Name] = sym
+	case len(s.order) > indexAt:
+		s.index = make(map[string]*Symbol, cap(s.order))
+		for _, o := range s.order {
+			s.index[o.Name] = o
+		}
+	}
+	for i, w := range s.waits {
+		if w.name == sym.Name {
+			last := len(s.waits) - 1
+			s.waits[i] = s.waits[last]
+			s.waits = s.waits[:last]
+			return w.ready
+		}
+	}
+	return nil
 }
 
 func (s *Scope) publishQueueLocked(ctx *ctrace.TaskCtx) {
@@ -382,44 +430,30 @@ func (s *Scope) ResolveFixup(ctx *ctrace.TaskCtx) {
 }
 
 // probe searches the scope's published symbols.  It reports the
-// completion state observed atomically with the search.  Placeholders
-// are invisible to probes.  Sealed scopes (the hot path: every probe of
-// an imported interface or a finished outer scope) answer from the
-// atomically-published map without taking the mutex.
+// completion state observed atomically with the search.  Sealed scopes
+// (the hot path: every probe of an imported interface or a finished
+// outer scope) answer without taking the mutex.
 func (s *Scope) probe(name string) (sym *Symbol, complete bool) {
-	if m := s.sealed.Load(); m != nil {
-		return (*m)[name], true
+	if s.sealed.Load() {
+		return s.find(name), true
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sym = s.syms[name]
-	if sym != nil && sym.placeholder {
-		sym = nil
-	}
-	return sym, s.complete
+	return s.find(name), s.complete
 }
 
 // probeOwner additionally sees queued (not yet published) symbols; it
 // serves self-scope searches by the scope's owning task, which must see
 // its own declarations regardless of publication state.
 func (s *Scope) probeOwner(name string) (sym *Symbol, complete bool) {
-	if m := s.sealed.Load(); m != nil {
+	if s.sealed.Load() {
 		// The fixup queue is empty once the scope seals.
-		return (*m)[name], true
+		return s.find(name), true
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sym = s.syms[name]
-	if sym != nil && sym.placeholder {
-		sym = nil
-	}
-	if sym == nil {
-		for _, q := range s.queue {
-			if q.Name == name {
-				sym = q
-				break
-			}
-		}
+	if sym = s.find(name); sym == nil {
+		sym = s.queued(name)
 	}
 	return sym, s.complete
 }
@@ -444,28 +478,25 @@ func (s *Scope) Probe(name string) *Symbol {
 
 // probeOrPlaceholder implements the Optimistic probe: if the name is
 // absent from an incomplete table, a placeholder with a fresh per-symbol
-// event is installed (or an existing one reused) and returned for the
-// caller to wait on.
+// event is installed (or an existing one reused) and its event returned
+// for the caller to wait on.
 func (s *Scope) probeOrPlaceholder(name string) (sym *Symbol, complete bool, wait *event.Event) {
-	if m := s.sealed.Load(); m != nil {
-		return (*m)[name], true, nil
+	if s.sealed.Load() {
+		return s.find(name), true, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := s.syms[name]
-	switch {
-	case cur == nil:
-		if s.complete {
-			return nil, true, nil
-		}
-		ph := &Symbol{Name: name, placeholder: true, ready: event.New()}
-		s.syms[name] = ph
-		return nil, false, ph.ready
-	case cur.placeholder:
-		return nil, s.complete, cur.ready
-	default:
-		return cur, s.complete, nil
+	if sym = s.find(name); sym != nil || s.complete {
+		return sym, s.complete, nil
 	}
+	for _, w := range s.waits {
+		if w.name == name {
+			return nil, false, w.ready
+		}
+	}
+	w := waiter{name: name, ready: event.New()}
+	s.waits = append(s.waits, w)
+	return nil, false, w.ready
 }
 
 // Symbols returns the published symbols in publication order.  Intended

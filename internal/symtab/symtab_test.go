@@ -261,7 +261,7 @@ func TestAliasFollowing(t *testing.T) {
 	iface.Insert(ctx, report, sym("target"))
 	iface.Complete(ctx)
 	mod.Insert(ctx, report, &symtab.Symbol{
-		Name: "target", Kind: symtab.KAlias, AliasScope: iface, AliasName: "target",
+		Name: "target", Kind: symtab.KAlias, Payload: &symtab.Payload{AliasScope: iface, AliasName: "target"},
 	})
 	res := searcher(tab).Lookup(mod, "target", nil)
 	if res.Sym == nil || res.Sym.Kind != symtab.KVar {

@@ -285,17 +285,19 @@ func (q *Queue) state(i int) (b *Block, ok bool, grown *event.Event, closed bool
 	return nil, false, q.grown, q.closed.Load()
 }
 
-// WaitFunc performs a barrier wait on an event.  The scheduler supplies
-// an instrumented implementation so waits are attributed to the running
-// task; the default simply blocks.
-type WaitFunc func(*event.Event)
+// Waiter performs barrier waits on events.  The scheduler's task is one,
+// so waits are attributed to the running task; a nil Waiter simply
+// blocks.
+type Waiter interface {
+	BarrierWait(*event.Event)
+}
 
 // Reader is an independent cursor over a Queue.  Each consumer task owns
 // one Reader; Readers are not safe for concurrent use (but distinct
 // Readers over one Queue are).
 type Reader struct {
-	q    *Queue
-	wait WaitFunc
+	q *Queue
+	w Waiter
 
 	cur      *Block // acquired block (Ready fired; tokens frozen)
 	blk      int
@@ -306,13 +308,10 @@ type Reader struct {
 	detached bool
 }
 
-// NewReader returns a reader positioned at the start of q.  wait may be
+// NewReader returns a reader positioned at the start of q.  w may be
 // nil for a plain blocking wait.
-func (q *Queue) NewReader(wait WaitFunc) *Reader {
-	if wait == nil {
-		wait = func(e *event.Event) { e.Wait() }
-	}
-	return &Reader{q: q, wait: wait}
+func (q *Queue) NewReader(w Waiter) *Reader {
+	return &Reader{q: q, w: w}
 }
 
 // Detach releases the reader's claim on the queue's blocks.  The owning
@@ -326,9 +325,25 @@ func (r *Reader) Detach() {
 	}
 	r.detached = true
 	r.cur = nil
-	if r.q.managed.Load() && r.q.readers.Add(-1) == 0 {
-		r.q.maybeRecycle()
+	r.q.Release()
+}
+
+// Release gives up one declared reader's claim without reading, as a
+// reader that detaches unread would: a consumer whose stream turned out
+// not to need parsing calls it in place of NewReader and Detach.
+func (q *Queue) Release() {
+	if q.managed.Load() && q.readers.Add(-1) == 0 {
+		q.maybeRecycle()
 	}
+}
+
+// wait performs a barrier wait on e through the reader's Waiter.
+func (r *Reader) wait(e *event.Event) {
+	if r.w == nil {
+		e.Wait()
+		return
+	}
+	r.w.BarrierWait(e)
 }
 
 // acquire makes cur a block with unread tokens, performing barrier waits
@@ -350,7 +365,7 @@ func (r *Reader) acquire() bool {
 		b, ok, grown, closed := r.q.state(r.blk)
 		switch {
 		case ok:
-			// The wait function records the dependency (and blocks only
+			// The Waiter records the dependency (and blocks only
 			// if the block is not ready).
 			r.wait(b.Ready)
 			r.cur = b

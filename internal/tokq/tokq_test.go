@@ -12,6 +12,11 @@ import (
 	"m2cc/internal/tokq"
 )
 
+// waitFunc adapts a function to tokq.Waiter.
+type waitFunc func(*event.Event)
+
+func (f waitFunc) BarrierWait(e *event.Event) { f(e) }
+
 // fill appends n identifier tokens plus an EOF, then closes.
 func fill(q *tokq.Queue, n int) {
 	for i := 0; i < n; i++ {
@@ -143,10 +148,10 @@ func TestWaitHookSeesEveryBlock(t *testing.T) {
 	q := tokq.New(2)
 	fill(q, 5) // 6 tokens in blocks of 2 → 3 blocks
 	waits := 0
-	r := q.NewReader(func(e *event.Event) {
+	r := q.NewReader(waitFunc(func(e *event.Event) {
 		waits++
 		e.Wait()
-	})
+	}))
 	for r.Next().Kind != token.EOF {
 	}
 	if waits != 3 {
@@ -172,12 +177,12 @@ func TestGrowthEventOnlyWhenAwaited(t *testing.T) {
 
 	waiting := make(chan struct{})
 	var once sync.Once
-	r := q.NewReader(func(e *event.Event) {
+	r := q.NewReader(waitFunc(func(e *event.Event) {
 		if !e.Fired() { // the first is the wait for a block not yet added
 			once.Do(func() { close(waiting) })
 		}
 		e.Wait()
-	})
+	}))
 	for i := 0; i < blocks*size; i++ {
 		r.Next()
 	}
