@@ -249,6 +249,41 @@ type StmtList struct {
 // Stmt is a statement.
 type Stmt interface{ stmtNode() }
 
+// StmtPos returns a statement's source position.
+func StmtPos(s Stmt) token.Pos {
+	switch s := s.(type) {
+	case *AssignStmt:
+		return s.Pos
+	case *CallStmt:
+		return s.Pos
+	case *IfStmt:
+		return s.Pos
+	case *CaseStmt:
+		return s.Pos
+	case *WhileStmt:
+		return s.Pos
+	case *RepeatStmt:
+		return s.Pos
+	case *LoopStmt:
+		return s.Pos
+	case *ExitStmt:
+		return s.Pos
+	case *ForStmt:
+		return s.Pos
+	case *WithStmt:
+		return s.Pos
+	case *ReturnStmt:
+		return s.Pos
+	case *RaiseStmt:
+		return s.Pos
+	case *TryStmt:
+		return s.Pos
+	case *LockStmt:
+		return s.Pos
+	}
+	return token.Pos{}
+}
+
 // AssignStmt is "designator := expr".
 type AssignStmt struct {
 	LHS *Designator

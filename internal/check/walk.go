@@ -245,41 +245,6 @@ func (w *walker) designator(d *ast.Designator) {
 	}
 }
 
-// stmtPos returns a statement's source position.
-func stmtPos(s ast.Stmt) token.Pos {
-	switch s := s.(type) {
-	case *ast.AssignStmt:
-		return s.Pos
-	case *ast.CallStmt:
-		return s.Pos
-	case *ast.IfStmt:
-		return s.Pos
-	case *ast.CaseStmt:
-		return s.Pos
-	case *ast.WhileStmt:
-		return s.Pos
-	case *ast.RepeatStmt:
-		return s.Pos
-	case *ast.LoopStmt:
-		return s.Pos
-	case *ast.ExitStmt:
-		return s.Pos
-	case *ast.ForStmt:
-		return s.Pos
-	case *ast.WithStmt:
-		return s.Pos
-	case *ast.ReturnStmt:
-		return s.Pos
-	case *ast.RaiseStmt:
-		return s.Pos
-	case *ast.TryStmt:
-		return s.Pos
-	case *ast.LockStmt:
-		return s.Pos
-	}
-	return token.Pos{}
-}
-
 // unreachable reports the first statement after a RETURN, EXIT or
 // RAISE in each statement sequence (one report per sequence), then
 // recurses into every nested sequence.
@@ -290,7 +255,7 @@ func unreachable(l *ast.StmtList, report func(pos token.Pos)) {
 	dead, reported := false, false
 	for _, s := range l.Stmts {
 		if dead && !reported {
-			report(stmtPos(s))
+			report(ast.StmtPos(s))
 			reported = true
 		}
 		switch s := s.(type) {

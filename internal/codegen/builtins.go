@@ -10,7 +10,7 @@ import (
 // builtinFunc compiles an application of a pervasive function.
 func (g *Gen) builtinFunc(sym *symtab.Symbol, e *ast.CallExpr) *types.Type {
 	bad := func() *types.Type {
-		g.emit(vm.Instr{Op: vm.PushInt})
+		g.emit(vm.PushInt, 0, 0)
 		return types.Bad
 	}
 	need := func(n int) bool {
@@ -29,9 +29,9 @@ func (g *Gen) builtinFunc(sym *symtab.Symbol, e *ast.CallExpr) *types.Type {
 		t := g.compileScalarExpr(e.Args[0])
 		switch {
 		case t.IsReal():
-			g.emit(vm.Instr{Op: vm.AbsF})
+			g.emit(vm.AbsF, 0, 0)
 		case t.IsInteger():
-			g.emit(vm.Instr{Op: vm.AbsI})
+			g.emit(vm.AbsI, 0, 0)
 		default:
 			g.errorf(e.Pos, "ABS requires a numeric argument, have %s", t)
 		}
@@ -45,7 +45,7 @@ func (g *Gen) builtinFunc(sym *symtab.Symbol, e *ast.CallExpr) *types.Type {
 		if t != types.Bad && !t.IsChar() {
 			g.errorf(e.Pos, "CAP requires a CHAR, have %s", t)
 		}
-		g.emit(vm.Instr{Op: vm.CapCh})
+		g.emit(vm.CapCh, 0, 0)
 		return types.Char
 
 	case symtab.BChr:
@@ -67,7 +67,7 @@ func (g *Gen) builtinFunc(sym *symtab.Symbol, e *ast.CallExpr) *types.Type {
 		if t != types.Bad && !t.IsInteger() {
 			g.errorf(e.Pos, "FLOAT requires a whole number, have %s", t)
 		}
-		g.emit(vm.Instr{Op: vm.IntToReal})
+		g.emit(vm.IntToReal, 0, 0)
 		return types.Real
 
 	case symtab.BTrunc:
@@ -78,7 +78,7 @@ func (g *Gen) builtinFunc(sym *symtab.Symbol, e *ast.CallExpr) *types.Type {
 		if t != types.Bad && !t.IsReal() {
 			g.errorf(e.Pos, "TRUNC requires a real, have %s", t)
 		}
-		g.emit(vm.Instr{Op: vm.RealToInt})
+		g.emit(vm.RealToInt, 0, 0)
 		return types.Cardinal
 
 	case symtab.BOdd:
@@ -89,7 +89,7 @@ func (g *Gen) builtinFunc(sym *symtab.Symbol, e *ast.CallExpr) *types.Type {
 		if t != types.Bad && !t.IsInteger() {
 			g.errorf(e.Pos, "ODD requires a whole number, have %s", t)
 		}
-		g.emit(vm.Instr{Op: vm.OddI})
+		g.emit(vm.OddI, 0, 0)
 		return types.Boolean
 
 	case symtab.BOrd:
@@ -112,12 +112,12 @@ func (g *Gen) builtinFunc(sym *symtab.Symbol, e *ast.CallExpr) *types.Type {
 		p := g.resolveDesig(d, true)
 		switch {
 		case p.kind == pOpen:
-			g.emit(vm.Instr{Op: vm.LdLoc, A: g.hops(p.sym.Level), B: p.sym.Offset + 1})
+			g.emit(vm.LdLoc, g.hops(p.sym.Level), p.sym.Offset+1)
 			g.emitInt(1)
-			g.emit(vm.Instr{Op: vm.SubI})
+			g.emit(vm.SubI, 0, 0)
 			return types.Cardinal
 		case p.kind == pAddr && p.t.Deref().Kind == types.ArrayK:
-			g.emit(vm.Instr{Op: vm.Drop})
+			g.emit(vm.Drop, 0, 0)
 			lo, hi, _ := p.t.Deref().Index.Bounds()
 			g.emitInt(hi - lo)
 			return types.Cardinal
@@ -185,7 +185,7 @@ func (g *Gen) builtinFunc(sym *symtab.Symbol, e *ast.CallExpr) *types.Type {
 		default:
 			fn = vm.MathArctan
 		}
-		g.emit(vm.Instr{Op: vm.MathOp, A: fn, B: int32(e.Pos.Line)})
+		g.emit(vm.MathOp, fn, int32(e.Pos.Line))
 		return types.Real
 
 	default:
@@ -210,7 +210,7 @@ func (g *Gen) typeArg(a ast.Expr) *types.Type {
 // sizeOfVar folds SIZE(v) for a variable designator; returns nil if the
 // argument is not a plain variable.
 func (g *Gen) sizeOfVar(d *ast.Designator) *types.Type {
-	res := g.env.Search.Lookup(g.scope, d.Head.Text, g.withBindings())
+	res := g.env.Search.Lookup(g.scope, d.Head.Text, g.withs)
 	if !res.Found() || res.Sym == nil {
 		return nil
 	}

@@ -37,7 +37,7 @@ func badPlace() place { return place{kind: pNone, t: types.Bad} }
 // computation code for anything that needs it.  wantAddr forces even
 // simple scalar variables into pAddr form.
 func (g *Gen) resolveDesig(d *ast.Designator, wantAddr bool) place {
-	res := g.env.Search.Lookup(g.scope, d.Head.Text, g.withBindings())
+	res := g.env.Search.Lookup(g.scope, d.Head.Text, g.withs)
 	if !res.Found() {
 		if res.DeepAlias {
 			g.errorf(d.Head.Pos, "import chain for %s is cyclic or too deep (more than %d re-export links)", d.Head.Text, symtab.MaxAliasDepth)
@@ -50,9 +50,8 @@ func (g *Gen) resolveDesig(d *ast.Designator, wantAddr bool) place {
 	sels := d.Sels
 	if res.Field != nil {
 		// WITH-bound field: the record's address is cached in a temp.
-		w := g.withs[res.WithIndex]
-		g.emit(vm.Instr{Op: vm.LdLoc, A: 0, B: w.temp})
-		g.emit(vm.Instr{Op: vm.AddOff, A: int32(res.Field.Offset)})
+		g.emit(vm.LdLoc, 0, g.withTemp[res.WithIndex])
+		g.emit(vm.AddOff, int32(res.Field.Offset), 0)
 		t = res.Field.Type
 		return g.walkSelectors(t, sels, d.Head.Pos)
 	}
@@ -129,11 +128,11 @@ func (g *Gen) varPlace(sym *symtab.Symbol, sels []ast.Selector, pos token.Pos, w
 func (g *Gen) pushVarAddr(sym *symtab.Symbol) {
 	switch {
 	case sym.ByRef:
-		g.emit(vm.Instr{Op: vm.LdLoc, A: g.hops(sym.Level), B: sym.Offset})
+		g.emit(vm.LdLoc, g.hops(sym.Level), sym.Offset)
 	case sym.Global:
-		g.emit(vm.Instr{Op: vm.LdaGlb, A: g.areaIdx(sym.Area), B: sym.Offset})
+		g.emit(vm.LdaGlb, g.areaIdx(sym.Area), sym.Offset)
 	default:
-		g.emit(vm.Instr{Op: vm.LdaLoc, A: g.hops(sym.Level), B: sym.Offset})
+		g.emit(vm.LdaLoc, g.hops(sym.Level), sym.Offset)
 	}
 }
 
@@ -150,10 +149,10 @@ func (g *Gen) openArrayPlace(sym *symtab.Symbol, sels []ast.Selector, pos token.
 	}
 	elem := sym.Type.Deref().Base
 	hops := g.hops(sym.Level)
-	g.emit(vm.Instr{Op: vm.LdLoc, A: hops, B: sym.Offset})     // base
-	g.emit(vm.Instr{Op: vm.LdLoc, A: hops, B: sym.Offset + 1}) // length
+	g.emit(vm.LdLoc, hops, sym.Offset)   // base
+	g.emit(vm.LdLoc, hops, sym.Offset+1) // length
 	g.compileOrdinalExpr(idx.Indexes[0])
-	g.emit(vm.Instr{Op: vm.IndexOp, A: int32(elem.Slots()), B: int32(pos.Line)})
+	g.emit(vm.IndexOp, int32(elem.Slots()), int32(pos.Line))
 	t := elem
 	// Any further indexes in the same bracket apply to the element.
 	if len(idx.Indexes) > 1 {
@@ -183,7 +182,7 @@ func (g *Gen) walkSelectors(t *types.Type, sels []ast.Selector, pos token.Pos) p
 				return badPlace()
 			}
 			if f.Offset != 0 {
-				g.emit(vm.Instr{Op: vm.AddOff, A: int32(f.Offset)})
+				g.emit(vm.AddOff, int32(f.Offset), 0)
 			}
 			t = f.Type
 		case *ast.IndexSel:
@@ -204,7 +203,7 @@ func (g *Gen) walkSelectors(t *types.Type, sels []ast.Selector, pos token.Pos) p
 				g.errorf(sel.Pos, "%s is not a pointer; cannot dereference", t)
 				return badPlace()
 			}
-			g.emit(vm.Instr{Op: vm.LdInd})
+			g.emit(vm.LdInd, 0, 0)
 			t = d.Base
 			if t == nil {
 				t = types.Bad
@@ -232,14 +231,14 @@ func (g *Gen) loadPlace(p place, pos token.Pos) (*types.Type, bool) {
 		return g.emitConst(p.v, pos), false
 	case pDirect:
 		if p.sym.Global {
-			g.emit(vm.Instr{Op: vm.LdGlb, A: g.areaIdx(p.sym.Area), B: p.sym.Offset})
+			g.emit(vm.LdGlb, g.areaIdx(p.sym.Area), p.sym.Offset)
 		} else {
-			g.emit(vm.Instr{Op: vm.LdLoc, A: g.hops(p.sym.Level), B: p.sym.Offset})
+			g.emit(vm.LdLoc, g.hops(p.sym.Level), p.sym.Offset)
 		}
 		return p.t, false
 	case pAddr:
 		if isScalar(p.t) {
-			g.emit(vm.Instr{Op: vm.LdInd})
+			g.emit(vm.LdInd, 0, 0)
 			return p.t, false
 		}
 		return p.t, true
@@ -249,20 +248,20 @@ func (g *Gen) loadPlace(p place, pos token.Pos) (*types.Type, bool) {
 		// no closure).
 		sym := p.sym
 		if ext := sym.External(); ext != "" {
-			g.emit(vm.Instr{Op: vm.PushProc, A: -1, B: g.extIdx(ext)})
+			g.emit(vm.PushProc, -1, g.extIdx(ext))
 		} else {
-			g.emit(vm.Instr{Op: vm.PushProc, A: sym.ProcIdx})
+			g.emit(vm.PushProc, sym.ProcIdx, 0)
 		}
 		return p.t, false
 	case pOpen:
 		g.errorf(pos, "open array %s cannot be used as a value here", p.sym.Name)
 		return types.Bad, false
 	case pNone:
-		g.emit(vm.Instr{Op: vm.PushInt})
+		g.emit(vm.PushInt, 0, 0)
 		return types.Bad, false
 	default:
 		g.errorf(pos, "%s cannot be used as a value", p.sym.Name)
-		g.emit(vm.Instr{Op: vm.PushInt})
+		g.emit(vm.PushInt, 0, 0)
 		return types.Bad, false
 	}
 }
@@ -273,28 +272,16 @@ func (g *Gen) storePlace(p place, pos token.Pos) {
 	switch p.kind {
 	case pDirect:
 		if p.sym.Global {
-			g.emit(vm.Instr{Op: vm.StGlb, A: g.areaIdx(p.sym.Area), B: p.sym.Offset})
+			g.emit(vm.StGlb, g.areaIdx(p.sym.Area), p.sym.Offset)
 		} else {
-			g.emit(vm.Instr{Op: vm.StLoc, A: g.hops(p.sym.Level), B: p.sym.Offset})
+			g.emit(vm.StLoc, g.hops(p.sym.Level), p.sym.Offset)
 		}
 	case pAddr:
-		g.emit(vm.Instr{Op: vm.StInd})
+		g.emit(vm.StInd, 0, 0)
 	case pNone:
-		g.emit(vm.Instr{Op: vm.Drop})
+		g.emit(vm.Drop, 0, 0)
 	default:
 		g.errorf(pos, "cannot assign to this designator")
-		g.emit(vm.Instr{Op: vm.Drop})
+		g.emit(vm.Drop, 0, 0)
 	}
-}
-
-// withBindings exposes the active WITH records to the symbol searcher.
-func (g *Gen) withBindings() []symtab.WithBinding {
-	if len(g.withs) == 0 {
-		return nil
-	}
-	bs := make([]symtab.WithBinding, len(g.withs))
-	for i, w := range g.withs {
-		bs[i] = w.binding
-	}
-	return bs
 }

@@ -51,7 +51,7 @@ func (g *Gen) compileExpr(e ast.Expr) (*types.Type, bool) {
 		return g.compileCallExpr(e), false
 	default:
 		g.errorf(e.ExprPos(), "unsupported expression")
-		g.emit(vm.Instr{Op: vm.PushInt})
+		g.emit(vm.PushInt, 0, 0)
 		return types.Bad, false
 	}
 }
@@ -61,7 +61,7 @@ func (g *Gen) compileScalarExpr(e ast.Expr) *types.Type {
 	t, agg := g.compileExpr(e)
 	if agg {
 		g.errorf(e.ExprPos(), "aggregate value of type %s not allowed here", t)
-		g.emit(vm.Instr{Op: vm.LdInd}) // degrade to first slot to keep the stack balanced
+		g.emit(vm.LdInd, 0, 0) // degrade to first slot to keep the stack balanced
 	}
 	return t
 }
@@ -91,7 +91,7 @@ func (g *Gen) compileCoerced(e ast.Expr, want *types.Type) *types.Type {
 		}
 		if s, ok := e.(*ast.StringLit); ok && len(s.Value) != 1 {
 			g.errorf(e.ExprPos(), "incompatible assignment: CHAR := string of length %d", len(s.Value))
-			g.emit(vm.Instr{Op: vm.PushInt})
+			g.emit(vm.PushInt, 0, 0)
 			return types.Char
 		}
 	}
@@ -109,9 +109,9 @@ func (g *Gen) compileUnary(e *ast.UnaryExpr) *types.Type {
 	case token.Minus:
 		switch {
 		case t.IsReal():
-			g.emit(vm.Instr{Op: vm.NegF})
+			g.emit(vm.NegF, 0, 0)
 		case t.IsInteger():
-			g.emit(vm.Instr{Op: vm.NegI})
+			g.emit(vm.NegI, 0, 0)
 			if t.Under().Kind == types.WholeK {
 				return types.Whole
 			}
@@ -124,7 +124,7 @@ func (g *Gen) compileUnary(e *ast.UnaryExpr) *types.Type {
 		if t.Under().Kind != types.BooleanK && t != types.Bad {
 			g.errorf(e.Pos, "NOT requires a BOOLEAN operand, have %s", t)
 		}
-		g.emit(vm.Instr{Op: vm.NotB})
+		g.emit(vm.NotB, 0, 0)
 		return types.Boolean
 	}
 	return types.Bad
@@ -168,17 +168,17 @@ func (g *Gen) compileBinary(e *ast.BinaryExpr) *types.Type {
 	switch e.Op {
 	case token.AND:
 		g.boolOperand(e.X)
-		g.emit(vm.Instr{Op: vm.Dup})
-		j := g.emit(vm.Instr{Op: vm.Jz})
-		g.emit(vm.Instr{Op: vm.Drop})
+		g.emit(vm.Dup, 0, 0)
+		j := g.emit(vm.Jz, 0, 0)
+		g.emit(vm.Drop, 0, 0)
 		g.boolOperand(e.Y)
 		g.patch(j)
 		return types.Boolean
 	case token.OR:
 		g.boolOperand(e.X)
-		g.emit(vm.Instr{Op: vm.Dup})
-		j := g.emit(vm.Instr{Op: vm.Jnz})
-		g.emit(vm.Instr{Op: vm.Drop})
+		g.emit(vm.Dup, 0, 0)
+		j := g.emit(vm.Jnz, 0, 0)
+		g.emit(vm.Drop, 0, 0)
 		g.boolOperand(e.Y)
 		g.patch(j)
 		return types.Boolean
@@ -191,7 +191,7 @@ func (g *Gen) compileBinary(e *ast.BinaryExpr) *types.Type {
 			g.errorf(e.Pos, "IN requires a set, have %s", st)
 		}
 		_ = et
-		g.emit(vm.Instr{Op: vm.SetIn})
+		g.emit(vm.SetIn, 0, 0)
 		return types.Boolean
 	}
 
@@ -210,15 +210,15 @@ func (g *Gen) compileBinary(e *ast.BinaryExpr) *types.Type {
 	case tx.IsInteger() && ty.IsInteger():
 		switch e.Op {
 		case token.Plus:
-			g.emit(vm.Instr{Op: vm.AddI})
+			g.emit(vm.AddI, 0, 0)
 		case token.Minus:
-			g.emit(vm.Instr{Op: vm.SubI})
+			g.emit(vm.SubI, 0, 0)
 		case token.Star:
-			g.emit(vm.Instr{Op: vm.MulI})
+			g.emit(vm.MulI, 0, 0)
 		case token.DIV:
-			g.emit(vm.Instr{Op: vm.DivI, A: int32(e.Pos.Line)})
+			g.emit(vm.DivI, int32(e.Pos.Line), 0)
 		case token.MOD:
-			g.emit(vm.Instr{Op: vm.ModI, A: int32(e.Pos.Line)})
+			g.emit(vm.ModI, int32(e.Pos.Line), 0)
 		case token.Slash:
 			g.errorf(e.Pos, "/ applies to reals and sets; use DIV for whole numbers")
 		default:
@@ -228,13 +228,13 @@ func (g *Gen) compileBinary(e *ast.BinaryExpr) *types.Type {
 	case tx.IsReal() && ty.IsReal():
 		switch e.Op {
 		case token.Plus:
-			g.emit(vm.Instr{Op: vm.AddF})
+			g.emit(vm.AddF, 0, 0)
 		case token.Minus:
-			g.emit(vm.Instr{Op: vm.SubF})
+			g.emit(vm.SubF, 0, 0)
 		case token.Star:
-			g.emit(vm.Instr{Op: vm.MulF})
+			g.emit(vm.MulF, 0, 0)
 		case token.Slash:
-			g.emit(vm.Instr{Op: vm.DivF, A: int32(e.Pos.Line)})
+			g.emit(vm.DivF, int32(e.Pos.Line), 0)
 		default:
 			g.errorf(e.Pos, "invalid real operator %s", e.Op)
 		}
@@ -242,13 +242,13 @@ func (g *Gen) compileBinary(e *ast.BinaryExpr) *types.Type {
 	case tx.IsSet() && ty.IsSet():
 		switch e.Op {
 		case token.Plus:
-			g.emit(vm.Instr{Op: vm.SetUnion})
+			g.emit(vm.SetUnion, 0, 0)
 		case token.Minus:
-			g.emit(vm.Instr{Op: vm.SetDiff})
+			g.emit(vm.SetDiff, 0, 0)
 		case token.Star:
-			g.emit(vm.Instr{Op: vm.SetInter})
+			g.emit(vm.SetInter, 0, 0)
 		case token.Slash:
-			g.emit(vm.Instr{Op: vm.SetSymDiff})
+			g.emit(vm.SetSymDiff, 0, 0)
 		default:
 			g.errorf(e.Pos, "invalid set operator %s", e.Op)
 		}
@@ -284,17 +284,17 @@ func (g *Gen) compileRelation(e *ast.BinaryExpr) *types.Type {
 		ux.Kind == types.CharK && uy.Kind == types.CharK,
 		ux.Kind == types.BooleanK && uy.Kind == types.BooleanK,
 		ux.Kind == types.EnumK && ux == uy:
-		g.emit(vm.Instr{Op: vm.CmpI, A: rel})
+		g.emit(vm.CmpI, rel, 0)
 	case tx.IsReal() && ty.IsReal():
-		g.emit(vm.Instr{Op: vm.CmpF, A: rel})
+		g.emit(vm.CmpF, rel, 0)
 	case (ux.Kind == types.StringK || ux.Kind == types.TextK) &&
 		(uy.Kind == types.StringK || uy.Kind == types.TextK):
-		g.emit(vm.Instr{Op: vm.CmpS, A: rel})
+		g.emit(vm.CmpS, rel, 0)
 	case tx.IsSet() && ty.IsSet():
 		if rel == vm.RelLt || rel == vm.RelGt {
 			g.errorf(e.Pos, "sets compare with =, #, <= and >= only")
 		}
-		g.emit(vm.Instr{Op: vm.SetCmp, A: rel})
+		g.emit(vm.SetCmp, rel, 0)
 	case tx.IsPointerLike() && ty.IsPointerLike():
 		if rel != vm.RelEq && rel != vm.RelNe {
 			g.errorf(e.Pos, "pointers compare with = and # only")
@@ -302,12 +302,12 @@ func (g *Gen) compileRelation(e *ast.BinaryExpr) *types.Type {
 		if !types.Comparable(tx, ty) {
 			g.errorf(e.Pos, "cannot compare %s with %s", tx, ty)
 		}
-		g.emit(vm.Instr{Op: vm.CmpA, A: rel})
+		g.emit(vm.CmpA, rel, 0)
 	default:
 		if tx != types.Bad && ty != types.Bad {
 			g.errorf(e.Pos, "cannot compare %s with %s", tx, ty)
 		}
-		g.emit(vm.Instr{Op: vm.CmpI, A: rel})
+		g.emit(vm.CmpI, rel, 0)
 	}
 	return types.Boolean
 }
@@ -327,10 +327,10 @@ func (g *Gen) compileSet(e *ast.SetExpr) *types.Type {
 	for _, el := range e.Elems {
 		g.compileOrdinalExpr(el.Lo)
 		if el.Hi == nil {
-			g.emit(vm.Instr{Op: vm.SetAdd, A: int32(e.Pos.Line)})
+			g.emit(vm.SetAdd, int32(e.Pos.Line), 0)
 		} else {
 			g.compileOrdinalExpr(el.Hi)
-			g.emit(vm.Instr{Op: vm.SetAddRng, A: int32(e.Pos.Line)})
+			g.emit(vm.SetAddRng, int32(e.Pos.Line), 0)
 		}
 	}
 	return setType
@@ -356,7 +356,7 @@ func (g *Gen) compileCallExpr(e *ast.CallExpr) *types.Type {
 		g.emitDirectCall(p.sym, sig)
 		g.releaseTemp(mark)
 		if sig.Ret == nil {
-			g.emit(vm.Instr{Op: vm.PushInt})
+			g.emit(vm.PushInt, 0, 0)
 			return types.Bad
 		}
 		return sig.Ret
@@ -376,15 +376,15 @@ func (g *Gen) compileCallExpr(e *ast.CallExpr) *types.Type {
 		}
 		mark := g.tempTop
 		g.emitArgs(sig, e.Args, e.Pos)
-		g.emit(vm.Instr{Op: vm.CallInd, B: g.argSlotsOf(sig)})
+		g.emit(vm.CallInd, 0, g.argSlotsOf(sig))
 		g.releaseTemp(mark)
 		return sig.Ret
 	case pNone:
-		g.emit(vm.Instr{Op: vm.PushInt})
+		g.emit(vm.PushInt, 0, 0)
 		return types.Bad
 	default:
 		g.errorf(e.Pos, "this designator cannot be called")
-		g.emit(vm.Instr{Op: vm.PushInt})
+		g.emit(vm.PushInt, 0, 0)
 		return types.Bad
 	}
 }
@@ -394,7 +394,7 @@ func (g *Gen) compileCallExpr(e *ast.CallExpr) *types.Type {
 func (g *Gen) typeTransfer(t *types.Type, e *ast.CallExpr) *types.Type {
 	if len(e.Args) != 1 {
 		g.errorf(e.Pos, "type transfer %s expects one argument", t)
-		g.emit(vm.Instr{Op: vm.PushInt})
+		g.emit(vm.PushInt, 0, 0)
 		return t
 	}
 	at := g.compileScalarExpr(e.Args[0])
@@ -429,9 +429,9 @@ func paramSlots(p types.Param) int32 {
 
 func (g *Gen) emitDirectCall(sym *symtab.Symbol, sig *types.Type) {
 	if ext := sym.External(); ext != "" {
-		g.emit(vm.Instr{Op: vm.CallExt, A: g.extIdx(ext), B: g.argSlotsOf(sig)})
+		g.emit(vm.CallExt, g.extIdx(ext), g.argSlotsOf(sig))
 	} else {
-		g.emit(vm.Instr{Op: vm.Call, A: sym.ProcIdx, B: g.argSlotsOf(sig)})
+		g.emit(vm.Call, sym.ProcIdx, g.argSlotsOf(sig))
 	}
 }
 
@@ -442,7 +442,7 @@ func (g *Gen) emitArgs(sig *types.Type, args []ast.Expr, pos token.Pos) {
 		// Compile nothing further; push zeros to keep the frame shape.
 		for _, p := range sig.Params {
 			for i := int32(0); i < paramSlots(p); i++ {
-				g.emit(vm.Instr{Op: vm.PushInt})
+				g.emit(vm.PushInt, 0, 0)
 			}
 		}
 		return
@@ -462,7 +462,7 @@ func (g *Gen) compileArg(formal types.Param, a ast.Expr) {
 		d, ok := a.(*ast.Designator)
 		if !ok {
 			g.errorf(pos, "VAR parameter requires a variable")
-			g.emit(vm.Instr{Op: vm.PushNil})
+			g.emit(vm.PushNil, 0, 0)
 			return
 		}
 		p := g.resolveDesig(d, true)
@@ -470,7 +470,7 @@ func (g *Gen) compileArg(formal types.Param, a ast.Expr) {
 			if p.kind != pNone {
 				g.errorf(pos, "VAR parameter requires a variable")
 			}
-			g.emit(vm.Instr{Op: vm.PushNil})
+			g.emit(vm.PushNil, 0, 0)
 			return
 		}
 		if !types.Assignable(formal.Type, p.t) && !types.Assignable(p.t, formal.Type) {
@@ -485,8 +485,8 @@ func (g *Gen) compileArg(formal types.Param, a ast.Expr) {
 		n := int32(formal.Type.Slots())
 		if s, ok := a.(*ast.StringLit); ok {
 			g.stringToTempThen(s, n, func(temp int32) {
-				g.emit(vm.Instr{Op: vm.LdaLoc, A: 0, B: temp})
-				g.emit(vm.Instr{Op: vm.LdIndN, A: n})
+				g.emit(vm.LdaLoc, 0, temp)
+				g.emit(vm.LdIndN, n, 0)
 			})
 			return
 		}
@@ -494,7 +494,7 @@ func (g *Gen) compileArg(formal types.Param, a ast.Expr) {
 		if !ok {
 			g.errorf(pos, "aggregate argument must be a variable or string constant")
 			for i := int32(0); i < n; i++ {
-				g.emit(vm.Instr{Op: vm.PushInt})
+				g.emit(vm.PushInt, 0, 0)
 			}
 			return
 		}
@@ -504,14 +504,14 @@ func (g *Gen) compileArg(formal types.Param, a ast.Expr) {
 				g.errorf(pos, "aggregate argument must be a variable")
 			}
 			for i := int32(0); i < n; i++ {
-				g.emit(vm.Instr{Op: vm.PushInt})
+				g.emit(vm.PushInt, 0, 0)
 			}
 			return
 		}
 		if p.t.Deref() != formal.Type.Deref() {
 			g.errorf(pos, "argument type mismatch: have %s, want %s", p.t, formal.Type)
 		}
-		g.emit(vm.Instr{Op: vm.LdIndN, A: n})
+		g.emit(vm.LdIndN, n, 0)
 	}
 }
 
@@ -528,7 +528,7 @@ func (g *Gen) compileOpenArg(formal types.Param, a ast.Expr) {
 			n = 1
 		}
 		g.stringToTempThen(s, n, func(temp int32) {
-			g.emit(vm.Instr{Op: vm.LdaLoc, A: 0, B: temp})
+			g.emit(vm.LdaLoc, 0, temp)
 			g.emitInt(int64(n))
 		})
 		return
@@ -536,8 +536,8 @@ func (g *Gen) compileOpenArg(formal types.Param, a ast.Expr) {
 	d, ok := a.(*ast.Designator)
 	if !ok {
 		g.errorf(pos, "open array argument must be an array variable or string constant")
-		g.emit(vm.Instr{Op: vm.PushNil})
-		g.emit(vm.Instr{Op: vm.PushInt})
+		g.emit(vm.PushNil, 0, 0)
+		g.emit(vm.PushInt, 0, 0)
 		return
 	}
 	p := g.resolveDesig(d, true)
@@ -545,14 +545,14 @@ func (g *Gen) compileOpenArg(formal types.Param, a ast.Expr) {
 	case pOpen:
 		sym := p.sym
 		hops := g.hops(sym.Level)
-		g.emit(vm.Instr{Op: vm.LdLoc, A: hops, B: sym.Offset})
-		g.emit(vm.Instr{Op: vm.LdLoc, A: hops, B: sym.Offset + 1})
+		g.emit(vm.LdLoc, hops, sym.Offset)
+		g.emit(vm.LdLoc, hops, sym.Offset+1)
 		g.checkOpenElem(elem, sym.Type.Deref().Base, pos)
 	case pAddr:
 		at := p.t.Deref()
 		if at.Kind != types.ArrayK {
 			g.errorf(pos, "open array argument must be an array, have %s", p.t)
-			g.emit(vm.Instr{Op: vm.PushInt})
+			g.emit(vm.PushInt, 0, 0)
 			return
 		}
 		lo, hi, _ := at.Index.Bounds()
@@ -562,8 +562,8 @@ func (g *Gen) compileOpenArg(formal types.Param, a ast.Expr) {
 		if p.kind != pNone {
 			g.errorf(pos, "open array argument must be an array variable")
 		}
-		g.emit(vm.Instr{Op: vm.PushNil})
-		g.emit(vm.Instr{Op: vm.PushInt})
+		g.emit(vm.PushNil, 0, 0)
+		g.emit(vm.PushInt, 0, 0)
 	}
 }
 
@@ -579,8 +579,8 @@ func (g *Gen) checkOpenElem(want, have *types.Type, pos token.Pos) {
 // open-array arguments pass the temp's address to the callee.
 func (g *Gen) stringToTempThen(s *ast.StringLit, n int32, use func(temp int32)) {
 	temp := g.allocTemp(n)
-	g.emit(vm.Instr{Op: vm.LdaLoc, A: 0, B: temp})
+	g.emit(vm.LdaLoc, 0, temp)
 	g.emitStr(s.Value)
-	g.emit(vm.Instr{Op: vm.StrToA, A: n})
+	g.emit(vm.StrToA, n, 0)
 	use(temp)
 }

@@ -12,6 +12,7 @@
 package codegen
 
 import (
+	"fmt"
 	"math"
 	"unsafe"
 
@@ -33,10 +34,12 @@ type Gen struct {
 	sig   *types.Type // procedure signature; nil for module bodies
 
 	code     []vm.Instr
-	pools    vm.Segment // constant pools only; Code is set from g.code at the end
-	withs    []withInfo
+	pools    vm.Segment           // constant pools only; Code is set from g.code at the end
+	withs    []symtab.WithBinding // the active WITH records, innermost last
+	withTemp []int32              // the frame slot holding each one's address
 	tempTop  int32
 	maxFrame int32
+	cur      ast.Stmt // the statement last begun, where limit diagnostics point
 	loops    []*loopCtx
 	areas    [4]areaMemo // the first globals areas the segment touches
 	nAreas   int
@@ -48,11 +51,6 @@ type areaMemo struct {
 	idx  int32
 }
 
-type withInfo struct {
-	binding symtab.WithBinding
-	temp    int32
-}
-
 type loopCtx struct {
 	exits []int32 // Jmp indexes to patch to the loop end
 }
@@ -61,7 +59,7 @@ type loopCtx struct {
 // code segment is retained by the object for the program's lifetime,
 // so emitting straight into a fresh slice pays the append-doubling
 // garbage on every procedure; instead each Compile emits into a
-// recycled buffer (1 024 instructions, 12 KiB: the suite's longest
+// recycled buffer (1 024 instructions, 8 KiB: the suite's longest
 // segment has 736) and retains only one exact-size copy.
 var EmitBufs = &pool.List[[]vm.Instr]{
 	New:  func() []vm.Instr { return make([]vm.Instr, 0, 1024) },
@@ -78,9 +76,9 @@ func Compile(env *sema.Env, scope *symtab.Scope, meta *vm.ProcMeta, sig *types.T
 		tempTop: frameBase, maxFrame: frameBase, code: buf}
 	g.stmtList(body)
 	if sig != nil && sig.Ret != nil {
-		g.emit(vm.Instr{Op: vm.NoRet, A: int32(meta.Pos.Line)})
+		g.emit(vm.NoRet, int32(meta.Pos.Line), 0)
 	} else {
-		g.emit(vm.Instr{Op: vm.RetP})
+		g.emit(vm.RetP, 0, 0)
 	}
 	meta.Frame = g.maxFrame
 	g.pools.Code = append(make([]vm.Instr, 0, len(g.code)), g.code...)
@@ -95,10 +93,20 @@ func (g *Gen) errorf(pos token.Pos, format string, args ...any) {
 // ---------------------------------------------------------------------
 // Emission helpers
 
-func (g *Gen) emit(i vm.Instr) int32 {
+func (g *Gen) emit(op vm.Op, a, b int32) int32 {
 	g.env.Ctx.Add(ctrace.CostEmit)
-	g.code = append(g.code, i)
+	g.code = append(g.code, g.instr(op, a, b))
 	return int32(len(g.code) - 1)
+}
+
+// instr packs one instruction, diagnosing at the statement an A
+// operand that does not fit.
+func (g *Gen) instr(op vm.Op, a, b int32) vm.Instr {
+	ins, ok := vm.NewInstr(op, a, b)
+	if !ok {
+		g.errorf(ast.StmtPos(g.cur), vm.LimitFmt, fmt.Sprintf("operand %d of %s in %s", a, op, g.meta.FullName()))
+	}
+	return ins
 }
 
 func (g *Gen) here() int32 { return int32(len(g.code)) }
@@ -113,30 +121,30 @@ func (g *Gen) wide(vs ...int64) int32 {
 // emitInt pushes v: in B when it fits, else from the Ints pool (A < 0).
 func (g *Gen) emitInt(v int64) {
 	if v == int64(int32(v)) {
-		g.emit(vm.Instr{Op: vm.PushInt, B: int32(v)})
+		g.emit(vm.PushInt, 0, int32(v))
 	} else {
-		g.emit(vm.Instr{Op: vm.PushInt, A: -1, B: g.wide(v)})
+		g.emit(vm.PushInt, -1, g.wide(v))
 	}
 }
 
 func (g *Gen) emitReal(f float64) {
-	g.emit(vm.Instr{Op: vm.PushReal, B: g.wide(int64(math.Float64bits(f)))})
+	g.emit(vm.PushReal, 0, g.wide(int64(math.Float64bits(f))))
 }
 
 func (g *Gen) emitStr(s string) {
 	g.pools.Strs = append(g.pools.Strs, s)
-	g.emit(vm.Instr{Op: vm.PushStr, A: int32(len(g.pools.Strs) - 1)})
+	g.emit(vm.PushStr, int32(len(g.pools.Strs)-1), 0)
 }
 
 // emitIndex indexes an array of elems elements numbered from lo, each
 // size slots wide.
 func (g *Gen) emitIndex(lo, elems int64, size int32) {
-	g.emit(vm.Instr{Op: vm.Index, A: size, B: g.wide(lo, elems)})
+	g.emit(vm.Index, size, g.wide(lo, elems))
 }
 
 // emitChkRange emits the lo..hi range check trapping at line.
 func (g *Gen) emitChkRange(lo, hi int64, line int32) {
-	g.emit(vm.Instr{Op: vm.ChkRange, A: line, B: g.wide(lo, hi)})
+	g.emit(vm.ChkRange, line, g.wide(lo, hi))
 }
 
 // extIdx appends an external procedure name to the segment's Exts pool
@@ -174,16 +182,17 @@ func (g *Gen) excIdx(name string) int32 {
 }
 
 // patch sets the jump target of instruction i to the current position.
-func (g *Gen) patch(i int32) { g.code[i].A = g.here() }
+func (g *Gen) patch(i int32) { g.code[i] = g.instr(g.code[i].Op(), g.here(), g.code[i].B) }
 
 // allocTemp reserves n temporary frame slots; the caller releases them
 // with releaseTemp (stack discipline within one statement nest).
 func (g *Gen) allocTemp(n int32) int32 {
 	off := g.tempTop
 	g.tempTop += n
-	if g.tempTop > g.maxFrame {
-		g.maxFrame = g.tempTop
+	if g.tempTop > types.MaxSlots {
+		g.errorf(ast.StmtPos(g.cur), vm.LimitFmt, "the size in slots of the frame of "+g.meta.FullName())
 	}
+	g.maxFrame = max(g.maxFrame, g.tempTop)
 	return off
 }
 
@@ -205,9 +214,9 @@ func (g *Gen) emitConst(v types.Const, pos token.Pos) *types.Type {
 	case types.CSet:
 		g.emitInt(int64(v.Set))
 	case types.CNil:
-		g.emit(vm.Instr{Op: vm.PushNil})
+		g.emit(vm.PushNil, 0, 0)
 	default:
-		g.emit(vm.Instr{Op: vm.PushInt})
+		g.emit(vm.PushInt, 0, 0)
 		return types.Bad
 	}
 	if v.Type == nil {

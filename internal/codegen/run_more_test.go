@@ -1,6 +1,9 @@
 package codegen_test
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestMoreNumericSemantics(t *testing.T) {
 	runAll(t, []runCase{
@@ -540,5 +543,40 @@ BEGIN
   buf := "";
   WriteString(buf); WriteString("|"); WriteLn`,
 			want: "say \"hi\"it's\nempty|\n"},
+		// Storage sizes travel as the 24-bit A operand of COPY, INDEX,
+		// NEW and their kin: one past vm.MaxA is an implementation limit,
+		// not a size wrapped at 2^31 or 2^24.
+		{name: "an array past the limit is diagnosed, not wrapped", body: `
+VAR a: ARRAY [0..4294967299] OF INTEGER; x: INTEGER;
+BEGIN x := 1; a[3] := 2`,
+			wantErr: "T.mod:3:8: error: implementation limit: the size in slots of ARRAY INTEGER[0..4294967299] OF INTEGER exceeds 8 388 607"},
+		{name: "an aggregate copy past the limit is diagnosed", body: `
+VAR a, b: ARRAY [1..10000000] OF INTEGER;
+BEGIN a := b`,
+			wantErr: "T.mod:3:11: error: implementation limit: the size in slots of ARRAY INTEGER[1..10000000] OF INTEGER exceeds 8 388 607"},
+		{name: "a record past the limit is diagnosed", body: `
+TYPE Half = ARRAY [0..4194303] OF INTEGER;
+  R = RECORD a, b: Half END;
+VAR r: R;
+BEGIN r.a[0] := 1`,
+			wantErr: "T.mod:4:7: error: implementation limit: the size in slots of a RECORD exceeds 8 388 607"},
+		{name: "variables that fill an area past the limit are diagnosed", body: `
+TYPE Half = ARRAY [0..4194303] OF INTEGER;
+VAR a, b: Half; c: INTEGER;
+BEGIN c := 1`,
+			wantErr: "T.mod:4:8: error: implementation limit: the size in slots of the variables up to b exceeds 8 388 607"},
+		{name: "a type of exactly the limit compiles and runs", body: `
+TYPE Big = ARRAY [1..8388607] OF INTEGER;
+VAR p, q: POINTER TO Big;
+BEGIN
+  p := NIL; q := NIL;
+  IF p # NIL THEN p^ := q^ END;
+  WriteInt(SIZE(Big) DIV 4, 0); WriteLn`,
+			want: "8388607\n"},
+		{name: "a trap line past the limit is diagnosed, not truncated", body: `
+VAR x: INTEGER;
+BEGIN
+  x := 1;` + strings.Repeat("\n", 8388608) + `x := x DIV x`,
+			wantErr: "T.mod:8388613:1: error: implementation limit: operand 8388613 of DIVI in T..body exceeds 8 388 607"},
 	})
 }

@@ -7,11 +7,13 @@ import (
 	"m2cc/internal/core"
 	"m2cc/internal/seq"
 	"m2cc/internal/source"
+	"m2cc/internal/symtab"
 	"m2cc/internal/vm"
 )
 
 // runCase is one end-to-end language-behavior check: the module is
-// compiled by BOTH compilers (their outputs must agree), linked and
+// compiled by BOTH compilers, the concurrent one under every DKY
+// strategy (their outputs must agree), linked and
 // executed.  Exactly one of want/wantErr/wantTrap is set: expected
 // stdout, an expected compile-error substring, or an expected runtime
 // trap substring.
@@ -34,10 +36,15 @@ func runAll(t *testing.T, cases []runCase) {
 			loader.Add("T", source.Impl, c.src())
 
 			seqr := seq.Compile("T", loader)
-			conc := core.Compile("T", loader, core.Options{Workers: 4})
-			if seqr.Diags.String() != conc.Diags.String() {
-				t.Fatalf("compilers disagree on diagnostics\nseq:\n%s\nconc:\n%s",
-					seqr.Diags, conc.Diags)
+			for strat := symtab.Avoidance; strat < symtab.NumStrategies; strat++ {
+				conc := core.Compile("T", loader, core.Options{Workers: 4, Strategy: strat})
+				if seqr.Diags.String() != conc.Diags.String() {
+					t.Fatalf("compilers disagree on diagnostics under %s\nseq:\n%s\nconc:\n%s",
+						strat, seqr.Diags, conc.Diags)
+				}
+				if !seqr.Failed() && seqr.Object.Listing() != conc.Object.Listing() {
+					t.Fatalf("listings differ under %s\nseq:\n%s\nconc:\n%s", strat, seqr.Object.Listing(), conc.Object.Listing())
+				}
 			}
 			if c.wantErr != "" {
 				if !seqr.Failed() {
@@ -50,9 +57,6 @@ func runAll(t *testing.T, cases []runCase) {
 			}
 			if seqr.Failed() {
 				t.Fatalf("compile failed:\n%s", seqr.Diags)
-			}
-			if sl, cl := seqr.Object.Listing(), conc.Object.Listing(); sl != cl {
-				t.Fatalf("listings differ\nseq:\n%s\nconc:\n%s", sl, cl)
 			}
 			prog, err := vm.Link([]*vm.Object{seqr.Object}, "T")
 			if err != nil {

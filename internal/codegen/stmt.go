@@ -20,6 +20,7 @@ func (g *Gen) stmtList(sl *ast.StmtList) {
 
 func (g *Gen) stmt(s ast.Stmt) {
 	g.env.Ctx.Add(ctrace.CostStmtNode)
+	g.cur = s
 	switch s := s.(type) {
 	case *ast.AssignStmt:
 		g.assign(s)
@@ -32,20 +33,20 @@ func (g *Gen) stmt(s ast.Stmt) {
 	case *ast.WhileStmt:
 		top := g.here()
 		g.boolOperand(s.Cond)
-		j := g.emit(vm.Instr{Op: vm.Jz})
+		j := g.emit(vm.Jz, 0, 0)
 		g.stmtList(s.Body)
-		g.emit(vm.Instr{Op: vm.Jmp, A: top})
+		g.emit(vm.Jmp, top, 0)
 		g.patch(j)
 	case *ast.RepeatStmt:
 		top := g.here()
 		g.stmtList(s.Body)
 		g.boolOperand(s.Cond)
-		g.emit(vm.Instr{Op: vm.Jz, A: top})
+		g.emit(vm.Jz, top, 0)
 	case *ast.LoopStmt:
 		top := g.here()
 		g.loops = append(g.loops, &loopCtx{})
 		g.stmtList(s.Body)
-		g.emit(vm.Instr{Op: vm.Jmp, A: top})
+		g.emit(vm.Jmp, top, 0)
 		lc := g.loops[len(g.loops)-1]
 		g.loops = g.loops[:len(g.loops)-1]
 		for _, e := range lc.exits {
@@ -57,7 +58,7 @@ func (g *Gen) stmt(s ast.Stmt) {
 			return
 		}
 		lc := g.loops[len(g.loops)-1]
-		lc.exits = append(lc.exits, g.emit(vm.Instr{Op: vm.Jmp}))
+		lc.exits = append(lc.exits, g.emit(vm.Jmp, 0, 0))
 	case *ast.ForStmt:
 		g.forStmt(s)
 	case *ast.WithStmt:
@@ -65,7 +66,7 @@ func (g *Gen) stmt(s ast.Stmt) {
 	case *ast.ReturnStmt:
 		g.returnStmt(s)
 	case *ast.RaiseStmt:
-		sym := g.env.ResolveQualident(g.scope, s.Exc, g.withBindings())
+		sym := g.env.ResolveQualident(g.scope, s.Exc, g.withs)
 		if sym == nil {
 			return
 		}
@@ -73,7 +74,7 @@ func (g *Gen) stmt(s ast.Stmt) {
 			g.errorf(s.Pos, "%s is not an exception", s.Exc)
 			return
 		}
-		g.emit(vm.Instr{Op: vm.Raise, A: g.excIdx(sym.ExcName), B: int32(s.Pos.Line)})
+		g.emit(vm.Raise, g.excIdx(sym.ExcName), int32(s.Pos.Line))
 	case *ast.TryStmt:
 		g.tryStmt(s)
 	case *ast.LockStmt:
@@ -81,7 +82,7 @@ func (g *Gen) stmt(s ast.Stmt) {
 		if t != types.Bad && t.Under().Kind != types.MutexK && !t.IsPointerLike() {
 			g.errorf(s.Pos, "LOCK requires a MUTEX, have %s", t)
 		}
-		g.emit(vm.Instr{Op: vm.Drop})
+		g.emit(vm.Drop, 0, 0)
 		g.stmtList(s.Body)
 	}
 }
@@ -107,7 +108,7 @@ func (g *Gen) assign(s *ast.AssignStmt) {
 			d := p.t.Deref()
 			if d.Kind != types.ArrayK || !d.Base.IsChar() {
 				g.errorf(s.Pos, "string constant requires an ARRAY OF CHAR destination, have %s", p.t)
-				g.emit(vm.Instr{Op: vm.Drop})
+				g.emit(vm.Drop, 0, 0)
 				return
 			}
 			n := int32(d.Slots())
@@ -115,13 +116,13 @@ func (g *Gen) assign(s *ast.AssignStmt) {
 				g.errorf(s.Pos, "string constant of length %d does not fit in %s", len(str.Value), p.t)
 			}
 			g.emitStr(str.Value)
-			g.emit(vm.Instr{Op: vm.StrToA, A: n})
+			g.emit(vm.StrToA, n, 0)
 			return
 		}
 		rd, ok := s.RHS.(*ast.Designator)
 		if !ok {
 			g.errorf(s.Pos, "aggregate assignment requires a variable or string constant on the right")
-			g.emit(vm.Instr{Op: vm.Drop})
+			g.emit(vm.Drop, 0, 0)
 			return
 		}
 		rp := g.resolveDesig(rd, true)
@@ -129,13 +130,13 @@ func (g *Gen) assign(s *ast.AssignStmt) {
 			if rp.kind != pNone {
 				g.errorf(s.Pos, "aggregate assignment requires a variable on the right")
 			}
-			g.emit(vm.Instr{Op: vm.Drop})
+			g.emit(vm.Drop, 0, 0)
 			return
 		}
 		if rp.t.Deref() != p.t.Deref() {
 			g.errorf(s.Pos, "incompatible assignment: %s := %s", p.t, rp.t)
 		}
-		g.emit(vm.Instr{Op: vm.Copy, A: int32(p.t.Slots())})
+		g.emit(vm.Copy, int32(p.t.Slots()), 0)
 		return
 	}
 
@@ -150,23 +151,23 @@ func (g *Gen) assign(s *ast.AssignStmt) {
 func (g *Gen) discard(e ast.Expr) {
 	_, agg := g.compileExpr(e)
 	_ = agg
-	g.emit(vm.Instr{Op: vm.Drop})
+	g.emit(vm.Drop, 0, 0)
 }
 
 func (g *Gen) ifStmt(s *ast.IfStmt) {
 	var ends []int32
 	g.boolOperand(s.Cond)
-	next := g.emit(vm.Instr{Op: vm.Jz})
+	next := g.emit(vm.Jz, 0, 0)
 	g.stmtList(s.Then)
 	for _, arm := range s.Elsifs {
-		ends = append(ends, g.emit(vm.Instr{Op: vm.Jmp}))
+		ends = append(ends, g.emit(vm.Jmp, 0, 0))
 		g.patch(next)
 		g.boolOperand(arm.Cond)
-		next = g.emit(vm.Instr{Op: vm.Jz})
+		next = g.emit(vm.Jz, 0, 0)
 		g.stmtList(arm.Then)
 	}
 	if s.Else != nil {
-		ends = append(ends, g.emit(vm.Instr{Op: vm.Jmp}))
+		ends = append(ends, g.emit(vm.Jmp, 0, 0))
 		g.patch(next)
 		g.stmtList(s.Else)
 	} else {
@@ -183,7 +184,7 @@ func (g *Gen) caseStmt(s *ast.CaseStmt) {
 	mark := g.tempTop
 	sel := g.allocTemp(1)
 	st := g.compileOrdinalExpr(s.Expr)
-	g.emit(vm.Instr{Op: vm.StLoc, A: 0, B: sel})
+	g.emit(vm.StLoc, 0, sel)
 
 	var ends []int32
 	for _, arm := range s.Arms {
@@ -197,35 +198,35 @@ func (g *Gen) caseStmt(s *ast.CaseStmt) {
 			if ok && st != types.Bad && !types.SameClass(st, lot) {
 				g.errorf(s.Pos, "case label type %s does not match selector type %s", lot, st)
 			}
-			g.emit(vm.Instr{Op: vm.LdLoc, A: 0, B: sel})
+			g.emit(vm.LdLoc, 0, sel)
 			if l.Hi == nil {
 				g.emitInt(lo)
-				g.emit(vm.Instr{Op: vm.CmpI, A: vm.RelEq})
-				hits = append(hits, g.emit(vm.Instr{Op: vm.Jnz}))
+				g.emit(vm.CmpI, vm.RelEq, 0)
+				hits = append(hits, g.emit(vm.Jnz, 0, 0))
 			} else {
 				// lo <= sel <= hi via two compares.
 				g.emitInt(lo)
-				g.emit(vm.Instr{Op: vm.CmpI, A: vm.RelGe})
-				miss := g.emit(vm.Instr{Op: vm.Jz})
-				g.emit(vm.Instr{Op: vm.LdLoc, A: 0, B: sel})
+				g.emit(vm.CmpI, vm.RelGe, 0)
+				miss := g.emit(vm.Jz, 0, 0)
+				g.emit(vm.LdLoc, 0, sel)
 				g.emitInt(hi)
-				g.emit(vm.Instr{Op: vm.CmpI, A: vm.RelLe})
-				hits = append(hits, g.emit(vm.Instr{Op: vm.Jnz}))
+				g.emit(vm.CmpI, vm.RelLe, 0)
+				hits = append(hits, g.emit(vm.Jnz, 0, 0))
 				g.patch(miss)
 			}
 		}
-		skip := g.emit(vm.Instr{Op: vm.Jmp})
+		skip := g.emit(vm.Jmp, 0, 0)
 		for _, h := range hits {
 			g.patch(h)
 		}
 		g.stmtList(arm.Body)
-		ends = append(ends, g.emit(vm.Instr{Op: vm.Jmp}))
+		ends = append(ends, g.emit(vm.Jmp, 0, 0))
 		g.patch(skip)
 	}
 	if s.Else != nil {
 		g.stmtList(s.Else)
 	} else {
-		g.emit(vm.Instr{Op: vm.CaseTrap, A: int32(s.Pos.Line)})
+		g.emit(vm.CaseTrap, int32(s.Pos.Line), 0)
 	}
 	for _, e := range ends {
 		g.patch(e)
@@ -234,7 +235,7 @@ func (g *Gen) caseStmt(s *ast.CaseStmt) {
 }
 
 func (g *Gen) forStmt(s *ast.ForStmt) {
-	res := g.env.Search.Lookup(g.scope, s.Var.Text, g.withBindings())
+	res := g.env.Search.Lookup(g.scope, s.Var.Text, g.withs)
 	if !res.Found() || res.Sym == nil ||
 		(res.Sym.Kind != symtab.KVar && res.Sym.Kind != symtab.KParam) {
 		g.errorf(s.Var.Pos, "FOR control variable %s must be a declared variable", s.Var.Text)
@@ -260,16 +261,16 @@ func (g *Gen) forStmt(s *ast.ForStmt) {
 
 	store := func() {
 		if v.Global {
-			g.emit(vm.Instr{Op: vm.StGlb, A: g.areaIdx(v.Area), B: v.Offset})
+			g.emit(vm.StGlb, g.areaIdx(v.Area), v.Offset)
 		} else {
-			g.emit(vm.Instr{Op: vm.StLoc, A: g.hops(v.Level), B: v.Offset})
+			g.emit(vm.StLoc, g.hops(v.Level), v.Offset)
 		}
 	}
 	load := func() {
 		if v.Global {
-			g.emit(vm.Instr{Op: vm.LdGlb, A: g.areaIdx(v.Area), B: v.Offset})
+			g.emit(vm.LdGlb, g.areaIdx(v.Area), v.Offset)
 		} else {
-			g.emit(vm.Instr{Op: vm.LdLoc, A: g.hops(v.Level), B: v.Offset})
+			g.emit(vm.LdLoc, g.hops(v.Level), v.Offset)
 		}
 	}
 
@@ -280,23 +281,23 @@ func (g *Gen) forStmt(s *ast.ForStmt) {
 	store()
 	tt := g.compileCoerced(s.To, v.Type)
 	g.env.CheckAssignable(s.Var.Pos, v.Type, tt)
-	g.emit(vm.Instr{Op: vm.StLoc, A: 0, B: limit})
+	g.emit(vm.StLoc, 0, limit)
 
 	top := g.here()
 	load()
-	g.emit(vm.Instr{Op: vm.LdLoc, A: 0, B: limit})
+	g.emit(vm.LdLoc, 0, limit)
 	if step > 0 {
-		g.emit(vm.Instr{Op: vm.CmpI, A: vm.RelLe})
+		g.emit(vm.CmpI, vm.RelLe, 0)
 	} else {
-		g.emit(vm.Instr{Op: vm.CmpI, A: vm.RelGe})
+		g.emit(vm.CmpI, vm.RelGe, 0)
 	}
-	done := g.emit(vm.Instr{Op: vm.Jz})
+	done := g.emit(vm.Jz, 0, 0)
 	g.stmtList(s.Body)
 	load()
 	g.emitInt(step)
-	g.emit(vm.Instr{Op: vm.AddI})
+	g.emit(vm.AddI, 0, 0)
 	store()
-	g.emit(vm.Instr{Op: vm.Jmp, A: top})
+	g.emit(vm.Jmp, top, 0)
 	g.patch(done)
 	g.releaseTemp(mark)
 }
@@ -308,20 +309,18 @@ func (g *Gen) withStmt(s *ast.WithStmt) {
 			g.errorf(s.Pos, "WITH requires a record designator, have %s", p.t)
 		}
 		if p.kind == pAddr {
-			g.emit(vm.Instr{Op: vm.Drop})
+			g.emit(vm.Drop, 0, 0)
 		}
 		g.stmtList(s.Body)
 		return
 	}
 	mark := g.tempTop
 	temp := g.allocTemp(1)
-	g.emit(vm.Instr{Op: vm.StLoc, A: 0, B: temp})
-	g.withs = append(g.withs, withInfo{
-		binding: symtab.WithBinding{Rec: p.t},
-		temp:    temp,
-	})
+	g.emit(vm.StLoc, 0, temp)
+	g.withs = append(g.withs, symtab.WithBinding{Rec: p.t})
+	g.withTemp = append(g.withTemp, temp)
 	g.stmtList(s.Body)
-	g.withs = g.withs[:len(g.withs)-1]
+	g.withs, g.withTemp = g.withs[:len(g.withs)-1], g.withTemp[:len(g.withTemp)-1]
 	g.releaseTemp(mark)
 }
 
@@ -331,19 +330,19 @@ func (g *Gen) returnStmt(s *ast.ReturnStmt) {
 			g.errorf(s.Pos, "RETURN with a value in a proper procedure")
 			g.discard(s.Expr)
 		}
-		g.emit(vm.Instr{Op: vm.RetP})
+		g.emit(vm.RetP, 0, 0)
 		return
 	}
 	if s.Expr == nil {
 		g.errorf(s.Pos, "RETURN in a function must carry a value")
-		g.emit(vm.Instr{Op: vm.PushInt})
-		g.emit(vm.Instr{Op: vm.RetF})
+		g.emit(vm.PushInt, 0, 0)
+		g.emit(vm.RetF, 0, 0)
 		return
 	}
 	rt := g.compileCoerced(s.Expr, g.sig.Ret)
 	g.env.CheckAssignable(s.Pos, g.sig.Ret, rt)
 	g.rangeCheck(g.sig.Ret, s.Pos)
-	g.emit(vm.Instr{Op: vm.RetF})
+	g.emit(vm.RetF, 0, 0)
 }
 
 func (g *Gen) tryStmt(s *ast.TryStmt) {
@@ -356,18 +355,18 @@ func (g *Gen) tryStmt(s *ast.TryStmt) {
 		}
 	}
 
-	try := g.emit(vm.Instr{Op: vm.EnterTry})
+	try := g.emit(vm.EnterTry, 0, 0)
 	g.stmtList(s.Body)
-	g.emit(vm.Instr{Op: vm.EndTry})
+	g.emit(vm.EndTry, 0, 0)
 	finally()
-	end := g.emit(vm.Instr{Op: vm.Jmp})
+	end := g.emit(vm.Jmp, 0, 0)
 	g.patch(try)
 
 	var ends []int32
 	for _, h := range s.Handlers {
 		var hits []int32
 		for _, exq := range h.Excs {
-			sym := g.env.ResolveQualident(g.scope, exq, g.withBindings())
+			sym := g.env.ResolveQualident(g.scope, exq, g.withs)
 			if sym == nil {
 				continue
 			}
@@ -375,16 +374,16 @@ func (g *Gen) tryStmt(s *ast.TryStmt) {
 				g.errorf(exq.Pos(), "%s is not an exception", exq)
 				continue
 			}
-			g.emit(vm.Instr{Op: vm.ExcIs, A: g.excIdx(sym.ExcName)})
-			hits = append(hits, g.emit(vm.Instr{Op: vm.Jnz}))
+			g.emit(vm.ExcIs, g.excIdx(sym.ExcName), 0)
+			hits = append(hits, g.emit(vm.Jnz, 0, 0))
 		}
-		skip := g.emit(vm.Instr{Op: vm.Jmp})
+		skip := g.emit(vm.Jmp, 0, 0)
 		for _, h2 := range hits {
 			g.patch(h2)
 		}
 		g.stmtList(h.Body)
 		finally()
-		ends = append(ends, g.emit(vm.Instr{Op: vm.Jmp}))
+		ends = append(ends, g.emit(vm.Jmp, 0, 0))
 		g.patch(skip)
 	}
 	if s.Else != nil {
@@ -392,7 +391,7 @@ func (g *Gen) tryStmt(s *ast.TryStmt) {
 		finally()
 	} else {
 		finally()
-		g.emit(vm.Instr{Op: vm.Reraise})
+		g.emit(vm.Reraise, 0, 0)
 	}
 	for _, e := range ends {
 		g.patch(e)
@@ -417,7 +416,7 @@ func (g *Gen) callStmt(s *ast.CallStmt) {
 		g.emitDirectCall(p.sym, sig)
 		g.releaseTemp(mark)
 		if sig.Ret != nil {
-			g.emit(vm.Instr{Op: vm.Drop})
+			g.emit(vm.Drop, 0, 0)
 		}
 	case pDirect, pAddr:
 		t, _ := g.loadPlace(p, s.Pos)
@@ -425,7 +424,7 @@ func (g *Gen) callStmt(s *ast.CallStmt) {
 			if t != types.Bad {
 				g.errorf(s.Pos, "%s is not callable", t)
 			}
-			g.emit(vm.Instr{Op: vm.Drop})
+			g.emit(vm.Drop, 0, 0)
 			return
 		}
 		sig := t.Under()
@@ -437,7 +436,7 @@ func (g *Gen) callStmt(s *ast.CallStmt) {
 		}
 		mark := g.tempTop
 		g.emitArgs(sig, s.Args, s.Pos)
-		g.emit(vm.Instr{Op: vm.CallInd, B: g.argSlotsOf(sig)})
+		g.emit(vm.CallInd, 0, g.argSlotsOf(sig))
 		g.releaseTemp(mark)
 	case pNone:
 		for _, a := range s.Args {
@@ -467,7 +466,7 @@ func (g *Gen) argAddr(a ast.Expr, what string) *types.Type {
 	d, ok := a.(*ast.Designator)
 	if !ok {
 		g.errorf(a.ExprPos(), "%s requires a variable", what)
-		g.emit(vm.Instr{Op: vm.PushNil})
+		g.emit(vm.PushNil, 0, 0)
 		return types.Bad
 	}
 	p := g.resolveDesig(d, true)
@@ -475,7 +474,7 @@ func (g *Gen) argAddr(a ast.Expr, what string) *types.Type {
 		if p.kind != pNone {
 			g.errorf(a.ExprPos(), "%s requires a variable", what)
 		}
-		g.emit(vm.Instr{Op: vm.PushNil})
+		g.emit(vm.PushNil, 0, 0)
 		return types.Bad
 	}
 	return p.t
@@ -492,8 +491,8 @@ func (g *Gen) builtinProc(sym *symtab.Symbol, s *ast.CallStmt) {
 		if t != types.Bad && !t.IsOrdinal() {
 			g.errorf(pos, "%s requires an ordinal variable, have %s", sym.Name, t)
 		}
-		g.emit(vm.Instr{Op: vm.Dup})
-		g.emit(vm.Instr{Op: vm.LdInd})
+		g.emit(vm.Dup, 0, 0)
+		g.emit(vm.LdInd, 0, 0)
 		if len(s.Args) == 2 {
 			at := g.compileScalarExpr(s.Args[1])
 			if at != types.Bad && !at.IsInteger() {
@@ -503,12 +502,12 @@ func (g *Gen) builtinProc(sym *symtab.Symbol, s *ast.CallStmt) {
 			g.emitInt(1)
 		}
 		if sym.BID == symtab.BInc {
-			g.emit(vm.Instr{Op: vm.AddI})
+			g.emit(vm.AddI, 0, 0)
 		} else {
-			g.emit(vm.Instr{Op: vm.SubI})
+			g.emit(vm.SubI, 0, 0)
 		}
 		g.rangeCheck(t, pos)
-		g.emit(vm.Instr{Op: vm.StInd})
+		g.emit(vm.StInd, 0, 0)
 
 	case symtab.BIncl, symtab.BExcl:
 		if !g.needArgs(s, sym.Name, 2, 2) {
@@ -520,9 +519,9 @@ func (g *Gen) builtinProc(sym *symtab.Symbol, s *ast.CallStmt) {
 		}
 		g.compileOrdinalExpr(s.Args[1])
 		if sym.BID == symtab.BIncl {
-			g.emit(vm.Instr{Op: vm.InclM, A: int32(pos.Line)})
+			g.emit(vm.InclM, int32(pos.Line), 0)
 		} else {
-			g.emit(vm.Instr{Op: vm.ExclM, A: int32(pos.Line)})
+			g.emit(vm.ExclM, int32(pos.Line), 0)
 		}
 
 	case symtab.BNew:
@@ -533,14 +532,14 @@ func (g *Gen) builtinProc(sym *symtab.Symbol, s *ast.CallStmt) {
 		d := t.Deref()
 		if t != types.Bad && d.Kind != types.PointerK && d.Kind != types.RefK {
 			g.errorf(pos, "NEW requires a pointer variable, have %s", t)
-			g.emit(vm.Instr{Op: vm.Drop})
+			g.emit(vm.Drop, 0, 0)
 			return
 		}
 		slots := int32(1)
 		if d.Base != nil {
 			slots = int32(d.Base.Slots())
 		}
-		g.emit(vm.Instr{Op: vm.NewObj, A: slots})
+		g.emit(vm.NewObj, slots, 0)
 
 	case symtab.BDispose:
 		if !g.needArgs(s, sym.Name, 1, 1) {
@@ -550,20 +549,20 @@ func (g *Gen) builtinProc(sym *symtab.Symbol, s *ast.CallStmt) {
 		if t != types.Bad && t.Deref().Kind != types.PointerK {
 			g.errorf(pos, "DISPOSE requires a POINTER variable, have %s", t)
 		}
-		g.emit(vm.Instr{Op: vm.Dispose})
+		g.emit(vm.Dispose, 0, 0)
 
 	case symtab.BHalt:
 		if !g.needArgs(s, sym.Name, 0, 0) {
 			return
 		}
-		g.emit(vm.Instr{Op: vm.HaltOp})
+		g.emit(vm.HaltOp, 0, 0)
 
 	case symtab.BAssert:
 		if !g.needArgs(s, sym.Name, 1, 1) {
 			return
 		}
 		g.boolOperand(s.Args[0])
-		g.emit(vm.Instr{Op: vm.AssertOp, A: int32(pos.Line)})
+		g.emit(vm.AssertOp, int32(pos.Line), 0)
 
 	case symtab.BWriteInt, symtab.BWriteCard:
 		if !g.needArgs(s, sym.Name, 1, 2) {
@@ -574,7 +573,7 @@ func (g *Gen) builtinProc(sym *symtab.Symbol, s *ast.CallStmt) {
 			g.errorf(pos, "%s requires an integer, have %s", sym.Name, t)
 		}
 		g.emitWidth(s, 1)
-		g.emit(vm.Instr{Op: vm.IOWriteInt})
+		g.emit(vm.IOWriteInt, 0, 0)
 
 	case symtab.BWriteReal:
 		if !g.needArgs(s, sym.Name, 1, 2) {
@@ -585,7 +584,7 @@ func (g *Gen) builtinProc(sym *symtab.Symbol, s *ast.CallStmt) {
 			g.errorf(pos, "WriteReal requires a real, have %s", t)
 		}
 		g.emitWidth(s, 1)
-		g.emit(vm.Instr{Op: vm.IOWriteReal})
+		g.emit(vm.IOWriteReal, 0, 0)
 
 	case symtab.BWriteChar:
 		if !g.needArgs(s, sym.Name, 1, 1) {
@@ -595,13 +594,13 @@ func (g *Gen) builtinProc(sym *symtab.Symbol, s *ast.CallStmt) {
 		if t != types.Bad && !t.IsChar() {
 			g.errorf(pos, "WriteChar requires a CHAR, have %s", t)
 		}
-		g.emit(vm.Instr{Op: vm.IOWriteChar})
+		g.emit(vm.IOWriteChar, 0, 0)
 
 	case symtab.BWriteLn:
 		if !g.needArgs(s, sym.Name, 0, 0) {
 			return
 		}
-		g.emit(vm.Instr{Op: vm.IOWriteLn})
+		g.emit(vm.IOWriteLn, 0, 0)
 
 	case symtab.BWriteString, symtab.BWriteText:
 		if !g.needArgs(s, sym.Name, 1, 1) {
@@ -617,7 +616,7 @@ func (g *Gen) builtinProc(sym *symtab.Symbol, s *ast.CallStmt) {
 		if t != types.Bad && !t.IsInteger() {
 			g.errorf(pos, "ReadInt requires an integer variable, have %s", t)
 		}
-		g.emit(vm.Instr{Op: vm.IOReadInt})
+		g.emit(vm.IOReadInt, 0, 0)
 
 	case symtab.BReadChar:
 		if !g.needArgs(s, sym.Name, 1, 1) {
@@ -627,7 +626,7 @@ func (g *Gen) builtinProc(sym *symtab.Symbol, s *ast.CallStmt) {
 		if t != types.Bad && !t.IsChar() {
 			g.errorf(pos, "ReadChar requires a CHAR variable, have %s", t)
 		}
-		g.emit(vm.Instr{Op: vm.IOReadChar})
+		g.emit(vm.IOReadChar, 0, 0)
 
 	default:
 		g.errorf(pos, "%s is a function; its result must be used", sym.Name)
@@ -657,9 +656,9 @@ func (g *Gen) writeStringArg(a ast.Expr) {
 				g.errorf(a.ExprPos(), "WriteString requires characters, have %s", p.t)
 			}
 			hops := g.hops(p.sym.Level)
-			g.emit(vm.Instr{Op: vm.LdLoc, A: hops, B: p.sym.Offset})
-			g.emit(vm.Instr{Op: vm.LdLoc, A: hops, B: p.sym.Offset + 1})
-			g.emit(vm.Instr{Op: vm.IOWriteStr})
+			g.emit(vm.LdLoc, hops, p.sym.Offset)
+			g.emit(vm.LdLoc, hops, p.sym.Offset+1)
+			g.emit(vm.IOWriteStr, 0, 0)
 			return
 		case p.kind == pAddr && p.t.Deref().Kind == types.ArrayK:
 			d := p.t.Deref()
@@ -667,18 +666,18 @@ func (g *Gen) writeStringArg(a ast.Expr) {
 				g.errorf(a.ExprPos(), "WriteString requires an ARRAY OF CHAR, have %s", p.t)
 			}
 			g.emitInt(int64(d.Slots()))
-			g.emit(vm.Instr{Op: vm.IOWriteStr})
+			g.emit(vm.IOWriteStr, 0, 0)
 			return
 		case p.kind == pAddr || p.kind == pDirect:
 			t, _ := g.loadPlaceFrom(p, a.ExprPos())
 			if t != types.Bad && t.Under().Kind != types.TextK && t.Under().Kind != types.StringK {
 				g.errorf(a.ExprPos(), "WriteString requires text or characters, have %s", t)
 			}
-			g.emit(vm.Instr{Op: vm.IOWriteText})
+			g.emit(vm.IOWriteText, 0, 0)
 			return
 		case p.kind == pConst:
 			g.emitConst(p.v, a.ExprPos())
-			g.emit(vm.Instr{Op: vm.IOWriteText})
+			g.emit(vm.IOWriteText, 0, 0)
 			return
 		default:
 			g.errorf(a.ExprPos(), "WriteString cannot print this designator")
@@ -689,7 +688,7 @@ func (g *Gen) writeStringArg(a ast.Expr) {
 	if t != types.Bad && t.Under().Kind != types.TextK && t.Under().Kind != types.StringK {
 		g.errorf(a.ExprPos(), "WriteString requires a string, have %s", t)
 	}
-	g.emit(vm.Instr{Op: vm.IOWriteText})
+	g.emit(vm.IOWriteText, 0, 0)
 }
 
 // loadPlaceFrom is loadPlace without re-resolving (helper for places

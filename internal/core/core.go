@@ -570,7 +570,7 @@ func (d *driver) env(t *sched.Task, file string) *sema.Env {
 func (d *driver) envBag(t *sched.Task, file string, bag *diag.Bag) *sema.Env {
 	return &sema.Env{
 		Tab:    d.tab,
-		Search: &symtab.Searcher{Tab: d.tab, Ctx: t.Ctx, Wait: t.HandledWait},
+		Search: symtab.Searcher{Tab: d.tab, Ctx: t.Ctx, Wait: t},
 		Ctx:    t.Ctx,
 		Diags:  bag,
 		File:   file,

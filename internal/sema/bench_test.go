@@ -6,7 +6,6 @@ import (
 	"m2cc/internal/ast"
 	"m2cc/internal/ctrace"
 	"m2cc/internal/diag"
-	"m2cc/internal/event"
 	"m2cc/internal/lexer"
 	"m2cc/internal/parser"
 	"m2cc/internal/sema"
@@ -39,7 +38,7 @@ func BenchmarkDeclAnalysis(b *testing.B) {
 	newEnv := func(tab *symtab.Table, reg *vm.Registry) *sema.Env {
 		return &sema.Env{
 			Tab:    tab,
-			Search: &symtab.Searcher{Tab: tab, Ctx: ctx, Wait: func(*event.Event) {}},
+			Search: symtab.Searcher{Tab: tab, Ctx: ctx, Wait: symtab.NoWait},
 			Ctx:    ctx, Diags: diags, File: module + ".mod", Reg: reg,
 		}
 	}

@@ -107,9 +107,14 @@ func (a *DeclAnalyzer) warnModuleShadow(n ast.Name) {
 	}
 }
 
-// alloc reserves n storage slots in this scope's area or frame.
-func (a *DeclAnalyzer) alloc(n int32) int32 {
+// alloc reserves n storage slots in this scope's area or frame for the
+// variable name, diagnosing at it a size past types.MaxSlots.
+func (a *DeclAnalyzer) alloc(n int32, name ast.Name) int32 {
 	off := a.NextOff
+	if int64(off)+int64(n) > types.MaxSlots {
+		a.Env.Errorf(name.Pos, vm.LimitFmt, "the size in slots of the variables up to "+name.Text)
+		return off
+	}
 	a.NextOff += n
 	return off
 }
@@ -186,7 +191,7 @@ func (a *DeclAnalyzer) Analyze(decls []ast.Decl) {
 				a.warnModuleShadow(n)
 				sym := &symtab.Symbol{
 					Name: n.Text, Kind: symtab.KVar, Pos: n.Pos, Type: t,
-					Level: a.Scope.Level, Offset: a.alloc(slots),
+					Level: a.Scope.Level, Offset: a.alloc(slots, n),
 				}
 				if a.Area >= 0 {
 					sym.Global = true
@@ -271,14 +276,17 @@ func (a *DeclAnalyzer) analyzeProcHeading(d *ast.ProcDecl) {
 		return
 	}
 
-	var argSlots int32
+	var argSlots int64
 	for _, p := range params {
-		argSlots += ParamSlots(p)
+		argSlots += int64(ParamSlots(p))
+	}
+	if argSlots > types.MaxSlots {
+		e.Errorf(head.Name.Pos, vm.LimitFmt, "the size in slots of the parameters of "+head.Name.Text)
 	}
 	level := a.Scope.Level + 1
 	path := a.procPrefix + head.Name.Text
 	meta := e.Reg.NewProc(d.BodyStream, path, a.Scope.Kind == symtab.ModuleScope, false,
-		level, argSlots, ret != nil, head.Pos)
+		level, int32(argSlots), ret != nil, head.Pos)
 
 	procSym := &symtab.Symbol{
 		Name: head.Name.Text, Kind: symtab.KProc, Pos: head.Name.Pos,

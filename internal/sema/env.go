@@ -28,7 +28,7 @@ import (
 // constant evaluation and code generation.
 type Env struct {
 	Tab    *symtab.Table
-	Search *symtab.Searcher
+	Search symtab.Searcher
 	Ctx    *ctrace.TaskCtx
 	Diags  *diag.Bag
 	File   string

@@ -7,7 +7,6 @@ import (
 	"m2cc/internal/ast"
 	"m2cc/internal/ctrace"
 	"m2cc/internal/diag"
-	"m2cc/internal/event"
 	"m2cc/internal/lexer"
 	"m2cc/internal/parser"
 	"m2cc/internal/sema"
@@ -41,7 +40,7 @@ func analyzeModuleWith(t *testing.T, decls string, setup func(*sema.DeclAnalyzer
 	scope := tab.NewScope(symtab.ModuleScope, "M", nil, 0)
 	env := &sema.Env{
 		Tab:    tab,
-		Search: &symtab.Searcher{Tab: tab, Ctx: ctx, Wait: func(*event.Event) {}},
+		Search: symtab.Searcher{Tab: tab, Ctx: ctx, Wait: symtab.NoWait},
 		Ctx:    ctx, Diags: diags, File: "M.mod", Reg: vm.NewRegistry("M"),
 	}
 	a := sema.NewModuleAnalyzer(env, scope, "M.mod", "M", "M.mod", false)

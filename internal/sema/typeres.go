@@ -6,6 +6,7 @@ import (
 	"m2cc/internal/symtab"
 	"m2cc/internal/token"
 	"m2cc/internal/types"
+	"m2cc/internal/vm"
 )
 
 // fixup is one deferred pointer-target resolution ("POINTER TO T" with
@@ -123,17 +124,23 @@ func (a *DeclAnalyzer) resolveType(t ast.Type) *types.Type {
 				}
 				idx = types.NewSubrange(types.Integer, 0, 0)
 			}
-			result = types.NewArray(idx, result)
-			result.Slots()
+			if result = types.NewArray(idx, result); result.Slots() > types.MaxSlots {
+				e.Errorf(t.Pos, vm.LimitFmt, "the size in slots of "+result.String())
+				return types.Bad
+			}
 		}
 		return result
 
 	case *ast.RecordType:
 		rec := &recordLayout{a: a, seen: make(map[string]token.Pos)}
 		rec.layout(t.Fields, 0)
-		rt := types.NewRecord(rec.fields)
-		rt.Slots()
-		return rt
+		// Every field offset is below the record's size, so this one
+		// check bounds them all.
+		if rt := types.NewRecord(rec.fields); rt.Slots() <= types.MaxSlots {
+			return rt
+		}
+		e.Errorf(t.Pos, vm.LimitFmt, "the size in slots of a RECORD")
+		return types.Bad
 
 	case *ast.SetType:
 		base := a.resolveType(t.Base)

@@ -19,7 +19,6 @@ import (
 	"m2cc/internal/codegen"
 	"m2cc/internal/ctrace"
 	"m2cc/internal/diag"
-	"m2cc/internal/event"
 	"m2cc/internal/ifacecache"
 	"m2cc/internal/lexer"
 	"m2cc/internal/parser"
@@ -106,15 +105,12 @@ func CompileWithCache(module string, loader source.Loader, cache *ifacecache.Cac
 // wait gives the same not-found outcome termination-safely.
 func (c *compiler) env(file string) *sema.Env {
 	return &sema.Env{
-		Tab: c.tab,
-		Search: &symtab.Searcher{
-			Tab: c.tab, Ctx: c.ctx,
-			Wait: func(*event.Event) {},
-		},
-		Ctx:   c.ctx,
-		Diags: c.diags,
-		File:  file,
-		Reg:   c.reg,
+		Tab:    c.tab,
+		Search: symtab.Searcher{Tab: c.tab, Ctx: c.ctx, Wait: symtab.NoWait},
+		Ctx:    c.ctx,
+		Diags:  c.diags,
+		File:   file,
+		Reg:    c.reg,
 	}
 }
 

@@ -7,6 +7,15 @@ import (
 	"m2cc/internal/vm"
 )
 
+// instr packs one hand-assembled instruction whose A must fit.
+func instr(op vm.Op, a, b int32) vm.Instr {
+	ins, ok := vm.NewInstr(op, a, b)
+	if !ok {
+		panic("A does not fit")
+	}
+	return ins
+}
+
 // fixupSegment uses every relocated operand kind next to the three
 // that must NOT be relocated: a pooled string, an external call and an
 // external procedure value (A < 0, name in Exts).
@@ -15,14 +24,14 @@ func fixupSegment() vm.Segment {
 		Strs: []string{""},
 		Exts: []string{"Lib.Go"},
 		Code: []vm.Instr{
-			{Op: vm.PushStr, A: 0},
-			{Op: vm.Call, A: 2, B: 1},
-			{Op: vm.PushProc, A: 0},        // local procedure 0: must get a fixup
-			{Op: vm.PushProc, A: -1, B: 0}, // external: must not
-			{Op: vm.CallExt, A: 0, B: 1},
-			{Op: vm.LdGlb, A: 1, B: 4},
-			{Op: vm.Raise, A: 0},
-			{Op: vm.RetP},
+			instr(vm.PushStr, 0, 0),
+			instr(vm.Call, 2, 1),
+			instr(vm.PushProc, 0, 0),  // local procedure 0: must get a fixup
+			instr(vm.PushProc, -1, 0), // external: must not
+			instr(vm.CallExt, 0, 1),
+			instr(vm.LdGlb, 1, 4),
+			instr(vm.Raise, 0, 0),
+			instr(vm.RetP, 0, 0),
 		},
 	}
 }
@@ -95,12 +104,18 @@ func TestFixupsSkipPooledOperands(t *testing.T) {
 		}
 	}
 	for i, w := range []int32{0, 5, 3, -1, 0, 4, 3, 0} {
-		if moved[i].A != w {
-			t.Errorf("instr %d (%s): A = %d, want %d", i, moved[i].Op, moved[i].A, w)
+		if moved[i].A() != w {
+			t.Errorf("instr %d (%s): A = %d, want %d", i, moved[i].Op(), moved[i].A(), w)
 		}
-		if moved[i].B != orig[i].B || moved[i].Op != orig[i].Op {
+		if moved[i].B != orig[i].B || moved[i].Op() != orig[i].Op() {
 			t.Errorf("instr %d: only A may change: %+v vs %+v", i, moved[i], orig[i])
 		}
+	}
+
+	// An index past vm.MaxA fails the install rather than wrapping.
+	p, a, e = resolver(vm.MaxA)
+	if _, ok := ApplyFixups(seg.Code, fx, p, a, e); ok {
+		t.Fatal("an index past vm.MaxA must fail the install")
 	}
 
 	// An unknown procedure name fails the install.

@@ -64,7 +64,7 @@ const (
 // segment by name, to be re-resolved against the installing
 // compilation's registry.
 type Fixup struct {
-	Index int // instruction index within the record's Code
+	Index int32 // instruction index within the record's Code
 	Kind  FixKind
 	Name  string // proc FullName / area name / exception name
 }
@@ -223,22 +223,36 @@ func (c *Cache) Stats() Stats {
 func ExtractFixups(code []vm.Instr, procName func(int32) string,
 	areaName func(int32) string, excName func(int32) string) []Fixup {
 
-	var out []Fixup
+	n := 0
+	for _, ins := range code {
+		if _, ok := fixKind(ins); ok {
+			n++
+		}
+	}
+	out := make([]Fixup, 0, n)
+	names := [...]func(int32) string{FixProc: procName, FixArea: areaName, FixExc: excName}
 	for i, ins := range code {
-		switch ins.Op {
-		case vm.Call:
-			out = append(out, Fixup{Index: i, Kind: FixProc, Name: procName(ins.A)})
-		case vm.PushProc:
-			if ins.A >= 0 {
-				out = append(out, Fixup{Index: i, Kind: FixProc, Name: procName(ins.A)})
-			}
-		case vm.LdGlb, vm.StGlb, vm.LdaGlb:
-			out = append(out, Fixup{Index: i, Kind: FixArea, Name: areaName(ins.A)})
-		case vm.Raise, vm.ExcIs:
-			out = append(out, Fixup{Index: i, Kind: FixExc, Name: excName(ins.A)})
+		if k, ok := fixKind(ins); ok {
+			out = append(out, Fixup{Index: int32(i), Kind: k, Name: names[k](ins.A())})
 		}
 	}
 	return out
+}
+
+// fixKind reports whether ins carries a schedule-dependent operand, and
+// of which kind.
+func fixKind(ins vm.Instr) (FixKind, bool) {
+	switch ins.Op() {
+	case vm.Call:
+		return FixProc, true
+	case vm.PushProc:
+		return FixProc, ins.A() >= 0
+	case vm.LdGlb, vm.StGlb, vm.LdaGlb:
+		return FixArea, true
+	case vm.Raise, vm.ExcIs:
+		return FixExc, true
+	}
+	return 0, false
 }
 
 // ApplyFixups re-resolves every symbolic operand of a cached code
@@ -252,7 +266,8 @@ func ExtractFixups(code []vm.Instr, procName func(int32) string,
 // the cache and the recording compilation's result — object code is
 // immutable once installed.  procIdx reports ok=false for an unknown
 // procedure name — impossible when the key matched, but surfaced as a
-// failed install rather than silently wrong code.
+// failed install rather than silently wrong code; so is an index past
+// vm.MaxA.
 func ApplyFixups(code []vm.Instr, fixups []Fixup,
 	procIdx func(name string, was int32) (int32, bool),
 	areaIdx func(string) int32, excIdx func(string) int32) ([]vm.Instr, bool) {
@@ -263,7 +278,7 @@ func ApplyFixups(code []vm.Instr, fixups []Fixup,
 		var idx int32
 		switch f.Kind {
 		case FixProc:
-			i, ok := procIdx(f.Name, code[f.Index].A)
+			i, ok := procIdx(f.Name, code[f.Index].A())
 			if !ok {
 				return nil, false
 			}
@@ -273,14 +288,18 @@ func ApplyFixups(code []vm.Instr, fixups []Fixup,
 		case FixExc:
 			idx = excIdx(f.Name)
 		}
-		if out[f.Index].A == idx {
+		ins := out[f.Index]
+		if ins.A() == idx {
 			continue
 		}
 		if !copied {
 			out = append([]vm.Instr(nil), code...)
 			copied = true
 		}
-		out[f.Index].A = idx
+		var ok bool
+		if out[f.Index], ok = vm.NewInstr(ins.Op(), idx, ins.B); !ok {
+			return nil, false
+		}
 	}
 	return out, true
 }

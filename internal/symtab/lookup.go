@@ -364,13 +364,25 @@ type Result struct {
 // Found reports whether the lookup succeeded.
 func (r Result) Found() bool { return r.Sym != nil || r.Field != nil }
 
-// Searcher performs symbol lookups on behalf of one task.  Wait is the
-// handled-event wait supplied by the scheduler (releasing the worker
-// slot and preferring the resolving task, §2.3.4); nil waits inline.
+// Waiter performs handled-event waits: the scheduler's task is one,
+// releasing its worker slot and preferring the resolving task (§2.3.4).
+type Waiter interface {
+	HandledWait(*event.Event)
+}
+
+// NoWait is a Waiter that returns at once, leaving the table incomplete.
+var NoWait Waiter = noWait{}
+
+type noWait struct{}
+
+func (noWait) HandledWait(*event.Event) {}
+
+// Searcher performs symbol lookups on behalf of one task.  Wait is its
+// waiter; nil waits inline.
 type Searcher struct {
 	Tab  *Table
 	Ctx  *ctrace.TaskCtx
-	Wait func(*event.Event)
+	Wait Waiter
 
 	// hopBuf is the per-Searcher scratch buffer for traced lookups'
 	// hop chains; record copies it into the task's trace buffer and
@@ -388,7 +400,7 @@ func (s *Searcher) wait(e *event.Event) bool {
 	s.Tab.Stats.block()
 	s.Tab.Stats.bumpOutcome(s.Tab.Strategy, OutBlocked)
 	if s.Wait != nil {
-		s.Wait(e)
+		s.Wait.HandledWait(e)
 	} else {
 		e.Wait()
 	}

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 
 	"m2cc/internal/token"
+	"m2cc/internal/vm"
 )
 
 // Kind discriminates type representations.
@@ -230,10 +231,16 @@ func (t *Type) Bounds() (lo, hi int64, ok bool) {
 	return 0, 0, false
 }
 
+// MaxSlots bounds every storage size: sizes and field offsets reach the
+// code as an instruction's 24-bit A operand.  The analyzer diagnoses a
+// type, area or frame past it where it computes the size.
+const MaxSlots = vm.MaxA
+
 // Slots returns the storage size of a value of type t, in abstract
-// machine slots (one slot holds one scalar).  Open arrays occupy two
-// slots in a frame (base + length); that special case is handled by the
-// code generator, not here.
+// machine slots (one slot holds one scalar), or MaxSlots+1 for any size
+// past MaxSlots, so that no size wraps.  Open arrays occupy two slots
+// in a frame (base + length); that special case is handled by the code
+// generator, not here.
 func (t *Type) Slots() int {
 	d := t.Deref()
 	if s := d.slots.Load(); s > 0 {
@@ -242,12 +249,13 @@ func (t *Type) Slots() int {
 	n := 1
 	switch d.Kind {
 	case ArrayK:
-		lo, hi, _ := d.Index.Bounds()
-		count := int(hi - lo + 1)
-		if count < 0 {
-			count = 0
+		n = 0
+		if lo, hi, _ := d.Index.Bounds(); lo <= hi {
+			n = MaxSlots + 1
+			if count := uint64(hi - lo); count < MaxSlots {
+				n = int(count+1) * d.Base.Slots()
+			}
 		}
-		n = count * d.Base.Slots()
 	case RecordK:
 		n = 0
 		for _, f := range d.Fields {
@@ -259,6 +267,7 @@ func (t *Type) Slots() int {
 			n = 1 // empty record still occupies storage
 		}
 	}
+	n = min(n, MaxSlots+1)
 	d.slots.Store(int32(n))
 	return n
 }

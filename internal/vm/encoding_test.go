@@ -8,15 +8,16 @@ import (
 	"testing"
 	"unsafe"
 
+	"m2cc/internal/types"
 	"m2cc/internal/vm"
 )
 
 // TestInstrIsSmallAndPointerFree pins the two properties the object
-// code path is built on: a segment is 12 bytes per instruction, and it
+// code path is built on: a segment is 8 bytes per instruction, and it
 // holds nothing the garbage collector has to scan.
 func TestInstrIsSmallAndPointerFree(t *testing.T) {
-	if sz := unsafe.Sizeof(vm.Instr{}); sz != 12 {
-		t.Fatalf("vm.Instr is %d bytes, want 12", sz)
+	if sz := unsafe.Sizeof(vm.Instr{}); sz != 8 {
+		t.Fatalf("vm.Instr is %d bytes, want 8", sz)
 	}
 	var walk func(path string, ty reflect.Type)
 	walk = func(path string, ty reflect.Type) {
@@ -35,6 +36,52 @@ func TestInstrIsSmallAndPointerFree(t *testing.T) {
 		}
 	}
 	walk("Instr", reflect.TypeOf(vm.Instr{}))
+}
+
+// instr packs one hand-assembled instruction whose A must fit.
+func instr(op vm.Op, a, b int32) vm.Instr {
+	ins, ok := vm.NewInstr(op, a, b)
+	if !ok {
+		panic(fmt.Sprintf("%s: A=%d does not fit", op, a))
+	}
+	return ins
+}
+
+// TestEncodingRoundTrip: every opcode comes back with A at the ends of
+// its 24-bit range and around zero, and B at its int32 extremes; one
+// past either end of A is refused, not truncated.
+func TestEncodingRoundTrip(t *testing.T) {
+	if vm.MinA != -1<<23 || vm.MaxA != 1<<23-1 || types.MaxSlots != vm.MaxA {
+		t.Fatalf("A spans [%d, %d], storage sizes end at %d", vm.MinA, vm.MaxA, types.MaxSlots)
+	}
+	for op := vm.Op(0); int(op) < numOps(); op++ {
+		for _, a := range []int32{vm.MinA, -1, 0, vm.MaxA} {
+			for _, b := range []int32{math.MinInt32, -1, 0, math.MaxInt32} {
+				ins, ok := vm.NewInstr(op, a, b)
+				if !ok || ins.Op() != op || ins.A() != a || ins.B != b {
+					t.Fatalf("NewInstr(%s, %d, %d) = %s, %d, %d (ok=%v)", op, a, b, ins.Op(), ins.A(), ins.B, ok)
+				}
+			}
+		}
+		for _, a := range []int32{vm.MinA - 1, vm.MaxA + 1, math.MinInt32, math.MaxInt32} {
+			if _, ok := vm.NewInstr(op, a, 0); ok {
+				t.Errorf("NewInstr(%s, %d, 0) accepted an A that does not fit", op, a)
+			}
+		}
+	}
+}
+
+// TestLinkRefusesWideIndex: a procedure index that relocation pushes
+// past MaxA fails the link instead of wrapping.
+func TestLinkRefusesWideIndex(t *testing.T) {
+	lib := &vm.Object{Module: "A", Body: -1, Procs: []*vm.ProcMeta{{Module: "A", Name: "P",
+		Segment: vm.Segment{Code: []vm.Instr{instr(vm.RetP, 0, 0)}}}}}
+	o := handObject(vm.Segment{Code: []vm.Instr{instr(vm.Call, vm.MaxA, 0), instr(vm.RetP, 0, 0)}})
+	_, err := vm.Link([]*vm.Object{lib, o}, "M")
+	const want = "link: implementation limit: operand 8388608 of CALL in M..body exceeds 8 388 607"
+	if err == nil || err.Error() != want {
+		t.Fatalf("got %v, want %q", err, want)
+	}
 }
 
 // handObject wraps one hand-assembled body (plus optional extra procs)
@@ -81,10 +128,10 @@ func TestRealOperandsRoundTrip(t *testing.T) {
 	for _, f := range reals {
 		bits := math.Float64bits(f)
 		seg := vm.Segment{Ints: []int64{7, int64(bits)}, Code: []vm.Instr{
-			{Op: vm.PushReal, B: 1},
-			{Op: vm.PushInt},
-			{Op: vm.IOWriteReal},
-			{Op: vm.RetP},
+			instr(vm.PushReal, 0, 1),
+			instr(vm.PushInt, 0, 0),
+			instr(vm.IOWriteReal, 0, 0),
+			instr(vm.RetP, 0, 0),
 		}}
 		o := handObject(seg)
 		wantLine := fmt.Sprintf("    0  %-9s %G\n", "PUSHF", f)
@@ -105,10 +152,10 @@ func TestStringOperandsRoundTrip(t *testing.T) {
 	seg := vm.Segment{Strs: strs}
 	var want strings.Builder
 	for i, s := range strs {
-		seg.Code = append(seg.Code, vm.Instr{Op: vm.PushStr, A: int32(i)}, vm.Instr{Op: vm.IOWriteText})
+		seg.Code = append(seg.Code, instr(vm.PushStr, int32(i), 0), instr(vm.IOWriteText, 0, 0))
 		want.WriteString(s)
 	}
-	seg.Code = append(seg.Code, vm.Instr{Op: vm.RetP})
+	seg.Code = append(seg.Code, instr(vm.RetP, 0, 0))
 	o := handObject(seg)
 	l := o.Listing()
 	for i, s := range strs {
@@ -127,19 +174,19 @@ func TestStringOperandsRoundTrip(t *testing.T) {
 // A == 0 or B == 0; the opcode and the sign of A keep them apart in the
 // listing and in the linker.
 func TestEmptyStringVersusProcedureOperands(t *testing.T) {
-	local := &vm.ProcMeta{Name: "Local", Exported: true, Segment: vm.Segment{Code: []vm.Instr{{Op: vm.RetP}}}}
+	local := &vm.ProcMeta{Name: "Local", Exported: true, Segment: vm.Segment{Code: []vm.Instr{instr(vm.RetP, 0, 0)}}}
 	seg := vm.Segment{
 		Strs: []string{""},
 		Exts: []string{"M.Local"},
 		Code: []vm.Instr{
-			{Op: vm.PushStr, A: 0},
-			{Op: vm.IOWriteText},
-			{Op: vm.PushProc, A: 1},        // local: object index 1
-			{Op: vm.PushProc, A: -1, B: 0}, // external: Exts[0], resolves to the same procedure
-			{Op: vm.CmpA, A: vm.RelEq},
-			{Op: vm.PushInt},
-			{Op: vm.IOWriteInt},
-			{Op: vm.RetP},
+			instr(vm.PushStr, 0, 0),
+			instr(vm.IOWriteText, 0, 0),
+			instr(vm.PushProc, 1, 0),  // local: object index 1
+			instr(vm.PushProc, -1, 0), // external: Exts[0], resolves to the same procedure
+			instr(vm.CmpA, vm.RelEq, 0),
+			instr(vm.PushInt, 0, 0),
+			instr(vm.IOWriteInt, 0, 0),
+			instr(vm.RetP, 0, 0),
 		},
 	}
 	o := handObject(seg, local)
@@ -177,11 +224,11 @@ func TestChkRangeWideBounds(t *testing.T) {
 		o := handObject(vm.Segment{
 			Ints: []int64{7, lo, hi, c.v},
 			Code: []vm.Instr{
-				{Op: vm.PushInt, A: -1, B: 3},
-				{Op: vm.ChkRange, B: 1, A: 12},
-				{Op: vm.PushInt},
-				{Op: vm.IOWriteInt},
-				{Op: vm.RetP},
+				instr(vm.PushInt, -1, 3),
+				instr(vm.ChkRange, 12, 1),
+				instr(vm.PushInt, 0, 0),
+				instr(vm.IOWriteInt, 0, 0),
+				instr(vm.RetP, 0, 0),
 			},
 		})
 		if line := fmt.Sprintf("    1  CHKRNG    %d..%d\n", lo, hi); !strings.Contains(o.Listing(), line) {
@@ -205,16 +252,16 @@ func TestChkRangeWideBounds(t *testing.T) {
 // TestLinkUndefinedExternalNamesReferrer pins the link diagnostic for
 // both external operand forms now that the name comes from the pool.
 func TestLinkUndefinedExternalNamesReferrer(t *testing.T) {
-	for _, ins := range []vm.Instr{{Op: vm.CallExt, A: 1}, {Op: vm.PushProc, A: -1, B: 1}} {
-		fine := &vm.ProcMeta{Name: "Fine", Exported: true, Segment: vm.Segment{Code: []vm.Instr{{Op: vm.RetP}}}}
+	for _, ins := range []vm.Instr{instr(vm.CallExt, 1, 0), instr(vm.PushProc, -1, 1)} {
+		fine := &vm.ProcMeta{Name: "Fine", Exported: true, Segment: vm.Segment{Code: []vm.Instr{instr(vm.RetP, 0, 0)}}}
 		o := handObject(vm.Segment{
 			Exts: []string{"M.Fine", "Lib.Gone"},
-			Code: []vm.Instr{ins, {Op: vm.RetP}},
+			Code: []vm.Instr{ins, instr(vm.RetP, 0, 0)},
 		}, fine)
 		_, err := vm.Link([]*vm.Object{o}, "M")
 		const want = "link: undefined procedure Lib.Gone (referenced by M)"
 		if err == nil || err.Error() != want {
-			t.Errorf("%s: got %v, want %q", ins.Op, err, want)
+			t.Errorf("%s: got %v, want %q", ins.Op(), err, want)
 		}
 	}
 }

@@ -172,35 +172,36 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 			return Value{}, -1, trap(0, "execution budget exceeded (possible infinite loop)")
 		}
 		ins := code[pc]
-		switch ins.Op {
+		op := ins.Op()
+		switch op {
 		case Nop:
 		case PushInt:
 			push(intVal(p.intOperand(ins)))
 		case PushReal:
 			push(realVal(math.Float64frombits(uint64(ints[ins.B]))))
 		case PushStr:
-			push(strVal(p.Strs[ins.A]))
+			push(strVal(p.Strs[ins.A()]))
 		case PushNil:
 			push(nilVal())
 		case PushProc:
-			push(procVal(ins.A))
+			push(procVal(ins.A()))
 		case Dup:
 			push(stack[len(stack)-1])
 		case Drop:
 			pop()
 
 		case LdGlb:
-			push(m.areas[ins.A][ins.B])
+			push(m.areas[ins.A()][ins.B])
 		case StGlb:
-			m.areas[ins.A][ins.B] = pop()
+			m.areas[ins.A()][ins.B] = pop()
 		case LdaGlb:
-			push(addrVal(Addr{Mem: m.areas[ins.A], Off: ins.B}))
+			push(addrVal(Addr{Mem: m.areas[ins.A()], Off: ins.B}))
 		case LdLoc:
-			push(frameAt(ins.A).slots[ins.B])
+			push(frameAt(ins.A()).slots[ins.B])
 		case StLoc:
-			frameAt(ins.A).slots[ins.B] = pop()
+			frameAt(ins.A()).slots[ins.B] = pop()
 		case LdaLoc:
-			push(addrVal(Addr{Mem: frameAt(ins.A).slots, Off: ins.B}))
+			push(addrVal(Addr{Mem: frameAt(ins.A()).slots, Off: ins.B}))
 		case LdInd:
 			a := pop()
 			if a.K != VAddr {
@@ -212,7 +213,7 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 			if a.K != VAddr {
 				return Value{}, -1, trap(0, "NIL dereference")
 			}
-			for i := int32(0); i < ins.A; i++ {
+			for i := int32(0); i < ins.A(); i++ {
 				push(a.A.Mem[a.A.Off+i])
 			}
 		case StInd:
@@ -228,14 +229,14 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 			if src.K != VAddr || dst.K != VAddr {
 				return Value{}, -1, trap(0, "NIL dereference in aggregate copy")
 			}
-			copy(dst.A.Mem[dst.A.Off:dst.A.Off+ins.A], src.A.Mem[src.A.Off:src.A.Off+ins.A])
+			copy(dst.A.Mem[dst.A.Off:dst.A.Off+ins.A()], src.A.Mem[src.A.Off:src.A.Off+ins.A()])
 		case StrToA:
 			s := pop().S
 			dst := pop()
 			if dst.K != VAddr {
 				return Value{}, -1, trap(0, "NIL dereference in string store")
 			}
-			for i := int32(0); i < ins.A; i++ {
+			for i := int32(0); i < ins.A(); i++ {
 				var c int64
 				if int(i) < len(s) {
 					c = int64(s[i])
@@ -248,7 +249,7 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 			if a.K != VAddr {
 				return Value{}, -1, trap(0, "NIL dereference")
 			}
-			a.A.Off += ins.A
+			a.A.Off += ins.A()
 			push(a)
 		case Index:
 			i := pop().I
@@ -261,7 +262,7 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 			if rel < 0 || rel >= n {
 				return Value{}, -1, trap(0, "array index %d out of bounds [%d..%d]", i, lo, lo+n-1)
 			}
-			a.A.Off += int32(rel) * ins.A
+			a.A.Off += int32(rel) * ins.A()
 			push(a)
 		case IndexOp:
 			i := pop().I
@@ -273,7 +274,7 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 			if i < 0 || i >= n {
 				return Value{}, -1, trap(ins.B, "open array index %d out of bounds [0..%d]", i, n-1)
 			}
-			a.A.Off += int32(i) * ins.A
+			a.A.Off += int32(i) * ins.A()
 			push(a)
 
 		case AddI:
@@ -292,7 +293,7 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 			b := pop().I
 			a := pop().I
 			if b == 0 {
-				return Value{}, -1, trap(ins.A, "division by zero")
+				return Value{}, -1, trap(ins.A(), "division by zero")
 			}
 			q := a / b
 			if a%b != 0 && (a < 0) != (b < 0) {
@@ -303,7 +304,7 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 			b := pop().I
 			a := pop().I
 			if b == 0 {
-				return Value{}, -1, trap(ins.A, "division by zero")
+				return Value{}, -1, trap(ins.A(), "division by zero")
 			}
 			q := a / b
 			if a%b != 0 && (a < 0) != (b < 0) {
@@ -323,7 +324,7 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 		case CmpI:
 			b := pop().I
 			a := pop().I
-			push(intVal(boolInt(cmpOrd(a, b, ins.A))))
+			push(intVal(boolInt(cmpOrd(a, b, ins.A()))))
 
 		case AddF:
 			b := pop().F
@@ -341,7 +342,7 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 			b := pop().F
 			a := pop().F
 			if b == 0 {
-				return Value{}, -1, trap(ins.A, "real division by zero")
+				return Value{}, -1, trap(ins.A(), "real division by zero")
 			}
 			push(realVal(a / b))
 		case NegF:
@@ -358,11 +359,11 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 			case a > b:
 				c = 1
 			}
-			push(intVal(boolInt(relHolds(c, ins.A))))
+			push(intVal(boolInt(relHolds(c, ins.A()))))
 		case CmpS:
 			b := pop().S
 			a := pop().S
-			push(intVal(boolInt(relHolds(strings.Compare(a, b), ins.A))))
+			push(intVal(boolInt(relHolds(strings.Compare(a, b), ins.A()))))
 		case CmpA:
 			b := pop()
 			a := pop()
@@ -375,7 +376,7 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 			case a.K == VProc && b.K == VProc:
 				eq = a.I == b.I
 			}
-			if ins.A == RelEq {
+			if ins.A() == RelEq {
 				push(intVal(boolInt(eq)))
 			} else {
 				push(intVal(boolInt(!eq)))
@@ -385,7 +386,7 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 			e := pop().I
 			s := pop().I
 			if e < 0 || e > 63 {
-				return Value{}, -1, trap(ins.A, "set element %d outside 0..63", e)
+				return Value{}, -1, trap(ins.A(), "set element %d outside 0..63", e)
 			}
 			push(intVal(s | int64(1)<<uint(e)))
 		case SetAddRng:
@@ -393,7 +394,7 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 			lo := pop().I
 			s := pop().I
 			if lo < 0 || hi > 63 {
-				return Value{}, -1, trap(ins.A, "set range %d..%d outside 0..63", lo, hi)
+				return Value{}, -1, trap(ins.A(), "set range %d..%d outside 0..63", lo, hi)
 			}
 			for e := lo; e <= hi; e++ {
 				s |= int64(1) << uint(e)
@@ -424,7 +425,7 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 			b := pop().I
 			a := pop().I
 			var r bool
-			switch ins.A {
+			switch ins.A() {
 			case RelEq:
 				r = a == b
 			case RelNe:
@@ -439,14 +440,14 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 			e := pop().I
 			a := pop()
 			if e < 0 || e > 63 {
-				return Value{}, -1, trap(ins.A, "set element %d outside 0..63", e)
+				return Value{}, -1, trap(ins.A(), "set element %d outside 0..63", e)
 			}
 			a.A.Mem[a.A.Off].I |= int64(1) << uint(e)
 		case ExclM:
 			e := pop().I
 			a := pop()
 			if e < 0 || e > 63 {
-				return Value{}, -1, trap(ins.A, "set element %d outside 0..63", e)
+				return Value{}, -1, trap(ins.A(), "set element %d outside 0..63", e)
 			}
 			a.A.Mem[a.A.Off].I &^= int64(1) << uint(e)
 
@@ -466,27 +467,27 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 		case ChkRange:
 			v := stack[len(stack)-1].I
 			if lo, hi := ints[ins.B], ints[ins.B+1]; v < lo || v > hi {
-				return Value{}, -1, trap(ins.A, "value %d outside range %d..%d", v, lo, hi)
+				return Value{}, -1, trap(ins.A(), "value %d outside range %d..%d", v, lo, hi)
 			}
 
 		case Jmp:
-			pc = ins.A - 1
+			pc = ins.A() - 1
 		case Jz:
 			if pop().I == 0 {
-				pc = ins.A - 1
+				pc = ins.A() - 1
 			}
 		case Jnz:
 			if pop().I != 0 {
-				pc = ins.A - 1
+				pc = ins.A() - 1
 			}
 
 		case Call, CallInd:
-			target := ins.A
+			target := ins.A()
 			nargs := ins.B
 			args := make([]Value, nargs)
 			copy(args, stack[int32(len(stack))-nargs:])
 			stack = stack[:int32(len(stack))-nargs]
-			if ins.Op == CallInd {
+			if op == CallInd {
 				pv := pop()
 				if pv.K != VProc {
 					return Value{}, -1, trap(0, "call through NIL procedure value")
@@ -521,18 +522,18 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 			return pop(), -1, nil
 
 		case EnterTry:
-			tryStack = append(tryStack, ins.A)
+			tryStack = append(tryStack, ins.A())
 		case EndTry:
 			tryStack = tryStack[:len(tryStack)-1]
 		case Raise:
 			if len(tryStack) == 0 {
-				return Value{}, ins.A, nil
+				return Value{}, ins.A(), nil
 			}
-			curExc = ins.A
+			curExc = ins.A()
 			pc = tryStack[len(tryStack)-1] - 1
 			tryStack = tryStack[:len(tryStack)-1]
 		case ExcIs:
-			push(intVal(boolInt(curExc == ins.A)))
+			push(intVal(boolInt(curExc == ins.A())))
 		case Reraise:
 			if len(tryStack) == 0 {
 				return Value{}, curExc, nil
@@ -542,7 +543,7 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 
 		case NewObj:
 			a := pop()
-			obj := make([]Value, ins.A)
+			obj := make([]Value, ins.A())
 			a.A.Mem[a.A.Off] = addrVal(Addr{Mem: obj})
 		case Dispose:
 			a := pop()
@@ -551,7 +552,7 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 		case MathOp:
 			x := pop().F
 			var r float64
-			switch ins.A {
+			switch ins.A() {
 			case MathSin:
 				r = math.Sin(x)
 			case MathCos:
@@ -617,15 +618,15 @@ func (m *Machine) call(procIdx int32, args []Value, callerFrame *frame, callerLe
 			return Value{}, -1, nil
 		case AssertOp:
 			if pop().I == 0 {
-				return Value{}, -1, trap(ins.A, "assertion failed")
+				return Value{}, -1, trap(ins.A(), "assertion failed")
 			}
 		case CaseTrap:
-			return Value{}, -1, trap(ins.A, "CASE selector matches no label")
+			return Value{}, -1, trap(ins.A(), "CASE selector matches no label")
 		case NoRet:
-			return Value{}, -1, trap(ins.A, "function ended without RETURN")
+			return Value{}, -1, trap(ins.A(), "function ended without RETURN")
 
 		default:
-			return Value{}, -1, trap(0, "illegal instruction %s", ins.Op)
+			return Value{}, -1, trap(0, "illegal instruction %s", op)
 		}
 	}
 	return Value{}, -1, nil

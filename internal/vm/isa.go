@@ -94,8 +94,8 @@ const (
 	CapCh     // CAP
 	ChkRange  // (v → v) range check Ints[B]..Ints[B+1], A=trap site line
 
-	// Control flow (targets are absolute PCs after linking; segment-
-	// relative before).
+	// Control flow.  Targets are indices into the procedure's own code:
+	// segments are never concatenated, so the linker leaves them alone.
 	Jmp // A=target
 	Jz  // (bool → ) jump if false
 	Jnz // (bool → ) jump if true
@@ -106,7 +106,7 @@ const (
 	CallInd  // (args... proc → ) indirect through a procedure value
 	RetP     // return from proper procedure
 	RetF     // (v → ) return value to caller's stack
-	EnterTry // A=handler PC (segment-relative before linking)
+	EnterTry // A=handler PC
 	EndTry
 	Raise   // A=local exception index (remapped by the linker)
 	ExcIs   // ( → bool) A=local exception index: current exception test
@@ -180,17 +180,41 @@ func (o Op) String() string {
 	return fmt.Sprintf("OP(%d)", uint8(o))
 }
 
-// Instr is one instruction: 12 bytes and pointer-free, so a code
+// Instr is one instruction: 8 bytes and pointer-free, so a code
 // segment is a single noscan allocation the collector never walks.
-// The operand fields used depend on the opcode; unused fields are
-// zero.  The operands that do not fit two int32 fields — strings,
-// external procedure names, REAL bits, array and subrange bounds, wide
-// integer constants — live in the segment's constant pools and are
-// named here by index.
+// The opcode and A share one 32-bit word — Op in the low byte, A as a
+// signed 24-bit integer above it — and B is a full int32.  The operand
+// fields used depend on the opcode; unused fields are zero.  The
+// operands that do not fit — strings, external procedure names, REAL
+// bits, array and subrange bounds, wide integer constants — live in the
+// segment's constant pools and are named here by index.
 type Instr struct {
-	Op   Op
-	A, B int32
+	opA uint32
+	B   int32
 }
+
+// The range of A.  Storage sizes reach the code as A operands, so they
+// share the bound (types.MaxSlots).
+const (
+	MinA = -1 << 23
+	MaxA = 1<<23 - 1
+)
+
+// LimitFmt is the diagnostic for a value past MaxA; %s names the value.
+const LimitFmt = "implementation limit: %s exceeds 8 388 607"
+
+// NewInstr packs op, a and b.  It is the one way to place a value in
+// A: ok is false, and the instruction must not be used, when a lies
+// outside [MinA, MaxA].
+func NewInstr(op Op, a, b int32) (ins Instr, ok bool) {
+	return Instr{uint32(op) | uint32(a)<<8, b}, MinA <= a && a <= MaxA
+}
+
+// Op returns the opcode.
+func (i Instr) Op() Op { return Op(i.opA) }
+
+// A returns the sign-extended 24-bit operand.
+func (i Instr) A() int32 { return int32(i.opA) >> 8 }
 
 // Segment is one procedure's object code: the instructions and the
 // constant pools their wide operands index.  It is immutable once its
@@ -206,7 +230,7 @@ type Segment struct {
 
 // intOperand is PushInt's value: B, or the Ints entry B names when A < 0.
 func (s *Segment) intOperand(ins Instr) int64 {
-	if ins.A < 0 {
+	if ins.A() < 0 {
 		return s.Ints[ins.B]
 	}
 	return int64(ins.B)

@@ -91,30 +91,33 @@ func Link(objects []*Object, main string) (*Program, error) {
 				return g, nil
 			}
 			code := make([]Instr, len(pm.Code))
-			copy(code, pm.Code)
-			for i := range code {
-				ins := &code[i]
+			for i, ins := range pm.Code {
+				op, a, b := ins.Op(), ins.A(), ins.B
 				var err error
-				switch ins.Op {
+				switch op {
 				case Call:
-					ins.A += base
+					a += base
 				case CallExt:
-					ins.Op = Call
-					ins.A, err = ext(ins.A)
+					op = Call
+					a, err = ext(a)
 				case PushProc:
-					if ins.A < 0 {
-						ins.A, err = ext(ins.B)
-						ins.B = 0
+					if a < 0 {
+						a, err = ext(b)
+						b = 0
 					} else {
-						ins.A += base
+						a += base
 					}
 				case LdGlb, StGlb, LdaGlb:
-					ins.A = areaMap[ins.A]
+					a = areaMap[a]
 				case Raise, ExcIs:
-					ins.A = excMap[ins.A]
+					a = excMap[a]
 				}
 				if err != nil {
 					return nil, err
+				}
+				var ok bool
+				if code[i], ok = NewInstr(op, a, b); !ok {
+					return nil, fmt.Errorf("link: "+LimitFmt, fmt.Sprintf("operand %d of %s in %s", a, op, pm.FullName()))
 				}
 			}
 			p.Procs[base+int32(pi)].Code = code

@@ -30,7 +30,7 @@ func TestListingEveryOpcode(t *testing.T) {
 	if n != 83 {
 		t.Errorf("%d opcodes defined, this table was written for 83: check appendInstr covers the new ones", n)
 	}
-	callee := &vm.ProcMeta{Name: "Outer.Inner", Segment: vm.Segment{Code: []vm.Instr{{Op: vm.RetP}}}}
+	callee := &vm.ProcMeta{Name: "Outer.Inner", Segment: vm.Segment{Code: []vm.Instr{instr(vm.RetP, 0, 0)}}}
 	seg := vm.Segment{
 		Strs: []string{"", "a \"quoted\"\nline\x00"},
 		Exts: []string{"Lib.Go", "Lib.Stop", "Lib.Halt"},
@@ -38,9 +38,9 @@ func TestListingEveryOpcode(t *testing.T) {
 	}
 	for op := 0; op < n+2; op++ { // two past the end: unknown opcodes
 		seg.Code = append(seg.Code,
-			vm.Instr{Op: vm.Op(op)},
-			vm.Instr{Op: vm.Op(op), A: 1, B: 1},
-			vm.Instr{Op: vm.Op(op), A: -1, B: 2})
+			instr(vm.Op(op), 0, 0),
+			instr(vm.Op(op), 1, 1),
+			instr(vm.Op(op), -1, 2))
 	}
 	o := handObject(seg, callee)
 	o.Areas = []*vm.Area{{Name: "M.mod", Slots: 3}, {Name: "M.def", Slots: 70000}}
@@ -48,10 +48,10 @@ func TestListingEveryOpcode(t *testing.T) {
 	// A = -1 indexes nothing for the opcodes whose A names a proc, area
 	// or exception; give those a valid operand instead.
 	for i := range seg.Code {
-		switch ins := &seg.Code[i]; ins.Op {
+		switch ins := seg.Code[i]; ins.Op() {
 		case vm.Call, vm.LdGlb, vm.StGlb, vm.LdaGlb, vm.Raise, vm.ExcIs, vm.PushStr, vm.CallExt:
-			if ins.A < 0 {
-				ins.A = 0
+			if ins.A() < 0 {
+				seg.Code[i] = instr(ins.Op(), 0, ins.B)
 			}
 		}
 	}

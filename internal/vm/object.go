@@ -287,51 +287,51 @@ func num(b []byte, label string, v int64) []byte {
 // mnemonic left-justified in nine columns and a space ("%-9s "), then
 // the operands; a bare mnemonic is not padded.
 func (o *Object) appendInstr(b []byte, p *ProcMeta, ins Instr) []byte {
-	name := ins.Op.String()
+	name := ins.Op().String()
 	bare := len(b) + len(name)
 	b = append(append(b, name...), "          "[min(len(name), 9):]...)
-	switch ins.Op {
+	switch ins.Op() {
 	case PushInt:
 		return num(b, "", p.intOperand(ins))
 	case PushReal:
 		return strconv.AppendFloat(b, math.Float64frombits(uint64(p.Ints[ins.B])), 'G', -1, 64)
 	case PushStr:
-		return strconv.AppendQuote(b, p.Strs[ins.A])
+		return strconv.AppendQuote(b, p.Strs[ins.A()])
 	case PushProc:
-		if ins.A < 0 {
+		if ins.A() < 0 {
 			return append(b, p.Exts[ins.B]...)
 		}
-		return append(b, o.Procs[ins.A].FullName()...)
+		return append(b, o.Procs[ins.A()].FullName()...)
 	case LdGlb, StGlb, LdaGlb:
-		return num(append(b, o.Areas[ins.A].Name...), "+", int64(ins.B))
+		return num(append(b, o.Areas[ins.A()].Name...), "+", int64(ins.B))
 	case LdLoc, StLoc, LdaLoc:
-		return num(num(b, "up", int64(ins.A)), "+", int64(ins.B))
+		return num(num(b, "up", int64(ins.A())), "+", int64(ins.B))
 	case Call:
-		return append(b, o.Procs[ins.A].FullName()...)
+		return append(b, o.Procs[ins.A()].FullName()...)
 	case CallExt:
-		return append(b, p.Exts[ins.A]...)
+		return append(b, p.Exts[ins.A()]...)
 	case CallInd:
 		return num(b, "args=", int64(ins.B))
 	case Raise, ExcIs:
-		return append(b, o.Excs[ins.A]...)
+		return append(b, o.Excs[ins.A()]...)
 	case Jmp, Jz, Jnz, EnterTry:
-		return num(b, "->", int64(ins.A))
+		return num(b, "->", int64(ins.A()))
 	case Index:
-		return num(num(num(b, "lo=", p.Ints[ins.B]), " elems=", p.Ints[ins.B+1]), " size=", int64(ins.A))
+		return num(num(num(b, "lo=", p.Ints[ins.B]), " elems=", p.Ints[ins.B+1]), " size=", int64(ins.A()))
 	case IndexOp:
-		return num(b, "size=", int64(ins.A))
+		return num(b, "size=", int64(ins.A()))
 	case ChkRange:
 		return num(num(b, "", p.Ints[ins.B]), "..", p.Ints[ins.B+1])
 	case CmpI, CmpF, CmpS, CmpA, SetCmp:
-		return num(b, "rel=", int64(ins.A))
+		return num(b, "rel=", int64(ins.A()))
 	case Copy, NewObj:
-		return num(b, "slots=", int64(ins.A))
+		return num(b, "slots=", int64(ins.A()))
 	case MathOp:
-		return num(b, "fn=", int64(ins.A))
+		return num(b, "fn=", int64(ins.A()))
 	}
-	if ins.A != 0 || ins.B != 0 {
+	if ins.A() != 0 || ins.B != 0 {
 		// " imm=0": the listing format predates the pools.
-		return append(num(num(b, "a=", int64(ins.A)), " b=", int64(ins.B)), " imm=0"...)
+		return append(num(num(b, "a=", int64(ins.A())), " b=", int64(ins.B)), " imm=0"...)
 	}
 	return b[:bare]
 }

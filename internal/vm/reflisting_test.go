@@ -13,7 +13,8 @@ import (
 // became an append pass, kept test-only as the reference the fast
 // renderer must match byte for byte (listing_test.go).  One Fprintf and
 // one Sprintf per instruction; only the operand sources changed with
-// the 12-byte encoding (wide operands from the Ints pool).
+// the pooled encoding (wide operands from the Ints pool) and Op and A
+// became accessors with the 8-byte one.
 func refListing(o *vm.Object) string {
 	procs := append([]*vm.ProcMeta(nil), o.Procs...)
 	sort.Slice(procs, func(i, j int) bool {
@@ -48,52 +49,52 @@ func refListing(o *vm.Object) string {
 }
 
 func refFormat(o *vm.Object, p *vm.ProcMeta, ins vm.Instr) string {
-	switch ins.Op {
+	switch ins.Op() {
 	case vm.PushInt:
 		v := int64(ins.B)
-		if ins.A < 0 {
+		if ins.A() < 0 {
 			v = p.Ints[ins.B]
 		}
-		return fmt.Sprintf("%-9s %d", ins.Op, v)
+		return fmt.Sprintf("%-9s %d", ins.Op(), v)
 	case vm.PushReal:
-		return fmt.Sprintf("%-9s %G", ins.Op, math.Float64frombits(uint64(p.Ints[ins.B])))
+		return fmt.Sprintf("%-9s %G", ins.Op(), math.Float64frombits(uint64(p.Ints[ins.B])))
 	case vm.PushStr:
-		return fmt.Sprintf("%-9s %q", ins.Op, p.Strs[ins.A])
+		return fmt.Sprintf("%-9s %q", ins.Op(), p.Strs[ins.A()])
 	case vm.PushProc:
-		if ins.A < 0 {
-			return fmt.Sprintf("%-9s %s", ins.Op, p.Exts[ins.B])
+		if ins.A() < 0 {
+			return fmt.Sprintf("%-9s %s", ins.Op(), p.Exts[ins.B])
 		}
-		return fmt.Sprintf("%-9s %s", ins.Op, o.Procs[ins.A].FullName())
+		return fmt.Sprintf("%-9s %s", ins.Op(), o.Procs[ins.A()].FullName())
 	case vm.LdGlb, vm.StGlb, vm.LdaGlb:
-		return fmt.Sprintf("%-9s %s+%d", ins.Op, o.Areas[ins.A].Name, ins.B)
+		return fmt.Sprintf("%-9s %s+%d", ins.Op(), o.Areas[ins.A()].Name, ins.B)
 	case vm.LdLoc, vm.StLoc, vm.LdaLoc:
-		return fmt.Sprintf("%-9s up%d+%d", ins.Op, ins.A, ins.B)
+		return fmt.Sprintf("%-9s up%d+%d", ins.Op(), ins.A(), ins.B)
 	case vm.Call:
-		return fmt.Sprintf("%-9s %s", ins.Op, o.Procs[ins.A].FullName())
+		return fmt.Sprintf("%-9s %s", ins.Op(), o.Procs[ins.A()].FullName())
 	case vm.CallExt:
-		return fmt.Sprintf("%-9s %s", ins.Op, p.Exts[ins.A])
+		return fmt.Sprintf("%-9s %s", ins.Op(), p.Exts[ins.A()])
 	case vm.CallInd:
-		return fmt.Sprintf("%-9s args=%d", ins.Op, ins.B)
+		return fmt.Sprintf("%-9s args=%d", ins.Op(), ins.B)
 	case vm.Raise, vm.ExcIs:
-		return fmt.Sprintf("%-9s %s", ins.Op, o.Excs[ins.A])
+		return fmt.Sprintf("%-9s %s", ins.Op(), o.Excs[ins.A()])
 	case vm.Jmp, vm.Jz, vm.Jnz, vm.EnterTry:
-		return fmt.Sprintf("%-9s ->%d", ins.Op, ins.A)
+		return fmt.Sprintf("%-9s ->%d", ins.Op(), ins.A())
 	case vm.Index:
-		return fmt.Sprintf("%-9s lo=%d elems=%d size=%d", ins.Op, p.Ints[ins.B], p.Ints[ins.B+1], ins.A)
+		return fmt.Sprintf("%-9s lo=%d elems=%d size=%d", ins.Op(), p.Ints[ins.B], p.Ints[ins.B+1], ins.A())
 	case vm.IndexOp:
-		return fmt.Sprintf("%-9s size=%d", ins.Op, ins.A)
+		return fmt.Sprintf("%-9s size=%d", ins.Op(), ins.A())
 	case vm.ChkRange:
-		return fmt.Sprintf("%-9s %d..%d", ins.Op, p.Ints[ins.B], p.Ints[ins.B+1])
+		return fmt.Sprintf("%-9s %d..%d", ins.Op(), p.Ints[ins.B], p.Ints[ins.B+1])
 	case vm.CmpI, vm.CmpF, vm.CmpS, vm.CmpA, vm.SetCmp:
-		return fmt.Sprintf("%-9s rel=%d", ins.Op, ins.A)
+		return fmt.Sprintf("%-9s rel=%d", ins.Op(), ins.A())
 	case vm.Copy, vm.NewObj:
-		return fmt.Sprintf("%-9s slots=%d", ins.Op, ins.A)
+		return fmt.Sprintf("%-9s slots=%d", ins.Op(), ins.A())
 	case vm.MathOp:
-		return fmt.Sprintf("%-9s fn=%d", ins.Op, ins.A)
+		return fmt.Sprintf("%-9s fn=%d", ins.Op(), ins.A())
 	default:
-		if ins.A != 0 || ins.B != 0 {
-			return fmt.Sprintf("%-9s a=%d b=%d imm=0", ins.Op, ins.A, ins.B)
+		if ins.A() != 0 || ins.B != 0 {
+			return fmt.Sprintf("%-9s a=%d b=%d imm=0", ins.Op(), ins.A(), ins.B)
 		}
-		return ins.Op.String()
+		return ins.Op().String()
 	}
 }
