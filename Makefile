@@ -116,13 +116,15 @@ bench-frontend:
 # running Synth and an array-indexing suite program (Minstr/s), the
 # stream cache's relocating copy, a warm recompile with every stream a
 # cache hit (B/op, allocs/op: keys, probe, interface installs and
-# adopted segments), a warm repeated m2cd /compile through the
-# handler (B/op, allocs/op: the listing escaped into the pooled
-# response), and the Supervisor's cost of one task, ungated and with
+# adopted segments), a warm repeated m2cd /compile and /lint through
+# the handler (B/op, allocs/op: the listing escaped into the pooled
+# response; the lint's interfaces and their facts from the cache), the
+# lint merge barrier over every suite program's fact tables (B/op,
+# allocs/op), and the Supervisor's cost of one task, ungated and with
 # two gates (B/op, allocs/op).  One iteration each, as bench-frontend.
 bench-objcode:
-	$(GO) test -run='^$$' -bench='^(BenchmarkCodegenCompile|BenchmarkDeclAnalysis|BenchmarkListing|BenchmarkExecute|BenchmarkApplyFixups|BenchmarkWarmProbe|BenchmarkServeRepeat|BenchmarkSpawn)$$' -benchtime=1x \
-		./internal/codegen ./internal/sema ./internal/vm ./internal/streamcache ./internal/core ./cmd/m2cd ./internal/sched
+	$(GO) test -run='^$$' -bench='^(BenchmarkCodegenCompile|BenchmarkDeclAnalysis|BenchmarkListing|BenchmarkExecute|BenchmarkApplyFixups|BenchmarkWarmProbe|BenchmarkServeRepeat|BenchmarkServeLint|BenchmarkLintMerge|BenchmarkSpawn)$$' -benchtime=1x \
+		./internal/codegen ./internal/sema ./internal/vm ./internal/streamcache ./internal/core ./cmd/m2cd ./internal/check ./internal/sched
 
 # The benchmark is a module of its own that imports internal packages
 # (token, source, impscan, ...), so an internal-API change can break it

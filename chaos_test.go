@@ -165,9 +165,10 @@ func runChaos(t *testing.T, loader m2cc.Loader, module string, strat m2cc.Strate
 
 	// PanicCheck kills a static-analysis task and PanicConcMerge kills
 	// the merge barrier's interprocedural fixed point, so they only have
-	// arrivals when lint streams run.  Check disables the interface
-	// cache, which would starve the cache points of arrivals, so it is
-	// enabled only for plans that arm one of them.
+	// arrivals when lint streams run.  A lint compilation keys the
+	// interface cache apart from plain ones, so the plain warm-up below
+	// would give the cache points no arrivals; Check is enabled only
+	// for plans that arm one of the lint points.
 	if plan.Trigger(faultinject.PanicCheck) > 0 || plan.Trigger(faultinject.PanicConcMerge) > 0 {
 		opts.Check = true
 	}

@@ -183,16 +183,16 @@ func (w *discardWriter) Header() http.Header         { return w.h }
 func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w *discardWriter) WriteHeader(int)             {}
 
-// repeatRequest serves one suite program's /compile through s.handler()
-// into a discardWriter, as often as it is called.
-func repeatRequest(t testing.TB, s *server) (serve func(), req compileRequest) {
+// repeatRequest serves one suite program's /compile or /lint (path)
+// through s.handler() into a discardWriter, as often as it is called.
+func repeatRequest(t testing.TB, s *server, path string) (serve func(), req compileRequest) {
 	req = suiteRequests(t)[13]
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h, rd := s.handler(), bytes.NewReader(body)
-	r := httptest.NewRequest(http.MethodPost, "/compile", io.NopCloser(rd))
+	r := httptest.NewRequest(http.MethodPost, path, io.NopCloser(rd))
 	w := &discardWriter{h: http.Header{}}
 	return func() {
 		rd.Reset(body)
@@ -224,7 +224,7 @@ func allocated(f func()) uint64 {
 func TestRepeatRequestAllocs(t *testing.T) {
 	const slack = 64 << 10
 	s := newServer(testConfig())
-	serve, req := repeatRequest(t, s)
+	serve, req := repeatRequest(t, s, "/compile")
 	lists := func() (misses int) {
 		for _, l := range []*pool.List[[]byte]{bodyBufs, listingBufs, respBufs} {
 			misses += l.Stats().Misses
@@ -252,8 +252,50 @@ func TestRepeatRequestAllocs(t *testing.T) {
 // through the handler, B/op and allocs/op included.
 func BenchmarkServeRepeat(b *testing.B) {
 	s := newServer(testConfig())
-	serve, _ := repeatRequest(b, s)
+	serve, _ := repeatRequest(b, s, "/compile")
 	for range 3 { // until the free lists hold what a request draws
+		serve()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
+}
+
+// TestServeLintAllocs: a warm repeat /lint installs every interface
+// from the cache with its lint facts, compiling none, and allocates
+// what its lint compilation does plus the slack a /compile may take.
+func TestServeLintAllocs(t *testing.T) {
+	const slack = 64 << 10
+	s := newServer(testConfig())
+	serve, req := repeatRequest(t, s, "/lint")
+	for range 3 { // until the free lists hold what a request draws
+		serve()
+	}
+	before := s.cache.Stats()
+	serve()
+	if tr := s.cache.Stats().Sub(before); tr.Hits == 0 || tr.Misses != 0 || tr.Waits != 0 {
+		t.Fatalf("a warm /lint's interface traffic is %+v, want hits and no compiles", tr)
+	}
+	served := allocated(serve)
+
+	loader := loaderFrom(t, req.Sources)
+	opts := m2cc.Options{Workers: s.cfg.workers, Strategy: s.cfg.strategy, Cache: s.cache, StreamCache: s.scache,
+		StallTimeout: s.cfg.stallTimeout, Cancel: make(chan struct{}), Check: true}
+	linted := allocated(func() { m2cc.Compile(req.Module, loader, opts) })
+	t.Logf("%s: served %d B, linted alone %d B", req.Module, served, linted)
+	if served > linted+slack {
+		t.Fatalf("a warm repeat /lint allocates %d B, more than its lint compilation (%d B) plus %d B", served, linted, slack)
+	}
+}
+
+// BenchmarkServeLint: one warm repeated /lint of a suite program
+// through the handler, B/op and allocs/op included.
+func BenchmarkServeLint(b *testing.B) {
+	s := newServer(testConfig())
+	serve, _ := repeatRequest(b, s, "/lint")
+	for range 3 {
 		serve()
 	}
 	b.ReportAllocs()

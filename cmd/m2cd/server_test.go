@@ -621,7 +621,15 @@ func TestChaosUnderLoad(t *testing.T) {
 		}
 		early.Add(1)
 	}
-	for i := 0; i < preDrain; i++ {
+	// The first requests are served one after another, so the admission
+	// PanicHandler is armed on (the third) happens before the overload
+	// wave and the drain, however the wave is scheduled.
+	const serial = 3
+	for i := 0; i < serial; i++ {
+		wg.Add(1)
+		fire(i)
+	}
+	for i := serial; i < preDrain; i++ {
 		wg.Add(1)
 		go fire(i)
 	}

@@ -3,8 +3,9 @@
 // The paper's stream split fits analysis as well as it fits
 // compilation: the per-unit intraprocedural passes (uninitialized-
 // variable dataflow over a small CFG, unreachable code after
-// RETURN/EXIT/RAISE) run as one Supervisor task per stream — main
-// module, procedure, definition module — while the cross-module passes
+// RETURN/EXIT/RAISE) run in one Supervisor task per stream — an
+// analysis task for the main module and each procedure, a definition
+// module's own DefParse task — while the cross-module passes
 // (unused imports, unused locals/params, exported-but-never-referenced
 // symbols, call-graph reachability from the main module) work on
 // per-stream fact tables merged by a barrier task gated on every
@@ -28,7 +29,6 @@ package check
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"m2cc/internal/ast"
@@ -331,11 +331,15 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 			File: file, Msg: fmt.Sprintf(format, args...), Code: code,
 		})
 	}
-	// mentionedUnder: name is mentioned by the unit at path or any
-	// descendant scope (nested procedure streams).
-	mentionedUnder := func(name, path string) bool {
+	// mentionedUnder: name is mentioned by unit u or any unit at its
+	// path or a descendant scope (nested procedure streams).
+	mentionedUnder := func(name string, u *Facts) bool {
+		if u.Mentions[name] {
+			return true
+		}
+		path := u.Path
 		for _, f := range fs {
-			if f.Path == path || strings.HasPrefix(f.Path, path+":") {
+			if f.Path == path || nestedIn(f.Path, path) {
 				if f.Mentions[name] {
 					return true
 				}
@@ -378,12 +382,12 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 		// positive.
 		if f.Kind == ProcUnit {
 			for _, n := range f.Locals {
-				if !mentionedUnder(n.Text, f.Path) {
+				if !mentionedUnder(n.Text, f) {
 					warn(CodeUnusedLocal, f.File, n, "local variable %s is declared but never used", n.Text)
 				}
 			}
 			for _, n := range f.Params {
-				if !mentionedUnder(n.Text, f.Path) {
+				if !mentionedUnder(n.Text, f) {
 					warn(CodeUnusedParam, f.File, n, "parameter %s is declared but never used", n.Text)
 				}
 			}
@@ -465,6 +469,12 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 
 	out = append(out, concMerge(fs, plan)...)
 	return diag.SortDedup(out)
+}
+
+// nestedIn reports whether the scope path names a scope nested inside
+// anc ("M.mod:P:P.Q" inside "M.mod:P"), without building anc+":".
+func nestedIn(path, anc string) bool {
+	return len(path) > len(anc) && path[len(anc)] == ':' && path[:len(anc)] == anc
 }
 
 // declNames lists the names a declaration introduces.

@@ -549,21 +549,27 @@ func concMerge(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 
 	// shadowed reports whether an enclosing procedure stream declares
 	// name — a nested procedure's free name may bind to a parent's
-	// local, which hides the module variable.
+	// local, which hides the module variable.  The procedure streams
+	// declaring a shared name are collected once, so an access scans
+	// only those.
+	type decl struct{ path, name string }
+	var hiders []decl
+	for _, a := range fs {
+		if a.Kind != ProcUnit {
+			continue
+		}
+		for _, ns := range [2][]ast.Name{a.Locals, a.Params} {
+			for _, n := range ns {
+				if shared[n.Text] {
+					hiders = append(hiders, decl{a.Path, n.Text})
+				}
+			}
+		}
+	}
 	shadowed := func(f *Facts, name string) bool {
-		for _, a := range fs {
-			if a.Kind != ProcUnit || a == f || !strings.HasPrefix(f.Path, a.Path+":") {
-				continue
-			}
-			for _, n := range a.Locals {
-				if n.Text == name {
-					return true
-				}
-			}
-			for _, n := range a.Params {
-				if n.Text == name {
-					return true
-				}
+		for _, h := range hiders {
+			if h.name == name && nestedIn(f.Path, h.path) {
+				return true
 			}
 		}
 		return false

@@ -113,10 +113,9 @@ type Options struct {
 	// behavior).
 	StallTimeout time.Duration
 	// Check runs the concurrent static-analysis (lint) passes alongside
-	// the compilation: one KindAnalysis task per stream publishes a
-	// fact table, and a barrier-gated merge task joins them into
-	// Result.Findings.  Lint compilations bypass the interface cache —
-	// a cached interface install carries no ASTs to analyze.
+	// the compilation: each stream publishes a fact table (a def stream
+	// from its DefParse task, the others from a KindAnalysis task), and
+	// a barrier-gated merge task joins them into Result.Findings.
 	Check bool
 	// FaultPlan arms the compiler's deterministic fault-injection
 	// points (see internal/faultinject).  Production callers leave it
@@ -289,11 +288,6 @@ type procStream struct {
 func Compile(module string, loader source.Loader, opts Options) *Result {
 	if opts.Workers < 1 {
 		opts.Workers = 1
-	}
-	if opts.Check {
-		// Cached interface installs have no ASTs to analyze; lint
-		// compilations compile every interface fresh.
-		opts.Cache = nil
 	}
 	d := &driver{
 		// One snapshot per compilation: each file is loaded once and each
@@ -1114,7 +1108,7 @@ func (d *driver) iface(name string, optional bool, t *sched.Task) *ifaceEntry {
 	// batch siblings would pollute.
 	var e *ifaceEntry
 	for e == nil {
-		ent, ev, st := d.cache.Acquire(name, d.loader)
+		ent, ev, st := d.cache.Acquire(name, d.loader, d.check != nil)
 		switch st {
 		case ifacecache.Wait:
 			d.obs.NoteCache(ifacecache.Stats{Waits: 1})
@@ -1199,8 +1193,9 @@ func (d *driver) extWait(t *sched.Task, ev *event.Event) bool {
 // installCached installs a ready cache entry's whole closure into the
 // once-only table: for each member not yet known to this compilation,
 // the sealed scope is adopted, its storage area and imports registered,
-// and the scope marked pre-fired for the trace (a cache hit spawns no
-// tasks and its completion predates every task).  Returns nil without
+// its def unit's lint facts pinned when linting, and the scope marked
+// pre-fired for the trace (a cache hit spawns no tasks and its
+// completion predates every task).  Returns nil without
 // installing anything if any member's name is already bound to a
 // *different* scope — mixing scope generations would break
 // pointer-identity type compatibility.
@@ -1240,6 +1235,9 @@ func (d *driver) installCached(name string, optional bool, ent *ifacecache.Entry
 		d.reg.SetAreaSlots(d.reg.AreaIdx(m.AreaName()), m.AreaSlots())
 		for _, imp := range m.Imports() {
 			d.reg.AddImport(imp)
+		}
+		if d.check != nil {
+			d.check.AddPinned(m.Facts())
 		}
 		d.tab.MarkPrefired(m.Scope(), len(closure))
 		if d.rec != nil {
@@ -1348,14 +1346,19 @@ func (d *driver) startIface(name string, optional bool, ent *ifacecache.Entry) *
 			a.ResolveForwardRefs()
 			d.reg.SetAreaSlots(a.Area, a.NextOff)
 			scope.Complete(t.Ctx)
-			d.finishEntry(e, t, a, directImps, label)
-			p.ParseBody(m)
+			var facts *check.Facts
 			if d.check != nil {
-				d.spawnCheck(stream, t.Ctx, &check.Unit{
+				// Analyzed inline, so a lint cache entry is published with
+				// its facts (nil if the analysis panicked).
+				u := &check.Unit{
 					Kind: check.DefUnit, File: label, Module: name, Path: label,
 					Imports: m.Imports, Decls: decls,
-				}, nil)
+				}
+				d.check.AddUnit(u)
+				facts = d.check.RunUnit(t.Ctx, u)
 			}
+			d.finishEntry(e, t, a, directImps, label, facts)
+			p.ParseBody(m)
 		})
 	d.sup.SetProducer(scope.CompletionEvent(), parseTask)
 	return e
@@ -1365,9 +1368,10 @@ func (d *driver) startIface(name string, optional bool, ent *ifacecache.Entry) *
 // leads for e: publish if the interface compiled cleanly (no
 // diagnostics against its file, no load failure, no deadlock poison,
 // every direct import itself cache-resolved), otherwise fail so the
-// next requester retries.  The cost recorded is the def stream's
-// deterministic work units at scope completion.
-func (d *driver) finishEntry(e *ifaceEntry, t *sched.Task, a *sema.DeclAnalyzer, directImps []string, label string) {
+// next requester retries; a lint compilation's entry also needs the
+// def unit's facts.  The cost recorded is the def stream's
+// deterministic work units at that point.
+func (d *driver) finishEntry(e *ifaceEntry, t *sched.Task, a *sema.DeclAnalyzer, directImps []string, label string, facts *check.Facts) {
 	ent := e.cacheEnt
 	if ent == nil {
 		return
@@ -1382,7 +1386,7 @@ func (d *driver) finishEntry(e *ifaceEntry, t *sched.Task, a *sema.DeclAnalyzer,
 		return
 	}
 	e.resolved = true
-	ok := !d.poisoned && !e.failed
+	ok := !d.poisoned && !e.failed && (d.check == nil || facts != nil)
 	var deps []ifacecache.Dep
 	if ok {
 		for _, imp := range directImps {
@@ -1403,7 +1407,7 @@ func (d *driver) finishEntry(e *ifaceEntry, t *sched.Task, a *sema.DeclAnalyzer,
 		ent.Fail()
 		return
 	}
-	ent.Publish(scope, a.AreaName, a.NextOff, directImps, deps, t.Ctx.Units)
+	ent.Publish(scope, a.AreaName, a.NextOff, directImps, deps, t.Ctx.Units, facts)
 }
 
 // failEntryIfUnresolved fails e's cache entry if no Publish/Fail

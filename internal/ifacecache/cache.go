@@ -10,7 +10,10 @@
 // definition module by the combined content hash of its transitive
 // import closure and stores the *result* of compiling it: the sealed
 // symtab.Scope, its storage-area assignment, its direct imports and
-// the deterministic work-unit cost of having compiled it.
+// the deterministic work-unit cost of having compiled it.  A lint
+// compilation's entries are keyed apart from plain ones and also carry
+// the interface's static-analysis fact table, a pure function of the
+// .def text, so a lint hit installs what the analysis would compute.
 //
 // Concurrency follows the compiler's own event discipline: the first
 // compilation to request an uncached interface becomes its leader and
@@ -35,6 +38,7 @@ import (
 	"slices"
 	"sync"
 
+	"m2cc/internal/check"
 	"m2cc/internal/event"
 	"m2cc/internal/impscan"
 	"m2cc/internal/lru"
@@ -84,6 +88,7 @@ const (
 type key struct {
 	name string
 	hash source.Hash // combined hash of the module's transitive .def closure
+	lint bool        // entry carries the def unit's lint facts
 }
 
 // Dep names one direct import of a published interface together with
@@ -106,11 +111,12 @@ type Entry struct {
 	scope     *symtab.Scope
 	areaName  string
 	areaSlots int32
+	depsLeft  int32 // beside areaSlots, so facts costs the entry no size class
 	imports   []string
 	deps      []Dep
 	cost      float64
-	depsLeft  int
-	closure   []*Entry // Closure, taken when the entry becomes ready
+	facts     *check.Facts // the def unit's lint fact table (lint entries)
+	closure   []*Entry     // Closure, taken when the entry becomes ready
 }
 
 // Name returns the definition module's name.
@@ -154,6 +160,14 @@ func (e *Entry) Cost() float64 {
 	return e.cost
 }
 
+// Facts returns the definition module's lint fact table: nil in an
+// entry acquired without lint, never nil in a ready lint entry.
+func (e *Entry) Facts() *check.Facts {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.facts
+}
+
 // pinned reports whether the entry is still leading or sealing: live
 // waiters are parked on its ready event, so eviction must skip it.
 func (e *Entry) pinned() bool {
@@ -182,9 +196,10 @@ func (e *Entry) Closure() []*Entry {
 // and begins sealing: the entry becomes ready as soon as every direct
 // import's entry is ready with the scope this publication references.
 // cost is the def stream's deterministic work-unit total; imports are
-// the direct imports in first-mention order, deduplicated.
+// the direct imports in first-mention order, deduplicated; facts is the
+// def unit's lint fact table (nil for an entry acquired without lint).
 func (e *Entry) Publish(scope *symtab.Scope, areaName string, areaSlots int32,
-	imports []string, deps []Dep, cost float64) {
+	imports []string, deps []Dep, cost float64, facts *check.Facts) {
 
 	e.mu.Lock()
 	if e.state != stateLeading {
@@ -198,7 +213,8 @@ func (e *Entry) Publish(scope *symtab.Scope, areaName string, areaSlots int32,
 	e.imports = imports
 	e.deps = deps
 	e.cost = cost
-	e.depsLeft = len(deps)
+	e.facts = facts
+	e.depsLeft = int32(len(deps))
 	left := e.depsLeft
 	e.mu.Unlock()
 
@@ -390,8 +406,9 @@ func (c *Cache) Len() int {
 //
 // The key is the combined content hash of the module's transitive .def
 // import closure, so any textual change to the module or anything it
-// imports yields a distinct entry.
-func (c *Cache) Acquire(name string, loader source.Loader) (ent *Entry, ev *event.Event, st State) {
+// imports yields a distinct entry, and the mode: a lint compilation
+// (lint set) sees only entries whose publishers attached their facts.
+func (c *Cache) Acquire(name string, loader source.Loader, lint bool) (ent *Entry, ev *event.Event, st State) {
 	h, ok := c.hasher.Root(name, loader)
 	if !ok {
 		c.mu.Lock()
@@ -400,7 +417,7 @@ func (c *Cache) Acquire(name string, loader source.Loader) (ent *Entry, ev *even
 		return nil, nil, Bypass
 	}
 
-	k := key{name: name, hash: h}
+	k := key{name: name, hash: h, lint: lint}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries.Get(k)
@@ -426,6 +443,7 @@ func (c *Cache) Acquire(name string, loader source.Loader) (ent *Entry, ev *even
 		e.imports = nil
 		e.deps = nil
 		e.cost = 0
+		e.facts = nil
 		e.depsLeft = 0
 		e.closure = nil
 		c.stats.Misses++

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"m2cc/internal/check"
 	"m2cc/internal/ifacecache"
 	"m2cc/internal/source"
 	"m2cc/internal/symtab"
@@ -30,11 +31,46 @@ func newScope(name string) *symtab.Scope {
 	return tab.NewScope(symtab.DefScope, name, nil, 0)
 }
 
+// TestModeKeyedEntries: a lint compilation and a plain one never share
+// an entry for the same text, and a lint entry hands back the fact
+// table its leader published with it.
+func TestModeKeyedEntries(t *testing.T) {
+	loader := loaderWith(map[string]string{"A": defA})
+	c := ifacecache.New()
+	plain, _, st := c.Acquire("A", loader, false)
+	if st != ifacecache.Lead {
+		t.Fatalf("plain acquire: %v, want Lead", st)
+	}
+	plain.Publish(newScope("A"), "A.def", 0, nil, nil, 1, nil)
+
+	lint, _, st := c.Acquire("A", loader, true)
+	if st != ifacecache.Lead || lint == plain {
+		t.Fatalf("lint acquire after a plain publish: %v, want Lead on a new entry", st)
+	}
+	facts := &check.Facts{Kind: check.DefUnit, Path: "A.def"}
+	lint.Publish(newScope("A"), "A.def", 0, nil, nil, 2, facts)
+
+	for _, mode := range []struct {
+		lint  bool
+		ent   *ifacecache.Entry
+		facts *check.Facts
+	}{{false, plain, nil}, {true, lint, facts}} {
+		ent, _, st := c.Acquire("A", loader, mode.lint)
+		if st != ifacecache.Hit || ent != mode.ent || ent.Facts() != mode.facts {
+			t.Fatalf("lint=%v: got (%p, %v, facts %p), want a hit on %p with facts %p",
+				mode.lint, ent, st, ent.Facts(), mode.ent, mode.facts)
+		}
+	}
+	if c.Len() != 2 {
+		t.Fatalf("%d entries, want one per mode", c.Len())
+	}
+}
+
 func TestLeadPublishHit(t *testing.T) {
 	loader := loaderWith(map[string]string{"A": defA})
 	c := ifacecache.New()
 
-	ent, ev, st := c.Acquire("A", loader)
+	ent, ev, st := c.Acquire("A", loader, false)
 	if st != ifacecache.Lead || ent == nil || ev != nil {
 		t.Fatalf("first acquire: got (%v, %v, %v), want Lead", ent, ev, st)
 	}
@@ -42,12 +78,12 @@ func TestLeadPublishHit(t *testing.T) {
 		t.Fatal("entry ready before publish")
 	}
 	sc := newScope("A")
-	ent.Publish(sc, "A.def", 3, nil, nil, 42)
+	ent.Publish(sc, "A.def", 3, nil, nil, 42, nil)
 	if !ent.Ready() {
 		t.Fatal("entry with no deps must be ready after publish")
 	}
 
-	ent2, _, st2 := c.Acquire("A", loader)
+	ent2, _, st2 := c.Acquire("A", loader, false)
 	if st2 != ifacecache.Hit || ent2 != ent {
 		t.Fatalf("second acquire: got (%p, %v), want hit on %p", ent2, st2, ent)
 	}
@@ -80,13 +116,13 @@ func TestSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				ent, ev, st := c.Acquire("A", loader)
+				ent, ev, st := c.Acquire("A", loader, false)
 				switch st {
 				case ifacecache.Lead:
 					leads.Add(1)
 					// Hold leadership long enough for others to pile up.
 					time.Sleep(2 * time.Millisecond)
-					ent.Publish(sc, "A.def", 0, nil, nil, 1)
+					ent.Publish(sc, "A.def", 0, nil, nil, 1, nil)
 					return
 				case ifacecache.Wait:
 					ev.Wait()
@@ -115,13 +151,13 @@ func TestFailedLeaderRetried(t *testing.T) {
 	loader := loaderWith(map[string]string{"A": defA})
 	c := ifacecache.New()
 
-	ent, _, st := c.Acquire("A", loader)
+	ent, _, st := c.Acquire("A", loader, false)
 	if st != ifacecache.Lead {
 		t.Fatalf("state %v, want Lead", st)
 	}
 
 	// A waiter parks behind the leader...
-	_, ev, st2 := c.Acquire("A", loader)
+	_, ev, st2 := c.Acquire("A", loader, false)
 	if st2 != ifacecache.Wait {
 		t.Fatalf("state %v, want Wait", st2)
 	}
@@ -131,13 +167,13 @@ func TestFailedLeaderRetried(t *testing.T) {
 	// ...the leader fails; the waiter wakes and re-leads.
 	ent.Fail()
 	<-woke
-	ent3, _, st3 := c.Acquire("A", loader)
+	ent3, _, st3 := c.Acquire("A", loader, false)
 	if st3 != ifacecache.Lead || ent3 != ent {
 		t.Fatalf("after fail: got (%p, %v), want fresh lead on %p", ent3, st3, ent)
 	}
 	sc := newScope("A")
-	ent3.Publish(sc, "A.def", 0, nil, nil, 1)
-	if _, _, st4 := c.Acquire("A", loader); st4 != ifacecache.Hit {
+	ent3.Publish(sc, "A.def", 0, nil, nil, 1, nil)
+	if _, _, st4 := c.Acquire("A", loader, false); st4 != ifacecache.Hit {
 		t.Fatalf("state %v, want Hit after republish", st4)
 	}
 }
@@ -146,25 +182,25 @@ func TestContentChangeInvalidates(t *testing.T) {
 	loader := loaderWith(map[string]string{"A": defA})
 	c := ifacecache.New()
 
-	ent, _, _ := c.Acquire("A", loader)
+	ent, _, _ := c.Acquire("A", loader, false)
 	scOld := newScope("A")
-	ent.Publish(scOld, "A.def", 0, nil, nil, 1)
+	ent.Publish(scOld, "A.def", 0, nil, nil, 1, nil)
 
 	// Editing A.def must miss; the old entry stays for the old text.
 	loader.Add("A", source.Def, defA2)
-	ent2, _, st := c.Acquire("A", loader)
+	ent2, _, st := c.Acquire("A", loader, false)
 	if st != ifacecache.Lead || ent2 == ent {
 		t.Fatalf("after edit: state %v (same entry: %v), want fresh Lead", st, ent2 == ent)
 	}
 	scNew := newScope("A")
-	ent2.Publish(scNew, "A.def", 0, nil, nil, 1)
+	ent2.Publish(scNew, "A.def", 0, nil, nil, 1, nil)
 	if c.Len() != 2 {
 		t.Fatalf("cache has %d entries, want 2", c.Len())
 	}
 
 	// Reverting the text hits the original entry again.
 	loader.Add("A", source.Def, defA)
-	ent3, _, st3 := c.Acquire("A", loader)
+	ent3, _, st3 := c.Acquire("A", loader, false)
 	if st3 != ifacecache.Hit || ent3 != ent || ent3.Scope() != scOld {
 		t.Fatalf("after revert: got (%p, %v), want hit on original", ent3, st3)
 	}
@@ -177,14 +213,14 @@ func TestImportChangeInvalidatesDependents(t *testing.T) {
 	loader := loaderWith(map[string]string{"A": defA, "B": defB})
 	c := ifacecache.New()
 
-	entA, _, _ := c.Acquire("A", loader)
+	entA, _, _ := c.Acquire("A", loader, false)
 	scA := newScope("A")
-	entA.Publish(scA, "A.def", 0, nil, nil, 1)
+	entA.Publish(scA, "A.def", 0, nil, nil, 1, nil)
 
-	entB, _, _ := c.Acquire("B", loader)
+	entB, _, _ := c.Acquire("B", loader, false)
 	scB := newScope("B")
 	entB.Publish(scB, "B.def", 0, []string{"A"},
-		[]ifacecache.Dep{{Ent: entA, Scope: scA}}, 2)
+		[]ifacecache.Dep{{Ent: entA, Scope: scA}}, 2, nil)
 	if !entB.Ready() {
 		t.Fatal("B must seal once its dep is ready")
 	}
@@ -193,10 +229,10 @@ func TestImportChangeInvalidatesDependents(t *testing.T) {
 	}
 
 	loader.Add("A", source.Def, defA2)
-	if _, _, st := c.Acquire("B", loader); st != ifacecache.Lead {
+	if _, _, st := c.Acquire("B", loader, false); st != ifacecache.Lead {
 		t.Fatalf("B after A edit: state %v, want Lead (new closure hash)", st)
 	}
-	if _, _, st := c.Acquire("A", loader); st != ifacecache.Lead {
+	if _, _, st := c.Acquire("A", loader, false); st != ifacecache.Lead {
 		t.Fatalf("A after A edit: state %v, want Lead", st)
 	}
 }
@@ -207,24 +243,24 @@ func TestSealingAwaitsDeps(t *testing.T) {
 	loader := loaderWith(map[string]string{"A": defA, "B": defB})
 	c := ifacecache.New()
 
-	entA, _, _ := c.Acquire("A", loader)
-	entB, _, _ := c.Acquire("B", loader)
+	entA, _, _ := c.Acquire("A", loader, false)
+	entB, _, _ := c.Acquire("B", loader, false)
 	scA, scB := newScope("A"), newScope("B")
 
 	entB.Publish(scB, "B.def", 0, []string{"A"},
-		[]ifacecache.Dep{{Ent: entA, Scope: scA}}, 2)
+		[]ifacecache.Dep{{Ent: entA, Scope: scA}}, 2, nil)
 	if entB.Ready() {
 		t.Fatal("B sealed before its dep A was ready")
 	}
-	if _, _, st := c.Acquire("B", loader); st != ifacecache.Wait {
+	if _, _, st := c.Acquire("B", loader, false); st != ifacecache.Wait {
 		t.Fatalf("B while sealing: state %v, want Wait", st)
 	}
 
-	entA.Publish(scA, "A.def", 0, nil, nil, 1)
+	entA.Publish(scA, "A.def", 0, nil, nil, 1, nil)
 	if !entB.Ready() {
 		t.Fatal("B must seal once A publishes")
 	}
-	if _, _, st := c.Acquire("B", loader); st != ifacecache.Hit {
+	if _, _, st := c.Acquire("B", loader, false); st != ifacecache.Hit {
 		t.Fatalf("B after seal: state %v, want Hit", st)
 	}
 }
@@ -236,17 +272,17 @@ func TestDepScopeMismatchFails(t *testing.T) {
 	loader := loaderWith(map[string]string{"A": defA, "B": defB})
 	c := ifacecache.New()
 
-	entA, _, _ := c.Acquire("A", loader)
-	entA.Publish(newScope("A"), "A.def", 0, nil, nil, 1)
+	entA, _, _ := c.Acquire("A", loader, false)
+	entA.Publish(newScope("A"), "A.def", 0, nil, nil, 1, nil)
 
-	entB, _, _ := c.Acquire("B", loader)
+	entB, _, _ := c.Acquire("B", loader, false)
 	staleScopeOfA := newScope("A") // not the scope entA published
 	entB.Publish(newScope("B"), "B.def", 0, []string{"A"},
-		[]ifacecache.Dep{{Ent: entA, Scope: staleScopeOfA}}, 2)
+		[]ifacecache.Dep{{Ent: entA, Scope: staleScopeOfA}}, 2, nil)
 	if entB.Ready() {
 		t.Fatal("B sealed against a mismatched dep scope")
 	}
-	if _, _, st := c.Acquire("B", loader); st != ifacecache.Lead {
+	if _, _, st := c.Acquire("B", loader, false); st != ifacecache.Lead {
 		t.Fatalf("B after mismatch: state %v, want Lead (failed entry re-led)", st)
 	}
 }
@@ -258,7 +294,7 @@ func TestCycleBypasses(t *testing.T) {
 	})
 	c := ifacecache.New()
 	for _, name := range []string{"A", "B"} {
-		if ent, ev, st := c.Acquire(name, loader); st != ifacecache.Bypass || ent != nil || ev != nil {
+		if ent, ev, st := c.Acquire(name, loader, false); st != ifacecache.Bypass || ent != nil || ev != nil {
 			t.Fatalf("%s: got (%v, %v, %v), want Bypass", name, ent, ev, st)
 		}
 	}
@@ -269,13 +305,13 @@ func TestCycleBypasses(t *testing.T) {
 
 func TestMissingSourceBypasses(t *testing.T) {
 	c := ifacecache.New()
-	if _, _, st := c.Acquire("Nope", source.NewMapLoader()); st != ifacecache.Bypass {
+	if _, _, st := c.Acquire("Nope", source.NewMapLoader(), false); st != ifacecache.Bypass {
 		t.Fatalf("state %v, want Bypass for missing .def", st)
 	}
 	// B is loadable but imports a missing module: the whole closure is
 	// uncacheable.
 	loader := loaderWith(map[string]string{"B": defB})
-	if _, _, st := c.Acquire("B", loader); st != ifacecache.Bypass {
+	if _, _, st := c.Acquire("B", loader, false); st != ifacecache.Bypass {
 		t.Fatalf("state %v, want Bypass for missing transitive import", st)
 	}
 }

@@ -16,23 +16,23 @@ func TestLRUEviction(t *testing.T) {
 	c.SetLimit(2)
 
 	for _, name := range []string{"A", "B"} {
-		ent, _, st := c.Acquire(name, loader)
+		ent, _, st := c.Acquire(name, loader, false)
 		if st != ifacecache.Lead {
 			t.Fatalf("acquire %s: %v, want Lead", name, st)
 		}
-		ent.Publish(newScope(name), name+".def", 0, nil, nil, 1)
+		ent.Publish(newScope(name), name+".def", 0, nil, nil, 1, nil)
 	}
 	// Touch A so B is the LRU entry.
-	if _, _, st := c.Acquire("A", loader); st != ifacecache.Hit {
+	if _, _, st := c.Acquire("A", loader, false); st != ifacecache.Hit {
 		t.Fatalf("warm acquire A: %v, want Hit", st)
 	}
 
 	// Inserting C must evict B (the least recently used ready entry).
-	entC, _, st := c.Acquire("C", loader)
+	entC, _, st := c.Acquire("C", loader, false)
 	if st != ifacecache.Lead {
 		t.Fatalf("acquire C: %v, want Lead", st)
 	}
-	entC.Publish(newScope("C"), "C.def", 0, nil, nil, 1)
+	entC.Publish(newScope("C"), "C.def", 0, nil, nil, 1, nil)
 
 	if n := c.Len(); n != 2 {
 		t.Fatalf("len after eviction: %d, want 2", n)
@@ -40,10 +40,10 @@ func TestLRUEviction(t *testing.T) {
 	if ev := c.Stats().Evictions; ev != 1 {
 		t.Fatalf("evictions: %d, want 1", ev)
 	}
-	if _, _, st := c.Acquire("A", loader); st != ifacecache.Hit {
+	if _, _, st := c.Acquire("A", loader, false); st != ifacecache.Hit {
 		t.Fatalf("A after eviction: %v, want Hit (A was MRU)", st)
 	}
-	if _, _, st := c.Acquire("B", loader); st != ifacecache.Lead {
+	if _, _, st := c.Acquire("B", loader, false); st != ifacecache.Lead {
 		t.Fatalf("B after eviction: %v, want Lead (B was evicted)", st)
 	}
 }
@@ -58,11 +58,11 @@ func TestLRUNeverEvictsLiveLeader(t *testing.T) {
 
 	// A is still leading (unpublished) — it has, conceptually, live
 	// waiters and must survive the cap.
-	entA, _, st := c.Acquire("A", loader)
+	entA, _, st := c.Acquire("A", loader, false)
 	if st != ifacecache.Lead {
 		t.Fatalf("acquire A: %v, want Lead", st)
 	}
-	entB, _, st := c.Acquire("B", loader)
+	entB, _, st := c.Acquire("B", loader, false)
 	if st != ifacecache.Lead {
 		t.Fatalf("acquire B: %v, want Lead", st)
 	}
@@ -75,8 +75,8 @@ func TestLRUNeverEvictsLiveLeader(t *testing.T) {
 	}
 
 	// Once published, the next insert pressure can evict.
-	entA.Publish(newScope("A"), "A.def", 0, nil, nil, 1)
-	entB.Publish(newScope("B"), "B.def", 0, nil, nil, 1)
+	entA.Publish(newScope("A"), "A.def", 0, nil, nil, 1, nil)
+	entB.Publish(newScope("B"), "B.def", 0, nil, nil, 1, nil)
 	c.SetLimit(1)
 	if n := c.Len(); n != 1 {
 		t.Fatalf("len after publish + re-cap: %d, want 1", n)

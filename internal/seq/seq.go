@@ -133,7 +133,7 @@ func (c *compiler) iface(name string, pos token.Pos, importer string) *symtab.Sc
 		return c.compileIface(name, pos, importer, nil)
 	}
 	for {
-		ent, ev, st := c.cache.Acquire(name, c.loader)
+		ent, ev, st := c.cache.Acquire(name, c.loader, false)
 		switch st {
 		case ifacecache.Hit:
 			if sc := c.installCached(name, ent); sc != nil {
@@ -245,7 +245,7 @@ func (c *compiler) compileIface(name string, pos token.Pos, importer string, ent
 		}
 		if ok {
 			c.cacheEnts[name] = ent
-			ent.Publish(scope, a.AreaName, a.NextOff, directImps, deps, c.ctx.Units-start-nested)
+			ent.Publish(scope, a.AreaName, a.NextOff, directImps, deps, c.ctx.Units-start-nested, nil)
 			published = true
 		}
 	}

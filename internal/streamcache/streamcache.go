@@ -141,8 +141,7 @@ func (t Tally) Add(other Tally) Tally {
 type Cache struct {
 	// hasher computes interface-closure hashes for key derivation.  The
 	// stream cache owns one even when the compilation runs without an
-	// interface cache (Options.Check forces Cache to nil; the stream
-	// cache must not).  It locks itself.
+	// interface cache.  It locks itself.
 	hasher *impscan.Closures
 
 	mu      sync.Mutex // guards: entries, stats
