@@ -105,7 +105,7 @@ experiments-smoke:
 # One iteration each: inside `make check` this is a smoke step that
 # keeps them compiling and running; raise -benchtime to measure.
 bench-frontend:
-	$(GO) test -run='^$$' -bench='^(BenchmarkLexerRun|BenchmarkSplitObserved|BenchmarkAppendRead|BenchmarkParseBody)$$' -benchtime=1x -benchmem \
+	$(GO) test -run='^$$' -bench='^(BenchmarkLexerRun|BenchmarkSplitObserved|BenchmarkAppendRead|BenchmarkParseBody|BenchmarkParseDecls)$$' -benchtime=1x -benchmem \
 		./internal/lexer ./internal/tokq ./internal/splitter ./internal/parser
 	$(GO) test -count=1 -bench='^BenchmarkSurvivesGC$$' -benchtime=1x -benchmem ./internal/pool
 

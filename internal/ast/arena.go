@@ -7,16 +7,19 @@ import (
 	"m2cc/internal/pool"
 )
 
-// Arena holds statement parse trees, which live exactly as long as
-// their compilation (§3: StmtCG consumes a stream's tree, then it is
-// dead).  The parser bump-allocates every node of a statement tree, and
-// the backing store of every list in it, from typed slabs, one for each
-// type; a slab takes fixed-size chunks from its type's process-wide
-// free list and hands them back when the arena is returned.  The driver
-// lets the streams of one compilation fill an arena one parse after
-// another and returns it when the compilation ends.  A nil *Arena
-// allocates from the heap, as the sequential compiler, the linter and
-// declaration parsing do.  One parser fills an Arena at a time.
+// Arena holds the parse trees of one compilation's streams, which live
+// exactly as long as their compilation (§3: a stream's declarations are
+// analyzed into symbols that copy what they keep, StmtCG consumes its
+// statements, then the tree is dead).  The parser bump-allocates every
+// node of a tree, declarations and statements alike, and the backing
+// store of every list in it, from typed slabs, one for each type; a slab
+// takes fixed-size chunks from its type's process-wide free list and
+// hands them back when the arena is returned.  The driver lends a
+// stream's parse an arena for each stretch of parsing, lets the streams
+// fill arenas one parse after another and returns them when the
+// compilation ends.  A nil *Arena allocates from the heap, as definition
+// modules, the sequential compiler and the linter do.  One parser fills
+// an Arena at a time.
 type Arena struct {
 	assigns     slab[AssignStmt]
 	callStmts   slab[CallStmt]
@@ -49,6 +52,28 @@ type Arena struct {
 	indexSels   slab[IndexSel]
 	derefSels   slab[DerefSel]
 	qualidents  slab[Qualident]
+	modules     slab[Module]
+	imports     slab[Import]
+	constDecls  slab[ConstDecl]
+	typeDecls   slab[TypeDecl]
+	varDecls    slab[VarDecl]
+	excDecls    slab[ExceptionDecl]
+	procDecls   slab[ProcDecl]
+	procHeads   slab[ProcHead]
+	fpSections  slab[FPSection]
+	namedTypes  slab[NamedType]
+	enumTypes   slab[EnumType]
+	subranges   slab[SubrangeType]
+	arrayTypes  slab[ArrayType]
+	recordTypes slab[RecordType]
+	fieldLists  slab[FieldList]
+	variants    slab[VariantPart]
+	varCases    slab[VariantCase]
+	setTypes    slab[SetType]
+	ptrTypes    slab[PointerType]
+	refTypes    slab[RefType]
+	procTypes   slab[ProcType]
+	procParams  slab[ProcTypeParam]
 	// Backing stores of lists.
 	stmts      slab[Stmt]
 	exprs      slab[Expr]
@@ -60,6 +85,13 @@ type Arena struct {
 	handlerRef slab[*Handler]
 	qualRefs   slab[*Qualident]
 	names      slab[Name]
+	decls      slab[Decl]
+	types      slab[Type]
+	importRefs slab[*Import]
+	fpRefs     slab[*FPSection]
+	fieldRefs  slab[*FieldList]
+	caseRefs   slab[*VariantCase]
+	paramRefs  slab[*ProcTypeParam]
 
 	touched []interface{ reset() } // slabs used since the arena was taken
 	Stacks  Stacks                 // kept, so a recycled arena parses without growing them
@@ -69,12 +101,41 @@ type Arena struct {
 // elements are pushed while a list is parsed, then copied once into an
 // exact-size slice and popped.  They are empty between parses.
 type Stacks struct {
-	Stmts []Stmt
-	Exprs []Expr
+	Stmts   []Stmt
+	Exprs   []Expr
+	Decls   []Decl
+	Types   []Type
+	Names   []Name
+	Imports []*Import
+	Params  []*FPSection
+	Fields  []*FieldList
+}
+
+// Pop returns the top of the scratch stack *st from base on as an
+// exact-size list from a (from the heap when a is nil) and pops it.
+func Pop[T any](a *Arena, st *[]T, base int) []T {
+	list := Slice(a, (*st)[base:])
+	*st = (*st)[:base]
+	return list
+}
+
+// held returns the bytes the stacks hold.  With scrub set it first
+// clears everything they ever held: popped entries still point into the
+// tree.
+func (s *Stacks) held(scrub bool) int {
+	return held(s.Stmts, scrub) + held(s.Exprs, scrub) + held(s.Decls, scrub) + held(s.Types, scrub) +
+		held(s.Names, scrub) + held(s.Imports, scrub) + held(s.Params, scrub) + held(s.Fields, scrub)
+}
+
+func held[T any](s []T, scrub bool) int {
+	if scrub {
+		pool.Scrub(s[:cap(s)])
+	}
+	return cap(s) * int(unsafe.Sizeof(*new(T)))
 }
 
 // slabOf returns a's slab for T: nil when a is nil or T is not part of
-// a statement tree.
+// a parse tree.
 func slabOf[T any](a *Arena) *slab[T] {
 	if a == nil {
 		return nil
@@ -163,6 +224,64 @@ func slabOf[T any](a *Arena) *slab[T] {
 		s = &a.qualRefs
 	case *Name:
 		s = &a.names
+	case *Module:
+		s = &a.modules
+	case *Import:
+		s = &a.imports
+	case *ConstDecl:
+		s = &a.constDecls
+	case *TypeDecl:
+		s = &a.typeDecls
+	case *VarDecl:
+		s = &a.varDecls
+	case *ExceptionDecl:
+		s = &a.excDecls
+	case *ProcDecl:
+		s = &a.procDecls
+	case *ProcHead:
+		s = &a.procHeads
+	case *FPSection:
+		s = &a.fpSections
+	case *NamedType:
+		s = &a.namedTypes
+	case *EnumType:
+		s = &a.enumTypes
+	case *SubrangeType:
+		s = &a.subranges
+	case *ArrayType:
+		s = &a.arrayTypes
+	case *RecordType:
+		s = &a.recordTypes
+	case *FieldList:
+		s = &a.fieldLists
+	case *VariantPart:
+		s = &a.variants
+	case *VariantCase:
+		s = &a.varCases
+	case *SetType:
+		s = &a.setTypes
+	case *PointerType:
+		s = &a.ptrTypes
+	case *RefType:
+		s = &a.refTypes
+	case *ProcType:
+		s = &a.procTypes
+	case *ProcTypeParam:
+		s = &a.procParams
+	case *Decl:
+		s = &a.decls
+	case *Type:
+		s = &a.types
+	case **Import:
+		s = &a.importRefs
+	case **FPSection:
+		s = &a.fpRefs
+	case **FieldList:
+		s = &a.fieldRefs
+	case **VariantCase:
+		s = &a.caseRefs
+	case **ProcTypeParam:
+		s = &a.paramRefs
 	}
 	sl, _ := s.(*slab[T])
 	return sl
@@ -202,10 +321,8 @@ func Append[T any](a *Arena, list []T, v T) []T {
 // Arenas recycles arenas across compilations; their chunks are recycled
 // by lists of their own.
 var Arenas = &pool.List[*Arena]{
-	New: func() *Arena { return new(Arena) },
-	Size: func(a *Arena) int {
-		return int(unsafe.Sizeof(*a)) + int(unsafe.Sizeof(Stmt(nil)))*(cap(a.Stacks.Stmts)+cap(a.Stacks.Exprs))
-	},
+	New:  func() *Arena { return new(Arena) },
+	Size: func(a *Arena) int { return int(unsafe.Sizeof(*a)) + a.Stacks.held(false) },
 }
 
 // GetArena returns an empty arena.
@@ -220,11 +337,9 @@ func PutArena(a *Arena) {
 	}
 	clear(a.touched)
 	a.touched = a.touched[:0]
-	if cap(a.Stacks.Stmts) > 256 || cap(a.Stacks.Exprs) > 256 {
-		a.Stacks = Stacks{} // grown by one very long list: not worth pinning
+	if a.Stacks.held(true) > 16<<10 {
+		a.Stacks = Stacks{} // grown by some very long list: not worth pinning
 	}
-	pool.Scrub(a.Stacks.Stmts[:cap(a.Stacks.Stmts)]) // popped entries still point into the tree
-	pool.Scrub(a.Stacks.Exprs[:cap(a.Stacks.Exprs)])
 	Arenas.Put(a)
 }
 

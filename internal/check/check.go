@@ -29,6 +29,7 @@ package check
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"m2cc/internal/ast"
@@ -332,20 +333,38 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 		})
 	}
 	// mentionedUnder: name is mentioned by unit u or any unit at its
-	// path or a descendant scope (nested procedure streams).
+	// path or a descendant scope (nested procedure streams).  The units
+	// are indexed by path and by their parent scope's path at the first
+	// need, so a scope's units are found without a scan of all.
+	var at, kids map[string][]*Facts
+	var under func(name, path string) bool
+	under = func(name, path string) bool {
+		for _, f := range at[path] {
+			if f.Mentions[name] {
+				return true
+			}
+		}
+		for _, f := range kids[path] {
+			if under(name, f.Path) {
+				return true
+			}
+		}
+		return false
+	}
 	mentionedUnder := func(name string, u *Facts) bool {
 		if u.Mentions[name] {
 			return true
 		}
-		path := u.Path
-		for _, f := range fs {
-			if f.Path == path || nestedIn(f.Path, path) {
-				if f.Mentions[name] {
-					return true
+		if at == nil {
+			at, kids = make(map[string][]*Facts, len(fs)), make(map[string][]*Facts, len(fs))
+			for _, f := range fs {
+				at[f.Path] = append(at[f.Path], f)
+				if i := strings.LastIndexByte(f.Path, ':'); i >= 0 {
+					kids[f.Path[:i]] = append(kids[f.Path[:i]], f)
 				}
 			}
 		}
-		return false
+		return under(name, u.Path)
 	}
 	mentionedByModule := func(name, module string) bool {
 		for _, f := range fs {

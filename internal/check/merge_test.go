@@ -31,6 +31,13 @@ func siblingProcs(n int) string {
 	return b.String()
 }
 
+// unusedLocals is siblingProcs with one more local in each procedure,
+// declared and never used, so every procedure has a local its own
+// stream does not mention.
+func unusedLocals(n int) string {
+	return strings.ReplaceAll(siblingProcs(n), "VAR x: INTEGER;", "VAR x, unused: INTEGER;")
+}
+
 // nestedProcs is a module of n procedure streams each declared inside
 // the one before, each touching g as siblingProcs' do and calling the
 // procedure it encloses.
@@ -99,6 +106,7 @@ func TestMergeLinear(t *testing.T) {
 	}{
 		{"sibling", siblingProcs, 200},
 		{"nested", nestedProcs, 40},
+		{"unused", unusedLocals, 200},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			small := moduleFacts(row.shape(row.n))

@@ -18,7 +18,13 @@ import (
 // Unloadable or unparseable files contribute whatever units still
 // parse; the compiler proper owns error reporting.
 func SourceUnits(module string, loader source.Loader) []*Unit {
-	var units []*Unit
+	units, _ := sourceUnits(module, loader)
+	return units
+}
+
+// sourceUnits is SourceUnits that also returns the errors at procedures
+// nested past parser.MaxProcNesting, whose bodies no unit covers.
+func sourceUnits(module string, loader source.Loader) (units []*Unit, deep []diag.Diagnostic) {
 	files := source.NewSet()
 	ctx := &ctrace.TaskCtx{}
 	parse := func(name string, kind source.FileKind) *ast.Module {
@@ -29,7 +35,13 @@ func SourceUnits(module string, loader source.Loader) []*Unit {
 		f := files.Add(name, kind, text)
 		diags := diag.NewBag(0)
 		toks := lexer.ScanAll(f, ctx, diags)
-		return parser.New(parser.NewSliceSource(toks), f.Label(), ctx, diags).ParseUnit()
+		m := parser.New(parser.NewSliceSource(toks), f.Label(), ctx, diags).ParseUnit()
+		for _, d := range diags.Sorted() {
+			if d.Msg == parser.ErrProcNesting {
+				deep = append(deep, d)
+			}
+		}
+		return m
 	}
 
 	seen := map[string]bool{}
@@ -103,7 +115,7 @@ func SourceUnits(module string, loader source.Loader) []*Unit {
 			addDef(imp)
 		}
 	}
-	return units
+	return units, deep
 }
 
 // Analyze is the sequential single-pass analyzer: parse from source,
@@ -111,5 +123,6 @@ func SourceUnits(module string, loader source.Loader) []*Unit {
 // findings are byte-identical to this on every schedule, DKY strategy
 // and worker count — the property the differential tests enforce.
 func Analyze(module string, loader source.Loader) []diag.Diagnostic {
-	return Run(SourceUnits(module, loader))
+	units, deep := sourceUnits(module, loader)
+	return diag.SortDedup(append(Run(units), deep...))
 }

@@ -10,16 +10,18 @@ import (
 	"m2cc/internal/workload"
 )
 
-// TestArenaReuseDifferential hunts for a reader that holds a statement
-// tree, a token block or keyer records after they went back to their
-// free list: such a reader would see zeroed or foreign values and print
-// a different listing or finding, or miss the stream cache.  Twelve
-// suite programs compile as one batch, with static analysis and a
-// stream cache shared across batches, so buffers are recycled while
-// sibling compilations still run, and again by the warm recompile that
-// follows.  Every listing must equal the sequential compiler's and
-// every findings list the sequential analyzer's, under each DKY
-// strategy with one and two workers, and again with every release
+// TestArenaReuseDifferential hunts for a reader that holds a parse tree
+// (declarations or statements), a token block or keyer records after
+// they went back to their free list: such a reader would see zeroed or
+// foreign values and print a different listing, diagnostic or finding,
+// or miss a cache.  Twelve suite programs compile as one batch, with
+// static analysis, an interface cache and a stream cache shared across
+// batches, so buffers are recycled while sibling compilations still run,
+// and again by the warm recompile that follows, whose lint takes its
+// interfaces' fact tables from the interface cache.  Every listing and
+// diagnostic must equal the sequential compiler's and every findings
+// list the sequential analyzer's, under each DKY strategy and heading
+// mode with one and two workers, and again with every release
 // scribbling over what it returns.  Run under -race.
 func TestArenaReuseDifferential(t *testing.T) {
 	suite := workload.GenerateSuite(1992, 0.2)
@@ -28,6 +30,7 @@ func TestArenaReuseDifferential(t *testing.T) {
 		mods = append(mods, p.Name)
 	}
 	wantListing := make(map[string]string, len(mods))
+	wantDiags := make(map[string]string, len(mods))
 	wantFindings := make(map[string]string, len(mods))
 	for _, m := range mods {
 		sres := m2cc.CompileSequential(m, suite.Loader)
@@ -35,49 +38,64 @@ func TestArenaReuseDifferential(t *testing.T) {
 			t.Fatalf("%s does not compile sequentially:\n%s", m, sres.Diags)
 		}
 		wantListing[m] = sres.Object.Listing()
+		wantDiags[m] = sres.Diags.String()
 		wantFindings[m] = m2cc.RenderFindings(m2cc.Lint(m, suite.Loader))
 	}
 
 	for _, scribble := range []string{"", "/scribble"} {
 		for _, workers := range []int{1, 2} {
 			for strat := m2cc.Avoidance; strat <= m2cc.Optimistic; strat++ {
-				t.Run(fmt.Sprintf("w%d/%s%s", workers, strat, scribble), func(t *testing.T) {
-					pool.Scribble.Store(scribble != "")
-					defer pool.Scribble.Store(false)
-					opts := m2cc.Options{
-						Workers: workers, Strategy: strat, Check: true,
-						StreamCache: m2cc.NewStreamCache(0),
-					}
-					for _, pass := range []string{"cold", "warm"} {
-						for i, res := range m2cc.CompileBatch(mods, suite.Loader, opts) {
-							m := mods[i]
-							if res.Faulted || res.CheckFellBack {
-								t.Fatalf("%s %s: faulted=%v checkFellBack=%v\n%s", pass, m, res.Faulted, res.CheckFellBack, res.Diags)
-							}
-							if got := res.Object.Listing(); got != wantListing[m] {
-								t.Fatalf("%s %s: listing differs from the sequential compiler's\ngot:\n%s\nwant:\n%s", pass, m, got, wantListing[m])
-							}
-							if got := m2cc.RenderFindings(res.Findings); got != wantFindings[m] {
-								t.Fatalf("%s %s: findings differ from the sequential analyzer's\ngot:\n%s\nwant:\n%s", pass, m, got, wantFindings[m])
-							}
-							if ta := res.StreamCache; pass == "warm" && ta.Hits != ta.Probed {
-								t.Fatalf("warm %s: %+v, want every stream key to hit", m, *ta)
+				for _, hdr := range []m2cc.HeaderMode{m2cc.HeaderShared, m2cc.HeaderReprocess} {
+					mode := map[m2cc.HeaderMode]string{m2cc.HeaderReprocess: "/reprocess"}[hdr]
+					t.Run(fmt.Sprintf("w%d/%s%s%s", workers, strat, mode, scribble), func(t *testing.T) {
+						pool.Scribble.Store(scribble != "")
+						defer pool.Scribble.Store(false)
+						opts := m2cc.Options{
+							Workers: workers, Strategy: strat, Headers: hdr, Check: true,
+							Cache: m2cc.NewCache(), StreamCache: m2cc.NewStreamCache(0),
+						}
+						for _, pass := range []string{"cold", "warm"} {
+							for i, res := range m2cc.CompileBatch(mods, suite.Loader, opts) {
+								m := mods[i]
+								if res.Faulted || res.CheckFellBack {
+									t.Fatalf("%s %s: faulted=%v checkFellBack=%v\n%s", pass, m, res.Faulted, res.CheckFellBack, res.Diags)
+								}
+								if got := res.Object.Listing(); got != wantListing[m] {
+									t.Fatalf("%s %s: listing differs from the sequential compiler's\ngot:\n%s\nwant:\n%s", pass, m, got, wantListing[m])
+								}
+								if got := res.Diags.String(); got != wantDiags[m] {
+									t.Fatalf("%s %s: diagnostics differ from the sequential compiler's\ngot:\n%s\nwant:\n%s", pass, m, got, wantDiags[m])
+								}
+								if got := m2cc.RenderFindings(res.Findings); got != wantFindings[m] {
+									t.Fatalf("%s %s: findings differ from the sequential analyzer's\ngot:\n%s\nwant:\n%s", pass, m, got, wantFindings[m])
+								}
+								if ta := res.StreamCache; pass == "warm" && ta.Hits != ta.Probed {
+									t.Fatalf("warm %s: %+v, want every stream key to hit", m, *ta)
+								}
 							}
 						}
-					}
-					if s := opts.StreamCache.Stats(); s.Hits == 0 {
-						t.Fatalf("warm batch never hit the stream cache: %+v", s)
-					}
-				})
+						if s := opts.StreamCache.Stats(); s.Hits == 0 {
+							t.Fatalf("warm batch never hit the stream cache: %+v", s)
+						}
+						if s := opts.Cache.Stats(); s.Hits == 0 {
+							t.Fatalf("the batches never hit the interface cache: %+v", s)
+						}
+					})
+				}
 			}
 		}
 	}
 }
 
-// everyShape is a runnable program whose statement trees hold every
-// node type the parser builds in an arena: each statement form, each
-// selector, unary operators, real, character, string and qualified set
-// literals, and exceptions caught by a handler list.
+// everyShape is a runnable program whose trees hold every node type the
+// parser builds in an arena.  Its statements have each statement form,
+// each selector, unary operators, real, character, string and qualified
+// set literals, and exceptions caught by a handler list.  Its
+// declarations have both import forms, constants, every type form (a
+// base-qualified subrange, two indexes, a variant part with an ELSE,
+// REF, procedure types with VAR and open-array formals), VAR and open
+// formal sections, and exceptions at module level and in a procedure
+// nested in another.
 var everyShape = map[string]string{
 	"Shape.def": `
 DEFINITION MODULE Shape;
@@ -97,9 +115,27 @@ END Shape.
 	"Every.mod": `
 MODULE Every;
 IMPORT Shape;
+FROM Shape IMPORT Twice, Small;
+CONST Lim = 3; Mask = Small{1, 2};
 TYPE Node = POINTER TO Rec;
   Rec = RECORD v: INTEGER; next: Node; a: ARRAY [0..3] OF INTEGER END;
+  Color = (Red, Green, Blue);
+  Idx = [0..3];
+  Digit = INTEGER[0..9];
+  Grid = ARRAY Idx, Color OF CHAR;
+  Tagged = RECORD
+    CASE tag: Color OF
+      Red: i: INTEGER
+    | Green, Blue: ch: CHAR; d: Digit
+    ELSE
+    END
+  END;
+  Bits = SET OF Color;
+  Cell = REF RECORD v: INTEGER END;
+  Op = PROCEDURE (VAR INTEGER, INTEGER): INTEGER;
+  Show = PROCEDURE (ARRAY OF CHAR);
 VAR mu: MUTEX; head: Node; total: INTEGER;
+EXCEPTION Stop;
 
 PROCEDURE Walk(n: INTEGER): INTEGER;
 VAR k, acc: INTEGER; s: Shape.Small; r: REAL; c: CHAR;
@@ -124,9 +160,37 @@ BEGIN
   RETURN acc
 END Walk;
 
+PROCEDURE Count(VAR x: INTEGER; s: ARRAY OF CHAR): INTEGER;
+VAR g: Grid; t: Tagged; b: Bits; cell: Cell; col: Color;
+  PROCEDURE Inner(c: Color; VAR n: INTEGER);
+  EXCEPTION Deep;
+  BEGIN
+    TRY
+      IF c IN b THEN INC(n) END;
+      IF n > Lim THEN RAISE Deep END
+    EXCEPT Deep: n := -n
+    END
+  END Inner;
+BEGIN
+  b := Bits{Red, Blue}; t.tag := Green; t.ch := s[0]; t.d := 7;
+  g[2, Blue] := t.ch; NEW(cell); cell^.v := HIGH(s);
+  FOR col := Red TO Blue DO Inner(col, x) END;
+  IF 2 IN Mask THEN x := x + t.d + cell^.v END;
+  WriteChar(g[2, Blue]); WriteInt(x, 0); WriteLn;
+  RETURN Twice(x)
+END Count;
+
+PROCEDURE Step(VAR x: INTEGER; by: INTEGER): INTEGER;
+BEGIN
+  x := x + by; RETURN Count(x, "xyz")
+END Step;
+
+VAR op: Op; show: Show; m: INTEGER;
 BEGIN
   NEW(head); NEW(head^.next); total := 0;
-  WriteInt(Walk(0) + Walk(1) + Walk(2) + Walk(3), 0); WriteChar(" "); WriteInt(total, 0); WriteLn
+  WriteInt(Walk(0) + Walk(1) + Walk(2) + Walk(3), 0); WriteChar(" "); WriteInt(total, 0); WriteLn;
+  op := Step; m := 3; WriteInt(op(m, 1), 0); WriteLn;
+  TRY RAISE Stop EXCEPT Stop: WriteString("stopped") END; WriteLn
 END Every.
 `,
 }

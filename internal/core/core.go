@@ -223,7 +223,8 @@ type driver struct {
 	faulted    bool                    // a stream task panicked and was isolated
 	canceled   bool                    // Options.Cancel fired; result is abandoned
 	resolving  map[string]*event.Event // per-name guard for in-flight cache resolution
-	arenas     []*ast.Arena            // statement-tree arenas taken from ast.Arenas (see bodyArena)
+	labels     vm.Chain                // the StmtCG labels of nested procedures
+	arenas     []*ast.Arena            // parse-tree arenas taken from ast.Arenas (see lendArena)
 	idle       []*ast.Arena            // those of arenas no parser is filling now
 
 	// Stream-cache verdict state (under d.mu).
@@ -268,6 +269,7 @@ type procStream struct {
 	name   string
 	q      *tokq.Queue
 	parent int32
+	label  string // its StmtCG task's, "StmtCG M.P.Q"
 
 	// headingReady is the avoided event fired by the parent's
 	// declarations analyzer once the heading is processed (§2.4 alt 1)
@@ -441,11 +443,15 @@ func (d *driver) cancelNow() {
 // worker goroutines.
 var getArena, putArena, newSupervisor = ast.GetArena, ast.PutArena, sched.New
 
-// bodyArena lends a body parse an arena.  A compilation's trees all die
-// at once, so its streams share arenas one parse after another and it
-// takes about one per parse in flight.  A tree's readers (its StmtCG
-// task, lint unit and the lint merge) finish before the final Wait.
-func (d *driver) bodyArena() *ast.Arena {
+// lendArena lends a parse an arena for one stretch of parsing, which
+// parkArena ends.  A compilation's trees all die at once, so its
+// streams share arenas one parse after another and it takes about one
+// per parse in flight.  A
+// tree's readers (its stream's declaration analysis and StmtCG task,
+// child streams reading their headings, lint units and the lint merge)
+// finish before the final Wait; what outlives the compilation (symbols,
+// types, cached fact tables) copies what it keeps.
+func (d *driver) lendArena() *ast.Arena {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if n := len(d.idle); n > 0 {
@@ -514,8 +520,10 @@ func (d *driver) spawn(kind ctrace.TaskKind, stream int32, label string,
 // it behind code generation, so lint work never delays the compile
 // proper.
 func (d *driver) spawnCheck(stream int32, parent *ctrace.TaskCtx, u *check.Unit, sink func(*check.Facts)) {
+	label := "Lint " + u.Path
+	u.Path = label[len("Lint "):] // one copy of a path that can be long (see sema.DeclAnalyzer.Path)
 	d.check.AddUnit(u)
-	t := d.spawn(ctrace.KindAnalysis, stream, "Lint "+u.Path,
+	t := d.spawn(ctrace.KindAnalysis, stream, label,
 		sched.Priority(ctrace.KindAnalysis, 0), nil, parent,
 		func(t *sched.Task) {
 			out := d.check.RunUnit(t.Ctx, u)
@@ -738,6 +746,11 @@ func (d *driver) startProcStream(splitterTask *sched.Task) splitter.StartProc {
 		d.reg.ReserveProc(id)
 		d.mu.Lock()
 		ps.rank = int32(len(d.procs))
+		if outer := d.procs[parent]; outer != nil {
+			ps.label = d.labels.Join(outer.label, ".", name)
+		} else {
+			ps.label = "StmtCG " + d.module + "." + name
+		}
 		d.procs[id] = ps
 		d.mu.Unlock()
 
@@ -788,7 +801,8 @@ func (d *driver) runModParse(t *sched.Task, mainQ *tokq.Queue, label string) {
 	env := d.env(t, label)
 	mr := mainQ.NewReader(t)
 	defer mr.Detach()
-	p := parser.New(mr, label, t.Ctx, d.diags)
+	var p parser.Parser // on the task's stack, as its tree is in arenas
+	p.Init(d.lendArena(), mr, label, t.Ctx, d.diags)
 	m := p.ParsePrologue()
 
 	var parent *symtab.Scope
@@ -816,13 +830,14 @@ func (d *driver) runModParse(t *sched.Task, mainQ *tokq.Queue, label string) {
 		return d.iface(name, false, t).scope
 	})
 	decls := p.ParseDeclarations()
+	d.parkArena(p.Arena)
 	a.Analyze(decls)
 	a.ResolveForwardRefs()
 	d.reg.SetAreaSlots(a.Area, a.NextOff)
 	// §3: the symbol table is marked complete before the statement
 	// parse tree is built, so DKY blockages resolve as early as possible.
 	scope.Complete(t.Ctx)
-	p.Arena = d.bodyArena()
+	p.Arena = d.lendArena()
 	p.ParseBody(m)
 	d.parkArena(p.Arena)
 	if d.check != nil {
@@ -935,7 +950,8 @@ func (d *driver) runProcParse(t *sched.Task, ps *procStream) {
 
 	pr := ps.q.NewReader(t)
 	defer pr.Detach()
-	p := parser.New(pr, label, t.Ctx, bag)
+	var p parser.Parser
+	p.Init(d.lendArena(), pr, label, t.Ctx, bag)
 	frameBase := cp.FrameBase
 	if d.opts.Headers == HeaderReprocess {
 		// Alternative 3: this stream re-processes its own heading (the
@@ -950,10 +966,11 @@ func (d *driver) runProcParse(t *sched.Task, ps *procStream) {
 	a.ShareHeadings = d.opts.Headers == HeaderShared
 	d.bindChildren(t, a)
 	decls := p.ParseDeclarations()
+	d.parkArena(p.Arena)
 	a.Analyze(decls)
 	a.ResolveForwardRefs()
 	cp.Scope.Complete(t.Ctx)
-	p.Arena = d.bodyArena()
+	p.Arena = d.lendArena()
 	tail := p.ParseProcTail(ps.name)
 	d.parkArena(p.Arena)
 	if d.check != nil {
@@ -966,7 +983,7 @@ func (d *driver) runProcParse(t *sched.Task, ps *procStream) {
 			}
 		}
 		d.spawnCheck(ps.id, t.Ctx, &check.Unit{
-			Kind: check.ProcUnit, File: label, Module: cp.Meta.Module, Path: cp.ScopePath,
+			Kind: check.ProcUnit, File: label, Module: cp.Meta.Module, Path: a.Path(),
 			ProcName: cp.Decl.Head.Name.Text, Head: cp.Decl.Head,
 			Decls: decls, Body: tail.Body,
 		}, sink)
@@ -978,7 +995,7 @@ func (d *driver) runProcParse(t *sched.Task, ps *procStream) {
 		kind = ctrace.KindLongStmtCG
 	}
 	frameAfterDecls := a.NextOff
-	d.spawn(kind, ps.id, "StmtCG "+cp.Meta.FullName(),
+	d.spawn(kind, ps.id, ps.label,
 		sched.Priority(kind, size), nil, t.Ctx, func(t2 *sched.Task) {
 			env2 := d.envBag(t2, label, bag)
 			codegen.Compile(env2, cp.Scope, cp.Meta, cp.Sym.Type, frameAfterDecls, tail.Body)
@@ -1326,7 +1343,11 @@ func (d *driver) startIface(name string, optional bool, ent *ifacecache.Entry) *
 				return
 			}
 			env := d.env(t, label)
-			p := parser.New(r, label, t.Ctx, d.diags)
+			// An interface's tree stays on the heap: how many a compilation
+			// parses varies too much for the arenas' free lists (see
+			// DESIGN.md "Why interface trees are excluded").
+			var p parser.Parser
+			p.Init(nil, r, label, t.Ctx, d.diags)
 			m := p.ParsePrologue()
 			if m.Kind != ast.DefMod {
 				d.diags.Errorf(label, m.Pos, "%s is not a DEFINITION MODULE", label)

@@ -172,13 +172,23 @@ func (l *refLexer) Scan() token.Token {
 	return t
 }
 
+// refReserved maps each reserved word to its kind, as token.Lookup did
+// before its perfect hash, so FuzzLexer holds the hash to it.
+var refReserved = func() map[string]token.Kind {
+	m := make(map[string]token.Kind)
+	for k := token.AND; k <= token.REF; k++ {
+		m[k.String()] = k
+	}
+	return m
+}()
+
 func (l *refLexer) scanIdent(p token.Pos) token.Token {
 	start := l.off
 	for l.off < len(l.src) && (isLetter(l.peek()) || isDigit(l.peek())) {
 		l.advance()
 	}
 	text := l.src[start:l.off]
-	if k := token.Lookup(text); k != token.Ident {
+	if k, ok := refReserved[text]; ok { // the map token.Lookup replaced
 		return token.Token{Kind: k, Pos: p}
 	}
 	return token.Token{Kind: token.Ident, Pos: p, Text: text}
@@ -490,9 +500,12 @@ func TestEveryReservedWordIsRecognized(t *testing.T) {
 // sizes, and never a panic.  The seeds are the hand-written hard cases
 // under testdata/fuzz/FuzzLexer (nested and unterminated comments,
 // pragmas, 1..2, 0FFH, 15C, lone quotes, CR/LF/FF, illegal bytes), which
-// plain `go test` runs too.
+// plain `go test` runs too.  The reference classifies words with the
+// reserved-word map (refReserved), so the fuzzer also holds
+// token.Lookup's perfect hash to it.
 func FuzzLexer(f *testing.F) {
 	f.Add("MODULE M; (* seed *) BEGIN x := 0FFH END M.")
+	f.Add("EXPORT EXCEPT EXPORTS EXCEPTS XCEPT ENDX DIVV BY BYY REFS REf IMPLEMENTATIONS")
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<16 {
 			t.Skip("oversized input")

@@ -54,6 +54,59 @@ func mixedBody() string {
 END P`, 1)
 }
 
+// declModule is a module with every declaration, type and import
+// shape: both import forms, constants, every type form (named and
+// base-qualified subranges, enumerations, several indexes, records with
+// a variant part and its ELSE, sets, POINTER, REF, procedure types with
+// VAR and open-array formals), VAR and EXCEPTION sections, and
+// procedures with VAR and open formal sections, a result type, and a
+// procedure nested in one, whose bodies follow inline.
+const declModule = `MODULE Decls;
+IMPORT Shape, Other;
+FROM Lib IMPORT Twice, Small, Big;
+CONST Lim = 3; Mask = Small{1, 2}; Name = "decls";
+TYPE Node = POINTER TO Rec;
+  Rec = RECORD v, w: INTEGER; next: Node; a: ARRAY [0..3] OF INTEGER END;
+  Color = (Red, Green, Blue);
+  Digit = INTEGER[0..9];
+  Grid = ARRAY [0..3], Color OF CHAR;
+  Tagged = RECORD
+    CASE tag: Color OF
+      Red: i: INTEGER
+    | Green, Blue: ch: CHAR; d: Digit
+    ELSE r: REAL
+    END;
+    CASE : BOOLEAN OF TRUE: b: BITSET END
+  END;
+  Bits = SET OF Color;
+  Cell = REF RECORD v: INTEGER END;
+  Op = PROCEDURE (VAR INTEGER, ARRAY OF CHAR): INTEGER;
+  Proc = PROCEDURE;
+VAR mu: MUTEX; head, tail: Node; total: Shape.Count;
+EXCEPTION Stop, Halt;
+
+PROCEDURE Count(VAR x, y: INTEGER; s: ARRAY OF CHAR; VAR t: ARRAY OF Lib.Item): INTEGER;
+CONST One = 1;
+TYPE Pair = RECORD a, b: INTEGER END;
+VAR g: Grid; p: Pair;
+  PROCEDURE Inner(c: Color);
+  EXCEPTION Deep;
+  BEGIN
+    IF c = Red THEN RAISE Deep END
+  END Inner;
+BEGIN
+  Inner(Red);
+  RETURN x + One
+END Count;
+
+PROCEDURE Empty;
+END Empty;
+
+BEGIN
+  total := 0
+END Decls.
+`
+
 func bodySource(tb testing.TB, text string) *SliceSource {
 	tb.Helper()
 	diags := diag.NewBag(0)
@@ -65,21 +118,30 @@ func bodySource(tb testing.TB, text string) *SliceSource {
 	return src
 }
 
-// parseTail parses the body from the start of src into a.
-func parseTail(src *SliceSource, ctx *ctrace.TaskCtx, diags *diag.Bag, a *ast.Arena) *ProcStream {
+// parseUnit parses the whole unit from the start of src into a.
+func parseUnit(src *SliceSource, ctx *ctrace.TaskCtx, diags *diag.Bag, a *ast.Arena) *ast.Module {
 	src.i = 0
-	p := New(src, "P.mod", ctx, diags)
-	p.Arena = a
+	var p Parser
+	p.Init(a, src, "Decls.mod", ctx, diags)
+	return p.ParseUnit()
+}
+
+// parseTail parses the body from the start of src into a.
+func parseTail(src *SliceSource, ctx *ctrace.TaskCtx, diags *diag.Bag, a *ast.Arena) ProcStream {
+	src.i = 0
+	var p Parser
+	p.Init(a, src, "P.mod", ctx, diags)
 	return p.ParseProcTail("P")
 }
 
-// TestArenaParseAllocs guards the recycled statement tree: once an arena
-// has been through one parse, re-parsing the same body into it after a
-// reset allocates only the Parser and the ProcStream — every node, every
-// list, and the scratch stacks come from recycled memory.  That holds
-// for the 41-statement procBody (before arenas its parse made 332 heap
-// allocations, 17.7 kB) and for mixedBody, which has every statement
-// and expression shape.
+// TestArenaParseAllocs guards the recycled parse tree: once an arena has
+// been through one parse, re-parsing the same text into it after a reset
+// allocates at most twice — every node, every list, and the scratch
+// stacks come from recycled memory, and the parser is reset in place.
+// That holds for the 41-statement procBody (before arenas its parse made
+// 332 heap allocations, 17.7 kB), for mixedBody, which has every
+// statement and expression shape, and for declModule, a whole module
+// with every declaration, type and import shape.
 func TestArenaParseAllocs(t *testing.T) {
 	for name, body := range map[string]string{"procBody": procBody(), "mixedBody": mixedBody()} {
 		src := bodySource(t, body)
@@ -106,26 +168,50 @@ func TestArenaParseAllocs(t *testing.T) {
 			t.Fatalf("%s: re-parse into a reset arena made %.0f heap allocations, want <= 2", name, allocs)
 		}
 	}
+
+	src := bodySource(t, declModule)
+	ctx := &ctrace.TaskCtx{}
+	diags := diag.NewBag(0)
+	a := ast.GetArena()
+	if m := parseUnit(src, ctx, diags, a); diags.HasErrors() || len(m.Decls) != 19 || len(m.Imports) != 2 {
+		t.Fatalf("declModule: warm-up parse has %d declarations:\n%s", len(m.Decls), diags)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		ast.PutArena(a)
+		a = ast.GetArena()
+		parseUnit(src, ctx, diags, a)
+	})
+	ast.PutArena(a)
+	t.Logf("declModule: %.0f allocations", allocs)
+	if allocs > 2 {
+		t.Fatalf("declModule: re-parse into a reset arena made %.0f heap allocations, want <= 2", allocs)
+	}
 }
 
 // TestArenaTreeMatchesHeapTree checks that the arena changes where the
-// tree lives, not what it is: mixedBody, which has every node type the
-// parser builds in an arena, parsed with and without an arena prints
-// identically, also into chunks a release scrambled.
+// tree lives, not what it is: mixedBody and declModule, which between
+// them have every node type the parser builds, parsed with and without
+// an arena print identically, also into chunks a release scrambled.
 func TestArenaTreeMatchesHeapTree(t *testing.T) {
 	pool.Scribble.Store(true)
 	defer pool.Scribble.Store(false)
-	src := bodySource(t, mixedBody())
+	body, decls := bodySource(t, mixedBody()), bodySource(t, declModule)
 	ctx := &ctrace.TaskCtx{}
 	diags := diag.NewBag(0)
-	want := printBody(parseTail(src, ctx, diags, nil).Body)
+	parse := func(a *ast.Arena) string {
+		return printBody(parseTail(body, ctx, diags, a).Body) + ast.Print(parseUnit(decls, ctx, diags, a))
+	}
+	want := parse(nil)
 	a := ast.GetArena()
 	for i := 0; i < 3; i++ {
-		if got := printBody(parseTail(src, ctx, diags, a).Body); got != want {
+		if got := parse(a); got != want {
 			t.Fatalf("parse %d into an arena differs from the heap tree\ngot:\n%s\nwant:\n%s", i, got, want)
 		}
 		ast.PutArena(a)
 		a = ast.GetArena()
+	}
+	if diags.HasErrors() {
+		t.Fatal(diags)
 	}
 }
 
@@ -150,5 +236,21 @@ func BenchmarkParseBody(b *testing.B) {
 				a = ast.GetArena()
 			}
 		})
+	}
+}
+
+// BenchmarkParseDecls measures parsing declModule, a whole module with
+// every declaration shape, into a recycled arena (run with -benchmem:
+// allocs/op is the per-parse heap traffic).
+func BenchmarkParseDecls(b *testing.B) {
+	src := bodySource(b, declModule)
+	ctx := &ctrace.TaskCtx{}
+	diags := diag.NewBag(0)
+	a := ast.GetArena()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		parseUnit(src, ctx, diags, a)
+		ast.PutArena(a)
+		a = ast.GetArena()
 	}
 }

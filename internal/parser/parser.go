@@ -13,6 +13,7 @@
 package parser
 
 import (
+	"fmt"
 	"strconv"
 
 	"m2cc/internal/ast"
@@ -68,11 +69,13 @@ type Parser struct {
 	inDef    bool // parsing a DEFINITION MODULE: procedures are headings only
 	errCount int  // parser-local error count, bounds cascading recovery
 	depth    int  // nesting level of the tree under construction (see MaxNesting)
+	procs    int  // inline procedure bodies open (see MaxProcNesting)
 
-	// Arena, when set, receives the statement trees parsed from then on
-	// (see ast.Arena); nil allocates them from the heap.  The concurrent
-	// driver sets it only after a stream's declarations are parsed, so
-	// declaration ASTs, which symbols retain, never live in an arena.
+	// Arena receives the nodes parsed from then on, declarations and
+	// statements alike (see ast.Arena); nil allocates them from the
+	// heap.  The concurrent driver lends a stream's parse an arena for
+	// each stretch of parsing and takes it back while the stream's
+	// declarations are analyzed, which may wait on other streams.
 	Arena *ast.Arena
 	own   ast.Stacks // scratch stacks when there is no arena
 }
@@ -80,9 +83,17 @@ type Parser struct {
 // New returns a parser over src.  file is the human-readable file label
 // for diagnostics; ctx accumulates parse cost (must be non-nil).
 func New(src TokenSource, file string, ctx *ctrace.TaskCtx, diags *diag.Bag) *Parser {
-	p := &Parser{src: src, file: file, ctx: ctx, diags: diags}
-	p.next()
+	p := new(Parser)
+	p.Init(nil, src, file, ctx, diags)
 	return p
+}
+
+// Init readies p, whatever it parsed before, for a parse of src into a,
+// as New does; a driver that keeps its parser in place (on its task's
+// stack) makes none per parse.
+func (p *Parser) Init(a *ast.Arena, src TokenSource, file string, ctx *ctrace.TaskCtx, diags *diag.Bag) {
+	*p = Parser{src: src, file: file, ctx: ctx, diags: diags, Arena: a}
+	p.next()
 }
 
 func (p *Parser) next() {
@@ -169,11 +180,20 @@ func (p *Parser) name() ast.Name {
 }
 
 func (p *Parser) nameList() []ast.Name {
-	names := []ast.Name{p.name()}
-	for p.accept(token.Comma) {
-		names = append(names, p.name())
+	return list(p, &p.stacks().Names, token.Comma, p.name)
+}
+
+// list parses items separated by sep, pushing each on the scratch stack
+// *st, and returns them as one exact-size list.
+func list[T any](p *Parser, st *[]T, sep token.Kind, item func() T) []T {
+	base := len(*st)
+	for {
+		v := item() // may push and pop nested lists: append after
+		*st = append(*st, v)
+		if !p.accept(sep) {
+			return ast.Pop(p.Arena, st, base)
+		}
 	}
-	return names
 }
 
 func (p *Parser) qualident() *ast.Qualident {
@@ -192,7 +212,7 @@ func (p *Parser) qualident() *ast.Qualident {
 // Module with Kind, Name and Imports set.  Declarations and body are
 // parsed by the later stages.
 func (p *Parser) ParsePrologue() *ast.Module {
-	m := &ast.Module{Pos: p.tok.Pos}
+	m := ast.New(p.Arena, ast.Module{Pos: p.tok.Pos})
 	switch p.tok.Kind {
 	case token.DEFINITION:
 		p.next()
@@ -230,104 +250,98 @@ func (p *Parser) ParsePrologue() *ast.Module {
 }
 
 func (p *Parser) parseImports() []*ast.Import {
-	var imps []*ast.Import
-	for {
-		switch p.tok.Kind {
-		case token.FROM:
-			pos := p.tok.Pos
-			p.next()
-			from := p.name()
+	st := p.stacks()
+	base := len(st.Imports)
+	for p.at(token.FROM) || p.at(token.IMPORT) {
+		imp := ast.New(p.Arena, ast.Import{Pos: p.tok.Pos})
+		if p.accept(token.FROM) {
+			imp.From = p.name()
 			p.expect(token.IMPORT)
-			imps = append(imps, &ast.Import{From: from, Names: p.nameList(), Pos: pos})
-			p.expect(token.Semicolon)
-		case token.IMPORT:
-			pos := p.tok.Pos
+		} else {
 			p.next()
-			imps = append(imps, &ast.Import{Names: p.nameList(), Pos: pos})
-			p.expect(token.Semicolon)
-		default:
-			return imps
 		}
+		imp.Names = p.nameList()
+		st.Imports = append(st.Imports, imp)
+		p.expect(token.Semicolon)
 	}
+	return ast.Pop(p.Arena, &st.Imports, base)
 }
 
 // ParseDeclarations parses declaration sections until BEGIN, END or end
 // of stream.
 func (p *Parser) ParseDeclarations() []ast.Decl {
-	var decls []ast.Decl
+	st := p.stacks()
+	base := len(st.Decls)
 	for {
+		var d ast.Decl // pushed once parsed: nested lists push and pop first
 		switch p.tok.Kind {
 		case token.CONST:
 			p.next()
 			for p.at(token.Ident) {
-				d := &ast.ConstDecl{Name: p.name()}
+				d := ast.New(p.Arena, ast.ConstDecl{Name: p.name()})
 				p.expect(token.Equal)
 				d.Expr = p.parseExpr()
 				p.expect(token.Semicolon)
-				decls = append(decls, d)
+				st.Decls = append(st.Decls, d)
 			}
 		case token.TYPE:
 			p.next()
 			for p.at(token.Ident) {
-				d := &ast.TypeDecl{Name: p.name()}
+				d := ast.New(p.Arena, ast.TypeDecl{Name: p.name()})
 				if p.accept(token.Equal) {
 					d.Type = p.parseType()
 				}
 				p.expect(token.Semicolon)
-				decls = append(decls, d)
+				st.Decls = append(st.Decls, d)
 			}
 		case token.VAR:
 			p.next()
 			for p.at(token.Ident) {
-				d := &ast.VarDecl{Names: p.nameList()}
+				d := ast.New(p.Arena, ast.VarDecl{Names: p.nameList()})
 				p.expect(token.Colon)
 				d.Type = p.parseType()
 				p.expect(token.Semicolon)
-				decls = append(decls, d)
+				st.Decls = append(st.Decls, d)
 			}
 		case token.EXCEPTION:
 			pos := p.tok.Pos
 			p.next()
-			decls = append(decls, &ast.ExceptionDecl{Names: p.nameList(), Pos: pos})
+			d = ast.New(p.Arena, ast.ExceptionDecl{Names: p.nameList(), Pos: pos})
 			p.expect(token.Semicolon)
 		case token.PROCEDURE:
-			decls = append(decls, p.parseProcDecl())
+			d = p.parseProcDecl()
 		case token.MODULE:
 			p.errorf(p.tok.Pos, "local modules are not supported by this compiler")
-			p.skipLocalModule()
+			p.next()
+			p.skipBlock(1)
+			p.accept(token.Semicolon)
 		case token.BEGIN, token.END, token.EOF:
-			return decls
+			return ast.Pop(p.Arena, &st.Decls, base)
 		default:
 			p.errorf(p.tok.Pos, "expected a declaration, found %s", p.tok)
 			p.next() // guarantee progress
 		}
+		if d != nil {
+			st.Decls = append(st.Decls, d)
+		}
 	}
 }
 
-// skipLocalModule consumes a local module declaration using END-depth
-// matching so parsing can continue after the unsupported construct.
-func (p *Parser) skipLocalModule() {
-	depth := 0
-	for {
+// skipBlock consumes tokens up to the END that closes depth open
+// constructs, using END-depth matching, and the name after that END, so
+// parsing can continue after a construct it does not build.
+func (p *Parser) skipBlock(depth int) {
+	for depth > 0 && !p.at(token.EOF) {
 		switch {
-		case p.tok.Kind == token.EOF:
-			return
-		case p.tok.Kind == token.MODULE,
-			p.tok.Kind.OpensEnd() && p.tok.Kind != token.MODULE,
-			p.tok.Kind == token.PROCEDURE && p.peek().Kind == token.Ident:
+		case p.tok.Kind.OpensEnd(), p.tok.Kind == token.PROCEDURE && p.peek().Kind == token.Ident:
 			depth++
-			p.next()
 		case p.tok.Kind == token.END:
 			depth--
-			p.next()
-			if depth <= 0 {
-				p.accept(token.Ident)
-				p.accept(token.Semicolon)
-				return
-			}
-		default:
-			p.next()
 		}
+		p.next()
+	}
+	if depth == 0 {
+		p.accept(token.Ident)
 	}
 }
 
@@ -335,25 +349,18 @@ func (p *Parser) skipLocalModule() {
 // has verified that the current token is PROCEDURE.
 func (p *Parser) ParseProcHead() *ast.ProcHead {
 	pos := p.expect(token.PROCEDURE)
-	h := &ast.ProcHead{Pos: pos, Name: p.name()}
+	h := ast.New(p.Arena, ast.ProcHead{Pos: pos, Name: p.name()})
 	if p.accept(token.LParen) {
+		st := p.stacks()
+		base := len(st.Params)
 		for !p.at(token.RParen) && !p.at(token.EOF) {
-			sec := &ast.FPSection{}
-			if p.accept(token.VAR) {
-				sec.VarMode = true
-			}
-			sec.Names = p.nameList()
-			p.expect(token.Colon)
-			if p.accept(token.ARRAY) {
-				p.expect(token.OF)
-				sec.Open = true
-			}
-			sec.Type = p.qualident()
-			h.Params = append(h.Params, sec)
+			sec := p.fpSection() // may push and pop nested lists: append after
+			st.Params = append(st.Params, sec)
 			if !p.accept(token.Semicolon) {
 				break
 			}
 		}
+		h.Params = ast.Pop(p.Arena, &st.Params, base)
 		p.expect(token.RParen)
 	}
 	if p.accept(token.Colon) {
@@ -362,16 +369,39 @@ func (p *Parser) ParseProcHead() *ast.ProcHead {
 	return h
 }
 
+// fpSection parses one formal-parameter section "[VAR] a, b: [ARRAY OF] T".
+func (p *Parser) fpSection() *ast.FPSection {
+	sec := ast.New(p.Arena, ast.FPSection{VarMode: p.accept(token.VAR)})
+	sec.Names = p.nameList()
+	p.expect(token.Colon)
+	if p.accept(token.ARRAY) {
+		p.expect(token.OF)
+		sec.Open = true
+	}
+	sec.Type = p.qualident()
+	return sec
+}
+
+// MaxProcNesting bounds how deep procedures nest.  Each procedure body
+// is a stream of its own, so MaxNesting never sees this depth: the
+// splitter drops a body nested deeper and leaves a BodyRef without a
+// stream number, which the parser reports, and the parser does the
+// same with an inline body (the sequential compiler and the linter).
+const MaxProcNesting = 500
+
 func (p *Parser) parseProcDecl() *ast.ProcDecl {
 	head := p.ParseProcHead()
-	d := &ast.ProcDecl{Head: head}
+	d := ast.New(p.Arena, ast.ProcDecl{Head: head})
 	p.expect(token.Semicolon)
 	switch p.tok.Kind {
 	case token.BodyRef:
 		// Concurrent mode: the splitter diverted the body to another
 		// stream and left its number behind.
 		n, err := strconv.Atoi(p.tok.Text)
-		if err != nil {
+		switch {
+		case p.tok.Text == "":
+			p.tooManyProcs(p.tok.Pos)
+		case err != nil:
 			p.errorf(p.tok.Pos, "corrupt stream reference %q", p.tok.Text)
 		}
 		d.HeadingOnly = true
@@ -386,10 +416,19 @@ func (p *Parser) parseProcDecl() *ast.ProcDecl {
 			return d
 		}
 		// Sequential mode: the body follows inline.
+		if p.procs == MaxProcNesting {
+			p.tooManyProcs(head.Pos)
+			d.HeadingOnly = true
+			p.skipBlock(1)
+			p.expect(token.Semicolon)
+			return d
+		}
+		p.procs++
 		d.Decls = p.ParseDeclarations()
 		if p.accept(token.BEGIN) {
 			d.Body = p.parseStmtList()
 		}
+		p.procs--
 		p.expect(token.END)
 		d.EndName = p.name()
 		if d.EndName.Text != head.Name.Text {
@@ -403,19 +442,16 @@ func (p *Parser) parseProcDecl() *ast.ProcDecl {
 	return d
 }
 
-// ParseBody parses the optional module body "BEGIN seq" plus the
-// closing "END name .".
+// ErrProcNesting is the message reported at a procedure nested deeper
+// than MaxProcNesting.
+var ErrProcNesting = fmt.Sprintf("procedures nested deeper than %d levels", MaxProcNesting)
+
+func (p *Parser) tooManyProcs(pos token.Pos) { p.errorf(pos, "%s", ErrProcNesting) }
+
+// ParseBody parses the optional module body "BEGIN seq" (a definition
+// module has none) plus the closing "END name .".
 func (p *Parser) ParseBody(m *ast.Module) {
-	if m.Kind == ast.DefMod {
-		p.expect(token.END)
-		end := p.name()
-		if end.Text != m.Name.Text {
-			p.errorf(end.Pos, "module %s ends with name %s", m.Name.Text, end.Text)
-		}
-		p.expect(token.Dot)
-		return
-	}
-	if p.accept(token.BEGIN) {
+	if m.Kind != ast.DefMod && p.accept(token.BEGIN) {
 		m.Body = p.parseStmtList()
 	}
 	p.expect(token.END)
@@ -435,23 +471,17 @@ func (p *Parser) ParseUnit() *ast.Module {
 	return m
 }
 
-// ProcStream is the parse result of a procedure stream: the procedure's
-// local declarations, its body and the END name.
+// ProcStream is the parse result of a procedure stream's tail: its body
+// and the END name.
 type ProcStream struct {
-	Decls   []ast.Decl
 	Body    *ast.StmtList
 	EndName ast.Name
 }
 
-// ParseProcDeclsOnly parses a procedure stream's declaration part and
-// stops before BEGIN/END, for the staged Parser/Decl-Analyzer task.
-func (p *Parser) ParseProcDeclsOnly() []ast.Decl { return p.ParseDeclarations() }
-
 // ParseProcTail parses the remainder of a procedure stream after its
 // declarations: "[BEGIN seq] END name".  procName is the expected END
 // name.
-func (p *Parser) ParseProcTail(procName string) *ProcStream {
-	ps := &ProcStream{}
+func (p *Parser) ParseProcTail(procName string) (ps ProcStream) {
 	if p.accept(token.BEGIN) {
 		ps.Body = p.parseStmtList()
 	}
@@ -465,9 +495,6 @@ func (p *Parser) ParseProcTail(procName string) *ProcStream {
 	}
 	return ps
 }
-
-// AtEOF reports whether the parser has consumed its entire stream.
-func (p *Parser) AtEOF() bool { return p.at(token.EOF) }
 
 // AcceptSemicolon consumes a ";" if present (used after a re-processed
 // procedure heading in header-sharing alternative 3).
@@ -488,11 +515,11 @@ func (p *Parser) parseType() ast.Type {
 			// Base-qualified subrange: T[lo..hi].
 			return p.parseSubrange(q)
 		}
-		return &ast.NamedType{Name: q}
+		return ast.New(p.Arena, ast.NamedType{Name: q})
 	case token.LParen:
 		pos := p.tok.Pos
 		p.next()
-		e := &ast.EnumType{Pos: pos, Names: p.nameList()}
+		e := ast.New(p.Arena, ast.EnumType{Pos: pos, Names: p.nameList()})
 		p.expect(token.RParen)
 		return e
 	case token.LBrack:
@@ -500,34 +527,30 @@ func (p *Parser) parseType() ast.Type {
 	case token.ARRAY:
 		pos := p.tok.Pos
 		p.next()
-		a := &ast.ArrayType{Pos: pos}
-		a.Indexes = append(a.Indexes, p.parseType())
-		for p.accept(token.Comma) {
-			a.Indexes = append(a.Indexes, p.parseType())
-		}
+		a := ast.New(p.Arena, ast.ArrayType{Pos: pos, Indexes: list(p, &p.stacks().Types, token.Comma, p.parseType)})
 		p.expect(token.OF)
 		a.Elem = p.parseType()
 		return a
 	case token.RECORD:
 		pos := p.tok.Pos
 		p.next()
-		r := &ast.RecordType{Pos: pos, Fields: p.parseFieldLists()}
+		r := ast.New(p.Arena, ast.RecordType{Pos: pos, Fields: p.parseFieldLists()})
 		p.expect(token.END)
 		return r
 	case token.SET:
 		pos := p.tok.Pos
 		p.next()
 		p.expect(token.OF)
-		return &ast.SetType{Pos: pos, Base: p.parseType()}
+		return ast.New(p.Arena, ast.SetType{Pos: pos, Base: p.parseType()})
 	case token.POINTER:
 		pos := p.tok.Pos
 		p.next()
 		p.expect(token.TO)
-		return &ast.PointerType{Pos: pos, Base: p.parseType()}
+		return ast.New(p.Arena, ast.PointerType{Pos: pos, Base: p.parseType()})
 	case token.REF:
 		pos := p.tok.Pos
 		p.next()
-		return &ast.RefType{Pos: pos, Base: p.parseType()}
+		return ast.New(p.Arena, ast.RefType{Pos: pos, Base: p.parseType()})
 	case token.PROCEDURE:
 		return p.parseProcType()
 	default:
@@ -539,12 +562,13 @@ func (p *Parser) parseType() ast.Type {
 
 // badType stands in for a type that could not be parsed.
 func (p *Parser) badType() ast.Type {
-	return &ast.NamedType{Name: &ast.Qualident{Parts: []ast.Name{{Text: "INTEGER", Pos: p.tok.Pos}}}}
+	q := ast.New(p.Arena, ast.Qualident{Parts: ast.Append(p.Arena, nil, ast.Name{Text: "INTEGER", Pos: p.tok.Pos})})
+	return ast.New(p.Arena, ast.NamedType{Name: q})
 }
 
 func (p *Parser) parseSubrange(base *ast.Qualident) ast.Type {
 	pos := p.expect(token.LBrack)
-	s := &ast.SubrangeType{Base: base, Pos: pos}
+	s := ast.New(p.Arena, ast.SubrangeType{Base: base, Pos: pos})
 	s.Lo = p.parseExpr()
 	p.expect(token.DotDot)
 	s.Hi = p.parseExpr()
@@ -557,26 +581,31 @@ func (p *Parser) parseFieldLists() []*ast.FieldList {
 		return nil
 	}
 	defer p.unnest()
-	var fields []*ast.FieldList
+	st := p.stacks()
+	base := len(st.Fields)
 	for {
+		var fl *ast.FieldList
 		switch p.tok.Kind {
 		case token.Ident:
-			fl := &ast.FieldList{Names: p.nameList()}
+			fl = ast.New(p.Arena, ast.FieldList{Names: p.nameList()})
 			p.expect(token.Colon)
 			fl.Type = p.parseType()
-			fields = append(fields, fl)
 		case token.CASE:
-			fields = append(fields, &ast.FieldList{Variant: p.parseVariantPart()})
+			v := p.parseVariantPart()
+			fl = ast.New(p.Arena, ast.FieldList{Variant: v})
+		}
+		if fl != nil {
+			st.Fields = append(st.Fields, fl)
 		}
 		if !p.accept(token.Semicolon) {
-			return fields
+			return ast.Pop(p.Arena, &st.Fields, base)
 		}
 	}
 }
 
 func (p *Parser) parseVariantPart() *ast.VariantPart {
 	pos := p.expect(token.CASE)
-	v := &ast.VariantPart{Pos: pos}
+	v := ast.New(p.Arena, ast.VariantPart{Pos: pos})
 	// "CASE tag : Type OF" or "CASE Type OF" (anonymous tag, old-style
 	// "CASE : Type OF" also accepted).
 	if p.at(token.Ident) && p.peek().Kind == token.Colon {
@@ -596,10 +625,10 @@ func (p *Parser) parseVariantPart() *ast.VariantPart {
 		if p.at(token.ELSE) || p.at(token.END) || p.at(token.EOF) {
 			break
 		}
-		c := &ast.VariantCase{Labels: p.parseCaseLabels()}
+		c := ast.New(p.Arena, ast.VariantCase{Labels: p.parseCaseLabels()})
 		p.expect(token.Colon)
 		c.Fields = p.parseFieldLists()
-		v.Cases = append(v.Cases, c)
+		v.Cases = ast.Append(p.Arena, v.Cases, c)
 		if !p.accept(token.Bar) {
 			break
 		}
@@ -627,19 +656,16 @@ func (p *Parser) parseCaseLabels() []*ast.CaseLabel {
 
 func (p *Parser) parseProcType() ast.Type {
 	pos := p.expect(token.PROCEDURE)
-	t := &ast.ProcType{Pos: pos}
+	t := ast.New(p.Arena, ast.ProcType{Pos: pos})
 	if p.accept(token.LParen) {
 		for !p.at(token.RParen) && !p.at(token.EOF) {
-			param := &ast.ProcTypeParam{}
-			if p.accept(token.VAR) {
-				param.VarMode = true
-			}
+			param := ast.New(p.Arena, ast.ProcTypeParam{VarMode: p.accept(token.VAR)})
 			if p.accept(token.ARRAY) {
 				p.expect(token.OF)
 				param.Open = true
 			}
 			param.Type = p.qualident()
-			t.Params = append(t.Params, param)
+			t.Params = ast.Append(p.Arena, t.Params, param)
 			if !p.accept(token.Comma) {
 				break
 			}
@@ -663,18 +689,7 @@ func (p *Parser) stacks() *ast.Stacks {
 // exprList parses "expr {, expr}" and returns it as an exact-size
 // slice.
 func (p *Parser) exprList() []ast.Expr {
-	st := p.stacks()
-	base := len(st.Exprs)
-	for {
-		e := p.parseExpr() // may push and pop nested lists: append after
-		st.Exprs = append(st.Exprs, e)
-		if !p.accept(token.Comma) {
-			break
-		}
-	}
-	list := ast.Slice(p.Arena, st.Exprs[base:])
-	st.Exprs = st.Exprs[:base]
-	return list
+	return list(p, &p.stacks().Exprs, token.Comma, p.parseExpr)
 }
 
 // ---------------------------------------------------------------------
@@ -711,8 +726,7 @@ func (p *Parser) parseStmtList() *ast.StmtList {
 			p.next() // guarantee progress
 		}
 	}
-	sl := ast.New(p.Arena, ast.StmtList{Stmts: ast.Slice(p.Arena, st.Stmts[base:])})
-	st.Stmts = st.Stmts[:base]
+	sl := ast.New(p.Arena, ast.StmtList{Stmts: ast.Pop(p.Arena, &st.Stmts, base)})
 	p.unnest()
 	return sl
 }

@@ -1,6 +1,8 @@
 package sema
 
 import (
+	"strings"
+
 	"m2cc/internal/ast"
 	"m2cc/internal/ctrace"
 	"m2cc/internal/symtab"
@@ -20,23 +22,24 @@ type ChildProc struct {
 	Sym       *symtab.Symbol
 	Scope     *symtab.Scope
 	Meta      *vm.ProcMeta
-	FrameBase int32 // first free frame slot after the parameters
-	ScopePath string
+	FrameBase int32  // first free frame slot after the parameters
+	module    string // the module scope's path, "M.mod"
 }
 
 // DeclAnalyzer processes the declaration part of one stream, building
 // the stream's symbol table.  One analyzer is owned by exactly one
 // Parser/Declarations-Analyzer task.
 type DeclAnalyzer struct {
-	Env       *Env
-	Scope     *symtab.Scope
-	ScopePath string // deterministic path: "M.def", "M.mod", "M.mod:P.Q"
-	OwnerMod  string // module whose source declares this scope
-	IsDef     bool   // definition-module scope: procedures are external
-	Area      int32  // registry globals area (module/def scopes); -1 for procedures
-	AreaName  string // the area's name ("M.def"/"M.mod"); symbols carry this
-	NextOff   int32  // storage allocator (area slots or frame slots)
-	Children  []*ChildProc
+	Env      *Env
+	Scope    *symtab.Scope
+	Proc     *ChildProc // the procedure whose scope this is; nil for a module scope
+	ModPath  string     // the module scope's path: "M.def", "M.mod"
+	OwnerMod string     // module whose source declares this scope
+	IsDef    bool       // definition-module scope: procedures are external
+	Area     int32      // registry globals area (module/def scopes); -1 for procedures
+	AreaName string     // the area's name ("M.def"/"M.mod"); symbols carry this
+	NextOff  int32      // storage allocator (area slots or frame slots)
+	Children []*ChildProc
 
 	// OnChild, when set, is invoked the moment each procedure heading
 	// has been analyzed — the concurrent driver uses it to fire the
@@ -52,8 +55,7 @@ type DeclAnalyzer struct {
 	// stream re-processes the heading itself (AnalyzeOwnHeading).
 	ShareHeadings bool
 
-	procPrefix string // "" at module level, "Outer." inside procedures
-	fixups     []fixup
+	fixups []fixup
 
 	// held are shared-heading children announced while a pointer fixup
 	// was outstanding: their copied parameter types may still have a nil
@@ -66,7 +68,7 @@ type DeclAnalyzer struct {
 // areaName is the scope's global storage area ("M.def" / "M.mod").
 func NewModuleAnalyzer(env *Env, scope *symtab.Scope, scopePath, ownerMod, areaName string, isDef bool) *DeclAnalyzer {
 	return &DeclAnalyzer{
-		Env: env, Scope: scope, ScopePath: scopePath, OwnerMod: ownerMod,
+		Env: env, Scope: scope, ModPath: scopePath, OwnerMod: ownerMod,
 		IsDef: isDef, Area: env.Reg.AreaIdx(areaName), AreaName: areaName,
 		ShareHeadings: true,
 	}
@@ -76,13 +78,40 @@ func NewModuleAnalyzer(env *Env, scope *symtab.Scope, scopePath, ownerMod, areaN
 // a parent's heading analysis.
 func NewProcAnalyzer(env *Env, child *ChildProc) *DeclAnalyzer {
 	return &DeclAnalyzer{
-		Env: env, Scope: child.Scope, ScopePath: child.ScopePath,
+		Env: env, Scope: child.Scope, Proc: child, ModPath: child.module,
 		OwnerMod: child.Meta.Module, Area: -1, NextOff: child.FrameBase,
-		ShareHeadings: true, procPrefix: child.Meta.Name + ".",
+		ShareHeadings: true,
 	}
 }
 
 func (a *DeclAnalyzer) insert(sym *symtab.Symbol) { a.Env.Insert(a.Scope, sym) }
+
+// Path renders the scope's deterministic path: the module's, then for a
+// procedure the registry name of each procedure from the outermost in,
+// ':'-joined ("M.mod:P:P.Q" for Q declared in P).  Its length grows with
+// the square of the nesting depth, so it is rendered only where it is
+// output: exception names and lint units.
+func (a *DeclAnalyzer) Path() string {
+	if a.Proc == nil {
+		return a.ModPath
+	}
+	name, n := a.Proc.Meta.Name, len(a.ModPath)
+	for i := range len(name) + 1 {
+		if i == len(name) || name[i] == '.' {
+			n += 1 + i
+		}
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(a.ModPath)
+	for i := range len(name) + 1 {
+		if i == len(name) || name[i] == '.' {
+			b.WriteString(":")
+			b.WriteString(name[:i])
+		}
+	}
+	return b.String()
+}
 
 // warnModuleShadow reports a procedure-local variable whose name hides
 // an imported module.  Only the enclosing implementation-module scope
@@ -201,8 +230,9 @@ func (a *DeclAnalyzer) Analyze(decls []ast.Decl) {
 			}
 
 		case *ast.ExceptionDecl:
+			path := a.Path()
 			for _, n := range d.Names {
-				full := ExcName(a.ScopePath, n.Text)
+				full := ExcName(path, n.Text)
 				a.insert(&symtab.Symbol{
 					Name: n.Text, Kind: symtab.KException, Pos: n.Pos,
 					Type: types.Exception, Payload: &symtab.Payload{ExcName: full},
@@ -215,13 +245,19 @@ func (a *DeclAnalyzer) Analyze(decls []ast.Decl) {
 	}
 }
 
-// resolveFormalType resolves one formal-parameter section's type.
-func (a *DeclAnalyzer) resolveFormalType(sec *ast.FPSection) *types.Type {
-	t := a.Env.ResolveTypeName(a.Scope, sec.Type)
-	if sec.Open {
-		return types.NewOpenArray(t)
+// formals resolves a heading's formal parameters.
+func (a *DeclAnalyzer) formals(head *ast.ProcHead) []types.Param {
+	params := make([]types.Param, 0, len(head.Params))
+	for _, sec := range head.Params {
+		t := a.Env.ResolveTypeName(a.Scope, sec.Type)
+		if sec.Open {
+			t = types.NewOpenArray(t)
+		}
+		for _, n := range sec.Names {
+			params = append(params, types.Param{Name: n.Text, Type: t, ByRef: sec.VarMode, Open: sec.Open})
+		}
 	}
-	return t
+	return params
 }
 
 // ParamSlots returns the frame slots one parameter occupies: VAR
@@ -246,16 +282,7 @@ func (a *DeclAnalyzer) analyzeProcHeading(d *ast.ProcDecl) {
 	e := a.Env
 	head := d.Head
 	e.Ctx.Add(ctrace.CostTypeNode)
-
-	params := make([]types.Param, 0, len(head.Params))
-	for _, sec := range head.Params {
-		t := a.resolveFormalType(sec)
-		for _, n := range sec.Names {
-			params = append(params, types.Param{
-				Name: n.Text, Type: t, ByRef: sec.VarMode, Open: sec.Open,
-			})
-		}
-	}
+	params := a.formals(head)
 	var ret *types.Type
 	if head.Ret != nil {
 		ret = e.ResolveTypeName(a.Scope, head.Ret)
@@ -284,7 +311,10 @@ func (a *DeclAnalyzer) analyzeProcHeading(d *ast.ProcDecl) {
 		e.Errorf(head.Name.Pos, vm.LimitFmt, "the size in slots of the parameters of "+head.Name.Text)
 	}
 	level := a.Scope.Level + 1
-	path := a.procPrefix + head.Name.Text
+	path := head.Name.Text // the registry name: dotted from the outermost procedure
+	if a.Proc != nil {
+		path = e.Reg.Nest(a.Proc.Meta.Name, path)
+	}
 	meta := e.Reg.NewProc(d.BodyStream, path, a.Scope.Kind == symtab.ModuleScope, false,
 		level, int32(argSlots), ret != nil, head.Pos)
 
@@ -303,8 +333,7 @@ func (a *DeclAnalyzer) analyzeProcHeading(d *ast.ProcDecl) {
 	}
 
 	cp := &ChildProc{
-		Decl: d, Sym: procSym, Scope: child, Meta: meta, FrameBase: off,
-		ScopePath: a.ScopePath + ":" + path,
+		Decl: d, Sym: procSym, Scope: child, Meta: meta, FrameBase: off, module: a.ModPath,
 	}
 	a.Children = append(a.Children, cp)
 	switch {
@@ -340,15 +369,7 @@ func CopyHeadingEntries(e *Env, child *symtab.Scope, procSym *symtab.Symbol, par
 // ones the parent built for the signature.  Returns the first free
 // frame slot.
 func AnalyzeOwnHeading(env *Env, child *ChildProc, head *ast.ProcHead) int32 {
-	a := &DeclAnalyzer{Env: env, Scope: child.Scope, ScopePath: child.ScopePath,
-		OwnerMod: child.Meta.Module, Area: -1, ShareHeadings: true}
-	params := make([]types.Param, 0, len(head.Params))
-	for _, sec := range head.Params {
-		t := a.resolveFormalType(sec)
-		for _, n := range sec.Names {
-			params = append(params, types.Param{Name: n.Text, Type: t, ByRef: sec.VarMode, Open: sec.Open})
-		}
-	}
+	params := (&DeclAnalyzer{Env: env, Scope: child.Scope}).formals(head)
 	if head.Ret != nil {
 		env.ResolveTypeName(child.Scope, head.Ret)
 	}

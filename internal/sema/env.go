@@ -45,14 +45,9 @@ func (e *Env) Warnf(pos token.Pos, format string, args ...any) {
 	e.Diags.Warnf(e.File, pos, format, args...)
 }
 
-// report adapts Errorf to the symtab.Scope.Insert callback signature.
-func (e *Env) report(pos token.Pos, format string, args ...any) {
-	e.Errorf(pos, format, args...)
-}
-
 // Insert publishes sym into scope with this task's context.
 func (e *Env) Insert(scope *symtab.Scope, sym *symtab.Symbol) bool {
-	return scope.Insert(e.Ctx, e.report, sym)
+	return scope.Insert(e.Ctx, e.Errorf, sym)
 }
 
 // ResolveQualident resolves a (possibly qualified) identifier to a

@@ -352,8 +352,8 @@ END Outer;
 	if outer.Meta.Level != 1 || outer.Scope.Level != 1 {
 		t.Fatal("outer level wrong")
 	}
-	if outer.ScopePath != "M.mod:Outer" {
-		t.Fatalf("scope path %q", outer.ScopePath)
+	if path := sema.NewProcAnalyzer(a.Env, outer).Path(); path != "M.mod:Outer" {
+		t.Fatalf("scope path %q", path)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"strconv"
 
 	"m2cc/internal/ctrace"
+	"m2cc/internal/parser"
 	"m2cc/internal/token"
 	"m2cc/internal/tokq"
 )
@@ -179,6 +180,13 @@ func RunObserved(ctx *ctrace.TaskCtx, in *tokq.Reader, mainOut *tokq.Queue, star
 			name := in.Peek().Text
 			heading := s.collectHeading(t)
 			s.forward(cur, heading, false)
+			if len(s.stack) > parser.MaxProcNesting {
+				// Too deep: the body is dropped, and a BodyRef without a
+				// stream number tells the parser to report it.
+				s.emit(cur, token.Token{Kind: token.BodyRef, Pos: t.Pos})
+				s.drop()
+				continue
+			}
 			stream, q := start(name, t.Pos, cur.stream)
 			q.SetFireHook(ctx.FireEvent)
 			if sink != nil {
@@ -211,6 +219,22 @@ func RunObserved(ctx *ctrace.TaskCtx, in *tokq.Reader, mainOut *tokq.Queue, star
 		default: // a PROCEDURE type at a block's edge
 			s.emit(cur, t)
 		}
+	}
+}
+
+// drop consumes a procedure body up to the END that closes it, by the
+// parser's END matching (Parser.skipBlock), and the name after that END.
+func (s *split) drop() {
+	for depth := 1; depth > 0 && s.in.Peek().Kind != token.EOF; {
+		switch t := s.next(); {
+		case t.Kind == token.END:
+			depth--
+		case t.Kind.OpensEnd(), t.Kind == token.PROCEDURE && s.in.Peek().Kind == token.Ident:
+			depth++
+		}
+	}
+	if s.in.Peek().Kind == token.Ident {
+		s.next()
 	}
 }
 

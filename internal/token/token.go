@@ -215,20 +215,31 @@ func (k Kind) String() string {
 // IsReserved reports whether k is a reserved word.
 func (k Kind) IsReserved() bool { return k >= AND && k <= REF }
 
-// reservedWords maps reserved-word spelling to kind.  Modula-2 reserved
-// words are all upper case.
-var reservedWords = map[string]Kind{}
+// reserved holds each reserved word at its slot, a perfect hash: no two
+// share one, so a lookup is one hash and one comparison.  Modula-2
+// reserved words are all upper case.
+var reserved [128]Kind
 
 func init() {
 	for k := AND; k <= REF; k++ {
-		reservedWords[kindNames[k]] = k
+		reserved[slot(kindNames[k])] = k
 	}
+}
+
+// slot hashes a spelling of at least two bytes by its first and its
+// last two bytes and its length.
+func slot(s string) int {
+	n := len(s)
+	return (int(s[0])*5 + int(s[n-2])*20 + int(s[n-1])*24 + n) & 127
 }
 
 // Lookup returns the reserved-word kind for an identifier spelling, or
 // Ident if the spelling is not reserved.
 func Lookup(spelling string) Kind {
-	if k, ok := reservedWords[spelling]; ok {
+	if len(spelling) < 2 || len(spelling) > len("IMPLEMENTATION") {
+		return Ident
+	}
+	if k := reserved[slot(spelling)]; k != EOF && kindNames[k] == spelling {
 		return k
 	}
 	return Ident

@@ -1,9 +1,12 @@
 package token_test
 
 import (
+	"strings"
 	"testing"
 
+	"m2cc/internal/source"
 	"m2cc/internal/token"
+	"m2cc/internal/workload"
 )
 
 func TestLookupReservedWords(t *testing.T) {
@@ -31,6 +34,74 @@ func TestLookupNonReserved(t *testing.T) {
 		if got := token.Lookup(text); got != token.Ident {
 			t.Errorf("Lookup(%q) = %v, want Ident (Modula-2 reserved words are all upper case)", text, got)
 		}
+	}
+}
+
+// refLookup is the reserved-word map Lookup's perfect hash replaced,
+// kept as the reference it must agree with.
+var refLookup = func() map[string]token.Kind {
+	m := make(map[string]token.Kind)
+	for k := token.AND; k <= token.REF; k++ {
+		m[k.String()] = k
+	}
+	return m
+}()
+
+func lookupRef(s string) token.Kind {
+	if k, ok := refLookup[s]; ok {
+		return k
+	}
+	return token.Ident
+}
+
+// TestLookupMatchesMap holds Lookup to the map it replaced on every
+// reserved word, every one-byte edit of one (a byte changed, dropped
+// or added), and every identifier of the generated suite.
+func TestLookupMatchesMap(t *testing.T) {
+	check := func(s string) {
+		if got, want := token.Lookup(s), lookupRef(s); got != want {
+			t.Errorf("Lookup(%q) = %v, want %v", s, got, want)
+		}
+	}
+	alphabet := "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_ \x00\xff"
+	for word := range refLookup {
+		check(word)
+		for i := 0; i <= len(word); i++ {
+			if i < len(word) {
+				check(word[:i] + word[i+1:])
+			}
+			for _, c := range []byte(alphabet) {
+				check(word[:i] + string(c) + word[i:])
+				if i < len(word) {
+					check(word[:i] + string(c) + word[i+1:])
+				}
+			}
+		}
+	}
+	check("")
+	check("end of file")
+	// Every word of the suite's sources: runs of letters and digits.
+	suite := workload.GenerateSuite(1992, 1)
+	words := 0
+	for _, file := range suite.Loader.Names() {
+		name, ext, _ := strings.Cut(file, ".")
+		kind := source.Impl
+		if ext == "def" {
+			kind = source.Def
+		}
+		text, err := suite.Loader.Load(name, kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range strings.FieldsFunc(text, func(r rune) bool {
+			return !('A' <= r && r <= 'Z' || 'a' <= r && r <= 'z' || '0' <= r && r <= '9')
+		}) {
+			check(w)
+			words++
+		}
+	}
+	if words < 10000 {
+		t.Fatalf("the suite has %d words, want many", words)
 	}
 }
 

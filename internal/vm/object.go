@@ -83,6 +83,35 @@ type Registry struct {
 	imports    []string
 	importSeen map[string]bool
 	body       int32
+	names      Chain // dotted names of nested procedures
+}
+
+// Nest returns the dotted name of a procedure declared in the one named
+// outer.
+func (r *Registry) Nest(outer, name string) string { return r.names.Join(outer, ".", name) }
+
+// Chain makes strings that extend one another, as the dotted names of
+// nested procedures do, without copying what they share: a string
+// joined onto the last one the chain made is written after it in the
+// same buffer, so a chain of nested names takes bytes in proportion to
+// the longest rather than to all of them.  Any other join copies.  Safe
+// for concurrent use; the zero Chain is ready.
+type Chain struct {
+	mu   sync.Mutex // guards: last
+	last []byte     // the last string made, with room after it
+}
+
+// Join returns outer + sep + name.
+func (c *Chain) Join(outer, sep, name string) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	b := c.last
+	if len(outer) != len(b) || unsafe.StringData(outer) != unsafe.SliceData(b) {
+		b = append(make([]byte, 0, len(outer)+len(sep)+len(name)), outer...)
+	}
+	b = append(append(b, sep...), name...)
+	c.last = b
+	return unsafe.String(unsafe.SliceData(b), len(b)) // no join writes below len(b) again
 }
 
 // NewRegistry returns a registry for compiling the named module.

@@ -2,10 +2,12 @@ package m2cc_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	"m2cc"
+	"m2cc/internal/parser"
 )
 
 // TestPublicAPIQuickstart exercises the README's quick-start path end
@@ -128,6 +130,93 @@ func TestDeepNestingIsADiagnostic(t *testing.T) {
 			check("CompileSequential", seqr.Failed(), seqr.Diags.String())
 			m2cc.Lint("Deep", loader)
 		})
+	}
+}
+
+// nestedProcs is a module of n empty procedures, each declared in the
+// one before.
+func nestedProcs(n int) string {
+	var b strings.Builder
+	b.WriteString("MODULE Deep;\n")
+	for i := 1; i <= n; i++ {
+		fmt.Fprintf(&b, "PROCEDURE P%d;\n", i)
+	}
+	for i := n; i >= 1; i-- {
+		fmt.Fprintf(&b, "BEGIN END P%d;\n", i)
+	}
+	b.WriteString("BEGIN END Deep.\n")
+	return b.String()
+}
+
+// TestDeepProcedureNestingIsADiagnostic: procedures nested to
+// parser.MaxProcNesting compile; one level more is a positioned
+// diagnostic at the innermost PROCEDURE from the concurrent compiler
+// (both heading modes, with and without lint streams), the sequential
+// compiler and the linter, and the two compilers report the same.
+func TestDeepProcedureNestingIsADiagnostic(t *testing.T) {
+	const bound = parser.MaxProcNesting
+	for _, n := range []int{bound, bound + 1} {
+		loader := m2cc.NewMapLoader()
+		loader.Add("Deep", m2cc.Impl, nestedProcs(n))
+		want := ""
+		if n > bound {
+			want = fmt.Sprintf("Deep.mod:%d:1: error: %s\n", n+1, parser.ErrProcNesting)
+		}
+		seqr := m2cc.CompileSequential("Deep", loader)
+		if got := seqr.Diags.String(); got != want {
+			t.Fatalf("%d levels: CompileSequential reports\n%s\nwant\n%s", n, got, want)
+		}
+		for _, hdr := range []m2cc.HeaderMode{m2cc.HeaderShared, m2cc.HeaderReprocess} {
+			for _, lint := range []bool{false, true} {
+				res := m2cc.Compile("Deep", loader, m2cc.Options{Workers: 2, Headers: hdr, Check: lint})
+				if got := res.Diags.String(); got != want || res.Faulted {
+					t.Fatalf("%d levels: Compile(Headers: %d, Check: %v) reports\n%s\nwant\n%s", n, hdr, lint, got, want)
+				}
+			}
+		}
+		deep := 0
+		for _, f := range m2cc.Lint("Deep", loader) {
+			if f.Msg == parser.ErrProcNesting {
+				deep++
+			}
+		}
+		if wantDeep := min(n-bound, 1); deep != wantDeep {
+			t.Fatalf("%d levels: Lint reports %d nesting errors, want %d", n, deep, wantDeep)
+		}
+	}
+}
+
+// TestNestedProceduresCostLinear: from 125 to 500 nested procedures the
+// bytes a compilation allocates grow at most 5× (4× is linear), in the
+// concurrent compiler and the sequential one.  Scope paths ("M.mod:P:
+// P.Q"), whose length grows with the square of the depth, are rendered
+// only for exceptions and lint units, and the dotted names of nested
+// procedures share their enclosing procedures' bytes.
+func TestNestedProceduresCostLinear(t *testing.T) {
+	bytes := func(n int, compile func(m2cc.Loader)) uint64 {
+		loader := m2cc.NewMapLoader()
+		loader.Add("Deep", m2cc.Impl, nestedProcs(n))
+		compile(loader) // fills the free lists
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		compile(loader)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, tc := range []struct {
+		name    string
+		compile func(m2cc.Loader)
+	}{
+		{"Compile", func(l m2cc.Loader) { m2cc.Compile("Deep", l, m2cc.Options{Workers: 2}) }},
+		{"CompileSequential", func(l m2cc.Loader) { m2cc.CompileSequential("Deep", l) }},
+	} {
+		small, large := bytes(125, tc.compile), bytes(500, tc.compile)
+		growth := float64(large) / float64(small)
+		t.Logf("%s: 125 levels %d B, 500 levels %d B: %.1f×", tc.name, small, large, growth)
+		if growth > 5 {
+			t.Errorf("%s: bytes grow %.1f× from 125 to 500 nested procedures, want ≤ 5×", tc.name, growth)
+		}
 	}
 }
 
