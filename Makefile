@@ -3,10 +3,11 @@ GO ?= go
 # Packages where races would be silent correctness bugs: the closure
 # hasher and the interface cache, the stream cache shared across
 # concurrent compilations, the concurrent driver, the DKY symbol
-# tables, the Supervisor scheduler, the trace recorder that takes
-# each task's record buffer when it finishes, the fault-injection
-# plans shared across task goroutines, the observability layer hooked
-# into every task transition, the profiler consuming its dumps while
+# tables, the Supervisor scheduler and the lanes it passes from task to
+# task, the trace recorder that takes each task's record buffer when it
+# finishes (the one recorder the Supervisor reports to), the
+# fault-injection plans shared across task goroutines, the observer
+# rendering those traces and the profiler reading them while
 # compilations run, the concurrent static analyzer whose findings must be
 # schedule-independent, the event primitive's lock-free fired fast
 # path, the token queues' producer-owned blocks, the pooled
@@ -57,10 +58,14 @@ chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -run Chaos -count=1 .
 
 # End-to-end observability smoke: compile an example module with -trace
-# and validate the Chrome trace-event JSON it wrote.
+# and validate the Chrome trace-event JSON it wrote; then build and run
+# it with -run, which compiles Demo and Fib into one Observer, and
+# validate that trace too.
 smoke:
 	$(GO) run ./cmd/m2c -I examples/modules -q -trace /tmp/m2c_smoke_trace.json Demo
 	$(GO) run ./cmd/tracecheck /tmp/m2c_smoke_trace.json
+	$(GO) run ./cmd/m2c -I examples/modules -q -run -trace /tmp/m2c_smoke_run_trace.json Demo
+	$(GO) run ./cmd/tracecheck /tmp/m2c_smoke_run_trace.json
 
 # End-to-end serving smoke: start the m2cd daemon on an ephemeral
 # port, saturate it with an m2load burst (byte-identity enforced,

@@ -536,7 +536,7 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request, lint bool
 	// One observer serves both consumers: the stored trace entry (when
 	// this admission was sampled) and the response's inline trace (when
 	// the client asked for one).  Sharing it keeps the recording cost to
-	// a single hook path.
+	// one trace.
 	var observer *m2cc.Observer
 	if tentry != nil {
 		observer = tentry.Obs

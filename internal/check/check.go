@@ -63,7 +63,7 @@ type Unit struct {
 	Kind     UnitKind
 	File     string // file label, e.g. "M.mod" or "M.def"
 	Module   string // module the unit belongs to
-	Path     string // deterministic scope path: "M.mod", "M.mod:P", "M.mod:P:P.Q", "M.def"
+	Path     string // deterministic scope path: "M.mod", "M.mod:P", "M.mod:P.Q", "M.def" (file, then registry name)
 	ProcName string // procedure's simple name (ProcUnit)
 	Head     *ast.ProcHead
 	Imports  []*ast.Import
@@ -359,8 +359,8 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 			at, kids = make(map[string][]*Facts, len(fs)), make(map[string][]*Facts, len(fs))
 			for _, f := range fs {
 				at[f.Path] = append(at[f.Path], f)
-				if i := strings.LastIndexByte(f.Path, ':'); i >= 0 {
-					kids[f.Path[:i]] = append(kids[f.Path[:i]], f)
+				if p, ok := parentPath(f.Path); ok {
+					kids[p] = append(kids[p], f)
 				}
 			}
 		}
@@ -490,10 +490,24 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 	return diag.SortDedup(out)
 }
 
-// nestedIn reports whether the scope path names a scope nested inside
-// anc ("M.mod:P:P.Q" inside "M.mod:P"), without building anc+":".
+// nestedIn reports whether path names a scope strictly inside anc's
+// ("M.mod:P.Q" inside "M.mod:P" and "M.mod"), without building
+// anc+".".
 func nestedIn(path, anc string) bool {
-	return len(path) > len(anc) && path[len(anc)] == ':' && path[:len(anc)] == anc
+	return len(path) > len(anc) && (path[len(anc)] == ':' || path[len(anc)] == '.') && path[:len(anc)] == anc
+}
+
+// parentPath returns the path of the scope enclosing a procedure's:
+// its registry name less the last component, or its file's.
+func parentPath(path string) (string, bool) {
+	i := strings.IndexByte(path, ':')
+	if i < 0 {
+		return "", false
+	}
+	if j := strings.LastIndexByte(path, '.'); j > i {
+		return path[:j], true
+	}
+	return path[:i], true
 }
 
 // declNames lists the names a declaration introduces.

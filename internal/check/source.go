@@ -7,6 +7,7 @@ import (
 	"m2cc/internal/lexer"
 	"m2cc/internal/parser"
 	"m2cc/internal/source"
+	"m2cc/internal/vm"
 )
 
 // SourceUnits parses the named implementation module and its
@@ -76,27 +77,28 @@ func sourceUnits(module string, loader source.Loader) (units []*Unit, deep []dia
 			Kind: ModuleUnit, File: file, Module: module, Path: file,
 			Imports: m.Imports, Decls: m.Decls, Body: m.Body,
 		})
-		// explode replicates the splitter's stream paths: a procedure's
-		// registry path is its dot-joined nesting ("P", "P.Q"), and its
-		// scope path chains parent paths with ':'.
-		var explode func(decls []ast.Decl, parentPath, prefix string)
-		explode = func(decls []ast.Decl, parentPath, prefix string) {
+		// explode replicates the splitter's stream paths: the file's, ':',
+		// then the procedure's registry path, its dot-joined nesting
+		// ("P", "P.Q").  A nested procedure's path extends its parent's
+		// bytes when it is the next one made.
+		var paths vm.Chain
+		var explode func(decls []ast.Decl, parent, sep string)
+		explode = func(decls []ast.Decl, parent, sep string) {
 			for _, d := range decls {
 				pd, ok := d.(*ast.ProcDecl)
 				if !ok || pd.HeadingOnly {
 					continue
 				}
-				regPath := prefix + pd.Head.Name.Text
-				path := parentPath + ":" + regPath
+				path := paths.Join(parent, sep, pd.Head.Name.Text)
 				units = append(units, &Unit{
 					Kind: ProcUnit, File: file, Module: module, Path: path,
 					ProcName: pd.Head.Name.Text, Head: pd.Head,
 					Decls: pd.Decls, Body: pd.Body,
 				})
-				explode(pd.Decls, path, regPath+".")
+				explode(pd.Decls, path, ".")
 			}
 		}
-		explode(m.Decls, file, "")
+		explode(m.Decls, file, ":")
 		for _, imp := range importNames(m.Imports) {
 			addDef(imp)
 		}

@@ -775,6 +775,41 @@ END Two;
 BEGIN
   f := Two`,
 			wantErr: "incompatible assignment"},
+		{name: "open-array formals through a procedure value", body: `
+TYPE Op = PROCEDURE (VAR INTEGER, ARRAY OF CHAR): INTEGER;
+  Sum = PROCEDURE (VAR ARRAY OF INTEGER): INTEGER;
+VAR op: Op; sum: Sum; m: INTEGER; a: ARRAY [1..4] OF INTEGER;
+PROCEDURE Len(VAR n: INTEGER; s: ARRAY OF CHAR): INTEGER;
+BEGIN
+  n := n + 1;
+  RETURN HIGH(s) + 1
+END Len;
+PROCEDURE Total(VAR v: ARRAY OF INTEGER): INTEGER;
+VAR i, t: INTEGER;
+BEGIN
+  t := 0;
+  FOR i := 0 TO HIGH(v) DO t := t + v[i] END;
+  RETURN t
+END Total;
+BEGIN
+  m := 10;
+  WriteInt(Len(m, "xyz"), 0); WriteInt(m, 3);
+  op := Len;
+  WriteInt(op(m, "xyz"), 3); WriteInt(m, 3);
+  a[1] := 1; a[2] := 2; a[3] := 3; a[4] := 4;
+  sum := Total;
+  WriteInt(sum(a), 3); WriteLn`,
+			want: "3 11  3 12 10\n"},
+		{name: "open-array element mismatch rejected", body: `
+TYPE Op = PROCEDURE (ARRAY OF INTEGER): INTEGER;
+VAR op: Op;
+PROCEDURE Len(s: ARRAY OF CHAR): INTEGER;
+BEGIN
+  RETURN HIGH(s) + 1
+END Len;
+BEGIN
+  op := Len`,
+			wantErr: "incompatible assignment"},
 		{name: "call through NIL procedure traps", body: `
 TYPE F = PROCEDURE;
 VAR f: F;

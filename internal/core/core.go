@@ -121,11 +121,11 @@ type Options struct {
 	// points (see internal/faultinject).  Production callers leave it
 	// nil, which reduces every injection site to a pointer check.
 	FaultPlan *faultinject.Plan
-	// Obs, when non-nil, attaches the live-observability layer
-	// (internal/obs): wall-clock spans for every Supervisor task,
-	// fault and watchdog markers, scheduler and cache metrics.  One
-	// Observer may span a whole CompileBatch.  Nil costs a pointer
-	// check per scheduler transition.
+	// Obs, when non-nil, observes the compilation (internal/obs): it
+	// is traced as under Trace, without the lookups, and the Observer
+	// keeps the trace beside the cache, scheduler and lookup counters
+	// and renders its views from it.  One Observer may span a whole
+	// CompileBatch.  Nil costs a pointer check per compilation.
 	Obs *obs.Observer
 	// Cancel, when non-nil, aborts the compilation when the channel is
 	// closed — guards: nothing itself; it is a read-only broadcast
@@ -224,6 +224,7 @@ type driver struct {
 	canceled   bool                    // Options.Cancel fired; result is abandoned
 	resolving  map[string]*event.Event // per-name guard for in-flight cache resolution
 	labels     vm.Chain                // the StmtCG labels of nested procedures
+	lints      vm.Chain                // and their lint tasks' labels
 	arenas     []*ast.Arena            // parse-tree arenas taken from ast.Arenas (see lendArena)
 	idle       []*ast.Arena            // those of arenas no parser is filling now
 
@@ -270,6 +271,7 @@ type procStream struct {
 	q      *tokq.Queue
 	parent int32
 	label  string // its StmtCG task's, "StmtCG M.P.Q"
+	lint   string // its lint task's, "Lint M.mod:P.Q", in lint compilations
 
 	// headingReady is the avoided event fired by the parent's
 	// declarations analyzer once the heading is processed (§2.4 alt 1)
@@ -327,18 +329,25 @@ func Compile(module string, loader source.Loader, opts Options) *Result {
 		// The Table 2 collector tallies every identifier lookup under a
 		// lock — real cost, so it stays strictly opt-in.  An attached
 		// observer reuses the tallies when they are being collected
-		// anyway (NoteLookups below) but never forces them on.
+		// anyway (its End below) but never forces them on.
 		stats = symtab.NewStats()
 	}
-	if opts.Trace {
+	// An observed compilation is traced too, but only in what the
+	// Observer's views read: its lookups, and the other facts only the
+	// simulator replays, are recorded when the trace itself is asked for.
+	var lookups *ctrace.Recorder
+	switch {
+	case opts.Trace:
 		d.rec = ctrace.NewRecorder()
+		lookups = d.rec
+	case d.obs != nil:
+		d.rec = ctrace.NewRunRecorder()
 	}
-	d.obs.Begin(opts.Workers, opts.Strategy.String())
-	d.tab = symtab.NewTable(opts.Strategy, stats, d.rec)
+	d.obs.Begin(d.rec, opts.Workers, opts.Strategy.String())
+	d.tab = symtab.NewTable(opts.Strategy, stats, lookups)
 	d.tab.Inject = d.inject
 	d.sup = newSupervisor(opts.Workers, d.rec)
 	d.sup.StallTimeout = d.stall
-	d.sup.Obs = d.obs
 	d.sup.OnDeadlock = func(msg string) {
 		d.mu.Lock()
 		d.poisoned = true
@@ -383,15 +392,14 @@ func Compile(module string, loader source.Loader, opts Options) *Result {
 	d.release()
 
 	if d.obs != nil {
+		ta := obs.Tally{Sched: d.sup.Counters(), Lookups: stats}
 		if d.scache != nil {
 			d.mu.Lock()
-			ta := d.tally
+			ta.Streams = d.tally
 			d.mu.Unlock()
-			d.obs.NoteStreams(ta, d.scache.Stats().Evictions-d.scacheBase)
+			ta.Evictions = d.scache.Stats().Evictions - d.scacheBase
 		}
-		d.obs.NoteSched(d.sup.Counters())
-		d.obs.NoteLookups(stats)
-		d.obs.Finish()
+		d.obs.End(d.rec, ta)
 	}
 	// Final cancellation check: the watcher goroutine races the
 	// compilation's own completion, so a Cancel that fired before this
@@ -417,7 +425,7 @@ func Compile(module string, loader source.Loader, opts Options) *Result {
 		res.StreamCache = &ta
 	}
 	d.mu.Unlock()
-	if d.rec != nil {
+	if opts.Trace {
 		res.Trace = d.rec.Trace()
 	}
 	return res
@@ -519,9 +527,8 @@ func (d *driver) spawn(kind ctrace.TaskKind, stream int32, label string,
 // complete when this is called, so the task is ungated; its kind ranks
 // it behind code generation, so lint work never delays the compile
 // proper.
-func (d *driver) spawnCheck(stream int32, parent *ctrace.TaskCtx, u *check.Unit, sink func(*check.Facts)) {
-	label := "Lint " + u.Path
-	u.Path = label[len("Lint "):] // one copy of a path that can be long (see sema.DeclAnalyzer.Path)
+func (d *driver) spawnCheck(stream int32, label string, parent *ctrace.TaskCtx, u *check.Unit, sink func(*check.Facts)) {
+	u.Path = label[len("Lint "):] // the label's bytes, shared along a chain of nested procedures
 	d.check.AddUnit(u)
 	t := d.spawn(ctrace.KindAnalysis, stream, label,
 		sched.Priority(ctrace.KindAnalysis, 0), nil, parent,
@@ -748,8 +755,14 @@ func (d *driver) startProcStream(splitterTask *sched.Task) splitter.StartProc {
 		ps.rank = int32(len(d.procs))
 		if outer := d.procs[parent]; outer != nil {
 			ps.label = d.labels.Join(outer.label, ".", name)
+			if d.check != nil {
+				ps.lint = d.lints.Join(outer.lint, ".", name)
+			}
 		} else {
 			ps.label = "StmtCG " + d.module + "." + name
+			if d.check != nil {
+				ps.lint = "Lint " + d.module + ".mod:" + name
+			}
 		}
 		d.procs[id] = ps
 		d.mu.Unlock()
@@ -841,8 +854,8 @@ func (d *driver) runModParse(t *sched.Task, mainQ *tokq.Queue, label string) {
 	p.ParseBody(m)
 	d.parkArena(p.Arena)
 	if d.check != nil {
-		d.spawnCheck(0, t.Ctx, &check.Unit{
-			Kind: check.ModuleUnit, File: label, Module: d.module, Path: label,
+		d.spawnCheck(0, "Lint "+label, t.Ctx, &check.Unit{
+			Kind: check.ModuleUnit, File: label, Module: d.module,
 			Imports: m.Imports, Decls: decls, Body: m.Body,
 		}, nil)
 	}
@@ -982,8 +995,8 @@ func (d *driver) runProcParse(t *sched.Task, ps *procStream) {
 				d.mu.Unlock()
 			}
 		}
-		d.spawnCheck(ps.id, t.Ctx, &check.Unit{
-			Kind: check.ProcUnit, File: label, Module: cp.Meta.Module, Path: a.Path(),
+		d.spawnCheck(ps.id, ps.lint, t.Ctx, &check.Unit{
+			Kind: check.ProcUnit, File: label, Module: cp.Meta.Module,
 			ProcName: cp.Decl.Head.Name.Text, Head: cp.Decl.Head,
 			Decls: decls, Body: tail.Body,
 		}, sink)
@@ -1111,7 +1124,7 @@ func (d *driver) iface(name string, optional bool, t *sched.Task) *ifaceEntry {
 			// compile the interface without the cache.  startIface
 			// re-checks the once-only table, so if the resolver did land
 			// meanwhile its entry is reused.
-			d.obs.StallAbandoned(obsTaskID(t))
+			d.rec.NoteMark(ctrace.MarkStallAbandon, taskID(t))
 			return d.startIface(name, optional, nil)
 		}
 		d.mu.Lock()
@@ -1137,7 +1150,7 @@ func (d *driver) iface(name string, optional bool, t *sched.Task) *ifaceEntry {
 			// degradation the cache applies to a failed leader, except
 			// this session does not wait for the verdict.
 			d.cache.NoteAbandoned()
-			d.obs.StallAbandoned(obsTaskID(t))
+			d.rec.NoteMark(ctrace.MarkStallAbandon, taskID(t))
 			e = d.startIface(name, optional, nil)
 		case ifacecache.Hit:
 			d.obs.NoteCache(ifacecache.Stats{Hits: 1})
@@ -1160,20 +1173,20 @@ func (d *driver) iface(name string, optional bool, t *sched.Task) *ifaceEntry {
 	d.mu.Lock()
 	delete(d.resolving, name)
 	d.mu.Unlock()
-	// A driver-owned fire (task 0): observed waiters on the resolution
-	// guard get a matching fire edge instead of an unexplained unblock.
-	d.obs.EventFired(0, resolved)
-	resolved.Fire() // vet:allowfire driver-owned fire; EventFired above is the trace record
+	// A driver-owned fire (task 0): traced waiters on the resolution
+	// guard get a matching fire instead of an unexplained unblock.
+	d.rec.NoteFire(resolved, false)
+	resolved.Fire() // vet:allowfire driver-owned fire; NoteFire above is the trace record
 	return e
 }
 
-// obsTaskID maps a possibly-nil task (nil = the prefetch running on the
-// main goroutine) to its observability ID; 0 means unobserved.
-func obsTaskID(t *sched.Task) int {
+// taskID maps a possibly-nil task (nil = the prefetch running on the
+// main goroutine) to its trace ID; 0 means no task.
+func taskID(t *sched.Task) ctrace.TaskID {
 	if t == nil {
 		return 0
 	}
-	return t.ObsID()
+	return t.Ctx.ID
 }
 
 // extWait parks on an event owned outside this task's supervisor

@@ -30,7 +30,6 @@ func TestMultiWorkerOutputMatchesOneWorker(t *testing.T) {
 				name := fmt.Sprintf("%s/w%d/hdr%d", strat, workers, hdr)
 				t.Run(name, func(t *testing.T) {
 					o := obs.New()
-					o.Begin(workers, strat.String())
 					for _, m := range mods {
 						res := core.Compile(m, loader, core.Options{
 							Workers: workers, Strategy: strat, Headers: hdr, Obs: o,
@@ -44,8 +43,7 @@ func TestMultiWorkerOutputMatchesOneWorker(t *testing.T) {
 								m, got, base[m][1])
 						}
 					}
-					o.Finish()
-					c := o.Dump().Sched
+					c := o.Profile().Sched
 					if c.Dispatches == 0 {
 						t.Fatalf("no task was dispatched from the ready queue: %+v", c)
 					}

@@ -209,13 +209,11 @@ func TestOneWorkerSynthStartsFewGoroutines(t *testing.T) {
 	loader := source.NewMapLoader()
 	workload.GenerateSynth(loader, 400, 2, nil)
 	o := obs.New()
-	o.Begin(1, "skeptical")
 	res := core.Compile("Synth", loader, core.Options{Workers: 1, Obs: o})
-	o.Finish()
 	if res.Failed() {
 		t.Fatal(res.Diags)
 	}
-	c := o.Dump().Sched
+	c := o.Profile().Sched
 	tasks := c.Dispatches
 	if tasks < 500 {
 		t.Fatalf("expected on the order of 800 dispatches, saw %d: %+v", tasks, c)

@@ -153,11 +153,41 @@ func canonical(t *Trace) *Trace {
 	}
 	sort.SliceStable(pre, func(a, b int) bool { return pre[a].Event < pre[b].Event })
 	out.Events = len(event) - 1
+
+	// The run: tasks in their new order, and the events only it names
+	// (the waits' and the forced fires') numbered after all the others.
+	// Fires and marks were recorded in time order, each stamped under the
+	// Recorder's lock.
+	if r := t.Run; r != nil {
+		run := &Run{Epoch: r.Epoch, Tasks: make([]TaskRun, len(order))}
+		for i, old := range order {
+			tr := r.Tasks[old-1]
+			tr.Stretches, tr.Waits = slices.Clone(tr.Stretches), slices.Clone(tr.Waits)
+			for w := range tr.Waits {
+				ev(&tr.Waits[w].Event)
+			}
+			run.Tasks[i] = tr
+		}
+		seen := make(map[EventID]bool, len(r.Fires))
+		for _, f := range r.Fires {
+			f.Task = task[f.Task]
+			if ev(&f.Event); !seen[f.Event] {
+				seen[f.Event] = true
+				run.Fires = append(run.Fires, f)
+			}
+		}
+		run.Marks = slices.Clone(r.Marks)
+		for i := range run.Marks {
+			run.Marks[i].Task = task[run.Marks[i].Task]
+		}
+		run.Events = len(event) - 1
+		out.Run = run
+	}
 	return out
 }
 
 // withStamps returns a copy of t's records with every stamp mapped
-// through f, sharing Tasks and ScopeGates with t.
+// through f, sharing Tasks, ScopeGates and Run with t.
 func (t *Trace) withStamps(f func(Stamp) Stamp) *Trace {
 	out := &Trace{
 		Tasks:      t.Tasks,
@@ -167,6 +197,7 @@ func (t *Trace) withStamps(f func(Stamp) Stamp) *Trace {
 		Lookups:    slices.Clone(t.Lookups),
 		Events:     t.Events,
 		ScopeGates: t.ScopeGates,
+		Run:        t.Run,
 	}
 	for i := range out.Fires {
 		out.Fires[i].At = f(out.Fires[i].At)

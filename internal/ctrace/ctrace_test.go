@@ -192,22 +192,24 @@ func TestTraceCanonicalOrder(t *testing.T) {
 }
 
 // TestMeasuredInterpolatesKnots pins the measured-clock mapping on one
-// task: knots from an implicit (0, 0), linear in between, the cost
-// mapped to the last knot, and a stamp between two knots of one offset
-// (a wait taken with no work in between) mapped to the first.
+// task: each stretch's end is a knot (its Units, the executed time so
+// far), from an implicit (0, 0), linear in between, the cost mapped to
+// the last knot, a stamp between two knots of one offset (a wait taken
+// with no work in between) mapped to the first, and the gaps between
+// stretches not counted.
 func TestMeasuredInterpolatesKnots(t *testing.T) {
 	r := ctrace.NewRecorder()
 	id := r.RegisterTask(ctrace.KindLexor, 1, "lex")
 	ctx := &ctrace.TaskCtx{ID: id, Rec: r}
 	r.NoteSpawn(0, ctrace.Stamp{}, id, nil)
 	ctx.Add(10)
-	ctx.Ran(100 * time.Microsecond) // (10 units, 100 µs)
-	ctx.FireEvent(event.New())      // at 10 units
-	ctx.Ran(50 * time.Microsecond)  // (10 units, 150 µs)
+	ctx.Ran(0, 0, 100*time.Microsecond)                    // (10 units, 100 µs)
+	ctx.FireEvent(event.New())                             // at 10 units
+	ctx.Ran(1, 200*time.Microsecond, 250*time.Microsecond) // (10 units, 150 µs)
 	ctx.Add(20)
 	ctx.NoteLookup(false, ctrace.Stamp{Task: id, Offset: 5}, nil, false)
 	ctx.NoteLookup(false, ctrace.Stamp{Task: id, Offset: 20}, nil, false)
-	ctx.Ran(300 * time.Microsecond) // (30 units, 450 µs)
+	ctx.Ran(0, 300*time.Microsecond, 600*time.Microsecond) // (30 units, 450 µs)
 	ctx.Finish()
 
 	tr := r.Trace()

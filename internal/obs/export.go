@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
 	"m2cc/internal/ctrace"
 	"m2cc/internal/ifacecache"
+	"m2cc/internal/sched"
 	"m2cc/internal/streamcache"
 	"m2cc/internal/symtab"
 )
@@ -22,7 +24,7 @@ type Metrics struct {
 	Tasks    int `json:"tasks"`
 	Finished int `json:"finished"`
 	NeverRan int `json:"never_ran"` // spawned but never dispatched (faulted runs)
-	Spans    int `json:"spans"`
+	Spans    int `json:"spans"`     // stretches of a task on a worker slot
 
 	Panics        int `json:"panics"`         // panic-isolated tasks (PR 2)
 	WatchdogFires int `json:"watchdog_fires"` // deadlock-watchdog interventions
@@ -33,13 +35,14 @@ type Metrics struct {
 	BlocksBarrier  int64 `json:"blocks_barrier"`  // barrier waits taken (slot held)
 
 	// Worker-slot occupancy over the run: time-weighted mean of busy
-	// slots, the peak, and mean/workers as utilization (the measured
-	// counterpart of sim.Result.Utilization).
+	// slots (a barrier waiter's slot is busy), the peak, and
+	// mean/workers as utilization (the measured counterpart of
+	// sim.Result.Utilization).
 	SlotOccupancyMean float64 `json:"slot_occupancy_mean"`
 	SlotOccupancyPeak int     `json:"slot_occupancy_peak"`
 	Utilization       float64 `json:"utilization"`
 
-	// Ready-queue depth sampled after every dispatch round.
+	// Ready-queue depth after every dispatch.
 	ReadyDepthMean float64 `json:"ready_depth_mean"`
 	ReadyDepthPeak int     `json:"ready_depth_peak"`
 
@@ -60,7 +63,7 @@ type Metrics struct {
 	// the ready queue, how many slot releases handed the slot straight
 	// to the next task, and how many worker goroutines were started —
 	// when the scheduler reported it.
-	Sched *SchedCounters `json:"sched,omitempty"`
+	Sched *sched.Counters `json:"sched,omitempty"`
 
 	// Lookups are the per-strategy DKY tallies (Table 2's collector,
 	// re-used at runtime), when lookup stats were recorded.
@@ -104,35 +107,21 @@ type LookupRow struct {
 }
 
 // Snapshot computes the metrics view.  It may be taken at any time;
-// spans still running are counted up to Finish's stamp (or now).
+// a compilation still running counts what its finished tasks handed
+// over, up to Finish's stamp (or now).
 func (o *Observer) Snapshot() Metrics {
 	if o == nil {
 		return Metrics{}
 	}
-	spans, tasks, marks, wall := o.snapshotSpans()
+	tr, wall, _ := o.trace()
 
 	o.mu.Lock()
 	m := Metrics{
-		WallMs:            wall.Seconds() * 1000,
-		Workers:           o.workers,
-		Tasks:             len(tasks),
-		Spans:             len(spans),
-		SlotOccupancyPeak: o.peakBusy,
-		ReadyDepthPeak:    o.readyPeak,
-		EventFires:        o.evDelta.Fires,
-		EventWaits:        o.evDelta.Waits,
-	}
-	// Advance the occupancy integral to the horizon for tasks still on
-	// a slot, without mutating the live integral.
-	busyInt := o.busyInt + float64(o.busy)*(wall-o.lastBusyAt).Seconds()
-	if wall > 0 {
-		m.SlotOccupancyMean = busyInt / wall.Seconds()
-	}
-	if o.workers > 0 {
-		m.Utilization = m.SlotOccupancyMean / float64(o.workers)
-	}
-	if o.readySamples > 0 {
-		m.ReadyDepthMean = float64(o.readySum) / float64(o.readySamples)
+		WallMs:     wall.Seconds() * 1000,
+		Workers:    o.workers,
+		Tasks:      len(tr.Tasks),
+		EventFires: o.evDelta.Fires,
+		EventWaits: o.evDelta.Waits,
 	}
 	if o.cache != (ifacecache.Stats{}) {
 		c := o.cache
@@ -142,35 +131,57 @@ func (o *Observer) Snapshot() Metrics {
 		sc := o.streams
 		m.Streams = &sc
 	}
-	if o.sched != (SchedCounters{}) {
+	if o.sched != (sched.Counters{}) {
 		sc := o.sched
 		m.Sched = &sc
+		m.ReadyDepthPeak = int(sc.ReadyDepthPeak)
+		if sc.Dispatches > 0 {
+			m.ReadyDepthMean = float64(sc.ReadyDepthSum) / float64(sc.Dispatches)
+		}
 	}
 	lookups := o.lookups
 	strategy := o.strategy
 	o.mu.Unlock()
 
-	for _, t := range tasks {
-		if t.Done {
+	// Slot occupancy: the time-weighted busy slots, and their peak from
+	// a sweep over the tenures' ends, a start at t kept as 2t+1 and an
+	// end as 2t, so an end sorts first at one instant (a slot passes on
+	// at once).
+	var busy time.Duration
+	var ends []time.Duration
+	var blocks [3]int64
+	for _, r := range tr.Run.Tasks {
+		if len(r.Stretches) > 0 {
 			m.Finished++
 		}
-		if !t.HasRun {
-			m.NeverRan++
-		}
-		m.BlocksHandled += int64(t.Blocks[BlockHandled])
-		m.BlocksExternal += int64(t.Blocks[BlockExternal])
-		m.BlocksBarrier += int64(t.Blocks[BlockBarrier])
-	}
-	for _, mk := range marks {
-		switch mk.Kind {
-		case MarkPanic:
-			m.Panics++
-		case MarkWatchdog:
-			m.WatchdogFires++
-		case MarkStallAbandon:
-			m.StallAbandons++
+		m.Spans += len(r.Stretches)
+		tenures(r, func(s ctrace.Stretch) {
+			busy += s.End - s.Start
+			ends = append(ends, 2*s.Start+1, 2*s.End)
+		})
+		for _, w := range r.Waits {
+			blocks[w.Kind]++
 		}
 	}
+	slices.Sort(ends)
+	held := 0
+	for _, e := range ends {
+		held += int(e&1)*2 - 1
+		m.SlotOccupancyPeak = max(m.SlotOccupancyPeak, held)
+	}
+	m.NeverRan = m.Tasks - m.Finished
+	m.BlocksHandled, m.BlocksExternal, m.BlocksBarrier = blocks[ctrace.WaitHandled], blocks[ctrace.WaitExternal], blocks[ctrace.WaitBarrier]
+	if wall > 0 {
+		m.SlotOccupancyMean = busy.Seconds() / wall.Seconds()
+	}
+	if m.Workers > 0 {
+		m.Utilization = m.SlotOccupancyMean / float64(m.Workers)
+	}
+	var marks [3]int
+	for _, mk := range tr.Run.Marks {
+		marks[mk.Kind]++
+	}
+	m.Panics, m.WatchdogFires, m.StallAbandons = marks[ctrace.MarkPanic], marks[ctrace.MarkWatchdog], marks[ctrace.MarkStallAbandon]
 	if lookups != nil {
 		lm := &LookupMetrics{Strategy: strategy}
 		for _, r := range lookups.Rows() {
@@ -229,121 +240,79 @@ type chromeEvent struct {
 
 const tracePid = 1
 
-// WriteChromeTrace writes the observed spans as Chrome trace-event
-// JSON: one thread lane per worker slot, one complete ("X") event per
-// span, instant events for event fires, waits, panic isolation and
-// watchdog fires.  Output order is deterministic (spans sorted by
-// start, then lane, then task; edges likewise), so the same recorded
-// run always serializes byte-identically.  Load the file in Perfetto
-// (ui.perfetto.dev) or chrome://tracing.
+// WriteChromeTrace writes the observed run as Chrome trace-event JSON:
+// one thread lane per worker slot, one complete ("X") event per
+// stretch of a task on a slot, and instant events for the waits, event
+// fires and fault marks.  The same recorded run always serializes
+// byte-identically.  Load the file in Perfetto (ui.perfetto.dev) or
+// chrome://tracing.
 func (o *Observer) WriteChromeTrace(w io.Writer) error {
 	if o == nil {
 		return fmt.Errorf("obs: no observer attached")
 	}
-	spans, tasks, marks, _ := o.snapshotSpans()
-	fires, waits, _ := o.snapshotEdges()
-	o.mu.Lock()
-	workers := o.workers
-	lanes := len(o.lanes)
-	o.mu.Unlock()
-	if lanes > workers {
-		workers = lanes
+	tr, _, lanes := o.trace()
+	evs := []chromeEvent{
+		{Name: "process_name", Ph: "M", Pid: tracePid, Args: map[string]any{"name": "m2cc concurrent compiler"}},
+		// task_count lets cross-reference checkers (cmd/tracecheck)
+		// validate task IDs in span and edge args without trusting the
+		// span set itself.
+		{Name: "task_count", Ph: "M", Pid: tracePid, Args: map[string]any{"count": len(tr.Tasks)}},
 	}
-
-	evs := make([]chromeEvent, 0, len(spans)+len(marks)+len(fires)+len(waits)+workers+2)
-	evs = append(evs, chromeEvent{
-		Name: "process_name", Ph: "M", Pid: tracePid,
-		Args: map[string]any{"name": "m2cc concurrent compiler"},
-	})
-	// task_count lets cross-reference checkers (cmd/tracecheck) validate
-	// task IDs in span/edge args without trusting the span set itself.
-	evs = append(evs, chromeEvent{
-		Name: "task_count", Ph: "M", Pid: tracePid,
-		Args: map[string]any{"count": len(tasks)},
-	})
-	for lane := 0; lane < workers; lane++ {
+	for lane := 0; lane < lanes; lane++ {
 		evs = append(evs, chromeEvent{
 			Name: "thread_name", Ph: "M", Pid: tracePid, Tid: lane,
 			Args: map[string]any{"name": fmt.Sprintf("worker %d", lane)},
 		})
 	}
-	taskOf := func(id int) *TaskRecord {
-		if id < 1 || id > len(tasks) {
-			return nil
+	// instant places a mark on the lane its task held, or on the whole
+	// process.
+	instant := func(name, cat string, task ctrace.TaskID, at time.Duration, args map[string]any) {
+		ev := chromeEvent{Name: name, Cat: cat, Ph: "i", Ts: at.Microseconds(), Pid: tracePid, Scope: "p", Args: args}
+		if lane := laneAt(tr, task, at); lane >= 0 {
+			ev.Scope, ev.Tid = "t", lane
 		}
-		return &tasks[id-1]
+		evs = append(evs, ev)
 	}
-	for _, sp := range spans {
-		name := fmt.Sprintf("task %d", sp.Task)
-		args := map[string]any{"end": sp.EndReason}
-		cat := ""
-		if t := taskOf(sp.Task); t != nil {
-			name = t.Label
-			cat = t.Kind.String()
-			args["stream"] = t.Stream
-			args["task"] = t.ID
-			if t.Panicked {
+	bad := panicked(tr)
+	for i, ti := range tr.Tasks {
+		r := tr.Run.Tasks[i]
+		for j, s := range r.Stretches {
+			args := map[string]any{"end": "finish", "stream": ti.Stream, "task": ti.ID}
+			if j < len(r.Waits) {
+				args["end"] = "block-" + r.Waits[j].Kind.String()
+			}
+			if bad[ti.ID] {
 				args["panicked"] = true
 			}
+			evs = append(evs, chromeEvent{
+				Name: ti.Label, Cat: ti.Kind.String(), Ph: "X",
+				Ts: s.Start.Microseconds(), Dur: max((s.End - s.Start).Microseconds(), 1), // Perfetto drops zero-width slices
+				Pid: tracePid, Tid: int(s.Lane), Args: args,
+			})
 		}
-		dur := (sp.End - sp.Start).Microseconds()
-		if dur < 1 {
-			dur = 1 // Perfetto drops zero-width slices
+		// The dependency edges carry the trace's event and task IDs, so
+		// tracecheck can verify that every non-external wait names a
+		// fired event.
+		for _, wt := range r.Waits {
+			instant("wait", "event", ti.ID, wt.Start, map[string]any{
+				"event": wt.Event, "task": ti.ID, "reason": wt.Kind.String(),
+				"blocked_us": (wt.End - wt.Start).Microseconds(),
+			})
 		}
-		evs = append(evs, chromeEvent{
-			Name: name, Cat: cat, Ph: "X",
-			Ts: sp.Start.Microseconds(), Dur: dur,
-			Pid: tracePid, Tid: sp.Lane, Args: args,
-		})
 	}
-	for _, mk := range marks {
-		name := mk.Kind.String()
-		scope, tid := "p", 0
-		if mk.Lane >= 0 {
-			scope, tid = "t", mk.Lane
-		}
-		args := map[string]any{}
-		if t := taskOf(mk.Task); t != nil {
-			args["task"] = t.Label
-		}
-		evs = append(evs, chromeEvent{
-			Name: name, Cat: "fault", Ph: "i",
-			Ts: mk.At.Microseconds(), Pid: tracePid, Tid: tid,
-			Scope: scope, Args: args,
-		})
-	}
-	// Dependency edges: one instant per event fire and per wait window,
-	// carrying the observer event/task IDs so tracecheck can verify the
-	// cross-references (every non-external wait must name a fired event).
-	for _, f := range fires {
+	for _, f := range tr.Run.Fires {
 		name := "fire"
 		if f.Forced {
 			name = "force-fire"
 		}
-		scope, tid := "p", 0
-		if f.Lane >= 0 {
-			scope, tid = "t", f.Lane
-		}
-		evs = append(evs, chromeEvent{
-			Name: name, Cat: "event", Ph: "i",
-			Ts: f.At.Microseconds(), Pid: tracePid, Tid: tid, Scope: scope,
-			Args: map[string]any{"event": f.Event, "task": f.Task},
-		})
+		instant(name, "event", f.Task, f.At, map[string]any{"event": f.Event, "task": f.Task})
 	}
-	for _, wt := range waits {
-		scope, tid := "p", 0
-		if wt.Lane >= 0 {
-			scope, tid = "t", wt.Lane
+	for _, mk := range tr.Run.Marks {
+		args := map[string]any{}
+		if mk.Task != 0 {
+			args["task"] = tr.Tasks[mk.Task-1].Label
 		}
-		evs = append(evs, chromeEvent{
-			Name: "wait", Cat: "event", Ph: "i",
-			Ts: wt.Start.Microseconds(), Pid: tracePid, Tid: tid, Scope: scope,
-			Args: map[string]any{
-				"event": wt.Event, "task": wt.Task,
-				"reason":     wt.Reason.String(),
-				"blocked_us": (wt.End - wt.Start).Microseconds(),
-			},
-		})
+		instant(mk.Kind.String(), "fault", mk.Task, mk.At, args)
 	}
 
 	data, err := json.MarshalIndent(struct {
@@ -362,8 +331,9 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 // bench.RenderTimeline, which draws the simulator's *predicted*
 // timeline from the same glyph alphabet): L lex, S split, I import,
 // P parse/decl, G stmt-analysis/codegen, M merge, '.' idle, '!' a
-// panic-isolated span.  Comparing this measured view against the
-// simulated one is the point of the layer.
+// panic-isolated task.  A slot held through a barrier wait shows as
+// busy.  Comparing this measured view against the simulated one is the
+// point of the layer.
 func (o *Observer) RenderTimeline(width int) string {
 	if o == nil {
 		return ""
@@ -371,32 +341,23 @@ func (o *Observer) RenderTimeline(width int) string {
 	if width <= 0 {
 		width = 100
 	}
-	spans, tasks, _, wall := o.snapshotSpans()
-	o.mu.Lock()
-	workers := o.workers
-	lanes := len(o.lanes)
-	o.mu.Unlock()
-	if lanes > workers {
-		workers = lanes
-	}
-	if workers == 0 || wall <= 0 {
+	tr, wall, lanes := o.trace()
+	if lanes == 0 || wall <= 0 {
 		return "(no activity recorded)\n"
 	}
-
-	acts := make([]ctrace.Activity, len(spans))
-	for i, sp := range spans {
-		glyph := byte('?')
-		if sp.Task >= 1 && sp.Task <= len(tasks) {
-			t := tasks[sp.Task-1]
-			glyph = t.Kind.Glyph()
-			if t.Panicked {
-				glyph = '!'
-			}
+	bad := panicked(tr)
+	var acts []ctrace.Activity
+	for i, ti := range tr.Tasks {
+		glyph := ti.Kind.Glyph()
+		if bad[ti.ID] {
+			glyph = '!'
 		}
-		acts[i] = ctrace.Activity{Lane: sp.Lane, Start: sp.Start.Seconds(), End: sp.End.Seconds(), Glyph: glyph}
+		tenures(tr.Run.Tasks[i], func(s ctrace.Stretch) {
+			acts = append(acts, ctrace.Activity{Lane: int(s.Lane), Start: s.Start.Seconds(), End: s.End.Seconds(), Glyph: glyph})
+		})
 	}
 	var sb strings.Builder
-	ctrace.WriteLanes(&sb, 'W', workers, wall.Seconds(), width, acts)
+	ctrace.WriteLanes(&sb, 'W', lanes, wall.Seconds(), width, acts)
 	fmt.Fprintf(&sb, "    0%*s\n", width, fmt.Sprintf("%.2f ms", float64(wall)/float64(time.Millisecond)))
 	sb.WriteString("legend: L lexical  S splitter  I importer  P parser/decl  G stmt/codegen  M merge  ! panic-isolated  . idle\n")
 	return sb.String()

@@ -2,8 +2,11 @@ package obs_test
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"m2cc/internal/core"
@@ -11,12 +14,14 @@ import (
 	"m2cc/internal/faultinject"
 	"m2cc/internal/ifacecache"
 	"m2cc/internal/obs"
+	"m2cc/internal/sched"
 	"m2cc/internal/source"
+	"m2cc/internal/streamcache"
 )
 
 // obsProgram is a three-module fixture with enough procedures, imports
-// and lookups that every observer hook has arrivals (the same shape as
-// the chaos fixture at the repo root).
+// and lookups that the trace has every kind of record (the same shape
+// as the chaos fixture at the repo root).
 var obsProgram = map[string]map[source.FileKind]string{
 	"Pair": {source.Def: `
 DEFINITION MODULE Pair;
@@ -89,35 +94,21 @@ func compileObserved(t *testing.T, workers int, plan *faultinject.Plan) (*obs.Ob
 	return o, res
 }
 
-// TestNilObserverSafe exercises every hook and export on a nil
-// receiver: each must be a no-op (exports return zero values or a
-// diagnosable error), mirroring the faultinject pattern.
+// TestNilObserverSafe exercises every method on a nil receiver: each
+// must be a no-op (views return zero values or a diagnosable error),
+// mirroring the faultinject pattern.
 func TestNilObserverSafe(t *testing.T) {
 	var o *obs.Observer
-	o.Begin(4, "Skeptical")
-	if id := o.TaskSpawned(ctrace.KindLexor, 1, "lex", 0, nil); id != 0 {
-		t.Fatalf("nil TaskSpawned = %d, want 0", id)
-	}
-	o.TaskStarted(1)
-	o.TaskBlocked(1, obs.BlockHandled, nil)
-	o.TaskUnblocked(1)
-	o.TaskBarrierBlocked(1, nil)
-	o.TaskBarrierUnblocked(1)
-	o.EventFired(1, nil)
-	o.EventForceFired(nil)
-	o.TaskFinished(1)
-	o.TaskPanicked(1)
-	o.WatchdogFired()
-	o.StallAbandoned(1)
-	o.ReadySample(3)
+	rec := ctrace.NewRecorder()
+	o.Begin(rec, 4, "Skeptical")
 	o.NoteCache(ifacecache.Stats{Hits: 1})
-	o.NoteLookups(nil)
+	o.End(rec, obs.Tally{Sched: sched.Counters{Dispatches: 1}, Streams: streamcache.Tally{Hits: 1}, Evictions: 1})
 	o.Finish()
 	if m := o.Snapshot(); m.Tasks != 0 || m.Spans != 0 {
 		t.Fatalf("nil Snapshot = %+v, want zero", m)
 	}
-	if d := o.Dump(); d.Tasks != nil || d.Fires != nil || d.Waits != nil {
-		t.Fatalf("nil Dump = %+v, want zero", d)
+	if p := o.Profile(); p.Tasks != 0 || p.Makespan != 0 || len(p.Path) != 0 {
+		t.Fatalf("nil Profile = %+v, want zero", p)
 	}
 	if err := o.WriteChromeTrace(&bytes.Buffer{}); err == nil {
 		t.Fatal("nil WriteChromeTrace must error")
@@ -199,8 +190,8 @@ func parseTrace(t *testing.T, o *obs.Observer) chromeTrace {
 }
 
 // TestChromeTraceSchema checks the exported trace against the
-// trace-event contract: valid JSON, one complete event per span, a
-// span for every task, sane lanes and durations.
+// trace-event contract: valid JSON, one complete event per stretch, a
+// stretch for every task, sane lanes and durations.
 func TestChromeTraceSchema(t *testing.T) {
 	const workers = 4
 	o, _ := compileObserved(t, workers, nil)
@@ -253,8 +244,7 @@ func TestChromeTraceSchema(t *testing.T) {
 }
 
 // TestChromeTraceDeterministic pins the export contract: the same
-// recorded run serializes byte-identically on every call (spans,
-// marks and dependency edges are all sorted before writing).
+// recorded run serializes byte-identically on every call.
 func TestChromeTraceDeterministic(t *testing.T) {
 	o, _ := compileObserved(t, 4, nil)
 	var a, b bytes.Buffer
@@ -269,55 +259,61 @@ func TestChromeTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestDumpEdgesConsistent validates the dependency-edge capture that
-// feeds the profiler: dense event IDs, first-fire-only dedup, closed
-// wait windows, and the cross-reference the tracecheck tool enforces —
-// every non-external wait names a fired event.
+// TestDumpEdgesConsistent validates the dependency edges of the trace
+// the views render, which feed the profiler: dense event IDs, one fire
+// per event, waits alternating with stretches and closed, and the
+// cross-reference the tracecheck tool enforces — every non-external
+// wait names a fired event.  A batch of two compilations checks that
+// their IDs do not collide.
 func TestDumpEdgesConsistent(t *testing.T) {
 	o, _ := compileObserved(t, 4, nil)
-	d := o.Dump()
+	if res := core.Compile("Main", obsLoader(), core.Options{Workers: 2, Obs: o}); res.Failed() {
+		t.Fatalf("second compile failed:\n%s", res.Diags)
+	}
+	tr, _, _ := obs.Trace(o)
+	events, tasks := ctrace.EventID(tr.Events), ctrace.TaskID(len(tr.Tasks))
 
-	if d.Events == 0 {
-		t.Fatal("no events observed")
+	if events == 0 || len(tr.Run.Fires) == 0 {
+		t.Fatalf("%d events, %d fires observed", events, len(tr.Run.Fires))
 	}
-	if len(d.Fires) == 0 {
-		t.Fatal("no fire edges observed")
-	}
-	fired := map[int]bool{}
-	for _, f := range d.Fires {
-		if f.Event < 1 || f.Event > d.Events {
-			t.Errorf("fire references event %d outside 1..%d", f.Event, d.Events)
+	fired := map[ctrace.EventID]bool{}
+	for _, f := range tr.Run.Fires {
+		if f.Event < 1 || f.Event > events {
+			t.Errorf("fire references event %d outside 1..%d", f.Event, events)
 		}
-		if f.Task < 0 || f.Task > len(d.Tasks) {
-			t.Errorf("fire references task %d outside 0..%d", f.Task, len(d.Tasks))
+		if f.Task < 0 || f.Task > tasks {
+			t.Errorf("fire references task %d outside 0..%d", f.Task, tasks)
 		}
 		if fired[f.Event] {
-			t.Errorf("event %d has more than one fire edge", f.Event)
+			t.Errorf("event %d has more than one fire", f.Event)
 		}
 		fired[f.Event] = true
 	}
-	for _, w := range d.Waits {
-		if w.Event < 1 || w.Event > d.Events {
-			t.Errorf("wait references event %d outside 1..%d", w.Event, d.Events)
+	for i, r := range tr.Run.Tasks {
+		if len(r.Stretches) != len(r.Waits)+1 {
+			t.Errorf("task %d: %d stretches and %d waits, want one stretch more",
+				i+1, len(r.Stretches), len(r.Waits))
 		}
-		if w.Task < 1 || w.Task > len(d.Tasks) {
-			t.Errorf("wait references task %d outside 1..%d", w.Task, len(d.Tasks))
-		}
-		if w.End < w.Start {
-			t.Errorf("wait on event %d has End %v < Start %v", w.Event, w.End, w.Start)
-		}
-		if w.Reason != obs.BlockExternal && !fired[w.Event] {
-			t.Errorf("task %d waits on event %d (%s) that never fired",
-				w.Task, w.Event, w.Reason)
+		for j, w := range r.Waits {
+			if w.Event < 1 || w.Event > events {
+				t.Errorf("wait references event %d outside 1..%d", w.Event, events)
+			}
+			if w.End < w.Start || w.Start != r.Stretches[j].End || w.End != r.Stretches[j+1].Start {
+				t.Errorf("task %d: wait on event %d from %v to %v, between stretches ending %v and starting %v",
+					i+1, w.Event, w.Start, w.End, r.Stretches[j].End, r.Stretches[j+1].Start)
+			}
+			if w.Kind != ctrace.WaitExternal && !fired[w.Event] {
+				t.Errorf("task %d waits on event %d (%s) that never fired", i+1, w.Event, w.Kind)
+			}
 		}
 	}
-	for _, tr := range d.Tasks {
-		if tr.Parent < 0 || tr.Parent > len(d.Tasks) {
-			t.Errorf("task %d has parent %d outside 0..%d", tr.ID, tr.Parent, len(d.Tasks))
+	for _, sp := range tr.Spawns {
+		if sp.Parent < 0 || sp.Parent > tasks || sp.Child < 1 || sp.Child > tasks {
+			t.Errorf("spawn of task %d by %d outside 1..%d", sp.Child, sp.Parent, tasks)
 		}
-		for _, g := range tr.Gates {
-			if g < 1 || g > d.Events {
-				t.Errorf("task %d gated on event %d outside 1..%d", tr.ID, g, d.Events)
+		for _, g := range sp.Gates {
+			if g < 1 || g > events {
+				t.Errorf("task %d gated on event %d outside 1..%d", sp.Child, g, events)
 			}
 		}
 	}
@@ -414,8 +410,9 @@ func TestRenderTimelineShape(t *testing.T) {
 }
 
 // TestObserverSpansBatch checks that one Observer accumulates across
-// several compilations (the CompileBatch pattern): task counts grow
-// and the largest worker count wins.
+// several compilations (the CompileBatch pattern): task counts grow,
+// the largest worker count wins, compilations one after another share
+// their lanes, and compilations side by side get lanes of their own.
 func TestObserverSpansBatch(t *testing.T) {
 	o := obs.New()
 	loader := obsLoader()
@@ -435,5 +432,37 @@ func TestObserverSpansBatch(t *testing.T) {
 	}
 	if m.Finished != m.Tasks || m.Tasks == 0 {
 		t.Errorf("batch observer: Tasks=%d Finished=%d, want equal and > 0", m.Tasks, m.Finished)
+	}
+	if _, _, lanes := obs.Trace(o); lanes != 4 {
+		t.Errorf("two compilations one after another show %d lanes, want 4", lanes)
+	}
+
+	side := obs.New()
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			core.Compile("Main", loader, core.Options{Workers: 2, Obs: side})
+		}()
+	}
+	wg.Wait()
+	tr, _, lanes := obs.Trace(side)
+	if lanes < 2 || lanes > 4 {
+		t.Errorf("two compilations side by side show %d lanes, want 2 to 4", lanes)
+	}
+	byLane := map[int32][]ctrace.Stretch{}
+	for _, r := range tr.Run.Tasks {
+		for _, s := range r.Stretches {
+			byLane[s.Lane] = append(byLane[s.Lane], s)
+		}
+	}
+	for lane, ss := range byLane {
+		slices.SortFunc(ss, func(a, b ctrace.Stretch) int { return cmp.Compare(a.Start, b.Start) })
+		for i := 1; i < len(ss); i++ {
+			if ss[i].Start < ss[i-1].End {
+				t.Fatalf("lane %d: a stretch starts at %v before the one before it ends at %v", lane, ss[i].Start, ss[i-1].End)
+			}
+		}
 	}
 }

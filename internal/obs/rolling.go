@@ -8,10 +8,9 @@ package obs
 //   - Histogram is entirely atomic — Observe is a binary search over
 //     immutable bounds plus two atomic adds (and a CAS loop for the
 //     float sum); no locks, no allocation.
-//   - Rolling takes one small mutex per Add.  Updates are per-request
-//     (not per-task-transition like the Observer hooks), so a mutex
-//     costs nothing measurable; the win of a lock-free ring would not
-//     survive its complexity.
+//   - Rolling takes one small mutex per Add.  Updates are per-request,
+//     so a mutex costs nothing measurable; the win of a lock-free ring
+//     would not survive its complexity.
 //
 // The wall clock is read here freely: internal/obs is the measuring
 // layer.  The deterministic packages (internal/sim, internal/ctrace)

@@ -3,7 +3,7 @@ package obs
 // TraceStore is the per-request trace plane for the compile daemon:
 // every admitted request gets a trace ID; for a deterministically
 // sampled subset (or all, or none — TraceMode) the request also gets
-// its own Observer recording the full span/fire/wait capture, kept in
+// its own Observer keeping the full trace of its compilation, kept in
 // a bounded LRU store for later retrieval through the daemon's
 // /debug/trace endpoints.
 //
@@ -16,7 +16,7 @@ package obs
 //   - Eviction never drops an in-flight request's observer.  Entries
 //     are pinned from Admit to Finish; the LRU walk skips pinned
 //     entries, temporarily exceeding the cap rather than tearing an
-//     Observer out from under the Supervisor hooks writing to it.
+//     Observer out from under the compilation it observes.
 
 import (
 	"fmt"
@@ -151,7 +151,7 @@ func (s *TraceStore) Admit(requested string) (id string, e *TraceEntry) {
 	}
 	// A reused ID (client-chosen) supersedes the old trace, in flight
 	// or not: the request that owns a superseded Observer still holds
-	// it, so nothing is torn down under its hooks.
+	// it, so nothing is torn down under its compilation.
 	e = &TraceEntry{ID: id, Seq: s.seq, Obs: New()}
 	s.traces.Put(id, e)
 	return id, e

@@ -2,9 +2,10 @@
 // concurrent compilations: the answer to "why didn't this compile
 // speed up?".
 //
-// Input is an obs.Dump — the wall-clock spans, event fire edges and
-// wait windows recorded by internal/obs during a real run.  From those
-// the profiler reconstructs the task/event dependency DAG, walks the
+// Input is a traced run (ctrace.Trace with its Run): the wall-clock
+// stretches, event fires and waits the Recorder took of a real
+// compilation, as internal/obs renders them.  From those the profiler
+// reconstructs the task/event dependency DAG, walks the
 // critical path backwards from the last finishing task, attributes
 // every unit of blocked time to the event (and producing task) that
 // caused it, and derives the two numbers the paper's evaluation keeps
@@ -29,7 +30,7 @@ import (
 	"time"
 
 	"m2cc/internal/ctrace"
-	"m2cc/internal/obs"
+	"m2cc/internal/sched"
 )
 
 // SegKind classifies one critical-path segment.
@@ -72,7 +73,7 @@ type Segment struct {
 	Kind  SegKind
 	Task  int    // task advancing the path (0 for startup)
 	Label string // its label, for the report
-	Event int    // observer event ID involved (blocked/queue), else 0
+	Event int    // trace event ID involved (blocked/queue), else 0
 	Start time.Duration
 	End   time.Duration
 }
@@ -84,7 +85,7 @@ func (s Segment) Dur() time.Duration { return s.End - s.Start }
 // its waiters — the unit of the ranked blame report.
 type EventBlame struct {
 	Event         int
-	Producer      int    // observer task ID of the firer; 0 = driver/none
+	Producer      int    // trace task ID of the firer; 0 = driver/none
 	ProducerLabel string // "" when Producer is 0
 	Forced        bool   // fire came from panic isolation or the watchdog
 	External      bool   // no fire was observed at all (foreign event)
@@ -99,7 +100,7 @@ type TaskCost struct {
 	Task     int
 	Kind     ctrace.TaskKind
 	Label    string
-	Work     time.Duration // executing time (spans minus barrier stalls)
+	Work     time.Duration // executing time (its stretches)
 	Blocked  time.Duration // its own wait-edge time, all reasons
 	CritWork time.Duration // executing time on the critical path
 }
@@ -107,7 +108,7 @@ type TaskCost struct {
 // Profile is the computed critical-path profile of one observed run.
 type Profile struct {
 	Wall     time.Duration // observation horizon
-	Makespan time.Duration // end of the last observed span
+	Makespan time.Duration // end of the last stretch
 	Workers  int
 	Strategy string
 	Tasks    int
@@ -137,92 +138,58 @@ type Profile struct {
 	// (zero when the scheduler reported none): how many tasks left the
 	// ready queue, and how many slot releases handed the slot straight
 	// onward without marking it free.
-	Sched obs.SchedCounters
+	Sched sched.Counters
 }
 
-// ival is one execution interval of a task (span minus barrier stalls).
-type ival struct{ s, e time.Duration }
-
-// execIntervals computes each task's executing intervals: its spans
-// with overlapping barrier-wait windows carved out (a barrier waiter
-// holds its slot but does no work).  Index 0 is unused; task IDs are
-// 1-based.  Both spans and waits arrive sorted by start.
-func execIntervals(d *obs.Dump) [][]ival {
-	execs := make([][]ival, len(d.Tasks)+1)
-	barriers := make([][]ival, len(d.Tasks)+1)
-	for _, w := range d.Waits {
-		if w.Reason == obs.BlockBarrier && w.Task >= 1 && w.Task <= len(d.Tasks) {
-			barriers[w.Task] = append(barriers[w.Task], ival{w.Start, w.End})
-		}
-	}
-	for _, sp := range d.Spans {
-		if sp.Task < 1 || sp.Task > len(d.Tasks) || sp.End <= sp.Start {
-			continue
-		}
-		cur := sp.Start
-		for _, b := range barriers[sp.Task] {
-			if b.e <= cur || b.s >= sp.End {
-				continue
-			}
-			if b.s > cur {
-				execs[sp.Task] = append(execs[sp.Task], ival{cur, b.s})
-			}
-			cur = b.e
-			if cur >= sp.End {
-				break
-			}
-		}
-		if cur < sp.End {
-			execs[sp.Task] = append(execs[sp.Task], ival{cur, sp.End})
-		}
-	}
-	return execs
-}
-
-// item is one per-task timeline entry for the backward walk: an
-// execution interval or a wait window.
+// item is one per-task timeline entry for the backward walk: a stretch
+// or a wait window.
 type item struct {
-	s, e    time.Duration
-	event   int // 0 for exec items
-	isWait  bool
-	barrier bool
+	s, e   time.Duration
+	event  int // 0 for stretches
+	isWait bool
 }
 
 const epsD = 100 * time.Nanosecond
 
-// Build computes the critical-path profile of a recorded run.
-func Build(d *obs.Dump) *Profile {
-	p := &Profile{
-		Wall: d.Wall, Workers: d.Workers, Strategy: d.Strategy, Tasks: len(d.Tasks),
-		Sched: d.Sched,
-	}
-	if len(d.Spans) == 0 {
+// Build computes the critical-path profile of tr's run, observed up to
+// wall.  Workers, Strategy and Sched are left for the caller.
+func Build(tr *ctrace.Trace, wall time.Duration) *Profile {
+	n := len(tr.Tasks)
+	p := &Profile{Wall: wall, Tasks: n}
+	if tr.Run == nil {
 		return p
 	}
-	execs := execIntervals(d)
-
-	// First (non-forced) fire per event, and its producer.
-	fireOf := make(map[int]obs.FireEdge, len(d.Fires))
-	for _, f := range d.Fires {
-		if _, ok := fireOf[f.Event]; !ok {
-			fireOf[f.Event] = f
+	runs := tr.Run.Tasks
+	label := func(id int) string {
+		if id >= 1 && id <= n {
+			return tr.Tasks[id-1].Label
 		}
+		return ""
+	}
+	parent := make([]int, n+1)
+	gates := make([][]ctrace.EventID, n+1)
+	for _, sp := range tr.Spawns {
+		parent[sp.Child], gates[sp.Child] = int(sp.Parent), sp.Gates
 	}
 
-	// Per-task totals and the ranked task table.
-	p.ByTask = make([]TaskCost, 0, len(d.Tasks))
-	taskCost := make([]*TaskCost, len(d.Tasks)+1)
-	for i := range d.Tasks {
-		t := &d.Tasks[i]
-		tc := TaskCost{Task: t.ID, Kind: t.Kind, Label: t.Label}
-		for _, iv := range execs[t.ID] {
-			tc.Work += iv.e - iv.s
+	// The fire of each event (the run keeps the first), and its producer.
+	fireOf := make(map[int]ctrace.Fire, len(tr.Run.Fires))
+	for _, f := range tr.Run.Fires {
+		fireOf[int(f.Event)] = f
+	}
+
+	// Per-task totals and the task table, in task order until it is
+	// ranked at the end.
+	p.ByTask = make([]TaskCost, n)
+	steps := 0
+	for i, t := range tr.Tasks {
+		tc := &p.ByTask[i]
+		*tc = TaskCost{Task: i + 1, Kind: t.Kind, Label: t.Label}
+		for _, s := range runs[i].Stretches {
+			tc.Work += s.End - s.Start
 		}
+		steps += len(runs[i].Stretches) + len(runs[i].Waits)
 		p.TotalWork += tc.Work
-		p.ByTask = append(p.ByTask, tc)
-	}
-	for i := range p.ByTask {
-		taskCost[p.ByTask[i].Task] = &p.ByTask[i]
 	}
 
 	// Blame attribution: each wait edge splits at its event's fire into
@@ -230,71 +197,49 @@ func Build(d *obs.Dump) *Profile {
 	// checked by the tests: Σ(Blocked+Queue) over events == Σ wait-edge
 	// durations == TotalBlocked.
 	blame := make(map[int]*EventBlame)
-	for _, w := range d.Waits {
-		dur := w.End - w.Start
-		if dur < 0 {
-			dur = 0
-		}
-		p.TotalBlocked += dur
-		if tc := taskCost[w.Task]; tc != nil {
-			tc.Blocked += dur
-		}
-		eb := blame[w.Event]
-		if eb == nil {
-			eb = &EventBlame{Event: w.Event}
-			if f, ok := fireOf[w.Event]; ok {
-				eb.Producer = f.Task
-				eb.Forced = f.Forced
-				if f.Task >= 1 && f.Task <= len(d.Tasks) {
-					eb.ProducerLabel = d.Tasks[f.Task-1].Label
-				}
-			} else {
-				eb.External = true
+	// Per-task walk timeline: stretches and wait windows, which
+	// alternate, so each task's list is in time order.
+	items := make([][]item, n+1)
+	cur, tEnd := 0, time.Duration(0) // anchor: the task whose last stretch ends last
+	for i, r := range runs {
+		id := i + 1
+		for j, s := range r.Stretches {
+			items[id] = append(items[id], item{s: s.Start, e: s.End})
+			if s.End > tEnd {
+				cur, tEnd = id, s.End
 			}
-			blame[w.Event] = eb
-		}
-		eb.Waiters++
-		f, ok := fireOf[w.Event]
-		switch {
-		case !ok:
-			eb.Blocked += dur
-		case f.At <= w.Start:
-			eb.Queue += dur
-			p.TotalQueue += dur
-		case f.At >= w.End:
-			eb.Blocked += dur
-		default:
-			eb.Blocked += f.At - w.Start
-			eb.Queue += w.End - f.At
-			p.TotalQueue += w.End - f.At
-		}
-	}
-
-	// Per-task walk timeline: exec intervals and wait windows, sorted.
-	items := make([][]item, len(d.Tasks)+1)
-	for id := 1; id <= len(d.Tasks); id++ {
-		for _, iv := range execs[id] {
-			items[id] = append(items[id], item{s: iv.s, e: iv.e})
-		}
-	}
-	for _, w := range d.Waits {
-		if w.Task >= 1 && w.Task <= len(d.Tasks) {
-			items[w.Task] = append(items[w.Task], item{
-				s: w.Start, e: w.End, event: w.Event,
-				isWait: true, barrier: w.Reason == obs.BlockBarrier,
-			})
-		}
-	}
-	for id := range items {
-		sort.Slice(items[id], func(i, j int) bool { return items[id][i].s < items[id][j].s })
-	}
-
-	// Anchor: the task whose observed activity ends last.
-	cur, tEnd := 0, time.Duration(0)
-	for id := 1; id <= len(d.Tasks); id++ {
-		for _, iv := range execs[id] {
-			if iv.e > tEnd {
-				cur, tEnd = id, iv.e
+			if j >= len(r.Waits) {
+				continue
+			}
+			w := r.Waits[j]
+			ev := int(w.Event)
+			items[id] = append(items[id], item{s: w.Start, e: w.End, event: ev, isWait: true})
+			dur := max(w.End-w.Start, 0)
+			p.TotalBlocked += dur
+			p.ByTask[i].Blocked += dur
+			eb := blame[ev]
+			f, fired := fireOf[ev]
+			if eb == nil {
+				eb = &EventBlame{Event: ev, External: !fired}
+				if fired {
+					eb.Producer, eb.Forced = int(f.Task), f.Forced
+					eb.ProducerLabel = label(eb.Producer)
+				}
+				blame[ev] = eb
+			}
+			eb.Waiters++
+			switch {
+			case !fired:
+				eb.Blocked += dur
+			case f.At <= w.Start:
+				eb.Queue += dur
+				p.TotalQueue += dur
+			case f.At >= w.End:
+				eb.Blocked += dur
+			default:
+				eb.Blocked += f.At - w.Start
+				eb.Queue += w.End - f.At
+				p.TotalQueue += w.End - f.At
 			}
 		}
 	}
@@ -303,12 +248,6 @@ func Build(d *obs.Dump) *Profile {
 	}
 	p.Makespan = tEnd
 
-	label := func(id int) string {
-		if id >= 1 && id <= len(d.Tasks) {
-			return d.Tasks[id-1].Label
-		}
-		return ""
-	}
 	critEvents := map[int]bool{}
 	var rev []Segment // built back-to-front
 	push := func(seg Segment) {
@@ -321,50 +260,47 @@ func Build(d *obs.Dump) *Profile {
 	// length are dropped but the cursor still moves); the step bound is
 	// a defensive guard against degenerate timestamps.
 	t := tEnd
-	maxSteps := 4*(len(d.Spans)+len(d.Waits)+len(d.Tasks)) + 64
+	maxSteps := 4*(steps+n) + 64
 	for steps := 0; t > 0 && steps < maxSteps; steps++ {
 		list := items[cur]
 		// Latest item beginning strictly before t.
 		idx := sort.Search(len(list), func(i int) bool { return list[i].s >= t-epsD }) - 1
 		if idx < 0 {
 			// Before the task's first activity: spawn/gate region.
-			tr := &d.Tasks[cur-1]
-			var gate obs.FireEdge
+			spawned := runs[cur-1].Spawned
+			var gate ctrace.Fire
 			haveGate := false
-			for _, g := range tr.Gates {
-				if f, ok := fireOf[g]; ok && f.At <= t+epsD {
+			for _, g := range gates[cur] {
+				if f, ok := fireOf[int(g)]; ok && f.At <= t+epsD {
 					if !haveGate || f.At > gate.At {
 						gate, haveGate = f, true
 					}
 				}
 			}
-			if haveGate && !gate.Forced && gate.Task >= 1 && gate.At > tr.Spawned+epsD && gate.At < t {
+			if haveGate && !gate.Forced && gate.Task >= 1 && gate.At > spawned+epsD && gate.At < t {
 				// The last gate to open bounds the first dispatch: jump
 				// to its producer at the fire.
-				push(Segment{Kind: SegQueue, Task: cur, Label: label(cur), Event: gate.Event, Start: gate.At, End: t})
-				critEvents[gate.Event] = true
-				cur, t = gate.Task, gate.At
+				push(Segment{Kind: SegQueue, Task: cur, Label: label(cur), Event: int(gate.Event), Start: gate.At, End: t})
+				critEvents[int(gate.Event)] = true
+				cur, t = int(gate.Task), gate.At
 				continue
 			}
-			if tr.Parent == 0 && haveGate && !gate.Forced && gate.Task >= 1 && gate.At < t {
+			if parent[cur] == 0 && haveGate && !gate.Forced && gate.Task >= 1 && gate.At < t {
 				// Driver-sequenced spawn (the merge task): the driver
 				// itself waited for these completions before spawning, so
 				// even a gate that fired before the recorded spawn stamp
 				// bounds it — jump through the latest one rather than
 				// writing the whole prefix off as startup.
-				push(Segment{Kind: SegDispatch, Task: cur, Label: label(cur), Event: gate.Event, Start: gate.At, End: t})
-				critEvents[gate.Event] = true
-				cur, t = gate.Task, gate.At
+				push(Segment{Kind: SegDispatch, Task: cur, Label: label(cur), Event: int(gate.Event), Start: gate.At, End: t})
+				critEvents[int(gate.Event)] = true
+				cur, t = int(gate.Task), gate.At
 				continue
 			}
-			spawn := tr.Spawned
-			if spawn > t {
-				spawn = t
-			}
+			spawn := min(spawned, t)
 			push(Segment{Kind: SegDispatch, Task: cur, Label: label(cur), Start: spawn, End: t})
 			t = spawn
-			if tr.Parent >= 1 && t > 0 {
-				cur = tr.Parent
+			if parent[cur] >= 1 && t > 0 {
+				cur = parent[cur]
 				continue
 			}
 			// Initial task: everything earlier is driver startup.
@@ -375,16 +311,14 @@ func Build(d *obs.Dump) *Profile {
 		it := list[idx]
 		if !it.isWait {
 			if t > it.e+epsD {
-				// Gap after this exec (measurement jitter between a wake
-				// and the next span): charge it as queue delay.
+				// Gap after this stretch (clock jitter between a wake and
+				// the next stretch): charge it as queue delay.
 				push(Segment{Kind: SegQueue, Task: cur, Label: label(cur), Start: it.e, End: t})
 				t = it.e
 				continue
 			}
 			push(Segment{Kind: SegWork, Task: cur, Label: label(cur), Start: it.s, End: t})
-			if tc := taskCost[cur]; tc != nil {
-				tc.CritWork += t - it.s
-			}
+			p.ByTask[cur-1].CritWork += t - it.s
 			t = it.s
 			continue
 		}
@@ -398,7 +332,7 @@ func Build(d *obs.Dump) *Profile {
 			if f.At < end {
 				push(Segment{Kind: SegQueue, Task: cur, Label: label(cur), Event: it.event, Start: f.At, End: end})
 			}
-			cur, t = f.Task, min(f.At, end)
+			cur, t = int(f.Task), min(f.At, end)
 			continue
 		}
 		push(Segment{Kind: SegBlocked, Task: cur, Label: label(cur), Event: it.event, Start: it.s, End: t})
@@ -443,11 +377,4 @@ func Build(d *obs.Dump) *Profile {
 		return p.ByTask[i].Task < p.ByTask[j].Task
 	})
 	return p
-}
-
-func min(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -20,34 +20,36 @@ import (
 
 const us = time.Microsecond
 
-// twoTaskDump hand-builds the smallest interesting observation: a
-// producer that runs 0..100µs and fires event 1 at 80µs, and a
-// consumer (spawned by the producer at 5µs) that runs 10..20µs, waits
-// on event 1 from 20µs to 85µs, then runs 85..120µs.  Every profile
-// number below is checkable by hand.
-func twoTaskDump() obs.Dump {
-	return obs.Dump{
-		Wall: 120 * us, Workers: 2, Strategy: "Skeptical", Events: 1,
-		Tasks: []obs.TaskRecord{
-			{ID: 1, Kind: ctrace.KindModParseDecl, Label: "producer",
-				Spawned: 0, Started: 0, Finished: 100 * us, HasRun: true, Done: true},
-			{ID: 2, Kind: ctrace.KindProcParseDecl, Label: "consumer", Parent: 1,
-				Spawned: 5 * us, Started: 10 * us, Finished: 120 * us, HasRun: true, Done: true},
+// twoTaskTrace hand-builds the smallest interesting run: a producer
+// that runs 0..100µs and fires event 1 at 80µs, and a consumer (spawned
+// by the producer at 5µs) that runs 10..20µs, waits on event 1 from
+// 20µs to 85µs, then runs 85..120µs.  Every profile number below is
+// checkable by hand.
+func twoTaskTrace() *ctrace.Trace {
+	return &ctrace.Trace{
+		Tasks: []ctrace.TaskInfo{
+			{ID: 1, Kind: ctrace.KindModParseDecl, Label: "producer"},
+			{ID: 2, Kind: ctrace.KindProcParseDecl, Label: "consumer"},
 		},
-		Spans: []obs.Span{
-			{Task: 1, Lane: 0, Start: 0, End: 100 * us, EndReason: "finish"},
-			{Task: 2, Lane: 1, Start: 10 * us, End: 20 * us, EndReason: "block-handled"},
-			{Task: 2, Lane: 1, Start: 85 * us, End: 120 * us, EndReason: "finish"},
+		Spawns: []ctrace.SpawnRecord{{Child: 1}, {Parent: 1, Child: 2}},
+		Events: 1,
+		Run: &ctrace.Run{
+			Tasks: []ctrace.TaskRun{
+				{Stretches: []ctrace.Stretch{{Lane: 0, Start: 0, End: 100 * us}}},
+				{
+					Spawned:   5 * us,
+					Stretches: []ctrace.Stretch{{Lane: 1, Start: 10 * us, End: 20 * us}, {Lane: 1, Start: 85 * us, End: 120 * us}},
+					Waits:     []ctrace.Wait{{Event: 1, Kind: ctrace.WaitHandled, Start: 20 * us, End: 85 * us}},
+				},
+			},
+			Fires:  []ctrace.Fire{{Event: 1, Task: 1, At: 80 * us}},
+			Events: 1,
 		},
-		Fires: []obs.FireEdge{{Event: 1, Task: 1, Lane: 0, At: 80 * us}},
-		Waits: []obs.WaitEdge{{Event: 1, Task: 2, Lane: 1,
-			Reason: obs.BlockHandled, Start: 20 * us, End: 85 * us}},
 	}
 }
 
 func TestBuildTwoTaskByHand(t *testing.T) {
-	d := twoTaskDump()
-	p := profile.Build(&d)
+	p := profile.Build(twoTaskTrace(), 120*us)
 
 	if p.Makespan != 120*us {
 		t.Errorf("Makespan = %v, want 120µs", p.Makespan)
@@ -94,9 +96,9 @@ func TestBuildTwoTaskByHand(t *testing.T) {
 }
 
 func TestBuildEmptySafe(t *testing.T) {
-	p := profile.Build(&obs.Dump{})
+	p := profile.Build(&ctrace.Trace{}, 0)
 	if p.Makespan != 0 || p.TotalWork != 0 || len(p.Path) != 0 {
-		t.Errorf("empty dump profile = %+v, want zeros", p)
+		t.Errorf("empty trace profile = %+v, want zeros", p)
 	}
 	if out := p.Render(10); !strings.Contains(out, "no activity") {
 		t.Errorf("empty Render = %q", out)
@@ -145,9 +147,9 @@ END Main.
 `},
 }
 
-// compileDump runs one observed concurrent compilation and returns its
-// dump.
-func compileDump(t *testing.T, workers int) obs.Dump {
+// compileProfile runs one observed, traced concurrent compilation and
+// returns its observer's profile and its trace.
+func compileProfile(t *testing.T, workers int) (*profile.Profile, *ctrace.Trace) {
 	t.Helper()
 	loader := source.NewMapLoader()
 	for name, kinds := range profProgram {
@@ -157,12 +159,12 @@ func compileDump(t *testing.T, workers int) obs.Dump {
 	}
 	o := obs.New()
 	res := core.Compile("Main", loader, core.Options{
-		Workers: workers, Strategy: symtab.Skeptical, Obs: o,
+		Workers: workers, Strategy: symtab.Skeptical, Obs: o, Trace: true,
 	})
 	if res.Failed() || res.Faulted {
 		t.Fatalf("compile failed (faulted=%v):\n%s", res.Faulted, res.Diags)
 	}
-	return o.Dump()
+	return o.Profile(), res.Trace
 }
 
 // TestBlameConservation pins the attribution invariant on a real run:
@@ -170,12 +172,13 @@ func compileDump(t *testing.T, workers int) obs.Dump {
 // measured wait edges equals Profile.TotalBlocked, and the walked
 // critical path tiles the makespan exactly.
 func TestBlameConservation(t *testing.T) {
-	d := compileDump(t, 4)
-	p := profile.Build(&d)
+	p, tr := compileProfile(t, 4)
 
 	var waitsTotal time.Duration
-	for _, w := range d.Waits {
-		waitsTotal += w.End - w.Start
+	for _, r := range tr.Run.Tasks {
+		for _, w := range r.Waits {
+			waitsTotal += w.End - w.Start
+		}
 	}
 	if p.TotalBlocked != waitsTotal {
 		t.Errorf("TotalBlocked = %v, measured wait edges sum to %v", p.TotalBlocked, waitsTotal)
@@ -209,8 +212,7 @@ func TestBlameConservation(t *testing.T) {
 
 // TestRenderAndJSON smoke-tests both report forms on a real profile.
 func TestRenderAndJSON(t *testing.T) {
-	d := compileDump(t, 4)
-	p := profile.Build(&d)
+	p, _ := compileProfile(t, 4)
 	out := p.Render(5)
 	for _, want := range []string{"critical-path profile", "critical path (earliest first)", "serial fraction",
 		fmt.Sprintf("dispatches: %d; %d direct slot handoffs", p.Sched.Dispatches, p.Sched.Handoffs)} {

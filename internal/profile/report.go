@@ -7,7 +7,7 @@ import (
 	"strings"
 	"time"
 
-	"m2cc/internal/obs"
+	"m2cc/internal/sched"
 )
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -91,24 +91,24 @@ func (p *Profile) Render(maxRows int) string {
 // jsonProfile is the JSON view of a Profile, durations in float
 // milliseconds for readability.
 type jsonProfile struct {
-	WallMs         float64            `json:"wall_ms"`
-	MakespanMs     float64            `json:"makespan_ms"`
-	Workers        int                `json:"workers"`
-	Strategy       string             `json:"strategy"`
-	Tasks          int                `json:"tasks"`
-	TotalWorkMs    float64            `json:"total_work_ms"`
-	TotalBlockedMs float64            `json:"total_blocked_ms"`
-	TotalQueueMs   float64            `json:"total_queue_ms"`
-	CritLenMs      float64            `json:"crit_len_ms"`
-	CritWorkMs     float64            `json:"crit_work_ms"`
-	CritBlockedMs  float64            `json:"crit_blocked_ms"`
-	CritQueueMs    float64            `json:"crit_queue_ms"`
-	SerialFraction float64            `json:"serial_fraction"`
-	SpeedupBound   float64            `json:"speedup_bound"`
-	Sched          *obs.SchedCounters `json:"sched,omitempty"`
-	Path           []jsonSegment      `json:"critical_path"`
-	Events         []jsonBlame        `json:"events"`
-	Tasks_         []jsonTask         `json:"by_task"`
+	WallMs         float64         `json:"wall_ms"`
+	MakespanMs     float64         `json:"makespan_ms"`
+	Workers        int             `json:"workers"`
+	Strategy       string          `json:"strategy"`
+	Tasks          int             `json:"tasks"`
+	TotalWorkMs    float64         `json:"total_work_ms"`
+	TotalBlockedMs float64         `json:"total_blocked_ms"`
+	TotalQueueMs   float64         `json:"total_queue_ms"`
+	CritLenMs      float64         `json:"crit_len_ms"`
+	CritWorkMs     float64         `json:"crit_work_ms"`
+	CritBlockedMs  float64         `json:"crit_blocked_ms"`
+	CritQueueMs    float64         `json:"crit_queue_ms"`
+	SerialFraction float64         `json:"serial_fraction"`
+	SpeedupBound   float64         `json:"speedup_bound"`
+	Sched          *sched.Counters `json:"sched,omitempty"`
+	Path           []jsonSegment   `json:"critical_path"`
+	Events         []jsonBlame     `json:"events"`
+	Tasks_         []jsonTask      `json:"by_task"`
 }
 
 type jsonSegment struct {
@@ -151,7 +151,7 @@ func (p *Profile) WriteJSON(w io.Writer) error {
 		CritBlockedMs: ms(p.CritBlocked), CritQueueMs: ms(p.CritQueue),
 		SerialFraction: p.SerialFraction, SpeedupBound: p.SpeedupBound,
 	}
-	if p.Sched != (obs.SchedCounters{}) {
+	if p.Sched != (sched.Counters{}) {
 		sc := p.Sched
 		jp.Sched = &sc
 	}

@@ -29,10 +29,12 @@
 // counting semaphore, which removes that deadlock case without changing
 // the scheduling policy (see DESIGN.md).
 //
-// With a Recorder attached the Supervisor also times every task on its
-// slot, from taking it to leaving it, and hands each stretch to the
-// task's ctrace.TaskCtx: the measured clock the trace carries beside
-// its work units.
+// Each worker slot has a lane, below the worker count, that passes with
+// the slot from task to task.  A Recorder, when attached, is the one
+// thing the Supervisor reports to: it times each task's stretches on its
+// slot and hands them, with their lanes, and each wait's window to the
+// task's ctrace.TaskCtx, and records forced fires and fault marks.  The
+// stretches are the trace's measured clock; internal/obs renders them.
 package sched
 
 import (
@@ -48,7 +50,6 @@ import (
 
 	"m2cc/internal/ctrace"
 	"m2cc/internal/event"
-	"m2cc/internal/obs"
 )
 
 // ErrCanceled is the sentinel a task's wait raises when the compilation
@@ -94,6 +95,7 @@ type Task struct {
 	stream    int32
 	gatesLeft int32 // unfired avoided events (Supervisor.gateWaiters); parked while > 0
 	heapIdx   int32 // index in the ready heap, -1 when absent
+	lane      int32 // the lane of the slot it holds or last held
 	started   bool
 	external  bool // waitOn is owned by another compilation
 }
@@ -123,11 +125,6 @@ func (t *Task) Kind() ctrace.TaskKind { return t.ctx.Kind }
 // Stream returns the stream the task belongs to.
 func (t *Task) Stream() int32 { return t.stream }
 
-// ObsID returns the task's observability-layer ID (0 when the
-// compilation runs unobserved); the driver uses it to attribute
-// stall-abandonment marks to the right task.
-func (t *Task) ObsID() int { return t.ctx.ObsID }
-
 // BarrierWait performs a barrier-event wait: the worker slot is held
 // (§2.3.3).  It makes a task the tokq.Waiter of its token readers.  The
 // wait is noted unconditionally — token-block acquisitions are
@@ -144,14 +141,12 @@ func (t *Task) BarrierWait(e *event.Event) {
 		// discharged unrun; unwind instead of blocking a slot forever.
 		panic(ErrCanceled)
 	}
-	s.clockOff(t)
-	s.Obs.TaskBarrierBlocked(t.ObsID(), e)
+	from := s.clockOff(t)
 	select {
 	case <-e.WaitChan():
 	case <-s.cancelCh:
 	}
-	s.Obs.TaskBarrierUnblocked(t.ObsID())
-	s.clockOn(t)
+	t.Ctx.Waited(e, ctrace.WaitBarrier, from, s.clockOn(t))
 	if !e.Fired() {
 		panic(ErrCanceled)
 	}
@@ -166,7 +161,7 @@ func (t *Task) HandledWait(e *event.Event) {
 		return
 	}
 	s := t.w.sup
-	s.block(t, e, obs.BlockHandled)
+	from := s.block(t, e, false)
 	select {
 	case <-e.WaitChan():
 	case <-s.cancelCh:
@@ -174,7 +169,7 @@ func (t *Task) HandledWait(e *event.Event) {
 	// Reacquire before unwinding so the slot accounting stays exact:
 	// the cancellation panic is raised from inside the task body, where
 	// the normal finish path releases the slot.
-	s.reacquire(t)
+	s.reacquire(t, e, ctrace.WaitHandled, from)
 	if !e.Fired() {
 		panic(ErrCanceled)
 	}
@@ -185,8 +180,8 @@ func (t *Task) HandledWait(e *event.Event) {
 // worker slot is released like a handled wait, but the Supervisor's
 // deadlock watchdog must neither force-fire the foreign event nor
 // treat the stall as a scheduler bug: progress arrives from outside
-// this compilation.  The wait is not traced — in the trace the cached
-// scope appears pre-fired once installed.
+// this compilation.  Only the trace's Run records the wait; its replayed
+// facts show the cached scope pre-fired once installed.
 //
 // Because the producer lives outside this Supervisor's jurisdiction,
 // the wait is bounded by StallTimeout: a foreign leader that wedges
@@ -199,7 +194,7 @@ func (t *Task) ExternalWait(e *event.Event) bool {
 		return true
 	}
 	s := t.w.sup
-	s.block(t, e, obs.BlockExternal)
+	from := s.block(t, e, true)
 	var deadline <-chan time.Time
 	if s.StallTimeout > 0 {
 		timer := time.NewTimer(s.StallTimeout)
@@ -215,7 +210,7 @@ func (t *Task) ExternalWait(e *event.Event) bool {
 	case <-deadline:
 	case <-s.cancelCh:
 	}
-	s.reacquire(t)
+	s.reacquire(t, e, ctrace.WaitExternal, from)
 	return e.Fired()
 }
 
@@ -224,7 +219,7 @@ type Supervisor struct {
 	mu    sync.Mutex // guards: all scheduler state below, the ready heap included; cond's locker
 	cond  *sync.Cond
 	slots int
-	free  int
+	idle  []int32 // the free slots' lanes, a stack
 
 	ready taskHeap // runnable tasks in §2.3.4 order
 	seq   int64
@@ -252,11 +247,11 @@ type Supervisor struct {
 	// promptly instead of waiting for events that will never fire.
 	cancelCh chan struct{}
 
-	counters obs.SchedCounters // dispatch traffic
-	exits    int64             // worker goroutines that returned (Exited)
+	counters Counters // dispatch traffic
+	exits    int64    // worker goroutines that returned (Exited)
 
-	rec   *ctrace.Recorder
-	epoch time.Time // traced tasks' slot times count from here
+	rec   *ctrace.Recorder // the one recorder of what the tasks do; nil when nobody records
+	epoch time.Time        // the recorder's wall times count from here
 
 	// OnDeadlock is invoked (outside the lock) with a description when
 	// the watchdog breaks a stall; the driver reports it as an error.
@@ -278,12 +273,25 @@ type Supervisor struct {
 	// event owned by a foreign compilation before abandoning it.
 	// Zero or negative waits forever.  Set before the first Spawn.
 	StallTimeout time.Duration
+}
 
-	// Obs, when non-nil, receives live-observability hooks at every
-	// task transition (spawn, dispatch, block, unblock, finish, panic,
-	// watchdog fire).  Nil reduces every hook to a pointer check, the
-	// same discipline as faultinject.  Set before the first Spawn.
-	Obs *obs.Observer
+// Counters is a Supervisor's dispatch traffic and ready-queue depth;
+// the counters of several compilations add up.
+type Counters struct {
+	Dispatches     int64 `json:"dispatches"` // tasks taken off the ready queue
+	Handoffs       int64 `json:"handoffs"`   // releases that handed the slot directly onward
+	Goroutines     int64 `json:"goroutines"` // worker goroutines started (resident workers run many tasks each)
+	ReadyDepthSum  int64 `json:"-"`          // Σ ready-queue depth after each dispatch
+	ReadyDepthPeak int64 `json:"-"`
+}
+
+// Add accumulates other into c.
+func (c *Counters) Add(other Counters) {
+	c.Dispatches += other.Dispatches
+	c.Handoffs += other.Handoffs
+	c.Goroutines += other.Goroutines
+	c.ReadyDepthSum += other.ReadyDepthSum
+	c.ReadyDepthPeak = max(c.ReadyDepthPeak, other.ReadyDepthPeak)
 }
 
 // New returns a Supervisor with the given number of worker slots
@@ -293,21 +301,27 @@ func New(workers int, rec *ctrace.Recorder) *Supervisor {
 		workers = 1
 	}
 	s := &Supervisor{
-		slots: workers, free: workers, rec: rec,
+		slots: workers, idle: make([]int32, workers), rec: rec,
 		cancelCh:    make(chan struct{}),
 		producers:   make(map[*event.Event]*Task),
 		gateWaiters: make(map[*event.Event][]*Task),
+	}
+	for i := range s.idle {
+		s.idle[i] = int32(workers - 1 - i) // lane 0 on top
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.onGate = s.gatesFired
 	if rec != nil {
 		s.epoch = time.Now()
+		rec.SetClock(s.epoch, s.now)
 	}
 	return s
 }
 
+func (s *Supervisor) now() time.Duration { return time.Since(s.epoch) }
+
 // Counters returns the dispatch-traffic counters accumulated so far.
-func (s *Supervisor) Counters() obs.SchedCounters {
+func (s *Supervisor) Counters() Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.counters
@@ -371,17 +385,6 @@ func (s *Supervisor) Spawn(kind ctrace.TaskKind, stream int32, label string,
 		}
 		s.rec.NoteSpawn(pid, at, t.ctx.ID, gates)
 	}
-	parentObs := 0
-	if parent != nil {
-		parentObs = parent.ObsID
-	}
-	if t.ctx.ObsID = s.Obs.TaskSpawned(kind, stream, label, parentObs, gates); t.ctx.ObsID != 0 {
-		// Edge capture: every event this task fires through its TaskCtx
-		// is attributed to it, before the fire lands (so waiters' unblock
-		// edges always follow the fire edge).
-		obsv, id := s.Obs, t.ctx.ObsID
-		t.ctx.OnFire = func(e *event.Event) { obsv.EventFired(id, e) }
-	}
 
 	s.mu.Lock()
 	s.total++
@@ -434,9 +437,11 @@ func (s *Supervisor) gatesFired(g *event.Event) {
 // kickLocked grants free slots to ready tasks until one of them runs
 // out.  Caller holds s.mu.
 func (s *Supervisor) kickLocked() {
-	for s.free > 0 && len(s.ready) > 0 {
-		s.free--
-		s.grantLocked(s.popLocked())
+	for len(s.idle) > 0 && len(s.ready) > 0 {
+		t := s.popLocked()
+		n := len(s.idle) - 1
+		t.lane, s.idle = s.idle[n], s.idle[:n]
+		s.grantLocked(t)
 	}
 }
 
@@ -452,7 +457,8 @@ func (s *Supervisor) pushLocked(t *Task) {
 func (s *Supervisor) popLocked() *Task {
 	t := heap.Pop(&s.ready).(*Task)
 	s.counters.Dispatches++
-	s.Obs.ReadySample(len(s.ready))
+	s.counters.ReadyDepthSum += int64(len(s.ready))
+	s.counters.ReadyDepthPeak = max(s.counters.ReadyDepthPeak, int64(len(s.ready)))
 	return t
 }
 
@@ -471,10 +477,8 @@ func (s *Supervisor) grantLocked(t *Task) {
 func (s *Supervisor) admitLocked(t *Task) (unstarted bool) {
 	if !t.started {
 		t.started = true
-		s.Obs.TaskStarted(t.ObsID())
 		return true
 	}
-	s.Obs.TaskUnblocked(t.ObsID())
 	t.w.resume <- struct{}{}
 	return false
 }
@@ -487,29 +491,31 @@ func (s *Supervisor) admitLocked(t *Task) (unstarted bool) {
 // or frees a slot ending with this call; pushes skip it, since they only
 // add work.  A release site without it can strand Wait.
 func (s *Supervisor) wakeWaitLocked() {
-	if s.finished == s.total || s.free == s.slots {
+	if s.finished == s.total || len(s.idle) == s.slots {
 		s.cond.Broadcast()
 	}
 }
 
-// passLocked passes the caller's slot straight to the best ready task,
-// which it returns, skipping the free-slot accounting entirely; with
-// nothing ready it frees the slot and returns nil.  Caller holds s.mu
-// and ends its critical section with wakeWaitLocked.
-func (s *Supervisor) passLocked() *Task {
+// passLocked passes t's slot straight to the best ready task, which it
+// returns, skipping the free-slot accounting entirely; with nothing
+// ready it frees the slot and returns nil.  Caller holds s.mu and ends
+// its critical section with wakeWaitLocked.
+func (s *Supervisor) passLocked(t *Task) *Task {
 	if len(s.ready) == 0 {
-		s.free++
+		s.idle = append(s.idle, t.lane)
 		return nil
 	}
 	s.counters.Handoffs++
-	return s.popLocked()
+	next := s.popLocked()
+	next.lane = t.lane
+	return next
 }
 
-// handoffLocked gives up the caller's slot, which is about to block, to
-// the best ready task.  Caller holds s.mu.
-func (s *Supervisor) handoffLocked() {
-	if t := s.passLocked(); t != nil {
-		s.grantLocked(t)
+// handoffLocked gives up t's slot, which it holds and is about to block
+// on, to the best ready task.  Caller holds s.mu.
+func (s *Supervisor) handoffLocked(t *Task) {
+	if next := s.passLocked(t); next != nil {
+		s.grantLocked(next)
 	}
 	s.wakeWaitLocked()
 }
@@ -528,13 +534,9 @@ func (s *Supervisor) work(t *Task) {
 		t.Ctx.FireEvent(&t.done)
 		s.clockOff(t)
 		t.Ctx.Finish()
-		// Note the finish (freeing the task's observed lane) before the
-		// slot moves on, so an observer never sees more lanes busy than
-		// slots exist.
-		s.Obs.TaskFinished(t.ObsID())
 		s.mu.Lock()
 		s.finished++
-		next := s.passLocked()
+		next := s.passLocked(t)
 		mine := next != nil && s.admitLocked(next)
 		if !mine {
 			s.exits++
@@ -548,19 +550,24 @@ func (s *Supervisor) work(t *Task) {
 	}
 }
 
-// clockOn starts a traced task's clock as it takes its slot; clockOff
-// stops it as the task leaves the slot (finish, handled, external or
-// stalled barrier wait) and hands the stretch to its TaskCtx.
-func (s *Supervisor) clockOn(t *Task) {
+// clockOn starts a traced task's stretch as it takes its slot, or goes
+// on after a barrier wait; clockOff ends it as the task finishes or
+// waits, and hands it to the task's TaskCtx.  Each returns the time it
+// read, 0 when untraced.
+func (s *Supervisor) clockOn(t *Task) time.Duration {
 	if s.rec != nil {
-		t.w.onSlot = time.Since(s.epoch)
+		t.w.onSlot = s.now()
 	}
+	return t.w.onSlot
 }
 
-func (s *Supervisor) clockOff(t *Task) {
-	if s.rec != nil {
-		t.Ctx.Ran(time.Since(s.epoch) - t.w.onSlot)
+func (s *Supervisor) clockOff(t *Task) time.Duration {
+	if s.rec == nil {
+		return 0
 	}
+	end := s.now()
+	t.Ctx.Ran(int(t.lane), t.w.onSlot, end)
+	return end
 }
 
 // runGuarded runs the task body with panic isolation: a panicking task
@@ -582,7 +589,7 @@ func (s *Supervisor) runGuarded(t *Task) {
 			s.faults++
 			cb := s.OnPanic
 			s.mu.Unlock()
-			s.Obs.TaskPanicked(t.ObsID())
+			s.rec.NoteMark(ctrace.MarkPanic, t.Ctx.ID)
 			if cb != nil {
 				cb(t, r, stack)
 			}
@@ -617,8 +624,8 @@ func (s *Supervisor) forceFireProduced(t *Task) {
 	}
 	s.mu.Unlock()
 	for _, e := range fires {
-		s.Obs.EventForceFired(e)
-		e.Fire() // vet:allowfire forced fire on a dead or discharged task's behalf; EventForceFired is the record
+		s.rec.NoteFire(e, true)
+		e.Fire() // vet:allowfire forced fire on a dead or discharged task's behalf; NoteFire is the record
 	}
 }
 
@@ -629,36 +636,39 @@ func (s *Supervisor) Faults() int {
 	return s.faults
 }
 
-// block gives up t's slot because it is about to wait on e.  The slot
-// is handed straight to the best ready task — preferentially the
-// producer that resolves the blockage, whose priority is first raised
-// above every class (§2.3.4).  A producer that is running, blocked or
-// parked sits in no queue and is left alone; a foreign event has none.
-func (s *Supervisor) block(t *Task, e *event.Event, why obs.BlockReason) {
-	s.clockOff(t)
+// block gives up t's slot because it is about to wait on e, which
+// another compilation owns when external.  The slot is handed straight
+// to the best ready task — preferentially the producer that resolves
+// the blockage, whose priority is first raised above every class
+// (§2.3.4).  A producer that is running, blocked or parked sits in no
+// queue and is left alone; a foreign event has none.  It returns when
+// the wait began, as clockOff read it.
+func (s *Supervisor) block(t *Task, e *event.Event, external bool) time.Duration {
+	from := s.clockOff(t)
 	s.mu.Lock()
-	s.Obs.TaskBlocked(t.ObsID(), why, e)
 	if p, ok := s.producers[e]; ok && p.heapIdx >= 0 {
 		p.priority = -1 << 62
 		heap.Fix(&s.ready, int(p.heapIdx))
 	}
-	t.waitOn, t.external = e, why == obs.BlockExternal
+	t.waitOn, t.external = e, external
 	if t.w.resume == nil {
 		t.w.resume = make(chan struct{}, 1)
 	}
-	s.handoffLocked()
+	s.handoffLocked(t)
 	s.mu.Unlock()
+	return from
 }
 
-// reacquire returns t to the ready queue after its wait ended, blocks
-// until a slot is granted, and restarts its clock.
-func (s *Supervisor) reacquire(t *Task) {
+// reacquire returns t to the ready queue after its wait on e ended,
+// blocks until a slot is granted, restarts its clock and records the
+// wait, begun at from.
+func (s *Supervisor) reacquire(t *Task, e *event.Event, kind ctrace.WaitKind, from time.Duration) {
 	s.mu.Lock()
 	t.waitOn = nil
 	s.pushLocked(t)
 	s.mu.Unlock()
 	<-t.w.resume
-	s.clockOn(t)
+	t.Ctx.Waited(e, kind, from, s.clockOn(t))
 }
 
 // Wait blocks until every spawned task has finished.  It breaks DKY
@@ -668,7 +678,7 @@ func (s *Supervisor) reacquire(t *Task) {
 func (s *Supervisor) Wait() {
 	s.mu.Lock()
 	for s.finished < s.total {
-		if s.free == s.slots && len(s.ready) == 0 {
+		if len(s.idle) == s.slots && len(s.ready) == 0 {
 			// Nothing is running or runnable, yet tasks remain: a stall.
 			var fires []*event.Event
 			inTransit := false
@@ -711,14 +721,14 @@ func (s *Supervisor) Wait() {
 				}
 				s.mu.Unlock()
 				if wedged {
-					s.Obs.WatchdogFired()
+					s.rec.NoteMark(ctrace.MarkWatchdog, 0)
 				}
 				if cb != nil {
 					cb(msg)
 				}
 				for _, e := range fires {
-					s.Obs.EventForceFired(e)
-					e.Fire() // vet:allowfire watchdog force-fire; EventForceFired is the record
+					s.rec.NoteFire(e, true)
+					e.Fire() // vet:allowfire watchdog force-fire; NoteFire is the record
 				}
 				s.mu.Lock()
 				continue
@@ -743,7 +753,7 @@ func (s *Supervisor) Wait() {
 func (s *Supervisor) stateDumpLocked() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "scheduler state: %d/%d tasks finished, %d/%d slots free, %d faults\n",
-		s.finished, s.total, s.free, s.slots, s.faults)
+		s.finished, s.total, len(s.idle), s.slots, s.faults)
 	section := func(title string, lines []string) {
 		if len(lines) == 0 {
 			return

@@ -90,7 +90,7 @@ func (a *DeclAnalyzer) insert(sym *symtab.Symbol) { a.Env.Insert(a.Scope, sym) }
 // procedure the registry name of each procedure from the outermost in,
 // ':'-joined ("M.mod:P:P.Q" for Q declared in P).  Its length grows with
 // the square of the nesting depth, so it is rendered only where it is
-// output: exception names and lint units.
+// output: exception names.
 func (a *DeclAnalyzer) Path() string {
 	if a.Proc == nil {
 		return a.ModPath

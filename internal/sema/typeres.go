@@ -165,6 +165,9 @@ func (a *DeclAnalyzer) resolveType(t ast.Type) *types.Type {
 		params := make([]types.Param, 0, len(t.Params))
 		for _, p := range t.Params {
 			pt := e.ResolveTypeName(a.Scope, p.Type)
+			if p.Open {
+				pt = types.NewOpenArray(pt)
+			}
 			params = append(params, types.Param{Type: pt, ByRef: p.VarMode, Open: p.Open})
 		}
 		var ret *types.Type

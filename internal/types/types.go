@@ -409,7 +409,9 @@ func Assignable(dst, src *Type) bool {
 }
 
 // SameSignature reports whether two procedure types have compatible
-// signatures (parameter modes and types, result type).
+// signatures (parameter modes and types, result type).  Open-array
+// formals compare by element type: each ARRAY OF T is a type of its
+// own.
 func SameSignature(a, b *Type) bool {
 	a, b = a.Under(), b.Under()
 	if len(a.Params) != len(b.Params) {
@@ -425,6 +427,9 @@ func SameSignature(a, b *Type) bool {
 		pa, pb := a.Params[i], b.Params[i]
 		if pa.ByRef != pb.ByRef || pa.Open != pb.Open {
 			return false
+		}
+		if pa.Open {
+			pa.Type, pb.Type = pa.Type.Base, pb.Type.Base
 		}
 		if pa.Type.Deref() != pb.Type.Deref() && !(pa.Type.IsInteger() && pb.Type.IsInteger()) {
 			return false

@@ -194,11 +194,14 @@ type StreamTally = streamcache.Tally
 func NewStreamCache(limit int) *StreamCache { return streamcache.New(limit) }
 
 // Observer is the live-observability layer: attach one via
-// Options.Obs to record wall-clock spans for every Supervisor task and
-// aggregate worker-occupancy, ready-queue, event and cache metrics.
-// One Observer may span a whole CompileBatch.  Export with
-// WriteChromeTrace (Perfetto-loadable), WriteMetrics (JSON) or
-// RenderTimeline (Figure 7-style ASCII); see internal/obs.
+// Options.Obs and each compilation is traced by its Recorder, which
+// times every Supervisor task on its worker slot and records its
+// waits, fires and faults; the Observer keeps those traces beside the
+// cache, scheduler and lookup counters.  One Observer may span a whole
+// CompileBatch.  Its views are renderings of the traces:
+// WriteChromeTrace (Perfetto-loadable), WriteMetrics (JSON),
+// RenderTimeline (Figure 7-style ASCII) and BuildProfile; see
+// internal/obs.
 type Observer = obs.Observer
 
 // ObsMetrics is an Observer's aggregated metrics snapshot.  Its Sched
@@ -217,15 +220,12 @@ func NewObserver() *Observer { return obs.New() }
 // internal/profile.
 type Profile = profile.Profile
 
-// BuildProfile computes the critical-path profile of the run(s)
-// recorded by o: reconstructs the task/event dependency DAG from the
-// observed spans and fire/wait edges, walks the critical path, and
-// attributes every unit of blocked time to the event that caused it.
-// Render the result with Profile.Render or Profile.WriteJSON.
-func BuildProfile(o *Observer) *Profile {
-	d := o.Dump()
-	return profile.Build(&d)
-}
+// BuildProfile computes the critical-path profile of the run(s) o
+// observed: reconstructs the task/event dependency DAG from the traced
+// stretches, fires and waits, walks the critical path, and attributes
+// every unit of blocked time to the event that caused it.  Render the
+// result with Profile.Render or Profile.WriteJSON.
+func BuildProfile(o *Observer) *Profile { return o.Profile() }
 
 // Compile runs the concurrent compiler on the named implementation
 // module.  Set Options.Cache to share interface compilations across

@@ -3,6 +3,7 @@ package m2cc_test
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -216,6 +217,76 @@ func TestNestedProceduresCostLinear(t *testing.T) {
 		t.Logf("%s: 125 levels %d B, 500 levels %d B: %.1f×", tc.name, small, large, growth)
 		if growth > 5 {
 			t.Errorf("%s: bytes grow %.1f× from 125 to 500 nested procedures, want ≤ 5×", tc.name, growth)
+		}
+	}
+}
+
+// siblingProcs is a module of n empty procedures side by side.
+func siblingProcs(n int) string {
+	var b strings.Builder
+	b.WriteString("MODULE Wide;\n")
+	for i := 1; i <= n; i++ {
+		fmt.Fprintf(&b, "PROCEDURE P%d;\nBEGIN END P%d;\n", i, i)
+	}
+	b.WriteString("BEGIN END Wide.\n")
+	return b.String()
+}
+
+// TestLinearResources: the heap bytes each way of compiling a module
+// allocates grow with the number of procedures, not faster.  Each row's
+// shape is compiled at n and 4n procedures; from one to the other the
+// bytes may grow by 5× at most (4× is linear).  Wall time is not
+// gated: at these sizes a ratio of two timings is noisier than the
+// bound.
+func TestLinearResources(t *testing.T) {
+	const maxGrowth = 5.0
+	ways := []struct {
+		name string
+		run  func(string, m2cc.Loader)
+	}{
+		{"Compile/1", func(m string, l m2cc.Loader) { m2cc.Compile(m, l, m2cc.Options{Workers: 1}) }},
+		{"Compile/2", func(m string, l m2cc.Loader) { m2cc.Compile(m, l, m2cc.Options{Workers: 2}) }},
+		{"Compile/2/lint", func(m string, l m2cc.Loader) { m2cc.Compile(m, l, m2cc.Options{Workers: 2, Check: true}) }},
+		{"CompileSequential", func(m string, l m2cc.Loader) { m2cc.CompileSequential(m, l) }},
+		{"Lint", func(m string, l m2cc.Loader) { m2cc.Lint(m, l) }},
+	}
+	// bytes reports the median of three runs' allocation, after one run
+	// that fills the free lists.
+	bytes := func(text string, run func(string, m2cc.Loader)) uint64 {
+		loader := m2cc.NewMapLoader()
+		module := strings.Fields(text)[1]
+		module = module[:len(module)-1]
+		loader.Add(module, m2cc.Impl, text)
+		run(module, loader)
+		var runs [3]uint64
+		for i := range runs {
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run(module, loader)
+			runtime.ReadMemStats(&after)
+			runs[i] = after.TotalAlloc - before.TotalAlloc
+		}
+		slices.Sort(runs[:])
+		return runs[1]
+	}
+	for _, row := range []struct {
+		name  string
+		shape func(int) string
+		n     int
+	}{
+		{"nested", nestedProcs, parser.MaxProcNesting / 4},
+		{"sibling", siblingProcs, 250},
+	} {
+		for _, way := range ways {
+			t.Run(row.name+"/"+way.name, func(t *testing.T) {
+				b1, b4 := bytes(row.shape(row.n), way.run), bytes(row.shape(4*row.n), way.run)
+				growth := float64(b4) / float64(b1)
+				t.Logf("n=%d: %d B; 4n=%d: %d B; growth %.1f×", row.n, b1, 4*row.n, b4, growth)
+				if growth > maxGrowth {
+					t.Errorf("bytes grow %.1f× from n to 4n, want ≤ %.0f×", growth, maxGrowth)
+				}
+			})
 		}
 	}
 }
