@@ -14,7 +14,7 @@ GO ?= go
 # statement-tree arenas, the free lists every compilation takes them
 # from, and the file snapshot and object registry every task of a
 # compilation shares.
-RACE_PKGS = ./internal/pool ./internal/ast ./internal/impscan ./internal/ifacecache ./internal/streamcache ./internal/core ./internal/symtab ./internal/sched ./internal/ctrace ./internal/faultinject ./internal/obs ./internal/profile ./internal/check ./internal/event ./internal/tokq ./internal/source ./internal/vm ./cmd/m2cd ./cmd/m2load
+RACE_PKGS = ./internal/pool ./internal/ast ./internal/impscan ./internal/ifacecache ./internal/streamcache ./internal/core ./internal/symtab ./internal/sched ./internal/ctrace ./internal/faultinject ./internal/obs ./internal/profile ./internal/check ./internal/event ./internal/tokq ./internal/source ./internal/vm ./cmd/m2cd
 
 # Seeds for the chaos suite's seeded matrix (see chaos_test.go); the
 # suite also hand-arms every injection point regardless of seeds.
@@ -57,41 +57,44 @@ race:
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -run Chaos -count=1 .
 
-# End-to-end observability smoke: compile an example module with -trace
-# and validate the Chrome trace-event JSON it wrote; then build and run
-# it with -run, which compiles Demo and Fib into one Observer, and
-# validate that trace too.
+# End-to-end observability smoke: m2c -trace on an example module, then
+# -run, which compiles Demo and Fib into one Observer.  m2c validates a
+# trace before writing it and exits 1 on a broken one (every non-external
+# wait names a fired event, IDs in range); each must hold a span.
 smoke:
 	$(GO) run ./cmd/m2c -I examples/modules -q -trace /tmp/m2c_smoke_trace.json Demo
-	$(GO) run ./cmd/tracecheck /tmp/m2c_smoke_trace.json
+	grep -q '"ph": "X"' /tmp/m2c_smoke_trace.json
 	$(GO) run ./cmd/m2c -I examples/modules -q -run -trace /tmp/m2c_smoke_run_trace.json Demo
-	$(GO) run ./cmd/tracecheck /tmp/m2c_smoke_run_trace.json
+	grep -q '"ph": "X"' /tmp/m2c_smoke_run_trace.json
 
 # End-to-end serving smoke: start the m2cd daemon on an ephemeral
-# port, saturate it with an m2load burst (byte-identity enforced,
-# overload shed with 429), then SIGTERM mid-load and assert the
-# healthz/readyz flip, a clean drain (exit 0), the final metrics
-# snapshot, and a schema-valid m2load report (written to a temporary
-# directory).
+# port, fetch a validated trace, saturate it with a curl burst (every
+# code 200, 429 or 503, every 200 body byte-identical), then SIGTERM
+# mid-load and assert the healthz/readyz flip, a clean drain (exit 0)
+# and the final metrics snapshot.  Scratch files go to a temporary
+# directory.
 serve-smoke:
 	bash scripts/serve_smoke.sh
 
 # End-to-end profiler smoke: compile an example module with the
-# critical-path profiler and the what-if replay, then cross-check the
-# Chrome trace (fires/waits/task IDs) with tracecheck; replay once more
-# under Avoidance, which only the trace's lookups and scope gates drive.
+# critical-path profiler, then with the what-if replay and -trace, which
+# m2c validates before writing (fires/waits/task IDs; exit 1 on a
+# broken trace); replay once more under Avoidance, which only the
+# trace's lookups and scope gates drive.
 profile:
 	$(GO) run ./cmd/m2c -I examples/modules -q -profile -profile-json /tmp/m2c_profile.json Fib
 	$(GO) run ./cmd/m2c -I examples/modules -q -whatif -workers 4 -trace /tmp/m2c_whatif_trace.json Fib
-	$(GO) run ./cmd/tracecheck /tmp/m2c_whatif_trace.json
+	grep -q '"ph": "X"' /tmp/m2c_whatif_trace.json
 	$(GO) run ./cmd/m2c -I examples/modules -q -whatif -dky avoidance Fib
 
-# Static analysis over the example modules: the clean fixtures must
-# stay clean (-werror), and the findings fixture must match its golden
-# file (also enforced, per DKY strategy, by lint_golden_test.go).
+# Static analysis over the example modules, m2c -lint once per module:
+# the clean fixtures must stay clean (-werror), and the findings fixture
+# must match its golden file (also enforced, per DKY strategy, by
+# lint_golden_test.go).
 lint:
-	$(GO) run ./cmd/m2lint -I examples/modules -werror LintClean Demo
-	$(GO) run ./cmd/m2lint -I examples/modules LintFindings | diff examples/modules/LintFindings.golden -
+	$(GO) run ./cmd/m2c -I examples/modules -lint -werror LintClean
+	$(GO) run ./cmd/m2c -I examples/modules -lint -werror Demo
+	$(GO) run ./cmd/m2c -I examples/modules -lint LintFindings | diff examples/modules/LintFindings.golden -
 
 # The §4 reproduction at the CLI surface: m2bench at a small scale
 # must run and print byte-identical output twice (every number in it

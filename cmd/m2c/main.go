@@ -23,12 +23,23 @@
 //	m2c -whatif Sort           # replay the run on its measured clock at P=1..workers
 //	m2c -lint Sort             # concurrent static analysis; findings to stdout
 //	m2c -lint-json Sort        # the same findings as a JSON array
+//	m2c -seq -lint Sort        # the sequential analyzer (byte-identical findings)
+//	m2c -lint -werror -enable conc-guard,uninit -disable uninit Sort
+//
+// -enable and -disable take finding codes (printed in brackets after
+// each finding) and filter what -lint reports; -disable wins.  Exit
+// status: 0 success; 1 a failed compilation or output, or under -werror
+// a finding the filters kept; 2 a usage error (bad flag, strategy or
+// finding code, or a lint filter without -lint).
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"m2cc"
@@ -66,6 +77,9 @@ func main() {
 
 		lintF    = flag.Bool("lint", false, "run the static-analysis streams and print findings")
 		lintJSON = flag.Bool("lint-json", false, "like -lint, but print findings as a JSON array")
+		werror   = flag.Bool("werror", false, "with -lint: exit 1 when any finding is reported")
+		enable   = flag.String("enable", "", "with -lint: comma-separated finding `codes` to report exclusively")
+		disable  = flag.String("disable", "", "with -lint: comma-separated finding `codes` to suppress")
 
 		profileF    = flag.Bool("profile", false, "print the measured critical-path profile and blame report")
 		profileJSON = flag.String("profile-json", "", "write the critical-path profile as JSON to `file`")
@@ -90,6 +104,17 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	lint := *lintF || *lintJSON
+	enableSet, err1 := parseCodes(*enable)
+	disableSet, err2 := parseCodes(*disable)
+	if err := errors.Join(err1, err2); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if !lint && (*werror || enableSet != nil || disableSet != nil) {
+		fmt.Fprintln(os.Stderr, "m2c: -werror, -enable and -disable filter lint findings and need -lint or -lint-json")
+		os.Exit(2)
+	}
 	if *stall < 0 {
 		fmt.Fprintf(os.Stderr, "m2c: -stall-timeout must not be negative (got %v); a negative bound would wait forever on a wedged cache leader\n", *stall)
 		os.Exit(2)
@@ -109,23 +134,30 @@ func main() {
 	if *incr {
 		opts.StreamCache = m2cc.NewStreamCache(0)
 	}
-	if *lintF || *lintJSON {
-		opts.Check = true
-	}
-	// printFindings writes lint findings to stdout in whichever format
-	// was requested.  Findings are warnings: they never fail the build.
-	printFindings := func(findings []m2cc.Finding) {
-		if !*lintF && !*lintJSON {
-			return
+	opts.Check = lint
+	// printFindings writes the lint findings that survive -enable and
+	// -disable to stdout in whichever format was requested, and reports
+	// whether -werror fails the run on them.  Findings are warnings:
+	// without -werror they never fail the build.
+	printFindings := func(findings []m2cc.Finding) bool {
+		if !lint {
+			return false
+		}
+		var kept []m2cc.Finding
+		for _, f := range findings {
+			if (enableSet == nil || enableSet[f.Code]) && !disableSet[f.Code] {
+				kept = append(kept, f)
+			}
 		}
 		if *lintJSON {
-			if err := m2cc.WriteFindingsJSON(os.Stdout, findings); err != nil {
+			if err := m2cc.WriteFindingsJSON(os.Stdout, kept); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			return
+		} else {
+			fmt.Print(m2cc.RenderFindings(kept))
 		}
-		fmt.Print(m2cc.RenderFindings(findings))
+		return *werror && len(kept) > 0
 	}
 	var observer *m2cc.Observer
 	if *traceOut != "" || *metrics || *timeline || *profileF || *profileJSON != "" {
@@ -140,17 +172,15 @@ func main() {
 			return
 		}
 		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
+			// Render in full before touching the file, so a trace that
+			// fails validation leaves no partial or truncated file.
+			var buf bytes.Buffer
+			err := observer.WriteChromeTrace(&buf)
+			if err == nil {
+				err = os.WriteFile(*traceOut, buf.Bytes(), 0o666)
+			}
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			werr := observer.WriteChromeTrace(f)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				fmt.Fprintln(os.Stderr, werr)
 				os.Exit(1)
 			}
 			if !*quiet {
@@ -271,10 +301,7 @@ func main() {
 	case *seqMode:
 		res := m2cc.CompileSequential(module, loader)
 		os.Stderr.WriteString(res.Diags.String())
-		if *lintF || *lintJSON {
-			printFindings(m2cc.Lint(module, loader))
-		}
-		if res.Failed() {
+		if lintFailed := lint && printFindings(m2cc.Lint(module, loader)); res.Failed() || lintFailed {
 			os.Exit(1)
 		}
 		if *listing {
@@ -291,13 +318,12 @@ func main() {
 		if *whatif && res.Trace != nil {
 			whatIf(res.Trace, strategy, *workers)
 		}
-		printFindings(res.Findings)
-		if res.Failed() {
+		if lintFailed := printFindings(res.Findings); res.Failed() || lintFailed {
 			os.Exit(1)
 		}
 		if *listing {
 			fmt.Print(res.Object.Listing())
-		} else if !*quiet && !*lintF && !*lintJSON {
+		} else if !*quiet && !lint {
 			fmt.Printf("%s: ok (%d streams, workers=%d, %s)\n",
 				module, res.Streams, *workers, strategy)
 		}
@@ -320,6 +346,24 @@ func main() {
 			}
 		}
 	}
+}
+
+// parseCodes reads a comma-separated list of finding codes, each one
+// the analyzer can emit, skipping empty entries; nil for an empty list.
+func parseCodes(list string) (map[string]bool, error) {
+	if list == "" {
+		return nil, nil
+	}
+	set := map[string]bool{}
+	for _, c := range strings.Split(list, ",") {
+		if c = strings.TrimSpace(c); c == "" {
+			continue
+		} else if !slices.Contains(m2cc.FindingCodes(), c) {
+			return nil, fmt.Errorf("m2c: unknown finding code %q (known: %s)", c, strings.Join(m2cc.FindingCodes(), ", "))
+		}
+		set[c] = true
+	}
+	return set, nil
 }
 
 // whatIf replays the run's trace on its measured clock at every

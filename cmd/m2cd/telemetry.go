@@ -12,6 +12,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -211,10 +212,11 @@ func (s *server) handleTraceIndex(w http.ResponseWriter, r *http.Request) {
 	}{s.traceVars(), s.traces.Summaries()})
 }
 
-// handleTraceGet serves one trace as Chrome/Perfetto trace-event JSON
-// — the same format m2c -trace writes, so tracecheck and the Perfetto
-// UI both accept it.  In-flight traces are served too; the observer's
-// snapshot is always coherent.
+// handleTraceGet serves one trace as Chrome/Perfetto trace-event JSON,
+// written by the exporter m2c -trace uses.  In-flight traces are
+// served too: a compilation still running shows what its finished
+// tasks handed over.  A trace that fails the exporter's validation
+// (ctrace.Trace.Validate) is a recording bug, answered with a 500.
 func (s *server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	e := s.traces.Get(id)
@@ -222,9 +224,14 @@ func (s *server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "unknown trace "+id, 0)
 		return
 	}
+	var body bytes.Buffer
+	if err := e.Obs.WriteChromeTrace(&body); err != nil {
+		s.writeError(w, http.StatusInternalServerError, err.Error(), 0)
+		return
+	}
 	s.countStatus(http.StatusOK)
 	w.Header().Set("Content-Type", "application/json")
-	e.Obs.WriteChromeTrace(w)
+	w.Write(body.Bytes())
 }
 
 // handleTraceProfile serves the critical-path + blame report for one

@@ -18,8 +18,8 @@ import (
 )
 
 // chromeTrace is the subset of the trace-event schema the endpoint
-// tests validate; tracecheck (driven by serve_smoke.sh) checks the
-// full cross-reference rules.
+// tests read; the exporter itself refuses, with a 500, a trace that
+// breaks the cross-reference rules (ctrace.Trace.Validate).
 type chromeTrace struct {
 	TraceEvents []struct {
 		Name string         `json:"name"`
@@ -279,7 +279,7 @@ func TestCanceledTraceWellFormed(t *testing.T) {
 	}
 	tresp, tbody := get(t, ts, "/debug/trace/"+id)
 	if tresp.StatusCode != http.StatusOK {
-		t.Fatalf("canceled trace not retrievable: %d", tresp.StatusCode)
+		t.Fatalf("canceled trace not retrievable: %d: %s", tresp.StatusCode, tbody)
 	}
 	var tr chromeTrace
 	if err := json.Unmarshal(tbody, &tr); err != nil {
@@ -312,6 +312,14 @@ func TestPanickedTraceFinished(t *testing.T) {
 		if sum.ID == id {
 			if !sum.Done || sum.Status != http.StatusInternalServerError {
 				t.Fatalf("panicked trace not finished as 500: %+v", sum)
+			}
+			tresp, tbody := get(t, ts, "/debug/trace/"+id)
+			if tresp.StatusCode != http.StatusOK {
+				t.Fatalf("panicked trace not retrievable: %d: %s", tresp.StatusCode, tbody)
+			}
+			var tr chromeTrace
+			if err := json.Unmarshal(tbody, &tr); err != nil {
+				t.Fatalf("panicked trace is not valid JSON: %v", err)
 			}
 			return
 		}

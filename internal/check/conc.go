@@ -77,8 +77,8 @@ const (
 )
 
 // FindingCodes lists every finding-family code the analyzer can emit,
-// in a fixed documentation order (m2lint validates -enable/-disable
-// against it).
+// in a fixed documentation order (m2c validates its -enable/-disable
+// lint filters against it).
 func FindingCodes() []string {
 	return []string{
 		CodeUninit, CodeUnreachable, CodeUnusedLocal, CodeUnusedParam,

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -70,27 +71,33 @@ func moduleFacts(text string) []*Facts {
 	return fs
 }
 
-// mergeCost reports the bytes one mergeFacts call over fs allocates and
-// the fastest of several runs' wall time.  The collector is off while
-// they run, so no run pays for another's garbage.
-func mergeCost(fs []*Facts) (bytes uint64, best time.Duration) {
+// mergeSample runs mergeFacts over fs reps times back to back and
+// reports the bytes and wall time of one call.  The collector runs
+// first and is off while the merges run, so no sample pays for
+// another's garbage.
+func mergeSample(fs []*Facts, reps int) (uint64, time.Duration) {
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var runs [7]uint64
-	for i := range runs {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	for range reps {
 		mergeFacts(fs)
-		el := time.Since(start)
-		runtime.ReadMemStats(&after)
-		runs[i] = after.TotalAlloc - before.TotalAlloc
-		if i == 0 || el < best {
-			best = el
+	}
+	el := time.Since(start)
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(reps), el / time.Duration(reps)
+}
+
+// mergeReps returns how many merges over fs last at least 5 ms, so a
+// sample of them moves little with the timer's resolution or one
+// scheduling hiccup.
+func mergeReps(fs []*Facts) int {
+	for reps := 1; ; reps *= 2 {
+		if _, el := mergeSample(fs, reps); el*time.Duration(reps) >= 5*time.Millisecond {
+			return reps
 		}
 	}
-	slices.Sort(runs[:])
-	return runs[len(runs)/2], best
 }
 
 // TestMergeLinear: the lint merge's bytes and time grow with the number
@@ -125,9 +132,21 @@ func TestMergeLinear(t *testing.T) {
 			if guard < 2*4*row.n {
 				t.Fatalf("%d unguarded-access findings at 4n, want one for each of g's %d bare accesses", guard, 2*4*row.n)
 			}
-			b1, t1 := mergeCost(small)
-			b4, t4 := mergeCost(large)
-			bg, tg := float64(b4)/float64(b1), float64(t4)/float64(t1)
+			// Seven rounds, each a sample at n and one at 4n, so a slow
+			// phase of the host slows both; each figure is the median
+			// over the rounds.
+			rs, rl := mergeReps(small), mergeReps(large)
+			var b1s, b4s []uint64
+			var t1s, t4s []time.Duration
+			var tgs []float64
+			for range 7 {
+				b1, t1 := mergeSample(small, rs)
+				b4, t4 := mergeSample(large, rl)
+				b1s, b4s, t1s, t4s = append(b1s, b1), append(b4s, b4), append(t1s, t1), append(t4s, t4)
+				tgs = append(tgs, float64(t4)/float64(t1))
+			}
+			b1, b4, t1, t4, tg := median(b1s), median(b4s), median(t1s), median(t4s), median(tgs)
+			bg := float64(b4) / float64(b1)
 			t.Logf("n=%d: %d B %v; 4n=%d: %d B %v; growth %.1f× bytes, %.1f× time",
 				row.n, b1, t1, 4*row.n, b4, t4, bg, tg)
 			if bg > maxGrowth {
@@ -138,6 +157,11 @@ func TestMergeLinear(t *testing.T) {
 			}
 		})
 	}
+}
+
+func median[T cmp.Ordered](xs []T) T {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }
 
 // BenchmarkLintMerge: the LintMerge barrier alone — mergeFacts over the

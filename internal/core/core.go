@@ -1175,7 +1175,7 @@ func (d *driver) iface(name string, optional bool, t *sched.Task) *ifaceEntry {
 	d.mu.Unlock()
 	// A driver-owned fire (task 0): traced waiters on the resolution
 	// guard get a matching fire instead of an unexplained unblock.
-	d.rec.NoteFire(resolved, false)
+	d.rec.NoteFire(resolved, 0, false)
 	resolved.Fire() // vet:allowfire driver-owned fire; NoteFire above is the trace record
 	return e
 }

@@ -24,9 +24,10 @@ import (
 //     in that order.
 //
 // t's slices may alias the recorder's; canonical allocates fresh ones.
+// t.Events bounds the event IDs t uses.
 func canonical(t *Trace) *Trace {
 	// Spawn tree: children per parent in recording order.
-	kids := make(map[TaskID][]int, len(t.Tasks))
+	kids := make([][]int, len(t.Tasks)+1)
 	for i, sp := range t.Spawns {
 		kids[sp.Parent] = append(kids[sp.Parent], i)
 	}
@@ -101,14 +102,17 @@ func canonical(t *Trace) *Trace {
 	// in spawn order), so they are numbered late and then sorted.
 	// Pre-fired events (task 0) come last: their recording order is the
 	// one order here that no task owns.
-	event := map[EventID]EventID{0: 0}
+	event := make([]EventID, t.Events+1) // by recorded ID; 0 until numbered
+	events := EventID(0)
 	ev := func(e *EventID) {
-		n, ok := event[*e]
-		if !ok {
-			n = EventID(len(event))
-			event[*e] = n
+		if *e == 0 {
+			return
 		}
-		*e = n
+		if event[*e] == 0 {
+			events++
+			event[*e] = events
+		}
+		*e = event[*e]
 	}
 	scope := map[int32]int32{0: 0}
 	prefired := 0
@@ -152,7 +156,7 @@ func canonical(t *Trace) *Trace {
 		ev(&pre[i].Event)
 	}
 	sort.SliceStable(pre, func(a, b int) bool { return pre[a].Event < pre[b].Event })
-	out.Events = len(event) - 1
+	out.Events = int(events)
 
 	// The run: tasks in their new order, and the events only it names
 	// (the waits' and the forced fires') numbered after all the others.
@@ -168,7 +172,8 @@ func canonical(t *Trace) *Trace {
 			}
 			run.Tasks[i] = tr
 		}
-		seen := make(map[EventID]bool, len(r.Fires))
+		seen := make([]bool, int(events)+len(r.Fires)+1) // each fire numbers at most one event
+		run.Fires = make([]Fire, 0, len(r.Fires))
 		for _, f := range r.Fires {
 			f.Task = task[f.Task]
 			if ev(&f.Event); !seen[f.Event] {
@@ -180,7 +185,7 @@ func canonical(t *Trace) *Trace {
 		for i := range run.Marks {
 			run.Marks[i].Task = task[run.Marks[i].Task]
 		}
-		run.Events = len(event) - 1
+		run.Events = int(events)
 		out.Run = run
 	}
 	return out

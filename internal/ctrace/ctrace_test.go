@@ -235,3 +235,48 @@ func TestTaskCtxSize(t *testing.T) {
 		t.Errorf("TaskCtx is %d bytes, want at most 48", got)
 	}
 }
+
+// TestValidateRejects breaks a valid two-task trace one record at a
+// time; Validate must refuse each break.
+func TestValidateRejects(t *testing.T) {
+	valid := func() *ctrace.Trace {
+		return &ctrace.Trace{
+			Tasks:  []ctrace.TaskInfo{{ID: 1}, {ID: 2}},
+			Spawns: []ctrace.SpawnRecord{{Parent: 0, Child: 1}, {Parent: 1, Child: 2, Gates: []ctrace.EventID{2}}},
+			Run: &ctrace.Run{
+				Events: 2,
+				Fires:  []ctrace.Fire{{Event: 1, Task: 1, At: 2}, {Event: 2, Task: 0, At: 1}},
+				Tasks: []ctrace.TaskRun{
+					{Stretches: []ctrace.Stretch{{Start: 0, End: 4}}},
+					{Stretches: []ctrace.Stretch{{Start: 1, End: 2}, {Start: 3, End: 5}},
+						Waits: []ctrace.Wait{{Event: 1, Kind: ctrace.WaitHandled, Start: 2, End: 3}}},
+				},
+			},
+		}
+	}
+	if err := valid().Validate(); err != nil {
+		t.Fatalf("valid trace: %v", err)
+	}
+	for name, mutate := range map[string]func(*ctrace.Trace){
+		"no run":                 func(tr *ctrace.Trace) { tr.Run = nil },
+		"fire out of range":      func(tr *ctrace.Trace) { tr.Run.Fires[0].Event = 3 },
+		"fired twice":            func(tr *ctrace.Trace) { tr.Run.Fires[1].Event = 1 },
+		"wait unfired":           func(tr *ctrace.Trace) { tr.Run.Fires = tr.Run.Fires[1:] },
+		"wait out of range":      func(tr *ctrace.Trace) { tr.Run.Tasks[1].Waits[0].Event = 0 },
+		"stretch missing":        func(tr *ctrace.Trace) { tr.Run.Tasks[1].Stretches = tr.Run.Tasks[1].Stretches[:1] },
+		"stretch reversed":       func(tr *ctrace.Trace) { tr.Run.Tasks[0].Stretches[0].End = -1 },
+		"wait off its stretches": func(tr *ctrace.Trace) { tr.Run.Tasks[1].Waits[0].End = 4 },
+		"wait reversed": func(tr *ctrace.Trace) {
+			r := &tr.Run.Tasks[1]
+			r.Stretches[0].End, r.Waits[0].Start = 4, 4
+		},
+		"spawn out of range": func(tr *ctrace.Trace) { tr.Spawns[1].Child = 3 },
+		"gate out of range":  func(tr *ctrace.Trace) { tr.Spawns[1].Gates[0] = 5 },
+	} {
+		tr := valid()
+		mutate(tr)
+		if err := tr.Validate(); err == nil {
+			t.Errorf("%s: Validate passed", name)
+		}
+	}
+}

@@ -39,7 +39,7 @@ func (s Severity) String() string {
 // anchor to a full line+column span; a zero End means "point diagnostic"
 // and renders exactly as before spans existed.  Code, when set, names
 // the finding family (e.g. "uninit", "conc-deadlock") — the stable key
-// m2lint's -enable/-disable filters and the daemon's per-family counts
+// m2c's -enable/-disable lint filters and the daemon's per-family counts
 // select on; compiler errors carry no code and render unchanged.
 type Diagnostic struct {
 	Sev  Severity

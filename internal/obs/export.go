@@ -244,19 +244,19 @@ const tracePid = 1
 // one thread lane per worker slot, one complete ("X") event per
 // stretch of a task on a slot, and instant events for the waits, event
 // fires and fault marks.  The same recorded run always serializes
-// byte-identically.  Load the file in Perfetto (ui.perfetto.dev) or
-// chrome://tracing.
+// byte-identically.  A trace that fails ctrace.Trace.Validate is a
+// recording bug: it is reported, and nothing is written.  Load the
+// file in Perfetto (ui.perfetto.dev) or chrome://tracing.
 func (o *Observer) WriteChromeTrace(w io.Writer) error {
 	if o == nil {
 		return fmt.Errorf("obs: no observer attached")
 	}
 	tr, _, lanes := o.trace()
+	if err := tr.Validate(); err != nil {
+		return fmt.Errorf("obs: invalid trace: %w", err)
+	}
 	evs := []chromeEvent{
 		{Name: "process_name", Ph: "M", Pid: tracePid, Args: map[string]any{"name": "m2cc concurrent compiler"}},
-		// task_count lets cross-reference checkers (cmd/tracecheck)
-		// validate task IDs in span and edge args without trusting the
-		// span set itself.
-		{Name: "task_count", Ph: "M", Pid: tracePid, Args: map[string]any{"count": len(tr.Tasks)}},
 	}
 	for lane := 0; lane < lanes; lane++ {
 		evs = append(evs, chromeEvent{
@@ -290,9 +290,8 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 				Pid: tracePid, Tid: int(s.Lane), Args: args,
 			})
 		}
-		// The dependency edges carry the trace's event and task IDs, so
-		// tracecheck can verify that every non-external wait names a
-		// fired event.
+		// The dependency edges carry the trace's event and task IDs, the
+		// cross-reference Validate checked.
 		for _, wt := range r.Waits {
 			instant("wait", "event", ti.ID, wt.Start, map[string]any{
 				"event": wt.Event, "task": ti.ID, "reason": wt.Kind.String(),

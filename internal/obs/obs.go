@@ -2,10 +2,11 @@
 // compiler.  An Observer attached through core.Options.Obs records
 // nothing itself: each compilation it observes is traced by its
 // ctrace.Recorder, the one recorder the Supervisor reports to (the
-// trace that also feeds the simulator), and the Observer keeps those
-// recorders beside a few batch counters — interface and stream cache
-// traffic, the Supervisor's dispatch counters, DKY lookup tallies.
-// Every view is a rendering of the traces:
+// trace that also feeds the simulator), and the Observer keeps each
+// finished compilation's trace, taken once, beside a few batch
+// counters — interface and stream cache traffic, the Supervisor's
+// dispatch counters, DKY lookup tallies.  Every view is a rendering of
+// the traces:
 //
 //   - Snapshot: a machine-readable Metrics value (worker-slot
 //     occupancy, ready-queue depth, event and cache counters,
@@ -61,12 +62,14 @@ type Observer struct {
 }
 
 // run is one observed compilation.  Its lanes show from base on: clear
-// of the lanes of every compilation still running when it began.
+// of the lanes of every compilation still running when it began.  While
+// it runs, rec records it; End keeps its trace in tr, placed on the
+// observer's clock and lanes, and lets rec go.  No view writes tr.
 type run struct {
 	rec     *ctrace.Recorder
+	tr      *ctrace.Trace
 	base    int
 	workers int
-	live    bool
 }
 
 // New returns an Observer with its epoch set to now.
@@ -86,12 +89,12 @@ func (o *Observer) Begin(rec *ctrace.Recorder, workers int, strategy string) {
 	for moved := true; moved; {
 		moved = false
 		for _, r := range o.runs {
-			if r.live && base < r.base+r.workers && r.base < base+workers {
+			if r.tr == nil && base < r.base+r.workers && r.base < base+workers {
 				base, moved = r.base+r.workers, true
 			}
 		}
 	}
-	o.runs = append(o.runs, run{rec: rec, base: base, workers: workers, live: true})
+	o.runs = append(o.runs, run{rec: rec, base: base, workers: workers})
 	o.workers = max(o.workers, workers)
 	o.strategy = strategy
 }
@@ -105,16 +108,21 @@ type Tally struct {
 }
 
 // End notes that rec's compilation has finished with tally t: its
-// counters join the batch's, its lanes are free for the compilations
-// that begin after it, and the observed run ends here (see Finish).
+// trace is taken once, for every view, its counters join the batch's,
+// its lanes are free for the compilations that begin after it, and the
+// observed run ends here (see Finish).
 func (o *Observer) End(rec *ctrace.Recorder, t Tally) {
 	if o == nil {
 		return
 	}
+	var tr *ctrace.Trace
+	if rec != nil {
+		tr = rec.Trace()
+	}
 	o.mu.Lock()
 	for i := range o.runs {
-		if o.runs[i].rec == rec {
-			o.runs[i].live = false
+		if r := &o.runs[i]; tr != nil && r.rec == rec {
+			r.rec, r.tr = nil, o.place(tr, r.base)
 		}
 	}
 	o.sched.Add(t.Sched)
@@ -168,13 +176,40 @@ func (o *Observer) Profile() *profile.Profile {
 	return p
 }
 
+// place moves t, a trace the observer owns, onto the observer's clock
+// (times move by its epoch's distance from the observer's) and its
+// lanes up to base, in place.
+func (o *Observer) place(t *ctrace.Trace, base int) *ctrace.Trace {
+	shift := t.Run.Epoch.Sub(o.epoch)
+	for i := range t.Run.Tasks {
+		tr := &t.Run.Tasks[i]
+		tr.Spawned += shift
+		for j := range tr.Stretches {
+			s := &tr.Stretches[j]
+			s.Lane += int32(base)
+			s.Start, s.End = s.Start+shift, s.End+shift
+		}
+		for j := range tr.Waits {
+			w := &tr.Waits[j]
+			w.Start, w.End = w.Start+shift, w.End+shift
+		}
+	}
+	for i := range t.Run.Fires {
+		t.Run.Fires[i].At += shift
+	}
+	for i := range t.Run.Marks {
+		t.Run.Marks[i].At += shift
+	}
+	t.Run.Epoch = o.epoch
+	return t
+}
+
 // trace renders the observed compilations as one trace on the
 // observer's clock — their tasks, spawns and runs — and returns it with
 // the horizon (Finish's stamp, or now) and the number of lanes.  Each
-// compilation's task and event IDs follow the previous one's, its times
-// move by its epoch's distance from the observer's, and its lanes move
-// up to its base.  A compilation still running shows what its finished
-// tasks handed over.
+// compilation's task and event IDs follow the previous one's.  A
+// compilation still running shows what its finished tasks handed over.
+// The result shares records with the kept traces: views only read it.
 func (o *Observer) trace() (*ctrace.Trace, time.Duration, int) {
 	o.mu.Lock()
 	runs := slices.Clone(o.runs)
@@ -187,8 +222,15 @@ func (o *Observer) trace() (*ctrace.Trace, time.Duration, int) {
 	m := &ctrace.Trace{Run: &ctrace.Run{Epoch: o.epoch}}
 	for _, r := range runs {
 		lanes = max(lanes, r.base+r.workers)
-		t := r.rec.Trace() // fresh: moved in place, then appended
-		shift := t.Run.Epoch.Sub(o.epoch)
+		t := r.tr
+		if t == nil {
+			t = o.place(r.rec.Trace(), r.base)
+		}
+		if len(runs) == 1 { // nothing to renumber
+			one := *t
+			one.Events = t.Run.Events
+			return &one, wall, lanes
+		}
 		tasks, events := ctrace.TaskID(len(m.Tasks)), ctrace.EventID(m.Run.Events)
 		task := func(id ctrace.TaskID) ctrace.TaskID {
 			if id == 0 {
@@ -196,39 +238,32 @@ func (o *Observer) trace() (*ctrace.Trace, time.Duration, int) {
 			}
 			return id + tasks
 		}
-		for i := range t.Tasks {
-			t.Tasks[i].ID += tasks
-			tr := &t.Run.Tasks[i]
-			tr.Spawned += shift
-			for j := range tr.Stretches {
-				s := &tr.Stretches[j]
-				s.Lane += int32(r.base)
-				s.Start, s.End = s.Start+shift, s.End+shift
-			}
-			for j := range tr.Waits {
-				w := &tr.Waits[j]
-				w.Event += events
-				w.Start, w.End = w.Start+shift, w.End+shift
-			}
+		for _, ti := range t.Tasks {
+			ti.ID += tasks
+			m.Tasks = append(m.Tasks, ti)
 		}
-		for i := range t.Spawns {
-			sp := &t.Spawns[i]
-			sp.Parent, sp.Child = task(sp.Parent), task(sp.Child)
+		for _, tr := range t.Run.Tasks {
+			tr.Waits = slices.Clone(tr.Waits)
+			for j := range tr.Waits {
+				tr.Waits[j].Event += events
+			}
+			m.Run.Tasks = append(m.Run.Tasks, tr)
+		}
+		for _, sp := range t.Spawns {
+			sp.Parent, sp.Child, sp.Gates = task(sp.Parent), task(sp.Child), slices.Clone(sp.Gates)
 			for g := range sp.Gates {
 				sp.Gates[g] += events
 			}
+			m.Spawns = append(m.Spawns, sp)
 		}
-		for i := range t.Run.Fires {
-			f := &t.Run.Fires[i]
-			f.Event, f.Task, f.At = f.Event+events, task(f.Task), f.At+shift
+		for _, f := range t.Run.Fires {
+			f.Event, f.Task = f.Event+events, task(f.Task)
+			m.Run.Fires = append(m.Run.Fires, f)
 		}
-		for i := range t.Run.Marks {
-			mk := &t.Run.Marks[i]
-			mk.Task, mk.At = task(mk.Task), mk.At+shift
+		for _, mk := range t.Run.Marks {
+			mk.Task = task(mk.Task)
+			m.Run.Marks = append(m.Run.Marks, mk)
 		}
-		m.Tasks, m.Spawns = append(m.Tasks, t.Tasks...), append(m.Spawns, t.Spawns...)
-		m.Run.Tasks = append(m.Run.Tasks, t.Run.Tasks...)
-		m.Run.Fires, m.Run.Marks = append(m.Run.Fires, t.Run.Fires...), append(m.Run.Marks, t.Run.Marks...)
 		m.Run.Events += t.Run.Events
 	}
 	m.Events = m.Run.Events

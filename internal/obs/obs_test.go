@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -17,6 +19,8 @@ import (
 	"m2cc/internal/sched"
 	"m2cc/internal/source"
 	"m2cc/internal/streamcache"
+	"m2cc/internal/symtab"
+	"m2cc/internal/workload"
 )
 
 // obsProgram is a three-module fixture with enough procedures, imports
@@ -260,10 +264,10 @@ func TestChromeTraceDeterministic(t *testing.T) {
 }
 
 // TestDumpEdgesConsistent validates the dependency edges of the trace
-// the views render, which feed the profiler: dense event IDs, one fire
-// per event, waits alternating with stretches and closed, and the
-// cross-reference the tracecheck tool enforces — every non-external
-// wait names a fired event.  A batch of two compilations checks that
+// the views render, which feed the profiler (ctrace.Trace.Validate: IDs
+// in range, one fire per event, waits alternating with stretches, every
+// non-external wait naming a fired event), and that every task of the
+// finished compilations ran.  A batch of two compilations checks that
 // their IDs do not collide.
 func TestDumpEdgesConsistent(t *testing.T) {
 	o, _ := compileObserved(t, 4, nil)
@@ -271,49 +275,80 @@ func TestDumpEdgesConsistent(t *testing.T) {
 		t.Fatalf("second compile failed:\n%s", res.Diags)
 	}
 	tr, _, _ := obs.Trace(o)
-	events, tasks := ctrace.EventID(tr.Events), ctrace.TaskID(len(tr.Tasks))
-
-	if events == 0 || len(tr.Run.Fires) == 0 {
-		t.Fatalf("%d events, %d fires observed", events, len(tr.Run.Fires))
+	if tr.Run.Events == 0 || len(tr.Run.Fires) == 0 {
+		t.Fatalf("%d events, %d fires observed", tr.Run.Events, len(tr.Run.Fires))
 	}
-	fired := map[ctrace.EventID]bool{}
-	for _, f := range tr.Run.Fires {
-		if f.Event < 1 || f.Event > events {
-			t.Errorf("fire references event %d outside 1..%d", f.Event, events)
-		}
-		if f.Task < 0 || f.Task > tasks {
-			t.Errorf("fire references task %d outside 0..%d", f.Task, tasks)
-		}
-		if fired[f.Event] {
-			t.Errorf("event %d has more than one fire", f.Event)
-		}
-		fired[f.Event] = true
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
 	}
+	// Validate passes a task with no stretch, as a compilation still
+	// running holds; both of these finished, so every task ran.
 	for i, r := range tr.Run.Tasks {
-		if len(r.Stretches) != len(r.Waits)+1 {
-			t.Errorf("task %d: %d stretches and %d waits, want one stretch more",
-				i+1, len(r.Stretches), len(r.Waits))
-		}
-		for j, w := range r.Waits {
-			if w.Event < 1 || w.Event > events {
-				t.Errorf("wait references event %d outside 1..%d", w.Event, events)
-			}
-			if w.End < w.Start || w.Start != r.Stretches[j].End || w.End != r.Stretches[j+1].Start {
-				t.Errorf("task %d: wait on event %d from %v to %v, between stretches ending %v and starting %v",
-					i+1, w.Event, w.Start, w.End, r.Stretches[j].End, r.Stretches[j+1].Start)
-			}
-			if w.Kind != ctrace.WaitExternal && !fired[w.Event] {
-				t.Errorf("task %d waits on event %d (%s) that never fired", i+1, w.Event, w.Kind)
-			}
+		if len(r.Stretches) == 0 {
+			t.Errorf("task %d of a finished compilation has no stretch", i+1)
 		}
 	}
-	for _, sp := range tr.Spawns {
-		if sp.Parent < 0 || sp.Parent > tasks || sp.Child < 1 || sp.Child > tasks {
-			t.Errorf("spawn of task %d by %d outside 1..%d", sp.Child, sp.Parent, tasks)
+}
+
+// TestTracesValidate runs ctrace.Trace.Validate on the traces of the
+// example modules and two generated suite programs under every DKY
+// strategy, one and two workers and both header modes: the merged
+// trace an Observer exports and the full trace Options.Trace records.
+// Under Optimistic handling a lookup waits on a per-symbol event that
+// its owner fires when the name is published or the scope completes;
+// the run must record that fire as well as the wait.
+func TestTracesValidate(t *testing.T) {
+	loader := source.NewMapLoader()
+	var modules []string
+	kind := map[string]source.FileKind{".def": source.Def, ".mod": source.Impl}
+	files, _ := filepath.Glob(filepath.Join("..", "..", "examples", "modules", "*.*"))
+	for _, f := range files {
+		k, ok := kind[filepath.Ext(f)]
+		if !ok {
+			continue
 		}
-		for _, g := range sp.Gates {
-			if g < 1 || g > events {
-				t.Errorf("task %d gated on event %d outside 1..%d", sp.Child, g, events)
+		text, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := strings.TrimSuffix(filepath.Base(f), filepath.Ext(f))
+		loader.Add(name, k, string(text))
+		if k == source.Impl {
+			modules = append(modules, name)
+		}
+	}
+	suite := workload.GenerateSuite(1992, 0.2)
+	for _, p := range suite.Programs {
+		if p.Name == "Prog05" || p.Name == "Prog36" {
+			modules = append(modules, p.Name)
+		}
+	}
+	suiteLoader := func(m string) source.Loader {
+		if strings.HasPrefix(m, "Prog") {
+			return suite.Loader
+		}
+		return loader
+	}
+	if len(modules) < 9 {
+		t.Fatalf("found %d modules: %v", len(modules), modules)
+	}
+	for s := symtab.Strategy(0); s < symtab.NumStrategies; s++ {
+		for _, workers := range []int{1, 2} {
+			for _, hdr := range []core.HeaderMode{core.HeaderShared, core.HeaderReprocess} {
+				for _, m := range modules {
+					opts := core.Options{Workers: workers, Strategy: s, Headers: hdr}
+					o := obs.New()
+					opts.Obs = o
+					core.Compile(m, suiteLoader(m), opts)
+					tr, _, _ := obs.Trace(o)
+					if err := tr.Validate(); err != nil {
+						t.Errorf("%s %v workers=%d headers=%d, exported: %v", m, s, workers, hdr, err)
+					}
+					opts.Obs, opts.Trace = nil, true
+					if err := core.Compile(m, suiteLoader(m), opts).Trace.Validate(); err != nil {
+						t.Errorf("%s %v workers=%d headers=%d, Options.Trace: %v", m, s, workers, hdr, err)
+					}
+				}
 			}
 		}
 	}

@@ -624,7 +624,7 @@ func (s *Supervisor) forceFireProduced(t *Task) {
 	}
 	s.mu.Unlock()
 	for _, e := range fires {
-		s.rec.NoteFire(e, true)
+		s.rec.NoteFire(e, 0, true)
 		e.Fire() // vet:allowfire forced fire on a dead or discharged task's behalf; NoteFire is the record
 	}
 }
@@ -727,7 +727,7 @@ func (s *Supervisor) Wait() {
 					cb(msg)
 				}
 				for _, e := range fires {
-					s.rec.NoteFire(e, true)
+					s.rec.NoteFire(e, 0, true)
 					e.Fire() // vet:allowfire watchdog force-fire; NoteFire is the record
 				}
 				s.mu.Lock()

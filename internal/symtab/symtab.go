@@ -301,7 +301,7 @@ func (s *Scope) Complete(ctx *ctrace.TaskCtx) {
 	// Optimistic handling: signal every per-symbol event still unsignaled
 	// (§2.3.3); its searchers find the name absent.
 	for _, w := range waiters {
-		w.ready.Fire() // vet:allowfire per-symbol micro-event; only the completion event is traced
+		ctx.FireRunEvent(w.ready)
 	}
 	ctx.FireEvent(s.completion)
 }
@@ -355,7 +355,7 @@ func (s *Scope) Insert(ctx *ctrace.TaskCtx, report func(pos token.Pos, format st
 	fired := s.publishLocked(ctx, sym)
 	s.mu.Unlock()
 	if fired != nil {
-		fired.Fire() // vet:allowfire per-symbol micro-event; only the completion event is traced
+		ctx.FireRunEvent(fired)
 	}
 	return true
 }
@@ -404,7 +404,7 @@ func (s *Scope) publishQueueLocked(ctx *ctrace.TaskCtx) {
 	}
 	s.queue = nil
 	for _, f := range fires {
-		f.Fire() // vet:allowfire per-symbol micro-event; only the completion event is traced
+		ctx.FireRunEvent(f)
 	}
 }
 

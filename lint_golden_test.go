@@ -11,7 +11,7 @@ import (
 )
 
 // exampleLoader reads the shipped example modules, the same tree the
-// `make lint` target points m2lint at.
+// `make lint` target points m2c -lint at.
 func exampleLoader() *m2cc.DirLoader {
 	return &m2cc.DirLoader{Dirs: []string{filepath.Join("examples", "modules")}}
 }

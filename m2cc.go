@@ -129,8 +129,8 @@ func WriteFindingsJSON(w io.Writer, findings []Finding) error {
 }
 
 // FindingCodes lists every finding-family code the analyzer can emit
-// (diag.Diagnostic.Code), in documentation order; m2lint validates its
-// -enable/-disable filters against it.
+// (diag.Diagnostic.Code), in documentation order; m2c validates its
+// -enable/-disable lint filters against it.
 func FindingCodes() []string { return check.FindingCodes() }
 
 // SeqResult is a sequential compilation's outcome.
