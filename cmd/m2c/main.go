@@ -116,7 +116,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *stall < 0 {
-		fmt.Fprintf(os.Stderr, "m2c: -stall-timeout must not be negative (got %v); a negative bound would wait forever on a wedged cache leader\n", *stall)
+		fmt.Fprintf(os.Stderr, "m2c: -stall-timeout must not be negative (got %v); 0 selects the default bound\n", *stall)
 		os.Exit(2)
 	}
 	opts := m2cc.Options{

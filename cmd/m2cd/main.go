@@ -11,17 +11,19 @@
 //	GET  /metrics  every metric family as JSON keyed by its Prometheus name;
 //	               ?format=prometheus for the text exposition 0.0.4
 //
-// Telemetry plane (PR 9): every admitted request gets a trace ID
+// /metrics is the one export of the serving numbers: counters, gauges
+// (m2cd_inflight, m2cd_waiting, ...) and histograms that never reset,
+// so a windowed view is the difference of two scrapes.
+//
+// Telemetry plane: every admitted request gets a trace ID
 // (X-M2cd-Trace request header honored, response header always set);
 // -trace=sampled|all records a per-request Observer retrievable as
 // Perfetto JSON.  Structured JSON request logs go to stderr (-quiet
 // suppresses them).
 //
-//	GET  /debug/trace          index of held traces
+//	GET  /debug/trace          trace-store state and index of held traces
 //	GET  /debug/trace/{id}     Chrome/Perfetto trace-event JSON
 //	GET  /debug/trace/{id}/profile  critical-path + blame (?format=json)
-//	GET  /debug/vars           rolling windows + trace-store state, JSON
-//	GET  /debug/live           ~1 Hz SSE feed (occupancy, shed, hit rates)
 //
 // -rate-limit/-rate-burst arm a per-client token bucket (429 +
 // Retry-After); -debug-addr serves net/http/pprof on a second
@@ -95,7 +97,6 @@ func run() int {
 		rateLimit   = flag.Float64("rate-limit", 0, "per-client request rate in req/s (token bucket; 0 = unlimited)")
 		rateBurst   = flag.Int("rate-burst", 4, "per-client token-bucket burst")
 		debugAddr   = flag.String("debug-addr", "", "separate listener for net/http/pprof (host:port; empty = off)")
-		livePeriod  = flag.Duration("live-period", time.Second, "interval between /debug/live SSE frames")
 		quiet       = flag.Bool("quiet", false, "suppress per-request JSON log lines on stderr")
 	)
 	flag.Parse()
@@ -145,7 +146,6 @@ func run() int {
 		traceSample:     *traceSample,
 		rateLimit:       *rateLimit,
 		rateBurst:       *rateBurst,
-		livePeriod:      *livePeriod,
 	}
 	if err := cfg.validate(); err != nil {
 		log.Printf("m2cd: %v", err)

@@ -78,7 +78,6 @@ type config struct {
 	traceSample int           // 1-in-N sampling in sampled mode
 	rateLimit   float64       // per-client tokens/sec; 0 disables
 	rateBurst   int           // per-client token-bucket burst
-	livePeriod  time.Duration // SSE frame period (0 = 1s); tests shorten it
 }
 
 // validate rejects nonsensical knob settings with a clear error
@@ -130,9 +129,6 @@ func (c *config) validate() error {
 	if c.rateLimit > 0 && c.rateBurst < 1 {
 		return fmt.Errorf("-rate-burst must be >= 1 (got %d)", c.rateBurst)
 	}
-	if c.livePeriod < 0 {
-		return fmt.Errorf("-live-period must not be negative (got %v)", c.livePeriod)
-	}
 	return nil
 }
 
@@ -163,9 +159,9 @@ type server struct {
 	rejectedDraining, deadlineCanceled, handlerPanics atomic.Int64
 	compileFaults, sequentialServed, breakerOpens     atomic.Int64
 	responses, lintFindings                           obs.LabeledCounter // by status code, by finding family
+	latency, depth, occupancy, hitRatio               *obs.Histogram     // the histogram families' cells
 
 	traces *obs.TraceStore // per-request trace plane (/debug/trace)
-	tel    *telemetry      // histograms + rolling windows
 	limits *limiterSet     // per-client token buckets
 
 	logw  io.Writer  // structured request-log sink; nil disables logging
@@ -180,6 +176,11 @@ func newServer(cfg config) *server {
 		start:   time.Now(),
 		sem:     make(chan struct{}, cfg.maxInflight),
 		drainCh: make(chan struct{}),
+
+		latency:   obs.NewHistogram(obs.DefaultLatencyBucketsMS),
+		depth:     obs.NewHistogram(obs.DefaultDepthBuckets),
+		occupancy: obs.NewHistogram(obs.DefaultDepthBuckets),
+		hitRatio:  obs.NewHistogram(obs.DefaultRatioBuckets),
 	}
 	s.cache.SetLimit(cfg.ifaceCap)
 	s.breakers.trips = cfg.breakerTrips
@@ -187,7 +188,6 @@ func newServer(cfg config) *server {
 	s.breakers.m = make(map[string]*breakerState)
 	s.traces = obs.NewTraceStore(cfg.traceMode, cfg.traceSample, cfg.traceKeep)
 	s.limits = newLimiterSet(cfg.rateLimit, cfg.rateBurst)
-	s.tel = newTelemetry()
 	s.reg = obs.Registry{ // exposition order
 		obs.GaugeFunc("m2cd_uptime_seconds", "Seconds since the daemon started.", func() float64 { return time.Since(s.start).Seconds() }),
 		obs.GaugeFunc("m2cd_draining", "1 while the daemon is draining, else 0.", func() float64 {
@@ -197,6 +197,7 @@ func newServer(cfg config) *server {
 			return 0
 		}),
 		obs.GaugeFunc("m2cd_waiting", "Requests admitted past the capacity check (queued or running).", func() float64 { return float64(s.waiting.Load()) }),
+		obs.GaugeFunc("m2cd_inflight", "Inflight slots held (running compilations).", func() float64 { return float64(len(s.sem)) }),
 		obs.GaugeFunc("m2cd_service_ewma_ms", "Exponentially weighted service time in milliseconds.", s.serviceEWMA),
 		obs.CounterOf("m2cd_admitted_total", "Requests that acquired an inflight slot.", &s.admitted),
 		obs.CounterOf("m2cd_completed_total", "Requests served to completion.", &s.completed),
@@ -224,33 +225,25 @@ func newServer(cfg config) *server {
 		obs.GaugeFunc("m2cd_stream_cache_entries", "Stream-cache resident entries.", func() float64 { return float64(s.scache.Stats().Entries) }),
 		obs.GaugeFunc("m2cd_traces_held", "Request traces held in the LRU ring.", func() float64 { return float64(s.traces.Held()) }),
 		obs.CounterFunc("m2cd_trace_admitted_total", "Requests through the trace store's sampling domain.", func() int64 { return int64(s.traces.Admitted()) }),
-		obs.HistogramOf("m2cd_request_duration_ms", "Request service time in milliseconds.", s.tel.latency),
-		obs.HistogramOf("m2cd_queue_depth", "Queued requests observed at admission.", s.tel.depth),
-		obs.HistogramOf("m2cd_worker_occupancy", "Held inflight slots observed at admission.", s.tel.occupancy),
-		obs.HistogramOf("m2cd_stream_hit_ratio", "Per-request stream-cache hit ratio.", s.tel.hitRatio),
+		obs.HistogramOf("m2cd_request_duration_ms", "Request service time in milliseconds.", s.latency),
+		obs.HistogramOf("m2cd_queue_depth", "Queued requests observed at admission.", s.depth),
+		obs.HistogramOf("m2cd_worker_occupancy", "Held inflight slots observed at admission.", s.occupancy),
+		obs.HistogramOf("m2cd_stream_hit_ratio", "Per-request stream-cache hit ratio.", s.hitRatio),
 	}
 	return s
 }
 
-// handler builds the daemon's routing table.  Every compile/lint
-// handler is wrapped in recoverPanic so a crashed handler goroutine
-// becomes a well-formed 500 instead of a dropped connection.
+// handler builds the daemon's routing table.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/compile", s.instrumented(s.recoverPanic(func(w http.ResponseWriter, r *http.Request) {
-		s.handleCompile(w, r, false)
-	})))
-	mux.HandleFunc("/lint", s.instrumented(s.recoverPanic(func(w http.ResponseWriter, r *http.Request) {
-		s.handleCompile(w, r, true)
-	})))
+	mux.HandleFunc("/compile", s.instrumented(false))
+	mux.HandleFunc("/lint", s.instrumented(true))
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/trace", s.handleTraceIndex)
 	mux.HandleFunc("GET /debug/trace/{id}", s.handleTraceGet)
 	mux.HandleFunc("GET /debug/trace/{id}/profile", s.handleTraceProfile)
-	mux.HandleFunc("GET /debug/vars", s.handleVars)
-	mux.HandleFunc("GET /debug/live", s.handleLive)
 	return mux
 }
 
@@ -339,24 +332,18 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, s.reg)
 }
 
-// recoverPanic converts a handler panic (including an armed
-// PanicHandler injection) into a well-formed 500 response.  Admission
-// slots are released by the handler's own defers as the panic unwinds,
-// so a crashed request never leaks capacity.
-func (s *server) recoverPanic(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.handlerPanics.Add(1)
-				s.writeError(w, http.StatusInternalServerError,
-					fmt.Sprintf("internal: handler panic: %v", rec), 0)
-			}
-		}()
-		h(w, r)
-	}
-}
-
-func (s *server) handleCompile(w http.ResponseWriter, r *http.Request, lint bool) {
+// handleCompile serves /compile or /lint, filling w's record.
+func (s *server) handleCompile(w *statusRecorder, r *http.Request, lint bool) {
+	// A handler panic (an armed PanicHandler injection too) becomes a
+	// well-formed 500 instead of a dropped connection.  This defer runs
+	// last, so the admission slot is released as the panic unwinds and a
+	// crashed request never leaks capacity.
+	defer func() {
+		if p := recover(); p != nil {
+			s.handlerPanics.Add(1)
+			s.writeError(w, http.StatusInternalServerError, fmt.Sprintf("internal: handler panic: %v", p), 0)
+		}
+	}()
 	if r.Method != http.MethodPost {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST required", 0)
 		return
@@ -445,9 +432,7 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request, lint bool
 			client = r.RemoteAddr
 		}
 	}
-	if rec, ok := w.(*statusRecorder); ok {
-		rec.client = client
-	}
+	w.client = client
 
 	// ---- admission ----
 	if s.draining.Load() {
@@ -490,18 +475,13 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request, lint bool
 	// trace ID (client-chosen via X-M2cd-Trace or generated); sampling
 	// decides whether an Observer records it.  The ID rides back in the
 	// response header — never the body, which stays a pure function of
-	// the request.  The instrumented middleware finishes the entry on
-	// every exit path, including panics unwinding through this frame.
-	traceID, tentry := s.traces.Admit(r.Header.Get("X-M2cd-Trace"))
-	if traceID != "" {
-		w.Header().Set("X-M2cd-Trace", traceID)
-	}
+	// the request.  The record holds the entry, so the instrumented
+	// middleware finishes this request's own entry on every exit path,
+	// including panics unwinding through this frame.
+	w.trace, w.entry = s.traces.Admit(r.Header.Get("X-M2cd-Trace"))
 	occupied := len(s.sem)
-	queued := int(s.waiting.Load()) - occupied
-	if queued < 0 {
-		queued = 0
-	}
-	s.tel.observeAdmission(queued, occupied)
+	s.depth.Observe(float64(max(int(s.waiting.Load())-occupied, 0)))
+	s.occupancy.Observe(float64(occupied))
 
 	// Fault-injection points, post-admission: the deferred slot
 	// release above must survive both.
@@ -538,8 +518,8 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request, lint bool
 	// the client asked for one).  Sharing it keeps the recording cost to
 	// one trace.
 	var observer *m2cc.Observer
-	if tentry != nil {
-		observer = tentry.Obs
+	if w.entry != nil {
+		observer = w.entry.Obs
 	} else if req.Trace {
 		observer = m2cc.NewObserver()
 	}
@@ -572,25 +552,14 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request, lint bool
 			reply.trace = buf.Bytes()
 		}
 	}
-	w.Header().Set("X-M2cd-Path", "concurrent")
-	w.Header().Set("X-M2cd-Streams", strconv.Itoa(res.Streams))
-	if res.StreamCache != nil {
-		// Schedule-independent cache traffic rides in headers like the
-		// rest of the routing metadata: the body stays a pure function
-		// of the request, warm or cold.
-		w.Header().Set("X-M2cd-Stream-Hits", strconv.Itoa(res.StreamCache.Hits))
-		w.Header().Set("X-M2cd-Stream-Misses", strconv.Itoa(res.StreamCache.Misses))
-	}
-	if res.FellBack {
-		w.Header().Set("X-M2cd-Fellback", "1")
-	}
+	w.serve, w.streams, w.tally, w.fellBack = "concurrent", res.Streams, res.StreamCache, res.FellBack
 	s.writeCompile(w, &reply)
 }
 
 // serveSequential answers a breaker-tripped client through the
 // sequential compiler: slower, no concurrency to fault, byte-identical
 // listing and diagnostics.
-func (s *server) serveSequential(w http.ResponseWriter, req compileRequest, loader m2cc.Loader, lint bool) {
+func (s *server) serveSequential(w *statusRecorder, req compileRequest, loader m2cc.Loader, lint bool) {
 	s.sequentialServed.Add(1)
 	s.completed.Add(1)
 	sres := m2cc.CompileSequentialCached(req.Module, loader, s.cache)
@@ -598,7 +567,7 @@ func (s *server) serveSequential(w http.ResponseWriter, req compileRequest, load
 	if lint {
 		reply.findings = m2cc.Lint(req.Module, loader)
 	}
-	w.Header().Set("X-M2cd-Path", "sequential")
+	w.serve = "sequential"
 	s.writeCompile(w, &reply)
 }
 

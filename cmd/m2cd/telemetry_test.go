@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -390,6 +389,7 @@ func TestPrometheusExposition(t *testing.T) {
 		"m2cd_uptime_seconds gauge",
 		"m2cd_draining gauge",
 		"m2cd_waiting gauge",
+		"m2cd_inflight gauge",
 		"m2cd_service_ewma_ms gauge",
 		"m2cd_admitted_total counter",
 		"m2cd_completed_total counter",
@@ -486,51 +486,6 @@ func checkHistogram(t *testing.T, text, name string) {
 	}
 }
 
-// TestDebugVars spot-checks the rolling-window endpoint after traffic,
-// and the same request in the latency histogram on /metrics.
-func TestDebugVars(t *testing.T) {
-	cfg := testConfig()
-	cfg.traceMode = obs.TraceAll
-	cfg.traceKeep = 4
-	cfg.traceSample = 1
-	s := newServer(cfg)
-	ts := httptest.NewServer(s.handler())
-	defer ts.Close()
-
-	post(t, ts, "/compile", compileRequest{Module: "Demo", Sources: exampleSources(t), Client: "vars"})
-	resp, body := get(t, ts, "/debug/vars")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var vars struct {
-		Trace struct {
-			Mode     string `json:"mode"`
-			Admitted uint64 `json:"admitted"`
-		} `json:"trace"`
-		Windows map[string]obs.RollingSnapshot `json:"windows"`
-	}
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("vars JSON: %v\n%s", err, body)
-	}
-	if vars.Trace.Mode != "all" || vars.Trace.Admitted != 1 {
-		t.Fatalf("trace vars wrong: %+v", vars.Trace)
-	}
-	var n int64
-	for _, p := range vars.Windows["latency_ms"].Points {
-		n += p.Count
-	}
-	if n != 1 {
-		t.Fatalf("latency window holds %d points, want 1", n)
-	}
-	var met struct {
-		Latency obs.HistogramSnapshot `json:"m2cd_request_duration_ms"`
-	}
-	scrape(t, ts, &met)
-	if met.Latency.Count != 1 {
-		t.Fatalf("latency histogram count = %d, want 1", met.Latency.Count)
-	}
-}
-
 // scrape decodes the /metrics JSON rendering into v.
 func scrape(t *testing.T, ts *httptest.Server, v any) {
 	t.Helper()
@@ -578,56 +533,6 @@ func TestEveryFamilyRendered(t *testing.T) {
 	}
 	if n := strings.Count(string(prom), "# TYPE "); n != len(s.reg) || len(keys) != len(s.reg) {
 		t.Fatalf("renderings hold %d TYPE lines and %d JSON keys, registry declares %d families", n, len(keys), len(s.reg))
-	}
-}
-
-// TestSSEDrainCleanliness attaches a live dashboard stream and then
-// drains the daemon: the stream must say goodbye and close promptly,
-// not hold Shutdown open for the drain timeout.
-func TestSSEDrainCleanliness(t *testing.T) {
-	cfg := testConfig()
-	cfg.livePeriod = 20 * time.Millisecond
-	s := newServer(cfg)
-	ts := httptest.NewServer(s.handler())
-	defer ts.Close()
-
-	resp, err := ts.Client().Get(ts.URL + "/debug/live")
-	if err != nil {
-		t.Fatalf("GET /debug/live: %v", err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type %q", ct)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sawLive, sawBye := false, false
-	deadline := time.AfterFunc(5*time.Second, func() { resp.Body.Close() })
-	defer deadline.Stop()
-	drained := false
-	start := time.Now()
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "data: ") && !sawLive {
-			var frame liveSample
-			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &frame); err != nil {
-				t.Fatalf("live frame is not JSON: %v (%q)", err, line)
-			}
-			sawLive = true
-			s.startDrain()
-			drained = true
-		}
-		if line == "event: bye" {
-			sawBye = true
-		}
-	}
-	if !sawLive || !drained {
-		t.Fatal("never received a live frame")
-	}
-	if !sawBye {
-		t.Fatal("drain closed the stream without the goodbye event")
-	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("stream took %v to close after drain", elapsed)
 	}
 }
 
@@ -693,37 +598,152 @@ func TestLimiterRefill(t *testing.T) {
 	}
 }
 
-// TestRequestLog checks the structured log line joins status, client,
-// trace ID, serving path, and stream tally for one request.
+// TestRequestLog checks that each structured log line joins status,
+// client, trace ID, serving path and stream tally, and that these equal
+// the response's X-M2cd-* headers and the request's /debug/trace row:
+// for a faulted concurrent request that fell back, the breaker-routed
+// sequential request after it, and another client's concurrent one.
 func TestRequestLog(t *testing.T) {
 	cfg := testConfig()
 	cfg.traceMode = obs.TraceAll
 	cfg.traceKeep = 4
 	cfg.traceSample = 1
+	cfg.breakerTrips = 1
+	cfg.plan = faultinject.New().Arm(faultinject.PanicLookup, 1)
 	s := newServer(cfg)
 	var logBuf syncBuffer
 	s.logw = &logBuf
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
-	resp, _ := post(t, ts, "/compile", compileRequest{Module: "Demo", Sources: exampleSources(t), Client: "logged"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+	var resps []*http.Response
+	for _, client := range []string{"brk", "brk", "logged"} {
+		resp, body := post(t, ts, "/compile", compileRequest{Module: "Demo", Sources: exampleSources(t), Client: client})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", client, resp.StatusCode, body)
+		}
+		resps = append(resps, resp)
 	}
-	line := strings.TrimSpace(logBuf.String())
-	var entry requestLog
-	if err := json.Unmarshal([]byte(line), &entry); err != nil {
-		t.Fatalf("log line is not JSON: %v (%q)", err, line)
+	_, body := get(t, ts, "/debug/trace")
+	var index struct {
+		Mode     string
+		Admitted uint64
+		Traces   []obs.TraceSummary
 	}
-	if entry.Client != "logged" || entry.Status != http.StatusOK ||
-		entry.Path != "/compile" || entry.Serve != "concurrent" {
-		t.Fatalf("log entry fields wrong: %+v", entry)
+	if err := json.Unmarshal(body, &index); err != nil || index.Mode != "all" || index.Admitted != 3 {
+		t.Fatalf("trace index: %v\n%s", err, body)
 	}
-	if entry.Trace == "" || entry.Trace != resp.Header.Get("X-M2cd-Trace") {
-		t.Fatalf("log trace %q does not match header %q", entry.Trace, resp.Header.Get("X-M2cd-Trace"))
+	lines := strings.Split(strings.TrimSpace(logBuf.String()), "\n")
+	if len(lines) != len(resps) {
+		t.Fatalf("%d log lines for %d requests:\n%s", len(lines), len(resps), logBuf.String())
 	}
-	if entry.DurMS <= 0 || entry.Streams < 1 {
-		t.Fatalf("log entry missing measurements: %+v", entry)
+	for i, resp := range resps {
+		var entry requestLog
+		if err := json.Unmarshal([]byte(lines[i]), &entry); err != nil {
+			t.Fatalf("log line is not JSON: %v (%q)", err, lines[i])
+		}
+		hdr := func(key string) int {
+			n, _ := strconv.Atoi(resp.Header.Get(key))
+			return n
+		}
+		if entry.Status != http.StatusOK || entry.Path != "/compile" || entry.DurMS <= 0 ||
+			entry.Trace == "" || entry.Trace != resp.Header.Get("X-M2cd-Trace") ||
+			entry.Serve != resp.Header.Get("X-M2cd-Path") || entry.Streams != hdr("X-M2cd-Streams") ||
+			entry.Hits != hdr("X-M2cd-Stream-Hits") || entry.Misses != hdr("X-M2cd-Stream-Misses") ||
+			entry.Fellback != (resp.Header.Get("X-M2cd-Fellback") == "1") {
+			t.Fatalf("request %d: log entry %+v does not match the response headers %v", i, entry, resp.Header)
+		}
+		var row obs.TraceSummary
+		for _, r := range index.Traces {
+			if r.ID == entry.Trace {
+				row = r
+			}
+		}
+		if !row.Done || row.Client != entry.Client || row.Endpoint != entry.Path || row.Path != entry.Serve ||
+			row.Status != entry.Status || row.DurMS != entry.DurMS {
+			t.Fatalf("request %d: trace row %+v does not match the log entry %+v", i, row, entry)
+		}
+	}
+	if got := resps[0].Header.Get("X-M2cd-Fellback") + " " + resps[1].Header.Get("X-M2cd-Path") + " " +
+		resps[2].Header.Get("X-M2cd-Path"); got != "1 sequential concurrent" {
+		t.Fatalf("serving paths %q, want a fallback, a sequential request and a concurrent one", got)
+	}
+	if h := resps[2].Header; h.Get("X-M2cd-Streams") == "" || h.Get("X-M2cd-Stream-Hits") == "" {
+		t.Fatalf("concurrent response lacks its stream headers: %v", h)
+	}
+}
+
+// TestReusedTraceIDFinishesOwnEntry: when a newer request reuses a
+// client-chosen trace ID, the older request finishes its own
+// superseded entry, and the newer request's entry stays in flight,
+// pinned, until the newer request finishes it.  Meanwhile m2cd_inflight
+// counts the held slots.
+func TestReusedTraceIDFinishesOwnEntry(t *testing.T) {
+	cfg := testConfig()
+	cfg.traceMode = obs.TraceAll
+	cfg.traceKeep = 4
+	cfg.traceSample = 1
+	plan := faultinject.New().Arm(faultinject.SlowRequest, 1).Arm(faultinject.StallLeader, 1)
+	cfg.plan = plan
+	cfg.slowDelay = 300 * time.Millisecond
+	s := newServer(cfg)
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+	defer plan.Release() // before Close, which waits for the stalled request
+
+	send := func(client, module string, files ...string) <-chan int {
+		done := make(chan int, 1)
+		buf, _ := json.Marshal(compileRequest{Module: module, Sources: exampleFiles(t, files...), Client: client})
+		go func() {
+			hreq, _ := http.NewRequest(http.MethodPost, ts.URL+"/compile", strings.NewReader(string(buf)))
+			hreq.Header.Set("X-M2cd-Trace", "dup")
+			resp, err := ts.Client().Do(hreq)
+			if err != nil {
+				done <- 0
+				return
+			}
+			resp.Body.Close()
+			done <- resp.StatusCode
+		}()
+		return done
+	}
+	row := func() obs.TraceSummary {
+		for _, r := range s.traces.Summaries() {
+			if r.ID == "dup" {
+				return r
+			}
+		}
+		t.Fatal("trace dup not held")
+		return obs.TraceSummary{}
+	}
+
+	a := send("a", "ConcClean", "ConcClean.mod") // slowed 300 ms after admission
+	time.Sleep(100 * time.Millisecond)
+	b := send("b", "Demo", "Demo.mod", "Fib.def", "Fib.mod") // leads Fib's cache entry, stalls
+	select {
+	case <-plan.Stalled():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the second request never stalled")
+	}
+	var met struct {
+		Inflight float64 `json:"m2cd_inflight"`
+	}
+	scrape(t, ts, &met)
+	if met.Inflight < 1 {
+		t.Fatalf("m2cd_inflight = %g while requests hold slots, want >= 1", met.Inflight)
+	}
+	if code := <-a; code != http.StatusOK {
+		t.Fatalf("first request: status %d", code)
+	}
+	if r := row(); r.Seq != 2 || r.Done || r.Client != "" {
+		t.Fatalf("the first request finished the second one's entry: %+v", r)
+	}
+	plan.Release()
+	if code := <-b; code != http.StatusOK {
+		t.Fatalf("second request: status %d", code)
+	}
+	if r := row(); r.Seq != 2 || !r.Done || r.Client != "b" || r.Status != http.StatusOK {
+		t.Fatalf("the second request's entry not finished as its own: %+v", r)
 	}
 }
 

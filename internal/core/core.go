@@ -46,8 +46,8 @@ import (
 
 // DefaultStallTimeout bounds waits on events owned by foreign
 // compilations (interface-cache leaders in other sessions) when
-// Options.StallTimeout is zero.  A healthy leader publishes or fails
-// its entry in well under a second; a leader silent this long is
+// Options.StallTimeout is not positive.  A healthy leader publishes or
+// fails its entry in well under a second; a leader silent this long is
 // treated as wedged and the waiter compiles the interface itself.
 const DefaultStallTimeout = 30 * time.Second
 
@@ -108,9 +108,8 @@ type Options struct {
 	// by a foreign compilation (another session's interface-cache
 	// leader).  On expiry the waiter abandons the cache entry and
 	// compiles the interface itself, mirroring the cache's
-	// failed-leader retry.  Zero selects DefaultStallTimeout; negative
-	// disables the bound (waits forever, the pre-fault-tolerance
-	// behavior).
+	// failed-leader retry.  Zero or negative selects
+	// DefaultStallTimeout: every such wait is bounded.
 	StallTimeout time.Duration
 	// Check runs the concurrent static-analysis (lint) passes alongside
 	// the compilation: each stream publishes a fact table (a def stream
@@ -197,7 +196,7 @@ type driver struct {
 	cache  *ifacecache.Cache
 	inject *faultinject.Plan
 	obs    *obs.Observer
-	stall  time.Duration // resolved StallTimeout (0 = unbounded)
+	stall  time.Duration // resolved StallTimeout, always positive
 
 	check *check.Checker // non-nil when Options.Check
 
@@ -306,10 +305,7 @@ func Compile(module string, loader source.Loader, opts Options) *Result {
 		inject: opts.FaultPlan,
 		obs:    opts.Obs,
 	}
-	switch {
-	case opts.StallTimeout > 0:
-		d.stall = opts.StallTimeout
-	case opts.StallTimeout == 0:
+	if d.stall = opts.StallTimeout; d.stall <= 0 {
 		d.stall = DefaultStallTimeout
 	}
 	if d.cache != nil {
@@ -1198,21 +1194,13 @@ func (d *driver) extWait(t *sched.Task, ev *event.Event) bool {
 		// The prefetch from the main goroutine waits inline, under the
 		// same deadline and cancellation discipline as supervised tasks
 		// (a nil Cancel channel never fires).
-		if d.stall > 0 {
-			timer := time.NewTimer(d.stall)
-			defer timer.Stop()
-			select {
-			case <-ev.Done():
-				return true
-			case <-timer.C:
-				return ev.Fired()
-			case <-d.opts.Cancel:
-				return ev.Fired()
-			}
-		}
+		timer := time.NewTimer(d.stall)
+		defer timer.Stop()
 		select {
-		case <-ev.WaitChan():
+		case <-ev.Done():
 			return true
+		case <-timer.C:
+			return ev.Fired()
 		case <-d.opts.Cancel:
 			return ev.Fired()
 		}

@@ -62,14 +62,16 @@ type Observer struct {
 }
 
 // run is one observed compilation.  Its lanes show from base on: clear
-// of the lanes of every compilation still running when it began.  While
-// it runs, rec records it; End keeps its trace in tr, placed on the
-// observer's clock and lanes, and lets rec go.  No view writes tr.
+// of the lanes of every compilation still running when it began.  rec
+// records it; End marks it done, and the first view after that keeps
+// its trace in tr, placed on the observer's clock and lanes, and lets
+// rec go.  No view writes tr.
 type run struct {
 	rec     *ctrace.Recorder
 	tr      *ctrace.Trace
 	base    int
 	workers int
+	done    bool
 }
 
 // New returns an Observer with its epoch set to now.
@@ -89,7 +91,7 @@ func (o *Observer) Begin(rec *ctrace.Recorder, workers int, strategy string) {
 	for moved := true; moved; {
 		moved = false
 		for _, r := range o.runs {
-			if r.tr == nil && base < r.base+r.workers && r.base < base+workers {
+			if !r.done && base < r.base+r.workers && r.base < base+workers {
 				base, moved = r.base+r.workers, true
 			}
 		}
@@ -108,21 +110,17 @@ type Tally struct {
 }
 
 // End notes that rec's compilation has finished with tally t: its
-// trace is taken once, for every view, its counters join the batch's,
-// its lanes are free for the compilations that begin after it, and the
-// observed run ends here (see Finish).
+// trace is taken once, at the first view, its counters join the
+// batch's, its lanes are free for the compilations that begin after
+// it, and the observed run ends here (see Finish).
 func (o *Observer) End(rec *ctrace.Recorder, t Tally) {
 	if o == nil {
 		return
 	}
-	var tr *ctrace.Trace
-	if rec != nil {
-		tr = rec.Trace()
-	}
 	o.mu.Lock()
 	for i := range o.runs {
-		if r := &o.runs[i]; tr != nil && r.rec == rec {
-			r.rec, r.tr = nil, o.place(tr, r.base)
+		if r := &o.runs[i]; rec != nil && r.rec == rec {
+			r.done = true
 		}
 	}
 	o.sched.Add(t.Sched)
@@ -208,8 +206,9 @@ func (o *Observer) place(t *ctrace.Trace, base int) *ctrace.Trace {
 // observer's clock — their tasks, spawns and runs — and returns it with
 // the horizon (Finish's stamp, or now) and the number of lanes.  Each
 // compilation's task and event IDs follow the previous one's.  A
-// compilation still running shows what its finished tasks handed over.
-// The result shares records with the kept traces: views only read it.
+// compilation still running shows what its finished tasks handed over;
+// a finished one's trace is taken here once and kept.  The result
+// shares records with the kept traces: views only read it.
 func (o *Observer) trace() (*ctrace.Trace, time.Duration, int) {
 	o.mu.Lock()
 	runs := slices.Clone(o.runs)
@@ -220,11 +219,16 @@ func (o *Observer) trace() (*ctrace.Trace, time.Duration, int) {
 	o.mu.Unlock()
 
 	m := &ctrace.Trace{Run: &ctrace.Run{Epoch: o.epoch}}
-	for _, r := range runs {
+	for i, r := range runs {
 		lanes = max(lanes, r.base+r.workers)
 		t := r.tr
 		if t == nil {
 			t = o.place(r.rec.Trace(), r.base)
+			if r.done { // another view may have kept one too; they are equal
+				o.mu.Lock()
+				o.runs[i].rec, o.runs[i].tr = nil, t
+				o.mu.Unlock()
+			}
 		}
 		if len(runs) == 1 { // nothing to renumber
 			one := *t

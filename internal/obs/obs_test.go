@@ -447,7 +447,8 @@ func TestRenderTimelineShape(t *testing.T) {
 // TestObserverSpansBatch checks that one Observer accumulates across
 // several compilations (the CompileBatch pattern): task counts grow,
 // the largest worker count wins, compilations one after another share
-// their lanes, and compilations side by side get lanes of their own.
+// their lanes, and compilations side by side get lanes of their own,
+// with views taken while they run.
 func TestObserverSpansBatch(t *testing.T) {
 	o := obs.New()
 	loader := obsLoader()
@@ -479,6 +480,7 @@ func TestObserverSpansBatch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			core.Compile("Main", loader, core.Options{Workers: 2, Obs: side})
+			obs.Trace(side) // races the other compilation and its view, which may keep this run's trace
 		}()
 	}
 	wg.Wait()

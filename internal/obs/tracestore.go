@@ -62,34 +62,26 @@ func ParseTraceMode(s string) (TraceMode, error) {
 	return TraceOff, fmt.Errorf("unknown trace mode %q (want off, sampled or all)", s)
 }
 
-// TraceEntry is one traced request: its Observer plus the request
-// metadata Finish stamps in.  Fields other than ID, Seq and Obs are
-// owned by the store's lock until Done is set, after which the entry
-// is immutable.
+// TraceEntry is one traced request: its /debug/trace index row and
+// its Observer.  The row's fields other than ID and Seq are owned by
+// the store's lock until Finish sets Done, after which the entry is
+// immutable.
 type TraceEntry struct {
-	ID  string
-	Seq uint64 // 1-based admission number that sampled this request
+	TraceSummary
 	Obs *Observer
-
-	Client   string
-	Endpoint string  // request path, e.g. /compile
-	Path     string  // serving path: concurrent | sequential
-	Status   int     // HTTP status of the response
-	DurMS    float64 // service time
-	Streams  int
-	Done     bool // set by Finish; until then the entry is pinned against eviction
 }
 
-// TraceSummary is one /debug/trace index row.
+// TraceSummary is one /debug/trace index row: the request metadata
+// Finish stamps in.
 type TraceSummary struct {
 	ID       string  `json:"id"`
-	Seq      uint64  `json:"seq"`
+	Seq      uint64  `json:"seq"` // 1-based admission number that sampled this request
 	Client   string  `json:"client,omitempty"`
-	Endpoint string  `json:"endpoint,omitempty"`
-	Path     string  `json:"path,omitempty"`
-	Status   int     `json:"status,omitempty"`
-	DurMS    float64 `json:"dur_ms,omitempty"`
-	Done     bool    `json:"done"`
+	Endpoint string  `json:"endpoint,omitempty"` // request path, e.g. /compile
+	Path     string  `json:"path,omitempty"`     // serving path: concurrent | sequential
+	Status   int     `json:"status,omitempty"`   // HTTP status of the response
+	DurMS    float64 `json:"dur_ms,omitempty"`   // service time
+	Done     bool    `json:"done"`               // set by Finish; until then the entry is pinned against eviction
 }
 
 // TraceStore holds the daemon's recent request traces.
@@ -97,7 +89,7 @@ type TraceStore struct {
 	mode    TraceMode
 	sampleN uint64
 
-	mu     sync.Mutex // guards: seq, traces, and non-Obs TraceEntry fields until Done
+	mu     sync.Mutex // guards: seq, traces, and TraceEntry rows until Done
 	seq    uint64     // admissions seen (sampling domain), traced or not
 	traces *lru.Store[string, *TraceEntry]
 }
@@ -152,7 +144,7 @@ func (s *TraceStore) Admit(requested string) (id string, e *TraceEntry) {
 	// A reused ID (client-chosen) supersedes the old trace, in flight
 	// or not: the request that owns a superseded Observer still holds
 	// it, so nothing is torn down under its compilation.
-	e = &TraceEntry{ID: id, Seq: s.seq, Obs: New()}
+	e = &TraceEntry{TraceSummary{ID: id, Seq: s.seq}, New()}
 	s.traces.Put(id, e)
 	return id, e
 }
@@ -160,15 +152,14 @@ func (s *TraceStore) Admit(requested string) (id string, e *TraceEntry) {
 // Finish stamps the entry's request metadata, unpins it, and applies
 // the LRU cap.  Safe to call once per entry; nil entries no-op so
 // untraced requests need no branch at the call site.
-func (s *TraceStore) Finish(e *TraceEntry, client, endpoint, path string, status int, durMS float64, streams int) {
+func (s *TraceStore) Finish(e *TraceEntry, client, endpoint, path string, status int, durMS float64) {
 	if s == nil || e == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e.Client, e.Endpoint, e.Path = client, endpoint, path
-	e.Status, e.DurMS, e.Streams = status, durMS, streams
-	e.Done = true
+	e.Status, e.DurMS, e.Done = status, durMS, true
 	s.traces.Trim()
 }
 
@@ -216,10 +207,7 @@ func (s *TraceStore) Summaries() []TraceSummary {
 	defer s.mu.Unlock()
 	out := make([]TraceSummary, 0, s.traces.Len())
 	s.traces.Range(func(_ string, e *TraceEntry) bool {
-		out = append(out, TraceSummary{
-			ID: e.ID, Seq: e.Seq, Client: e.Client, Endpoint: e.Endpoint,
-			Path: e.Path, Status: e.Status, DurMS: e.DurMS, Done: e.Done,
-		})
+		out = append(out, e.TraceSummary)
 		return true
 	})
 	return out

@@ -33,7 +33,7 @@ func TestSampledDeterministic(t *testing.T) {
 		}
 		if e != nil {
 			traced = append(traced, e.Seq)
-			s.Finish(e, "c", "/compile", "concurrent", 200, 1, 1)
+			s.Finish(e, "c", "/compile", "concurrent", 200, 1)
 		}
 	}
 	want := []uint64{1, 4, 7, 10}
@@ -74,7 +74,7 @@ func TestClientSuppliedIDs(t *testing.T) {
 	}
 	// A reused ID supersedes the earlier trace.
 	_, e2 := s.Admit("my-trace_1.a")
-	s.Finish(e2, "c", "/compile", "concurrent", 200, 1, 1)
+	s.Finish(e2, "c", "/compile", "concurrent", 200, 1)
 	if got := s.Get("my-trace_1.a"); got != e2 {
 		t.Fatal("reused ID does not resolve to the newest trace")
 	}
@@ -102,7 +102,7 @@ func TestLRUEvictionSkipsInflight(t *testing.T) {
 	}
 	// Finishing lets the cap re-assert: oldest finished entries go.
 	for _, e := range entries {
-		s.Finish(e, "c", "/compile", "concurrent", 200, 1.5, 3)
+		s.Finish(e, "c", "/compile", "concurrent", 200, 1.5)
 	}
 	if s.Held() != 2 {
 		t.Fatalf("held = %d after finish, want 2", s.Held())
@@ -118,12 +118,12 @@ func TestLRUEvictionSkipsInflight(t *testing.T) {
 func TestLRUGetRefreshes(t *testing.T) {
 	s := NewTraceStore(TraceAll, 1, 2)
 	_, a := s.Admit("a")
-	s.Finish(a, "", "/compile", "concurrent", 200, 1, 1)
+	s.Finish(a, "", "/compile", "concurrent", 200, 1)
 	_, b := s.Admit("b")
-	s.Finish(b, "", "/compile", "concurrent", 200, 1, 1)
+	s.Finish(b, "", "/compile", "concurrent", 200, 1)
 	s.Get("a") // refresh a: now b is the LRU victim
 	_, c := s.Admit("c")
-	s.Finish(c, "", "/compile", "concurrent", 200, 1, 1)
+	s.Finish(c, "", "/compile", "concurrent", 200, 1)
 	if s.Get("a") == nil {
 		t.Fatal("refreshed trace evicted")
 	}
@@ -135,7 +135,7 @@ func TestLRUGetRefreshes(t *testing.T) {
 func TestSummariesOrderAndMetadata(t *testing.T) {
 	s := NewTraceStore(TraceAll, 1, 10)
 	_, a := s.Admit("a")
-	s.Finish(a, "alice", "/compile", "concurrent", 200, 12.5, 7)
+	s.Finish(a, "alice", "/compile", "concurrent", 200, 12.5)
 	_, b := s.Admit("b")
 	sums := s.Summaries()
 	if len(sums) != 2 {
@@ -148,7 +148,7 @@ func TestSummariesOrderAndMetadata(t *testing.T) {
 		sums[1].Status != 200 || sums[1].DurMS != 12.5 {
 		t.Fatalf("metadata lost: %+v", sums[1])
 	}
-	s.Finish(b, "bob", "/lint", "sequential", 503, 1, 0)
+	s.Finish(b, "bob", "/lint", "sequential", 503, 1)
 }
 
 func TestTraceStoreNil(t *testing.T) {
@@ -156,7 +156,7 @@ func TestTraceStoreNil(t *testing.T) {
 	if id, e := s.Admit("x"); id != "" || e != nil {
 		t.Fatal("nil store admitted")
 	}
-	s.Finish(nil, "", "", "", 0, 0, 0)
+	s.Finish(nil, "", "", "", 0, 0)
 	if s.Get("x") != nil || s.Held() != 0 || s.Admitted() != 0 || s.Summaries() != nil {
 		t.Fatal("nil store not inert")
 	}

@@ -108,7 +108,7 @@ type DirLoader = source.DirLoader
 type Options = core.Options
 
 // DefaultStallTimeout bounds waits on foreign interface-cache leaders
-// when Options.StallTimeout is zero; see core.DefaultStallTimeout.
+// when Options.StallTimeout is not positive; see core.DefaultStallTimeout.
 const DefaultStallTimeout = core.DefaultStallTimeout
 
 // Result is a concurrent compilation's outcome.

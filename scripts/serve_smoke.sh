@@ -176,7 +176,8 @@ assert m["m2cd_admitted_total"] > 0, "no requests admitted"
 for k in ("m2cd_completed_total", "m2cd_shed_queue_full_total",
           "m2cd_deadline_canceled_total", "m2cd_handler_panics_total",
           "m2cd_responses_total", "m2cd_iface_cache_hits_total",
-          "m2cd_iface_cache_misses_total", "m2cd_iface_cache_waits_total"):
+          "m2cd_iface_cache_misses_total", "m2cd_iface_cache_waits_total",
+          "m2cd_inflight"):
     assert k in m, f"missing family {k!r}"
 # One metrics path: every family the step 4 scrape exposed is a key of
 # the drain-time JSON rendering of the same registry.
