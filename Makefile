@@ -42,17 +42,18 @@ build:
 test:
 	$(GO) test ./...
 
-# The scheduler's, the token queues' and the symbol tables' tests run
-# ten times more under the race detector: the scheduler's one mutex
-# guards the ready heap, every slot handoff and the producer boost, a
-# token queue's mutex guards the growth event a waiting reader makes, a
-# sealed scope is probed without its mutex, and a lock-discipline slip
-# in any of them shows only under repetition.
+# The scheduler's, token queues', symbol tables' and interface cache's
+# tests run ten times more under the race detector: the scheduler's one
+# mutex guards the ready heap, every slot handoff and the producer
+# boost, a token queue's mutex guards the growth event a waiting reader
+# makes, sealed scopes and published cache entries are read without a
+# mutex, and a lock-discipline slip shows only under repetition.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=10 ./internal/sched
 	$(GO) test -race -count=10 ./internal/tokq
 	$(GO) test -race -count=10 ./internal/symtab
+	$(GO) test -race -count=10 ./internal/ifacecache ./internal/impscan
 
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -run Chaos -count=1 .

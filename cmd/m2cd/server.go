@@ -562,7 +562,7 @@ func (s *server) handleCompile(w *statusRecorder, r *http.Request, lint bool) {
 func (s *server) serveSequential(w *statusRecorder, req compileRequest, loader m2cc.Loader, lint bool) {
 	s.sequentialServed.Add(1)
 	s.completed.Add(1)
-	sres := m2cc.CompileSequentialCached(req.Module, loader, s.cache)
+	sres := m2cc.CompileSequentialCached(req.Module, loader, s.cache, s.cfg.stallTimeout)
 	reply := compileReply{module: req.Module, ok: !sres.Failed(), object: sres.Object, diags: sres.Diags.String(), lint: lint}
 	if lint {
 		reply.findings = m2cc.Lint(req.Module, loader)

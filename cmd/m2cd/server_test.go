@@ -466,6 +466,74 @@ func TestBreakerRoutesSequential(t *testing.T) {
 	}
 }
 
+// TestBreakerSequentialBoundsStall: a breaker-tripped client is served
+// by the sequential compiler from the shared interface cache, and a
+// wedged leader of an interface it imports holds it no longer than the
+// stall timeout — it gets a 200 within the bound plus slack.
+func TestBreakerSequentialBoundsStall(t *testing.T) {
+	cfg := testConfig()
+	cfg.breakerTrips = 1
+	cfg.stallTimeout = 200 * time.Millisecond
+	plan := faultinject.New().Arm(faultinject.PanicLookup, 1)
+	cfg.plan = plan
+	s := newServer(cfg)
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+	defer plan.Release() // before Close, which waits for the wedged request
+
+	trip := compileRequest{Module: "ConcClean", Sources: exampleFiles(t, "ConcClean.mod"), Client: "brk"}
+	if resp, _ := post(t, ts, "/compile", trip); resp.Header.Get("X-M2cd-Fellback") != "1" {
+		t.Fatal("the faulted compile did not fall back, so the breaker is closed")
+	}
+
+	// Another client's compilation leads Fib's entry and wedges before
+	// it publishes.
+	plan.Arm(faultinject.StallLeader, plan.Count(faultinject.StallLeader)+1)
+	demo := compileRequest{Module: "Demo", Sources: exampleFiles(t, "Demo.mod", "Fib.def", "Fib.mod"), Client: "lead"}
+	buf, _ := json.Marshal(demo)
+	go func() {
+		if resp, err := ts.Client().Post(ts.URL+"/compile", "application/json", bytes.NewReader(buf)); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	select {
+	case <-plan.Stalled():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the leading request never stalled")
+	}
+
+	demo.Client = "brk"
+	type answer struct {
+		path string
+		code int
+	}
+	done := make(chan answer, 1)
+	start := time.Now()
+	go func() {
+		buf, _ := json.Marshal(demo)
+		resp, err := ts.Client().Post(ts.URL+"/compile", "application/json", bytes.NewReader(buf))
+		if err != nil {
+			done <- answer{}
+			return
+		}
+		resp.Body.Close()
+		done <- answer{resp.Header.Get("X-M2cd-Path"), resp.StatusCode}
+	}()
+	limit := cfg.stallTimeout + 5*time.Second
+	select {
+	case a := <-done:
+		if a.code != http.StatusOK || a.path != "sequential" {
+			t.Fatalf("breaker-tripped request: status %d on path %q, want 200 on sequential", a.code, a.path)
+		}
+	case <-time.After(limit):
+		t.Fatalf("breaker-tripped request still waiting on the wedged leader after %v", limit)
+	}
+	t.Logf("answered in %v against a %v stall timeout", time.Since(start), cfg.stallTimeout)
+	if n := s.cache.Stats().Abandoned; n != 1 {
+		t.Fatalf("%d abandoned cache waits, want 1", n)
+	}
+}
+
 // TestBreakerHalfOpenRecovers verifies a cooled-down breaker lets a
 // clean probe close it again.
 func TestBreakerHalfOpenRecovers(t *testing.T) {

@@ -48,22 +48,24 @@ func TestBlockSizeDifferential(t *testing.T) {
 					for _, bs := range []int{1, 256} {
 						name := fmt.Sprintf("%s/%s/w%d/hdr%d/block%d", tg.mods[0], strat, workers, hdr, bs)
 						t.Run(name, func(t *testing.T) {
-							opts := core.Options{Workers: workers, Strategy: strat, Headers: hdr, BlockSize: bs}
+							opts := core.Options{Workers: workers, Strategy: strat, Headers: hdr}
+							core.SetBlockSize(t, bs)
 							gotL, gotD, _ := compileAll(tg.loader, tg.mods, opts)
 							diffOutputs(t, "cold", tg.mods, gotL, gotD, wantL, wantD)
 
 							seed := opts
-							seed.BlockSize = 257 - bs
 							seed.StreamCache = streamcache.New(0)
+							core.SetBlockSize(t, 257-bs)
 							compileAll(tg.loader, tg.mods, seed)
 							_, _, same := compileAll(tg.loader, tg.mods, seed)
 							opts.StreamCache = seed.StreamCache
+							core.SetBlockSize(t, bs)
 							gotL, gotD, other := compileAll(tg.loader, tg.mods, opts)
 							diffOutputs(t, "warm", tg.mods, gotL, gotD, wantL, wantD)
 							for m, ta := range other {
 								if *ta != *same[m] || ta.Hits == 0 || ta.Recorded != 0 {
 									t.Fatalf("%s: rebuild at block size %d of a cache seeded at %d: %+v, at the seeding size %+v",
-										m, bs, seed.BlockSize, *ta, *same[m])
+										m, bs, 257-bs, *ta, *same[m])
 								}
 							}
 						})

@@ -59,7 +59,7 @@ func TestCachedSequentialMatches(t *testing.T) {
 	cache := ifacecache.New()
 	for pass := 0; pass < 2; pass++ {
 		for _, m := range mods {
-			res := seq.CompileWithCache(m, loader, cache)
+			res := seq.CompileWithCache(m, loader, cache, 0)
 			if got := res.Diags.String(); got != wantDiags[m] {
 				t.Fatalf("pass %d, %s: diagnostics differ\n got: %q\nwant: %q", pass, m, got, wantDiags[m])
 			}

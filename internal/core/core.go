@@ -44,13 +44,6 @@ import (
 	"m2cc/internal/vm"
 )
 
-// DefaultStallTimeout bounds waits on events owned by foreign
-// compilations (interface-cache leaders in other sessions) when
-// Options.StallTimeout is not positive.  A healthy leader publishes or
-// fails its entry in well under a second; a leader silent this long is
-// treated as wedged and the waiter compiles the interface itself.
-const DefaultStallTimeout = 30 * time.Second
-
 // HeaderMode selects how procedure headings are shared between parent
 // and child scopes (§2.4).
 type HeaderMode uint8
@@ -84,8 +77,6 @@ type Options struct {
 	// Trace attaches a schedule-independent trace recorder; collect
 	// traces with Workers=1 for deterministic replays.
 	Trace bool
-	// BlockSize overrides the token-queue block size (tests).
-	BlockSize int
 	// Cache, when non-nil, shares completed definition-module
 	// compilations across compilations: the once-only interface table
 	// consults it before spawning a def stream, and publishes cleanly
@@ -109,7 +100,7 @@ type Options struct {
 	// leader).  On expiry the waiter abandons the cache entry and
 	// compiles the interface itself, mirroring the cache's
 	// failed-leader retry.  Zero or negative selects
-	// DefaultStallTimeout: every such wait is bounded.
+	// ifacecache.DefaultStallTimeout: every such wait is bounded.
 	StallTimeout time.Duration
 	// Check runs the concurrent static-analysis (lint) passes alongside
 	// the compilation: each stream publishes a fact table (a def stream
@@ -247,7 +238,7 @@ type pendingInstall struct {
 }
 
 // ifaceEntry is one once-only table entry for a definition module.
-// optional/failed/resolved are guarded by the driver mutex; load
+// optional/failed are guarded by the driver mutex; load
 // failures are reported after the compilation settles so the
 // diagnostics do not depend on which import path found the module
 // first.
@@ -258,8 +249,6 @@ type ifaceEntry struct {
 	failed   bool // load failed (set by the Lexor task before queue close)
 
 	cacheEnt *ifacecache.Entry // cache entry this session leads or installed
-	cached   bool              // scope was installed from a cache hit
-	resolved bool              // Publish/Fail decision has been made
 }
 
 // procStream is a procedure stream created by the Splitter.
@@ -306,7 +295,7 @@ func Compile(module string, loader source.Loader, opts Options) *Result {
 		obs:    opts.Obs,
 	}
 	if d.stall = opts.StallTimeout; d.stall <= 0 {
-		d.stall = DefaultStallTimeout
+		d.stall = ifacecache.DefaultStallTimeout
 	}
 	if d.cache != nil {
 		d.resolving = make(map[string]*event.Event)
@@ -446,6 +435,10 @@ func (d *driver) cancelNow() {
 // Tests substitute these to watch the driver's hand-back rule and its
 // worker goroutines.
 var getArena, putArena, newSupervisor = ast.GetArena, ast.PutArena, sched.New
+
+// blockSize is the token queues' block size (0 = tokq's default); tests
+// set it through SetBlockSize to cut the traffic into other runs.
+var blockSize int
 
 // lendArena lends a parse an arena for one stretch of parsing, which
 // parkArena ends.  A compilation's trees all die at once, so its
@@ -649,9 +642,9 @@ func (d *driver) registerAreas() {
 // Main module stream
 
 func (d *driver) startMainStream() {
-	rawQ := tokq.New(d.opts.BlockSize)
+	rawQ := tokq.New(blockSize)
 	rawQ.Retain(2) // Importer + Splitter
-	mainQ := tokq.New(d.opts.BlockSize)
+	mainQ := tokq.New(blockSize)
 	mainQ.Retain(1) // ModParse
 	lexStarted := event.New()
 	splitStarted := event.New()
@@ -742,7 +735,7 @@ func (d *driver) startProcStream(splitterTask *sched.Task) splitter.StartProc {
 		id := d.newStream()
 		ps := &procStream{
 			id: id, name: name, parent: parent,
-			q:            tokq.New(d.opts.BlockSize),
+			q:            tokq.New(blockSize),
 			headingReady: event.New(),
 		}
 		ps.q.Retain(1) // ProcParse
@@ -1129,41 +1122,32 @@ func (d *driver) iface(name string, optional bool, t *sched.Task) *ifaceEntry {
 	d.resolving[name] = resolved
 	d.mu.Unlock()
 
-	// Each Acquire outcome goes to the observer as this compilation's
-	// own — not a delta of the shared cache's counters, which concurrent
-	// batch siblings would pollute.
+	// Each outcome goes to the observer as this compilation's own — not
+	// a delta of the shared cache's counters, which concurrent batch
+	// siblings would pollute.
 	var e *ifaceEntry
-	for e == nil {
-		ent, ev, st := d.cache.Acquire(name, d.loader, d.check != nil)
-		switch st {
-		case ifacecache.Wait:
-			d.obs.NoteCache(ifacecache.Stats{Waits: 1})
-			if d.extWait(t, ev) {
-				continue // re-acquire: the leader published or failed
-			}
-			// The foreign leader stalled past StallTimeout.  Abandon the
-			// cache entry and compile the interface ourselves — the same
-			// degradation the cache applies to a failed leader, except
-			// this session does not wait for the verdict.
-			d.cache.NoteAbandoned()
-			d.rec.NoteMark(ctrace.MarkStallAbandon, taskID(t))
-			e = d.startIface(name, optional, nil)
-		case ifacecache.Hit:
-			d.obs.NoteCache(ifacecache.Stats{Hits: 1})
-			e = d.installCached(name, optional, ent)
-			if e == nil {
-				// A closure member conflicts with a scope this session
-				// already holds; compile fresh without the cache so all
-				// references keep pointer-identical types.
-				e = d.startIface(name, optional, nil)
-			}
-		case ifacecache.Lead:
-			d.obs.NoteCache(ifacecache.Stats{Misses: 1})
-			e = d.startIface(name, optional, ent)
-		default: // Bypass
-			d.obs.NoteCache(ifacecache.Stats{Bypasses: 1})
-			e = d.startIface(name, optional, nil)
-		}
+	ent, st, waits := d.cache.Resolve(name, d.loader, d.check != nil,
+		func(ev *event.Event) bool { return d.extWait(t, ev) })
+	d.obs.NoteCache(ifacecache.Stats{Waits: waits})
+	switch st {
+	case ifacecache.Hit:
+		d.obs.NoteCache(ifacecache.Stats{Hits: 1})
+		// nil: a closure member conflicts with a scope this session
+		// already holds; compile fresh without the cache below, so all
+		// references keep pointer-identical types.
+		e = d.installCached(name, optional, ent)
+	case ifacecache.Lead:
+		d.obs.NoteCache(ifacecache.Stats{Misses: 1})
+		e = d.startIface(name, optional, ent)
+	case ifacecache.Bypass:
+		d.obs.NoteCache(ifacecache.Stats{Bypasses: 1})
+	case ifacecache.Abandoned:
+		// The foreign leader stalled past StallTimeout; this session
+		// compiles the interface itself, outside the cache.
+		d.rec.NoteMark(ctrace.MarkStallAbandon, taskID(t))
+	}
+	if e == nil {
+		e = d.startIface(name, optional, nil)
 	}
 
 	d.mu.Lock()
@@ -1192,64 +1176,45 @@ func taskID(t *sched.Task) ctrace.TaskID {
 func (d *driver) extWait(t *sched.Task, ev *event.Event) bool {
 	if t == nil {
 		// The prefetch from the main goroutine waits inline, under the
-		// same deadline and cancellation discipline as supervised tasks
-		// (a nil Cancel channel never fires).
-		timer := time.NewTimer(d.stall)
-		defer timer.Stop()
-		select {
-		case <-ev.Done():
-			return true
-		case <-timer.C:
-			return ev.Fired()
-		case <-d.opts.Cancel:
-			return ev.Fired()
-		}
+		// same deadline and cancellation discipline as supervised tasks.
+		return ifacecache.Await(ev, d.stall, d.opts.Cancel)
 	}
 	return t.ExternalWait(ev)
 }
 
 // installCached installs a ready cache entry's whole closure into the
-// once-only table: for each member not yet known to this compilation,
-// the sealed scope is adopted, its storage area and imports registered,
-// its def unit's lint facts pinned when linting, and the scope marked
-// pre-fired for the trace (a cache hit spawns no tasks and its
-// completion predates every task).  Returns nil without
-// installing anything if any member's name is already bound to a
-// *different* scope — mixing scope generations would break
-// pointer-identity type compatibility.
+// once-only table, dependencies first: for each member not yet known to
+// this compilation, the sealed scope is adopted, its storage area and
+// imports registered, its def unit's lint facts pinned when linting,
+// and the scope marked pre-fired for the trace (a cache hit spawns no
+// tasks and its completion predates every task).  A member the table
+// already holds with the same scope is held with its whole closure,
+// which the walk skips.  Returns nil without installing
+// anything if any member's name is already bound to a *different*
+// scope — mixing scope generations would break pointer-identity type
+// compatibility.
 func (d *driver) installCached(name string, optional bool, ent *ifacecache.Entry) *ifaceEntry {
 	if d.inject.Hit(faultinject.FailInstall) {
 		return nil // injected: decline the hit, forcing the compile-fresh path
 	}
-	closure := ent.Closure()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, m := range closure {
-		if ex, ok := d.ifaces[m.Name()]; ok && ex.scope != m.Scope() {
-			return nil
-		}
+	held := func(m *ifacecache.Entry) bool {
+		_, ok := d.ifaces[m.Name()]
+		return ok
 	}
-	var result *ifaceEntry
-	for _, m := range closure {
-		mname := m.Name()
-		if ex, ok := d.ifaces[mname]; ok {
-			if mname == name {
-				if !optional && ex.optional {
-					ex.optional = false
-				}
-				result = ex
-			}
-			continue
-		}
-		opt := false
-		if mname == name {
-			opt = optional
-		}
-		e := &ifaceEntry{
-			name: mname, scope: m.Scope(), optional: opt,
-			cacheEnt: m, cached: true, resolved: true,
-		}
-		d.ifaces[mname] = e
+	n := 0
+	if !ent.Walk(func(m *ifacecache.Entry) bool {
+		ex, ok := d.ifaces[m.Name()]
+		return ok && ex.scope == m.Scope()
+	}, func(m *ifacecache.Entry) bool {
+		n++
+		return !held(m)
+	}) {
+		return nil
+	}
+	ent.Walk(held, func(m *ifacecache.Entry) bool {
+		d.ifaces[m.Name()] = &ifaceEntry{name: m.Name(), scope: m.Scope(), optional: optional && m == ent, cacheEnt: m}
 		d.reg.SetAreaSlots(d.reg.AreaIdx(m.AreaName()), m.AreaSlots())
 		for _, imp := range m.Imports() {
 			d.reg.AddImport(imp)
@@ -1257,15 +1222,17 @@ func (d *driver) installCached(name string, optional bool, ent *ifacecache.Entry
 		if d.check != nil {
 			d.check.AddPinned(m.Facts())
 		}
-		d.tab.MarkPrefired(m.Scope(), len(closure))
+		d.tab.MarkPrefired(m.Scope(), n)
 		if d.rec != nil {
 			d.rec.NotePrefired(m.Scope().CompletionEvent())
 		}
-		if mname == name {
-			result = e
-		}
+		return true
+	})
+	e := d.ifaces[name]
+	if !optional {
+		e.optional = false
 	}
-	return result
+	return e
 }
 
 // startIface inserts the once-only entry for name and spawns its def
@@ -1293,7 +1260,7 @@ func (d *driver) startIface(name string, optional bool, ent *ifacecache.Entry) *
 	d.mu.Unlock()
 
 	label := name + ".def"
-	q := tokq.New(d.opts.BlockSize)
+	q := tokq.New(blockSize)
 	q.Retain(2) // Importer + DefParse
 	lexStarted := event.New()
 
@@ -1334,7 +1301,9 @@ func (d *driver) startIface(name string, optional bool, ent *ifacecache.Entry) *
 				}
 				// Early returns (load failure, empty file) leave the
 				// entry unpublished; fail it so cache waiters move on.
-				d.failEntryIfUnresolved(e)
+				if e.cacheEnt != nil {
+					e.cacheEnt.Fail()
+				}
 			}()
 			r := q.NewReader(t)
 			defer r.Detach()
@@ -1379,7 +1348,7 @@ func (d *driver) startIface(name string, optional bool, ent *ifacecache.Entry) *
 				d.check.AddUnit(u)
 				facts = d.check.RunUnit(t.Ctx, u)
 			}
-			d.finishEntry(e, t, a, directImps, label, facts)
+			d.finishEntry(e, a, directImps, label, facts)
 			p.ParseBody(m)
 		})
 	d.sup.SetProducer(scope.CompletionEvent(), parseTask)
@@ -1391,9 +1360,8 @@ func (d *driver) startIface(name string, optional bool, ent *ifacecache.Entry) *
 // diagnostics against its file, no load failure, no deadlock poison,
 // every direct import itself cache-resolved), otherwise fail so the
 // next requester retries; a lint compilation's entry also needs the
-// def unit's facts.  The cost recorded is the def stream's
-// deterministic work units at that point.
-func (d *driver) finishEntry(e *ifaceEntry, t *sched.Task, a *sema.DeclAnalyzer, directImps []string, label string, facts *check.Facts) {
+// def unit's facts.
+func (d *driver) finishEntry(e *ifaceEntry, a *sema.DeclAnalyzer, directImps []string, label string, facts *check.Facts) {
 	ent := e.cacheEnt
 	if ent == nil {
 		return
@@ -1403,62 +1371,39 @@ func (d *driver) finishEntry(e *ifaceEntry, t *sched.Task, a *sema.DeclAnalyzer,
 	// tasks are already unblocked — the scope completed above.
 	d.inject.Stall(faultinject.StallLeader)
 	d.mu.Lock()
-	if e.resolved {
-		d.mu.Unlock()
-		return
-	}
-	e.resolved = true
 	ok := !d.poisoned && !e.failed && (d.check == nil || facts != nil)
-	var deps []ifacecache.Dep
-	if ok {
-		for _, imp := range directImps {
-			ie := d.ifaces[imp]
-			if ie == nil || ie.cacheEnt == nil {
-				ok = false // an uncacheable import makes us uncacheable
-				break
-			}
-			deps = append(deps, ifacecache.Dep{Ent: ie.cacheEnt, Scope: ie.scope})
+	var deps []*ifacecache.Entry
+	for _, imp := range directImps {
+		ie := d.ifaces[imp]
+		if !ok || ie == nil || ie.cacheEnt == nil {
+			ok = false // an uncacheable import makes us uncacheable
+			break
 		}
+		deps = append(deps, ie.cacheEnt)
 	}
-	scope := e.scope
 	d.mu.Unlock()
-	if ok && d.diags.HasFor(label) {
-		ok = false
-	}
-	if !ok {
+	if !ok || d.diags.HasFor(label) {
 		ent.Fail()
 		return
 	}
-	ent.Publish(scope, a.AreaName, a.NextOff, directImps, deps, t.Ctx.Units, facts)
-}
-
-// failEntryIfUnresolved fails e's cache entry if no Publish/Fail
-// decision was ever made (early-exit def streams, compiler shutdown).
-func (d *driver) failEntryIfUnresolved(e *ifaceEntry) {
-	d.mu.Lock()
-	ent := e.cacheEnt
-	unresolved := ent != nil && !e.resolved
-	if unresolved {
-		e.resolved = true
-	}
-	d.mu.Unlock()
-	if unresolved {
-		ent.Fail()
-	}
+	ent.Publish(e.scope, a.AreaName, a.NextOff, directImps, deps, facts)
 }
 
 // failUnpublished sweeps the once-only table at compilation end,
 // failing any led cache entries that never resolved, so no waiter in
-// another compilation is stranded on this session's events.
+// another compilation is stranded on this session's events (Fail on a
+// published or installed entry does nothing).
 func (d *driver) failUnpublished() {
 	d.mu.Lock()
-	entries := make([]*ifaceEntry, 0, len(d.ifaces))
+	ents := make([]*ifacecache.Entry, 0, len(d.ifaces))
 	for _, e := range d.ifaces {
-		entries = append(entries, e)
+		if e.cacheEnt != nil {
+			ents = append(ents, e.cacheEnt)
+		}
 	}
 	d.mu.Unlock()
-	for _, e := range entries {
-		d.failEntryIfUnresolved(e)
+	for _, ent := range ents {
+		ent.Fail()
 	}
 }
 

@@ -150,8 +150,9 @@ func TestPooledSegmentsReplayByteIdentical(t *testing.T) {
 			for _, hdr := range []core.HeaderMode{core.HeaderShared, core.HeaderReprocess} {
 				for _, bs := range []int{1, 256} {
 					t.Run(fmt.Sprintf("%s/w%d/hdr%d/bs%d", strat, workers, hdr, bs), func(t *testing.T) {
-						opts := core.Options{Workers: workers, Strategy: strat, Headers: hdr, BlockSize: bs,
+						opts := core.Options{Workers: workers, Strategy: strat, Headers: hdr,
 							StreamCache: streamcache.New(0)}
+						core.SetBlockSize(t, bs)
 						for pass, name := range []string{"cold", "warm"} {
 							var objs []*vm.Object
 							for _, m := range mods {

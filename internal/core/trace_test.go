@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"m2cc/internal/core"
 	"m2cc/internal/ctrace"
@@ -143,26 +144,42 @@ func TestMeasuredStampsInTask(t *testing.T) {
 }
 
 // TestMeasuredReplayFollowsStrategy checks that the measured trace
-// carries what -dky acts on: replaying a module whose Skeptical replay
-// takes DKY blocks under Avoidance (scope gates before the first
-// search) gives a different schedule.
+// carries what -dky acts on: some suite program's Avoidance replay is
+// held back by the scope gates the measured trace carries (before the
+// first search), and so differs from its replay without them and from
+// its Skeptical replay.  The trace's wall-clock stretches are rewritten
+// to one µs per work unit first, so the replays do not depend on the
+// host's timings.
 func TestMeasuredReplayFollowsStrategy(t *testing.T) {
 	suite := workload.GenerateSuite(7, 0.05)
-	opts := func(s symtab.Strategy) sim.Options {
-		return sim.Options{Processors: 4, Strategy: s, LongBeforeShort: true, BoostResolver: true}
+	replay := func(m *ctrace.Trace, s symtab.Strategy) (int64, float64) {
+		r := sim.New(m, sim.Options{Processors: 4, Strategy: s, LongBeforeShort: true, BoostResolver: true}).Run()
+		return r.Blocks, r.Makespan
 	}
 	for _, p := range suite.Programs {
-		m := measuredTrace(t, suite, p.Name, 1, symtab.Skeptical)
-		sk := sim.New(m, opts(symtab.Skeptical)).Run()
-		if sk.Blocks == 0 {
+		res := core.Compile(p.Name, suite.Loader, core.Options{Workers: 1, Trace: true})
+		if res.Failed() {
+			t.Fatalf("%s failed to compile:\n%s", p.Name, res.Diags)
+		}
+		for i := range res.Trace.Run.Tasks {
+			var units float64
+			for j := range res.Trace.Run.Tasks[i].Stretches {
+				s := &res.Trace.Run.Tasks[i].Stretches[j]
+				s.End = s.Start + time.Duration((s.Units-units)*float64(time.Microsecond))
+				units = s.Units
+			}
+		}
+		m := res.Trace.Measured()
+		ungated := *m
+		ungated.ScopeGates = nil
+		avBlocks, avSpan := replay(m, symtab.Avoidance)
+		if b, span := replay(&ungated, symtab.Avoidance); b == avBlocks && span == avSpan {
 			continue
 		}
-		av := sim.New(m, opts(symtab.Avoidance)).Run()
-		if av.Blocks == sk.Blocks && av.Makespan == sk.Makespan {
-			t.Errorf("%s: Avoidance replay matches Skeptical (%d blocks, %v µs)",
-				p.Name, sk.Blocks, sk.Makespan)
+		if b, span := replay(m, symtab.Skeptical); b == avBlocks && span == avSpan {
+			t.Errorf("%s: Avoidance replay matches Skeptical (%d blocks, %v µs)", p.Name, b, span)
 		}
 		return
 	}
-	t.Fatal("no suite program's measured replay takes a DKY block")
+	t.Fatal("no suite program's measured Avoidance replay depends on its scope gates")
 }

@@ -7,25 +7,31 @@
 // (the benchmark suite, differential tests, anything CompileBatch-like)
 // import the same layered interfaces dozens of times, so most of their
 // wall clock is identical interface work redone.  This cache keys each
-// definition module by the combined content hash of its transitive
-// import closure and stores the *result* of compiling it: the sealed
-// symtab.Scope, its storage-area assignment, its direct imports and
-// the deterministic work-unit cost of having compiled it.  A lint
-// compilation's entries are keyed apart from plain ones and also carry
-// the interface's static-analysis fact table, a pure function of the
-// .def text, so a lint hit installs what the analysis would compute.
+// definition module by the closure hash of its transitive imports
+// (impscan.Closures, computed once per compilation) and stores the
+// *result* of compiling it: the sealed symtab.Scope, its storage-area
+// assignment, its direct imports and their entries.  An entry holds no
+// more than that, as a separately compiled unit is defined by its
+// interface: an install walks the closure from the direct imports.  A
+// lint compilation's entries are keyed apart from plain ones and also
+// carry the interface's static-analysis fact table, a pure function of
+// the .def text, so a lint hit installs what the analysis would
+// compute.
 //
 // Concurrency follows the compiler's own event discipline: the first
 // compilation to request an uncached interface becomes its leader and
 // compiles it exactly once; concurrent requesters park on the entry's
-// completion event (Supervisor tasks use an external handled wait, so
-// worker slots are released) and re-acquire when it fires.  A leader
-// that cannot publish — diagnostics against the file, a load failure,
-// a deadlock-poisoned compilation — fails the entry, waking waiters so
-// the next requester takes over leadership.
+// event (Supervisor tasks use an external handled wait, so worker
+// slots are released) under the caller's stall bound, and acquire
+// again when it fires (Resolve).  Entries are one-shot: an entry fires
+// its event exactly once, ready or failed, and is never reset.  A
+// leader that cannot publish — diagnostics against the file, a load
+// failure, a deadlock-poisoned compilation — fails its entry, and the
+// next Acquire makes a fresh one and leads it.
 //
 // Correctness transparency: an entry is published only when the
-// interface compiled cleanly, and installation of a cache hit is
+// interface compiled cleanly and becomes ready only when every direct
+// import's entry is ready, and installation of a cache hit is
 // abandoned if any closure member conflicts with a scope the session
 // already has — type compatibility is pointer identity, so a session
 // must reference exactly one Scope object per interface.  In traces, a
@@ -35,18 +41,25 @@
 package ifacecache
 
 import (
-	"slices"
 	"sync"
+	"time"
 
 	"m2cc/internal/check"
 	"m2cc/internal/event"
 	"m2cc/internal/impscan"
 	"m2cc/internal/lru"
+	"m2cc/internal/pool"
 	"m2cc/internal/source"
 	"m2cc/internal/symtab"
 )
 
-// State is the outcome of an Acquire.
+// DefaultStallTimeout bounds a wait on a foreign leader when the caller
+// sets no bound.  A healthy leader publishes or fails its entry in well
+// under a second; a leader silent this long is treated as wedged and
+// the waiter compiles the interface itself.
+const DefaultStallTimeout = 30 * time.Second
+
+// State is the outcome of an Acquire or a Resolve.
 type State uint8
 
 const (
@@ -55,253 +68,187 @@ const (
 	// Lead: the caller is now the entry's leader and must compile the
 	// interface, then call Publish (on success) or Fail.
 	Lead
-	// Wait: another compilation is leading; park on the returned event
-	// and re-Acquire when it fires.
+	// Wait: another compilation is leading (Acquire only); park on the
+	// returned event and acquire again when it fires.
 	Wait
 	// Bypass: the interface is uncacheable (load failure or an import
 	// cycle in its closure); compile it without cache participation.
 	Bypass
+	// Abandoned: the leader stalled past the caller's bound (Resolve
+	// only); compile the interface without cache participation.
+	Abandoned
 )
 
 func (s State) String() string {
-	switch s {
-	case Hit:
-		return "hit"
-	case Lead:
-		return "lead"
-	case Wait:
-		return "wait"
-	default:
-		return "bypass"
-	}
+	return [...]string{"hit", "lead", "wait", "bypass", "abandoned"}[s]
 }
 
 type entryState uint8
 
 const (
 	stateLeading entryState = iota // leader compiling
-	stateSealing                   // published, waiting for deps to seal
-	stateReady                     // installable
-	stateFailed                    // not publishable this round; next Acquire re-leads
+	stateSealing                   // published, waiting for its deps to become ready
+	stateReady                     // installable (final)
+	stateFailed                    // never installable (final); the next Acquire makes a fresh entry
 )
 
 type key struct {
 	name string
-	hash source.Hash // combined hash of the module's transitive .def closure
+	hash source.Hash // closure hash of the module's transitive .def imports
 	lint bool        // entry carries the def unit's lint facts
 }
 
-// Dep names one direct import of a published interface together with
-// the Scope object the publication's symbols actually reference.  The
-// entry seals only if the dep entry becomes ready with that same scope
-// — otherwise the publication would mix scope generations and break
-// pointer-identity type compatibility for future installs.
-type Dep struct {
-	Ent   *Entry
-	Scope *symtab.Scope
-}
-
 // Entry is one cached (or in-flight) definition-module compilation.
+// It is one-shot: its event fires exactly once, when the entry becomes
+// ready or fails, and nothing in it is reset.
 type Entry struct {
 	name string
+	done event.Event // fired once, on ready or failed
 
-	mu        sync.Mutex // guards: state, ready, and the install payload below
-	state     entryState
-	ready     *event.Event // fired when the entry becomes ready or failed
+	mu       sync.Mutex // guards: state, depsLeft
+	state    entryState
+	depsLeft int32
+
+	// The published payload: written once by Publish, before anyone
+	// can see the entry ready, and immutable after, so its accessors
+	// take no lock.
 	scope     *symtab.Scope
 	areaName  string
 	areaSlots int32
-	depsLeft  int32 // beside areaSlots, so facts costs the entry no size class
 	imports   []string
-	deps      []Dep
-	cost      float64
-	facts     *check.Facts // the def unit's lint fact table (lint entries)
-	closure   []*Entry     // Closure, taken when the entry becomes ready
+	deps      []*Entry
+	facts     *check.Facts
 }
 
 // Name returns the definition module's name.
 func (e *Entry) Name() string { return e.name }
 
 // Scope returns the sealed interface scope (ready entries only).
-func (e *Entry) Scope() *symtab.Scope {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.scope
-}
+func (e *Entry) Scope() *symtab.Scope { return e.scope }
 
 // AreaName returns the globals-area label ("M.def") of the interface.
-func (e *Entry) AreaName() string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.areaName
-}
+func (e *Entry) AreaName() string { return e.areaName }
 
 // AreaSlots returns the number of storage slots the interface's
 // module-level variables occupy.
-func (e *Entry) AreaSlots() int32 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.areaSlots
-}
+func (e *Entry) AreaSlots() int32 { return e.areaSlots }
 
 // Imports returns the interface's direct imports (deduplicated, in
 // first-mention order).
-func (e *Entry) Imports() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.imports
-}
-
-// Cost returns the deterministic work-unit cost of the interface's
-// def-stream parse/analysis, as measured by the publishing leader.
-func (e *Entry) Cost() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cost
-}
+func (e *Entry) Imports() []string { return e.imports }
 
 // Facts returns the definition module's lint fact table: nil in an
 // entry acquired without lint, never nil in a ready lint entry.
-func (e *Entry) Facts() *check.Facts {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.facts
-}
+func (e *Entry) Facts() *check.Facts { return e.facts }
 
-// pinned reports whether the entry is still leading or sealing: live
-// waiters are parked on its ready event, so eviction must skip it.
-func (e *Entry) pinned() bool {
+func (e *Entry) status() entryState {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.state == stateLeading || e.state == stateSealing
+	return e.state
 }
 
 // Ready reports whether the entry is installable.
-func (e *Entry) Ready() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.state == stateReady
+func (e *Entry) Ready() bool { return e.status() == stateReady }
+
+// pinned reports whether the entry is still leading or sealing: live
+// waiters are parked on its event, so eviction must skip it.
+func (e *Entry) pinned() bool { return e.status() < stateReady }
+
+// Walk visits the closure of a ready entry — its transitive deps, then
+// the entry — in post-order, each member once: the order a depth-first
+// walk over the direct imports completes them.  skip prunes a member
+// and everything reached only through it (one the installing
+// compilation already holds, with its closure); visit returning false
+// stops the walk, and Walk reports whether it ran to the end.  The walk
+// allocates nothing in the steady state and costs time linear in the
+// members it reaches.
+func (e *Entry) Walk(skip, visit func(*Entry) bool) bool {
+	seen := seenSets.Get()
+	ok := e.walk(seen, skip, visit)
+	clear(seen)
+	seenSets.Put(seen)
+	return ok
 }
 
-// Closure returns the entry and its transitive deps, dependencies
-// first, deduplicated.  Valid once the entry is ready (every dep of a
-// ready entry is ready); it is taken then, once.
-func (e *Entry) Closure() []*Entry {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.closure
+// seenSets recycles the walks' visited sets; a cleared map keeps its
+// buckets, which Size does not see.
+var seenSets = &pool.List[map[*Entry]bool]{
+	New:  func() map[*Entry]bool { return make(map[*Entry]bool) },
+	Size: func(map[*Entry]bool) int { return 0 },
 }
 
-// Publish stores the leader's completed compilation of the interface
-// and begins sealing: the entry becomes ready as soon as every direct
-// import's entry is ready with the scope this publication references.
-// cost is the def stream's deterministic work-unit total; imports are
-// the direct imports in first-mention order, deduplicated; facts is the
-// def unit's lint fact table (nil for an entry acquired without lint).
+func (e *Entry) walk(seen map[*Entry]bool, skip, visit func(*Entry) bool) bool {
+	if seen[e] || skip(e) {
+		return true
+	}
+	seen[e] = true
+	for _, d := range e.deps {
+		if !d.walk(seen, skip, visit) {
+			return false
+		}
+	}
+	return visit(e)
+}
+
+// Publish stores the leader's clean compilation of the interface: its
+// scope, the label and size of its globals area, its direct imports in
+// first-mention order (deduplicated) with their entries, and, in a lint
+// entry, the def unit's fact table.  The entry becomes ready once every
+// dep is ready, and fails if any dep fails.  Publish after Fail does
+// nothing.
 func (e *Entry) Publish(scope *symtab.Scope, areaName string, areaSlots int32,
-	imports []string, deps []Dep, cost float64, facts *check.Facts) {
+	imports []string, deps []*Entry, facts *check.Facts) {
 
 	e.mu.Lock()
 	if e.state != stateLeading {
 		e.mu.Unlock()
 		return
 	}
-	e.state = stateSealing
-	e.scope = scope
-	e.areaName = areaName
-	e.areaSlots = areaSlots
-	e.imports = imports
-	e.deps = deps
-	e.cost = cost
-	e.facts = facts
-	e.depsLeft = int32(len(deps))
-	left := e.depsLeft
+	e.state, e.depsLeft = stateSealing, int32(len(deps))
+	e.scope, e.areaName, e.areaSlots = scope, areaName, areaSlots
+	e.imports, e.deps, e.facts = imports, deps, facts
 	e.mu.Unlock()
 
-	if left == 0 {
-		e.seal()
-		return
+	if len(deps) == 0 {
+		e.settle(stateSealing, stateReady)
 	}
 	for _, d := range deps {
-		e.watchDep(d)
+		d.done.Subscribe(func(*event.Event) { e.depSettled(d) })
 	}
 }
 
-// Fail marks the entry unpublishable this round and wakes waiters; the
-// next Acquire for the same key becomes the new leader.  Ready entries
-// never fail.
-func (e *Entry) Fail() {
-	e.mu.Lock()
-	if e.state == stateReady || e.state == stateFailed {
-		e.mu.Unlock()
+// Fail gives up the leadership of an unpublished entry and wakes its
+// waiters; the next Acquire for the same key leads a fresh entry.  Fail
+// after Publish does nothing.
+func (e *Entry) Fail() { e.settle(stateLeading, stateFailed) }
+
+// depSettled counts one dep's verdict: the last ready dep makes the
+// entry ready, a failed one fails it.
+func (e *Entry) depSettled(d *Entry) {
+	if !d.Ready() {
+		e.settle(stateSealing, stateFailed)
 		return
 	}
-	e.state = stateFailed
-	ev := e.ready
-	e.mu.Unlock()
-	ev.Fire() // vet:allowfire cross-compilation cache event; no TaskCtx owns it
-}
-
-func (e *Entry) seal() {
 	e.mu.Lock()
-	if e.state != stateSealing {
-		e.mu.Unlock()
-		return
-	}
-	// Every dep is ready, its closure taken: e's is theirs in order,
-	// deduplicated, then e — a depth-first walk's post-order.
-	for _, d := range e.deps {
-		for _, m := range d.Ent.Closure() {
-			if !slices.Contains(e.closure, m) {
-				e.closure = append(e.closure, m)
-			}
-		}
-	}
-	e.closure = append(e.closure, e)
-	e.state = stateReady
-	ev := e.ready
-	e.mu.Unlock()
-	ev.Fire() // vet:allowfire cross-compilation cache event; no TaskCtx owns it
-}
-
-// watchDep drives one dep toward resolution.  A dep entry can cycle
-// through failed → re-led rounds; each round swaps in a fresh ready
-// event, so the watcher re-examines the dep's state after every fire
-// and only counts it done when it is ready *with the expected scope*.
-func (e *Entry) watchDep(d Dep) {
-	d.Ent.mu.Lock()
-	st := d.Ent.state
-	sc := d.Ent.scope
-	ev := d.Ent.ready
-	d.Ent.mu.Unlock()
-	switch st {
-	case stateReady:
-		if sc != d.Scope {
-			// The dep was republished from a different compilation's
-			// scope object; this publication's symbols reference the
-			// old one, so installing it would split type identity.
-			e.Fail()
-			return
-		}
-		e.depDone()
-	case stateFailed:
-		e.Fail()
-	default:
-		ev.Subscribe(func(*event.Event) { e.watchDep(d) })
-	}
-}
-
-func (e *Entry) depDone() {
-	e.mu.Lock()
-	if e.state != stateSealing {
-		e.mu.Unlock()
-		return
-	}
 	e.depsLeft--
-	done := e.depsLeft == 0
+	last := e.depsLeft == 0
 	e.mu.Unlock()
-	if done {
-		e.seal()
+	if last {
+		e.settle(stateSealing, stateReady)
+	}
+}
+
+// settle moves the entry from state from to the final state to and
+// fires its event; it does nothing in any other state.
+func (e *Entry) settle(from, to entryState) {
+	e.mu.Lock()
+	ok := e.state == from
+	if ok {
+		e.state = to
+	}
+	e.mu.Unlock()
+	if ok {
+		e.done.Fire() // vet:allowfire cross-compilation cache event; no TaskCtx owns it
 	}
 }
 
@@ -312,7 +259,7 @@ type Stats struct {
 	Misses    int64 `json:"misses"`              // Acquire became leader (first compile of this content)
 	Waits     int64 `json:"waits"`               // Acquire parked behind another compilation's leader
 	Bypasses  int64 `json:"bypasses"`            // uncacheable requests (load failure / import cycle)
-	Abandoned int64 `json:"abandoned,omitempty"` // waiters that timed out on a wedged leader (NoteAbandoned)
+	Abandoned int64 `json:"abandoned,omitempty"` // waiters that timed out on a wedged leader (Resolve)
 	Evictions int64 `json:"evictions,omitempty"` // entries dropped by the LRU cap (SetLimit)
 	Hashes    int64 `json:"hashes,omitempty"`    // .def texts content-hashed on this cache's behalf
 }
@@ -357,12 +304,12 @@ func New() *Cache {
 	}
 }
 
-// SetLimit caps the cache, and each of its closure memos, at n entries
+// SetLimit caps the cache, and its import-scan memo, at n entries
 // (0 = unbounded).  When an insert pushes the cache past the cap, the
 // least-recently-used evictable entries are dropped.  Entries that are
-// still leading or sealing have live waiters parked on their ready
-// event and are never evicted — the cache may temporarily exceed the
-// cap while such entries exist.
+// still leading or sealing have live waiters parked on their event and
+// are never evicted — the cache may temporarily exceed the cap while
+// such entries exist.
 func (c *Cache) SetLimit(n int) {
 	c.mu.Lock()
 	c.entries.SetLimit(n)
@@ -380,16 +327,6 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
-// NoteAbandoned counts one waiter giving up on a wedged foreign leader
-// at its stall deadline (the compiler then compiles the interface
-// itself, outside the cache).  The cache cannot see these timeouts —
-// they happen in the waiter — so the compiler reports them.
-func (c *Cache) NoteAbandoned() {
-	c.mu.Lock()
-	c.stats.Abandoned++
-	c.mu.Unlock()
-}
-
 // Len returns the number of entries (any state).
 func (c *Cache) Len() int {
 	c.mu.Lock()
@@ -401,55 +338,73 @@ func (c *Cache) Len() int {
 //
 //	Hit    → ent is ready; install its closure.
 //	Lead   → the caller must compile the interface and Publish or Fail ent.
-//	Wait   → park on ev, then re-Acquire.
+//	Wait   → park on ev, then acquire again.
 //	Bypass → compile without the cache (ent and ev are nil).
 //
-// The key is the combined content hash of the module's transitive .def
-// import closure, so any textual change to the module or anything it
-// imports yields a distinct entry, and the mode: a lint compilation
-// (lint set) sees only entries whose publishers attached their facts.
+// The key is the closure hash of the module's transitive .def imports,
+// so any textual change to the module or anything it imports yields a
+// distinct entry, and the mode: a lint compilation (lint set) sees only
+// entries whose publishers attached their facts.  A failed entry is
+// replaced by a fresh one, which the caller leads.
 func (c *Cache) Acquire(name string, loader source.Loader, lint bool) (ent *Entry, ev *event.Event, st State) {
 	h, ok := c.hasher.Root(name, loader)
-	if !ok {
-		c.mu.Lock()
-		c.stats.Bypasses++
-		c.mu.Unlock()
-		return nil, nil, Bypass
-	}
-
-	k := key{name: name, hash: h, lint: lint}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries.Get(k)
 	if !ok {
-		e = &Entry{name: name, state: stateLeading, ready: event.New()}
-		c.entries.Put(k, e)
-		c.stats.Misses++
-		return e, nil, Lead
+		c.stats.Bypasses++
+		return nil, nil, Bypass
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	switch e.state {
-	case stateReady:
-		c.stats.Hits++
-		return e, nil, Hit
-	case stateFailed:
-		// Take over leadership for a fresh round with a fresh event.
-		e.state = stateLeading
-		e.ready = event.New()
-		e.scope = nil
-		e.areaName = ""
-		e.areaSlots = 0
-		e.imports = nil
-		e.deps = nil
-		e.cost = 0
-		e.facts = nil
-		e.depsLeft = 0
-		e.closure = nil
-		c.stats.Misses++
-		return e, nil, Lead
-	default: // leading or sealing
-		c.stats.Waits++
-		return e, e.ready, Wait
+	k := key{name: name, hash: h, lint: lint}
+	if e, ok := c.entries.Get(k); ok {
+		switch e.status() {
+		case stateReady:
+			c.stats.Hits++
+			return e, nil, Hit
+		case stateLeading, stateSealing:
+			c.stats.Waits++
+			return e, &e.done, Wait
+		}
 	}
+	e := &Entry{name: name}
+	c.entries.Put(k, e)
+	c.stats.Misses++
+	return e, nil, Lead
+}
+
+// Resolve runs the protocol for one interface to a verdict: it
+// acquires name and, while another compilation leads the entry, parks
+// through wait and acquires again — the event's fire is the leader's
+// verdict, and after a failure the fresh entry is this caller's to
+// lead.  wait is the caller's bounded wait (Await, or a supervised
+// task's external wait) and reports whether the event fired; when it
+// did not, the leader is wedged, and Resolve counts the abandonment
+// and returns Abandoned.  waits counts the parks.
+func (c *Cache) Resolve(name string, loader source.Loader, lint bool, wait func(*event.Event) bool) (ent *Entry, st State, waits int64) {
+	for {
+		ent, ev, st := c.Acquire(name, loader, lint)
+		if st != Wait {
+			return ent, st, waits
+		}
+		waits++
+		if !wait(ev) {
+			c.mu.Lock()
+			c.stats.Abandoned++
+			c.mu.Unlock()
+			return nil, Abandoned, waits
+		}
+	}
+}
+
+// Await is the bounded wait of a caller no scheduler supervises: it
+// parks on ev for at most d, or until cancel closes (a nil cancel never
+// does), and reports whether ev fired.
+func Await(ev *event.Event, d time.Duration, cancel <-chan struct{}) bool {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-ev.Done():
+	case <-timer.C:
+	case <-cancel:
+	}
+	return ev.Fired()
 }

@@ -41,14 +41,14 @@ func TestModeKeyedEntries(t *testing.T) {
 	if st != ifacecache.Lead {
 		t.Fatalf("plain acquire: %v, want Lead", st)
 	}
-	plain.Publish(newScope("A"), "A.def", 0, nil, nil, 1, nil)
+	plain.Publish(newScope("A"), "A.def", 0, nil, nil, nil)
 
 	lint, _, st := c.Acquire("A", loader, true)
 	if st != ifacecache.Lead || lint == plain {
 		t.Fatalf("lint acquire after a plain publish: %v, want Lead on a new entry", st)
 	}
 	facts := &check.Facts{Kind: check.DefUnit, Path: "A.def"}
-	lint.Publish(newScope("A"), "A.def", 0, nil, nil, 2, facts)
+	lint.Publish(newScope("A"), "A.def", 0, nil, nil, facts)
 
 	for _, mode := range []struct {
 		lint  bool
@@ -78,7 +78,7 @@ func TestLeadPublishHit(t *testing.T) {
 		t.Fatal("entry ready before publish")
 	}
 	sc := newScope("A")
-	ent.Publish(sc, "A.def", 3, nil, nil, 42, nil)
+	ent.Publish(sc, "A.def", 3, nil, nil, nil)
 	if !ent.Ready() {
 		t.Fatal("entry with no deps must be ready after publish")
 	}
@@ -87,11 +87,11 @@ func TestLeadPublishHit(t *testing.T) {
 	if st2 != ifacecache.Hit || ent2 != ent {
 		t.Fatalf("second acquire: got (%p, %v), want hit on %p", ent2, st2, ent)
 	}
-	if ent2.Scope() != sc || ent2.AreaName() != "A.def" || ent2.AreaSlots() != 3 || ent2.Cost() != 42 {
-		t.Fatalf("payload mismatch: scope=%p area=%q slots=%d cost=%v",
-			ent2.Scope(), ent2.AreaName(), ent2.AreaSlots(), ent2.Cost())
+	if ent2.Scope() != sc || ent2.AreaName() != "A.def" || ent2.AreaSlots() != 3 {
+		t.Fatalf("payload mismatch: scope=%p area=%q slots=%d",
+			ent2.Scope(), ent2.AreaName(), ent2.AreaSlots())
 	}
-	if cl := ent2.Closure(); len(cl) != 1 || cl[0] != ent2 {
+	if cl := closure(ent2); len(cl) != 1 || cl[0] != ent2 {
 		t.Fatalf("closure of dep-free entry: %v", cl)
 	}
 	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 || s.Waits != 0 || s.Bypasses != 0 {
@@ -122,7 +122,7 @@ func TestSingleFlight(t *testing.T) {
 					leads.Add(1)
 					// Hold leadership long enough for others to pile up.
 					time.Sleep(2 * time.Millisecond)
-					ent.Publish(sc, "A.def", 0, nil, nil, 1, nil)
+					ent.Publish(sc, "A.def", 0, nil, nil, nil)
 					return
 				case ifacecache.Wait:
 					ev.Wait()
@@ -147,6 +147,9 @@ func TestSingleFlight(t *testing.T) {
 	}
 }
 
+// TestFailedLeaderRetried pins the one-shot contract: a failed entry
+// wakes its waiters and stays failed, and the next Acquire leads a
+// fresh entry in its place.
 func TestFailedLeaderRetried(t *testing.T) {
 	loader := loaderWith(map[string]string{"A": defA})
 	c := ifacecache.New()
@@ -164,17 +167,25 @@ func TestFailedLeaderRetried(t *testing.T) {
 	woke := make(chan struct{})
 	go func() { ev.Wait(); close(woke) }()
 
-	// ...the leader fails; the waiter wakes and re-leads.
+	// ...the leader fails; the waiter wakes and leads a fresh entry.
 	ent.Fail()
 	<-woke
 	ent3, _, st3 := c.Acquire("A", loader, false)
-	if st3 != ifacecache.Lead || ent3 != ent {
-		t.Fatalf("after fail: got (%p, %v), want fresh lead on %p", ent3, st3, ent)
+	if st3 != ifacecache.Lead || ent3 == ent {
+		t.Fatalf("after fail: got (%p, %v), want a lead on a fresh entry, not %p", ent3, st3, ent)
 	}
 	sc := newScope("A")
-	ent3.Publish(sc, "A.def", 0, nil, nil, 1, nil)
-	if _, _, st4 := c.Acquire("A", loader, false); st4 != ifacecache.Hit {
-		t.Fatalf("state %v, want Hit after republish", st4)
+	ent3.Publish(sc, "A.def", 0, nil, nil, nil)
+	ent.Publish(newScope("A"), "A.def", 0, nil, nil, nil) // too late: a no-op
+	if ent.Ready() || ent.Scope() != nil {
+		t.Fatal("a failed entry was published")
+	}
+	if got, _, st4 := c.Acquire("A", loader, false); st4 != ifacecache.Hit || got != ent3 || got.Scope() != sc {
+		t.Fatalf("state %v on %p, want a hit on the fresh entry %p", st4, got, ent3)
+	}
+	ent3.Fail() // too late: a no-op
+	if !ent3.Ready() {
+		t.Fatal("Fail after Publish unpublished the entry")
 	}
 }
 
@@ -184,7 +195,7 @@ func TestContentChangeInvalidates(t *testing.T) {
 
 	ent, _, _ := c.Acquire("A", loader, false)
 	scOld := newScope("A")
-	ent.Publish(scOld, "A.def", 0, nil, nil, 1, nil)
+	ent.Publish(scOld, "A.def", 0, nil, nil, nil)
 
 	// Editing A.def must miss; the old entry stays for the old text.
 	loader.Add("A", source.Def, defA2)
@@ -193,7 +204,7 @@ func TestContentChangeInvalidates(t *testing.T) {
 		t.Fatalf("after edit: state %v (same entry: %v), want fresh Lead", st, ent2 == ent)
 	}
 	scNew := newScope("A")
-	ent2.Publish(scNew, "A.def", 0, nil, nil, 1, nil)
+	ent2.Publish(scNew, "A.def", 0, nil, nil, nil)
 	if c.Len() != 2 {
 		t.Fatalf("cache has %d entries, want 2", c.Len())
 	}
@@ -215,16 +226,16 @@ func TestImportChangeInvalidatesDependents(t *testing.T) {
 
 	entA, _, _ := c.Acquire("A", loader, false)
 	scA := newScope("A")
-	entA.Publish(scA, "A.def", 0, nil, nil, 1, nil)
+	entA.Publish(scA, "A.def", 0, nil, nil, nil)
 
 	entB, _, _ := c.Acquire("B", loader, false)
 	scB := newScope("B")
 	entB.Publish(scB, "B.def", 0, []string{"A"},
-		[]ifacecache.Dep{{Ent: entA, Scope: scA}}, 2, nil)
+		[]*ifacecache.Entry{entA}, nil)
 	if !entB.Ready() {
 		t.Fatal("B must seal once its dep is ready")
 	}
-	if cl := entB.Closure(); len(cl) != 2 || cl[0] != entA || cl[1] != entB {
+	if cl := closure(entB); len(cl) != 2 || cl[0] != entA || cl[1] != entB {
 		t.Fatalf("closure must list deps first: %v", cl)
 	}
 
@@ -248,7 +259,7 @@ func TestSealingAwaitsDeps(t *testing.T) {
 	scA, scB := newScope("A"), newScope("B")
 
 	entB.Publish(scB, "B.def", 0, []string{"A"},
-		[]ifacecache.Dep{{Ent: entA, Scope: scA}}, 2, nil)
+		[]*ifacecache.Entry{entA}, nil)
 	if entB.Ready() {
 		t.Fatal("B sealed before its dep A was ready")
 	}
@@ -256,7 +267,7 @@ func TestSealingAwaitsDeps(t *testing.T) {
 		t.Fatalf("B while sealing: state %v, want Wait", st)
 	}
 
-	entA.Publish(scA, "A.def", 0, nil, nil, 1, nil)
+	entA.Publish(scA, "A.def", 0, nil, nil, nil)
 	if !entB.Ready() {
 		t.Fatal("B must seal once A publishes")
 	}
@@ -265,25 +276,30 @@ func TestSealingAwaitsDeps(t *testing.T) {
 	}
 }
 
-// TestDepScopeMismatchFails: if the dep entry becomes ready with a
-// *different* scope object than the publication's symbols reference,
-// the publication must fail rather than mix scope generations.
+// TestDepScopeMismatchFails: a publication's symbols reference the
+// scopes of its deps' entries, so it may become ready only with those
+// entries.  A dep that fails — before the publication or after it —
+// fails the publication too, and the next Acquire leads afresh.
 func TestDepScopeMismatchFails(t *testing.T) {
-	loader := loaderWith(map[string]string{"A": defA, "B": defB})
-	c := ifacecache.New()
+	for _, early := range []bool{true, false} {
+		loader := loaderWith(map[string]string{"A": defA, "B": defB})
+		c := ifacecache.New()
 
-	entA, _, _ := c.Acquire("A", loader, false)
-	entA.Publish(newScope("A"), "A.def", 0, nil, nil, 1, nil)
-
-	entB, _, _ := c.Acquire("B", loader, false)
-	staleScopeOfA := newScope("A") // not the scope entA published
-	entB.Publish(newScope("B"), "B.def", 0, []string{"A"},
-		[]ifacecache.Dep{{Ent: entA, Scope: staleScopeOfA}}, 2, nil)
-	if entB.Ready() {
-		t.Fatal("B sealed against a mismatched dep scope")
-	}
-	if _, _, st := c.Acquire("B", loader, false); st != ifacecache.Lead {
-		t.Fatalf("B after mismatch: state %v, want Lead (failed entry re-led)", st)
+		entA, _, _ := c.Acquire("A", loader, false)
+		entB, _, _ := c.Acquire("B", loader, false)
+		if early {
+			entA.Fail()
+		}
+		entB.Publish(newScope("B"), "B.def", 0, []string{"A"}, []*ifacecache.Entry{entA}, nil)
+		if !early {
+			entA.Fail()
+		}
+		if entB.Ready() {
+			t.Fatalf("early=%v: B became ready against a failed dep", early)
+		}
+		if ent, _, st := c.Acquire("B", loader, false); st != ifacecache.Lead || ent == entB {
+			t.Fatalf("early=%v: B after its dep failed: state %v, want Lead on a fresh entry", early, st)
+		}
 	}
 }
 
@@ -314,4 +330,12 @@ func TestMissingSourceBypasses(t *testing.T) {
 	if _, _, st := c.Acquire("B", loader, false); st != ifacecache.Bypass {
 		t.Fatalf("state %v, want Bypass for missing transitive import", st)
 	}
+}
+
+// closure lists e's closure in Walk order.
+func closure(e *ifacecache.Entry) []*ifacecache.Entry {
+	var out []*ifacecache.Entry
+	e.Walk(func(*ifacecache.Entry) bool { return false },
+		func(m *ifacecache.Entry) bool { out = append(out, m); return true })
+	return out
 }

@@ -20,7 +20,7 @@ func TestLRUEviction(t *testing.T) {
 		if st != ifacecache.Lead {
 			t.Fatalf("acquire %s: %v, want Lead", name, st)
 		}
-		ent.Publish(newScope(name), name+".def", 0, nil, nil, 1, nil)
+		ent.Publish(newScope(name), name+".def", 0, nil, nil, nil)
 	}
 	// Touch A so B is the LRU entry.
 	if _, _, st := c.Acquire("A", loader, false); st != ifacecache.Hit {
@@ -32,7 +32,7 @@ func TestLRUEviction(t *testing.T) {
 	if st != ifacecache.Lead {
 		t.Fatalf("acquire C: %v, want Lead", st)
 	}
-	entC.Publish(newScope("C"), "C.def", 0, nil, nil, 1, nil)
+	entC.Publish(newScope("C"), "C.def", 0, nil, nil, nil)
 
 	if n := c.Len(); n != 2 {
 		t.Fatalf("len after eviction: %d, want 2", n)
@@ -75,8 +75,8 @@ func TestLRUNeverEvictsLiveLeader(t *testing.T) {
 	}
 
 	// Once published, the next insert pressure can evict.
-	entA.Publish(newScope("A"), "A.def", 0, nil, nil, 1, nil)
-	entB.Publish(newScope("B"), "B.def", 0, nil, nil, 1, nil)
+	entA.Publish(newScope("A"), "A.def", 0, nil, nil, nil)
+	entB.Publish(newScope("B"), "B.def", 0, nil, nil, nil)
 	c.SetLimit(1)
 	if n := c.Len(); n != 1 {
 		t.Fatalf("len after publish + re-cap: %d, want 1", n)

@@ -5,42 +5,39 @@ import (
 	"sync"
 
 	"m2cc/internal/lru"
+	"m2cc/internal/pool"
 	"m2cc/internal/source"
 )
 
-// Closures hashes definition modules' transitive import closures: the
-// content of a module's .def combined, recursively, with that of every
-// .def it imports.  The interface cache keys each entry by one such
-// hash and the stream cache keys every stream by a combination of
-// them, so any textual change to an interface a compilation can see
-// yields a distinct key.
+// Closures hashes definition modules' transitive import closures.  A
+// module's closure hash is a Merkle hash: the content hash of its .def
+// combined with the name and closure hash of each module it imports.
+// The interface cache keys each entry by one such hash and the stream
+// cache keys every stream by a combination of them, so any textual
+// change to an interface a compilation can see yields a distinct key.
 //
-// Two memos make a warm rehash cheap: each distinct .def text is
-// scanned for imports once, and each module's closure hash is kept
-// with the content hash of every member, so revalidating it is one
-// load per member and no lexing.  Both are capped at the owning
+// Each .def is content-hashed, and its closure hash computed, once per
+// compilation: the closure hash is kept on the compilation's
+// source.Snapshot, where both caches' hashers find it.  Across
+// compilations only the import scans are kept: each distinct .def text
+// is scanned once, in a memo keyed by content and capped at the owning
 // cache's entry cap.  A Closures is safe for concurrent use.
 type Closures struct {
-	mu       sync.Mutex                        // guards: scans, closures, hashes
-	scans    *lru.Store[source.Hash, []string] // content hash → direct import names
-	closures *lru.Store[string, *closureMemo]  // module name → validated closure-hash memo
-	hashes   int64                             // .def texts content-hashed on this hasher's behalf
+	mu     sync.Mutex                        // guards: scans, hashes
+	scans  *lru.Store[source.Hash, []string] // content hash → direct import names
+	hashes int64                             // .def texts content-hashed on this hasher's behalf
 }
 
-// NewClosures returns a hasher whose memos hold at most limit entries
-// each (0 = unbounded).
+// NewClosures returns a hasher whose scan memo holds at most limit
+// entries (0 = unbounded).
 func NewClosures(limit int) *Closures {
-	return &Closures{
-		scans:    lru.New[source.Hash, []string](limit, nil),
-		closures: lru.New[string, *closureMemo](limit, nil),
-	}
+	return &Closures{scans: lru.New[source.Hash, []string](limit, nil)}
 }
 
-// SetLimit changes the memos' cap (0 = unbounded).
+// SetLimit changes the scan memo's cap (0 = unbounded).
 func (c *Closures) SetLimit(n int) {
 	c.mu.Lock()
 	c.scans.SetLimit(n)
-	c.closures.SetLimit(n)
 	c.mu.Unlock()
 }
 
@@ -52,174 +49,109 @@ func (c *Closures) Hashes() int64 {
 	return c.hashes
 }
 
-// load returns name.def's text and content hash.  Through a
-// source.Snapshot — the compiler hands every request of one compilation
-// the same one — a file is loaded and hashed once per compilation
-// however many closures it is a member of, and once more in the next
-// compilation, which is what revalidates every memo.
-func (c *Closures) load(name string, loader source.Loader) (text string, sum source.Hash, err error) {
-	fresh := true
-	if snap, ok := loader.(*source.Snapshot); ok {
-		text, sum, fresh, err = snap.LoadHashed(name, source.Def)
-	} else if text, err = loader.Load(name, source.Def); err == nil {
-		sum = source.HashText(text)
-	}
-	if fresh && err == nil {
-		c.mu.Lock()
-		c.hashes++
-		c.mu.Unlock()
-	}
-	return text, sum, err
-}
-
 // Hash combines the transitive closure hashes of roots into one
 // content hash, in root order.  ok is false when any root is
 // unloadable or its closure contains an import cycle — such a
 // compilation is uncacheable.
 func (c *Closures) Hash(loader source.Loader, roots []string) (source.Hash, bool) {
-	hasher := sha256.New()
+	snap := snapshot(loader)
+	walks.Lock()
+	defer walks.Unlock()
+	buf := bufs.Get()[:0]
+	defer func() { bufs.Put(buf) }()
 	for _, name := range roots {
-		h, ok := c.Root(name, loader)
+		h, ok := c.walk(name, snap, &buf)
 		if !ok {
 			return source.Hash{}, false
 		}
-		hasher.Write([]byte{0})
-		hasher.Write([]byte(name))
-		hasher.Write([]byte{0})
-		hasher.Write(h[:])
+		buf = appendLink(buf, name, h)
 	}
-	var out source.Hash
-	hasher.Sum(out[:0])
-	return out, true
+	return sha256.Sum256(buf), true
 }
 
-// closureMemo records one module's validated transitive closure hash:
-// the content hash of the module's own .def, the name and content hash
-// of every other closure member, and the combined closure hash those
-// contents produced.  A later request revalidates by re-hashing each
-// member's current text — if every content hash matches, the import
-// structure is necessarily unchanged (imports are a function of
-// content), so the stored closure hash is still correct.
-type closureMemo struct {
-	own  source.Hash
-	deps []depHash
-	hash source.Hash
-}
-
-type depHash struct {
-	name string
-	hash source.Hash
-}
-
-// closureScratch is the per-recomputation working state, pooled so a
-// warm batch does not allocate two maps per Root.
-type closureScratch struct {
-	memo     map[string]source.Hash // name → closure hash (this walk)
-	content  map[string]source.Hash // name → content hash (this walk)
-	visiting map[string]bool
-	order    []string // completion order; the root is last
-}
-
-var scratchPool = sync.Pool{New: func() any {
-	return &closureScratch{
-		memo:     make(map[string]source.Hash),
-		content:  make(map[string]source.Hash),
-		visiting: make(map[string]bool),
-	}
-}}
-
-func (s *closureScratch) reset() {
-	clear(s.memo)
-	clear(s.content)
-	clear(s.visiting)
-	s.order = s.order[:0]
-}
-
-// Root returns the transitive closure hash of name, consulting (and
-// maintaining) the per-name memo: a memo hit needs one load per closure
-// member and no lexing, recursion, or map allocation; a miss or a stale
-// memo falls back to the full walk.  ok is false when the closure has a
-// load failure or an import cycle — the real compilation will produce
-// the diagnostics.
+// Root returns the transitive closure hash of name.  ok is false when
+// the closure has a load failure or an import cycle — the real
+// compilation will produce the diagnostics.
 func (c *Closures) Root(name string, loader source.Loader) (source.Hash, bool) {
-	_, own, err := c.load(name, loader)
+	snap := snapshot(loader)
+	walks.Lock()
+	defer walks.Unlock()
+	buf := bufs.Get()[:0]
+	defer func() { bufs.Put(buf) }()
+	return c.walk(name, snap, &buf)
+}
+
+// snapshot returns the compilation's snapshot, or a snapshot for this
+// one call when the caller has none.
+func snapshot(loader source.Loader) *source.Snapshot {
+	if snap, ok := loader.(*source.Snapshot); ok {
+		return snap
+	}
+	return source.NewSnapshot(loader)
+}
+
+// walks guards every snapshot's closure memos (source.ClosureMemo): a
+// walk holds it throughout, so each memo is computed once and a walk's
+// marks are its own.  One lock serves every compilation: a walk takes
+// microseconds an interface once its imports are scanned, and a lock in
+// each snapshot would put every compilation's snapshot in a larger
+// size class.  A walk reads the files it has not seen under it, so a
+// slow Loader delays other compilations' walks too.
+var walks sync.Mutex
+
+// bufs recycles the walks' stacks of closure-hash inputs.
+var bufs = &pool.List[[]byte]{New: func() []byte { return nil }, Size: func(b []byte) int { return cap(b) }}
+
+// The walk's marks on a source.ClosureMemo.
+const (
+	walking    uint8 = 1 + iota // on the walk's stack: reaching it again is an import cycle
+	hashed                      // Sum holds the closure hash
+	unhashable                  // the closure holds an import cycle or an unloadable file
+)
+
+// walk returns name's closure hash from its memo on snap, computing
+// the memos of its closure first.  The caller holds walks.  buf is the
+// walk's stack: name's hash input is appended past what its callers
+// hold, the imports' walks push and pop theirs above it, and it is
+// popped once hashed.
+func (c *Closures) walk(name string, snap *source.Snapshot, buf *[]byte) (source.Hash, bool) {
+	m := snap.Closure(name)
+	switch m.Mark {
+	case hashed:
+		return m.Sum, true
+	case walking, unhashable:
+		return source.Hash{}, false
+	}
+	m.Mark = unhashable
+	text, err := snap.Load(name, source.Def)
 	if err != nil {
 		return source.Hash{}, false
 	}
-
+	content := source.HashText(text)
 	c.mu.Lock()
-	m, _ := c.closures.Get(name)
+	c.hashes++
 	c.mu.Unlock()
-	if m != nil && m.own == own && c.memoValid(m, loader) {
-		return m.hash, true
-	}
-
-	s := scratchPool.Get().(*closureScratch)
-	s.reset()
-	h, ok := c.walk(name, loader, s)
-	if ok {
-		// Record a fresh memo for the root: every visited member except
-		// the root itself becomes a validation dep.
-		nm := &closureMemo{own: own, hash: h, deps: make([]depHash, 0, max(len(s.order)-1, 0))}
-		for _, dep := range s.order {
-			if dep == name {
-				continue
-			}
-			nm.deps = append(nm.deps, depHash{name: dep, hash: s.content[dep]})
-		}
-		c.mu.Lock()
-		c.closures.Put(name, nm)
-		c.mu.Unlock()
-	}
-	scratchPool.Put(s)
-	return h, ok
-}
-
-// memoValid reports whether every recorded closure member still loads
-// to the recorded content.
-func (c *Closures) memoValid(m *closureMemo, loader source.Loader) bool {
-	for _, d := range m.deps {
-		if _, sum, err := c.load(d.name, loader); err != nil || sum != d.hash {
-			return false
-		}
-	}
-	return true
-}
-
-func (c *Closures) walk(name string, loader source.Loader, s *closureScratch) (source.Hash, bool) {
-	if h, ok := s.memo[name]; ok {
-		return h, true
-	}
-	if s.visiting[name] {
-		return source.Hash{}, false // import cycle
-	}
-	s.visiting[name] = true
-	defer delete(s.visiting, name)
-
-	_, content, err := c.load(name, loader)
-	if err != nil {
-		return source.Hash{}, false
-	}
-	imports := c.scanImports(name, loader, content)
-
-	hasher := sha256.New()
-	hasher.Write(content[:])
-	for _, imp := range imports {
-		sub, ok := c.walk(imp, loader, s)
+	m.Mark = walking
+	base := len(*buf)
+	*buf = append(*buf, content[:]...)
+	for _, imp := range c.scanImports(name, snap, content) {
+		sub, ok := c.walk(imp, snap, buf)
 		if !ok {
+			*buf, m.Mark = (*buf)[:base], unhashable
 			return source.Hash{}, false
 		}
-		hasher.Write([]byte{0})
-		hasher.Write([]byte(imp))
-		hasher.Write([]byte{0})
-		hasher.Write(sub[:])
+		*buf = appendLink(*buf, imp, sub)
 	}
-	var combined source.Hash
-	hasher.Sum(combined[:0])
-	s.memo[name] = combined
-	s.content[name] = content
-	s.order = append(s.order, name)
-	return combined, true
+	m.Sum, m.Mark = sha256.Sum256((*buf)[base:]), hashed
+	*buf = (*buf)[:base]
+	return m.Sum, true
+}
+
+// appendLink appends one import's part of a closure hash's input: its
+// name, NUL-delimited, and its closure hash.
+func appendLink(b []byte, name string, h source.Hash) []byte {
+	b = append(append(append(b, 0), name...), 0)
+	return append(b, h[:]...)
 }
 
 // scanImports returns the direct imports of a .def's text, memoized by

@@ -71,8 +71,8 @@ func TestClosureHash(t *testing.T) {
 
 // TestClosureMemosBounded feeds a capped hasher 20 rounds of distinct
 // interface texts (a new importer and a re-edited import each round):
-// neither memo may grow past the cap, and eviction must never change a
-// hash.
+// the import-scan memo, the one kept across compilations, may not grow
+// past the cap, and eviction must never change a hash.
 func TestClosureMemosBounded(t *testing.T) {
 	capped, free := NewClosures(4), NewClosures(0)
 	loader := source.NewMapLoader()
@@ -88,12 +88,12 @@ func TestClosureMemosBounded(t *testing.T) {
 				t.Fatalf("text %d pass %d: capped hash %v/%v, uncapped %v/%v", i, pass, got, gok, want, wok)
 			}
 		}
-		if n, m := capped.scans.Len(), capped.closures.Len(); n > 4 || m > 4 {
-			t.Fatalf("after %d texts the capped memos hold %d scans and %d closures; cap is 4", i+1, n, m)
+		if n := capped.scans.Len(); n > 4 {
+			t.Fatalf("after %d texts the capped memo holds %d scans; cap is 4", i+1, n)
 		}
 	}
-	if n, m := free.scans.Len(), free.closures.Len(); n < 20 || m < 20 {
-		t.Fatalf("uncapped memos hold %d scans and %d closures; want every text", n, m)
+	if n := free.scans.Len(); n < 20 {
+		t.Fatalf("uncapped memo holds %d scans; want every text", n)
 	}
 }
 
@@ -131,9 +131,9 @@ func TestClosuresConcurrent(t *testing.T) {
 // roots whose closures overlap, through the compilation's snapshot, as
 // a warm batch or the stream cache's verdict step does.  hashes/op is
 // the number of .def texts content-hashed per compilation: the chain's
-// 16, not the 36 the roots' closures add up to.  Compare with
-// BenchmarkClosureHashCold (a fresh hasher per iteration) to see the
-// memoization win.
+// 16, not the 36 the roots' closures add up to, each closure hash taken
+// once.  Compare with BenchmarkClosureHashCold (a fresh hasher per
+// iteration, so every prologue is scanned) to see the scan memo's win.
 func BenchmarkClosureHashWarm(b *testing.B) {
 	loader := chainLoader(16)
 	roots := []string{"chain0", "chain4", "chain8"}

@@ -1,5 +1,5 @@
 // Package lru is the one recency-ordered, capped map in the compiler:
-// the interface cache, the stream cache, their closure-hash memos and
+// the interface cache, the stream cache, their import-scan memos and
 // the daemon's trace store all keep their entries in a Store.
 //
 // A Store does not lock itself.  Each owner holds its own mutex around

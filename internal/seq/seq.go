@@ -14,11 +14,13 @@ package seq
 
 import (
 	"fmt"
+	"time"
 
 	"m2cc/internal/ast"
 	"m2cc/internal/codegen"
 	"m2cc/internal/ctrace"
 	"m2cc/internal/diag"
+	"m2cc/internal/event"
 	"m2cc/internal/ifacecache"
 	"m2cc/internal/lexer"
 	"m2cc/internal/parser"
@@ -55,6 +57,7 @@ type compiler struct {
 
 	cache     *ifacecache.Cache
 	cacheEnts map[string]*ifacecache.Entry // entry used or led per interface
+	stall     time.Duration                // bound on a wait for a foreign leader
 }
 
 // genItem is one pending statement-analysis/code-generation unit.
@@ -69,14 +72,20 @@ type genItem struct {
 
 // Compile compiles the named implementation module sequentially.
 func Compile(module string, loader source.Loader) *Result {
-	return CompileWithCache(module, loader, nil)
+	return CompileWithCache(module, loader, nil, 0)
 }
 
 // CompileWithCache compiles sequentially, consulting (and feeding) a
 // shared interface cache when one is supplied.  Output is
 // byte-identical to Compile: cached interfaces resolve to the same
-// declarations, and diagnostics/listings are name-symbolic.
-func CompileWithCache(module string, loader source.Loader, cache *ifacecache.Cache) *Result {
+// declarations, and diagnostics/listings are name-symbolic.  stall
+// bounds each wait for another compilation's leader (zero or negative
+// selects ifacecache.DefaultStallTimeout); on expiry the interface is
+// compiled outside the cache.
+func CompileWithCache(module string, loader source.Loader, cache *ifacecache.Cache, stall time.Duration) *Result {
+	if stall <= 0 {
+		stall = ifacecache.DefaultStallTimeout
+	}
 	c := &compiler{
 		loader: source.NewSnapshot(loader), // each .def hashed once for the cache's keys
 		files:  source.NewSet(),
@@ -88,6 +97,7 @@ func CompileWithCache(module string, loader source.Loader, cache *ifacecache.Cac
 		inFlight:  make(map[string]bool),
 		cache:     cache,
 		cacheEnts: make(map[string]*ifacecache.Entry),
+		stall:     stall,
 	}
 	c.tab = symtab.NewTable(symtab.Skeptical, nil, nil)
 	c.compileModule(module)
@@ -118,10 +128,10 @@ func (c *compiler) env(file string) *sema.Env {
 // processing each interface exactly once.  With a cache attached it
 // first consults the cache: a hit installs the whole cached closure, a
 // miss makes this compilation the entry's leader (publishing on
-// success), and a concurrent leader elsewhere is simply waited for.
-// Cycles are diagnosed and broken exactly as in the uncached path —
-// cyclic closures are uncacheable (Bypass), so the cache never sees
-// them.
+// success), and a concurrent leader elsewhere is waited for, up to the
+// stall bound.  Cycles are diagnosed and broken exactly as in the
+// uncached path — cyclic closures are uncacheable (Bypass), so the
+// cache never sees them.
 func (c *compiler) iface(name string, pos token.Pos, importer string) *symtab.Scope {
 	if sc, ok := c.ifaces[name]; ok {
 		if c.inFlight[name] {
@@ -132,25 +142,20 @@ func (c *compiler) iface(name string, pos token.Pos, importer string) *symtab.Sc
 	if c.cache == nil {
 		return c.compileIface(name, pos, importer, nil)
 	}
-	for {
-		ent, ev, st := c.cache.Acquire(name, c.loader, false)
-		switch st {
-		case ifacecache.Hit:
-			if sc := c.installCached(name, ent); sc != nil {
-				return sc
-			}
-			// Closure conflict with locally compiled interfaces:
-			// compile fresh, outside the cache.
-			return c.compileIface(name, pos, importer, nil)
-		case ifacecache.Lead:
-			return c.compileIface(name, pos, importer, ent)
-		case ifacecache.Wait:
-			ev.Wait()
-			continue
-		default: // Bypass
-			return c.compileIface(name, pos, importer, nil)
+	ent, st, _ := c.cache.Resolve(name, c.loader, false,
+		func(ev *event.Event) bool { return ifacecache.Await(ev, c.stall, nil) })
+	switch st {
+	case ifacecache.Hit:
+		if sc := c.installCached(name, ent); sc != nil {
+			return sc
 		}
+	case ifacecache.Lead:
+		return c.compileIface(name, pos, importer, ent)
 	}
+	// Bypassed, abandoned at the stall bound, or a hit whose closure
+	// conflicts with locally compiled interfaces: compile fresh, outside
+	// the cache.
+	return c.compileIface(name, pos, importer, nil)
 }
 
 // installCached installs a ready cache entry's whole closure (deepest
@@ -159,43 +164,42 @@ func (c *compiler) iface(name string, pos token.Pos, importer string) *symtab.Sc
 // a different scope here, since type compatibility is scope-pointer
 // identity and a mixed closure would split one interface in two.
 func (c *compiler) installCached(name string, ent *ifacecache.Entry) *symtab.Scope {
-	closure := ent.Closure()
-	for _, m := range closure {
-		if ex, ok := c.ifaces[m.Name()]; ok && ex != m.Scope() {
-			return nil
-		}
+	held := func(m *ifacecache.Entry) bool {
+		_, ok := c.ifaces[m.Name()]
+		return ok
 	}
-	for _, m := range closure {
-		if _, ok := c.ifaces[m.Name()]; ok {
-			continue
-		}
+	if !ent.Walk(func(m *ifacecache.Entry) bool { return c.ifaces[m.Name()] == m.Scope() },
+		func(m *ifacecache.Entry) bool { return !held(m) }) {
+		return nil
+	}
+	ent.Walk(held, func(m *ifacecache.Entry) bool {
 		c.ifaces[m.Name()] = m.Scope()
 		c.cacheEnts[m.Name()] = m
 		c.reg.SetAreaSlots(c.reg.AreaIdx(m.AreaName()), m.AreaSlots())
 		for _, imp := range m.Imports() {
 			c.reg.AddImport(imp)
 		}
-	}
+		return true
+	})
 	return c.ifaces[name]
 }
 
 // compileIface loads, parses and analyzes a definition module.  When
 // ent is non-nil this compilation leads the cache entry: a clean result
-// is published (scope, area layout, imports, deps, cost) and any
+// is published (scope, area layout, imports, deps) and any
 // failure — load error, diagnostics against the file, an uncacheable
 // import — fails the entry so waiters elsewhere retry for themselves.
 func (c *compiler) compileIface(name string, pos token.Pos, importer string, ent *ifacecache.Entry) *symtab.Scope {
 	scope := c.tab.NewScope(symtab.DefScope, name, nil, 0)
 	c.ifaces[name] = scope
 	c.inFlight[name] = true
-	published := false
 	defer func() {
 		c.inFlight[name] = false
 		if !scope.Completed() {
 			scope.Complete(c.ctx)
 		}
-		if ent != nil && !published {
-			ent.Fail()
+		if ent != nil {
+			ent.Fail() // unless published
 		}
 	}()
 
@@ -206,8 +210,6 @@ func (c *compiler) compileIface(name string, pos token.Pos, importer string, ent
 	}
 	f := c.files.Add(name, source.Def, text)
 	env := c.env(f.Label())
-	start := c.ctx.Units
-	var nested float64 // work done compiling imported interfaces, not ours
 	toks := lexer.ScanAll(f, c.ctx, c.diags)
 	p := parser.New(parser.NewSliceSource(toks), f.Label(), c.ctx, c.diags)
 	m := p.ParseUnit()
@@ -218,9 +220,7 @@ func (c *compiler) compileIface(name string, pos token.Pos, importer string, ent
 	var directImps []string
 	impSeen := map[string]bool{}
 	a.AnalyzeImports(m.Imports, func(imp string) *symtab.Scope {
-		n0 := c.ctx.Units
 		sc := c.iface(imp, m.Pos, f.Label())
-		nested += c.ctx.Units - n0
 		if !impSeen[imp] {
 			impSeen[imp] = true
 			directImps = append(directImps, imp)
@@ -234,19 +234,18 @@ func (c *compiler) compileIface(name string, pos token.Pos, importer string, ent
 
 	if ent != nil {
 		ok := !c.diags.HasFor(f.Label())
-		deps := make([]ifacecache.Dep, 0, len(directImps))
+		deps := make([]*ifacecache.Entry, 0, len(directImps))
 		for _, imp := range directImps {
 			ie, have := c.cacheEnts[imp]
 			if !have {
 				ok = false
 				break
 			}
-			deps = append(deps, ifacecache.Dep{Ent: ie, Scope: c.ifaces[imp]})
+			deps = append(deps, ie)
 		}
 		if ok {
 			c.cacheEnts[name] = ent
-			ent.Publish(scope, a.AreaName, a.NextOff, directImps, deps, c.ctx.Units-start-nested, nil)
-			published = true
+			ent.Publish(scope, a.AreaName, a.NextOff, directImps, deps, nil)
 		}
 	}
 	return scope

@@ -135,11 +135,11 @@ func (l *DirLoader) Load(name string, kind FileKind) (string, error) {
 }
 
 // Snapshot is one compilation's view of a Loader: each file is loaded at
-// most once and its content hash computed at most once, so every task of
-// the compilation — Lexors, the interface cache's closure keys, the
-// stream cache's closure hash — sees the same text and shares one hash
-// of it.  A Snapshot must not outlive its compilation: the next one has
-// to look at the files again.
+// most once and, for a .def, its import-closure hash recorded once, so
+// every task of the compilation — Lexors, the interface cache's keys,
+// the stream cache's closure hash — sees the same text and shares one
+// hash of it.  A Snapshot must not outlive its compilation: the next
+// one has to look at the files again.
 type Snapshot struct {
 	base Loader
 
@@ -157,9 +157,20 @@ type snapFile struct {
 	text string
 	err  error
 
-	hash sync.Once
-	sum  Hash
+	closure ClosureMemo
 }
+
+// ClosureMemo is where impscan.Closures records a .def's import-closure
+// hash in a snapshot, so that both compilation caches share one
+// computation, and one content hash of the file, per compilation.
+type ClosureMemo struct {
+	Sum  Hash
+	Mark uint8 // the recording walk's progress; zero until a walk reaches the file
+}
+
+// Closure returns name.def's closure memo.  Its one writer,
+// impscan.Closures, guards every snapshot's memos with one lock.
+func (s *Snapshot) Closure(name string) *ClosureMemo { return &s.file(name, Def).closure }
 
 // NewSnapshot returns an empty snapshot of base.
 func NewSnapshot(base Loader) *Snapshot {
@@ -183,17 +194,6 @@ func (s *Snapshot) file(name string, kind FileKind) *snapFile {
 func (s *Snapshot) Load(name string, kind FileKind) (string, error) {
 	f := s.file(name, kind)
 	return f.text, f.err
-}
-
-// LoadHashed returns the file's text and content hash; fresh reports
-// whether this call was the one that computed the hash.
-func (s *Snapshot) LoadHashed(name string, kind FileKind) (text string, sum Hash, fresh bool, err error) {
-	f := s.file(name, kind)
-	if f.err != nil {
-		return "", Hash{}, false, f.err
-	}
-	f.hash.Do(func() { f.sum, fresh = HashText(f.text), true })
-	return f.text, f.sum, fresh, nil
 }
 
 // File describes one source file participating in a compilation.

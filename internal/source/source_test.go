@@ -119,6 +119,10 @@ func (l *loadCounter) Load(name string, kind source.FileKind) (string, error) {
 	return l.MapLoader.Load(name, kind)
 }
 
+// TestSnapshotLoadsAndHashesOnce: a snapshot loads each file once
+// however many goroutines ask, and keeps one closure memo a file, so
+// the hash a walk records under its writer's lock is taken once; the
+// next snapshot loads and hashes again.
 func TestSnapshotLoadsAndHashesOnce(t *testing.T) {
 	base := &loadCounter{MapLoader: source.NewMapLoader()}
 	base.Add("A", source.Def, "one")
@@ -126,24 +130,25 @@ func TestSnapshotLoadsAndHashesOnce(t *testing.T) {
 
 	var wg sync.WaitGroup
 	var fresh atomic.Int64
+	var memoMu sync.Mutex // as impscan.Closures guards the memos
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			text, sum, f, err := snap.LoadHashed("A", source.Def)
-			if err != nil || text != "one" || sum != source.HashText("one") {
-				t.Errorf("LoadHashed = %q, %v, %v", text, sum, err)
-			}
-			if f {
-				fresh.Add(1)
-			}
-			if text, err := snap.Load("A", source.Def); err != nil || text != "one" {
+			text, err := snap.Load("A", source.Def)
+			if err != nil || text != "one" {
 				t.Errorf("Load = %q, %v", text, err)
 			}
+			memoMu.Lock()
+			if m := snap.Closure("A"); m.Mark == 0 {
+				m.Sum, m.Mark = source.HashText(text), 1
+				fresh.Add(1)
+			}
+			memoMu.Unlock()
 		}()
 	}
 	wg.Wait()
-	if base.loads.Load() != 1 || fresh.Load() != 1 {
+	if base.loads.Load() != 1 || fresh.Load() != 1 || snap.Closure("A").Sum != source.HashText("one") {
 		t.Fatalf("%d loads, %d fresh hashes; want one of each", base.loads.Load(), fresh.Load())
 	}
 
@@ -152,17 +157,18 @@ func TestSnapshotLoadsAndHashesOnce(t *testing.T) {
 	if text, _ := snap.Load("A", source.Def); text != "one" {
 		t.Fatalf("snapshot changed under its compilation: %q", text)
 	}
-	if text, sum, f, _ := source.NewSnapshot(base).LoadHashed("A", source.Def); text != "two" || sum != source.HashText("two") || !f {
-		t.Fatalf("a new snapshot must reload and rehash: %q fresh=%v", text, f)
+	next := source.NewSnapshot(base)
+	if text, _ := next.Load("A", source.Def); text != "two" || next.Closure("A").Mark != 0 {
+		t.Fatalf("a new snapshot must reload and rehash: %q, memo %+v", text, *next.Closure("A"))
 	}
 
-	// Failures are remembered too, and never hashed.
+	// Failures are remembered too.
 	for i := 0; i < 2; i++ {
-		if _, _, f, err := snap.LoadHashed("Missing", source.Def); err == nil || f {
-			t.Fatalf("missing file: fresh=%v err=%v", f, err)
+		if _, err := snap.Load("Missing", source.Def); err == nil {
+			t.Fatal("missing file loaded")
 		}
 	}
-	if _, err := snap.Load("Missing", source.Def); err == nil || base.loads.Load() != 3 {
-		t.Fatalf("missing file loaded %d times in all, err=%v", base.loads.Load()-2, err)
+	if base.loads.Load() != 3 {
+		t.Fatalf("missing file loaded %d times in all", base.loads.Load()-2)
 	}
 }

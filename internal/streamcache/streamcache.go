@@ -149,8 +149,8 @@ type Cache struct {
 	stats   Stats // Evictions, Hashes and Entries are filled in by Stats
 }
 
-// New returns an empty cache capped, with its closure memos, at limit
-// entries (0 = unbounded).
+// New returns an empty cache capped, with its import-scan memo, at
+// limit entries (0 = unbounded).
 func New(limit int) *Cache {
 	return &Cache{
 		hasher:  impscan.NewClosures(limit),
@@ -160,8 +160,9 @@ func New(limit int) *Cache {
 
 // ClosureHash combines the transitive interface closure of roots into
 // one hash (ok=false if any interface fails to load or the closure is
-// cyclic).  Closure hashes are memoized across compilations and
-// revalidated against interface content hashes on each call.
+// cyclic).  Each interface's closure hash is computed once per
+// compilation and kept on the compilation's snapshot, which the
+// interface cache's keys read too.
 func (c *Cache) ClosureHash(loader source.Loader, roots []string) (source.Hash, bool) {
 	return c.hasher.Hash(loader, roots)
 }

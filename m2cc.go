@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"time"
 
 	"m2cc/internal/check"
 	"m2cc/internal/core"
@@ -108,8 +109,8 @@ type DirLoader = source.DirLoader
 type Options = core.Options
 
 // DefaultStallTimeout bounds waits on foreign interface-cache leaders
-// when Options.StallTimeout is not positive; see core.DefaultStallTimeout.
-const DefaultStallTimeout = core.DefaultStallTimeout
+// when Options.StallTimeout is not positive; see ifacecache.DefaultStallTimeout.
+const DefaultStallTimeout = ifacecache.DefaultStallTimeout
 
 // Result is a concurrent compilation's outcome.
 type Result = core.Result
@@ -304,9 +305,12 @@ func CompileSequential(module string, loader Loader) *SeqResult {
 }
 
 // CompileSequentialCached runs the sequential compiler against a shared
-// interface cache (nil behaves exactly like CompileSequential).
-func CompileSequentialCached(module string, loader Loader, cache *Cache) *SeqResult {
-	return seq.CompileWithCache(module, loader, cache)
+// interface cache (nil behaves exactly like CompileSequential).  stall
+// bounds each wait for another compilation's cache leader, as
+// Options.StallTimeout does Compile's (zero or negative selects
+// DefaultStallTimeout).
+func CompileSequentialCached(module string, loader Loader, cache *Cache, stall time.Duration) *SeqResult {
+	return seq.CompileWithCache(module, loader, cache, stall)
 }
 
 // CompileBatch compiles several implementation modules concurrently,

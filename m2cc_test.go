@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"m2cc"
 	"m2cc/internal/parser"
@@ -232,12 +233,48 @@ func siblingProcs(n int) string {
 	return b.String()
 }
 
+// importChain is a module importing the last of n interfaces, each of
+// which imports the one before it; with twoParents each also imports
+// the one before that, so the import graph is a DAG of two-parent
+// joins.
+func importChain(n int, twoParents bool) (string, m2cc.Loader) {
+	loader := m2cc.NewMapLoader()
+	loader.Add("I0", m2cc.Def, "DEFINITION MODULE I0;\nCONST c0 = 0;\nEND I0.\n")
+	for k := 1; k < n; k++ {
+		var text string
+		if twoParents && k > 1 {
+			text = fmt.Sprintf("DEFINITION MODULE I%d;\nFROM I%d IMPORT c%d;\nFROM I%d IMPORT c%d;\nCONST c%d = c%d - c%d + 1;\nEND I%d.\n",
+				k, k-1, k-1, k-2, k-2, k, k-1, k-2, k)
+		} else {
+			text = fmt.Sprintf("DEFINITION MODULE I%d;\nFROM I%d IMPORT c%d;\nCONST c%d = c%d + 1;\nEND I%d.\n",
+				k, k-1, k-1, k, k-1, k)
+		}
+		loader.Add(fmt.Sprintf("I%d", k), m2cc.Def, text)
+	}
+	loader.Add("Chain", m2cc.Impl, fmt.Sprintf("MODULE Chain;\nFROM I%d IMPORT c%d;\nVAR x: INTEGER;\nBEGIN\n  x := c%d\nEND Chain.\n",
+		n-1, n-1, n-1))
+	return "Chain", loader
+}
+
+// oneModule is the shape of a module with no imports.
+func oneModule(text func(int) string) func(int) (string, m2cc.Loader) {
+	return func(n int) (string, m2cc.Loader) {
+		loader := m2cc.NewMapLoader()
+		text := text(n)
+		module := strings.Fields(text)[1]
+		module = module[:len(module)-1]
+		loader.Add(module, m2cc.Impl, text)
+		return module, loader
+	}
+}
+
 // TestLinearResources: the heap bytes each way of compiling a module
-// allocates grow with the number of procedures, not faster.  Each row's
-// shape is compiled at n and 4n procedures; from one to the other the
-// bytes may grow by 5× at most (4× is linear).  Wall time is not
-// gated: at these sizes a ratio of two timings is noisier than the
-// bound.
+// allocates grow with the number of procedures or interfaces, not
+// faster.  Each row's shape is compiled at n and 4n; from one to the
+// other the bytes may grow by 5× at most (4× is linear).  The cached
+// ways start each compilation from a fresh interface cache.  Wall time
+// is logged, not gated: at these sizes a ratio of two timings is
+// noisier than the bound.
 func TestLinearResources(t *testing.T) {
 	const maxGrowth = 5.0
 	ways := []struct {
@@ -247,42 +284,52 @@ func TestLinearResources(t *testing.T) {
 		{"Compile/1", func(m string, l m2cc.Loader) { m2cc.Compile(m, l, m2cc.Options{Workers: 1}) }},
 		{"Compile/2", func(m string, l m2cc.Loader) { m2cc.Compile(m, l, m2cc.Options{Workers: 2}) }},
 		{"Compile/2/lint", func(m string, l m2cc.Loader) { m2cc.Compile(m, l, m2cc.Options{Workers: 2, Check: true}) }},
+		{"Compile/2/cache", func(m string, l m2cc.Loader) {
+			m2cc.Compile(m, l, m2cc.Options{Workers: 2, Cache: m2cc.NewCache()})
+		}},
 		{"CompileSequential", func(m string, l m2cc.Loader) { m2cc.CompileSequential(m, l) }},
+		{"CompileSequentialCached", func(m string, l m2cc.Loader) { m2cc.CompileSequentialCached(m, l, m2cc.NewCache(), 0) }},
 		{"Lint", func(m string, l m2cc.Loader) { m2cc.Lint(m, l) }},
 	}
-	// bytes reports the median of three runs' allocation, after one run
-	// that fills the free lists.
-	bytes := func(text string, run func(string, m2cc.Loader)) uint64 {
-		loader := m2cc.NewMapLoader()
-		module := strings.Fields(text)[1]
-		module = module[:len(module)-1]
-		loader.Add(module, m2cc.Impl, text)
+	// measure reports the median of three runs' allocation and wall
+	// time, after one run that fills the free lists.
+	measure := func(module string, loader m2cc.Loader, run func(string, m2cc.Loader)) (uint64, time.Duration) {
 		run(module, loader)
-		var runs [3]uint64
-		for i := range runs {
+		var bytes [3]uint64
+		var times [3]time.Duration
+		for i := range bytes {
 			runtime.GC()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
+			start := time.Now()
 			run(module, loader)
+			times[i] = time.Since(start)
 			runtime.ReadMemStats(&after)
-			runs[i] = after.TotalAlloc - before.TotalAlloc
+			bytes[i] = after.TotalAlloc - before.TotalAlloc
 		}
-		slices.Sort(runs[:])
-		return runs[1]
+		slices.Sort(bytes[:])
+		slices.Sort(times[:])
+		return bytes[1], times[1]
 	}
 	for _, row := range []struct {
 		name  string
-		shape func(int) string
+		shape func(int) (string, m2cc.Loader)
 		n     int
 	}{
-		{"nested", nestedProcs, parser.MaxProcNesting / 4},
-		{"sibling", siblingProcs, 250},
+		{"nested", oneModule(nestedProcs), parser.MaxProcNesting / 4},
+		{"sibling", oneModule(siblingProcs), 250},
+		{"importchain", func(n int) (string, m2cc.Loader) { return importChain(n, false) }, 200},
+		{"importdag", func(n int) (string, m2cc.Loader) { return importChain(n, true) }, 200},
 	} {
 		for _, way := range ways {
 			t.Run(row.name+"/"+way.name, func(t *testing.T) {
-				b1, b4 := bytes(row.shape(row.n), way.run), bytes(row.shape(4*row.n), way.run)
+				m1, l1 := row.shape(row.n)
+				m4, l4 := row.shape(4 * row.n)
+				b1, t1 := measure(m1, l1, way.run)
+				b4, t4 := measure(m4, l4, way.run)
 				growth := float64(b4) / float64(b1)
-				t.Logf("n=%d: %d B; 4n=%d: %d B; growth %.1f×", row.n, b1, 4*row.n, b4, growth)
+				t.Logf("n=%d: %d B, %v; 4n=%d: %d B, %v; bytes grow %.1f×, time %.1f×",
+					row.n, b1, t1, 4*row.n, b4, t4, growth, float64(t4)/float64(t1))
 				if growth > maxGrowth {
 					t.Errorf("bytes grow %.1f× from n to 4n, want ≤ %.0f×", growth, maxGrowth)
 				}
