@@ -20,9 +20,9 @@ RACE_PKGS = ./internal/pool ./internal/ast ./internal/impscan ./internal/ifaceca
 # suite also hand-arms every injection point regardless of seeds.
 CHAOS_SEEDS ?= 1,2,3,4,5,6,7,8,13,21,34,55,89,144
 
-.PHONY: check vet build test race chaos smoke serve-smoke profile lint experiments-smoke bench-frontend bench-objcode bench-build clean
+.PHONY: check vet build test race chaos fuzz-smoke smoke serve-smoke profile lint experiments-smoke bench-frontend bench-objcode bench-build clean
 
-check: vet build test race chaos smoke serve-smoke profile lint experiments-smoke bench-frontend bench-objcode bench-build
+check: vet build test race chaos fuzz-smoke smoke serve-smoke profile lint experiments-smoke bench-frontend bench-objcode bench-build
 
 # Standard vet, then the repo's own concurrency-invariant analyzers
 # (internal/lint) via the go vet vettool protocol: raw event fires,
@@ -57,6 +57,13 @@ race:
 
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -run Chaos -count=1 .
+
+# Every fuzz target in the module, 10 s each past its seed corpus
+# (go test -fuzz takes one target of one package at a time).
+fuzz-smoke:
+	for f in $$(grep -rl --include='*_test.go' --exclude-dir=testdata '^func Fuzz' cmd internal *.go); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 10s ./$$(dirname $$f) || exit 1; done; done
 
 # End-to-end observability smoke: m2c -trace on an example module, then
 # -run, which compiles Demo and Fib into one Observer.  m2c validates a

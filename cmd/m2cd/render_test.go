@@ -10,9 +10,11 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"m2cc"
 	"m2cc/internal/pool"
@@ -45,7 +47,7 @@ func suiteRequests(t testing.TB) []compileRequest {
 			t.Fatalf("%s: %s", p.Name, res.Diags)
 		}
 		text, _ := suite.Loader.Load(p.Name, m2cc.Impl)
-		req := compileRequest{Module: p.Name, Sources: []srcFile{{Name: p.Name, Kind: "mod", Text: text}}}
+		req := compileRequest{Module: p.Name, Sources: []srcFile{{Name: p.Name, Kind: "mod", Text: jsonText(text)}}}
 		defs := make([]string, 0, len(rec.defs))
 		for name := range rec.defs {
 			defs = append(defs, name)
@@ -53,7 +55,7 @@ func suiteRequests(t testing.TB) []compileRequest {
 		sort.Strings(defs)
 		for _, name := range defs {
 			text, _ := suite.Loader.Load(name, m2cc.Def)
-			req.Sources = append(req.Sources, srcFile{Name: name, Kind: "def", Text: text})
+			req.Sources = append(req.Sources, srcFile{Name: name, Kind: "def", Text: jsonText(text)})
 		}
 		reqs = append(reqs, req)
 	}
@@ -96,8 +98,8 @@ func TestResponseBodiesUnchanged(t *testing.T) {
 	// &, quotes, U+2028, a tab) in a listing and in diagnostics.
 	escapes := "MODULE Esc;\nBEGIN\n  WriteString('<a href=\"x\">&amp;\u2028\t</a>')\nEND Esc.\n"
 	reqs = append(reqs,
-		compileRequest{Module: "Esc", Sources: []srcFile{{Name: "Esc", Kind: "mod", Text: escapes}}},
-		compileRequest{Module: "Esc", Sources: []srcFile{{Name: "Esc", Kind: "mod", Text: escapes + "<&>\u2028"}}},
+		compileRequest{Module: "Esc", Sources: []srcFile{{Name: "Esc", Kind: "mod", Text: jsonText(escapes)}}},
+		compileRequest{Module: "Esc", Sources: []srcFile{{Name: "Esc", Kind: "mod", Text: jsonText(escapes + "<&>\u2028")}}},
 		compileRequest{Module: "ConcFindings", Sources: exampleFiles(t, "ConcFindings.mod")},
 		compileRequest{Module: "LintFindings", Sources: exampleFiles(t, "LintFindings.mod", "Fib.def", "Shapes.def")})
 	paths := [...]string{"/compile", "/lint"}
@@ -176,6 +178,65 @@ func FuzzAppendJSONString(f *testing.F) {
 	})
 }
 
+// FuzzDecodeText: jsonText decodes any JSON value as encoding/json
+// decodes it into a string, to the same string or the same error
+// message; and it gives back a valid UTF-8 string that json.Marshal or
+// appendJSONString encoded (an invalid byte comes back as U+FFFD, as
+// encoding/json gives it).
+func FuzzDecodeText(f *testing.F) {
+	for _, s := range []string{`""`, `"MODULE M;\n"`, `"\u003c\u0026\u003e\u2028"`, `"\ud83d\ude00"`, `"\ud800"`,
+		`"\ud800\u0041\udc00\ud800"`, "\"\xff\xe2\x80\"", `"\"\\\/\b\f\n\r\t"`, `null`, `5`, `{"a":1}`, `[]`, `true`, `"\q"`, `"a`} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		var got jsonText
+		var want string
+		errGot, errWant := json.Unmarshal([]byte(s), &got), json.Unmarshal([]byte(s), &want)
+		if string(got) != want || fmt.Sprint(errGot) != fmt.Sprint(errWant) {
+			t.Fatalf("%q: decoded %q (%v), encoding/json %q (%v)", s, got, errGot, want, errWant)
+		}
+		marshaled, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, enc := range [][]byte{marshaled, appendJSONString(nil, s)} {
+			var got jsonText
+			var want string
+			errGot, errWant := json.Unmarshal(enc, &got), json.Unmarshal(enc, &want)
+			if errGot != nil || errWant != nil || string(got) != want || utf8.ValidString(s) && want != s {
+				t.Fatalf("%q encoded as %s decodes to %q (%v), encoding/json to %q (%v)", s, enc, got, errGot, want, errWant)
+			}
+		}
+	})
+}
+
+// TestDecodedTextsOwnTheirBytes: no decoded text shares a byte with the
+// request body, escaped or not, so the daemon may reuse the pooled body
+// as soon as the request is decoded.
+func TestDecodedTextsOwnTheirBytes(t *testing.T) {
+	texts := []string{"MODULE Plain; END Plain.", "MODULE Esc;\n\t'<&>' \u2028 \xff END Esc."}
+	req := compileRequest{Module: "M"}
+	for _, text := range texts {
+		req.Sources = append(req.Sources, srcFile{Name: "M", Kind: "mod", Text: jsonText(text)})
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got compileRequest
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range body {
+		body[i] = 'x'
+	}
+	for i, text := range texts {
+		if want := strings.ToValidUTF8(text, "\ufffd"); string(got.Sources[i].Text) != want {
+			t.Errorf("text %d reads %q after the body was overwritten, want %q", i, got.Sources[i].Text, want)
+		}
+	}
+}
+
 // discardWriter is a ResponseWriter that keeps nothing but its headers.
 type discardWriter struct{ h http.Header }
 
@@ -217,16 +278,16 @@ func allocated(f func()) uint64 {
 }
 
 // TestRepeatRequestAllocs: a warm repeat /compile allocates what its
-// compilation does and at most a fixed slack beside it (the request's
-// decoded texts and loader, its context and headers); its body, listing
-// and response come from the daemon's lists, which need no new buffer
-// after the first request.
+// compilation does, one copy of its source texts (each decoded straight
+// into its string), and at most a fixed slack beside them (its loader,
+// context and headers); its body and response come from the daemon's
+// lists, which need no new buffer after the first request.
 func TestRepeatRequestAllocs(t *testing.T) {
-	const slack = 64 << 10
+	const slack = 16 << 10
 	s := newServer(testConfig())
 	serve, req := repeatRequest(t, s, "/compile")
 	lists := func() (misses int) {
-		for _, l := range []*pool.List[[]byte]{bodyBufs, listingBufs, respBufs} {
+		for _, l := range []*pool.List[[]byte]{bodyBufs, respBufs} {
 			misses += l.Stats().Misses
 		}
 		return misses
@@ -242,9 +303,14 @@ func TestRepeatRequestAllocs(t *testing.T) {
 	opts := m2cc.Options{Workers: s.cfg.workers, Strategy: s.cfg.strategy, Cache: s.cache, StreamCache: s.scache,
 		StallTimeout: s.cfg.stallTimeout, Cancel: make(chan struct{})}
 	compiled := allocated(func() { m2cc.Compile(req.Module, loader, opts) })
-	t.Logf("%s: served %d B, compiled alone %d B", req.Module, served, compiled)
-	if served > compiled+slack {
-		t.Fatalf("a warm repeat /compile allocates %d B, more than its compilation (%d B) plus %d B", served, compiled, slack)
+	texts := 0
+	for _, f := range req.Sources {
+		texts += len(f.Text)
+	}
+	t.Logf("%s: served %d B, compiled alone %d B, source texts %d B", req.Module, served, compiled, texts)
+	if served > compiled+uint64(texts)+slack {
+		t.Fatalf("a warm repeat /compile allocates %d B, more than its compilation (%d B), its texts (%d B) and %d B",
+			served, compiled, texts, slack)
 	}
 }
 

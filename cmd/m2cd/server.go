@@ -31,6 +31,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -38,12 +39,15 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf16"
 	"unicode/utf8"
 
 	"m2cc"
@@ -262,9 +266,9 @@ func (s *server) startDrain() {
 // ---- request/response schema ----
 
 type srcFile struct {
-	Name string `json:"name"`
-	Kind string `json:"kind"` // "def" or "mod"
-	Text string `json:"text"`
+	Name string   `json:"name"`
+	Kind string   `json:"kind"` // "def" or "mod"
+	Text jsonText `json:"text"`
 }
 
 type compileRequest struct {
@@ -348,10 +352,14 @@ func (s *server) handleCompile(w *statusRecorder, r *http.Request, lint bool) {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST required", 0)
 		return
 	}
-	// The pooled body goes back at once: json.Unmarshal copies every string
-	// out of it, so no source text, nor a cache's substring of one, aliases it.
+	// The pooled body, grown once to a declared length, goes back at once:
+	// every string is copied out of it (a text once, by jsonText), so no
+	// source text, nor a cache's substring of one, aliases it.
 	var req compileRequest
 	body := bytes.NewBuffer(bodyBufs.Get()[:0])
+	if n := r.ContentLength; n > 0 && n <= maxBody {
+		body.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	}
 	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
 	if err == nil {
 		err = json.Unmarshal(body.Bytes(), &req)
@@ -382,7 +390,7 @@ func (s *server) handleCompile(w *statusRecorder, r *http.Request, lint bool) {
 				fmt.Sprintf("bad request: source %q has unknown kind %q (want def or mod)", f.Name, f.Kind), 0)
 			return
 		}
-		loader.Add(f.Name, kind, f.Text)
+		loader.Add(f.Name, kind, string(f.Text))
 	}
 	strategy := s.cfg.strategy
 	if req.Strategy != "" {
@@ -574,17 +582,16 @@ func (s *server) serveSequential(w *statusRecorder, req compileRequest, loader m
 // ---- response plumbing ----
 
 // The daemon's buffers, one free list per role (DESIGN.md, "Buffer
-// ownership"): request bodies, listings before they are escaped, and
-// encoded responses.
-var bodyBufs, listingBufs, respBufs = newBufList(), newBufList(), newBufList()
+// ownership"): request bodies and encoded responses.
+var bodyBufs, respBufs = newBufList(), newBufList()
 
 func newBufList() *pool.List[[]byte] {
 	return &pool.List[[]byte]{New: func() []byte { return nil }, Size: func(b []byte) int { return cap(b) }, Spans: true}
 }
 
 // writeCompile sends {"module","ok","listing","diags","findings","trace"},
-// empty fields omitted but lint's findings.  The listing is escaped from
-// its pooled rendering straight into the response.
+// empty fields omitted but lint's findings.  The listing is rendered into
+// the response, and its quoted form, appended after it, moves down over it.
 func (s *server) writeCompile(w http.ResponseWriter, c *compileReply) {
 	if c.lint {
 		if hdr := s.countFindings(c.findings); hdr != "" {
@@ -594,9 +601,12 @@ func (s *server) writeCompile(w http.ResponseWriter, c *compileReply) {
 	b := appendJSONString(append(respBufs.Get()[:0], `{"module":`...), c.module)
 	b = strconv.AppendBool(append(b, `,"ok":`...), c.ok)
 	if c.ok && !c.lint && c.object != nil {
-		l := c.object.AppendListing(listingBufs.Get()[:0])
-		b = appendJSONString(append(b, `,"listing":`...), l)
-		listingBufs.Put(l)
+		b = append(b, `,"listing":`...)
+		at := len(b)
+		b = c.object.AppendListing(b)
+		end := len(b)
+		b = appendJSONString(slices.Grow(b, end-at+(end-at)/8+2), b[at:end]) // grown once: each line escapes its newline
+		b = b[:at+copy(b[at:], b[end:])]
 	}
 	if c.diags != "" {
 		b = appendJSONString(append(b, `,"diags":`...), c.diags)
@@ -668,6 +678,73 @@ func appendJSONString[S string | []byte](b []byte, s S) []byte {
 		start = i
 	}
 	return append(append(b, s[start:]...), '"')
+}
+
+// jsonText is a source text, decoded from the literal in the request body
+// into one string of exact size: encoding/json would unescape it into a
+// buffer and copy that again.
+type jsonText string
+
+// UnmarshalJSON decodes b, a JSON value encoding/json has validated, as
+// encoding/json decodes one into a string: null is a no-op, and a value
+// but a string is an UnmarshalTypeError (json.Unmarshal adds the field).
+func (t *jsonText) UnmarshalJSON(b []byte) error {
+	switch b[0] {
+	case 'n':
+		return nil
+	case '"':
+		var w strings.Builder
+		w.Grow(unquote(nil, b[1:len(b)-1]))
+		unquote(&w, b[1:len(b)-1])
+		*t = jsonText(w.String())
+		return nil
+	}
+	kind := map[byte]string{'{': "object", '[': "array", 't': "bool", 'f': "bool"}[b[0]]
+	return &json.UnmarshalTypeError{Value: cmp.Or(kind, "number"), Type: reflect.TypeFor[string]()}
+}
+
+// unquote decodes s, the inside of a JSON string literal, into w (or only
+// measures it, when w is nil) and returns the decoded length.  An invalid
+// UTF-8 byte, or a \u surrogate not paired by the next \u, is U+FFFD.
+func unquote(w *strings.Builder, s []byte) (n int) {
+	start := 0
+	for i := 0; i < len(s); {
+		r, size := rune(s[i]), 1
+		if r == '\\' {
+			if k := strings.IndexByte(`"\/bfnrt`, s[i+1]); k >= 0 {
+				r, size = rune("\"\\/\b\f\n\r\t"[k]), 2
+			} else if r, size = getu4(s[i:]), 6; utf16.IsSurrogate(r) {
+				if r, size = utf16.DecodeRune(r, getu4(s[i+6:])), 12; r == utf8.RuneError {
+					size = 6
+				}
+			}
+		} else if r < utf8.RuneSelf {
+			i++
+			continue
+		} else if r, size = utf8.DecodeRune(s[i:]); r != utf8.RuneError || size > 1 {
+			i += size
+			continue
+		}
+		if n += i - start + utf8.RuneLen(r); w != nil {
+			w.Write(s[start:i])
+			w.WriteRune(r)
+		}
+		i += size
+		start = i
+	}
+	if w != nil {
+		w.Write(s[start:])
+	}
+	return n + len(s) - start
+}
+
+// getu4 reads the \uXXXX escape e starts with, or returns -1.
+func getu4(e []byte) rune {
+	if len(e) < 6 || e[0] != '\\' || e[1] != 'u' {
+		return -1
+	}
+	v, _ := strconv.ParseUint(string(e[2:6]), 16, 32)
+	return rune(v)
 }
 
 // writeError emits a JSON error body; retry > 0 adds Retry-After (in

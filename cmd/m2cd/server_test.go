@@ -42,7 +42,7 @@ func loaderFrom(t *testing.T, sources []srcFile) m2cc.Loader {
 		if f.Kind == "def" {
 			kind = m2cc.Def
 		}
-		loader.Add(f.Name, kind, f.Text)
+		loader.Add(f.Name, kind, string(f.Text))
 	}
 	return loader
 }
@@ -73,7 +73,7 @@ func exampleFiles(t *testing.T, names ...string) []srcFile {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, srcFile{Name: strings.TrimSuffix(filepath.Base(name), filepath.Ext(name)), Kind: filepath.Ext(name)[1:], Text: string(b)})
+		out = append(out, srcFile{Name: strings.TrimSuffix(filepath.Base(name), filepath.Ext(name)), Kind: filepath.Ext(name)[1:], Text: jsonText(b)})
 	}
 	return out
 }
@@ -194,7 +194,7 @@ func TestLintFindingsTelemetry(t *testing.T) {
 	}
 	req := compileRequest{
 		Module:  "ConcFindings",
-		Sources: []srcFile{{Name: "ConcFindings", Kind: "mod", Text: string(b)}},
+		Sources: []srcFile{{Name: "ConcFindings", Kind: "mod", Text: jsonText(b)}},
 		Client:  "lint-telemetry",
 	}
 	resp, body := post(t, ts, "/lint", req)
@@ -264,6 +264,39 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: status %d, want %d with %q: %s", tc.name, rec.Code, tc.status, tc.msg, rec.Body)
 		}
 	}
+	// A source text answers as it did when encoding/json decoded it, body
+	// for body: a non-string is a 400 naming the field, null is an empty
+	// text, a bad escape or a cut literal is a syntax error, and a lone
+	// surrogate or an invalid UTF-8 byte decodes as U+FFFD.
+	const fffd = `{"module":"Demo","ok":true,"listing":"OBJECT Demo\nAREA Demo.mod 0\nBODY Demo..body (level=0 args=0 frame=0 ret=false)\n    0  PUSHS     \"�\"\n    1  WRTEXT\n    2  RETP\n"}` + "\n"
+	for _, tc := range []struct {
+		name, text string
+		status     int
+		body       string
+	}{
+		{"text a number", `5`, http.StatusBadRequest,
+			`{"error":"bad request: json: cannot unmarshal number into Go struct field srcFile.sources.text of type string"}` + "\n"},
+		{"text an object", `{"a":1}`, http.StatusBadRequest,
+			`{"error":"bad request: json: cannot unmarshal object into Go struct field srcFile.sources.text of type string"}` + "\n"},
+		{"text null", `null`, http.StatusOK,
+			`{"module":"Demo","ok":false,"diags":"Demo.mod:1:1: error: expected ., found end of file\nDemo.mod:1:1: error: expected ;, found end of file\nDemo.mod:1:1: error: expected DEFINITION, IMPLEMENTATION or MODULE, found end of file\nDemo.mod:1:1: error: expected END, found end of file\nDemo.mod:1:1: error: expected identifier, found end of file\nDemo.mod:1:1: error: module name ? does not match file Demo.mod\n"}` + "\n"},
+		{"text an invalid escape", `"MODULE Demo;\qEND Demo."`, http.StatusBadRequest,
+			`{"error":"bad request: invalid character 'q' in string escape code"}` + "\n"},
+		{"text a lone surrogate", `"MODULE Demo;\nBEGIN\n  WriteString('\ud800')\nEND Demo.\n"`, http.StatusOK, fffd},
+		{"text invalid UTF-8", "\"MODULE Demo;\\nBEGIN\\n  WriteString('\xff')\\nEND Demo.\\n\"", http.StatusOK, fffd},
+		{"text truncated", `"MODULE Demo;`, http.StatusBadRequest,
+			`{"error":"bad request: unexpected end of JSON input"}` + "\n"},
+	} {
+		body := `{"module":"Demo","sources":[{"name":"Demo","kind":"mod","text":` + tc.text
+		if tc.name != "text truncated" {
+			body += "}]}"
+		}
+		rec := httptest.NewRecorder()
+		s.handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/compile", strings.NewReader(body)))
+		if rec.Code != tc.status || rec.Body.String() != tc.body {
+			t.Errorf("%s: status %d, want %d\n got: %q\nwant: %q", tc.name, rec.Code, tc.status, rec.Body, tc.body)
+		}
+	}
 	// A negative deadline is rejected outright, not silently treated as
 	// "no deadline" — the client asked for a bound the daemon cannot
 	// honor.
@@ -298,7 +331,7 @@ func TestDeeplyNestedRequestIsServed(t *testing.T) {
 	defer ts.Close()
 
 	text := "MODULE Deep;\nVAR x: INTEGER;\nBEGIN\n  x := " + strings.Repeat("(", 5000) + "1" + strings.Repeat(")", 5000) + "\nEND Deep.\n"
-	deep := compileRequest{Module: "Deep", Sources: []srcFile{{Name: "Deep", Kind: "mod", Text: text}}, Client: "deep"}
+	deep := compileRequest{Module: "Deep", Sources: []srcFile{{Name: "Deep", Kind: "mod", Text: jsonText(text)}}, Client: "deep"}
 	for _, path := range []string{"/compile", "/lint"} {
 		resp, body := post(t, ts, path, deep)
 		var cr compileResponse

@@ -28,6 +28,7 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"sync"
@@ -366,21 +367,37 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 		}
 		return under(name, u.Path)
 	}
-	mentionedByModule := func(name, module string) bool {
-		for _, f := range fs {
-			if f.Module == module && f.Mentions[name] {
-				return true
-			}
-		}
-		return false
+	// One index per merge, so that a module-wide rule is a lookup, not a
+	// scan of every unit: an import, by name and importing module, is true
+	// once a unit of that module mentions it; an exported name keeps the
+	// first unit mentioning it (1 + its index, 0 for none) and whether a
+	// unit of another module does too.
+	type mentioners struct {
+		first int32
+		more  bool
 	}
-	mentionedOutsideModule := func(name, module string) bool {
-		for _, f := range fs {
-			if f.Module != module && f.Mentions[name] {
-				return true
+	var nImp, nExp int
+	for _, f := range fs {
+		nImp, nExp = nImp+len(f.Imports), nExp+len(f.DeclNames)
+	}
+	imported, exported := make(map[[2]string]bool, nImp), make(map[string]mentioners, nExp)
+	for _, f := range fs {
+		for _, imp := range f.Imports {
+			imported[[2]string{imp.Name.Text, f.Module}] = false
+		}
+		for _, n := range f.DeclNames {
+			exported[n.Text] = mentioners{}
+		}
+	}
+	for i, f := range fs {
+		for name := range f.Mentions {
+			if _, ok := imported[[2]string{name, f.Module}]; ok {
+				imported[[2]string{name, f.Module}] = true
+			}
+			if m, ok := exported[name]; ok && (m.first == 0 || fs[m.first-1].Module != f.Module) {
+				exported[name] = mentioners{cmp.Or(m.first, int32(i+1)), m.first != 0}
 			}
 		}
-		return false
 	}
 
 	var root *Facts
@@ -415,7 +432,7 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 		// (a .def's imports are visible to its implementation through
 		// the scope chain).
 		for _, imp := range f.Imports {
-			if mentionedByModule(imp.Name.Text, f.Module) {
+			if imported[[2]string{imp.Name.Text, f.Module}] {
 				continue
 			}
 			if imp.From {
@@ -436,7 +453,7 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 			continue
 		}
 		for _, n := range f.DeclNames {
-			if !mentionedOutsideModule(n.Text, f.Module) {
+			if m := exported[n.Text]; !m.more && (m.first == 0 || fs[m.first-1].Module == f.Module) {
 				warn(CodeUnusedExport, f.File, n, "exported %s is never referenced in this compilation", n.Text)
 			}
 		}

@@ -174,7 +174,7 @@ func (r *Result) Failed() bool { return r.Diags.HasErrors() }
 // driver owns the shared state of one concurrent compilation.
 type driver struct {
 	opts   Options
-	loader source.Loader
+	loader *source.Snapshot
 	module string
 
 	files *source.Set
@@ -628,7 +628,7 @@ func (d *driver) registerAreas() {
 	names, _ = impscan.Prologue(d.loader, d.module, source.Impl, names)
 	for i := 0; i < len(names); i++ {
 		var ok bool
-		if !slices.Contains(names[:i], names[i]) {
+		if d.loader.Visit(names[i]) {
 			if names, ok = impscan.Prologue(d.loader, names[i], source.Def, names); ok {
 				areas = append(areas, names[i]+".def")
 			}

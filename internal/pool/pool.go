@@ -121,11 +121,13 @@ func (l *List[T]) turn() {
 }
 
 // Scrub readies returned storage for reuse: it zeroes s, so a held item
-// pins nothing, or scrambles it while Scribble is set.
-func Scrub[E any](s []E) {
+// pins nothing, or scrambles it while Scribble is set.  It reports
+// whether it zeroed s.
+func Scrub[E any](s []E) (zeroed bool) {
 	if Scribble.Load() {
 		slices.Reverse(s)
-		return
+		return false
 	}
 	clear(s)
+	return true
 }

@@ -143,7 +143,7 @@ func (l *DirLoader) Load(name string, kind FileKind) (string, error) {
 type Snapshot struct {
 	base Loader
 
-	mu    sync.Mutex // guards: files
+	mu    sync.Mutex // guards: files, and each file's visited flag
 	files map[fileKey]*snapFile
 }
 
@@ -158,6 +158,7 @@ type snapFile struct {
 	err  error
 
 	closure ClosureMemo
+	visited bool // guarded by the Snapshot's mu: Visit has seen the file
 }
 
 // ClosureMemo is where impscan.Closures records a .def's import-closure
@@ -188,6 +189,16 @@ func (s *Snapshot) file(name string, kind FileKind) *snapFile {
 	s.mu.Unlock()
 	f.load.Do(func() { f.text, f.err = s.base.Load(name, kind) })
 	return f
+}
+
+// Visit reports whether this is the first visit of name.def, so a walk
+// over the import graph takes each interface once.
+func (s *Snapshot) Visit(name string) (first bool) {
+	f := s.file(name, Def)
+	s.mu.Lock()
+	first, f.visited = !f.visited, true
+	s.mu.Unlock()
+	return first
 }
 
 // Load implements Loader.

@@ -53,6 +53,7 @@ const DefaultBlockSize = 256
 type Block struct {
 	Toks  []token.Token
 	Ready *event.Event
+	dirty int // slots a scribbling Scrub left non-zero (pool.Scribble)
 }
 
 // Blocks recycles Block structs and their token storage (see Retain);
@@ -135,11 +136,20 @@ func (q *Queue) maybeRecycle() {
 	blocks := q.blocks
 	q.blocks = nil
 	q.mu.Unlock()
-	for _, b := range blocks {
-		pool.Scrub(b.Toks[:cap(b.Toks)]) // published or not: a held Text would pin an old source file
+	// A held Text would pin an old source file, so every slot written is
+	// scrubbed: a sealed block's published tokens, and all of the last
+	// block, where Publish drops tokens written after Close sealed it.
+	for i, b := range blocks {
+		n := max(len(b.Toks), b.dirty)
+		if i == len(blocks)-1 {
+			n = cap(b.Toks)
+		}
+		if b.dirty = 0; !pool.Scrub(b.Toks[:n]) {
+			b.dirty = n
+		}
 		b.Toks, b.Ready = b.Toks[:0], nil
-		Blocks.Put(b)
 	}
+	Blocks.Put(blocks...)
 }
 
 // grow opens and announces a new tail block for the producer, unless
