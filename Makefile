@@ -20,7 +20,7 @@ RACE_PKGS = ./internal/pool ./internal/ast ./internal/impscan ./internal/ifaceca
 # suite also hand-arms every injection point regardless of seeds.
 CHAOS_SEEDS ?= 1,2,3,4,5,6,7,8,13,21,34,55,89,144
 
-.PHONY: check vet build test race chaos fuzz-smoke smoke serve-smoke profile lint experiments-smoke bench-frontend bench-objcode bench-build clean
+.PHONY: check vet build test race chaos fuzz-smoke smoke serve-smoke profile lint experiments-smoke bench-frontend bench-objcode bench-build loc clean
 
 check: vet build test race chaos fuzz-smoke smoke serve-smoke profile lint experiments-smoke bench-frontend bench-objcode bench-build
 
@@ -147,6 +147,12 @@ bench-objcode:
 # without breaking anything in this module: build and vet it here.
 bench-build:
 	$(GO) build -C benchmark -o /dev/null ./... && $(GO) vet -C benchmark ./...
+
+# The house count of non-test lines: Go outside benchmark/ and testdata
+# without _test.go files, plus scripts/ and this Makefile.  Not a gate.
+loc:
+	@{ find . -name '*.go' -not -path './benchmark/*' -not -path '*/testdata/*' -not -name '*_test.go'; \
+		find scripts -type f; echo Makefile; } | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

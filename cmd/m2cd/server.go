@@ -221,11 +221,9 @@ func newServer(cfg config) *server {
 		obs.CounterFunc("m2cd_iface_cache_bypasses_total", "Interface-cache bypasses (uncacheable requests).", func() int64 { return s.cache.Stats().Bypasses }),
 		obs.CounterFunc("m2cd_iface_cache_abandoned_total", "Interface-cache waits abandoned at the stall timeout.", func() int64 { return s.cache.Stats().Abandoned }),
 		obs.CounterFunc("m2cd_iface_cache_evictions_total", "Interface-cache LRU evictions.", func() int64 { return s.cache.Stats().Evictions }),
-		obs.CounterFunc("m2cd_iface_cache_hashes_total", "Definition-module texts content-hashed for interface-cache keys.", func() int64 { return s.cache.Stats().Hashes }),
 		obs.CounterFunc("m2cd_stream_cache_hits_total", "Stream-cache hits.", func() int64 { return s.scache.Stats().Hits }),
 		obs.CounterFunc("m2cd_stream_cache_misses_total", "Stream-cache misses.", func() int64 { return s.scache.Stats().Misses }),
 		obs.CounterFunc("m2cd_stream_cache_evictions_total", "Stream-cache LRU evictions.", func() int64 { return s.scache.Stats().Evictions }),
-		obs.CounterFunc("m2cd_stream_cache_hashes_total", "Definition-module texts content-hashed for stream-cache closure hashes.", func() int64 { return s.scache.Stats().Hashes }),
 		obs.GaugeFunc("m2cd_stream_cache_entries", "Stream-cache resident entries.", func() float64 { return float64(s.scache.Stats().Entries) }),
 		obs.GaugeFunc("m2cd_traces_held", "Request traces held in the LRU ring.", func() float64 { return float64(s.traces.Held()) }),
 		obs.CounterFunc("m2cd_trace_admitted_total", "Requests through the trace store's sampling domain.", func() int64 { return int64(s.traces.Admitted()) }),
@@ -362,7 +360,9 @@ func (s *server) handleCompile(w *statusRecorder, r *http.Request, lint bool) {
 	}
 	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
 	if err == nil {
-		err = json.Unmarshal(body.Bytes(), &req)
+		if err = json.Unmarshal(body.Bytes(), &req); err != nil {
+			err = decodeError(body.Bytes())
+		}
 	}
 	bodyBufs.Put(body.Bytes())
 	if err != nil {
@@ -678,6 +678,30 @@ func appendJSONString[S string | []byte](b []byte, s S) []byte {
 		start = i
 	}
 	return append(append(b, s[start:]...), '"')
+}
+
+// decodeError decodes a body that failed to decode once more, into a
+// twin of compileRequest whose texts are plain strings, and returns
+// encoding/json's error: its first bad field's, as a request answered
+// before jsonText did.  (A jsonText's type error stops the decode at
+// the text; a string field's is kept while the decode goes on.)  The
+// twin's types carry the names the error quotes.
+func decodeError(body []byte) error {
+	type srcFile struct {
+		Name string `json:"name"`
+		Kind string `json:"kind"`
+		Text string `json:"text"`
+	}
+	type compileRequest struct {
+		Module     string    `json:"module"`
+		Sources    []srcFile `json:"sources"`
+		Workers    int       `json:"workers,omitempty"`
+		Strategy   string    `json:"strategy,omitempty"`
+		DeadlineMS int64     `json:"deadline_ms,omitempty"`
+		Trace      bool      `json:"trace,omitempty"`
+		Client     string    `json:"client,omitempty"`
+	}
+	return json.Unmarshal(body, new(compileRequest))
 }
 
 // jsonText is a source text, decoded from the literal in the request body

@@ -245,8 +245,10 @@ func TestBadRequests(t *testing.T) {
 		}
 	}
 	// Raw bodies: bytes after the request object answer 400
-	// (json.Unmarshal's rule), and a body over the cap answers 413 with
-	// the reader's diagnostic.
+	// (json.Unmarshal's rule), a body over the cap answers 413 with the
+	// reader's diagnostic, and a decode error is the first bad field's,
+	// as encoding/json reports it for plain string fields: a text's type
+	// error neither pre-empts an earlier field's nor yields to a later one.
 	for _, tc := range []struct {
 		name, body string
 		status     int
@@ -256,6 +258,10 @@ func TestBadRequests(t *testing.T) {
 			http.StatusBadRequest, "bad request: invalid character '{' after top-level value"},
 		{"over the cap", `{"module":"` + strings.Repeat("M", maxBody) + `"}`,
 			http.StatusRequestEntityTooLarge, "bad request: http: request body too large"},
+		{"module before text", `{"module":5,"sources":[{"name":"D","kind":"mod","text":5}]}`, http.StatusBadRequest,
+			"bad request: json: cannot unmarshal number into Go struct field compileRequest.module of type string"},
+		{"text before module", `{"sources":[{"name":"D","kind":"mod","text":[]}],"module":5}`, http.StatusBadRequest,
+			"bad request: json: cannot unmarshal array into Go struct field srcFile.sources.text of type string"},
 	} {
 		rec := httptest.NewRecorder()
 		s.handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/compile", strings.NewReader(tc.body)))

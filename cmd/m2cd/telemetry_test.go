@@ -409,11 +409,9 @@ func TestPrometheusExposition(t *testing.T) {
 		"m2cd_iface_cache_bypasses_total counter",
 		"m2cd_iface_cache_abandoned_total counter",
 		"m2cd_iface_cache_evictions_total counter",
-		"m2cd_iface_cache_hashes_total counter",
 		"m2cd_stream_cache_hits_total counter",
 		"m2cd_stream_cache_misses_total counter",
 		"m2cd_stream_cache_evictions_total counter",
-		"m2cd_stream_cache_hashes_total counter",
 		"m2cd_stream_cache_entries gauge",
 		"m2cd_traces_held gauge",
 		"m2cd_trace_admitted_total counter",

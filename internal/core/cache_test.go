@@ -2,11 +2,13 @@ package core_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"m2cc/internal/core"
 	"m2cc/internal/ifacecache"
+	"m2cc/internal/impscan"
 	"m2cc/internal/seq"
 	"m2cc/internal/sim"
 	"m2cc/internal/source"
@@ -181,12 +183,14 @@ func (l *countingLoader) Load(name string, kind source.FileKind) (string, error)
 	return l.Loader.Load(name, kind)
 }
 
-// TestEachInterfaceHashedOncePerCompilation pins the per-compilation
-// content-hash memo: a warm compilation whose imports have overlapping
-// closures (every interface is in several roots' closures, and both
-// caches key on them) loads each file once and hashes each distinct
-// .def exactly once — and the memo dies with the compilation, so a .def
-// edited before the next one is seen.
+// TestEachInterfaceHashedOncePerCompilation pins the one import scan:
+// a compilation with both caches attached, whose imports have
+// overlapping closures (every interface is in several roots' closures,
+// and both caches key on them), loads each file once, prologue-scans
+// each once — the area prescan, whose record the closure walks read —
+// and content-hashes each .def exactly once, cold, warm and after an
+// edit; and the record dies with the compilation, so a .def edited
+// before the next one is seen.
 func TestEachInterfaceHashedOncePerCompilation(t *testing.T) {
 	files := map[string]string{
 		"Base.def": "DEFINITION MODULE Base;\nCONST N = 4;\nEND Base.\n",
@@ -197,37 +201,51 @@ func TestEachInterfaceHashedOncePerCompilation(t *testing.T) {
 			"PROCEDURE P(): INTEGER;\nBEGIN\n  RETURN A.A1 + B.B1\nEND P;\n" +
 			"BEGIN\n  x := P() + C.C1 + Base.N\nEND Main.\n",
 	}
-	const distinctDefs = 4
 	base := testLoader(files)
 	loader := &countingLoader{Loader: base, loads: map[string]int{}}
 	cache, scache := ifacecache.New(), streamcache.New(0)
 	opts := core.Options{Workers: 2, Cache: cache, StreamCache: scache}
 
-	hashes := func() int64 { return cache.Stats().Hashes + scache.Stats().Hashes }
-	compile := func(step string) (*core.Result, int64) {
+	var mu sync.Mutex // guards: scans, hashes (the seams run on task goroutines)
+	scans, hashes := map[string]int{}, map[string]int{}
+	impscan.OnScan = func(name string, kind source.FileKind) {
+		mu.Lock()
+		scans[name+kind.Ext()]++
+		mu.Unlock()
+	}
+	impscan.OnHash = func(name string) {
+		mu.Lock()
+		hashes[name+".def"]++
+		mu.Unlock()
+	}
+	t.Cleanup(func() { impscan.OnScan, impscan.OnHash = nil, nil })
+
+	compile := func(step string) *core.Result {
 		t.Helper()
 		clear(loader.loads)
-		before := hashes()
+		clear(scans)
+		clear(hashes)
 		res := core.Compile("Main", loader, opts)
 		if res.Failed() || res.Faulted {
 			t.Fatalf("%s: compile failed:\n%s", step, res.Diags)
 		}
-		for file, n := range loader.loads {
-			if n != 1 {
+		for file := range files {
+			if n := loader.loads[file]; n != 1 {
 				t.Errorf("%s: %s loaded %d times in one compilation", step, file, n)
 			}
+			if n := scans[file]; n != 1 {
+				t.Errorf("%s: %s prologue-scanned %d times in one compilation", step, file, n)
+			}
+			if n, def := hashes[file], strings.HasSuffix(file, ".def"); def && n != 1 || !def && n != 0 {
+				t.Errorf("%s: %s content-hashed %d times in one compilation", step, file, n)
+			}
 		}
-		return res, hashes() - before
+		return res
 	}
 
-	if _, n := compile("cold"); n != distinctDefs {
-		t.Errorf("cold compile hashed %d .def texts, want %d", n, distinctDefs)
-	}
+	compile("cold")
 	ifaceBefore := cache.Stats()
-	res, n := compile("warm")
-	if n != distinctDefs {
-		t.Errorf("warm compile hashed %d .def texts, want each of %d once", n, distinctDefs)
-	}
+	res := compile("warm")
 	if d := cache.Stats().Sub(ifaceBefore); d.Hits == 0 || d.Misses != 0 {
 		t.Errorf("warm compile's interface traffic: %+v", d)
 	}
@@ -236,12 +254,10 @@ func TestEachInterfaceHashedOncePerCompilation(t *testing.T) {
 	}
 
 	// Edit the interface at the bottom of every closure.
+	const distinctDefs = 4
 	base.Add("Base", source.Def, "DEFINITION MODULE Base;\nCONST N = 5;\nEND Base.\n")
 	ifaceBefore = cache.Stats()
-	res, n = compile("edited")
-	if n != distinctDefs {
-		t.Errorf("compile after the edit hashed %d .def texts, want %d", n, distinctDefs)
-	}
+	res = compile("edited")
 	if d := cache.Stats().Sub(ifaceBefore); d.Misses != distinctDefs {
 		t.Errorf("compile after editing Base.def: interface traffic %+v, want %d misses", d, distinctDefs)
 	}

@@ -227,6 +227,8 @@ type driver struct {
 	bodyBag   *diag.Bag             // module-body diagnostic tee (fresh codegen)
 	pending   []pendingInstall      // cached code awaiting fixup application at merge
 	tally     streamcache.Tally     // this compilation's stream-cache traffic
+
+	ifaceTally ifacecache.Stats // this compilation's own interface-cache outcomes (under d.mu)
 }
 
 // pendingInstall is one cached code segment adopted by this compilation;
@@ -378,10 +380,10 @@ func Compile(module string, loader source.Loader, opts Options) *Result {
 
 	if d.obs != nil {
 		ta := obs.Tally{Sched: d.sup.Counters(), Lookups: stats}
+		d.mu.Lock()
+		ta.Cache, ta.Streams = d.ifaceTally, d.tally
+		d.mu.Unlock()
 		if d.scache != nil {
-			d.mu.Lock()
-			ta.Streams = d.tally
-			d.mu.Unlock()
 			ta.Evictions = d.scache.Stats().Evictions - d.scacheBase
 		}
 		d.obs.End(d.rec, ta)
@@ -622,16 +624,16 @@ func (d *driver) newStream() int32 {
 // registerAreas fixes the storage areas' indices before any task runs:
 // the module's, then, breadth-first from its interface and prologue
 // imports, each interface's that loads and holds a token, as DefParse
-// and cache installs register them.  It sizes the tables to match.
+// and cache installs register them.  It sizes the tables to match.  Its
+// scans are the compilation's one scan of each file: impscan.Prescan
+// records their imports on the snapshot, for both caches' closure keys.
 func (d *driver) registerAreas() {
 	names, areas := []string{d.module}, []string{d.module + ".mod"}
-	names, _ = impscan.Prologue(d.loader, d.module, source.Impl, names)
+	names, _ = impscan.Prescan(d.loader, d.module, source.Impl, names)
 	for i := 0; i < len(names); i++ {
 		var ok bool
-		if d.loader.Visit(names[i]) {
-			if names, ok = impscan.Prologue(d.loader, names[i], source.Def, names); ok {
-				areas = append(areas, names[i]+".def")
-			}
+		if names, ok = impscan.Prescan(d.loader, names[i], source.Def, names); ok {
+			areas = append(areas, names[i]+".def")
 		}
 	}
 	d.ifaces = make(map[string]*ifaceEntry, len(areas))
@@ -1122,25 +1124,23 @@ func (d *driver) iface(name string, optional bool, t *sched.Task) *ifaceEntry {
 	d.resolving[name] = resolved
 	d.mu.Unlock()
 
-	// Each outcome goes to the observer as this compilation's own — not
-	// a delta of the shared cache's counters, which concurrent batch
-	// siblings would pollute.
+	// Each outcome is tallied as this compilation's own — not a delta of
+	// the shared cache's counters, which concurrent batch siblings would
+	// pollute — and goes to the observer at the end (obs.Tally).
 	var e *ifaceEntry
-	ent, st, waits := d.cache.Resolve(name, d.loader, d.check != nil,
+	ent, st, own := d.cache.Resolve(name, d.loader, d.check != nil,
 		func(ev *event.Event) bool { return d.extWait(t, ev) })
-	d.obs.NoteCache(ifacecache.Stats{Waits: waits})
+	d.mu.Lock()
+	d.ifaceTally = d.ifaceTally.Add(own)
+	d.mu.Unlock()
 	switch st {
 	case ifacecache.Hit:
-		d.obs.NoteCache(ifacecache.Stats{Hits: 1})
 		// nil: a closure member conflicts with a scope this session
 		// already holds; compile fresh without the cache below, so all
 		// references keep pointer-identical types.
 		e = d.installCached(name, optional, ent)
 	case ifacecache.Lead:
-		d.obs.NoteCache(ifacecache.Stats{Misses: 1})
 		e = d.startIface(name, optional, ent)
-	case ifacecache.Bypass:
-		d.obs.NoteCache(ifacecache.Stats{Bypasses: 1})
 	case ifacecache.Abandoned:
 		// The foreign leader stalled past StallTimeout; this session
 		// compiles the interface itself, outside the cache.
@@ -1472,29 +1472,24 @@ func (d *driver) runCacheProbe(t *sched.Task) {
 	if !d.keyer.Complete() {
 		return // split faulted: cold-compile everything, record nothing
 	}
-	// Closure roots: the module's own interface (when present) plus
-	// every import named anywhere in the split, in stream order, each
-	// once.
+	// Closure roots: the module's own interface (when present), then the
+	// module's prologue imports as the prescan recorded them, each once.
+	// (A procedure stream holds an import only where the parser rejects
+	// it: "expected a declaration, found IMPORT".)
 	var roots []string
 	if _, err := d.loader.Load(d.module, source.Def); err == nil {
 		roots = append(roots, d.module)
 	}
-	addRoots := func(id int32) {
-		for _, imp := range d.keyer.Imports(id) {
-			if !slices.Contains(roots, imp) {
-				roots = append(roots, imp)
-			}
+	for _, imp := range impscan.Imports(d.loader, d.module, source.Impl) {
+		if !slices.Contains(roots, imp) {
+			roots = append(roots, imp)
 		}
 	}
-	addRoots(0)
-	ids := d.keyer.ProcStreams()
-	for _, id := range ids {
-		addRoots(id)
-	}
-	closure, ok := d.scache.ClosureHash(d.loader, roots)
+	closure, ok := impscan.Hash(d.loader, roots)
 	if !ok {
 		return // unhashable closure (load failure or import cycle): uncacheable
 	}
+	ids := d.keyer.ProcStreams()
 	kp := streamcache.KeyParams{
 		Reprocess: d.opts.Headers == HeaderReprocess,
 		Check:     d.opts.Check,

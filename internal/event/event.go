@@ -17,36 +17,6 @@ import (
 	"sync/atomic"
 )
 
-// Process-wide fire/wait tallies.  The observability layer
-// (internal/obs) snapshots these around a compilation to report how
-// much event traffic it generated; the counters are monotonic and
-// shared by every compilation in the process, so consumers must work
-// with deltas.  One atomic add per fire/wait keeps the primitive's
-// overhead negligible whether or not anyone is observing.
-var (
-	totalFires int64
-	totalWaits int64
-)
-
-// Counters is a snapshot of the process-wide event tallies.
-type Counters struct {
-	Fires int64 // events fired (first Fire per event only)
-	Waits int64 // blocking waits actually taken (Wait on an unfired event)
-}
-
-// Totals returns the current process-wide event counters.
-func Totals() Counters {
-	return Counters{
-		Fires: atomic.LoadInt64(&totalFires),
-		Waits: atomic.LoadInt64(&totalWaits),
-	}
-}
-
-// Sub returns c - prev, the traffic between two snapshots.
-func (c Counters) Sub(prev Counters) Counters {
-	return Counters{Fires: c.Fires - prev.Fires, Waits: c.Waits - prev.Waits}
-}
-
 // Event is a one-shot occurrence flag.  The zero value is an unfired
 // event ready for use.  Fire is idempotent; all methods are safe for
 // concurrent use.
@@ -88,7 +58,6 @@ func (e *Event) Fire() {
 		return
 	}
 	e.fired.Store(true)
-	atomic.AddInt64(&totalFires, 1)
 	if e.done != nil {
 		close(e.done)
 	}
@@ -139,18 +108,6 @@ func (e *Event) Subscribe(f func(*Event)) {
 	e.mu.Unlock()
 }
 
-// WaitChan returns the channel Wait would block on, counting the wait
-// in the process-wide tallies exactly as Wait does when the event is
-// unfired.  Use it when the wait must be combined with other signals in
-// a select (the scheduler's cancellation-aware waits); plain blocking
-// waits should call Wait.
-func (e *Event) WaitChan() <-chan struct{} {
-	if !e.fired.Load() {
-		atomic.AddInt64(&totalWaits, 1)
-	}
-	return e.Done()
-}
-
 // Wait blocks the calling goroutine until the event fires.  Tasks under
 // the Supervisor must not call Wait directly for handled events — they go
 // through the scheduler so their worker slot can be released; Wait is the
@@ -159,6 +116,5 @@ func (e *Event) Wait() {
 	if e.fired.Load() {
 		return
 	}
-	atomic.AddInt64(&totalWaits, 1)
 	<-e.Done()
 }

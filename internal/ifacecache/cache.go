@@ -8,7 +8,9 @@
 // import the same layered interfaces dozens of times, so most of their
 // wall clock is identical interface work redone.  This cache keys each
 // definition module by the closure hash of its transitive imports
-// (impscan.Closures, computed once per compilation) and stores the
+// (impscan.Root, computed once per compilation from the imports the
+// compilation's prescan recorded; the cache keeps no hasher of its own)
+// and stores the
 // *result* of compiling it: the sealed symtab.Scope, its storage-area
 // assignment, its direct imports and their entries.  An entry holds no
 // more than that, as a separately compiled unit is defined by its
@@ -253,7 +255,7 @@ func (e *Entry) settle(from, to entryState) {
 }
 
 // Stats is a snapshot of the cache's counters, or a compilation's own
-// Acquire outcomes (Hits to Bypasses; the rest stay zero, omitted).
+// Resolve outcomes (Hits to Abandoned; Evictions stays zero, omitted).
 type Stats struct {
 	Hits      int64 `json:"hits"`                // Acquire found a ready entry
 	Misses    int64 `json:"misses"`              // Acquire became leader (first compile of this content)
@@ -261,7 +263,6 @@ type Stats struct {
 	Bypasses  int64 `json:"bypasses"`            // uncacheable requests (load failure / import cycle)
 	Abandoned int64 `json:"abandoned,omitempty"` // waiters that timed out on a wedged leader (Resolve)
 	Evictions int64 `json:"evictions,omitempty"` // entries dropped by the LRU cap (SetLimit)
-	Hashes    int64 `json:"hashes,omitempty"`    // .def texts content-hashed on this cache's behalf
 }
 
 // Sub returns s - prev, the cache traffic between two snapshots; the
@@ -275,7 +276,6 @@ func (s Stats) Sub(prev Stats) Stats {
 		Bypasses:  s.Bypasses - prev.Bypasses,
 		Abandoned: s.Abandoned - prev.Abandoned,
 		Evictions: s.Evictions - prev.Evictions,
-		Hashes:    s.Hashes - prev.Hashes,
 	}
 }
 
@@ -285,26 +285,37 @@ func (s Stats) Add(other Stats) Stats {
 	return s.Sub(Stats{}.Sub(other))
 }
 
+// note counts one Acquire or Resolve outcome.
+func (s *Stats) note(st State) {
+	switch st {
+	case Hit:
+		s.Hits++
+	case Lead:
+		s.Misses++
+	case Wait:
+		s.Waits++
+	case Bypass:
+		s.Bypasses++
+	case Abandoned:
+		s.Abandoned++
+	}
+}
+
 // Cache is a concurrency-safe interface-compilation cache shared by
 // any number of concurrent compilations.  The zero value is not
 // usable; call New.
 type Cache struct {
-	hasher *impscan.Closures // closure keys; locks itself
-
 	mu      sync.Mutex // guards: entries, stats
 	entries *lru.Store[key, *Entry]
-	stats   Stats // Evictions and Hashes are filled in by Stats
+	stats   Stats // Evictions is filled in by Stats
 }
 
 // New returns an empty, unbounded cache (see SetLimit).
 func New() *Cache {
-	return &Cache{
-		hasher:  impscan.NewClosures(0),
-		entries: lru.New[key, *Entry](0, (*Entry).pinned),
-	}
+	return &Cache{entries: lru.New[key, *Entry](0, (*Entry).pinned)}
 }
 
-// SetLimit caps the cache, and its import-scan memo, at n entries
+// SetLimit caps the cache at n entries
 // (0 = unbounded).  When an insert pushes the cache past the cap, the
 // least-recently-used evictable entries are dropped.  Entries that are
 // still leading or sealing have live waiters parked on their event and
@@ -314,7 +325,6 @@ func (c *Cache) SetLimit(n int) {
 	c.mu.Lock()
 	c.entries.SetLimit(n)
 	c.mu.Unlock()
-	c.hasher.SetLimit(n)
 }
 
 // Stats returns a snapshot of the cache's counters.
@@ -323,7 +333,6 @@ func (c *Cache) Stats() Stats {
 	defer c.mu.Unlock()
 	s := c.stats
 	s.Evictions = c.entries.Evictions()
-	s.Hashes = c.hasher.Hashes()
 	return s
 }
 
@@ -347,27 +356,24 @@ func (c *Cache) Len() int {
 // entries whose publishers attached their facts.  A failed entry is
 // replaced by a fresh one, which the caller leads.
 func (c *Cache) Acquire(name string, loader source.Loader, lint bool) (ent *Entry, ev *event.Event, st State) {
-	h, ok := c.hasher.Root(name, loader)
+	h, ok := impscan.Root(name, loader)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	defer func() { c.stats.note(st) }() // runs before the Unlock
 	if !ok {
-		c.stats.Bypasses++
 		return nil, nil, Bypass
 	}
 	k := key{name: name, hash: h, lint: lint}
 	if e, ok := c.entries.Get(k); ok {
 		switch e.status() {
 		case stateReady:
-			c.stats.Hits++
 			return e, nil, Hit
 		case stateLeading, stateSealing:
-			c.stats.Waits++
 			return e, &e.done, Wait
 		}
 	}
 	e := &Entry{name: name}
 	c.entries.Put(k, e)
-	c.stats.Misses++
 	return e, nil, Lead
 }
 
@@ -378,19 +384,21 @@ func (c *Cache) Acquire(name string, loader source.Loader, lint bool) (ent *Entr
 // lead.  wait is the caller's bounded wait (Await, or a supervised
 // task's external wait) and reports whether the event fired; when it
 // did not, the leader is wedged, and Resolve counts the abandonment
-// and returns Abandoned.  waits counts the parks.
-func (c *Cache) Resolve(name string, loader source.Loader, lint bool, wait func(*event.Event) bool) (ent *Entry, st State, waits int64) {
+// and returns Abandoned.  own counts this call's outcomes, as the cache
+// counts them: its parks and its verdict.
+func (c *Cache) Resolve(name string, loader source.Loader, lint bool, wait func(*event.Event) bool) (ent *Entry, st State, own Stats) {
 	for {
 		ent, ev, st := c.Acquire(name, loader, lint)
+		own.note(st)
 		if st != Wait {
-			return ent, st, waits
+			return ent, st, own
 		}
-		waits++
 		if !wait(ev) {
 			c.mu.Lock()
-			c.stats.Abandoned++
+			c.stats.note(Abandoned)
 			c.mu.Unlock()
-			return nil, Abandoned, waits
+			own.note(Abandoned)
+			return nil, Abandoned, own
 		}
 	}
 }

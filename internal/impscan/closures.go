@@ -4,63 +4,81 @@ import (
 	"crypto/sha256"
 	"sync"
 
-	"m2cc/internal/lru"
 	"m2cc/internal/pool"
 	"m2cc/internal/source"
 )
 
-// Closures hashes definition modules' transitive import closures.  A
-// module's closure hash is a Merkle hash: the content hash of its .def
+// A module's closure hash is a Merkle hash: the content hash of its .def
 // combined with the name and closure hash of each module it imports.
 // The interface cache keys each entry by one such hash and the stream
 // cache keys every stream by a combination of them, so any textual
 // change to an interface a compilation can see yields a distinct key.
 //
-// Each .def is content-hashed, and its closure hash computed, once per
-// compilation: the closure hash is kept on the compilation's
-// source.Snapshot, where both caches' hashers find it.  Across
-// compilations only the import scans are kept: each distinct .def text
-// is scanned once, in a memo keyed by content and capped at the owning
-// cache's entry cap.  A Closures is safe for concurrent use.
-type Closures struct {
-	mu     sync.Mutex                        // guards: scans, hashes
-	scans  *lru.Store[source.Hash, []string] // content hash → direct import names
-	hashes int64                             // .def texts content-hashed on this hasher's behalf
+// A compilation learns each file's imports once: the area prescan
+// (Prescan) records them on its source.Snapshot before any task runs,
+// and the closure walk reads that record, scanning a file itself only
+// where no prescan ran.  Each .def is content-hashed, and its closure
+// hash computed, once per compilation, on the same snapshot, where both
+// caches' keys find it.  Nothing is kept across compilations.
+
+// OnScan and OnHash, test seams, see each file a prologue scan lexes and
+// each .def a closure walk content-hashes.
+var (
+	OnScan func(name string, kind source.FileKind)
+	OnHash func(name string)
+)
+
+// Prescan appends the prologue imports of name's file of kind to names,
+// as prologue does, and records them on snap, where the closure walk and
+// the stream cache's probe read them; a file already recorded appends
+// nothing.  ok reports a first scan of a file that loads and holds a
+// token.  The record is a capped sub-slice of names, so it costs no
+// allocation of its own.
+func Prescan(snap *source.Snapshot, name string, kind source.FileKind, names []string) (_ []string, ok bool) {
+	m := snap.Closure(name, kind) // loads the file
+	walks.Lock()
+	scanned := m.Scanned
+	walks.Unlock()
+	if scanned {
+		return names, false
+	}
+	base := len(names)
+	names, ok = prologue(snap, name, kind, names) // outside walks, which every compilation shares
+	walks.Lock()
+	m.Imports, m.Scanned = names[base:len(names):len(names)], true
+	walks.Unlock()
+	return names, ok
 }
 
-// NewClosures returns a hasher whose scan memo holds at most limit
-// entries (0 = unbounded).
-func NewClosures(limit int) *Closures {
-	return &Closures{scans: lru.New[source.Hash, []string](limit, nil)}
+// Imports returns the prologue imports of name's file of kind as
+// recorded on snap, scanning the file only when no prescan did.
+func Imports(snap *source.Snapshot, name string, kind source.FileKind) []string {
+	walks.Lock()
+	defer walks.Unlock()
+	return imports(snap.Closure(name, kind), snap, name, kind)
 }
 
-// SetLimit changes the scan memo's cap (0 = unbounded).
-func (c *Closures) SetLimit(n int) {
-	c.mu.Lock()
-	c.scans.SetLimit(n)
-	c.mu.Unlock()
-}
-
-// Hashes returns the number of .def texts content-hashed on this
-// hasher's behalf.
-func (c *Closures) Hashes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hashes
+// imports is Imports for a caller holding walks, given the file's memo.
+func imports(m *source.ClosureMemo, snap *source.Snapshot, name string, kind source.FileKind) []string {
+	if !m.Scanned {
+		m.Imports, _ = prologue(snap, name, kind, nil)
+		m.Scanned = true
+	}
+	return m.Imports
 }
 
 // Hash combines the transitive closure hashes of roots into one
 // content hash, in root order.  ok is false when any root is
 // unloadable or its closure contains an import cycle — such a
 // compilation is uncacheable.
-func (c *Closures) Hash(loader source.Loader, roots []string) (source.Hash, bool) {
+func Hash(loader source.Loader, roots []string) (source.Hash, bool) {
 	snap := snapshot(loader)
 	walks.Lock()
 	defer walks.Unlock()
 	buf := bufs.Get()[:0]
 	defer func() { bufs.Put(buf) }()
 	for _, name := range roots {
-		h, ok := c.walk(name, snap, &buf)
+		h, ok := walk(name, snap, &buf)
 		if !ok {
 			return source.Hash{}, false
 		}
@@ -72,13 +90,13 @@ func (c *Closures) Hash(loader source.Loader, roots []string) (source.Hash, bool
 // Root returns the transitive closure hash of name.  ok is false when
 // the closure has a load failure or an import cycle — the real
 // compilation will produce the diagnostics.
-func (c *Closures) Root(name string, loader source.Loader) (source.Hash, bool) {
+func Root(name string, loader source.Loader) (source.Hash, bool) {
 	snap := snapshot(loader)
 	walks.Lock()
 	defer walks.Unlock()
 	buf := bufs.Get()[:0]
 	defer func() { bufs.Put(buf) }()
-	return c.walk(name, snap, &buf)
+	return walk(name, snap, &buf)
 }
 
 // snapshot returns the compilation's snapshot, or a snapshot for this
@@ -90,13 +108,13 @@ func snapshot(loader source.Loader) *source.Snapshot {
 	return source.NewSnapshot(loader)
 }
 
-// walks guards every snapshot's closure memos (source.ClosureMemo): a
-// walk holds it throughout, so each memo is computed once and a walk's
-// marks are its own.  One lock serves every compilation: a walk takes
-// microseconds an interface once its imports are scanned, and a lock in
-// each snapshot would put every compilation's snapshot in a larger
-// size class.  A walk reads the files it has not seen under it, so a
-// slow Loader delays other compilations' walks too.
+// walks guards every snapshot's memos (source.ClosureMemo): a walk holds
+// it throughout, so each memo is computed once and a walk's marks are
+// its own.  One lock serves every compilation: a walk takes microseconds
+// an interface once its imports are scanned, and a lock in each
+// snapshot would put every compilation's snapshot in a larger size
+// class.  A walk reads the files it has not seen under it, so a slow
+// Loader delays other compilations' walks too.
 var walks sync.Mutex
 
 // bufs recycles the walks' stacks of closure-hash inputs.
@@ -114,8 +132,8 @@ const (
 // walk's stack: name's hash input is appended past what its callers
 // hold, the imports' walks push and pop theirs above it, and it is
 // popped once hashed.
-func (c *Closures) walk(name string, snap *source.Snapshot, buf *[]byte) (source.Hash, bool) {
-	m := snap.Closure(name)
+func walk(name string, snap *source.Snapshot, buf *[]byte) (source.Hash, bool) {
+	m := snap.Closure(name, source.Def)
 	switch m.Mark {
 	case hashed:
 		return m.Sum, true
@@ -128,14 +146,14 @@ func (c *Closures) walk(name string, snap *source.Snapshot, buf *[]byte) (source
 		return source.Hash{}, false
 	}
 	content := source.HashText(text)
-	c.mu.Lock()
-	c.hashes++
-	c.mu.Unlock()
+	if OnHash != nil {
+		OnHash(name)
+	}
 	m.Mark = walking
 	base := len(*buf)
 	*buf = append(*buf, content[:]...)
-	for _, imp := range c.scanImports(name, snap, content) {
-		sub, ok := c.walk(imp, snap, buf)
+	for _, imp := range imports(m, snap, name, source.Def) {
+		sub, ok := walk(imp, snap, buf)
 		if !ok {
 			*buf, m.Mark = (*buf)[:base], unhashable
 			return source.Hash{}, false
@@ -152,23 +170,4 @@ func (c *Closures) walk(name string, snap *source.Snapshot, buf *[]byte) (source
 func appendLink(b []byte, name string, h source.Hash) []byte {
 	b = append(append(append(b, 0), name...), 0)
 	return append(b, h[:]...)
-}
-
-// scanImports returns the direct imports of a .def's text, memoized by
-// content hash so each distinct interface text's prologue is lexed once
-// while it stays in the memo rather than once per compilation.
-func (c *Closures) scanImports(name string, loader source.Loader, content source.Hash) []string {
-	c.mu.Lock()
-	imps, ok := c.scans.Get(content)
-	c.mu.Unlock()
-	if ok {
-		return imps
-	}
-
-	imps, _ = Prologue(loader, name, source.Def, nil)
-
-	c.mu.Lock()
-	c.scans.Put(content, imps)
-	c.mu.Unlock()
-	return imps
 }

@@ -26,21 +26,28 @@ func chainLoader(k int) *source.MapLoader {
 
 func TestClosureHash(t *testing.T) {
 	loader := chainLoader(3)
-	c := NewClosures(0)
 
-	h1, ok := c.Hash(loader, []string{"chain0"})
+	h1, ok := Hash(loader, []string{"chain0"})
 	if !ok {
 		t.Fatal("closure hash of loadable chain must succeed")
 	}
-	h2, ok := c.Hash(loader, []string{"chain0"})
+	h2, ok := Hash(loader, []string{"chain0"})
 	if !ok || h2 != h1 {
 		t.Fatalf("closure hash not stable: %x vs %x", h1, h2)
+	}
+	// A walk that reads the prescan's record hashes as one that scans.
+	snap := source.NewSnapshot(loader)
+	for i := 0; i < 3; i++ {
+		Prescan(snap, fmt.Sprintf("chain%d", i), source.Def, nil)
+	}
+	if h, ok := Hash(snap, []string{"chain0"}); !ok || h != h1 {
+		t.Fatalf("closure hash over the prescan's record: %x, %v; want %x", h, ok, h1)
 	}
 
 	// Editing a leaf changes every root that can reach it.
 	loader.Add("chain2", source.Def,
 		"DEFINITION MODULE chain2;\nCONST base = 2;\nEND chain2.\n")
-	h3, ok := c.Hash(loader, []string{"chain0"})
+	h3, ok := Hash(loader, []string{"chain0"})
 	if !ok {
 		t.Fatal("closure hash after edit must succeed")
 	}
@@ -49,14 +56,14 @@ func TestClosureHash(t *testing.T) {
 	}
 
 	// Root order matters (the key is positional, like import order).
-	ha, _ := c.Hash(loader, []string{"chain1", "chain2"})
-	hb, _ := c.Hash(loader, []string{"chain2", "chain1"})
+	ha, _ := Hash(loader, []string{"chain1", "chain2"})
+	hb, _ := Hash(loader, []string{"chain2", "chain1"})
 	if ha == hb {
 		t.Fatal("closure hash must depend on root order")
 	}
 
 	// Unloadable root → uncacheable.
-	if _, ok := c.Hash(loader, []string{"nosuch"}); ok {
+	if _, ok := Hash(loader, []string{"nosuch"}); ok {
 		t.Fatal("closure hash of unloadable root must fail")
 	}
 
@@ -64,60 +71,40 @@ func TestClosureHash(t *testing.T) {
 	cyc := source.NewMapLoader()
 	cyc.Add("X", source.Def, "DEFINITION MODULE X;\nFROM Y IMPORT y;\nEND X.\n")
 	cyc.Add("Y", source.Def, "DEFINITION MODULE Y;\nFROM X IMPORT x;\nEND Y.\n")
-	if _, ok := c.Hash(cyc, []string{"X"}); ok {
+	if _, ok := Hash(cyc, []string{"X"}); ok {
 		t.Fatal("closure hash of cyclic closure must fail")
 	}
 }
 
-// TestClosureMemosBounded feeds a capped hasher 20 rounds of distinct
-// interface texts (a new importer and a re-edited import each round):
-// the import-scan memo, the one kept across compilations, may not grow
-// past the cap, and eviction must never change a hash.
-func TestClosureMemosBounded(t *testing.T) {
-	capped, free := NewClosures(4), NewClosures(0)
-	loader := source.NewMapLoader()
-	for i := 0; i < 20; i++ {
-		name := fmt.Sprintf("D%d", i%3)
-		loader.Add(name, source.Def, fmt.Sprintf("DEFINITION MODULE %s;\nCONST v = %d;\nEND %s.\n", name, i, name))
-		roots := []string{name, fmt.Sprintf("L%d", i)}
-		loader.Add(roots[1], source.Def, fmt.Sprintf("DEFINITION MODULE %s;\nFROM %s IMPORT v;\nEND %s.\n", roots[1], name, roots[1]))
-		for pass := 0; pass < 2; pass++ {
-			got, gok := capped.Hash(loader, roots)
-			want, wok := free.Hash(loader, roots)
-			if got != want || gok != wok || !gok {
-				t.Fatalf("text %d pass %d: capped hash %v/%v, uncapped %v/%v", i, pass, got, gok, want, wok)
-			}
-		}
-		if n := capped.scans.Len(); n > 4 {
-			t.Fatalf("after %d texts the capped memo holds %d scans; cap is 4", i+1, n)
-		}
-	}
-	if n := free.scans.Len(); n < 20 {
-		t.Fatalf("uncapped memo holds %d scans; want every text", n)
-	}
-}
-
-// TestClosuresConcurrent shares one capped hasher between goroutines,
-// as concurrent compilations share a cache's: memo eviction under
-// contention must never change a hash.
+// TestClosuresConcurrent walks overlapping closures from goroutines
+// sharing one snapshot, as a compilation's tasks do, and from
+// goroutines with snapshots of their own, as concurrent compilations
+// do: every walk must see the same hashes and imports.
 func TestClosuresConcurrent(t *testing.T) {
 	loader := chainLoader(8)
 	roots := [][]string{{"chain0"}, {"chain3", "chain5"}, {"chain7"}, {"chain2", "chain6"}}
 	want := make([]source.Hash, len(roots))
 	for i, r := range roots {
-		want[i], _ = NewClosures(0).Hash(loader, r)
+		want[i], _ = Hash(loader, r)
 	}
-	c := NewClosures(2)
+	shared := source.NewSnapshot(loader)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			snap := source.NewSnapshot(loader)
+			snap := shared
+			if g%2 == 1 {
+				snap = source.NewSnapshot(loader)
+			}
 			for i := 0; i < 50; i++ {
 				k := (g + i) % len(roots)
-				if h, ok := c.Hash(snap, roots[k]); !ok || h != want[k] {
+				if h, ok := Hash(snap, roots[k]); !ok || h != want[k] {
 					t.Errorf("goroutine %d: hash of %v = %x, %v; want %x", g, roots[k], h, ok, want[k])
+					return
+				}
+				if imps := Imports(snap, "chain1", source.Def); len(imps) != 1 || imps[0] != "chain2" {
+					t.Errorf("goroutine %d: imports of chain1 = %v", g, imps)
 					return
 				}
 			}
@@ -126,39 +113,52 @@ func TestClosuresConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkClosureHashWarm measures the memoized steady state: one
-// compilation's worth of re-keying against unchanged text — several
-// roots whose closures overlap, through the compilation's snapshot, as
-// a warm batch or the stream cache's verdict step does.  hashes/op is
-// the number of .def texts content-hashed per compilation: the chain's
-// 16, not the 36 the roots' closures add up to, each closure hash taken
-// once.  Compare with BenchmarkClosureHashCold (a fresh hasher per
-// iteration, so every prologue is scanned) to see the scan memo's win.
+// countSeams counts, while b runs, the prologue scans and the content
+// hashes the closure walk makes, and reports them a op.
+func countSeams(b *testing.B) {
+	var scans, hashes int
+	OnScan = func(string, source.FileKind) { scans++ }
+	OnHash = func(string) { hashes++ }
+	b.Cleanup(func() {
+		OnScan, OnHash = nil, nil
+		b.ReportMetric(float64(scans)/float64(b.N), "scans/op")
+		b.ReportMetric(float64(hashes)/float64(b.N), "hashes/op")
+	})
+}
+
+// BenchmarkClosureHashWarm measures what one compilation of the
+// concurrent compiler pays to key both caches, one snapshot an op: the
+// area prescan scans and records each of the chain's 16 prologues, then
+// several roots whose closures overlap are hashed over that record, as
+// the interface cache's keys and the stream cache's probe are.  Each
+// .def is scanned once and content-hashed once: 16 scans and 16 hashes
+// an op, not the 36 the roots' closures add up to.
 func BenchmarkClosureHashWarm(b *testing.B) {
 	loader := chainLoader(16)
 	roots := []string{"chain0", "chain4", "chain8"}
-	c := NewClosures(0)
-	if _, ok := c.Hash(loader, roots); !ok {
-		b.Fatal("prime failed")
-	}
-	before := c.Hashes()
+	countSeams(b)
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.Hash(source.NewSnapshot(loader), roots); !ok {
+		snap := source.NewSnapshot(loader)
+		names := []string{"chain0"}
+		for j := 0; j < len(names); j++ {
+			names, _ = Prescan(snap, names[j], source.Def, names)
+		}
+		if _, ok := Hash(snap, roots); !ok {
 			b.Fatal("warm closure hash failed")
 		}
 	}
-	b.ReportMetric(float64(c.Hashes()-before)/float64(b.N), "hashes/op")
 }
 
+// BenchmarkClosureHashCold is the sequential compiler's path, one
+// snapshot an op: no prescan ran, so the walk scans each prologue
+// itself, and records it for the rest of the compilation.
 func BenchmarkClosureHashCold(b *testing.B) {
 	loader := chainLoader(16)
+	countSeams(b)
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := NewClosures(0)
-		if _, ok := c.Hash(loader, []string{"chain0"}); !ok {
+		if _, ok := Hash(source.NewSnapshot(loader), []string{"chain0"}); !ok {
 			b.Fatal("cold closure hash failed")
 		}
 	}

@@ -8,8 +8,11 @@
 // guarantees each interface is processed exactly once no matter how
 // many import paths reach it.
 //
-// The same prologue scan, run over a .def's text, drives Closures: the
-// transitive import-closure hashing both compilation caches key on.
+// The same prologue scan, run over a file's text by the driver's area
+// prescan before any task runs (Prescan), is the one place a compilation
+// learns a file's imports: the record it leaves on the compilation's
+// source.Snapshot drives the transitive import-closure hashing both
+// compilation caches key on (Hash, Root).
 package impscan
 
 import (
@@ -47,14 +50,17 @@ func Names(toks []token.Token) (names []string) {
 	return names
 }
 
-// Prologue loads the named file and appends its prologue imports to
+// prologue loads the named file and appends its prologue imports to
 // names, as Names would find them, lexing only up to the first
 // declaration keyword, a small block at a time.  ok reports a file
 // that loads and holds a token.
-func Prologue(loader source.Loader, name string, kind source.FileKind, names []string) (_ []string, ok bool) {
+func prologue(loader source.Loader, name string, kind source.FileKind, names []string) (_ []string, ok bool) {
 	text, err := loader.Load(name, kind)
 	if err != nil {
 		return names, false
+	}
+	if OnScan != nil {
+		OnScan(name, kind)
 	}
 	var buf [16]token.Token // the real compilation lexes the file again, with diagnostics
 	i, n, sc := 0, 0, lexer.NewScanner(text)

@@ -13,7 +13,7 @@ import (
 	"m2cc/internal/tokq"
 )
 
-func scanImports(t *testing.T, src string) []string {
+func importsOf(t *testing.T, src string) []string {
 	t.Helper()
 	files := source.NewSet()
 	f := files.Add("T", source.Impl, src)
@@ -27,21 +27,21 @@ func scanImports(t *testing.T, src string) []string {
 }
 
 func TestPlainImportList(t *testing.T) {
-	got := scanImports(t, "MODULE M;\nIMPORT A, B, C;\nBEGIN END M.")
+	got := importsOf(t, "MODULE M;\nIMPORT A, B, C;\nBEGIN END M.")
 	if !reflect.DeepEqual(got, []string{"A", "B", "C"}) {
 		t.Fatalf("got %v", got)
 	}
 }
 
 func TestFromImportReportsOnlyTheModule(t *testing.T) {
-	got := scanImports(t, "MODULE M;\nFROM Lib IMPORT x, y, z;\nBEGIN END M.")
+	got := importsOf(t, "MODULE M;\nFROM Lib IMPORT x, y, z;\nBEGIN END M.")
 	if !reflect.DeepEqual(got, []string{"Lib"}) {
 		t.Fatalf("FROM must report the module, not the names: %v", got)
 	}
 }
 
 func TestMixedImports(t *testing.T) {
-	got := scanImports(t, `
+	got := importsOf(t, `
 DEFINITION MODULE M;
 IMPORT A;
 FROM B IMPORT b1, b2;
@@ -55,7 +55,7 @@ END M.`)
 func TestScanStopsAtDeclarations(t *testing.T) {
 	// IMPORT-shaped text after the declaration section must not count;
 	// imports only appear in the prologue, and the scanner stops early.
-	got := scanImports(t, `
+	got := importsOf(t, `
 MODULE M;
 IMPORT A;
 CONST c = 1;
@@ -68,7 +68,7 @@ END M.`)
 }
 
 func TestNoImports(t *testing.T) {
-	if got := scanImports(t, "MODULE M;\nBEGIN END M."); len(got) != 0 {
+	if got := importsOf(t, "MODULE M;\nBEGIN END M."); len(got) != 0 {
 		t.Fatalf("got %v, want none", got)
 	}
 }

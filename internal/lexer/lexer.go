@@ -410,7 +410,7 @@ func Run(f *source.File, ctx *ctrace.TaskCtx, diags *diag.Bag, q *tokq.Queue) {
 
 // Scanner scans a text a block at a time into buffers its caller holds,
 // charging no task and reporting no diagnostic, for a reader that stops
-// early (impscan.Prologue).
+// early (impscan.Prescan).
 type Scanner struct{ l scanner }
 
 // NewScanner returns a scanner at the start of text.

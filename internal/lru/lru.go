@@ -1,6 +1,7 @@
 // Package lru is the one recency-ordered, capped map in the compiler:
-// the interface cache, the stream cache, their import-scan memos and
-// the daemon's trace store all keep their entries in a Store.
+// the interface cache, the stream cache and the daemon's trace store
+// all keep their entries in a Store; what a compilation learns of its
+// files lives on its source.Snapshot and dies with it.
 //
 // A Store does not lock itself.  Each owner holds its own mutex around
 // every call, so the owner's lock order (cache, then entry) is the only

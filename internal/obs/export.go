@@ -46,8 +46,8 @@ type Metrics struct {
 	ReadyDepthMean float64 `json:"ready_depth_mean"`
 	ReadyDepthPeak int     `json:"ready_depth_peak"`
 
-	// Event traffic attributed to the run (process-global counter
-	// delta; see event.Totals).
+	// Event traffic of the observed compilations, from their traces:
+	// the events fired and the blocking waits taken.
 	EventFires int64 `json:"event_fires"`
 	EventWaits int64 `json:"event_waits"`
 
@@ -120,8 +120,7 @@ func (o *Observer) Snapshot() Metrics {
 		WallMs:     wall.Seconds() * 1000,
 		Workers:    o.workers,
 		Tasks:      len(tr.Tasks),
-		EventFires: o.evDelta.Fires,
-		EventWaits: o.evDelta.Waits,
+		EventFires: int64(len(tr.Run.Fires)),
 	}
 	if o.cache != (ifacecache.Stats{}) {
 		c := o.cache
@@ -171,6 +170,7 @@ func (o *Observer) Snapshot() Metrics {
 	}
 	m.NeverRan = m.Tasks - m.Finished
 	m.BlocksHandled, m.BlocksExternal, m.BlocksBarrier = blocks[ctrace.WaitHandled], blocks[ctrace.WaitExternal], blocks[ctrace.WaitBarrier]
+	m.EventWaits = m.BlocksHandled + m.BlocksExternal + m.BlocksBarrier
 	if wall > 0 {
 		m.SlotOccupancyMean = busy.Seconds() / wall.Seconds()
 	}

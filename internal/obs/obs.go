@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"m2cc/internal/ctrace"
-	"m2cc/internal/event"
 	"m2cc/internal/ifacecache"
 	"m2cc/internal/profile"
 	"m2cc/internal/sched"
@@ -53,8 +52,6 @@ type Observer struct {
 	strategy string
 	runs     []run // the observed compilations, in Begin order
 
-	evBase  event.Counters
-	evDelta event.Counters
 	cache   ifacecache.Stats
 	streams StreamMetrics
 	sched   sched.Counters
@@ -76,7 +73,7 @@ type run struct {
 
 // New returns an Observer with its epoch set to now.
 func New() *Observer {
-	return &Observer{epoch: time.Now(), evBase: event.Totals()}
+	return &Observer{epoch: time.Now()}
 }
 
 // Begin registers a compilation traced by rec on workers slots under
@@ -104,6 +101,7 @@ func (o *Observer) Begin(rec *ctrace.Recorder, workers int, strategy string) {
 // Tally is what a compilation counted beside its trace.
 type Tally struct {
 	Sched     sched.Counters
+	Cache     ifacecache.Stats // its own interface-cache outcomes
 	Streams   streamcache.Tally
 	Evictions int64         // the shared stream store's, during the compilation
 	Lookups   *symtab.Stats // nil unless lookup statistics were collected
@@ -124,6 +122,7 @@ func (o *Observer) End(rec *ctrace.Recorder, t Tally) {
 		}
 	}
 	o.sched.Add(t.Sched)
+	o.cache = o.cache.Add(t.Cache)
 	o.streams.Tally = o.streams.Tally.Add(t.Streams)
 	o.streams.Evictions += t.Evictions
 	if t.Lookups != nil && o.lookups == nil {
@@ -146,18 +145,6 @@ func (o *Observer) Finish() {
 	}
 	o.mu.Lock()
 	o.ended = time.Since(o.epoch)
-	o.evDelta = event.Totals().Sub(o.evBase)
-	o.mu.Unlock()
-}
-
-// NoteCache attributes a compilation's own interface-cache Acquire
-// outcomes to the observed run; they accumulate across the batch.
-func (o *Observer) NoteCache(c ifacecache.Stats) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	o.cache = o.cache.Add(c)
 	o.mu.Unlock()
 }
 

@@ -105,8 +105,7 @@ func TestNilObserverSafe(t *testing.T) {
 	var o *obs.Observer
 	rec := ctrace.NewRecorder()
 	o.Begin(rec, 4, "Skeptical")
-	o.NoteCache(ifacecache.Stats{Hits: 1})
-	o.End(rec, obs.Tally{Sched: sched.Counters{Dispatches: 1}, Streams: streamcache.Tally{Hits: 1}, Evictions: 1})
+	o.End(rec, obs.Tally{Sched: sched.Counters{Dispatches: 1}, Cache: ifacecache.Stats{Hits: 1}, Streams: streamcache.Tally{Hits: 1}, Evictions: 1})
 	o.Finish()
 	if m := o.Snapshot(); m.Tasks != 0 || m.Spans != 0 {
 		t.Fatalf("nil Snapshot = %+v, want zero", m)
@@ -161,6 +160,41 @@ func TestSnapshotWorkers1Deterministic(t *testing.T) {
 	}
 	if m.Lookups == nil || m.Lookups.Lookups == 0 {
 		t.Errorf("Lookups = %+v, want recorded tallies", m.Lookups)
+	}
+}
+
+// TestEventCountsAreTheRunsOwn: an Observer's event counters are read
+// from the traces of the compilations it observes, so a compilation it
+// does not observe, run after it was made, does not count.
+func TestEventCountsAreTheRunsOwn(t *testing.T) {
+	o := obs.New()
+	core.Compile("Main", obsLoader(), core.Options{Workers: 2})
+	res := core.Compile("Main", obsLoader(), core.Options{Workers: 2, Obs: o, Trace: true})
+	var waits int64
+	for _, r := range res.Trace.Run.Tasks {
+		waits += int64(len(r.Waits))
+	}
+	m := o.Snapshot()
+	if fires := int64(len(res.Trace.Run.Fires)); m.EventFires != fires || m.EventWaits != waits {
+		t.Fatalf("EventFires, EventWaits = %d, %d; the observed trace holds %d fires, %d waits",
+			m.EventFires, m.EventWaits, fires, waits)
+	}
+}
+
+// TestCacheMetricsAreTheRunsOwn observes a batch of suite programs, one
+// after another, on a shared interface cache: the Observer's cache
+// traffic is the cache's own over the batch.
+func TestCacheMetricsAreTheRunsOwn(t *testing.T) {
+	suite := workload.GenerateSuite(1992, 0.1)
+	cache := ifacecache.New()
+	core.Compile(suite.Programs[0].Name, suite.Loader, core.Options{Workers: 2, Cache: cache}) // not observed
+	o, before := obs.New(), cache.Stats()
+	for _, p := range suite.Programs[:12] {
+		core.Compile(p.Name, suite.Loader, core.Options{Workers: 2, Cache: cache, Obs: o})
+	}
+	d, m := cache.Stats().Sub(before), o.Snapshot()
+	if m.Cache == nil || m.Cache.Hits != d.Hits || m.Cache.Misses != d.Misses || m.Cache.Waits != d.Waits || d.Hits == 0 {
+		t.Fatalf("observed interface-cache traffic %+v; the cache's over the batch %+v", m.Cache, d)
 	}
 }
 

@@ -143,7 +143,7 @@ func (t *Task) BarrierWait(e *event.Event) {
 	}
 	from := s.clockOff(t)
 	select {
-	case <-e.WaitChan():
+	case <-e.Done():
 	case <-s.cancelCh:
 	}
 	t.Ctx.Waited(e, ctrace.WaitBarrier, from, s.clockOn(t))
@@ -163,7 +163,7 @@ func (t *Task) HandledWait(e *event.Event) {
 	s := t.w.sup
 	from := s.block(t, e, false)
 	select {
-	case <-e.WaitChan():
+	case <-e.Done():
 	case <-s.cancelCh:
 	}
 	// Reacquire before unwinding so the slot accounting stays exact:

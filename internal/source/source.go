@@ -5,7 +5,9 @@
 // The compiler never touches the file system directly; it asks a Loader
 // for module text.  This keeps the whole compiler usable in-memory (the
 // workload generator and the test suite depend on that) while cmd/m2c
-// supplies a disk-backed Loader.
+// supplies a disk-backed Loader.  A compilation reads its files through
+// a Snapshot, which keeps beside each text what impscan learns of it:
+// its imports, from the one scan of the file, and its closure hash.
 package source
 
 import (
@@ -135,15 +137,16 @@ func (l *DirLoader) Load(name string, kind FileKind) (string, error) {
 }
 
 // Snapshot is one compilation's view of a Loader: each file is loaded at
-// most once and, for a .def, its import-closure hash recorded once, so
-// every task of the compilation — Lexors, the interface cache's keys,
-// the stream cache's closure hash — sees the same text and shares one
-// hash of it.  A Snapshot must not outlive its compilation: the next
-// one has to look at the files again.
+// most once, its prologue imports scanned once and, for a .def, its
+// import-closure hash recorded once, so every task of the compilation —
+// Lexors, the area prescan, the interface cache's keys, the stream
+// cache's closure hash — sees the same text and shares one scan and one
+// hash of it.  A Snapshot must not outlive its compilation: the next one
+// has to look at the files again.
 type Snapshot struct {
 	base Loader
 
-	mu    sync.Mutex // guards: files, and each file's visited flag
+	mu    sync.Mutex // guards: files
 	files map[fileKey]*snapFile
 }
 
@@ -158,20 +161,24 @@ type snapFile struct {
 	err  error
 
 	closure ClosureMemo
-	visited bool // guarded by the Snapshot's mu: Visit has seen the file
 }
 
-// ClosureMemo is where impscan.Closures records a .def's import-closure
-// hash in a snapshot, so that both compilation caches share one
+// ClosureMemo is where impscan records a file's direct imports and, for
+// a .def, its import-closure hash in a snapshot, so that the area
+// prescan's scan serves both compilation caches, which share one
 // computation, and one content hash of the file, per compilation.
 type ClosureMemo struct {
-	Sum  Hash
-	Mark uint8 // the recording walk's progress; zero until a walk reaches the file
+	Imports []string // the file's prologue imports, once Scanned
+	Sum     Hash
+	Mark    uint8 // the recording walk's progress; zero until a walk reaches the file
+	Scanned bool  // Imports is recorded
 }
 
-// Closure returns name.def's closure memo.  Its one writer,
-// impscan.Closures, guards every snapshot's memos with one lock.
-func (s *Snapshot) Closure(name string) *ClosureMemo { return &s.file(name, Def).closure }
+// Closure returns the memo of name's file of kind.  Its one writer,
+// impscan, guards every snapshot's memos with one lock.
+func (s *Snapshot) Closure(name string, kind FileKind) *ClosureMemo {
+	return &s.file(name, kind).closure
+}
 
 // NewSnapshot returns an empty snapshot of base.
 func NewSnapshot(base Loader) *Snapshot {
@@ -189,16 +196,6 @@ func (s *Snapshot) file(name string, kind FileKind) *snapFile {
 	s.mu.Unlock()
 	f.load.Do(func() { f.text, f.err = s.base.Load(name, kind) })
 	return f
-}
-
-// Visit reports whether this is the first visit of name.def, so a walk
-// over the import graph takes each interface once.
-func (s *Snapshot) Visit(name string) (first bool) {
-	f := s.file(name, Def)
-	s.mu.Lock()
-	first, f.visited = !f.visited, true
-	s.mu.Unlock()
-	return first
 }
 
 // Load implements Loader.

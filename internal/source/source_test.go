@@ -130,7 +130,7 @@ func TestSnapshotLoadsAndHashesOnce(t *testing.T) {
 
 	var wg sync.WaitGroup
 	var fresh atomic.Int64
-	var memoMu sync.Mutex // as impscan.Closures guards the memos
+	var memoMu sync.Mutex // as impscan guards the memos
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
@@ -140,7 +140,7 @@ func TestSnapshotLoadsAndHashesOnce(t *testing.T) {
 				t.Errorf("Load = %q, %v", text, err)
 			}
 			memoMu.Lock()
-			if m := snap.Closure("A"); m.Mark == 0 {
+			if m := snap.Closure("A", source.Def); m.Mark == 0 {
 				m.Sum, m.Mark = source.HashText(text), 1
 				fresh.Add(1)
 			}
@@ -148,7 +148,7 @@ func TestSnapshotLoadsAndHashesOnce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if base.loads.Load() != 1 || fresh.Load() != 1 || snap.Closure("A").Sum != source.HashText("one") {
+	if base.loads.Load() != 1 || fresh.Load() != 1 || snap.Closure("A", source.Def).Sum != source.HashText("one") {
 		t.Fatalf("%d loads, %d fresh hashes; want one of each", base.loads.Load(), fresh.Load())
 	}
 
@@ -158,8 +158,8 @@ func TestSnapshotLoadsAndHashesOnce(t *testing.T) {
 		t.Fatalf("snapshot changed under its compilation: %q", text)
 	}
 	next := source.NewSnapshot(base)
-	if text, _ := next.Load("A", source.Def); text != "two" || next.Closure("A").Mark != 0 {
-		t.Fatalf("a new snapshot must reload and rehash: %q, memo %+v", text, *next.Closure("A"))
+	if text, _ := next.Load("A", source.Def); text != "two" || next.Closure("A", source.Def).Mark != 0 {
+		t.Fatalf("a new snapshot must reload and rehash: %q, memo %+v", text, *next.Closure("A", source.Def))
 	}
 
 	// Failures are remembered too.

@@ -107,10 +107,10 @@ func splitAt(name string, kind source.FileKind, src string, blockSize int, copyH
 	}
 	kp := streamcache.KeyParams{Reprocess: copyHeadings}
 	body := sink.keyer.BodyKey(kp)
-	out.Keys = append(out.Keys, fmt.Sprintf("body %x imports %v", body[:], sink.keyer.Imports(0)))
+	out.Keys = append(out.Keys, fmt.Sprintf("body %x", body[:]))
 	for _, id := range sink.keyer.ProcStreams() {
 		key := sink.keyer.ProcKey(id, kp)
-		out.Keys = append(out.Keys, fmt.Sprintf("%d %x imports %v", id, key[:], sink.keyer.Imports(id)))
+		out.Keys = append(out.Keys, fmt.Sprintf("%d %x", id, key[:]))
 	}
 	return out
 }

@@ -68,21 +68,8 @@ const keyVersion = "m2sc/2"
 type KeyParams struct {
 	Reprocess bool        // §2.4 alternative 3 (HeaderReprocess)
 	Check     bool        // lint facts recorded alongside code
-	Closure   source.Hash // combined interface-closure hash (Cache.ClosureHash)
+	Closure   source.Hash // combined interface-closure hash (impscan.Hash)
 }
-
-// impState is the prologue-import automaton state (the incremental
-// equivalent of impscan.Names): imports only appear before the first
-// declaration keyword.
-type impState uint8
-
-const (
-	impScan     impState = iota // looking for FROM / IMPORT
-	impFrom                     // saw FROM, next Ident is a module name
-	impFromSkip                 // inside FROM ... IMPORT list, skip to ";"
-	impList                     // inside IMPORT list, Idents are module names
-	impDone                     // hit a declaration keyword; prologue over
-)
 
 // recs is one record stream: its stretches of the arena, in order (a
 // record never straddles two), and the line the next record's delta
@@ -103,9 +90,6 @@ type streamInfo struct {
 	// the digest domains disjoint.
 	layout recs // every token appended to the stream's queue
 	head   recs // the heading's tokens
-
-	imports []string // prologue import names, in order of appearance
-	imp     impState
 
 	subtree source.Hash // memoized subtree layout hash
 	own     source.Hash
@@ -172,13 +156,8 @@ func (k *Keyer) Heading(id int32, toks []token.Token) {
 
 // Tokens implements splitter.Sink.
 func (k *Keyer) Tokens(id int32, toks []token.Token) {
-	s := k.stream(id)
-	if s == nil {
-		return
-	}
-	k.record(&s.layout, toks)
-	for i := 0; i < len(toks) && s.imp != impDone; i++ {
-		s.scanImport(toks[i])
+	if s := k.stream(id); s != nil {
+		k.record(&s.layout, toks)
 	}
 }
 
@@ -211,8 +190,7 @@ func (k *Keyer) Release() {
 	for _, s := range k.infos[:len(k.order)] {
 		clear(s.layout.spans)
 		clear(s.head.spans)
-		clear(s.imports)
-		*s = streamInfo{children: s.children[:0], imports: s.imports[:0],
+		*s = streamInfo{children: s.children[:0],
 			layout: recs{spans: s.layout.spans[:0]}, head: recs{spans: s.head.spans[:0]}}
 	}
 	k.order, k.done = k.order[:0], false
@@ -289,45 +267,6 @@ func appendUvarint(b []byte, x uint64) []byte {
 	return binary.AppendUvarint(b, x)
 }
 
-// scanImport advances the prologue automaton by one token (the
-// incremental form of impscan's Names).
-func (s *streamInfo) scanImport(t token.Token) {
-	switch s.imp {
-	case impDone:
-		return
-	case impFrom:
-		if t.Kind == token.Ident {
-			s.imports = append(s.imports, t.Text)
-		}
-		s.imp = impFromSkip
-		return
-	case impFromSkip:
-		if t.Kind == token.Semicolon || t.Kind == token.EOF {
-			s.imp = impScan
-		}
-		return
-	case impList:
-		switch t.Kind {
-		case token.Ident:
-			s.imports = append(s.imports, t.Text)
-		case token.Comma:
-		default:
-			s.imp = impScan
-			s.scanImport(t) // the terminator may itself start a state
-		}
-		return
-	}
-	switch t.Kind { // impScan
-	case token.FROM:
-		s.imp = impFrom
-	case token.IMPORT:
-		s.imp = impList
-	case token.CONST, token.TYPE, token.VAR, token.PROCEDURE,
-		token.EXCEPTION, token.BEGIN, token.END, token.EOF:
-		s.imp = impDone
-	}
-}
-
 // EndStream implements splitter.Sink.
 func (k *Keyer) EndStream(id int32) {}
 
@@ -344,16 +283,6 @@ func (k *Keyer) ProcStreams() []int32 {
 		return nil
 	}
 	return k.order[1:]
-}
-
-// Imports returns the module names the stream's prologue imports, in
-// order of appearance (the driver's cache probe collects closure roots
-// from them).
-func (k *Keyer) Imports(id int32) []string {
-	if s := k.stream(id); s != nil {
-		return s.imports
-	}
-	return nil
 }
 
 // Children returns a stream's direct children in source order.

@@ -7,7 +7,9 @@
 // hash covering everything that can influence its output — its own
 // token layout, its heading, the declaration text of every enclosing
 // stream, and the transitive interface closure of the compilation
-// (hashed by impscan.Closures, as the interface cache's keys are).  A
+// (impscan.Hash over the module's own interface and prologue imports,
+// read from the compilation's prescan as the interface cache's keys
+// are; the cache keeps no hasher of its own).  A
 // recompile after a one-procedure edit re-runs only the changed
 // streams; hits replay the stream's object code, diagnostics, and lint
 // fact table verbatim, and the Merge task concatenates cached and
@@ -35,7 +37,6 @@ import (
 
 	"m2cc/internal/check"
 	"m2cc/internal/diag"
-	"m2cc/internal/impscan"
 	"m2cc/internal/lru"
 	"m2cc/internal/source"
 	"m2cc/internal/token"
@@ -104,7 +105,6 @@ type Stats struct {
 	Hits      int64 // Get found an entry
 	Misses    int64 // Get found nothing
 	Evictions int64 // entries dropped by the LRU cap
-	Hashes    int64 // .def texts content-hashed for closure hashes
 	Entries   int   // current entry count
 }
 
@@ -139,32 +139,14 @@ func (t Tally) Add(other Tally) Tally {
 // benign.  Consequently no entry ever has waiters, and the LRU cap
 // can evict any entry.
 type Cache struct {
-	// hasher computes interface-closure hashes for key derivation.  The
-	// stream cache owns one even when the compilation runs without an
-	// interface cache.  It locks itself.
-	hasher *impscan.Closures
-
 	mu      sync.Mutex // guards: entries, stats
 	entries *lru.Store[Key, *Entry]
-	stats   Stats // Evictions, Hashes and Entries are filled in by Stats
+	stats   Stats // Evictions and Entries are filled in by Stats
 }
 
-// New returns an empty cache capped, with its import-scan memo, at
-// limit entries (0 = unbounded).
+// New returns an empty cache capped at limit entries (0 = unbounded).
 func New(limit int) *Cache {
-	return &Cache{
-		hasher:  impscan.NewClosures(limit),
-		entries: lru.New[Key, *Entry](limit, nil),
-	}
-}
-
-// ClosureHash combines the transitive interface closure of roots into
-// one hash (ok=false if any interface fails to load or the closure is
-// cyclic).  Each interface's closure hash is computed once per
-// compilation and kept on the compilation's snapshot, which the
-// interface cache's keys read too.
-func (c *Cache) ClosureHash(loader source.Loader, roots []string) (source.Hash, bool) {
-	return c.hasher.Hash(loader, roots)
+	return &Cache{entries: lru.New[Key, *Entry](limit, nil)}
 }
 
 // SetLimit changes the entry cap (0 = unbounded), evicting immediately
@@ -173,7 +155,6 @@ func (c *Cache) SetLimit(n int) {
 	c.mu.Lock()
 	c.entries.SetLimit(n)
 	c.mu.Unlock()
-	c.hasher.SetLimit(n)
 }
 
 // Get looks up a stream key, marking the entry most recently used.
@@ -211,7 +192,6 @@ func (c *Cache) Stats() Stats {
 	defer c.mu.Unlock()
 	s := c.stats
 	s.Evictions = c.entries.Evictions()
-	s.Hashes = c.hasher.Hashes()
 	s.Entries = c.entries.Len()
 	return s
 }

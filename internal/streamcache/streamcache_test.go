@@ -1,7 +1,6 @@
 package streamcache
 
 import (
-	"fmt"
 	"testing"
 
 	"m2cc/internal/token"
@@ -112,28 +111,6 @@ func TestKeyerSensitivity(t *testing.T) {
 	// Params separate key spaces.
 	if base.ProcKey(1, KeyParams{Check: true}) == baseProc {
 		t.Fatal("Check must namespace procedure keys")
-	}
-}
-
-// TestKeyerImports pins the prologue automaton against the batch
-// scanner's semantics on a FROM/IMPORT mix.
-func TestKeyerImports(t *testing.T) {
-	k := NewKeyer()
-	k.StartStream(0, -1, "")
-	k.Tokens(0, []token.Token{
-		tok(token.FROM, "FROM", 1, 1), tok(token.Ident, "Fib", 1, 6),
-		tok(token.IMPORT, "IMPORT", 1, 10), tok(token.Ident, "Nth", 1, 17),
-		tok(token.Semicolon, ";", 1, 20),
-		tok(token.IMPORT, "IMPORT", 2, 1), tok(token.Ident, "IO", 2, 8),
-		tok(token.Comma, ",", 2, 10), tok(token.Ident, "Sys", 2, 12),
-		tok(token.Semicolon, ";", 2, 15),
-		tok(token.VAR, "VAR", 3, 1), // prologue over
-		tok(token.IMPORT, "IMPORT", 4, 1), tok(token.Ident, "Late", 4, 8),
-	})
-	k.Done()
-	got := fmt.Sprintf("%v", k.Imports(0))
-	if got != "[Fib IO Sys]" {
-		t.Fatalf("imports = %s, want [Fib IO Sys]", got)
 	}
 }
 
