@@ -213,6 +213,30 @@ func BenchmarkSequentialCompile(b *testing.B) {
 	}
 }
 
+// BenchmarkImportDAG measures the import-graph cost: a module importing
+// the last of 3 200 interfaces, each importing the two before it
+// (importChain), compiled concurrently at one and two workers and
+// sequentially.
+func BenchmarkImportDAG(b *testing.B) {
+	module, loader := importChain(3200, true)
+	for _, c := range []struct {
+		name    string
+		compile func() bool
+	}{
+		{"Compile/1", func() bool { return m2cc.Compile(module, loader, m2cc.Options{Workers: 1}).Failed() }},
+		{"Compile/2", func() bool { return m2cc.Compile(module, loader, m2cc.Options{Workers: 2}).Failed() }},
+		{"CompileSequential", func() bool { return m2cc.CompileSequential(module, loader).Failed() }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for range b.N {
+				if c.compile() {
+					b.Fatal("compile failed")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSynthTraceAndSim measures the full best-case pipeline:
 // generate Synth.mod, trace-compile it and simulate 8 processors.
 func BenchmarkSynthTraceAndSim(b *testing.B) {

@@ -1177,7 +1177,7 @@ func (d *driver) extWait(t *sched.Task, ev *event.Event) bool {
 	if t == nil {
 		// The prefetch from the main goroutine waits inline, under the
 		// same deadline and cancellation discipline as supervised tasks.
-		return ifacecache.Await(ev, d.stall, d.opts.Cancel)
+		return ev.Await(d.stall, d.opts.Cancel)
 	}
 	return t.ExternalWait(ev)
 }

@@ -192,6 +192,32 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestProcedureBodyDiagnosticsMatchSequential: the splitter diverts a
+// procedure body whatever token it starts with, and the sequential
+// parser takes it inline whatever it starts with, so both compilers
+// report a malformed body the same way under both header modes.
+func TestProcedureBodyDiagnosticsMatchSequential(t *testing.T) {
+	for _, c := range []struct{ name, body, want string }{
+		{"import", "IMPORT B;", "M.mod:3:1: error: expected a declaration, found IMPORT"},
+		{"from-import", "FROM B IMPORT x;", "M.mod:3:1: error: expected a declaration, found FROM"},
+	} {
+		loader := testLoader(map[string]string{
+			"B.def": "DEFINITION MODULE B;\nVAR x: INTEGER;\nEND B.\n",
+			"M.mod": "MODULE M;\nPROCEDURE P;\n" + c.body + "\nBEGIN END P;\nBEGIN P END M.\n",
+		})
+		want := seq.Compile("M", loader).Diags.String()
+		if !strings.Contains(want, c.want) {
+			t.Fatalf("%s: sequential compiler reports\n%s\nwant it to contain %q", c.name, want, c.want)
+		}
+		for _, hdr := range []core.HeaderMode{core.HeaderShared, core.HeaderReprocess} {
+			res := core.Compile("M", loader, core.Options{Workers: 2, Headers: hdr})
+			if got := res.Diags.String(); got != want {
+				t.Errorf("%s/hdr%d: diagnostics differ\n got: %q\nwant: %q", c.name, hdr, got, want)
+			}
+		}
+	}
+}
+
 func TestConcurrentProgramRuns(t *testing.T) {
 	loader := testLoader(multiModuleProgram)
 	var objs []*vm.Object

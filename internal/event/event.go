@@ -15,6 +15,7 @@ package event
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Event is a one-shot occurrence flag.  The zero value is an unfired
@@ -106,6 +107,20 @@ func (e *Event) Subscribe(f func(*Event)) {
 	}
 	e.subs = &sub{f, e.subs}
 	e.mu.Unlock()
+}
+
+// Await blocks until the event fires, d (positive) passes or cancel
+// closes (a nil cancel never does), and reports whether it fired: the
+// bounded wait on an event another compilation owns.
+func (e *Event) Await(d time.Duration, cancel <-chan struct{}) bool {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-e.Done():
+	case <-timer.C:
+	case <-cancel:
+	}
+	return e.Fired()
 }
 
 // Wait blocks the calling goroutine until the event fires.  Tasks under

@@ -381,11 +381,11 @@ func (c *Cache) Acquire(name string, loader source.Loader, lint bool) (ent *Entr
 // acquires name and, while another compilation leads the entry, parks
 // through wait and acquires again — the event's fire is the leader's
 // verdict, and after a failure the fresh entry is this caller's to
-// lead.  wait is the caller's bounded wait (Await, or a supervised
-// task's external wait) and reports whether the event fired; when it
-// did not, the leader is wedged, and Resolve counts the abandonment
-// and returns Abandoned.  own counts this call's outcomes, as the cache
-// counts them: its parks and its verdict.
+// lead.  wait is the caller's bounded wait (event.Event.Await, or a
+// supervised task's external wait) and reports whether the event
+// fired; when it did not, the leader is wedged, and Resolve counts the
+// abandonment and returns Abandoned.  own counts this call's outcomes,
+// as the cache counts them: its parks and its verdict.
 func (c *Cache) Resolve(name string, loader source.Loader, lint bool, wait func(*event.Event) bool) (ent *Entry, st State, own Stats) {
 	for {
 		ent, ev, st := c.Acquire(name, loader, lint)
@@ -401,18 +401,4 @@ func (c *Cache) Resolve(name string, loader source.Loader, lint bool, wait func(
 			return nil, Abandoned, own
 		}
 	}
-}
-
-// Await is the bounded wait of a caller no scheduler supervises: it
-// parks on ev for at most d, or until cancel closes (a nil cancel never
-// does), and reports whether ev fired.
-func Await(ev *event.Event, d time.Duration, cancel <-chan struct{}) bool {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-ev.Done():
-	case <-timer.C:
-	case <-cancel:
-	}
-	return ev.Fired()
 }

@@ -393,8 +393,8 @@ func (p *Parser) parseProcDecl() *ast.ProcDecl {
 	head := p.ParseProcHead()
 	d := ast.New(p.Arena, ast.ProcDecl{Head: head})
 	p.expect(token.Semicolon)
-	switch p.tok.Kind {
-	case token.BodyRef:
+	switch {
+	case p.tok.Kind == token.BodyRef:
 		// Concurrent mode: the splitter diverted the body to another
 		// stream and left its number behind.
 		n, err := strconv.Atoi(p.tok.Text)
@@ -408,14 +408,12 @@ func (p *Parser) parseProcDecl() *ast.ProcDecl {
 		d.BodyStream = int32(n)
 		p.next()
 		p.expect(token.Semicolon)
-	case token.CONST, token.TYPE, token.VAR, token.EXCEPTION, token.PROCEDURE,
-		token.BEGIN, token.END, token.MODULE:
-		if p.inDef {
-			// Definition module: headings never have bodies.
-			d.HeadingOnly = true
-			return d
-		}
-		// Sequential mode: the body follows inline.
+	case p.inDef:
+		// Definition module: headings never have bodies.
+		d.HeadingOnly = true
+	default:
+		// Sequential mode: the body follows inline, whatever it starts
+		// with, as the splitter diverts it whatever it starts with.
 		if p.procs == MaxProcNesting {
 			p.tooManyProcs(head.Pos)
 			d.HeadingOnly = true
@@ -435,9 +433,6 @@ func (p *Parser) parseProcDecl() *ast.ProcDecl {
 			p.errorf(d.EndName.Pos, "procedure %s ends with name %s", head.Name.Text, d.EndName.Text)
 		}
 		p.expect(token.Semicolon)
-	default:
-		// Definition module: heading only.
-		d.HeadingOnly = true
 	}
 	return d
 }

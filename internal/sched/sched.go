@@ -7,7 +7,8 @@
 //     they fire;
 //   - handled events release the task's worker slot while it waits, and
 //     the Supervisor preferentially boosts the task that will fire the
-//     event (§2.3.4);
+//     event (§2.3.4); the fire readies the waiter, as it readies a
+//     gated task, before the firer gives its slot up;
 //   - barrier events hold the slot (token-queue consumers only; their
 //     producers never block, so progress is guaranteed).
 //
@@ -38,10 +39,12 @@
 package sched
 
 import (
+	"cmp"
 	"container/heap"
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -90,14 +93,12 @@ type Task struct {
 	// Scheduler state, under the Supervisor's mu.
 	priority  int64 // raised by a §2.3.4 boost
 	seq       int64
-	produces  *produced    // events registered to it by SetProducer
-	waitOn    *event.Event // the event of a handled or external wait in progress
+	produces  *produced // events registered to it by SetProducer
 	stream    int32
-	gatesLeft int32 // unfired avoided events (Supervisor.gateWaiters); parked while > 0
+	gatesLeft int32 // unfired events it counts in Supervisor.gateWaiters: its gates, or its handled wait's event
 	heapIdx   int32 // index in the ready heap, -1 when absent
 	lane      int32 // the lane of the slot it holds or last held
 	started   bool
-	external  bool // waitOn is owned by another compilation
 }
 
 // produced lists the events a task was registered to produce.
@@ -153,24 +154,19 @@ func (t *Task) BarrierWait(e *event.Event) {
 }
 
 // HandledWait performs a handled-event wait: the slot is released so
-// another task (preferentially the event's producer) can run, and
-// re-acquired once the event fires.  It is the wait the symbol-table
-// searcher uses for DKY blockages.
+// another task (preferentially the event's producer) can run, and the
+// fire readies t, as it readies a gated task.  It is the wait the
+// symbol-table searcher uses for DKY blockages.  In a canceled
+// compilation the watchdog's force-fire readies t, which unwinds here.
 func (t *Task) HandledWait(e *event.Event) {
 	if e.Fired() {
 		return
 	}
 	s := t.w.sup
 	from := s.block(t, e, false)
-	select {
-	case <-e.Done():
-	case <-s.cancelCh:
-	}
-	// Reacquire before unwinding so the slot accounting stays exact:
-	// the cancellation panic is raised from inside the task body, where
-	// the normal finish path releases the slot.
-	s.reacquire(t, e, ctrace.WaitHandled, from)
-	if !e.Fired() {
+	<-t.w.resume
+	t.Ctx.Waited(e, ctrace.WaitHandled, from, s.clockOn(t))
+	if s.canceled.Load() {
 		panic(ErrCanceled)
 	}
 }
@@ -195,23 +191,16 @@ func (t *Task) ExternalWait(e *event.Event) bool {
 	}
 	s := t.w.sup
 	from := s.block(t, e, true)
-	var deadline <-chan time.Time
-	if s.StallTimeout > 0 {
-		timer := time.NewTimer(s.StallTimeout)
-		defer timer.Stop()
-		deadline = timer.C
-	}
 	// Canceled: abandon the foreign dependency immediately; the caller's
-	// fallback work is discharged unrun anyway.  The fire may race the
-	// deadline or the cancellation; a fired event is never reported as a
-	// stall.
-	select {
-	case <-e.Done():
-	case <-deadline:
-	case <-s.cancelCh:
-	}
-	s.reacquire(t, e, ctrace.WaitExternal, from)
-	return e.Fired()
+	// fallback work is discharged unrun anyway.
+	fired := e.Await(s.StallTimeout, s.cancelCh)
+	s.mu.Lock()
+	s.external--
+	s.pushLocked(t)
+	s.mu.Unlock()
+	<-t.w.resume
+	t.Ctx.Waited(e, ctrace.WaitExternal, from, s.clockOn(t))
+	return fired
 }
 
 // Supervisor owns the worker slots and the ready queue.
@@ -227,16 +216,16 @@ type Supervisor struct {
 	tasks     *Task                  // every spawned task, newest first (Task.next)
 	producers map[*event.Event]*Task // SetProducer registrations
 
-	// Gate bookkeeping: one event.Subscribe per distinct gate event,
-	// installed by the Spawn that adds its key, batches the release of
-	// every task it gates into a single scheduler transaction when it
-	// fires.
-	gateWaiters map[*event.Event][]*Task // gate whose fire is unprocessed → tasks counting it
+	// Gate bookkeeping: the event.Subscribe installed by the Spawn that
+	// adds a gate's key, or by each handled wait on it, batches the
+	// release of every task counting it into one scheduler transaction.
+	gateWaiters map[*event.Event][]*Task // event whose fire is unprocessed → tasks counting it
 	onGate      func(*event.Event)       // gatesFired, bound once
 
 	total    int
 	finished int
 	faults   int // tasks that panicked and were isolated
+	external int // tasks in ExternalWait, woken from outside the compilation
 
 	// canceled flips once when Cancel is called; checked lock-free on
 	// every dispatch and wait so an abandoned compilation stops doing
@@ -256,8 +245,8 @@ type Supervisor struct {
 	// OnDeadlock is invoked (outside the lock) with a description when
 	// the watchdog breaks a stall; the driver reports it as an error.
 	// The message includes a full scheduler state dump (ready queue,
-	// blocked/parked/external tasks and the producers of the events
-	// they wait on).
+	// blocked and parked tasks and the producers of the events they
+	// wait on).
 	OnDeadlock func(msg string)
 
 	// OnPanic is invoked (outside the lock) when a task panics.  The
@@ -270,8 +259,8 @@ type Supervisor struct {
 	OnPanic func(t *Task, recovered any, stack []byte)
 
 	// StallTimeout bounds ExternalWait: how long a task may park on an
-	// event owned by a foreign compilation before abandoning it.
-	// Zero or negative waits forever.  Set before the first Spawn.
+	// event owned by a foreign compilation before abandoning it.  It
+	// must be positive.  Set before the first Spawn.
 	StallTimeout time.Duration
 }
 
@@ -393,18 +382,11 @@ func (s *Supervisor) Spawn(kind ctrace.TaskKind, stream int32, label string,
 	t.next, s.tasks = s.tasks, t
 	// Register against each gate that has not fired.  Fire sets the
 	// flag before it runs subscribers, so a fired gate's release is done
-	// or on its way; an unfired one's subscription is installed by the
-	// Spawn that adds its key, and covers every waiter, past and future.
+	// or on its way.
 	var buf [2]*event.Event
 	fresh := buf[:0]
 	for _, g := range gates {
-		if g.Fired() {
-			continue
-		}
-		t.gatesLeft++
-		waiters, subscribed := s.gateWaiters[g]
-		s.gateWaiters[g] = append(waiters, t)
-		if !subscribed {
+		if !g.Fired() && s.gateLocked(t, g) {
 			fresh = append(fresh, g)
 		}
 	}
@@ -419,9 +401,19 @@ func (s *Supervisor) Spawn(kind ctrace.TaskKind, stream int32, label string,
 	return t
 }
 
-// gatesFired processes one gate event's fire: every task counting it is
+// gateLocked counts t against unfired g and reports whether g's key is
+// new, so that the caller must subscribe onGate to it.  Caller holds s.mu.
+func (s *Supervisor) gateLocked(t *Task, g *event.Event) (fresh bool) {
+	t.gatesLeft++
+	waiters, subscribed := s.gateWaiters[g]
+	s.gateWaiters[g] = append(waiters, t)
+	return !subscribed
+}
+
+// gatesFired processes one event's fire: every task counting it is
 // decremented, and all tasks it releases enter the ready queue under a
-// single scheduler transaction, before any of them is dispatched.
+// single scheduler transaction, before any of them is dispatched.  A
+// stall check that met the fired key waits for it: it wakes Wait.
 func (s *Supervisor) gatesFired(g *event.Event) {
 	s.mu.Lock()
 	for _, t := range s.gateWaiters[g] {
@@ -431,6 +423,7 @@ func (s *Supervisor) gatesFired(g *event.Event) {
 	}
 	delete(s.gateWaiters, g)
 	s.kickLocked()
+	s.wakeWaitLocked()
 	s.mu.Unlock()
 }
 
@@ -488,8 +481,9 @@ func (s *Supervisor) admitLocked(t *Task) (unstarted bool) {
 // Anything else would wake the driver once per task just to go back to
 // sleep.  Caller holds s.mu.  This relies on Wait being the only
 // sleeper on s.cond and on every critical section that bumps s.finished
-// or frees a slot ending with this call; pushes skip it, since they only
-// add work.  A release site without it can strand Wait.
+// or frees a slot ending with this call, and gatesFired's; other pushes
+// skip it, since they only add work.  A release site without it can
+// strand Wait.
 func (s *Supervisor) wakeWaitLocked() {
 	if s.finished == s.total || len(s.idle) == s.slots {
 		s.cond.Broadcast()
@@ -637,38 +631,40 @@ func (s *Supervisor) Faults() int {
 }
 
 // block gives up t's slot because it is about to wait on e, which
-// another compilation owns when external.  The slot is handed straight
-// to the best ready task — preferentially the producer that resolves
-// the blockage, whose priority is first raised above every class
-// (§2.3.4).  A producer that is running, blocked or parked sits in no
-// queue and is left alone; a foreign event has none.  It returns when
+// another compilation owns when external.  A handled waiter subscribes
+// to e, then counts it, so e's fire readies it while the firer holds
+// its slot (with several waiters, all gatesFired calls but the first
+// find nothing left to do); an external one is counted and readies
+// itself.  The slot is handed straight to the best ready task —
+// preferentially the producer that resolves the blockage, whose
+// priority is first raised above every class (§2.3.4).  It returns when
 // the wait began, as clockOff read it.
 func (s *Supervisor) block(t *Task, e *event.Event, external bool) time.Duration {
+	if !external {
+		e.Subscribe(s.onGate)
+	}
 	from := s.clockOff(t)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if p, ok := s.producers[e]; ok && p.heapIdx >= 0 {
 		p.priority = -1 << 62
 		heap.Fix(&s.ready, int(p.heapIdx))
 	}
-	t.waitOn, t.external = e, external
 	if t.w.resume == nil {
 		t.w.resume = make(chan struct{}, 1)
 	}
+	switch {
+	case external:
+		s.external++
+	case e.Fired():
+		// e fired since HandledWait looked: t keeps its slot and goes on.
+		t.w.resume <- struct{}{}
+		return from
+	default:
+		s.gateLocked(t, e)
+	}
 	s.handoffLocked(t)
-	s.mu.Unlock()
 	return from
-}
-
-// reacquire returns t to the ready queue after its wait on e ended,
-// blocks until a slot is granted, restarts its clock and records the
-// wait, begun at from.
-func (s *Supervisor) reacquire(t *Task, e *event.Event, kind ctrace.WaitKind, from time.Duration) {
-	s.mu.Lock()
-	t.waitOn = nil
-	s.pushLocked(t)
-	s.mu.Unlock()
-	<-t.w.resume
-	t.Ctx.Waited(e, kind, from, s.clockOn(t))
 }
 
 // Wait blocks until every spawned task has finished.  It breaks DKY
@@ -677,76 +673,75 @@ func (s *Supervisor) reacquire(t *Task, e *event.Event, kind ctrace.WaitKind, fr
 // always terminates with diagnostics instead of hanging.
 func (s *Supervisor) Wait() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for s.finished < s.total {
-		if len(s.idle) == s.slots && len(s.ready) == 0 {
-			// Nothing is running or runnable, yet tasks remain: a stall.
-			var fires []*event.Event
-			inTransit := false
-			for t := s.tasks; t != nil && !inTransit; t = t.next {
-				switch e := t.waitOn; {
-				case e == nil:
-				case t.external || e.Fired():
-					// Tasks waiting on foreign (cache) events are woken
-					// from outside this compilation, and a woken waiter
-					// is between its event firing and re-acquiring a
-					// slot; either may fire the events the others wait
-					// on.  Not a deadlock — let it land.
-					inTransit = true
-				default:
-					fires = append(fires, e)
-				}
+		var fires []*event.Event
+		if len(s.idle) == s.slots && len(s.ready) == 0 && s.external == 0 {
+			// A stall: every task left counts an event in gateWaiters.
+			if len(s.gateWaiters) == 0 {
+				return // tasks vanished without finishing: a scheduler bug; bail out rather than hang
 			}
-			if inTransit {
-				fires = nil
-			} else if len(fires) == 0 {
-				for g := range s.gateWaiters { // the parked tasks' gates
-					if !g.Fired() {
-						fires = append(fires, g)
-					}
-				}
-			}
-			if len(fires) > 0 {
-				cb := s.OnDeadlock
-				var msg string
-				wedged := !s.canceled.Load()
-				if wedged {
-					msg = "DKY deadlock broken: compilation cannot make progress (cyclic imports or missing declarations)\n" +
-						s.stateDumpLocked()
-				} else {
-					// Canceled teardown: residual gates are expected (their
-					// producers were discharged unrun); force-fire them so
-					// the drain completes, but report no deadlock — the
-					// result is already marked canceled by the driver.
-					cb = nil
-				}
-				s.mu.Unlock()
-				if wedged {
-					s.rec.NoteMark(ctrace.MarkWatchdog, 0)
-				}
-				if cb != nil {
-					cb(msg)
-				}
-				for _, e := range fires {
-					s.rec.NoteFire(e, 0, true)
-					e.Fire() // vet:allowfire watchdog force-fire; NoteFire is the record
-				}
-				s.mu.Lock()
-				continue
-			}
-			if !inTransit {
-				// No one to wake: tasks vanished without finishing —
-				// this would be a scheduler bug; bail out rather than
-				// hang.
-				break
+			fires = s.stallFiresLocked() // nil while a fired event's release is on its way
+		}
+		if fires == nil {
+			s.cond.Wait()
+			continue
+		}
+		// A canceled teardown's residual gates are expected (their
+		// producers were discharged unrun): fire them so the drain
+		// completes, but report no deadlock; the result is canceled.
+		var msg string
+		if !s.canceled.Load() {
+			msg = "DKY deadlock broken: compilation cannot make progress (cyclic imports or missing declarations)\n" +
+				s.stateDumpLocked()
+		}
+		cb := s.OnDeadlock
+		s.mu.Unlock()
+		if msg != "" {
+			s.rec.NoteMark(ctrace.MarkWatchdog, 0)
+			if cb != nil {
+				cb(msg)
 			}
 		}
-		s.cond.Wait()
+		for _, e := range fires {
+			s.rec.NoteFire(e, 0, true)
+			e.Fire() // vet:allowfire watchdog force-fire; NoteFire is the record
+		}
+		s.mu.Lock()
 	}
-	s.mu.Unlock()
+}
+
+// stallFiresLocked returns the events whose force-fire breaks a stall:
+// those blocked tasks wait on, the newest waiter's first, or else the
+// parked tasks' gates.  It returns nil while a fired event's release
+// has yet to run.  Caller holds s.mu.
+func (s *Supervisor) stallFiresLocked() []*event.Event {
+	var blocked, parked []*event.Event
+	newest := make(map[*event.Event]int64) // 1 + the seq of an event's newest blocked waiter
+	for g, waiters := range s.gateWaiters {
+		if g.Fired() {
+			return nil
+		}
+		for _, t := range waiters {
+			if t.started {
+				newest[g] = max(newest[g], t.seq+1)
+			}
+		}
+		if newest[g] > 0 {
+			blocked = append(blocked, g)
+		} else {
+			parked = append(parked, g)
+		}
+	}
+	if len(blocked) == 0 {
+		return parked
+	}
+	slices.SortFunc(blocked, func(a, b *event.Event) int { return cmp.Compare(newest[b], newest[a]) })
+	return blocked
 }
 
 // stateDumpLocked renders the scheduler's full state — the ready queue,
-// blocked/parked/external tasks, and for every awaited event its
+// blocked and parked tasks, and for every awaited event its
 // registered producer — so a DKY deadlock report names the stuck tasks
 // instead of leaving the user to guess.  Lines within each section are
 // sorted for deterministic output.  Caller holds s.mu.
@@ -779,34 +774,28 @@ func (s *Supervisor) stateDumpLocked() string {
 		}
 		return "event with no registered producer"
 	}
-	unfired := make(map[*Task][]string) // parked tasks' gates
+	unfired := make(map[*Task][]string) // the blocked and parked tasks' events
 	for g, waiters := range s.gateWaiters {
-		if !g.Fired() {
-			for _, t := range waiters {
-				unfired[t] = append(unfired[t], desc(g))
-			}
+		for _, t := range waiters {
+			unfired[t] = append(unfired[t], desc(g))
 		}
 	}
-	var runnable, blocked, parked, external []string
+	var runnable, blocked, parked []string
 	for _, t := range s.ready {
 		runnable = append(runnable, t.Label)
 	}
-	for t := s.tasks; t != nil; t = t.next {
-		switch {
-		case t.waitOn != nil && t.external:
-			external = append(external, fmt.Sprintf("%s waits on a foreign compilation's event", t.Label))
-		case t.waitOn != nil:
-			blocked = append(blocked, fmt.Sprintf("%s waits on %s", t.Label, desc(t.waitOn)))
-		case t.gatesLeft > 0:
-			sort.Strings(unfired[t])
+	for t, events := range unfired {
+		if t.started {
+			blocked = append(blocked, fmt.Sprintf("%s waits on %s", t.Label, events[0]))
+		} else {
+			sort.Strings(events)
 			parked = append(parked, fmt.Sprintf("%s gated on %d event(s): %s",
-				t.Label, len(unfired[t]), strings.Join(unfired[t], ", ")))
+				t.Label, len(events), strings.Join(events, ", ")))
 		}
 	}
 	section("runnable", runnable)
 	section("blocked (handled waits)", blocked)
 	section("parked (avoided gates)", parked)
-	section("external (cache waits)", external)
 	return strings.TrimRight(b.String(), "\n")
 }
 

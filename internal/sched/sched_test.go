@@ -1,6 +1,8 @@
 package sched_test
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -544,5 +546,72 @@ func TestResidentWorkerRunsChainOnOneGoroutine(t *testing.T) {
 	s.Wait()
 	if c := s.Counters(); c.Goroutines != 2 || s.Exited() != 2 {
 		t.Fatalf("one blocking task on one worker: %d goroutines (%d exited), want 2 (2)", c.Goroutines, s.Exited())
+	}
+}
+
+// TestHandledWaitReadiedAtFire: at one worker, W_i takes a handled wait
+// on an event that F_i fires, and W_i runs before F_i, F_i before
+// W_(i+1).  The fire readies W_i while F_i still holds the slot, so the
+// slot passes from F_i to W_i, not to W_(i+1): the log reads W_i F_i
+// W_i' for each i in turn.
+func TestHandledWaitReadiedAtFire(t *testing.T) {
+	const n = 50
+	s := sched.New(1, nil)
+	var mu sync.Mutex
+	var got []string
+	log := func(m string, i int) { mu.Lock(); got = append(got, fmt.Sprintf("%s%d", m, i)); mu.Unlock() }
+	release := make(chan struct{})
+	s.Spawn(ctrace.KindLexor, 0, "hold", -1, nil, nil, func(*sched.Task) { <-release })
+	for i := range n {
+		e := event.New()
+		s.Spawn(ctrace.KindLexor, 0, "W", int64(2*i), nil, nil, func(task *sched.Task) {
+			log("W", i)
+			task.HandledWait(e)
+			log("W'", i)
+		})
+		s.Spawn(ctrace.KindLexor, 0, "F", int64(2*i+1), nil, nil, func(task *sched.Task) {
+			log("F", i)
+			task.Ctx.FireEvent(e)
+		})
+	}
+	close(release)
+	s.Wait()
+	var want []string
+	for i := range n {
+		want = append(want, fmt.Sprintf("W%d", i), fmt.Sprintf("F%d", i), fmt.Sprintf("W'%d", i))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("log %v, want %v", got, want)
+	}
+}
+
+// TestDeadlockBreaksInOneOrder: a three-way cycle of handled waits at
+// one worker (A waits on what C fires, B on what A fires, C on what B
+// fires) breaks the same way every time: the watchdog fires the newest
+// waiter's event first, so C resumes first, then A, then B.
+func TestDeadlockBreaksInOneOrder(t *testing.T) {
+	for run := range 20 {
+		s := sched.New(1, nil)
+		var mu sync.Mutex
+		var got []string
+		deadlocks := 0
+		s.OnDeadlock = func(string) { mu.Lock(); deadlocks++; mu.Unlock() }
+		eA, eB, eC := event.New(), event.New(), event.New()
+		cycle := func(name string, wait, fire *event.Event) {
+			s.Spawn(ctrace.KindLexor, 0, name, 0, nil, nil, func(task *sched.Task) {
+				task.HandledWait(wait)
+				mu.Lock()
+				got = append(got, name)
+				mu.Unlock()
+				task.Ctx.FireEvent(fire)
+			})
+		}
+		cycle("A", eA, eB)
+		cycle("B", eB, eC)
+		cycle("C", eC, eA)
+		s.Wait()
+		if want := []string{"C", "A", "B"}; !slices.Equal(got, want) || deadlocks != 1 {
+			t.Fatalf("run %d: resumed %v with %d deadlock reports, want %v with 1", run, got, deadlocks, want)
+		}
 	}
 }

@@ -143,7 +143,7 @@ func (c *compiler) iface(name string, pos token.Pos, importer string) *symtab.Sc
 		return c.compileIface(name, pos, importer, nil)
 	}
 	ent, st, _ := c.cache.Resolve(name, c.loader, false,
-		func(ev *event.Event) bool { return ifacecache.Await(ev, c.stall, nil) })
+		func(ev *event.Event) bool { return ev.Await(c.stall, nil) })
 	switch st {
 	case ifacecache.Hit:
 		if sc := c.installCached(name, ent); sc != nil {
