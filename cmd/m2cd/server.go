@@ -566,11 +566,13 @@ func (s *server) handleCompile(w *statusRecorder, r *http.Request, lint bool) {
 
 // serveSequential answers a breaker-tripped client through the
 // sequential compiler: slower, no concurrency to fault, byte-identical
-// listing and diagnostics.
+// listing and diagnostics.  Like Compile's fault fallback it runs
+// without the shared interface cache, so it never waits on another
+// compilation's leader nor publishes what a faulting client compiled.
 func (s *server) serveSequential(w *statusRecorder, req compileRequest, loader m2cc.Loader, lint bool) {
 	s.sequentialServed.Add(1)
 	s.completed.Add(1)
-	sres := m2cc.CompileSequentialCached(req.Module, loader, s.cache, s.cfg.stallTimeout)
+	sres := m2cc.CompileSequential(req.Module, loader)
 	reply := compileReply{module: req.Module, ok: !sres.Failed(), object: sres.Object, diags: sres.Diags.String(), lint: lint}
 	if lint {
 		reply.findings = m2cc.Lint(req.Module, loader)

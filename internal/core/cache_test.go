@@ -50,31 +50,6 @@ func TestCachedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestCachedSequentialMatches runs the sequential compiler against a
-// shared cache, twice per module, and checks both passes against the
-// uncached baseline.
-func TestCachedSequentialMatches(t *testing.T) {
-	loader := testLoader(multiModuleProgram)
-	mods := []string{"Main", "Stacks", "Sorter"}
-	wantListing, wantDiags := seqBaseline(t, loader, mods)
-
-	cache := ifacecache.New()
-	for pass := 0; pass < 2; pass++ {
-		for _, m := range mods {
-			res := seq.CompileWithCache(m, loader, cache, 0)
-			if got := res.Diags.String(); got != wantDiags[m] {
-				t.Fatalf("pass %d, %s: diagnostics differ\n got: %q\nwant: %q", pass, m, got, wantDiags[m])
-			}
-			if got := res.Object.Listing(); got != wantListing[m] {
-				t.Fatalf("pass %d, %s: listings differ\ngot:\n%s\nwant:\n%s", pass, m, got, wantListing[m])
-			}
-		}
-	}
-	if s := cache.Stats(); s.Hits == 0 {
-		t.Fatalf("warm pass produced no hits: %+v", s)
-	}
-}
-
 // TestSingleFlightAcrossCompilations races eight whole compilations of
 // Main against one empty cache: each of the two cacheable interfaces
 // (Stacks, Sorter) must be compiled exactly once — one leader each,

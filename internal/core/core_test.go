@@ -195,24 +195,37 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 // TestProcedureBodyDiagnosticsMatchSequential: the splitter diverts a
 // procedure body whatever token it starts with, and the sequential
 // parser takes it inline whatever it starts with, so both compilers
-// report a malformed body the same way under both header modes.
+// report a malformed body the same way under both header modes and
+// every DKY strategy.  A nameless END carries the token after it into
+// the body's stream, so its parser reports the missing name where the
+// inline parse does, and the parent stream parses that token alone.
 func TestProcedureBodyDiagnosticsMatchSequential(t *testing.T) {
-	for _, c := range []struct{ name, body, want string }{
-		{"import", "IMPORT B;", "M.mod:3:1: error: expected a declaration, found IMPORT"},
-		{"from-import", "FROM B IMPORT x;", "M.mod:3:1: error: expected a declaration, found FROM"},
+	for _, c := range []struct{ name, src, want string }{
+		{"import", "MODULE M;\nPROCEDURE P;\nIMPORT B;\nBEGIN END P;\nBEGIN P END M.\n",
+			"M.mod:3:1: error: expected a declaration, found IMPORT"},
+		{"from-import", "MODULE M;\nPROCEDURE P;\nFROM B IMPORT x;\nBEGIN END P;\nBEGIN P END M.\n",
+			"M.mod:3:1: error: expected a declaration, found FROM"},
+		{"nameless-end", "MODULE M;\nPROCEDURE P;\nEND;\nBEGIN P END M.\n",
+			"M.mod:3:4: error: expected identifier, found ;"},
+		{"nameless-end-at-eof", "MODULE M;\nPROCEDURE P;\nEND",
+			"M.mod:3:4: error: expected identifier, found end of file"},
+		{"nameless-nested-end", "MODULE M;\nPROCEDURE P;\n PROCEDURE Q; END; BEGIN END P;\nBEGIN P END M.\n",
+			"M.mod:3:18: error: expected identifier, found ;"},
 	} {
 		loader := testLoader(map[string]string{
 			"B.def": "DEFINITION MODULE B;\nVAR x: INTEGER;\nEND B.\n",
-			"M.mod": "MODULE M;\nPROCEDURE P;\n" + c.body + "\nBEGIN END P;\nBEGIN P END M.\n",
+			"M.mod": c.src,
 		})
 		want := seq.Compile("M", loader).Diags.String()
 		if !strings.Contains(want, c.want) {
 			t.Fatalf("%s: sequential compiler reports\n%s\nwant it to contain %q", c.name, want, c.want)
 		}
 		for _, hdr := range []core.HeaderMode{core.HeaderShared, core.HeaderReprocess} {
-			res := core.Compile("M", loader, core.Options{Workers: 2, Headers: hdr})
-			if got := res.Diags.String(); got != want {
-				t.Errorf("%s/hdr%d: diagnostics differ\n got: %q\nwant: %q", c.name, hdr, got, want)
+			for strat := symtab.Avoidance; strat < symtab.NumStrategies; strat++ {
+				res := core.Compile("M", loader, core.Options{Workers: 2, Headers: hdr, Strategy: strat})
+				if got := res.Diags.String(); got != want {
+					t.Errorf("%s/hdr%d/%s: diagnostics differ\n got: %q\nwant: %q", c.name, hdr, strat, got, want)
+				}
 			}
 		}
 	}

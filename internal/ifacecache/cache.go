@@ -20,6 +20,12 @@
 // the .def text, so a lint hit installs what the analysis would
 // compute.
 //
+// Its one client is the concurrent driver (internal/core), which keys
+// each Acquire on its compilation's prescanned source.Snapshot.  The
+// sequential compiler never uses the cache: it is the oracle and the
+// fallback, for a faulted compilation and for m2cd's circuit breaker,
+// and shares no state with the compilations it stands in for.
+//
 // Concurrency follows the compiler's own event discipline: the first
 // compilation to request an uncached interface becomes its leader and
 // compiles it exactly once; concurrent requesters park on the entry's
@@ -355,8 +361,8 @@ func (c *Cache) Len() int {
 // distinct entry, and the mode: a lint compilation (lint set) sees only
 // entries whose publishers attached their facts.  A failed entry is
 // replaced by a fresh one, which the caller leads.
-func (c *Cache) Acquire(name string, loader source.Loader, lint bool) (ent *Entry, ev *event.Event, st State) {
-	h, ok := impscan.Root(name, loader)
+func (c *Cache) Acquire(name string, snap *source.Snapshot, lint bool) (ent *Entry, ev *event.Event, st State) {
+	h, ok := impscan.Root(name, snap)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	defer func() { c.stats.note(st) }() // runs before the Unlock
@@ -386,9 +392,9 @@ func (c *Cache) Acquire(name string, loader source.Loader, lint bool) (ent *Entr
 // fired; when it did not, the leader is wedged, and Resolve counts the
 // abandonment and returns Abandoned.  own counts this call's outcomes,
 // as the cache counts them: its parks and its verdict.
-func (c *Cache) Resolve(name string, loader source.Loader, lint bool, wait func(*event.Event) bool) (ent *Entry, st State, own Stats) {
+func (c *Cache) Resolve(name string, snap *source.Snapshot, lint bool, wait func(*event.Event) bool) (ent *Entry, st State, own Stats) {
 	for {
-		ent, ev, st := c.Acquire(name, loader, lint)
+		ent, ev, st := c.Acquire(name, snap, lint)
 		own.note(st)
 		if st != Wait {
 			return ent, st, own

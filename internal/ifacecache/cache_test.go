@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"m2cc/internal/check"
+	"m2cc/internal/event"
 	"m2cc/internal/ifacecache"
+	"m2cc/internal/impscan"
 	"m2cc/internal/source"
 	"m2cc/internal/symtab"
 )
@@ -26,6 +28,17 @@ func loaderWith(files map[string]string) *source.MapLoader {
 	return l
 }
 
+// acquire runs c.Acquire over a fresh snapshot of loader on which the
+// area prescan has recorded name's import closure, as on each
+// compilation's.
+func acquire(c *ifacecache.Cache, name string, loader source.Loader, lint bool) (*ifacecache.Entry, *event.Event, ifacecache.State) {
+	snap, names := source.NewSnapshot(loader), []string{name}
+	for i := 0; i < len(names); i++ {
+		names, _ = impscan.Prescan(snap, names[i], source.Def, names)
+	}
+	return c.Acquire(name, snap, lint)
+}
+
 func newScope(name string) *symtab.Scope {
 	tab := symtab.NewTable(symtab.Skeptical, nil, nil)
 	return tab.NewScope(symtab.DefScope, name, nil, 0)
@@ -37,13 +50,13 @@ func newScope(name string) *symtab.Scope {
 func TestModeKeyedEntries(t *testing.T) {
 	loader := loaderWith(map[string]string{"A": defA})
 	c := ifacecache.New()
-	plain, _, st := c.Acquire("A", loader, false)
+	plain, _, st := acquire(c, "A", loader, false)
 	if st != ifacecache.Lead {
 		t.Fatalf("plain acquire: %v, want Lead", st)
 	}
 	plain.Publish(newScope("A"), "A.def", 0, nil, nil, nil)
 
-	lint, _, st := c.Acquire("A", loader, true)
+	lint, _, st := acquire(c, "A", loader, true)
 	if st != ifacecache.Lead || lint == plain {
 		t.Fatalf("lint acquire after a plain publish: %v, want Lead on a new entry", st)
 	}
@@ -55,7 +68,7 @@ func TestModeKeyedEntries(t *testing.T) {
 		ent   *ifacecache.Entry
 		facts *check.Facts
 	}{{false, plain, nil}, {true, lint, facts}} {
-		ent, _, st := c.Acquire("A", loader, mode.lint)
+		ent, _, st := acquire(c, "A", loader, mode.lint)
 		if st != ifacecache.Hit || ent != mode.ent || ent.Facts() != mode.facts {
 			t.Fatalf("lint=%v: got (%p, %v, facts %p), want a hit on %p with facts %p",
 				mode.lint, ent, st, ent.Facts(), mode.ent, mode.facts)
@@ -70,7 +83,7 @@ func TestLeadPublishHit(t *testing.T) {
 	loader := loaderWith(map[string]string{"A": defA})
 	c := ifacecache.New()
 
-	ent, ev, st := c.Acquire("A", loader, false)
+	ent, ev, st := acquire(c, "A", loader, false)
 	if st != ifacecache.Lead || ent == nil || ev != nil {
 		t.Fatalf("first acquire: got (%v, %v, %v), want Lead", ent, ev, st)
 	}
@@ -83,7 +96,7 @@ func TestLeadPublishHit(t *testing.T) {
 		t.Fatal("entry with no deps must be ready after publish")
 	}
 
-	ent2, _, st2 := c.Acquire("A", loader, false)
+	ent2, _, st2 := acquire(c, "A", loader, false)
 	if st2 != ifacecache.Hit || ent2 != ent {
 		t.Fatalf("second acquire: got (%p, %v), want hit on %p", ent2, st2, ent)
 	}
@@ -116,7 +129,7 @@ func TestSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				ent, ev, st := c.Acquire("A", loader, false)
+				ent, ev, st := acquire(c, "A", loader, false)
 				switch st {
 				case ifacecache.Lead:
 					leads.Add(1)
@@ -154,13 +167,13 @@ func TestFailedLeaderRetried(t *testing.T) {
 	loader := loaderWith(map[string]string{"A": defA})
 	c := ifacecache.New()
 
-	ent, _, st := c.Acquire("A", loader, false)
+	ent, _, st := acquire(c, "A", loader, false)
 	if st != ifacecache.Lead {
 		t.Fatalf("state %v, want Lead", st)
 	}
 
 	// A waiter parks behind the leader...
-	_, ev, st2 := c.Acquire("A", loader, false)
+	_, ev, st2 := acquire(c, "A", loader, false)
 	if st2 != ifacecache.Wait {
 		t.Fatalf("state %v, want Wait", st2)
 	}
@@ -170,7 +183,7 @@ func TestFailedLeaderRetried(t *testing.T) {
 	// ...the leader fails; the waiter wakes and leads a fresh entry.
 	ent.Fail()
 	<-woke
-	ent3, _, st3 := c.Acquire("A", loader, false)
+	ent3, _, st3 := acquire(c, "A", loader, false)
 	if st3 != ifacecache.Lead || ent3 == ent {
 		t.Fatalf("after fail: got (%p, %v), want a lead on a fresh entry, not %p", ent3, st3, ent)
 	}
@@ -180,7 +193,7 @@ func TestFailedLeaderRetried(t *testing.T) {
 	if ent.Ready() || ent.Scope() != nil {
 		t.Fatal("a failed entry was published")
 	}
-	if got, _, st4 := c.Acquire("A", loader, false); st4 != ifacecache.Hit || got != ent3 || got.Scope() != sc {
+	if got, _, st4 := acquire(c, "A", loader, false); st4 != ifacecache.Hit || got != ent3 || got.Scope() != sc {
 		t.Fatalf("state %v on %p, want a hit on the fresh entry %p", st4, got, ent3)
 	}
 	ent3.Fail() // too late: a no-op
@@ -193,13 +206,13 @@ func TestContentChangeInvalidates(t *testing.T) {
 	loader := loaderWith(map[string]string{"A": defA})
 	c := ifacecache.New()
 
-	ent, _, _ := c.Acquire("A", loader, false)
+	ent, _, _ := acquire(c, "A", loader, false)
 	scOld := newScope("A")
 	ent.Publish(scOld, "A.def", 0, nil, nil, nil)
 
 	// Editing A.def must miss; the old entry stays for the old text.
 	loader.Add("A", source.Def, defA2)
-	ent2, _, st := c.Acquire("A", loader, false)
+	ent2, _, st := acquire(c, "A", loader, false)
 	if st != ifacecache.Lead || ent2 == ent {
 		t.Fatalf("after edit: state %v (same entry: %v), want fresh Lead", st, ent2 == ent)
 	}
@@ -211,7 +224,7 @@ func TestContentChangeInvalidates(t *testing.T) {
 
 	// Reverting the text hits the original entry again.
 	loader.Add("A", source.Def, defA)
-	ent3, _, st3 := c.Acquire("A", loader, false)
+	ent3, _, st3 := acquire(c, "A", loader, false)
 	if st3 != ifacecache.Hit || ent3 != ent || ent3.Scope() != scOld {
 		t.Fatalf("after revert: got (%p, %v), want hit on original", ent3, st3)
 	}
@@ -224,11 +237,11 @@ func TestImportChangeInvalidatesDependents(t *testing.T) {
 	loader := loaderWith(map[string]string{"A": defA, "B": defB})
 	c := ifacecache.New()
 
-	entA, _, _ := c.Acquire("A", loader, false)
+	entA, _, _ := acquire(c, "A", loader, false)
 	scA := newScope("A")
 	entA.Publish(scA, "A.def", 0, nil, nil, nil)
 
-	entB, _, _ := c.Acquire("B", loader, false)
+	entB, _, _ := acquire(c, "B", loader, false)
 	scB := newScope("B")
 	entB.Publish(scB, "B.def", 0, []string{"A"},
 		[]*ifacecache.Entry{entA}, nil)
@@ -240,10 +253,10 @@ func TestImportChangeInvalidatesDependents(t *testing.T) {
 	}
 
 	loader.Add("A", source.Def, defA2)
-	if _, _, st := c.Acquire("B", loader, false); st != ifacecache.Lead {
+	if _, _, st := acquire(c, "B", loader, false); st != ifacecache.Lead {
 		t.Fatalf("B after A edit: state %v, want Lead (new closure hash)", st)
 	}
-	if _, _, st := c.Acquire("A", loader, false); st != ifacecache.Lead {
+	if _, _, st := acquire(c, "A", loader, false); st != ifacecache.Lead {
 		t.Fatalf("A after A edit: state %v, want Lead", st)
 	}
 }
@@ -254,8 +267,8 @@ func TestSealingAwaitsDeps(t *testing.T) {
 	loader := loaderWith(map[string]string{"A": defA, "B": defB})
 	c := ifacecache.New()
 
-	entA, _, _ := c.Acquire("A", loader, false)
-	entB, _, _ := c.Acquire("B", loader, false)
+	entA, _, _ := acquire(c, "A", loader, false)
+	entB, _, _ := acquire(c, "B", loader, false)
 	scA, scB := newScope("A"), newScope("B")
 
 	entB.Publish(scB, "B.def", 0, []string{"A"},
@@ -263,7 +276,7 @@ func TestSealingAwaitsDeps(t *testing.T) {
 	if entB.Ready() {
 		t.Fatal("B sealed before its dep A was ready")
 	}
-	if _, _, st := c.Acquire("B", loader, false); st != ifacecache.Wait {
+	if _, _, st := acquire(c, "B", loader, false); st != ifacecache.Wait {
 		t.Fatalf("B while sealing: state %v, want Wait", st)
 	}
 
@@ -271,7 +284,7 @@ func TestSealingAwaitsDeps(t *testing.T) {
 	if !entB.Ready() {
 		t.Fatal("B must seal once A publishes")
 	}
-	if _, _, st := c.Acquire("B", loader, false); st != ifacecache.Hit {
+	if _, _, st := acquire(c, "B", loader, false); st != ifacecache.Hit {
 		t.Fatalf("B after seal: state %v, want Hit", st)
 	}
 }
@@ -285,8 +298,8 @@ func TestDepScopeMismatchFails(t *testing.T) {
 		loader := loaderWith(map[string]string{"A": defA, "B": defB})
 		c := ifacecache.New()
 
-		entA, _, _ := c.Acquire("A", loader, false)
-		entB, _, _ := c.Acquire("B", loader, false)
+		entA, _, _ := acquire(c, "A", loader, false)
+		entB, _, _ := acquire(c, "B", loader, false)
 		if early {
 			entA.Fail()
 		}
@@ -297,7 +310,7 @@ func TestDepScopeMismatchFails(t *testing.T) {
 		if entB.Ready() {
 			t.Fatalf("early=%v: B became ready against a failed dep", early)
 		}
-		if ent, _, st := c.Acquire("B", loader, false); st != ifacecache.Lead || ent == entB {
+		if ent, _, st := acquire(c, "B", loader, false); st != ifacecache.Lead || ent == entB {
 			t.Fatalf("early=%v: B after its dep failed: state %v, want Lead on a fresh entry", early, st)
 		}
 	}
@@ -310,7 +323,7 @@ func TestCycleBypasses(t *testing.T) {
 	})
 	c := ifacecache.New()
 	for _, name := range []string{"A", "B"} {
-		if ent, ev, st := c.Acquire(name, loader, false); st != ifacecache.Bypass || ent != nil || ev != nil {
+		if ent, ev, st := acquire(c, name, loader, false); st != ifacecache.Bypass || ent != nil || ev != nil {
 			t.Fatalf("%s: got (%v, %v, %v), want Bypass", name, ent, ev, st)
 		}
 	}
@@ -321,13 +334,13 @@ func TestCycleBypasses(t *testing.T) {
 
 func TestMissingSourceBypasses(t *testing.T) {
 	c := ifacecache.New()
-	if _, _, st := c.Acquire("Nope", source.NewMapLoader(), false); st != ifacecache.Bypass {
+	if _, _, st := acquire(c, "Nope", source.NewMapLoader(), false); st != ifacecache.Bypass {
 		t.Fatalf("state %v, want Bypass for missing .def", st)
 	}
 	// B is loadable but imports a missing module: the whole closure is
 	// uncacheable.
 	loader := loaderWith(map[string]string{"B": defB})
-	if _, _, st := c.Acquire("B", loader, false); st != ifacecache.Bypass {
+	if _, _, st := acquire(c, "B", loader, false); st != ifacecache.Bypass {
 		t.Fatalf("state %v, want Bypass for missing transitive import", st)
 	}
 }

@@ -16,19 +16,19 @@ func TestLRUEviction(t *testing.T) {
 	c.SetLimit(2)
 
 	for _, name := range []string{"A", "B"} {
-		ent, _, st := c.Acquire(name, loader, false)
+		ent, _, st := acquire(c, name, loader, false)
 		if st != ifacecache.Lead {
 			t.Fatalf("acquire %s: %v, want Lead", name, st)
 		}
 		ent.Publish(newScope(name), name+".def", 0, nil, nil, nil)
 	}
 	// Touch A so B is the LRU entry.
-	if _, _, st := c.Acquire("A", loader, false); st != ifacecache.Hit {
+	if _, _, st := acquire(c, "A", loader, false); st != ifacecache.Hit {
 		t.Fatalf("warm acquire A: %v, want Hit", st)
 	}
 
 	// Inserting C must evict B (the least recently used ready entry).
-	entC, _, st := c.Acquire("C", loader, false)
+	entC, _, st := acquire(c, "C", loader, false)
 	if st != ifacecache.Lead {
 		t.Fatalf("acquire C: %v, want Lead", st)
 	}
@@ -40,10 +40,10 @@ func TestLRUEviction(t *testing.T) {
 	if ev := c.Stats().Evictions; ev != 1 {
 		t.Fatalf("evictions: %d, want 1", ev)
 	}
-	if _, _, st := c.Acquire("A", loader, false); st != ifacecache.Hit {
+	if _, _, st := acquire(c, "A", loader, false); st != ifacecache.Hit {
 		t.Fatalf("A after eviction: %v, want Hit (A was MRU)", st)
 	}
-	if _, _, st := c.Acquire("B", loader, false); st != ifacecache.Lead {
+	if _, _, st := acquire(c, "B", loader, false); st != ifacecache.Lead {
 		t.Fatalf("B after eviction: %v, want Lead (B was evicted)", st)
 	}
 }
@@ -58,11 +58,11 @@ func TestLRUNeverEvictsLiveLeader(t *testing.T) {
 
 	// A is still leading (unpublished) — it has, conceptually, live
 	// waiters and must survive the cap.
-	entA, _, st := c.Acquire("A", loader, false)
+	entA, _, st := acquire(c, "A", loader, false)
 	if st != ifacecache.Lead {
 		t.Fatalf("acquire A: %v, want Lead", st)
 	}
-	entB, _, st := c.Acquire("B", loader, false)
+	entB, _, st := acquire(c, "B", loader, false)
 	if st != ifacecache.Lead {
 		t.Fatalf("acquire B: %v, want Lead", st)
 	}

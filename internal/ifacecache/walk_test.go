@@ -45,7 +45,7 @@ func randomDAG(t *testing.T, rng *rand.Rand, n int) ([]*ifacecache.Entry, map[*i
 	deps := make(map[*ifacecache.Entry][]*ifacecache.Entry, n)
 	for i := range ents {
 		name := fmt.Sprintf("D%d", i)
-		ent, _, st := c.Acquire(name, loader, false)
+		ent, _, st := acquire(c, name, loader, false)
 		if st != ifacecache.Lead {
 			t.Fatalf("%s: %v, want Lead", name, st)
 		}
@@ -117,7 +117,7 @@ func TestWalkAllocatesNothing(t *testing.T) {
 	ents := make([]*ifacecache.Entry, n)
 	for i := range ents {
 		name := fmt.Sprintf("D%d", i)
-		ents[i], _, _ = c.Acquire(name, loader, false)
+		ents[i], _, _ = acquire(c, name, loader, false)
 		var deps []*ifacecache.Entry
 		for j := max(i-2, 0); j < i; j++ {
 			deps = append(deps, ents[j])

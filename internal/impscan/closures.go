@@ -16,8 +16,10 @@ import (
 //
 // A compilation learns each file's imports once: the area prescan
 // (Prescan) records them on its source.Snapshot before any task runs,
-// and the closure walk reads that record, scanning a file itself only
-// where no prescan ran.  Each .def is content-hashed, and its closure
+// and the closure walk reads that record and nothing else; a file the
+// prescan did not record makes its closure unhashable, so a compilation
+// that meets one bypasses the caches rather than key on a closure that
+// may leave out imports.  Each .def is content-hashed, and its closure
 // hash computed, once per compilation, on the same snapshot, where both
 // caches' keys find it.  Nothing is kept across compilations.
 
@@ -50,29 +52,19 @@ func Prescan(snap *source.Snapshot, name string, kind source.FileKind, names []s
 	return names, ok
 }
 
-// Imports returns the prologue imports of name's file of kind as
-// recorded on snap, scanning the file only when no prescan did.
+// Imports returns the prologue imports of name's file of kind as the
+// prescan recorded them on snap (none when it did not scan the file).
 func Imports(snap *source.Snapshot, name string, kind source.FileKind) []string {
 	walks.Lock()
 	defer walks.Unlock()
-	return imports(snap.Closure(name, kind), snap, name, kind)
-}
-
-// imports is Imports for a caller holding walks, given the file's memo.
-func imports(m *source.ClosureMemo, snap *source.Snapshot, name string, kind source.FileKind) []string {
-	if !m.Scanned {
-		m.Imports, _ = prologue(snap, name, kind, nil)
-		m.Scanned = true
-	}
-	return m.Imports
+	return snap.Closure(name, kind).Imports
 }
 
 // Hash combines the transitive closure hashes of roots into one
 // content hash, in root order.  ok is false when any root is
-// unloadable or its closure contains an import cycle — such a
-// compilation is uncacheable.
-func Hash(loader source.Loader, roots []string) (source.Hash, bool) {
-	snap := snapshot(loader)
+// unloadable, unrecorded by the prescan, or its closure contains an
+// import cycle — such a compilation is uncacheable.
+func Hash(snap *source.Snapshot, roots []string) (source.Hash, bool) {
 	walks.Lock()
 	defer walks.Unlock()
 	buf := bufs.Get()[:0]
@@ -88,24 +80,14 @@ func Hash(loader source.Loader, roots []string) (source.Hash, bool) {
 }
 
 // Root returns the transitive closure hash of name.  ok is false when
-// the closure has a load failure or an import cycle — the real
-// compilation will produce the diagnostics.
-func Root(name string, loader source.Loader) (source.Hash, bool) {
-	snap := snapshot(loader)
+// the closure has a load failure, a file the prescan did not record or
+// an import cycle — the real compilation will produce the diagnostics.
+func Root(name string, snap *source.Snapshot) (source.Hash, bool) {
 	walks.Lock()
 	defer walks.Unlock()
 	buf := bufs.Get()[:0]
 	defer func() { bufs.Put(buf) }()
 	return walk(name, snap, &buf)
-}
-
-// snapshot returns the compilation's snapshot, or a snapshot for this
-// one call when the caller has none.
-func snapshot(loader source.Loader) *source.Snapshot {
-	if snap, ok := loader.(*source.Snapshot); ok {
-		return snap
-	}
-	return source.NewSnapshot(loader)
 }
 
 // walks guards every snapshot's memos (source.ClosureMemo): a walk holds
@@ -124,7 +106,7 @@ var bufs = &pool.List[[]byte]{New: func() []byte { return nil }, Size: func(b []
 const (
 	walking    uint8 = 1 + iota // on the walk's stack: reaching it again is an import cycle
 	hashed                      // Sum holds the closure hash
-	unhashable                  // the closure holds an import cycle or an unloadable file
+	unhashable                  // the closure holds an import cycle, an unloadable or an unrecorded file
 )
 
 // walk returns name's closure hash from its memo on snap, computing
@@ -142,7 +124,7 @@ func walk(name string, snap *source.Snapshot, buf *[]byte) (source.Hash, bool) {
 	}
 	m.Mark = unhashable
 	text, err := snap.Load(name, source.Def)
-	if err != nil {
+	if err != nil || !m.Scanned {
 		return source.Hash{}, false
 	}
 	content := source.HashText(text)
@@ -152,7 +134,7 @@ func walk(name string, snap *source.Snapshot, buf *[]byte) (source.Hash, bool) {
 	m.Mark = walking
 	base := len(*buf)
 	*buf = append(*buf, content[:]...)
-	for _, imp := range imports(m, snap, name, source.Def) {
+	for _, imp := range m.Imports {
 		sub, ok := walk(imp, snap, buf)
 		if !ok {
 			*buf, m.Mark = (*buf)[:base], unhashable

@@ -2,6 +2,7 @@ package impscan
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -24,18 +25,29 @@ func chainLoader(k int) *source.MapLoader {
 	return l
 }
 
+// prescanned returns a fresh snapshot of loader on which the area
+// prescan has recorded the import closure of roots, as on each
+// compilation's.
+func prescanned(loader source.Loader, roots ...string) *source.Snapshot {
+	snap, names := source.NewSnapshot(loader), slices.Clone(roots)
+	for i := 0; i < len(names); i++ {
+		names, _ = Prescan(snap, names[i], source.Def, names)
+	}
+	return snap
+}
+
 func TestClosureHash(t *testing.T) {
 	loader := chainLoader(3)
 
-	h1, ok := Hash(loader, []string{"chain0"})
+	h1, ok := Hash(prescanned(loader, "chain0"), []string{"chain0"})
 	if !ok {
 		t.Fatal("closure hash of loadable chain must succeed")
 	}
-	h2, ok := Hash(loader, []string{"chain0"})
+	h2, ok := Hash(prescanned(loader, "chain0"), []string{"chain0"})
 	if !ok || h2 != h1 {
 		t.Fatalf("closure hash not stable: %x vs %x", h1, h2)
 	}
-	// A walk that reads the prescan's record hashes as one that scans.
+	// Prescanning each file on its own, in any order, records the same.
 	snap := source.NewSnapshot(loader)
 	for i := 0; i < 3; i++ {
 		Prescan(snap, fmt.Sprintf("chain%d", i), source.Def, nil)
@@ -47,7 +59,7 @@ func TestClosureHash(t *testing.T) {
 	// Editing a leaf changes every root that can reach it.
 	loader.Add("chain2", source.Def,
 		"DEFINITION MODULE chain2;\nCONST base = 2;\nEND chain2.\n")
-	h3, ok := Hash(loader, []string{"chain0"})
+	h3, ok := Hash(prescanned(loader, "chain0"), []string{"chain0"})
 	if !ok {
 		t.Fatal("closure hash after edit must succeed")
 	}
@@ -56,14 +68,14 @@ func TestClosureHash(t *testing.T) {
 	}
 
 	// Root order matters (the key is positional, like import order).
-	ha, _ := Hash(loader, []string{"chain1", "chain2"})
-	hb, _ := Hash(loader, []string{"chain2", "chain1"})
+	ha, _ := Hash(prescanned(loader, "chain1"), []string{"chain1", "chain2"})
+	hb, _ := Hash(prescanned(loader, "chain1"), []string{"chain2", "chain1"})
 	if ha == hb {
 		t.Fatal("closure hash must depend on root order")
 	}
 
 	// Unloadable root → uncacheable.
-	if _, ok := Hash(loader, []string{"nosuch"}); ok {
+	if _, ok := Hash(prescanned(loader, "nosuch"), []string{"nosuch"}); ok {
 		t.Fatal("closure hash of unloadable root must fail")
 	}
 
@@ -71,7 +83,7 @@ func TestClosureHash(t *testing.T) {
 	cyc := source.NewMapLoader()
 	cyc.Add("X", source.Def, "DEFINITION MODULE X;\nFROM Y IMPORT y;\nEND X.\n")
 	cyc.Add("Y", source.Def, "DEFINITION MODULE Y;\nFROM X IMPORT x;\nEND Y.\n")
-	if _, ok := Hash(cyc, []string{"X"}); ok {
+	if _, ok := Hash(prescanned(cyc, "X"), []string{"X"}); ok {
 		t.Fatal("closure hash of cyclic closure must fail")
 	}
 }
@@ -85,9 +97,9 @@ func TestClosuresConcurrent(t *testing.T) {
 	roots := [][]string{{"chain0"}, {"chain3", "chain5"}, {"chain7"}, {"chain2", "chain6"}}
 	want := make([]source.Hash, len(roots))
 	for i, r := range roots {
-		want[i], _ = Hash(loader, r)
+		want[i], _ = Hash(prescanned(loader, r...), r)
 	}
-	shared := source.NewSnapshot(loader)
+	shared := prescanned(loader, "chain0")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -95,7 +107,7 @@ func TestClosuresConcurrent(t *testing.T) {
 			defer wg.Done()
 			snap := shared
 			if g%2 == 1 {
-				snap = source.NewSnapshot(loader)
+				snap = prescanned(loader, "chain0")
 			}
 			for i := 0; i < 50; i++ {
 				k := (g + i) % len(roots)
@@ -150,16 +162,24 @@ func BenchmarkClosureHashWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkClosureHashCold is the sequential compiler's path, one
-// snapshot an op: no prescan ran, so the walk scans each prologue
-// itself, and records it for the rest of the compilation.
-func BenchmarkClosureHashCold(b *testing.B) {
-	loader := chainLoader(16)
-	countSeams(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, ok := Hash(source.NewSnapshot(loader), []string{"chain0"}); !ok {
-			b.Fatal("cold closure hash failed")
-		}
+// TestUnrecordedFileUnhashable: the walk reads only what the prescan
+// recorded, so a file it never scanned makes every closure through it
+// unhashable, and its compilation bypasses the caches.
+func TestUnrecordedFileUnhashable(t *testing.T) {
+	loader := chainLoader(3)
+	if _, ok := Root("chain2", source.NewSnapshot(loader)); ok {
+		t.Error("Root of a file no prescan recorded is hashable")
+	}
+	if _, ok := Hash(source.NewSnapshot(loader), []string{"chain0"}); ok {
+		t.Error("Hash of a closure no prescan recorded is hashable")
+	}
+	snap := source.NewSnapshot(loader)
+	Prescan(snap, "chain0", source.Def, nil)
+	Prescan(snap, "chain1", source.Def, nil)
+	if _, ok := Root("chain0", snap); ok {
+		t.Error("Root of a closure with one unrecorded member is hashable")
+	}
+	if _, ok := Root("chain2", prescanned(loader, "chain2")); !ok {
+		t.Error("Root of a recorded leaf is unhashable")
 	}
 }

@@ -12,7 +12,8 @@
 // prescan before any task runs (Prescan), is the one place a compilation
 // learns a file's imports: the record it leaves on the compilation's
 // source.Snapshot drives the transitive import-closure hashing both
-// compilation caches key on (Hash, Root).
+// compilation caches key on (Hash, Root), which reads that record and
+// scans nothing itself.
 package impscan
 
 import (

@@ -475,15 +475,21 @@ type ProcStream struct {
 
 // ParseProcTail parses the remainder of a procedure stream after its
 // declarations: "[BEGIN seq] END name".  procName is the expected END
-// name.
+// name.  A nameless END is followed by a copy of the token after it in
+// the source (see splitter.RunObserved), reported in the name's place.
 func (p *Parser) ParseProcTail(procName string) (ps ProcStream) {
 	if p.accept(token.BEGIN) {
 		ps.Body = p.parseStmtList()
 	}
+	ended := p.at(token.END)
 	p.expect(token.END)
+	named := p.at(token.Ident)
 	ps.EndName = p.name()
 	if ps.EndName.Text != procName {
 		p.errorf(ps.EndName.Pos, "procedure %s ends with name %s", procName, ps.EndName.Text)
+	}
+	if ended && !named && p.peek().Kind == token.EOF {
+		p.next() // the splitter's copy of the token after a nameless END, which the parent parses
 	}
 	if !p.at(token.EOF) {
 		p.errorf(p.tok.Pos, "unexpected %s after procedure body", p.tok)

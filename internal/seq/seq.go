@@ -10,18 +10,20 @@
 // exactly the name resolutions the concurrent compiler produces under
 // any DKY strategy, which is what makes byte-identical output a
 // testable property rather than a hope.
+//
+// It is also the oracle that output is held to and the route a faulted
+// or breaker-routed compilation takes, so it shares no state with the
+// concurrent compiler: no interface cache, no prescan record; each
+// compilation reads its files afresh from the loader.
 package seq
 
 import (
 	"fmt"
-	"time"
 
 	"m2cc/internal/ast"
 	"m2cc/internal/codegen"
 	"m2cc/internal/ctrace"
 	"m2cc/internal/diag"
-	"m2cc/internal/event"
-	"m2cc/internal/ifacecache"
 	"m2cc/internal/lexer"
 	"m2cc/internal/parser"
 	"m2cc/internal/sema"
@@ -54,10 +56,6 @@ type compiler struct {
 	ifaces   map[string]*symtab.Scope
 	inFlight map[string]bool
 	genQueue []genItem
-
-	cache     *ifacecache.Cache
-	cacheEnts map[string]*ifacecache.Entry // entry used or led per interface
-	stall     time.Duration                // bound on a wait for a foreign leader
 }
 
 // genItem is one pending statement-analysis/code-generation unit.
@@ -72,32 +70,14 @@ type genItem struct {
 
 // Compile compiles the named implementation module sequentially.
 func Compile(module string, loader source.Loader) *Result {
-	return CompileWithCache(module, loader, nil, 0)
-}
-
-// CompileWithCache compiles sequentially, consulting (and feeding) a
-// shared interface cache when one is supplied.  Output is
-// byte-identical to Compile: cached interfaces resolve to the same
-// declarations, and diagnostics/listings are name-symbolic.  stall
-// bounds each wait for another compilation's leader (zero or negative
-// selects ifacecache.DefaultStallTimeout); on expiry the interface is
-// compiled outside the cache.
-func CompileWithCache(module string, loader source.Loader, cache *ifacecache.Cache, stall time.Duration) *Result {
-	if stall <= 0 {
-		stall = ifacecache.DefaultStallTimeout
-	}
 	c := &compiler{
-		loader: source.NewSnapshot(loader), // each .def hashed once for the cache's keys
-		files:  source.NewSet(),
-		diags:  diag.NewBag(200),
-		reg:    vm.NewRegistry(module),
-		ctx:    &ctrace.TaskCtx{},
-		ifaces: make(map[string]*symtab.Scope),
-
-		inFlight:  make(map[string]bool),
-		cache:     cache,
-		cacheEnts: make(map[string]*ifacecache.Entry),
-		stall:     stall,
+		loader:   loader,
+		files:    source.NewSet(),
+		diags:    diag.NewBag(200),
+		reg:      vm.NewRegistry(module),
+		ctx:      &ctrace.TaskCtx{},
+		ifaces:   make(map[string]*symtab.Scope),
+		inFlight: make(map[string]bool),
 	}
 	c.tab = symtab.NewTable(symtab.Skeptical, nil, nil)
 	c.compileModule(module)
@@ -125,13 +105,7 @@ func (c *compiler) env(file string) *sema.Env {
 }
 
 // iface returns the completed interface scope of a definition module,
-// processing each interface exactly once.  With a cache attached it
-// first consults the cache: a hit installs the whole cached closure, a
-// miss makes this compilation the entry's leader (publishing on
-// success), and a concurrent leader elsewhere is waited for, up to the
-// stall bound.  Cycles are diagnosed and broken exactly as in the
-// uncached path — cyclic closures are uncacheable (Bypass), so the
-// cache never sees them.
+// loading, parsing and analyzing each interface exactly once.
 func (c *compiler) iface(name string, pos token.Pos, importer string) *symtab.Scope {
 	if sc, ok := c.ifaces[name]; ok {
 		if c.inFlight[name] {
@@ -139,57 +113,6 @@ func (c *compiler) iface(name string, pos token.Pos, importer string) *symtab.Sc
 		}
 		return sc
 	}
-	if c.cache == nil {
-		return c.compileIface(name, pos, importer, nil)
-	}
-	ent, st, _ := c.cache.Resolve(name, c.loader, false,
-		func(ev *event.Event) bool { return ev.Await(c.stall, nil) })
-	switch st {
-	case ifacecache.Hit:
-		if sc := c.installCached(name, ent); sc != nil {
-			return sc
-		}
-	case ifacecache.Lead:
-		return c.compileIface(name, pos, importer, ent)
-	}
-	// Bypassed, abandoned at the stall bound, or a hit whose closure
-	// conflicts with locally compiled interfaces: compile fresh, outside
-	// the cache.
-	return c.compileIface(name, pos, importer, nil)
-}
-
-// installCached installs a ready cache entry's whole closure (deepest
-// dependencies first) into this compilation's tables.  It returns nil —
-// declining the hit — if any closure member's name is already bound to
-// a different scope here, since type compatibility is scope-pointer
-// identity and a mixed closure would split one interface in two.
-func (c *compiler) installCached(name string, ent *ifacecache.Entry) *symtab.Scope {
-	held := func(m *ifacecache.Entry) bool {
-		_, ok := c.ifaces[m.Name()]
-		return ok
-	}
-	if !ent.Walk(func(m *ifacecache.Entry) bool { return c.ifaces[m.Name()] == m.Scope() },
-		func(m *ifacecache.Entry) bool { return !held(m) }) {
-		return nil
-	}
-	ent.Walk(held, func(m *ifacecache.Entry) bool {
-		c.ifaces[m.Name()] = m.Scope()
-		c.cacheEnts[m.Name()] = m
-		c.reg.SetAreaSlots(c.reg.AreaIdx(m.AreaName()), m.AreaSlots())
-		for _, imp := range m.Imports() {
-			c.reg.AddImport(imp)
-		}
-		return true
-	})
-	return c.ifaces[name]
-}
-
-// compileIface loads, parses and analyzes a definition module.  When
-// ent is non-nil this compilation leads the cache entry: a clean result
-// is published (scope, area layout, imports, deps) and any
-// failure — load error, diagnostics against the file, an uncacheable
-// import — fails the entry so waiters elsewhere retry for themselves.
-func (c *compiler) compileIface(name string, pos token.Pos, importer string, ent *ifacecache.Entry) *symtab.Scope {
 	scope := c.tab.NewScope(symtab.DefScope, name, nil, 0)
 	c.ifaces[name] = scope
 	c.inFlight[name] = true
@@ -197,9 +120,6 @@ func (c *compiler) compileIface(name string, pos token.Pos, importer string, ent
 		c.inFlight[name] = false
 		if !scope.Completed() {
 			scope.Complete(c.ctx)
-		}
-		if ent != nil {
-			ent.Fail() // unless published
 		}
 	}()
 
@@ -217,37 +137,13 @@ func (c *compiler) compileIface(name string, pos token.Pos, importer string, ent
 		c.diags.Errorf(f.Label(), m.Pos, "%s is not a DEFINITION MODULE", f.Label())
 	}
 	a := sema.NewModuleAnalyzer(env, scope, name+".def", name, name+".def", true)
-	var directImps []string
-	impSeen := map[string]bool{}
 	a.AnalyzeImports(m.Imports, func(imp string) *symtab.Scope {
-		sc := c.iface(imp, m.Pos, f.Label())
-		if !impSeen[imp] {
-			impSeen[imp] = true
-			directImps = append(directImps, imp)
-		}
-		return sc
+		return c.iface(imp, m.Pos, f.Label())
 	})
 	a.Analyze(m.Decls)
 	a.ResolveForwardRefs()
 	c.reg.SetAreaSlots(a.Area, a.NextOff)
 	scope.Complete(c.ctx)
-
-	if ent != nil {
-		ok := !c.diags.HasFor(f.Label())
-		deps := make([]*ifacecache.Entry, 0, len(directImps))
-		for _, imp := range directImps {
-			ie, have := c.cacheEnts[imp]
-			if !have {
-				ok = false
-				break
-			}
-			deps = append(deps, ie)
-		}
-		if ok {
-			c.cacheEnts[name] = ent
-			ent.Publish(scope, a.AreaName, a.NextOff, directImps, deps, nil)
-		}
-	}
 	return scope
 }
 

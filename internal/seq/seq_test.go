@@ -3,9 +3,7 @@ package seq_test
 import (
 	"strings"
 	"testing"
-	"time"
 
-	"m2cc/internal/ifacecache"
 	"m2cc/internal/seq"
 	"m2cc/internal/source"
 	"m2cc/internal/vm"
@@ -352,35 +350,5 @@ func TestModuleNameMustMatchFile(t *testing.T) {
 	res := seq.Compile("Wrong", loader)
 	if !strings.Contains(res.Diags.String(), "does not match") {
 		t.Fatalf("missing name-mismatch diagnostic:\n%s", res.Diags)
-	}
-}
-
-// TestCachedWaitIsBounded: a cache entry whose leader never publishes
-// or fails holds the sequential compiler no longer than its stall
-// bound; it then compiles the interface outside the cache, to the
-// output an uncached compilation gives, and counts the abandonment.
-func TestCachedWaitIsBounded(t *testing.T) {
-	loader := source.NewMapLoader()
-	loader.Add("Math", source.Def, "DEFINITION MODULE Math;\nCONST Base = 100;\nEND Math.\n")
-	loader.Add("Main", source.Impl, "MODULE Main;\nIMPORT Math;\nBEGIN\n  WriteInt(Math.Base, 0); WriteLn\nEND Main.\n")
-	cache := ifacecache.New()
-	wedged, _, st := cache.Acquire("Math", loader, false)
-	if st != ifacecache.Lead {
-		t.Fatalf("acquire: %v, want Lead", st)
-	}
-	defer wedged.Fail()
-
-	const bound = 50 * time.Millisecond
-	start := time.Now()
-	res := seq.CompileWithCache("Main", loader, cache, bound)
-	if took := time.Since(start); took < bound || took > bound+5*time.Second {
-		t.Fatalf("compile took %v against a wedged leader, want the %v bound plus slack", took, bound)
-	}
-	want := seq.Compile("Main", loader)
-	if res.Failed() || res.Object.Listing() != want.Object.Listing() {
-		t.Fatalf("compile after the abandoned wait differs from an uncached one:\n%s", res.Diags)
-	}
-	if s := cache.Stats(); s.Waits != 1 || s.Abandoned != 1 {
-		t.Fatalf("cache stats %+v, want one wait, abandoned", s)
 	}
 }

@@ -208,10 +208,15 @@ func RunObserved(ctx *ctrace.TaskCtx, in *tokq.Reader, mainOut *tokq.Queue, star
 		case t.Kind == token.END && nested:
 			// The scan only stops at the END that closes this procedure.
 			// "END name": the name goes to the child, the following ";"
-			// flows to the parent normally.
+			// flows to the parent normally.  After a nameless END the
+			// child gets a copy of the next token, which still flows to
+			// the parent: its parser reports the missing name there, as
+			// the inline parse does.
 			s.emit(cur, t)
-			if in.Peek().Kind == token.Ident {
+			if next := in.Peek(); next.Kind == token.Ident {
 				s.emit(cur, s.next())
+			} else {
+				s.emit(cur, next)
 			}
 			s.closeStream(cur, token.Token{Kind: token.EOF, Pos: t.Pos})
 			s.stack = s.stack[:len(s.stack)-1]

@@ -28,6 +28,12 @@
 //	prog, _ := m2cc.BuildProgram("Hello", loader, m2cc.Options{Workers: 8})
 //	m2cc.Execute(prog, os.Stdin, os.Stdout)
 //
+// The paper's sequential baseline, CompileSequential, shares every
+// phase with Compile but no state: it never uses a Cache.  It is the
+// oracle Compile's output is held to, and what a faulted compilation
+// (and m2cd, for a client whose compilations keep faulting) falls back
+// to.
+//
 // # Reproduction artifacts
 //
 // The workload generator (internal/workload), trace recorder
@@ -43,7 +49,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"m2cc/internal/check"
 	"m2cc/internal/core"
@@ -157,12 +162,12 @@ type SimResult = sim.Result
 type Stats = symtab.Stats
 
 // Cache is a shared interface-compilation cache.  One Cache may serve
-// any number of concurrent and sequential compilations: completed
-// definition-module scopes are keyed by the content hash of their
-// transitive .def closure, and concurrent requests for the same
-// uncached interface are single-flighted — one compilation leads, the
-// rest wait on its completion event.  Output is byte-identical with or
-// without a cache.
+// any number of concurrent compilations (Options.Cache; the sequential
+// compiler never uses one): completed definition-module scopes are
+// keyed by the content hash of their transitive .def closure, and
+// concurrent requests for the same uncached interface are
+// single-flighted — one compilation leads, the rest wait on its
+// completion event.  Output is byte-identical with or without a cache.
 type Cache = ifacecache.Cache
 
 // CacheStats is a snapshot of a Cache's hit/miss/wait/bypass counters.
@@ -302,15 +307,6 @@ func sequentialFallback(module string, loader Loader, faulted *Result) *Result {
 // paper's baseline); its output is byte-identical to Compile's.
 func CompileSequential(module string, loader Loader) *SeqResult {
 	return seq.Compile(module, loader)
-}
-
-// CompileSequentialCached runs the sequential compiler against a shared
-// interface cache (nil behaves exactly like CompileSequential).  stall
-// bounds each wait for another compilation's cache leader, as
-// Options.StallTimeout does Compile's (zero or negative selects
-// DefaultStallTimeout).
-func CompileSequentialCached(module string, loader Loader, cache *Cache, stall time.Duration) *SeqResult {
-	return seq.CompileWithCache(module, loader, cache, stall)
 }
 
 // CompileBatch compiles several implementation modules concurrently,

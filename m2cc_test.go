@@ -288,7 +288,6 @@ func TestLinearResources(t *testing.T) {
 			m2cc.Compile(m, l, m2cc.Options{Workers: 2, Cache: m2cc.NewCache()})
 		}},
 		{"CompileSequential", func(m string, l m2cc.Loader) { m2cc.CompileSequential(m, l) }},
-		{"CompileSequentialCached", func(m string, l m2cc.Loader) { m2cc.CompileSequentialCached(m, l, m2cc.NewCache(), 0) }},
 		{"Lint", func(m string, l m2cc.Loader) { m2cc.Lint(m, l) }},
 	}
 	// measure reports the median of three runs' allocation and wall
