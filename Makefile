@@ -76,8 +76,9 @@ smoke:
 	grep -q '"ph": "X"' /tmp/m2c_smoke_run_trace.json
 
 # End-to-end serving smoke: start the m2cd daemon on an ephemeral
-# port, fetch a validated trace, saturate it with a curl burst (every
-# code 200, 429 or 503, every 200 body byte-identical), then SIGTERM
+# port, fetch a validated trace, answer a third identical compile from
+# the response memo, saturate it with a curl burst of distinct bodies
+# (every code 200, 429 or 503, every 200 body byte-identical), then SIGTERM
 # mid-load and assert the healthz/readyz flip, a clean drain (exit 0)
 # and the final metrics snapshot.  Scratch files go to a temporary
 # directory.

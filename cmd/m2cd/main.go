@@ -45,6 +45,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
@@ -70,34 +71,34 @@ func main() {
 }
 
 func run() int {
+	var cfg config
+	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:8177", "listen address (host:port; port 0 picks a free port)")
+	flag.IntVar(&cfg.workers, "workers", 4, "worker slots per compilation")
+	flag.IntVar(&cfg.maxInflight, "max-inflight", 4, "maximum concurrently running compilations")
+	flag.IntVar(&cfg.queueDepth, "queue", 8, "admission queue depth beyond -max-inflight before shedding with 429")
+	flag.DurationVar(&cfg.defaultDeadline, "deadline", 10*time.Second, "default per-request deadline")
+	flag.DurationVar(&cfg.maxDeadline, "max-deadline", 30*time.Second, "hard cap on client-requested deadlines")
+	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 15*time.Second, "how long SIGTERM waits for in-flight requests")
+	flag.DurationVar(&cfg.stallTimeout, "stall-timeout", m2cc.DefaultStallTimeout, "bound on waits for a foreign interface-cache leader (must be >= 0)")
+	flag.IntVar(&cfg.breakerTrips, "breaker-trips", 3, "consecutive faults before a client's circuit breaker opens")
+	flag.DurationVar(&cfg.breakerCooldown, "breaker-cooldown", 5*time.Second, "how long an open breaker routes a client sequentially")
+	flag.IntVar(&cfg.ifaceCap, "iface-cap", 0, "interface-cache entry cap before LRU eviction (0 = unbounded)")
+	flag.IntVar(&cfg.streamCap, "stream-cap", 0, "stream-cache entry cap before LRU eviction (0 = unbounded)")
+	flag.DurationVar(&cfg.slowDelay, "inject-slow", 250*time.Millisecond, "latency added by an armed slow-request point")
+	flag.StringVar(&cfg.metricsOut, "metrics-out", "", "file to write the final metrics snapshot to at drain (default stderr)")
+	flag.StringVar(&cfg.readyFile, "ready-file", "", "file to write the bound listen address to once serving (for scripts)")
+	flag.IntVar(&cfg.traceKeep, "trace-keep", 64, "finished request traces kept in the LRU ring")
+	flag.IntVar(&cfg.traceSample, "trace-sample", 8, "in sampled mode, trace 1 in N admitted requests")
+	flag.Float64Var(&cfg.rateLimit, "rate-limit", 0, "per-client request rate in req/s (token bucket; 0 = unlimited)")
+	flag.IntVar(&cfg.rateBurst, "rate-burst", 4, "per-client token-bucket burst")
 	var (
-		addr       = flag.String("addr", "127.0.0.1:8177", "listen address (host:port; port 0 picks a free port)")
-		workers    = flag.Int("workers", 4, "worker slots per compilation")
 		dky        = flag.String("dky", "skeptical", "default DKY strategy: avoidance|pessimistic|skeptical|optimistic")
-		inflight   = flag.Int("max-inflight", 4, "maximum concurrently running compilations")
-		queue      = flag.Int("queue", 8, "admission queue depth beyond -max-inflight before shedding with 429")
-		deadline   = flag.Duration("deadline", 10*time.Second, "default per-request deadline")
-		maxDL      = flag.Duration("max-deadline", 30*time.Second, "hard cap on client-requested deadlines")
-		drain      = flag.Duration("drain-timeout", 15*time.Second, "how long SIGTERM waits for in-flight requests")
 		grace      = flag.Duration("drain-grace", 0, "readiness propagation window: after SIGTERM, keep answering probes (readyz 503) this long before closing the listener")
-		stall      = flag.Duration("stall-timeout", m2cc.DefaultStallTimeout, "bound on waits for a foreign interface-cache leader (must be >= 0)")
-		trips      = flag.Int("breaker-trips", 3, "consecutive faults before a client's circuit breaker opens")
-		cooldown   = flag.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker routes a client sequentially")
-		ifaceCap   = flag.Int("iface-cap", 0, "interface-cache entry cap before LRU eviction (0 = unbounded)")
-		streamCap  = flag.Int("stream-cap", 0, "stream-cache entry cap before LRU eviction (0 = unbounded)")
 		injectSpec = flag.String("inject", "", "arm fault-injection points: \"point:N[,point:N...]\" (see -list-inject)")
 		listInject = flag.Bool("list-inject", false, "list injection point names and exit")
-		slowDelay  = flag.Duration("inject-slow", 250*time.Millisecond, "latency added by an armed slow-request point")
-		metricsOut = flag.String("metrics-out", "", "file to write the final metrics snapshot to at drain (default stderr)")
-		readyFile  = flag.String("ready-file", "", "file to write the bound listen address to once serving (for scripts)")
-
-		traceFlag   = flag.String("trace", "off", "per-request tracing: off|sampled|all (see /debug/trace)")
-		traceKeep   = flag.Int("trace-keep", 64, "finished request traces kept in the LRU ring")
-		traceSample = flag.Int("trace-sample", 8, "in sampled mode, trace 1 in N admitted requests")
-		rateLimit   = flag.Float64("rate-limit", 0, "per-client request rate in req/s (token bucket; 0 = unlimited)")
-		rateBurst   = flag.Int("rate-burst", 4, "per-client token-bucket burst")
-		debugAddr   = flag.String("debug-addr", "", "separate listener for net/http/pprof (host:port; empty = off)")
-		quiet       = flag.Bool("quiet", false, "suppress per-request JSON log lines on stderr")
+		traceFlag  = flag.String("trace", "off", "per-request tracing: off|sampled|all (see /debug/trace)")
+		debugAddr  = flag.String("debug-addr", "", "separate listener for net/http/pprof (host:port; empty = off)")
+		quiet      = flag.Bool("quiet", false, "suppress per-request JSON log lines on stderr")
 	)
 	flag.Parse()
 
@@ -108,44 +109,13 @@ func run() int {
 		return 0
 	}
 
-	strategy, err := m2cc.ParseStrategy(*dky)
-	if err != nil {
+	var errDKY, errInject, errTrace error
+	cfg.strategy, errDKY = m2cc.ParseStrategy(*dky)
+	cfg.plan, errInject = parseInject(*injectSpec)
+	cfg.traceMode, errTrace = obs.ParseTraceMode(*traceFlag)
+	if err := cmp.Or(errDKY, errInject, errTrace); err != nil { // the first of them
 		log.Printf("m2cd: %v", err)
 		return 2
-	}
-	plan, err := parseInject(*injectSpec)
-	if err != nil {
-		log.Printf("m2cd: %v", err)
-		return 2
-	}
-	traceMode, err := obs.ParseTraceMode(*traceFlag)
-	if err != nil {
-		log.Printf("m2cd: %v", err)
-		return 2
-	}
-	cfg := config{
-		addr:            *addr,
-		workers:         *workers,
-		strategy:        strategy,
-		maxInflight:     *inflight,
-		queueDepth:      *queue,
-		defaultDeadline: *deadline,
-		maxDeadline:     *maxDL,
-		drainTimeout:    *drain,
-		stallTimeout:    *stall,
-		breakerTrips:    *trips,
-		breakerCooldown: *cooldown,
-		slowDelay:       *slowDelay,
-		ifaceCap:        *ifaceCap,
-		streamCap:       *streamCap,
-		plan:            plan,
-		metricsOut:      *metricsOut,
-		readyFile:       *readyFile,
-		traceMode:       traceMode,
-		traceKeep:       *traceKeep,
-		traceSample:     *traceSample,
-		rateLimit:       *rateLimit,
-		rateBurst:       *rateBurst,
 	}
 	if err := cfg.validate(); err != nil {
 		log.Printf("m2cd: %v", err)

@@ -25,10 +25,7 @@ type bucket struct {
 }
 
 func newLimiterSet(rate float64, burst int) *limiterSet {
-	if burst < 1 {
-		burst = 1
-	}
-	return &limiterSet{rate: rate, burst: float64(burst), m: make(map[string]*bucket)}
+	return &limiterSet{rate: rate, burst: float64(max(burst, 1)), m: make(map[string]*bucket)}
 }
 
 // allow takes one token from the client's bucket.  When empty it
@@ -48,11 +45,7 @@ func (l *limiterSet) allow(client string, now time.Time) (ok bool, retry time.Du
 		b = &bucket{tokens: l.burst, last: now}
 		l.m[client] = b
 	} else {
-		b.tokens += now.Sub(b.last).Seconds() * l.rate
-		if b.tokens > l.burst {
-			b.tokens = l.burst
-		}
-		b.last = now
+		b.tokens, b.last = min(b.tokens+now.Sub(b.last).Seconds()*l.rate, l.burst), now
 	}
 	if b.tokens >= 1 {
 		b.tokens--

@@ -89,9 +89,11 @@ func referenceBody(t *testing.T, req compileRequest, lint bool) []byte {
 
 // TestResponseBodiesUnchanged: every suite program's /compile and /lint
 // body, served concurrently and by the breaker-tripped sequential path,
-// equals the reference encoding byte for byte.  Two clients run at once
-// on different programs, so a pooled buffer handed back before its write
-// finished would show as a wrong body (and, under -race, as a race).
+// equals the reference encoding byte for byte, three times over.  The
+// third concurrent request is a memo hit, and the sequential route's
+// responses are never stored.  Two clients run at once on different
+// programs, so a pooled buffer handed back before its write finished
+// would show as a wrong body (and, under -race, as a race).
 func TestResponseBodiesUnchanged(t *testing.T) {
 	reqs := suiteRequests(t)
 	// Beside the suite: findings, and text the encoder must escape (<,
@@ -116,7 +118,8 @@ func TestResponseBodiesUnchanged(t *testing.T) {
 	const clients = 2
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
-		routes := [...]struct{ client, path string }{{fmt.Sprintf("conc-%d", c), "concurrent"}, {fmt.Sprintf("seq-%d", c), "sequential"}}
+		routes := [...]struct{ client, path, third string }{
+			{fmt.Sprintf("conc-%d", c), "concurrent", "memo"}, {fmt.Sprintf("seq-%d", c), "sequential", "sequential"}}
 		s.breakers.mu.Lock()
 		s.breakers.m[routes[1].client] = &breakerState{openUntil: time.Now().Add(time.Hour)}
 		s.breakers.mu.Unlock()
@@ -128,10 +131,12 @@ func TestResponseBodiesUnchanged(t *testing.T) {
 					for _, route := range routes {
 						req := reqs[i]
 						req.Client = route.client
-						got, body, err := postBody(ts, path, req)
-						if err != nil || got != route.path || !bytes.Equal(body, want[i][p]) {
-							t.Errorf("%s %s (%s, X-M2cd-Path %q, %v): body differs from the reference\n got: %.300s\nwant: %.300s",
-								path, req.Module, route.path, got, err, body, want[i][p])
+						for _, wantPath := range [...]string{route.path, route.path, route.third} {
+							got, body, err := postBody(ts, path, req)
+							if err != nil || got != wantPath || !bytes.Equal(body, want[i][p]) {
+								t.Errorf("%s %s (want %s, X-M2cd-Path %q, %v): body differs from the reference\n got: %.300s\nwant: %.300s",
+									path, req.Module, wantPath, got, err, body, want[i][p])
+							}
 						}
 					}
 				}
@@ -245,20 +250,53 @@ func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w *discardWriter) WriteHeader(int)             {}
 
 // repeatRequest serves one suite program's /compile or /lint (path)
-// through s.handler() into a discardWriter, as often as it is called.
-func repeatRequest(t testing.TB, s *server, path string) (serve func(), req compileRequest) {
+// through s.handler() into a discardWriter.  repeat sends the same bytes
+// each time, so the memo answers from its third call on; fresh sends the
+// request behind one more leading space each time (up to 32), bytes the
+// memo has never seen, so each call compiles.
+func repeatRequest(t testing.TB, s *server, path string) (repeat, fresh func(), req compileRequest) {
+	const maxFresh = 32
 	req = suiteRequests(t)[13]
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	padded := append(bytes.Repeat([]byte(" "), maxFresh), body...)
 	h, rd := s.handler(), bytes.NewReader(body)
 	r := httptest.NewRequest(http.MethodPost, path, io.NopCloser(rd))
 	w := &discardWriter{h: http.Header{}}
-	return func() {
-		rd.Reset(body)
+	serve := func(b []byte) {
+		rd.Reset(b)
 		h.ServeHTTP(w, r)
+	}
+	spaces := 0
+	return func() { serve(body) }, func() {
+		if spaces++; spaces > maxFresh {
+			t.Fatalf("more than %d fresh requests", maxFresh)
+		}
+		serve(padded[maxFresh-spaces:])
 	}, req
+}
+
+// checkMemoHit serves repeat until the memo holds its response, then
+// checks that a hit allocates at most 2 KiB and draws no new buffer, nor
+// any response buffer, from the daemon's lists.
+func checkMemoHit(t *testing.T, s *server, repeat func()) {
+	t.Helper()
+	repeat() // a marker
+	repeat() // the stored body
+	hits, body, resp := s.memoHits.Load(), bodyBufs.Stats(), respBufs.Stats()
+	hit := allocated(repeat)
+	if s.memoHits.Load() != hits+7 {
+		t.Fatalf("%d of 7 repeats were memo hits", s.memoHits.Load()-hits)
+	}
+	if b, r := bodyBufs.Stats(), respBufs.Stats(); b.Misses != body.Misses || r.Gets != resp.Gets {
+		t.Fatalf("memo hits took %d new body buffers and %d response buffers", b.Misses-body.Misses, r.Gets-resp.Gets)
+	}
+	t.Logf("a memo hit allocates %d B", hit)
+	if hit > 2<<10 {
+		t.Fatalf("a memo hit allocates %d B, more than 2 KiB", hit)
+	}
 }
 
 // allocated reports the bytes f allocates, the median of seven runs
@@ -277,15 +315,16 @@ func allocated(f func()) uint64 {
 	return runs[len(runs)/2]
 }
 
-// TestRepeatRequestAllocs: a warm repeat /compile allocates what its
-// compilation does, one copy of its source texts (each decoded straight
-// into its string), and at most a fixed slack beside them (its loader,
-// context and headers); its body and response come from the daemon's
-// lists, which need no new buffer after the first request.
+// TestRepeatRequestAllocs: a warm /compile the memo cannot answer
+// allocates what its compilation does, one copy of its source texts
+// (each decoded straight into its string), and at most a fixed slack
+// beside them (its loader, context, headers and memo marker); its body
+// and response come from the daemon's lists, which need no new buffer
+// after the first request.  A byte-identical repeat is a memo hit.
 func TestRepeatRequestAllocs(t *testing.T) {
 	const slack = 16 << 10
 	s := newServer(testConfig())
-	serve, req := repeatRequest(t, s, "/compile")
+	repeat, serve, req := repeatRequest(t, s, "/compile")
 	lists := func() (misses int) {
 		for _, l := range []*pool.List[[]byte]{bodyBufs, respBufs} {
 			misses += l.Stats().Misses
@@ -312,13 +351,14 @@ func TestRepeatRequestAllocs(t *testing.T) {
 		t.Fatalf("a warm repeat /compile allocates %d B, more than its compilation (%d B), its texts (%d B) and %d B",
 			served, compiled, texts, slack)
 	}
+	checkMemoHit(t, s, repeat)
 }
 
 // BenchmarkServeRepeat: one warm repeated /compile of a suite program
 // through the handler, B/op and allocs/op included.
 func BenchmarkServeRepeat(b *testing.B) {
 	s := newServer(testConfig())
-	serve, _ := repeatRequest(b, s, "/compile")
+	serve, _, _ := repeatRequest(b, s, "/compile")
 	for range 3 { // until the free lists hold what a request draws
 		serve()
 	}
@@ -329,13 +369,14 @@ func BenchmarkServeRepeat(b *testing.B) {
 	}
 }
 
-// TestServeLintAllocs: a warm repeat /lint installs every interface
-// from the cache with its lint facts, compiling none, and allocates
-// what its lint compilation does plus the slack a /compile may take.
+// TestServeLintAllocs: a warm /lint the memo cannot answer installs
+// every interface from the cache with its lint facts, compiling none,
+// and allocates what its lint compilation does plus the slack a
+// /compile may take.  A byte-identical repeat is a memo hit.
 func TestServeLintAllocs(t *testing.T) {
 	const slack = 64 << 10
 	s := newServer(testConfig())
-	serve, req := repeatRequest(t, s, "/lint")
+	repeat, serve, req := repeatRequest(t, s, "/lint")
 	for range 3 { // until the free lists hold what a request draws
 		serve()
 	}
@@ -354,13 +395,14 @@ func TestServeLintAllocs(t *testing.T) {
 	if served > linted+slack {
 		t.Fatalf("a warm repeat /lint allocates %d B, more than its lint compilation (%d B) plus %d B", served, linted, slack)
 	}
+	checkMemoHit(t, s, repeat)
 }
 
 // BenchmarkServeLint: one warm repeated /lint of a suite program
 // through the handler, B/op and allocs/op included.
 func BenchmarkServeLint(b *testing.B) {
 	s := newServer(testConfig())
-	serve, _ := repeatRequest(b, s, "/lint")
+	serve, _, _ := repeatRequest(b, s, "/lint")
 	for range 3 {
 		serve()
 	}

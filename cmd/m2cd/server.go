@@ -23,16 +23,19 @@
 //     final metrics snapshot is flushed before exit.
 //
 // Response bodies are a pure function of the request: routing
-// metadata (concurrent vs sequential, stream counts, fallback) rides
-// in X-M2cd-* headers so that the body of any two successful responses
-// to the same request is byte-identical — across fault injection,
-// breaker state, and scheduling. The chaos tests rely on this.
+// metadata (concurrent, sequential or memo, stream counts, fallback)
+// rides in X-M2cd-* headers so that the body of any two successful
+// responses to the same request is byte-identical — across fault
+// injection, breaker state, and scheduling.  The chaos tests rely on
+// this, and the response memo answers a byte-identical repeat with a
+// stored body, taking no admission slot.
 package main
 
 import (
 	"bytes"
 	"cmp"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -53,6 +56,7 @@ import (
 	"m2cc"
 	"m2cc/internal/check"
 	"m2cc/internal/faultinject"
+	"m2cc/internal/lru"
 	"m2cc/internal/obs"
 	"m2cc/internal/pool"
 )
@@ -162,11 +166,13 @@ type server struct {
 	admitted, completed, shedQueueFull, rateLimited   atomic.Int64
 	rejectedDraining, deadlineCanceled, handlerPanics atomic.Int64
 	compileFaults, sequentialServed, breakerOpens     atomic.Int64
+	memoHits                                          atomic.Int64
 	responses, lintFindings                           obs.LabeledCounter // by status code, by finding family
 	latency, depth, occupancy, hitRatio               *obs.Histogram     // the histogram families' cells
 
 	traces *obs.TraceStore // per-request trace plane (/debug/trace)
 	limits *limiterSet     // per-client token buckets
+	memo   *memo           // responses to byte-identical repeats
 
 	logw  io.Writer  // structured request-log sink; nil disables logging
 	logMu sync.Mutex // guards: interleaving of request-log lines on logw
@@ -187,11 +193,10 @@ func newServer(cfg config) *server {
 		hitRatio:  obs.NewHistogram(obs.DefaultRatioBuckets),
 	}
 	s.cache.SetLimit(cfg.ifaceCap)
-	s.breakers.trips = cfg.breakerTrips
-	s.breakers.cooldown = cfg.breakerCooldown
-	s.breakers.m = make(map[string]*breakerState)
+	s.breakers = breakerSet{trips: cfg.breakerTrips, cooldown: cfg.breakerCooldown, m: make(map[string]*breakerState)}
 	s.traces = obs.NewTraceStore(cfg.traceMode, cfg.traceSample, cfg.traceKeep)
 	s.limits = newLimiterSet(cfg.rateLimit, cfg.rateBurst)
+	s.memo = newMemo(memoBudget)
 	s.reg = obs.Registry{ // exposition order
 		obs.GaugeFunc("m2cd_uptime_seconds", "Seconds since the daemon started.", func() float64 { return time.Since(s.start).Seconds() }),
 		obs.GaugeFunc("m2cd_draining", "1 while the daemon is draining, else 0.", func() float64 {
@@ -227,6 +232,8 @@ func newServer(cfg config) *server {
 		obs.GaugeFunc("m2cd_stream_cache_entries", "Stream-cache resident entries.", func() float64 { return float64(s.scache.Stats().Entries) }),
 		obs.GaugeFunc("m2cd_traces_held", "Request traces held in the LRU ring.", func() float64 { return float64(s.traces.Held()) }),
 		obs.CounterFunc("m2cd_trace_admitted_total", "Requests through the trace store's sampling domain.", func() int64 { return int64(s.traces.Admitted()) }),
+		obs.CounterOf("m2cd_memo_hits_total", "Requests answered from the response memo.", &s.memoHits),
+		obs.GaugeFunc("m2cd_memo_bytes", "Bytes the response memo holds.", func() float64 { return float64(s.memo.size()) }),
 		obs.HistogramOf("m2cd_request_duration_ms", "Request service time in milliseconds.", s.latency),
 		obs.HistogramOf("m2cd_queue_depth", "Queued requests observed at admission.", s.depth),
 		obs.HistogramOf("m2cd_worker_occupancy", "Held inflight slots observed at admission.", s.occupancy),
@@ -293,7 +300,9 @@ type compileReply struct {
 	diags    string
 	lint     bool
 	findings []m2cc.Finding
-	trace    []byte // inline Chrome trace, when the client asked for one
+	trace    []byte   // inline Chrome trace, when the client asked for one
+	memo     *memoKey // records a clean response in the memo, with client
+	client   string   // the request's "client" field
 }
 
 type errorResponse struct {
@@ -350,15 +359,34 @@ func (s *server) handleCompile(w *statusRecorder, r *http.Request, lint bool) {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST required", 0)
 		return
 	}
-	// The pooled body, grown once to a declared length, goes back at once:
-	// every string is copied out of it (a text once, by jsonText), so no
-	// source text, nor a cache's substring of one, aliases it.
-	var req compileRequest
+	// The pooled body, grown once to a declared length, goes back once it
+	// is decoded: every string is copied out of it (a text once, by
+	// jsonText), so no source text, nor a cache's substring of one,
+	// aliases it.
 	body := bytes.NewBuffer(bodyBufs.Get()[:0])
 	if n := r.ContentLength; n > 0 && n <= maxBody {
 		body.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
 	}
 	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
+	// A repeat the memo holds passes gate and Admit, then is answered
+	// undecoded, unless Admit picks it for recording: a recorded trace
+	// shows the work.
+	key, gated := memoKey{lint: lint}, false
+	if err == nil {
+		key.sum = sha256.Sum256(body.Bytes())
+		if e, ok := s.memo.lookup(key); ok {
+			if gated = s.gate(w, r, e.client); !gated {
+				bodyBufs.Put(body.Bytes())
+				return
+			}
+			if w.trace, w.entry = s.traces.Admit(r.Header.Get("X-M2cd-Trace")); w.entry == nil {
+				bodyBufs.Put(body.Bytes())
+				s.serveMemo(w, e)
+				return
+			}
+		}
+	}
+	var req compileRequest
 	if err == nil {
 		if err = json.Unmarshal(body.Bytes(), &req); err != nil {
 			err = decodeError(body.Bytes())
@@ -426,35 +454,8 @@ func (s *server) handleCompile(w *statusRecorder, r *http.Request, lint bool) {
 	ctx, cancel := context.WithTimeout(r.Context(), deadline)
 	defer cancel()
 
-	// Client identity, resolved before admission: the rate limiter and
-	// the circuit breaker key on it, and the request log reports it even
-	// for shed requests.
-	client := req.Client
-	if client == "" {
-		client = r.Header.Get("X-Client")
-	}
-	if client == "" {
-		if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-			client = host
-		} else {
-			client = r.RemoteAddr
-		}
-	}
-	w.client = client
-
 	// ---- admission ----
-	if s.draining.Load() {
-		s.rejectedDraining.Add(1)
-		s.writeError(w, http.StatusServiceUnavailable, "draining", 0)
-		return
-	}
-	// Connection-level rate limit, before the shared queue: a client
-	// over its budget is shed without consuming queue capacity, with a
-	// Retry-After saying when its next token refills.
-	if ok, retry := s.limits.allow(client, time.Now()); !ok {
-		s.rateLimited.Add(1)
-		s.writeError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("rate limited: client %q over %g req/s", client, s.cfg.rateLimit), retry)
+	if !gated && !s.gate(w, r, req.Client) {
 		return
 	}
 	if n := s.waiting.Add(1); n > int64(s.cfg.maxInflight+s.cfg.queueDepth) {
@@ -486,7 +487,9 @@ func (s *server) handleCompile(w *statusRecorder, r *http.Request, lint bool) {
 	// the request.  The record holds the entry, so the instrumented
 	// middleware finishes this request's own entry on every exit path,
 	// including panics unwinding through this frame.
-	w.trace, w.entry = s.traces.Admit(r.Header.Get("X-M2cd-Trace"))
+	if !gated {
+		w.trace, w.entry = s.traces.Admit(r.Header.Get("X-M2cd-Trace"))
+	}
 	occupied := len(s.sem)
 	s.depth.Observe(float64(max(int(s.waiting.Load())-occupied, 0)))
 	s.occupancy.Observe(float64(occupied))
@@ -505,7 +508,7 @@ func (s *server) handleCompile(w *statusRecorder, r *http.Request, lint bool) {
 
 	// ---- service ----
 	began := time.Now()
-	if s.breakers.sequential(client, time.Now()) {
+	if s.breakers.sequential(w.client, time.Now()) {
 		s.serveSequential(w, req, loader, lint)
 		s.observeService(time.Since(began))
 		return
@@ -546,11 +549,14 @@ func (s *server) handleCompile(w *statusRecorder, r *http.Request, lint bool) {
 	if res.Faulted {
 		s.compileFaults.Add(1)
 	}
-	if s.breakers.record(client, res.Faulted, time.Now()) {
+	if s.breakers.record(w.client, res.Faulted, time.Now()) {
 		s.breakerOpens.Add(1)
 	}
 
 	reply := compileReply{module: req.Module, ok: !res.Failed(), object: res.Object, diags: res.Diags.String(), lint: lint, findings: res.Findings}
+	if !res.Faulted && !res.FellBack && !res.CheckFellBack && !req.Trace {
+		reply.memo, reply.client = &key, req.Client
+	}
 	// The inline trace is gated on the *client's* request alone — a
 	// server-side sampling decision must never change the body, or two
 	// identical requests would stop being byte-identical.
@@ -562,6 +568,50 @@ func (s *server) handleCompile(w *statusRecorder, r *http.Request, lint bool) {
 	}
 	w.serve, w.streams, w.tally, w.fellBack = "concurrent", res.Streams, res.StreamCache, res.FellBack
 	s.writeCompile(w, &reply)
+}
+
+// gate resolves the client identity (client, else X-Client, else the
+// remote host) that the rate limiter, breaker and request log key on,
+// and reports a pass: not draining (503), nor over its rate limit (429).
+func (s *server) gate(w *statusRecorder, r *http.Request, client string) bool {
+	if client == "" {
+		client = r.Header.Get("X-Client")
+	}
+	if client == "" {
+		if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
+			client = host
+		} else {
+			client = r.RemoteAddr
+		}
+	}
+	w.client = client
+	if s.draining.Load() {
+		s.rejectedDraining.Add(1)
+		s.writeError(w, http.StatusServiceUnavailable, "draining", 0)
+		return false
+	}
+	// Connection-level rate limit, before the shared queue: a client
+	// over its budget is shed without consuming queue capacity, with a
+	// Retry-After saying when its next token refills.
+	if ok, retry := s.limits.allow(client, time.Now()); !ok {
+		s.rateLimited.Add(1)
+		s.writeError(w, http.StatusTooManyRequests,
+			fmt.Sprintf("rate limited: client %q over %g req/s", client, s.cfg.rateLimit), retry)
+		return false
+	}
+	return true
+}
+
+// serveMemo answers a repeat from the memo, taking no admission slot.
+func (s *server) serveMemo(w *statusRecorder, e memoEntry) {
+	s.memoHits.Add(1)
+	s.completed.Add(1)
+	if e.findings != "" {
+		w.Header().Set("X-M2cd-Findings", e.findings)
+		s.countFindings(e.findings)
+	}
+	w.serve = "memo"
+	s.write(w, http.StatusOK, "application/json", e.body)
 }
 
 // serveSequential answers a breaker-tripped client through the
@@ -595,9 +645,11 @@ func newBufList() *pool.List[[]byte] {
 // empty fields omitted but lint's findings.  The listing is rendered into
 // the response, and its quoted form, appended after it, moves down over it.
 func (s *server) writeCompile(w http.ResponseWriter, c *compileReply) {
+	var findings string
 	if c.lint {
-		if hdr := s.countFindings(c.findings); hdr != "" {
-			w.Header().Set("X-M2cd-Findings", hdr)
+		if findings = findingsHeader(c.findings); findings != "" {
+			w.Header().Set("X-M2cd-Findings", findings)
+			s.countFindings(findings)
 		}
 	}
 	b := appendJSONString(append(respBufs.Get()[:0], `{"module":`...), c.module)
@@ -620,7 +672,11 @@ func (s *server) writeCompile(w http.ResponseWriter, c *compileReply) {
 	if len(c.trace) > 0 && err == nil {
 		b, err = appendJSON(append(b, `,"trace":`...), json.RawMessage(c.trace))
 	}
-	s.send(w, http.StatusOK, "application/json", append(b, "}\n"...), err)
+	b = append(b, "}\n"...)
+	if c.memo != nil && err == nil {
+		s.memo.record(*c.memo, b, c.client, findings)
+	}
+	s.send(w, http.StatusOK, "application/json", b, err)
 }
 
 // writeJSON encodes v as json.Marshal does, plus a newline.
@@ -646,6 +702,11 @@ func (s *server) send(w http.ResponseWriter, status int, contentType string, b [
 		http.Error(w, "internal: encode response", http.StatusInternalServerError)
 		return
 	}
+	s.write(w, status, contentType, b)
+}
+
+// write writes the complete response b.
+func (s *server) write(w http.ResponseWriter, status int, contentType string, b []byte) {
 	s.countStatus(status)
 	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
@@ -778,10 +839,7 @@ func getu4(e []byte) rune {
 func (s *server) writeError(w http.ResponseWriter, status int, msg string, retry time.Duration) {
 	e := errorResponse{Error: msg}
 	if retry > 0 {
-		secs := int64((retry + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
+		secs := max(int64((retry+time.Second-1)/time.Second), 1)
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 		e.RetryAfterMS = retry.Milliseconds()
 	}
@@ -790,12 +848,12 @@ func (s *server) writeError(w http.ResponseWriter, status int, msg string, retry
 
 // ---- metrics ----
 
-// countFindings folds one lint report into the per-family counters and
-// returns the X-M2cd-Findings header value: sorted family=count pairs
-// (e.g. "conc-guard=2,uninit=1"), empty when the report is clean.  Like
-// the other X-M2cd-* headers this is routing/telemetry metadata — the
-// response body stays a pure function of the request.
-func (s *server) countFindings(findings []m2cc.Finding) string {
+// findingsHeader returns one lint report's X-M2cd-Findings header value:
+// sorted family=count pairs (e.g. "conc-guard=2,uninit=1"), empty when
+// the report is clean.  Like the other X-M2cd-* headers this is
+// routing/telemetry metadata — the response body stays a pure function
+// of the request.
+func findingsHeader(findings []m2cc.Finding) string {
 	if len(findings) == 0 {
 		return ""
 	}
@@ -808,8 +866,7 @@ func (s *server) countFindings(findings []m2cc.Finding) string {
 		perFamily[code]++
 	}
 	codes := make([]string, 0, len(perFamily))
-	for code, n := range perFamily {
-		s.lintFindings.Add(code, n)
+	for code := range perFamily {
 		codes = append(codes, code)
 	}
 	sort.Strings(codes)
@@ -821,6 +878,16 @@ func (s *server) countFindings(findings []m2cc.Finding) string {
 		fmt.Fprintf(&b, "%s=%d", code, perFamily[code])
 	}
 	return b.String()
+}
+
+// countFindings adds the per-family counts of a non-empty findingsHeader
+// value, which always parses, to m2cd_lint_findings_total.
+func (s *server) countFindings(hdr string) {
+	for _, pair := range strings.Split(hdr, ",") {
+		code, n, _ := strings.Cut(pair, "=")
+		v, _ := strconv.ParseInt(n, 10, 64)
+		s.lintFindings.Add(code, v)
+	}
 }
 
 func (s *server) countStatus(code int) {
@@ -855,11 +922,7 @@ func (s *server) retryAfter() time.Duration {
 		ewma = 250 // no completions yet; a deliberate guess
 	}
 	turns := float64(s.waiting.Load())/float64(s.cfg.maxInflight) + 1
-	d := time.Duration(ewma*turns) * time.Millisecond
-	if d < 50*time.Millisecond {
-		d = 50 * time.Millisecond
-	}
-	return d
+	return max(time.Duration(ewma*turns)*time.Millisecond, 50*time.Millisecond)
 }
 
 // ---- per-client circuit breaker ----
@@ -897,9 +960,7 @@ func (b *breakerSet) sequential(client string, now time.Time) bool {
 		return true
 	}
 	// Cooldown over: half-open probe.
-	st.openUntil = time.Time{}
-	st.halfOpen = true
-	st.fails = 0
+	st.openUntil, st.halfOpen, st.fails = time.Time{}, true, 0
 	return false
 }
 
@@ -914,16 +975,77 @@ func (b *breakerSet) record(client string, faulted bool, now time.Time) (opened 
 		b.m[client] = st
 	}
 	if !faulted {
-		st.fails = 0
-		st.halfOpen = false
+		st.fails, st.halfOpen = 0, false
 		return false
 	}
 	st.fails++
 	if st.halfOpen || st.fails >= b.trips {
-		st.openUntil = now.Add(b.cooldown)
-		st.halfOpen = false
-		st.fails = 0
+		st.openUntil, st.halfOpen, st.fails = now.Add(b.cooldown), false, 0
 		return true
 	}
 	return false
+}
+
+// ---- response memo ----
+
+// The response memo (DESIGN.md, "Serving and resilience") answers a
+// byte-identical repeat of a /compile or /lint request with the body an
+// earlier compilation of it sent.  A 200 body is a pure function of the
+// request, so the request's bytes are a complete key: SHA-256, because
+// clients choose them.
+
+// memoBudget bounds the bytes the memo holds, by its entries' weights;
+// no body above an eighth of it is stored.
+const memoBudget = 64 << 20
+
+// memoKey names a request: its endpoint and the SHA-256 of its body.
+type memoKey struct {
+	lint bool
+	sum  [sha256.Size]byte
+}
+
+// memoEntry is a stored response, or a marker when body is nil.
+type memoEntry struct {
+	body             []byte // the 200 body, owned by the entry
+	client, findings string // the request's "client" field; X-M2cd-Findings on /lint
+}
+
+type memo struct {
+	mu      sync.Mutex // guards: store
+	store   *lru.Store[memoKey, memoEntry]
+	maxBody int
+}
+
+func newMemo(budget int) *memo {
+	weight := func(e memoEntry) int { return 128 + len(e.body) + len(e.client) + len(e.findings) } // 128: key, node, map slot
+	return &memo{store: lru.NewWeighted[memoKey](budget, weight), maxBody: budget / 8}
+}
+
+// lookup returns the response stored under k; a marker is no hit.
+func (m *memo) lookup(k memoKey) (memoEntry, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.store.Get(k)
+	return e, ok && e.body != nil
+}
+
+// record notes a clean 200 response to k.  Its first sighting leaves a
+// marker and its second stores a copy of body (a pooled buffer): an
+// edited or new program is sent once, and copying each such body would
+// be waste.
+func (m *memo) record(k memoKey, body []byte, client, findings string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e, seen := m.store.Get(k); !seen {
+		m.store.Put(k, memoEntry{})
+	} else if e.body == nil && len(body) <= m.maxBody {
+		m.store.Put(k, memoEntry{bytes.Clone(body), client, findings})
+	}
+}
+
+// size returns the bytes the memo holds, by its entries' weights.
+func (m *memo) size() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.store.Size()
 }

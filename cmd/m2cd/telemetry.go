@@ -40,7 +40,7 @@ type statusRecorder struct {
 type outcome struct {
 	client, trace string            // resolved client identity; trace ID, once admitted
 	entry         *obs.TraceEntry   // the trace entry Admit opened; nil when not sampled
-	serve         string            // concurrent | sequential; empty when nothing was served
+	serve         string            // concurrent | sequential | memo; empty when nothing was served
 	streams       int               // the concurrent compilation's streams
 	tally         *m2cc.StreamTally // its stream-cache traffic; nil when no cache was probed
 	fellBack      bool              // it faulted and fell back to the sequential compiler
@@ -133,7 +133,7 @@ type requestLog struct {
 	Method   string  `json:"method"`
 	Path     string  `json:"path"`
 	Status   int     `json:"status"`
-	Serve    string  `json:"serve,omitempty"` // concurrent | sequential
+	Serve    string  `json:"serve,omitempty"` // concurrent | sequential | memo
 	DurMS    float64 `json:"dur_ms"`
 	Streams  int     `json:"streams,omitempty"`
 	Hits     int     `json:"stream_hits,omitempty"`

@@ -415,6 +415,8 @@ func TestPrometheusExposition(t *testing.T) {
 		"m2cd_stream_cache_entries gauge",
 		"m2cd_traces_held gauge",
 		"m2cd_trace_admitted_total counter",
+		"m2cd_memo_hits_total counter",
+		"m2cd_memo_bytes gauge",
 		"m2cd_request_duration_ms histogram",
 		"m2cd_queue_depth histogram",
 		"m2cd_worker_occupancy histogram",

@@ -327,10 +327,10 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 		out = append(out, f.Findings...)
 	}
 
-	warn := func(code, file string, n ast.Name, format string, args ...any) {
+	warn := func(code, file string, n ast.Name, msg string) {
 		out = append(out, diag.Diagnostic{
 			Sev: diag.Warning, Pos: n.Pos, End: nameEnd(n.Text, n.Pos),
-			File: file, Msg: fmt.Sprintf(format, args...), Code: code,
+			File: file, Msg: msg, Code: code,
 		})
 	}
 	// mentionedUnder: name is mentioned by unit u or any unit at its
@@ -419,12 +419,12 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 		if f.Kind == ProcUnit {
 			for _, n := range f.Locals {
 				if !mentionedUnder(n.Text, f) {
-					warn(CodeUnusedLocal, f.File, n, "local variable %s is declared but never used", n.Text)
+					warn(CodeUnusedLocal, f.File, n, "local variable "+n.Text+" is declared but never used")
 				}
 			}
 			for _, n := range f.Params {
 				if !mentionedUnder(n.Text, f) {
-					warn(CodeUnusedParam, f.File, n, "parameter %s is declared but never used", n.Text)
+					warn(CodeUnusedParam, f.File, n, "parameter "+n.Text+" is declared but never used")
 				}
 			}
 		}
@@ -436,9 +436,9 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 				continue
 			}
 			if imp.From {
-				warn(CodeUnusedImport, f.File, imp.Name, "imported identifier %s is never used", imp.Name.Text)
+				warn(CodeUnusedImport, f.File, imp.Name, "imported identifier "+imp.Name.Text+" is never used")
 			} else {
-				warn(CodeUnusedImport, f.File, imp.Name, "import %s is never used", imp.Name.Text)
+				warn(CodeUnusedImport, f.File, imp.Name, "import "+imp.Name.Text+" is never used")
 			}
 		}
 	}
@@ -454,7 +454,7 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 		}
 		for _, n := range f.DeclNames {
 			if m := exported[n.Text]; !m.more && (m.first == 0 || fs[m.first-1].Module == f.Module) {
-				warn(CodeUnusedExport, f.File, n, "exported %s is never referenced in this compilation", n.Text)
+				warn(CodeUnusedExport, f.File, n, "exported "+n.Text+" is never referenced in this compilation")
 			}
 		}
 	}
@@ -498,7 +498,7 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 		}
 		for _, p := range procs {
 			if !reached[p] && p.HasHead {
-				warn(CodeNeverCalled, p.File, p.HeadName, "procedure %s is declared but never called", p.ProcName)
+				warn(CodeNeverCalled, p.File, p.HeadName, "procedure "+p.ProcName+" is declared but never called")
 			}
 		}
 	}

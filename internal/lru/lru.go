@@ -8,15 +8,18 @@
 // one.  An owner that must not lose some entries — an interface still
 // being compiled, a trace still being written — says so with a keep
 // predicate: eviction skips those, leaving the store over its cap until
-// they become evictable and the owner calls Trim.
+// they become evictable and the owner calls Trim.  A store that caps
+// bytes rather than entries weighs each entry (NewWeighted).
 package lru
 
 // Store maps keys to values in recency order, capped at a limit.
 type Store[K comparable, V any] struct {
 	byKey     map[K]*node[K, V]
 	head      node[K, V] // sentinel: head.next is the most recently used entry, head.prev the least
-	limit     int        // max entries; 0 = unbounded
+	limit     int        // max total weight; 0 = unbounded
 	keep      func(V) bool
+	weight    func(V) int // an entry's weight
+	size      int         // the entries' total weight
 	evictions int64
 }
 
@@ -29,8 +32,16 @@ type node[K comparable, V any] struct {
 // New returns an empty store capped at limit entries (0 = unbounded).
 // keep, when non-nil, reports the entries eviction must skip.
 func New[K comparable, V any](limit int, keep func(V) bool) *Store[K, V] {
-	s := &Store[K, V]{byKey: make(map[K]*node[K, V]), limit: limit, keep: keep}
+	s := &Store[K, V]{byKey: make(map[K]*node[K, V]), limit: limit, keep: keep, weight: func(V) int { return 1 }}
 	s.head.prev, s.head.next = &s.head, &s.head
+	return s
+}
+
+// NewWeighted returns an empty store whose entries weigh weight(v)
+// each, capped at a total weight of limit (0 = unbounded).
+func NewWeighted[K comparable, V any](limit int, weight func(V) int) *Store[K, V] {
+	s := New[K, V](limit, nil)
+	s.weight = weight
 	return s
 }
 
@@ -51,8 +62,11 @@ func (s *Store[K, V]) Put(k K, v V) {
 	if n == nil {
 		n = &node[K, V]{key: k}
 		s.byKey[k] = n
+	} else {
+		s.size -= s.weight(n.val)
 	}
 	n.val = v
+	s.size += s.weight(v)
 	s.toFront(n)
 	s.Trim()
 }
@@ -78,7 +92,7 @@ func (s *Store[K, V]) Trim() {
 	if s.limit <= 0 {
 		return
 	}
-	for n := s.head.prev; n != &s.head && len(s.byKey) > s.limit; {
+	for n := s.head.prev; n != &s.head && s.size > s.limit; {
 		prev := n.prev
 		if s.keep == nil || !s.keep(n.val) {
 			s.remove(n)
@@ -90,6 +104,10 @@ func (s *Store[K, V]) Trim() {
 
 // Len returns the number of entries, kept ones included.
 func (s *Store[K, V]) Len() int { return len(s.byKey) }
+
+// Size returns the entries' total weight: Len, unless the store was
+// made by NewWeighted.
+func (s *Store[K, V]) Size() int { return s.size }
 
 // Evictions returns the number of entries Trim has dropped.
 func (s *Store[K, V]) Evictions() int64 { return s.evictions }
@@ -117,4 +135,5 @@ func (s *Store[K, V]) toFront(n *node[K, V]) {
 func (s *Store[K, V]) remove(n *node[K, V]) {
 	n.prev.next, n.next.prev = n.next, n.prev
 	delete(s.byKey, n.key)
+	s.size -= s.weight(n.val)
 }

@@ -7,20 +7,23 @@
 #   2. Fetch the first admission's trace (always sampled) through
 #      /debug/trace: the daemon validates it before answering 200
 #      (ctrace.Trace.Validate), and it must hold a complete span.
-#      Check its /profile blame report parses.
+#      Check its /profile blame report parses.  Send that compile
+#      twice more: the response memo answers the third, with the
+#      first answer's body.
 #   3. Saturate it with a curl burst at ~4x capacity (60 requests, 8
-#      at a time, over 3 client names): every response must be a 200,
-#      429 or 503, at least one a 200, and every 200 body
-#      byte-identical.  The shed count and the p50/p99 latency are
-#      printed.
+#      at a time, each body naming its own client, so none is a memo
+#      hit): every response must be a 200, 429 or 503, at least one a
+#      200, and every 200 body byte-identical.  The shed count and the
+#      p50/p99 latency are printed.
 #   4. Scrape /metrics?format=prometheus and check the exposition:
 #      histogram buckets cumulative-monotone, le="+Inf" == _count,
 #      and the serving counters moved.
-#   5. Send SIGTERM mid-load and verify the graceful drain: healthz
-#      flips to "draining", readyz flips to 503 while the listener is
-#      still up (the -drain-grace window), in-flight work finishes,
-#      the final metrics snapshot is written (every family of the step 4
-#      scrape among its keys), and the daemon exits 0.
+#   5. Send SIGTERM mid-load (distinct bodies again) and verify the
+#      graceful drain: healthz flips to "draining", readyz flips to 503
+#      while the listener is still up (the -drain-grace window),
+#      in-flight work finishes, the final metrics snapshot is written
+#      (every family of the step 4 scrape among its keys), and the
+#      daemon exits 0.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,7 +66,7 @@ json.dump({"module": "Demo", "sources": srcs, "client": "smoke"}, sys.stdout)
 EOF
 curl -fsS -X POST -H 'Content-Type: application/json' \
     -H 'X-M2cd-Trace: smoke-trace' --data @"$TMP/req.json" \
-    "http://$ADDR/compile" -o /dev/null || fail "traced compile request failed"
+    "http://$ADDR/compile" -o "$TMP/first.json" || fail "traced compile request failed"
 curl -fsS "http://$ADDR/debug/trace/smoke-trace" -o "$TMP/trace.json" \
     || fail "sampled trace not retrievable (or not valid) from /debug/trace"
 grep -q '"ph": "X"' "$TMP/trace.json" || fail "fetched trace has no complete span"
@@ -74,6 +77,17 @@ import json, sys
 p = json.load(open(sys.argv[1]))
 assert "total_blocked_ms" in p and "events" in p, "profile missing blame fields"
 EOF
+
+#    The same bytes twice more: the first response left a marker, the
+#    second stores its body, the third (not sampled 1-in-4) is a hit.
+for n in 2 3; do
+    curl -fsS -D "$TMP/repeat_headers.txt" -X POST -H 'Content-Type: application/json' \
+        --data @"$TMP/req.json" "http://$ADDR/compile" -o "$TMP/repeat.json" \
+        || fail "repeat compile request $n failed"
+done
+grep -qi '^X-M2cd-Path: memo' "$TMP/repeat_headers.txt" \
+    || fail "third identical compile not answered from the memo: $(grep -i path "$TMP/repeat_headers.txt" || true)"
+cmp -s "$TMP/first.json" "$TMP/repeat.json" || fail "memo body differs from the first response"
 
 #    A lint request against the concurrency fixture must report its
 #    per-family finding counts in the X-M2cd-Findings header and move
@@ -94,15 +108,16 @@ grep -qi '^X-M2cd-Findings: conc-deadlock=1,conc-double-lock=1,conc-guard=2' \
 
 # 3. Saturating burst: 8 at a time against capacity 4 (2 in flight + 2
 #    queued).  Each request leaves its body and its code and time.
-python3 - examples/modules > "$TMP/loadreq.json" <<'EOF' || fail "could not build load request"
+#    A body is '{"client":"<name>",' and loadtail.json, the rest of one.
+python3 - examples/modules > "$TMP/loadtail.json" <<'EOF' || fail "could not build load request"
 import json, pathlib, sys
 srcs = [{"name": p.stem, "kind": p.suffix[1:], "text": p.read_text()}
         for p in sorted(pathlib.Path(sys.argv[1]).glob("*.*")) if p.suffix in (".def", ".mod")]
-json.dump({"module": "Demo", "sources": srcs}, sys.stdout)
+sys.stdout.write(json.dumps({"module": "Demo", "sources": srcs})[1:])
 EOF
 mkdir "$TMP/burst"
-seq 1 60 | xargs -P 8 -I{} sh -c 'curl -s -X POST -H "Content-Type: application/json" \
-    -H "X-Client: load-$(({} % 3))" --data @"$1/loadreq.json" -o "$1/burst/{}.body" \
+seq 1 60 | xargs -P 8 -I{} sh -c '{ printf "{\"client\":\"load-%s\"," {}; cat "$1/loadtail.json"; } |
+    curl -s -X POST -H "Content-Type: application/json" --data-binary @- -o "$1/burst/{}.body" \
     -w "%{http_code} %{time_total}\n" "http://$2/compile" > "$1/burst/{}.code"' _ "$TMP" "$ADDR"
 SUMMARY=$(python3 - "$TMP/burst" <<'EOF'
 import hashlib, pathlib, sys
@@ -132,6 +147,8 @@ text = open(sys.argv[1]).read()
 assert re.search(r'^m2cd_admitted_total [1-9]', text, re.M), "admitted_total never moved"
 assert re.search(r'^m2cd_responses_total\{code="200"\} [1-9]', text, re.M), "no 200s counted"
 assert re.search(r'^m2cd_trace_admitted_total [1-9]', text, re.M), "no traces admitted"
+assert re.search(r'^m2cd_memo_hits_total [1-9]', text, re.M), "memo_hits_total never moved"
+assert re.search(r'^m2cd_memo_bytes [1-9]', text, re.M), "the memo holds nothing"
 assert re.search(r'^m2cd_lint_findings_total\{family="conc-guard"\} [1-9]', text, re.M), \
     "lint findings counter never moved"
 assert re.search(r'^m2cd_lint_findings_total\{family="conc-deadlock"\} [1-9]', text, re.M), \
@@ -151,8 +168,11 @@ EOF
 
 # 5. Graceful drain under load: a background curl loop keeps 4 requests
 #    in flight while SIGTERM lands, until the daemon is gone or 4 s pass.
-(end=$((SECONDS + 4)); while kill -0 "$DPID" && [ "$SECONDS" -lt "$end" ]; do
-    for _ in 1 2 3 4; do curl -s -o /dev/null --data @"$TMP/loadreq.json" "http://$ADDR/compile" & done; wait
+(end=$((SECONDS + 4)); n=0; while kill -0 "$DPID" && [ "$SECONDS" -lt "$end" ]; do
+    n=$((n + 1)); for i in 1 2 3 4; do
+        { printf '{"client":"drain-%s-%s",' "$n" "$i"; cat "$TMP/loadtail.json"; } |
+            curl -s -o /dev/null --data-binary @- "http://$ADDR/compile" &
+    done; wait
 done) >/dev/null 2>&1 &
 LPID=$!
 sleep 0.5
@@ -177,7 +197,7 @@ for k in ("m2cd_completed_total", "m2cd_shed_queue_full_total",
           "m2cd_deadline_canceled_total", "m2cd_handler_panics_total",
           "m2cd_responses_total", "m2cd_iface_cache_hits_total",
           "m2cd_iface_cache_misses_total", "m2cd_iface_cache_waits_total",
-          "m2cd_inflight"):
+          "m2cd_inflight", "m2cd_memo_hits_total", "m2cd_memo_bytes"):
     assert k in m, f"missing family {k!r}"
 # One metrics path: every family the step 4 scrape exposed is a key of
 # the drain-time JSON rendering of the same registry.
