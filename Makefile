@@ -128,19 +128,19 @@ bench-frontend:
 
 # Object-code layer microbenchmarks: a sequential compile of one fixed
 # generated program (B/op, allocs/op, retained code bytes), declaration
-# analysis alone of the same program (B/op, allocs/op), the listing
-# renderer against the fmt reference it replaced (MB/s), the machine
-# running Synth and an array-indexing suite program (Minstr/s), the
-# stream cache's relocating copy, a warm recompile with every stream a
-# cache hit (B/op, allocs/op: keys, probe, interface installs and
-# adopted segments), a warm repeated m2cd /compile and /lint through
-# the handler (B/op, allocs/op: the listing escaped into the pooled
-# response; the lint's interfaces and their facts from the cache), the
-# lint merge barrier over every suite program's fact tables (B/op,
-# allocs/op), and the Supervisor's cost of one task, ungated and with
-# two gates (B/op, allocs/op).  One iteration each, as bench-frontend.
+# analysis alone of the same program, the listing renderer against the
+# fmt reference it replaced (MB/s), the machine running Synth and an
+# array-indexing suite program (Minstr/s), the stream cache's relocating
+# copy, a warm recompile with every stream a cache hit (keys, probe,
+# interface installs, adopted segments), a clean suite build without and
+# with a fresh stream cache (what publishing costs), a warm repeated m2cd
+# /compile and /lint through the handler (the listing escaped into the
+# pooled response; the lint's interfaces and facts from the cache), the
+# lint merge over every suite program's fact tables, and the Supervisor's
+# cost of one task, ungated and with two gates; B/op and allocs/op where
+# no unit is named.  One iteration each, as bench-frontend.
 bench-objcode:
-	$(GO) test -run='^$$' -bench='^(BenchmarkCodegenCompile|BenchmarkDeclAnalysis|BenchmarkListing|BenchmarkExecute|BenchmarkApplyFixups|BenchmarkWarmProbe|BenchmarkServeRepeat|BenchmarkServeLint|BenchmarkLintMerge|BenchmarkSpawn)$$' -benchtime=1x \
+	$(GO) test -run='^$$' -bench='^(BenchmarkCodegenCompile|BenchmarkDeclAnalysis|BenchmarkListing|BenchmarkExecute|BenchmarkApplyFixups|BenchmarkWarmProbe|BenchmarkColdStreamCache|BenchmarkServeRepeat|BenchmarkServeLint|BenchmarkLintMerge|BenchmarkSpawn)$$' -benchtime=1x \
 		./internal/codegen ./internal/sema ./internal/vm ./internal/streamcache ./internal/core ./cmd/m2cd ./internal/check ./internal/sched
 
 # The benchmark is a module of its own that imports internal packages

@@ -571,8 +571,8 @@ func (s *server) handleCompile(w *statusRecorder, r *http.Request, lint bool) {
 }
 
 // gate resolves the client identity (client, else X-Client, else the
-// remote host) that the rate limiter, breaker and request log key on,
-// and reports a pass: not draining (503), nor over its rate limit (429).
+// remote host; 400 past 256 bytes) that the limiter, breaker and request
+// log key on, and reports a pass: not draining (503), nor limited (429).
 func (s *server) gate(w *statusRecorder, r *http.Request, client string) bool {
 	if client == "" {
 		client = r.Header.Get("X-Client")
@@ -583,6 +583,10 @@ func (s *server) gate(w *statusRecorder, r *http.Request, client string) bool {
 		} else {
 			client = r.RemoteAddr
 		}
+	}
+	if len(client) > 256 {
+		s.writeError(w, http.StatusBadRequest, "client name longer than 256 bytes", 0)
+		return false
 	}
 	w.client = client
 	if s.draining.Load() {
@@ -965,12 +969,22 @@ func (b *breakerSet) sequential(client string, now time.Time) bool {
 }
 
 // record folds one concurrent-path outcome into the client's breaker
-// and reports whether the breaker opened on this call.
+// and reports whether the breaker opened on this call.  A client has
+// state from a fault until a clean result closes its breaker.
 func (b *breakerSet) record(client string, faulted bool, now time.Time) (opened bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	st := b.m[client]
+	if !faulted && (st == nil || st.openUntil.IsZero()) {
+		delete(b.m, client)
+		return false
+	}
 	if st == nil {
+		for c, old := range b.m { // past the cap, forget breakers not open
+			if len(b.m) >= maxLimiterClients && !now.Before(old.openUntil) {
+				delete(b.m, c)
+			}
+		}
 		st = &breakerState{}
 		b.m[client] = st
 	}

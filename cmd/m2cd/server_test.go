@@ -645,10 +645,12 @@ func TestDrainFlow(t *testing.T) {
 
 // TestChaosUnderLoad is the satellite chaos drill: overload the daemon
 // (more concurrent requests than capacity) while injection points
-// crash a handler, slow a request, and wound a compilation — and
-// mid-run, start a drain.  Every response must be well-formed JSON,
-// every 200 body byte-identical to the fault-free baseline, every 429
-// carrying Retry-After, and zero requests dropped without an answer.
+// crash a handler, slow a request, and wound a compilation, and some
+// clients send names over the 256-byte bound — and mid-run, start a
+// drain.  Every response must be well-formed JSON, every over-long name
+// refused with 400, every 200 body byte-identical to the fault-free
+// baseline, every 429 carrying Retry-After, and zero requests dropped
+// without an answer.
 func TestChaosUnderLoad(t *testing.T) {
 	sources := exampleSources(t)
 	compileReq := compileRequest{Module: "Demo", Sources: sources}
@@ -683,8 +685,9 @@ func TestChaosUnderLoad(t *testing.T) {
 
 	const (
 		preDrain  = 30 // fired before the mid-run drain
-		postDrain = 10 // fired after; must all observe 503
+		postDrain = 10 // fired after; must all observe 503 (or 400)
 		total     = preDrain + postDrain
+		serial    = 3 // fired one after another first (see below)
 	)
 	var wg sync.WaitGroup
 	var mu sync.Mutex // guards: statuses, malformed
@@ -706,10 +709,17 @@ func TestChaosUnderLoad(t *testing.T) {
 			req = lintReq
 		}
 		req.Client = fmt.Sprintf("chaos-%d", i%3)
+		longName := i >= serial && i%7 == 6
+		if longName {
+			req.Client = strings.Repeat("n", 257)
+		}
 		resp, body := post(t, ts, path, req)
 		mu.Lock()
 		statuses[resp.StatusCode]++
 		mu.Unlock()
+		if longName != (resp.StatusCode == http.StatusBadRequest) {
+			record("request %d: status %d for a %d-byte client name", i, resp.StatusCode, len(req.Client))
+		}
 		switch resp.StatusCode {
 		case http.StatusOK:
 			if !bytes.Equal(body, want) {
@@ -723,7 +733,7 @@ func TestChaosUnderLoad(t *testing.T) {
 			if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
 				record("request %d: malformed 429 body %s", i, body)
 			}
-		case http.StatusServiceUnavailable, http.StatusInternalServerError:
+		case http.StatusBadRequest, http.StatusServiceUnavailable, http.StatusInternalServerError:
 			var er errorResponse
 			if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
 				record("request %d: malformed %d body %s", i, resp.StatusCode, body)
@@ -736,7 +746,6 @@ func TestChaosUnderLoad(t *testing.T) {
 	// The first requests are served one after another, so the admission
 	// PanicHandler is armed on (the third) happens before the overload
 	// wave and the drain, however the wave is scheduled.
-	const serial = 3
 	for i := 0; i < serial; i++ {
 		wg.Add(1)
 		fire(i)

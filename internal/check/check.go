@@ -310,6 +310,12 @@ func (c *Checker) tryMerge(ctx *ctrace.TaskCtx, fs []*Facts) (out []diag.Diagnos
 	return out, true
 }
 
+// visit returns units after telling visited, a test seam, their number:
+// the merge ranges over every list of units through it.
+func visit[T any](units []T) []T { visited(len(units)); return units }
+
+var visited = func(int) {}
+
 // mergeFacts runs the cross-module passes over the fact tables and
 // returns the sorted, deduplicated findings.  Every rule is a set
 // membership test, so the result is independent of table order; every
@@ -323,7 +329,7 @@ func mergeFacts(fs []*Facts) []diag.Diagnostic {
 // the PanicConcMerge point inside the interprocedural fixed point.
 func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 	out := []diag.Diagnostic{}
-	for _, f := range fs {
+	for _, f := range visit(fs) {
 		out = append(out, f.Findings...)
 	}
 
@@ -340,12 +346,12 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 	var at, kids map[string][]*Facts
 	var under func(name, path string) bool
 	under = func(name, path string) bool {
-		for _, f := range at[path] {
+		for _, f := range visit(at[path]) {
 			if f.Mentions[name] {
 				return true
 			}
 		}
-		for _, f := range kids[path] {
+		for _, f := range visit(kids[path]) {
 			if under(name, f.Path) {
 				return true
 			}
@@ -358,7 +364,7 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 		}
 		if at == nil {
 			at, kids = make(map[string][]*Facts, len(fs)), make(map[string][]*Facts, len(fs))
-			for _, f := range fs {
+			for _, f := range visit(fs) {
 				at[f.Path] = append(at[f.Path], f)
 				if p, ok := parentPath(f.Path); ok {
 					kids[p] = append(kids[p], f)
@@ -377,11 +383,11 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 		more  bool
 	}
 	var nImp, nExp int
-	for _, f := range fs {
+	for _, f := range visit(fs) {
 		nImp, nExp = nImp+len(f.Imports), nExp+len(f.DeclNames)
 	}
 	imported, exported := make(map[[2]string]bool, nImp), make(map[string]mentioners, nExp)
-	for _, f := range fs {
+	for _, f := range visit(fs) {
 		for _, imp := range f.Imports {
 			imported[[2]string{imp.Name.Text, f.Module}] = false
 		}
@@ -389,7 +395,7 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 			exported[n.Text] = mentioners{}
 		}
 	}
-	for i, f := range fs {
+	for i, f := range visit(fs) {
 		for name := range f.Mentions {
 			if _, ok := imported[[2]string{name, f.Module}]; ok {
 				imported[[2]string{name, f.Module}] = true
@@ -401,7 +407,7 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 	}
 
 	var root *Facts
-	for _, f := range fs {
+	for _, f := range visit(fs) {
 		if f.Kind == ModuleUnit {
 			root = f
 		}
@@ -411,7 +417,7 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 		rootModule = root.Module
 	}
 
-	for _, f := range fs {
+	for _, f := range visit(fs) {
 		// Unused locals and parameters (procedure streams).  A name is
 		// "used" if mentioned anywhere in the procedure or a nested
 		// procedure — conservative under shadowing, so never a false
@@ -448,7 +454,7 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 	// mentions is dead interface surface for this program.  The root
 	// module's own interface is exempt — its clients are outside this
 	// compilation.
-	for _, f := range fs {
+	for _, f := range visit(fs) {
 		if f.Kind != DefUnit || f.Module == rootModule {
 			continue
 		}
@@ -467,7 +473,7 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 	if root != nil {
 		byName := map[string][]*Facts{}
 		var procs []*Facts
-		for _, f := range fs {
+		for _, f := range visit(fs) {
 			if f.Kind == ProcUnit && f.Module == rootModule {
 				procs = append(procs, f)
 				byName[f.ProcName] = append(byName[f.ProcName], f)
@@ -478,7 +484,7 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 		for name := range root.Mentions {
 			queue = append(queue, name)
 		}
-		for _, f := range fs {
+		for _, f := range visit(fs) {
 			if f.Kind == DefUnit && f.Module == rootModule {
 				queue = append(queue, f.ProcDecls...)
 			}
@@ -486,7 +492,7 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 		for len(queue) > 0 {
 			name := queue[0]
 			queue = queue[1:]
-			for _, p := range byName[name] {
+			for _, p := range visit(byName[name]) {
 				if reached[p] {
 					continue
 				}
@@ -496,7 +502,7 @@ func mergeFactsPlan(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 				}
 			}
 		}
-		for _, p := range procs {
+		for _, p := range visit(procs) {
 			if !reached[p] && p.HasHead {
 				warn(CodeNeverCalled, p.File, p.HeadName, "procedure "+p.ProcName+" is declared but never called")
 			}

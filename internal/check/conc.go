@@ -432,7 +432,7 @@ const concCtxBudget = 4096
 // other merge rules rely on.
 func concMerge(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 	var root *Facts
-	for _, f := range fs {
+	for _, f := range visit(fs) {
 		if f.Kind == ModuleUnit {
 			root = f
 		}
@@ -448,7 +448,7 @@ func concMerge(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 	for _, n := range root.Conc.ModuleVars {
 		shared[n.Text] = true
 	}
-	for _, f := range fs {
+	for _, f := range visit(fs) {
 		if f.Kind == DefUnit && f.Module == rootModule && f.Conc != nil {
 			for _, n := range f.Conc.ModuleVars {
 				shared[n.Text] = true
@@ -460,7 +460,7 @@ func concMerge(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 	// conservative name-based call graph as the reachability pass.
 	byName := map[string][]*Facts{}
 	var procs []*Facts
-	for _, f := range fs {
+	for _, f := range visit(fs) {
 		if f.Kind == ProcUnit && f.Module == rootModule && f.Conc != nil {
 			procs = append(procs, f)
 			byName[f.ProcName] = append(byName[f.ProcName], f)
@@ -504,10 +504,10 @@ func concMerge(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 		frontier = append(frontier, ctxEntry{f, key})
 	}
 	add(root, "")
-	for _, f := range fs {
+	for _, f := range visit(fs) {
 		if f.Kind == DefUnit && f.Module == rootModule {
 			for _, name := range f.ProcDecls {
-				for _, p := range byName[name] {
+				for _, p := range visit(byName[name]) {
 					add(p, "")
 				}
 			}
@@ -525,7 +525,7 @@ func concMerge(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 				base := lsFromKey(e.key)
 				for _, c := range e.f.Conc.Calls {
 					eff := lsKey(lsUnion(base, c.Held))
-					for _, p := range byName[c.Callee] {
+					for _, p := range visit(byName[c.Callee]) {
 						add(p, eff)
 					}
 				}
@@ -536,7 +536,7 @@ func concMerge(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 		// empty context and re-propagate, so a dead helper's callees
 		// inherit its locks rather than a fabricated bare context.
 		seeded := false
-		for _, p := range procs {
+		for _, p := range visit(procs) {
 			if ctx[p] == nil {
 				add(p, "")
 				seeded = true
@@ -554,7 +554,7 @@ func concMerge(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 	// only those.
 	type decl struct{ path, name string }
 	var hiders []decl
-	for _, a := range fs {
+	for _, a := range visit(fs) {
 		if a.Kind != ProcUnit {
 			continue
 		}
@@ -567,7 +567,7 @@ func concMerge(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 		}
 	}
 	shadowed := func(f *Facts, name string) bool {
-		for _, h := range hiders {
+		for _, h := range visit(hiders) {
 			if h.name == name && nestedIn(f.Path, h.path) {
 				return true
 			}
@@ -587,7 +587,7 @@ func concMerge(fs []*Facts, plan *faultinject.Plan) []diag.Diagnostic {
 	}
 	accByVar := map[string][]varAccess{}
 	edges := map[lockEdge]concSite{} // earliest witnessing acquisition
-	for _, f := range units {
+	for _, f := range visit(units) {
 		for key := range ctx[f] {
 			base := lsFromKey(key)
 			for _, a := range f.Conc.Accesses {

@@ -14,6 +14,7 @@ package codegen
 import (
 	"fmt"
 	"math"
+	"strings"
 	"unsafe"
 
 	"m2cc/internal/ast"
@@ -132,7 +133,7 @@ func (g *Gen) emitReal(f float64) {
 }
 
 func (g *Gen) emitStr(s string) {
-	g.pools.Strs = append(g.pools.Strs, s)
+	g.pools.Strs = append(g.pools.Strs, strings.Clone(s)) // s may alias a source text the segment must not pin
 	g.emit(vm.PushStr, int32(len(g.pools.Strs)-1), 0)
 }
 

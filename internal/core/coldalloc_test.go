@@ -5,6 +5,7 @@ import (
 
 	"m2cc/internal/ifacecache"
 	"m2cc/internal/streamcache"
+	"m2cc/internal/workload"
 )
 
 // TestColdCompileAllocs bounds what a cold compile of one suite program
@@ -36,5 +37,39 @@ func TestColdCompileAllocs(t *testing.T) {
 	if bytes > perStream*uint64(res.Streams) {
 		t.Fatalf("a cold compile of %s allocates %d B, over %d B a stream for %d streams",
 			p, bytes, perStream, res.Streams)
+	}
+}
+
+// BenchmarkColdStreamCache: a clean build of the paper's suite at two
+// workers with a fresh interface cache, without a stream cache and with
+// a fresh one (B/op, allocs/op).  The difference is what publishing a
+// cold build's stream-cache entries costs: keys, the capture and a
+// cache slot per stream, since no entry is built until it is read.
+func BenchmarkColdStreamCache(b *testing.B) {
+	suite := workload.GenerateSuite(1992, 1)
+	for _, fresh := range []bool{false, true} {
+		name := "none"
+		if fresh {
+			name = "fresh"
+		}
+		b.Run(name, func(b *testing.B) {
+			pass := func() {
+				opts := Options{Workers: 2, Cache: ifacecache.New()}
+				if fresh {
+					opts.StreamCache = streamcache.New(0)
+				}
+				for _, p := range suite.Programs {
+					if res := Compile(p.Name, suite.Loader, opts); res.Failed() {
+						b.Fatalf("%s failed:\n%s", p.Name, res.Diags)
+					}
+				}
+			}
+			pass() // until the free lists hold what a pass draws
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pass()
+			}
+		})
 	}
 }

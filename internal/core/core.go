@@ -885,7 +885,7 @@ func (d *driver) runBodyStmtCG(t *sched.Task, scope *symtab.Scope, bodyMeta *vm.
 	ent := d.bodyEnt
 	d.mu.Unlock()
 	if ent != nil {
-		rec := &ent.Records[0]
+		rec := &ent.Records()[0]
 		bodyMeta.Frame = rec.Frame
 		d.addPending(bodyMeta, rec)
 		d.replayRecord(rec)
@@ -1021,15 +1021,16 @@ func (d *driver) installStream(t *sched.Task, ps *procStream, ent *streamcache.E
 	// search it, and they are covered below, never analyzed.
 	cp.Scope.Complete(t.Ctx)
 
-	// The records of the descendants follow in pre-order, as their
-	// streams do: each takes the index its stream reserved.
-	desc := d.keyer.Descendants(ps.id)
-	own := &ent.Records[0]
+	// The records of the descendants follow in pre-order, as the ranks
+	// of their streams do: each takes the index its stream reserved.
+	recs := ent.Records()
+	desc := d.keyer.ProcStreams()[ps.rank+1 : int(ps.rank)+len(recs)]
+	own := &recs[0]
 	cp.Meta.Frame = own.Frame
 	d.addPending(cp.Meta, own)
 	d.replayRecord(own)
-	for i := 1; i < len(ent.Records); i++ {
-		rec := &ent.Records[i]
+	for i := 1; i < len(recs); i++ {
+		rec := &recs[i]
 		meta := d.reg.NewProc(desc[i-1], rec.Name, rec.Exported, rec.IsBody,
 			rec.Level, rec.ArgSlots, rec.HasRet, rec.Pos)
 		meta.Frame = rec.Frame
@@ -1053,7 +1054,7 @@ func (d *driver) installStream(t *sched.Task, ps *procStream, ent *streamcache.E
 	for _, ev := range fire {
 		t.Ctx.FireEvent(ev)
 	}
-	t.Ctx.Add(float64(len(ent.Records)) * ctrace.CostMergeSegment)
+	t.Ctx.Add(float64(len(recs)) * ctrace.CostMergeSegment)
 }
 
 // replayRecord re-emits a cached record's diagnostics into the
@@ -1570,12 +1571,11 @@ func (d *driver) applyPendingInstalls() {
 var adopted func(cached, installed []vm.Instr)
 
 // recordStreams publishes every freshly compiled stream back to the
-// cache: one entry per missed, uncovered stream holding its own record
-// plus its whole subtree (descendant subtrees that were themselves hits
-// contribute their cached records unchanged).  Runs on the main
-// goroutine after all tasks have settled; a wounded compilation —
-// faulted, poisoned, canceled, incomplete split, failed closure hash,
-// or a degraded checker — publishes nothing.
+// cache: one entry per missed, uncovered stream whose whole subtree was
+// compiled or hit, unbuilt, a rank in a capture of what the compilation
+// holds.  Runs on the main goroutine after all tasks have settled; a
+// wounded compilation — faulted, poisoned, canceled, incomplete split,
+// failed closure hash, or a degraded checker — publishes nothing.
 func (d *driver) recordStreams() {
 	if d.scache == nil {
 		return
@@ -1586,58 +1586,82 @@ func (d *driver) recordStreams() {
 		!d.keyer.Complete() || (d.check != nil && d.checkFell) {
 		return
 	}
-	obj := d.reg.Object()
-	procName := func(i int32) string { return obj.Procs[i].FullName() }
-	areaName := func(i int32) string { return obj.Areas[i].Name }
-	excName := func(i int32) string { return obj.Excs[i] }
-	// record captures one freshly compiled stream as it was produced.
-	record := func(meta *vm.ProcMeta, tee *diag.Bag, facts *check.Facts) []streamcache.ProcRecord {
-		return []streamcache.ProcRecord{{
-			Name: meta.Name, Exported: meta.Exported, IsBody: meta.IsBody,
-			Level: meta.Level, ArgSlots: meta.ArgSlots, Frame: meta.Frame,
-			HasRet: meta.HasRet, Pos: meta.Pos, Segment: meta.Segment,
-			Fixups: streamcache.ExtractFixups(meta.Code, procName, areaName, excName),
-			Diags:  tee.Recorded(), Facts: facts,
-		}}
+	obj, ids := d.reg.Object(), d.keyer.ProcStreams()
+	c := &capture{procs: make([]string, len(obj.Procs)), areas: obj.Areas, excs: obj.Excs,
+		streams: make([]captured, len(ids)+1)}
+	for i, p := range obj.Procs {
+		c.procs[i] = p.FullName()
 	}
-
-	memo := make(map[int32][]streamcache.ProcRecord)
-	var collect func(id int32) []streamcache.ProcRecord
-	collect = func(id int32) []streamcache.ProcRecord {
-		if rs, ok := memo[id]; ok {
-			return rs
+	// Ranks are pre-order: in reverse, a stream comes after its subtree.
+	for r := len(ids) - 1; r >= 0; r-- {
+		ps, s := d.procs[ids[r]], &c.streams[r]
+		ok := ps.child != nil && ps.tee != nil && (d.check == nil || ps.facts != nil)
+		s.end = int32(r + 1)
+		for _, ch := range d.keyer.Children(ids[r]) {
+			cs := &c.streams[d.procs[ch].rank]
+			s.end, ok = cs.end, ok && (cs.meta != nil || cs.hit != nil)
 		}
-		var rs []streamcache.ProcRecord
-		ps := d.procs[id]
-		if ent := d.verdicts[ps.rank]; ent != nil {
-			rs = ent.Records
-		} else if ps.child != nil && ps.tee != nil && (d.check == nil || ps.facts != nil) {
-			rs = record(ps.child.Meta, ps.tee, ps.facts)
-			for _, c := range d.keyer.Children(id) {
-				crs := collect(c)
-				if crs == nil {
-					rs = nil
-					break
-				}
-				rs = append(rs, crs...)
-			}
+		if s.hit = d.verdicts[r]; s.hit == nil && ok {
+			m := ps.child.Meta
+			m.Name = c.procs[m.Idx][len(m.Module)+1:] // the same name, not aliasing the source text
+			s.meta, s.diags, s.facts = m, ps.tee.Recorded(), ps.facts
 		}
-		memo[id] = rs
-		return rs
 	}
-	for i, id := range d.keyer.ProcStreams() {
-		if d.verdicts[i] != nil || d.procs[id].covered {
-			continue
+	build := c.Build
+	for r, id := range ids {
+		if c.streams[r].meta != nil && !d.procs[id].covered {
+			d.scache.Put(d.keyer.ProcKey(id, d.keyParams), streamcache.NewEntry(build, int32(r)))
+			d.tally.Recorded++
 		}
-		rs := collect(id)
-		if rs == nil {
-			continue
-		}
-		d.scache.Put(d.keyer.ProcKey(id, d.keyParams), &streamcache.Entry{Records: rs})
-		d.tally.Recorded++
 	}
-	if d.bodyEnt == nil && d.bodyMeta != nil {
-		d.scache.Put(d.keyer.BodyKey(d.keyParams), &streamcache.Entry{Records: record(d.bodyMeta, d.bodyBag, nil)})
+	if r := len(ids); d.bodyEnt == nil && d.bodyMeta != nil {
+		c.streams[r] = captured{meta: d.bodyMeta, diags: d.bodyBag.Recorded(), end: int32(r + 1)}
+		d.scache.Put(d.keyer.BodyKey(d.keyParams), streamcache.NewEntry(build, int32(r)))
 		d.tally.Recorded++
 	}
 }
+
+// capture is what a compilation keeps for the stream-cache entries it
+// publishes.  It holds no pooled buffer and no source text.
+type capture struct {
+	procs   []string   // by index: every procedure's FullName, for fixups
+	areas   []*vm.Area // by index: the object's areas and exceptions
+	excs    []string
+	streams []captured // by rank, the module body last
+}
+
+// captured is one stream: hit, or fresh and recordable (meta set).
+type captured struct {
+	meta  *vm.ProcMeta
+	hit   *streamcache.Entry
+	diags []diag.Diagnostic
+	facts *check.Facts
+	end   int32 // the rank past its subtree
+}
+
+// Build makes the records of the entry at rank at: its own, then its
+// subtree's in pre-order, where a hit stream adds its entry's records.
+func (c *capture) Build(at int32) []streamcache.ProcRecord {
+	materialized()
+	out := make([]streamcache.ProcRecord, 0, c.streams[at].end-at)
+	for r := at; r < c.streams[at].end; r++ {
+		s := &c.streams[r]
+		if s.hit != nil {
+			out, r = append(out, s.hit.Records()...), s.end-1
+			continue
+		}
+		m := s.meta
+		out = append(out, streamcache.ProcRecord{Name: m.Name, Exported: m.Exported, IsBody: m.IsBody,
+			Level: m.Level, ArgSlots: m.ArgSlots, Frame: m.Frame, HasRet: m.HasRet, Pos: m.Pos,
+			Segment: m.Segment, Diags: s.diags, Facts: s.facts,
+			Fixups: streamcache.ExtractFixups(m.Code, c.procName, c.areaName, c.excName)})
+	}
+	return out
+}
+
+func (c *capture) procName(i int32) string { return c.procs[i] }
+func (c *capture) areaName(i int32) string { return c.areas[i].Name }
+func (c *capture) excName(i int32) string  { return c.excs[i] }
+
+// materialized, a test seam, is called for each stream-cache entry built.
+var materialized = func() {}

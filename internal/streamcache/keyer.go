@@ -293,15 +293,6 @@ func (k *Keyer) Children(id int32) []int32 {
 	return nil
 }
 
-// Descendants returns every stream below id in pre-order.
-func (k *Keyer) Descendants(id int32) []int32 {
-	var out []int32
-	for _, c := range k.Children(id) {
-		out = append(append(out, c), k.Descendants(c)...)
-	}
-	return out
-}
-
 // headingHash digests a stream's heading; a stream without one (the main
 // stream) digests as the canonical empty heading.
 func (k *Keyer) headingHash(s *streamInfo) source.Hash {

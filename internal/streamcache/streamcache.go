@@ -73,9 +73,9 @@ type Fixup struct {
 // ProcRecord is one procedure's (or the module body's) cached
 // compilation: the registry metadata needed to re-create its ProcMeta,
 // its object code with symbolic fixups, the diagnostics its stream
-// produced, and its lint fact table.  Records are immutable once
-// published and shared read-only by every compilation that installs
-// them; fixup application copies code before rewriting it.
+// produced, and its lint fact table.  Records are immutable once built
+// and shared read-only by every compilation that installs them; fixup
+// application copies code before rewriting it.
 type ProcRecord struct {
 	Name     string // dotted path within the module ("Sort.Partition")
 	Exported bool
@@ -96,8 +96,22 @@ type ProcRecord struct {
 // Entry is one cached stream compilation: the stream's own record
 // first, then every descendant stream's record in pre-order, so a hit
 // installs the whole subtree without touching the descendants' keys.
+// It is published unbuilt and built on its first read (Records).
 type Entry struct {
-	Records []ProcRecord
+	once    sync.Once
+	build   func(at int32) []ProcRecord // nil once built
+	at      int32
+	records []ProcRecord
+}
+
+// NewEntry returns an entry whose records build makes at at.
+func NewEntry(build func(int32) []ProcRecord, at int32) *Entry { return &Entry{build: build, at: at} }
+
+// Records returns the entry's records, made by the first call, which
+// concurrent first calls wait for.
+func (e *Entry) Records() []ProcRecord {
+	e.once.Do(func() { e.records, e.build = e.build(e.at), nil })
+	return e.records
 }
 
 // Stats is a snapshot of a cache's cumulative counters.
